@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <list>
 #include <unordered_map>
 #include <utility>
 
@@ -85,7 +84,7 @@ std::string ValidateCachePolicy(CachePolicyKind policy, HierarchyMode hierarchy,
 
 namespace {
 
-// ---- LRU -------------------------------------------------------------------
+// ---- LRU / FIFO ------------------------------------------------------------
 
 class LruNodeCache : public NodeCache {
  public:
@@ -126,86 +125,24 @@ class LruNodeCache : public NodeCache {
   }
 
   void ForEach(const std::function<void(uint64_t, bool)>& fn) const override {
-    for (const auto& [key, dirty] : map_.entries()) {
-      fn(key, dirty != 0);
-    }
+    map_.ForEach([&](uint64_t key, uint8_t dirty) { fn(key, dirty != 0); });
   }
-  void Clear() override {
-    while (const auto* oldest = map_.Oldest()) {
-      map_.Erase(oldest->first);
-    }
-  }
+  void Clear() override { map_.Clear(); }
   size_t size() const override { return map_.size(); }
 
  private:
   LruMap<uint64_t, uint8_t> map_;
 };
 
-// ---- FIFO ------------------------------------------------------------------
-
-class FifoNodeCache : public NodeCache {
+// FIFO is LRU whose hits never promote: recency order is insertion order.
+class FifoNodeCache final : public LruNodeCache {
  public:
-  explicit FifoNodeCache(size_t capacity) : NodeCache(capacity) {}
+  using LruNodeCache::LruNodeCache;
 
   bool Lookup(uint64_t key, std::optional<EvictedLine>& evicted) override {
     (void)evicted;
-    return index_.contains(key);  // FIFO order is insertion order; no touch
+    return Contains(key);
   }
-  bool Contains(uint64_t key) const override { return index_.contains(key); }
-
-  std::optional<EvictedLine> Admit(uint64_t key, bool dirty) override {
-    order_.push_back(key);
-    index_[key] = Line{std::prev(order_.end()), dirty};
-    if (index_.size() <= capacity()) {
-      return std::nullopt;
-    }
-    const uint64_t victim_key = order_.front();
-    const bool victim_dirty = index_.at(victim_key).dirty;
-    order_.pop_front();
-    index_.erase(victim_key);
-    return EvictedLine{victim_key, victim_dirty};
-  }
-
-  MarkResult MarkDirty(uint64_t key) override {
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-      return MarkResult::kAbsent;
-    }
-    const MarkResult r =
-        it->second.dirty ? MarkResult::kWasDirty : MarkResult::kWasClean;
-    it->second.dirty = true;
-    return r;
-  }
-
-  std::optional<EvictedLine> Erase(uint64_t key) override {
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-      return std::nullopt;
-    }
-    const EvictedLine line{key, it->second.dirty};
-    order_.erase(it->second.pos);
-    index_.erase(it);
-    return line;
-  }
-
-  void ForEach(const std::function<void(uint64_t, bool)>& fn) const override {
-    for (uint64_t key : order_) {
-      fn(key, index_.at(key).dirty);
-    }
-  }
-  void Clear() override {
-    order_.clear();
-    index_.clear();
-  }
-  size_t size() const override { return index_.size(); }
-
- private:
-  struct Line {
-    std::list<uint64_t>::iterator pos;
-    bool dirty = false;
-  };
-  std::list<uint64_t> order_;  // front = oldest (next victim)
-  std::unordered_map<uint64_t, Line> index_;
 };
 
 // ---- LFU -------------------------------------------------------------------
@@ -372,17 +309,12 @@ class SegmentedNodeCache : public NodeCache {
 
   void ForEach(const std::function<void(uint64_t, bool)>& fn) const override {
     for (const LruMap<uint64_t, uint8_t>* seg : {&protected_, &probation_}) {
-      for (const auto& [key, dirty] : seg->entries()) {
-        fn(key, dirty != 0);
-      }
+      seg->ForEach([&](uint64_t key, uint8_t dirty) { fn(key, dirty != 0); });
     }
   }
   void Clear() override {
-    for (LruMap<uint64_t, uint8_t>* seg : {&protected_, &probation_}) {
-      while (const auto* oldest = seg->Oldest()) {
-        seg->Erase(oldest->first);
-      }
-    }
+    protected_.Clear();
+    probation_.Clear();
   }
   size_t size() const override { return protected_.size() + probation_.size(); }
 

@@ -103,17 +103,26 @@ void DistCacheRuntime::Stop() {
     return;
   }
   stopped_ = true;
+  // Servers drain first. A server acknowledges a write to its client before
+  // §4.3 phase 2, so its cache updates may still be in flight when the client
+  // returns; they must land in switch inboxes that are still open. Switch
+  // forwards that reach a closed server inbox fail their client instead.
+  // threads_ holds the switch threads first, then the server threads.
+  const size_t switch_threads = spine_inboxes_.size() + leaf_inboxes_.size();
+  for (auto& inbox : server_inboxes_) {
+    inbox->Close();
+  }
+  for (size_t t = switch_threads; t < threads_.size(); ++t) {
+    threads_[t].join();
+  }
   for (auto& inbox : spine_inboxes_) {
     inbox->Close();
   }
   for (auto& inbox : leaf_inboxes_) {
     inbox->Close();
   }
-  for (auto& inbox : server_inboxes_) {
-    inbox->Close();
-  }
-  for (auto& thread : threads_) {
-    thread.join();
+  for (size_t t = 0; t < switch_threads; ++t) {
+    threads_[t].join();
   }
   threads_.clear();
 }

@@ -258,10 +258,12 @@ class EngineCore {
   // Batched hot path: executes `count` requests whose sampled buckets were
   // staged into `buckets` up front (the batch's stochastic input as a flat
   // array), software-prefetching the route-table entries of upcoming requests
-  // a fixed distance ahead. Requests execute through Process() in order, so
-  // the batch is bit-identical to the per-request loop in every engine state
-  // (pinned by the sharded golden test); the implementation comment records
-  // why a deeper two-pass SoA staging measured slower and was rejected.
+  // a fixed distance ahead (under a dynamic policy with the observer on, the
+  // observer's sketch counters instead). Requests execute through Process()
+  // in order, so the batch is bit-identical to the per-request loop in every
+  // engine state (pinned by the sharded golden test); the implementation
+  // comment records why a deeper two-pass SoA staging measured slower and was
+  // rejected.
   template <typename Sink>
   void ProcessBatch(Sink& sink, const uint32_t* buckets, uint32_t count);
 
@@ -842,9 +844,33 @@ void EngineCore::ProcessBatch(Sink& sink, const uint32_t* buckets, uint32_t coun
   // chains the out-of-order core otherwise overlaps across iterations, and the
   // staging stores add traffic without removing any misses the prefetch does
   // not already hide. Re-measure with bench_scaling before re-staging.
+  constexpr uint32_t kPrefetchDistance = 16;
+  if (__builtin_expect(policy_mode_ == kDynamicPolicy && observer_ != nullptr, 0)) {
+    // The dynamic policy reads no route entries; its costliest memory traffic
+    // is the observer's sketch counters (rows × 2^18 cells, far beyond L2).
+    // A head bucket's key is a pure function of the bucket, so those cells are
+    // prefetched the same distance ahead; tail keys come from the RNG at run
+    // time and are not. A prefetch changes no state, so this stays
+    // bit-identical to the per-request loop.
+    const auto prefetch_cells = [this](uint32_t bucket) {
+      if (bucket != model_->pool) {
+        observer_->Prefetch(KeyOfRank(bucket, hot_shift_, model_->cfg.num_keys));
+      }
+    };
+    const uint32_t lead = count < kPrefetchDistance ? count : kPrefetchDistance;
+    for (uint32_t i = 0; i < lead; ++i) {
+      prefetch_cells(buckets[i]);
+    }
+    for (uint32_t i = 0; i < count; ++i) {
+      if (i + kPrefetchDistance < count) {
+        prefetch_cells(buckets[i + kPrefetchDistance]);
+      }
+      Process(sink, buckets[i]);
+    }
+    return;
+  }
   const RouteEntry* const route_data = route_data_;
   const uint32_t hot_len = route_hot_len_;
-  constexpr uint32_t kPrefetchDistance = 16;
   // Compact tables leave buckets past the hot prefix (and the tail bucket)
   // with no entry to fetch; clamp those to entry 0 — one cmov, and the
   // formed address stays inside the allocation.

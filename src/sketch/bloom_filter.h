@@ -1,6 +1,10 @@
 // Bloom filter — paired with the Count-Min sketch in the heavy-hitter detector to
 // avoid reporting the same heavy key to the switch agent repeatedly. The paper's
 // prototype uses 3 register arrays × 256K 1-bit slots (§5); those are the defaults.
+//
+// The arrays are stored back to back in one uint64_t bitset, and a slot is the
+// hash masked to the array width: widths must be powers of two, and the
+// constructor aborts on any other width.
 #ifndef DISTCACHE_SKETCH_BLOOM_FILTER_H_
 #define DISTCACHE_SKETCH_BLOOM_FILTER_H_
 
@@ -36,14 +40,17 @@ class BloomFilter {
   size_t MemoryBits() const { return config_.hashes * config_.bits; }
 
  private:
-  size_t Slot(size_t row, uint64_t key) const {
-    return static_cast<size_t>(hashes_.Hash(row, key) % config_.bits);
+  // Index of `key`'s bit in array `row` of the flat bitset.
+  size_t Bit(size_t row, uint64_t key) const {
+    return row * config_.bits + static_cast<size_t>(hashes_.Hash(row, key) & mask_);
   }
 
   Config config_;
+  uint64_t mask_;
   HashFamily hashes_;
-  // One bit-array per hash, as in the P4 implementation (one register array per stage).
-  std::vector<std::vector<bool>> bits_;
+  // One bit-array per hash, as in the P4 implementation (one register array per
+  // stage), laid out consecutively.
+  std::vector<uint64_t> words_;
 };
 
 }  // namespace distcache

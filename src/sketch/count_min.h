@@ -2,6 +2,10 @@
 // switch heavy-hitter detector. The paper's prototype uses 4 register arrays × 64K
 // 16-bit slots per array (§5); those are the defaults here, including saturating
 // 16-bit counters to mirror the data-plane register width.
+//
+// The rows are stored back to back in one array, and a slot is the row hash
+// masked to the width: widths must be powers of two (register arrays are), and
+// the constructor aborts on any other width.
 #ifndef DISTCACHE_SKETCH_COUNT_MIN_H_
 #define DISTCACHE_SKETCH_COUNT_MIN_H_
 
@@ -31,6 +35,10 @@ class CountMinSketch {
   // Point-query estimate of the count of `key` (an overestimate in expectation).
   uint32_t Estimate(uint64_t key) const;
 
+  // Issues a prefetch for each of `key`'s counters (a pure cache hint; it
+  // changes no state), so a later Update(key) finds them warm.
+  void Prefetch(uint64_t key) const;
+
   // Zeroes all counters. The switch agent does this every second (§5).
   void Reset();
 
@@ -41,13 +49,15 @@ class CountMinSketch {
   size_t MemoryBits() const { return config_.rows * config_.width * 16; }
 
  private:
-  size_t Slot(size_t row, uint64_t key) const {
-    return static_cast<size_t>(hashes_.Hash(row, key) % config_.width);
+  // Index of `key`'s counter in row `row` of the flat counter array.
+  size_t Cell(size_t row, uint64_t key) const {
+    return row * config_.width + static_cast<size_t>(hashes_.Hash(row, key) & mask_);
   }
 
   Config config_;
+  uint64_t mask_;
   HashFamily hashes_;
-  std::vector<std::vector<uint32_t>> counters_;
+  std::vector<uint32_t> counters_;  // rows × width, row-major
 };
 
 }  // namespace distcache

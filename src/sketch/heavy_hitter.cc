@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "common/hash.h"
+
 namespace distcache {
 
 std::vector<std::pair<uint64_t, uint64_t>> MergeHeavyHitterReports(
@@ -23,26 +25,67 @@ std::vector<std::pair<uint64_t, uint64_t>> MergeHeavyHitterReports(
   return out;
 }
 
+namespace {
+constexpr size_t kInitialReportSlots = 64;
+}  // namespace
+
 HeavyHitterDetector::HeavyHitterDetector(const Config& config)
-    : config_(config), sketch_(config.sketch), bloom_(config.bloom) {}
+    : config_(config),
+      sketch_(config.sketch),
+      bloom_(config.bloom),
+      reports_(kInitialReportSlots) {}
+
+size_t HeavyHitterDetector::FindSlot(uint64_t key) const {
+  const size_t mask = reports_.size() - 1;
+  for (size_t i = Mix64(key) & mask;; i = (i + 1) & mask) {
+    if (!reports_[i].used || reports_[i].key == key) {
+      return i;
+    }
+  }
+}
+
+void HeavyHitterDetector::Grow() {
+  std::vector<Report> old(reports_.size() * 2);
+  old.swap(reports_);
+  for (const Report& r : old) {
+    if (r.used) {
+      reports_[FindSlot(r.key)] = r;
+    }
+  }
+}
 
 bool HeavyHitterDetector::Record(uint64_t key) {
   const uint32_t estimate = sketch_.Update(key);
   if (estimate < config_.report_threshold) {
     return false;
   }
-  if (reports_.size() >= config_.max_reports_per_epoch && !reports_.contains(key)) {
-    return false;
+  size_t slot = FindSlot(key);
+  if (!reports_[slot].used) {
+    if (num_reports_ >= config_.max_reports_per_epoch) {
+      return false;
+    }
+    if (2 * (num_reports_ + 1) > reports_.size()) {
+      Grow();
+      slot = FindSlot(key);
+    }
+    reports_[slot] = {key, 0, true};
+    ++num_reports_;
   }
   // The bloom filter suppresses duplicate reports for the same key within an epoch;
   // we still refresh the stored estimate so TopReports ranks by the latest count.
   const bool already_reported = bloom_.InsertAndTest(key);
-  reports_[key] = estimate;
+  reports_[slot].count = estimate;
   return !already_reported;
 }
 
 std::vector<std::pair<uint64_t, uint32_t>> HeavyHitterDetector::TopReports() const {
-  std::vector<std::pair<uint64_t, uint32_t>> out(reports_.begin(), reports_.end());
+  std::vector<std::pair<uint64_t, uint32_t>> out;
+  out.reserve(num_reports_);
+  for (const Report& r : reports_) {
+    if (r.used) {
+      out.emplace_back(r.key, r.count);
+    }
+  }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) {
       return a.second > b.second;
@@ -55,7 +98,8 @@ std::vector<std::pair<uint64_t, uint32_t>> HeavyHitterDetector::TopReports() con
 void HeavyHitterDetector::NewEpoch() {
   sketch_.Reset();
   bloom_.Reset();
-  reports_.clear();
+  std::fill(reports_.begin(), reports_.end(), Report{});
+  num_reports_ = 0;
 }
 
 }  // namespace distcache

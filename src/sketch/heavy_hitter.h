@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -49,14 +48,34 @@ class HeavyHitterDetector {
   // Clears sketch, bloom filter and report list. Called by the agent every second.
   void NewEpoch();
 
+  // Warms the sketch counters a later Record(key) will update (a cache hint
+  // only: no state changes).
+  void Prefetch(uint64_t key) const { sketch_.Prefetch(key); }
+
   uint32_t Estimate(uint64_t key) const { return sketch_.Estimate(key); }
   size_t MemoryBits() const { return sketch_.MemoryBits() + bloom_.MemoryBits(); }
 
  private:
+  // One slot of the flat report table (open addressing, linear probing).
+  struct Report {
+    uint64_t key = 0;
+    uint32_t count = 0;
+    bool used = false;
+  };
+
+  // Slot holding `key`, or the empty slot that ends its probe chain.
+  size_t FindSlot(uint64_t key) const;
+  // Doubles the table and re-inserts every report.
+  void Grow();
+
   Config config_;
   CountMinSketch sketch_;
   BloomFilter bloom_;
-  std::unordered_map<uint64_t, uint32_t> reports_;
+  // Keys reported this epoch with their latest estimate. Written on most hot
+  // reads (the observer's threshold is 2), so it is one flat array kept at
+  // most half full; it grows by doubling and keeps its size across epochs.
+  std::vector<Report> reports_;
+  size_t num_reports_ = 0;
 };
 
 }  // namespace distcache

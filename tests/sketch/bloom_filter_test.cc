@@ -62,5 +62,18 @@ TEST(BloomFilter, PaperConfigMemoryBits) {
   EXPECT_EQ(bf.MemoryBits(), 3u * 262144u);
 }
 
+// Slots are the row hash masked to the width, so only power-of-two widths
+// are accepted; anything else aborts at construction.
+TEST(BloomFilterDeathTest, RejectsNonPowerOfTwoWidth) {
+  for (size_t bad : {size_t{0}, size_t{3}, size_t{3000}}) {
+    BloomFilter::Config cfg = SmallConfig();
+    cfg.bits = bad;
+    EXPECT_DEATH(BloomFilter{cfg}, "not a power of two") << bad;
+  }
+  BloomFilter::Config one = SmallConfig();
+  one.bits = 1;
+  BloomFilter accepted(one);  // 2^0 is a valid (degenerate) width
+}
+
 }  // namespace
 }  // namespace distcache

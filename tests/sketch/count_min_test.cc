@@ -92,5 +92,18 @@ TEST(CountMinSketch, PaperConfigMemoryBits) {
   EXPECT_EQ(cm.width(), 65536u);
 }
 
+// Slots are the row hash masked to the width, so only power-of-two widths
+// are accepted; anything else aborts at construction.
+TEST(CountMinSketchDeathTest, RejectsNonPowerOfTwoWidth) {
+  for (size_t bad : {size_t{0}, size_t{3}, size_t{1000}}) {
+    CountMinSketch::Config cfg = SmallConfig();
+    cfg.width = bad;
+    EXPECT_DEATH(CountMinSketch{cfg}, "not a power of two") << bad;
+  }
+  CountMinSketch::Config one = SmallConfig();
+  one.width = 1;
+  CountMinSketch accepted(one);  // 2^0 is a valid (degenerate) width
+}
+
 }  // namespace
 }  // namespace distcache

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 #include "common/zipf.h"
 
@@ -99,6 +104,88 @@ TEST(HeavyHitterDetector, ReportCapIsEnforced) {
 TEST(HeavyHitterDetector, MemoryBitsCombineSketchAndBloom) {
   HeavyHitterDetector hh(SmallConfig());
   EXPECT_EQ(hh.MemoryBits(), 4u * 4096u * 16u + 3u * 16384u);
+}
+
+// Reference detector: the same sketch and Bloom filter with the report list in
+// a std::unordered_map, sorted on the same total order.
+class RefDetector {
+ public:
+  explicit RefDetector(const HeavyHitterDetector::Config& config)
+      : config_(config), sketch_(config.sketch), bloom_(config.bloom) {}
+
+  bool Record(uint64_t key) {
+    const uint32_t estimate = sketch_.Update(key);
+    if (estimate < config_.report_threshold) {
+      return false;
+    }
+    if (reports_.size() >= config_.max_reports_per_epoch && !reports_.contains(key)) {
+      return false;
+    }
+    const bool already_reported = bloom_.InsertAndTest(key);
+    reports_[key] = estimate;
+    return !already_reported;
+  }
+  std::vector<std::pair<uint64_t, uint32_t>> TopReports() const {
+    std::vector<std::pair<uint64_t, uint32_t>> out(reports_.begin(), reports_.end());
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return a.second != b.second ? a.second > b.second : a.first < b.first;
+    });
+    return out;
+  }
+  void NewEpoch() {
+    sketch_.Reset();
+    bloom_.Reset();
+    reports_.clear();
+  }
+
+ private:
+  HeavyHitterDetector::Config config_;
+  CountMinSketch sketch_;
+  BloomFilter bloom_;
+  std::unordered_map<uint64_t, uint32_t> reports_;
+};
+
+// Replays a Zipf stream through both detectors for three epochs, comparing
+// every Record() and the ranked reports; returns the largest report count seen.
+size_t RunDetectorDifferential(const HeavyHitterDetector::Config& cfg, uint64_t seed) {
+  size_t peak = 0;
+  HeavyHitterDetector hh(cfg);
+  RefDetector ref(cfg);
+  ZipfDistribution dist(200000, 0.99);
+  Rng rng(seed);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    for (int i = 0; i < 40000; ++i) {
+      const uint64_t key = dist.Sample(rng);
+      EXPECT_EQ(hh.Record(key), ref.Record(key)) << "epoch " << epoch << " i " << i;
+      if (i % 10000 == 9999) {
+        const auto top = hh.TopReports();
+        EXPECT_EQ(top, ref.TopReports()) << "epoch " << epoch << " i " << i;
+        peak = std::max(peak, top.size());
+      }
+    }
+    hh.NewEpoch();
+    ref.NewEpoch();
+    EXPECT_TRUE(hh.TopReports().empty());
+  }
+  return peak;
+}
+
+TEST(HeavyHitterDifferential, TopReportsMatchUnorderedMapReference) {
+  HeavyHitterDetector::Config cfg = SmallConfig(2);
+  cfg.max_reports_per_epoch = 1u << 20;  // never binds: the table grows freely
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    EXPECT_GT(RunDetectorDifferential(cfg, seed), 1000u);
+  }
+}
+
+TEST(HeavyHitterDifferential, TopReportsMatchWhenTheCapBinds) {
+  for (size_t cap : {1, 7, 100, 3000}) {
+    HeavyHitterDetector::Config cfg = SmallConfig(3);
+    cfg.max_reports_per_epoch = cap;
+    SCOPED_TRACE(cap);
+    EXPECT_EQ(RunDetectorDifferential(cfg, 11), cap);
+  }
 }
 
 }  // namespace
