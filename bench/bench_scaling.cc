@@ -14,10 +14,10 @@
 //
 // Sweep: substrate {seq, sharded threads, multiproc processes} x shards
 // {1, 2, 4} x L {2, 3} x workload {uniform, zipf-0.99, phased hot-shift}. The
-// sharded and multiproc rows run the *same* per-shard engine — the column
-// difference is purely the transport substrate (in-process SPSC rings vs
-// shared-memory arena rings plus fork/stats-codec overhead), which is exactly
-// what the multiproc rows exist to measure. Every point is best-of-N wall time
+// sharded and multiproc rows run the *same* shard runtime — the column
+// difference is purely the launcher (threads vs forked processes, with
+// fork and copy-on-write overhead), which is exactly what the multiproc rows
+// exist to measure. Every point is best-of-N wall time
 // (the harness shares its host with noisy neighbours; best-of is the standard
 // de-noising for throughput floors). Emits BENCH_scaling.json under --json.
 //
@@ -151,7 +151,7 @@ int Run(BenchJson& json, bool gate, bool pin_cores) {
     for (const Workload& w : workloads) {
       const std::string prefix = "L" + std::to_string(layers) + "_" + w.name;
       std::printf("\n%-22s %10s %10s %12s %14s %12s\n", prefix.c_str(), "Mreq/s",
-                  "vs seq", "hit ratio", "ring msgs", "mutex polls");
+                  "vs seq", "hit ratio", "ring msgs", "ctrl polls");
       const Point seq = Measure(prefix + "_seq", BackendKind::kSequential, 1,
                                 layers, w, requests, trials, pin_cores);
       json.Metric(seq.key + "_mrps", seq.mrps);

@@ -38,7 +38,7 @@ class CacheController {
   // aggregated from the switches), then re-applies the partition→spine remap
   // currently in effect so re-allocation composes with failure handling. The new
   // allocation must be pushed to clients afterwards (route-table rebuild +
-  // multicast, see sim/sharded_backend.h).
+  // publish, see sim/multiproc_backend.h).
   void ReallocateCache(const std::vector<uint64_t>& hottest_first,
                        const Placement& placement);
 

@@ -26,8 +26,9 @@
 //     cumulative per-node contributions every epoch and receivers fold in the
 //     monotone increments — while each client tracks its own contributions via
 //     Add(), so the view error for any node is at most the traffic other clients
-//     sent it within one epoch (see sim/sharded_backend.h for why absolute-load
-//     broadcasts would violate this).
+//     sent it within one epoch (sim/multiproc_backend.h). Broadcasting absolute
+//     owner loads instead would mix snapshots of different ages and
+//     systematically misroute.
 //  3. *Herding avoidance*: decisions within an epoch must not all see the identical
 //     frozen snapshot (else every query chases the same "less loaded" node — the
 //     stale-telemetry ablation in ClusterSim). Local Add() increments provide the

@@ -3,9 +3,9 @@
 // The sharded runtime assigns every cache switch (of every layer of the
 // hierarchy) and every storage server to exactly one shard, which owns that
 // node's authoritative load counter. Requests generated by other shards that land
-// on the node travel as batched load-delta messages over the owner's channel (see
-// sim/sharded_backend.h). Ownership is round-robin by flat node index, which
-// balances all layers across shards for any shard count.
+// on the node travel as batched load-delta messages over the owner's inbound
+// rings (see sim/multiproc_backend.h). Ownership is round-robin by flat node
+// index, which balances all layers across shards for any shard count.
 #ifndef DISTCACHE_NET_SHARD_MAP_H_
 #define DISTCACHE_NET_SHARD_MAP_H_
 
@@ -31,16 +31,8 @@ class ShardMap {
 
   uint32_t shards() const { return shards_; }
 
-  // The shard that doubles as the off-path cluster controller: it multicasts the
-  // reconfiguration timeline before processing starts and anchors the cache
-  // re-allocation rendezvous (collect observed counts → refill → push routes).
-  // By convention the first shard — single-sourced here so the sender and the
-  // waiters can never disagree.
-  uint32_t controller_shard() const { return 0; }
-
   // Canonical top-layer-first flat index for cache nodes — the encoding shared
-  // by the telemetry payloads (ShardMsg.cache_partials), the delta scratch
-  // arrays, and ownership. The encoding itself is single-sourced in
+  // by the telemetry payloads, the delta scratch arrays, and ownership. The encoding itself is single-sourced in
   // LayerOffsets (net/topology.h), which the LoadTracker shares.
   uint32_t FlatIndex(CacheNodeId node) const { return offset_.Flat(node); }
   CacheNodeId NodeOfFlat(uint32_t flat) const { return offset_.NodeOfFlat(flat); }

@@ -1,13 +1,12 @@
-// Bounded lock-free single-producer/single-consumer ring — the data-plane
-// transport of the sharded engine.
+// Bounded lock-free single-producer/single-consumer ring for typed in-process
+// messages.
 //
-// The mutex Channel (runtime/channel.h) remains the *control* transport
-// (timeline multicast, re-allocation rendezvous, shutdown markers): those are
-// O(reconfigurations) messages where a mutex is free and blocking semantics are
-// convenient. Everything rate-proportional to request volume — telemetry
-// partials and end-of-run load deltas — travels over one SpscRing per directed
-// shard pair, so the request loop's batch-boundary poll is a single acquire
-// load per peer and a Send never takes a lock or wakes a futex.
+// The shard runtime (sim/multiproc_backend.h) runs the same design ported onto
+// the shared-memory arena (runtime/shm_ring.h): one ring per directed shard
+// pair, so the request loop's batch-boundary poll is a single acquire load per
+// peer and a send never takes a lock or wakes a futex. This typed version is
+// the reference the port follows and the in-process baseline the ring
+// microbenchmarks measure.
 //
 // Layout: the classic Lamport ring with head (consumer) and tail (producer)
 // indices on their own cache lines, plus a producer-side cached copy of head
@@ -28,7 +27,7 @@
 // Memory ordering: Publish() stores tail with release after the slot moves;
 // TryPop() loads tail with acquire before reading the slot, and stores head
 // with release after destroying it. A full ring rejects the push (returns
-// false) — callers decide the backpressure policy (the sharded backend drains
+// false) — callers decide the backpressure policy (the shard runtime drains
 // its own inboxes and retries, which cannot deadlock because every shard's
 // send loop also consumes).
 #ifndef DISTCACHE_RUNTIME_SPSC_RING_H_

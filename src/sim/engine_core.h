@@ -13,7 +13,7 @@
 //   * each sharded worker runs its own EngineCore, advancing it at batch
 //     boundaries with timeline timestamps scaled to the shard's quota, and with
 //     load charging / telemetry routed through the owner-partitioned gossip
-//     machinery (see sharded_backend.h);
+//     machinery (see multiproc_backend.h);
 //   * the fluid backend keeps its analytic path but consumes the same timeline
 //     (see cluster/fluid_backend.h).
 //
@@ -132,7 +132,7 @@ class EngineCore {
                          const std::shared_ptr<const std::vector<double>>& pmf)>;
   // kReallocateCache callback: returns the post-reallocation route table (null
   // keeps the current one). The sequential engine recomputes locally from
-  // ObservedCounts(); the sharded engine runs the controller rendezvous.
+  // ObservedCounts(); the shard runtime runs the arena controller rendezvous.
   using ReallocateHook = std::function<std::shared_ptr<const RouteTable>()>;
 
   // `model` outlives the core and is read-only on the hot path. `rng_seed` /

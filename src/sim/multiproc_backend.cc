@@ -6,8 +6,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <deque>
 #include <functional>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include <ctime>
@@ -29,42 +30,38 @@ namespace distcache {
 namespace {
 
 // Ring depths per directed shard pair. Data traffic is O(epochs + 1) messages
-// (telemetry broadcasts plus the end-of-run delta flush, chunked), same as the
-// in-process engine's 256-deep rings; control traffic is chunked heavy-hitter
-// reports plus one kDone, and its consumers drain while waiting, so a shallow
-// ring only adds retry rounds, never deadlock.
-constexpr size_t kDataRingCapacity = 256;
+// (telemetry broadcasts plus the end-of-run delta flush, chunked) and every
+// batch boundary drains it; control traffic is one kDone. Consumers drain
+// while waiting, so a shallow ring only adds retry rounds, never deadlock —
+// and every slot is touched as the index wraps, so depth is resident memory.
+constexpr size_t kDataRingCapacity = 32;
 constexpr size_t kCtrlRingCapacity = 64;
 
-// Control-plane slot payload: 256 report entries per chunk.
-constexpr size_t kCtrlPayloadBytes = 4096;
 // Floor for the data-plane payload when the topology is tiny.
 constexpr size_t kMinDataPayloadBytes = 1024;
 
-// The cross-process message set. Everything that crosses an address space is
-// one of these four POD-serialized kinds — the in-process engine's other kinds
-// do not exist here: kClusterEvent because every child queues the fired plan
-// locally, kRouteUpdate because every child runs the controller computation
-// itself (see multiproc_backend.h).
+// The ring message set. Everything that crosses between shards is one of
+// these POD-serialized kinds: the timeline needs no multicast (every shard
+// queues the fired plan locally) and the realloc rendezvous goes through the
+// arena (see multiproc_backend.h).
 enum WireKind : uint8_t {
   kWireTelemetry = 0,  // dense own-contribution partials, one slot
   kWireDeltas = 1,     // end-of-run load deltas, chunked
-  kWireReport = 2,     // heavy-hitter report, chunked, `last` terminates
-  kWireDone = 3,       // end-of-stream marker
+  kWireDone = 2,       // end-of-stream marker, the only control-ring kind
 };
 
 struct WireHeader {
   uint8_t kind;
-  uint8_t last;      // kWireReport: final chunk of this report
+  uint8_t pad8;
   uint16_t pad16;
   uint32_t from;     // sender shard
-  uint32_t count_a;  // telemetry: #partials; deltas: #cache; report: #pairs
+  uint32_t count_a;  // telemetry: #partials; deltas: #cache
   uint32_t count_b;  // deltas: #server entries
 };
 static_assert(sizeof(WireHeader) == 16, "wire header layout");
 
 // Fixed 16-byte entry for both delta kinds ({flat-or-server index, delta}) and
-// report pairs ({key, count}); everything moves through memcpy, so slot
+// arena report pairs ({key, count}); everything moves through memcpy, so slot
 // alignment is a non-issue and no object is ever aliased across the arena.
 struct DeltaEntry {
   uint64_t index;
@@ -92,14 +89,10 @@ struct alignas(kCacheLineSize) ShmControlBlock {
   // Set by the supervisor when any child dies abnormally; checked by every
   // child wait loop, full-ring retry and backoff — the no-hang guarantee.
   std::atomic<uint32_t> abort{0};
-  // Start barrier: children prefault their inbound rings (first-touch NUMA
+  // Start barrier: shards prefault their inbound rings (first-touch NUMA
   // placement under pinning), then rendezvous here before any ring traffic,
   // so the prefault writes can never race a producer.
   std::atomic<uint32_t> ready{0};
-  // TestCrashShardAt one-shot latch: the crash fires on the incarnation that
-  // wins the exchange, so a respawned shard re-running the same request range
-  // does not kill itself again.
-  std::atomic<uint32_t> crash_consumed{0};
 };
 
 struct alignas(kCacheLineSize) ShardSlot {
@@ -124,7 +117,7 @@ static_assert(sizeof(ShmControlBlock) == kCacheLineSize &&
 
 void WritePod(void* slot, const void* src, size_t bytes, size_t offset = 0) {
   if (bytes == 0) {
-    return;  // an empty report chunk carries data() == nullptr; memcpy forbids it
+    return;  // an empty vector's data() may be nullptr; memcpy forbids it
   }
   std::memcpy(static_cast<uint8_t*>(slot) + offset, src, bytes);
 }
@@ -190,10 +183,9 @@ TableView ViewTable(const uint8_t* src) {
 
 }  // namespace
 
-// Child-side per-shard state — the process-local mirror of ShardedBackend's
-// Shard, minus the thread and the heap-payload message types. Ring *views*
-// (runtime/shm_ring.h) live here (process-local index caches); ring storage
-// lives in the arena.
+// Per-shard state, local to the shard's thread or process. Ring *views*
+// (runtime/shm_ring.h) live here (private index caches); ring storage lives in
+// the arena.
 struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   Proc(uint32_t id, const ClusterModel* model, uint64_t seed, bool observer)
       : id(id),
@@ -226,20 +218,11 @@ struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   const TwoLevelSampler* two_level = nullptr;
   std::unique_ptr<TwoLevelSampler> phase_two_level;
 
-  // Heavy-hitter report reassembly: chunks accumulate per sender (SPSC rings
-  // are FIFO per sender, so chunks of one report are contiguous), completed
-  // reports queue per sender so multiple kReallocateCache steps stay paired
-  // with the right rendezvous.
-  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> partial_report;
-  std::vector<std::deque<std::vector<std::pair<uint64_t, uint32_t>>>>
-      ready_reports;
-
   // Flush / deserialize scratch.
   std::vector<std::vector<std::pair<uint32_t, double>>> out_cache;
   std::vector<std::vector<std::pair<uint32_t, double>>> out_server;
   std::vector<double> telemetry_scratch;
   std::vector<DeltaEntry> delta_scratch;
-  std::vector<ReportEntry> report_scratch;
 
   double quota_scale = 1.0;
   bool abort_seen = false;
@@ -266,8 +249,9 @@ struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   std::atomic<uint64_t>* heartbeat = nullptr;
 };
 
-// The branch-free hot-path sink — identical arithmetic to ShardedBackend's
-// ShardSink, which is half of the x1 bit-identity claim.
+// The branch-free hot-path sink: every charge is two dense array adds (own
+// contribution + optimistic local view). No owner test, no shared write — the
+// owner split is deferred to FlushLoads at quota end.
 struct MultiprocBackend::ProcSink {
   MultiprocBackend* backend;
   Proc* p;
@@ -281,8 +265,10 @@ struct MultiprocBackend::ProcSink {
   }
 };
 
-MultiprocBackend::MultiprocBackend(const SimBackendConfig& config)
+MultiprocBackend::MultiprocBackend(const SimBackendConfig& config,
+                                   Launcher launcher)
     : config_(config),
+      launcher_(launcher),
       model_(config.cluster, /*build_popularity=*/!config.two_level_sampling),
       shard_map_(
           [this] {
@@ -324,7 +310,7 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
   // A full telemetry snapshot (one double per cache node) must fit one slot.
   data_slot_bytes_ =
       sizeof(WireHeader) + std::max(nodes * sizeof(double), kMinDataPayloadBytes);
-  ctrl_slot_bytes_ = sizeof(WireHeader) + kCtrlPayloadBytes;
+  ctrl_slot_bytes_ = sizeof(WireHeader);
   const uint64_t max_points =
       config_.sample_interval == 0 ? 0
                                    : num_requests / config_.sample_interval + 4;
@@ -367,13 +353,10 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
         layout.Reserve(SerializedTableBytes(fired_plan_[i].routes.get()));
   }
 
-  // Single-controller realloc rendezvous (static policies only; dynamic
-  // policies keep the legacy all-to-all — see multiproc_backend.h). Runtime
-  // tables cannot be pre-sized exactly, so the regions are worst-case: a
-  // report slot holds the observer's max_reports_per_epoch (2·pool) and a
-  // table slot the dense pool with every entry spilled to overflow. Realloc
-  // timelines are small-config test territory, so the worst case stays small.
-  arena_realloc_ = !PolicyIsDynamic(config_.cluster.cache_policy);
+  // Realloc rendezvous regions. Runtime tables cannot be pre-sized exactly,
+  // so the regions are worst-case: a report slot holds the observer's
+  // max_reports_per_epoch (2·pool) and a table slot the dense pool with every
+  // entry spilled to overflow. Pages are only touched as written.
   realloc_step_index_.clear();
   report_offset_.clear();
   realloc_ready_offset_.clear();
@@ -384,7 +367,7 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
       realloc_step_index_.push_back(i);
     }
   }
-  if (arena_realloc_ && !realloc_step_index_.empty()) {
+  if (!realloc_step_index_.empty()) {
     report_entry_cap_ = static_cast<size_t>(2 * model_.pool);
     table_cap_bytes_ =
         sizeof(ArenaTableHeader) +
@@ -426,7 +409,7 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
   if (!arena_.Map(layout.total(), config_.huge_pages)) {
     return false;
   }
-  // Pre-fork, single-threaded: construct the handshake block in place (the
+  // Pre-launch, single-threaded: construct the handshake block in place (the
   // zero-filled bytes are already the right values; this makes it formal).
   auto* ctrl = new (arena_.At(control_offset_)) ShmControlBlock();
   (void)ctrl;
@@ -444,9 +427,8 @@ void MultiprocBackend::SerializePlanTables() {
     SerializeTable(arena_.At(plan_table_offset_[1 + i]),
                    fired_plan_[i].routes.get());
   }
-  // The arena is the only copy from here on: drop the heap tables before the
-  // first fork, so neither the supervisor nor any child ever holds (or
-  // COW-duplicates) a private one.
+  // The arena is the only copy from here on: drop the heap tables before
+  // launch, so no forked child ever holds (or COW-duplicates) a private one.
   base_routes_.reset();
   for (TimelineStep& step : fired_plan_) {
     step.routes.reset();
@@ -457,6 +439,10 @@ void MultiprocBackend::SerializePlanTables() {
 }
 
 namespace {
+// Shard i's share of the run: an even split, the remainder to the lowest ids.
+uint64_t QuotaOf(uint64_t num_requests, uint32_t n, uint32_t i) {
+  return num_requests / n + (i < num_requests % n ? 1 : 0);
+}
 ShmControlBlock* CtrlBlockAt(const ShmArena& arena, size_t offset) {
   return reinterpret_cast<ShmControlBlock*>(arena.At(offset));
 }
@@ -507,18 +493,18 @@ void MultiprocBackend::RecordFault(Proc& p, FaultKind kind,
       {p.id, static_cast<uint32_t>(kind), at_request});
 }
 
-// ---- child side ------------------------------------------------------------
+// ---- shard side ------------------------------------------------------------
 
-void MultiprocBackend::ChildMain(uint32_t id, uint64_t quota,
+std::unique_ptr<MultiprocBackend::Proc> MultiprocBackend::NewProc(
+    uint32_t id) const {
+  return std::make_unique<Proc>(id, &model_, config_.cluster.seed,
+                                TimelineNeedsObserver(config_.events));
+}
+
+bool MultiprocBackend::ShardMain(Proc& p, uint64_t quota,
                                  uint64_t num_requests, bool respawned) {
-  if (config_.pin_cores) {
-    // Pin before the prefault below so the rings this shard consumes land on
-    // the pinned core's NUMA node (first touch).
-    PinToCore(id);
-  }
+  const uint32_t id = p.id;
   const uint32_t n = shard_map_.shards();
-  Proc p(id, &model_, config_.cluster.seed,
-         TimelineNeedsObserver(config_.events));
   p.heartbeat = &ShardSlotAt(arena_, control_offset_, id)->heartbeat;
   p.data_in.resize(n);
   p.data_out.resize(n);
@@ -605,9 +591,7 @@ void MultiprocBackend::ChildMain(uint32_t id, uint64_t quota,
   slot->stats_len.store(len, std::memory_order_release);
   slot->state.store(p.abort_seen ? kShardAborted : kShardDone,
                     std::memory_order_release);
-  // _exit, never exit: no atexit handlers, no gtest/ASan teardown of inherited
-  // parent state — the child owns nothing but its stats region.
-  _exit(p.abort_seen ? 3 : 0);
+  return p.abort_seen;
 }
 
 void* MultiprocBackend::AcquireSlot(Proc& p, ShmSpscRing& ring, uint32_t peer) {
@@ -617,9 +601,9 @@ void* MultiprocBackend::AcquireSlot(Proc& p, ShmSpscRing& ring, uint32_t peer) {
       return slot;
     }
     // Full ring: the receiver is behind. Draining our own rings while
-    // retrying guarantees global progress (same argument as the in-process
-    // engine); the abort and dead-peer checks guarantee a dead receiver
-    // cannot wedge us.
+    // retrying guarantees global progress (no send cycle can wedge: some
+    // shard in it always empties a ring); the abort and dead-peer checks
+    // guarantee a dead receiver cannot wedge us.
     DrainDataRings(p);
     DrainControlRings(p);
     if (Aborted()) {
@@ -702,54 +686,12 @@ void MultiprocBackend::SendLoadDeltas(
   }
 }
 
-void MultiprocBackend::BroadcastHotReport(
-    Proc& p, const std::vector<std::pair<uint64_t, uint32_t>>& report) {
-  const uint32_t n = shard_map_.shards();
-  const size_t max_entries =
-      (ctrl_slot_bytes_ - sizeof(WireHeader)) / sizeof(ReportEntry);
-  for (uint32_t peer = 0; peer < n; ++peer) {
-    if (peer == p.id || ShardDead(peer)) {
-      continue;
-    }
-    size_t i = 0;
-    do {  // at least one chunk, so an empty report still carries `last`
-      const size_t k = std::min(report.size() - i, max_entries);
-      void* slot = AcquireSlot(p, p.ctrl_out[peer], peer);
-      if (slot == nullptr) {
-        if (p.abort_seen) {
-          return;
-        }
-        break;  // peer died while we waited; skip its remaining chunks
-      }
-      const uint8_t last = i + k == report.size() ? 1 : 0;
-      const WireHeader h{kWireReport, last, 0, p.id,
-                         static_cast<uint32_t>(k), 0};
-      WritePod(slot, &h, sizeof(h));
-      p.report_scratch.clear();
-      for (size_t e = 0; e < k; ++e) {
-        p.report_scratch.push_back(
-            {report[i + e].first, report[i + e].second});
-      }
-      WritePod(slot, p.report_scratch.data(),
-               p.report_scratch.size() * sizeof(ReportEntry), sizeof(h));
-      if (__builtin_expect(p.ctrl_delay_ms != 0, 0)) {
-        // Armed kDelayControl: this control publish is late by `param` ms.
-        p.ctrl_out[peer].ArmDelayNext(p.ctrl_delay_ms);
-        p.ctrl_delay_ms = 0;
-      }
-      p.ctrl_out[peer].Publish();
-      ++p.local.cross_shard_messages;  // control traffic: not a ring_message
-      i += k;
-    } while (i < report.size());
-  }
-}
-
 void MultiprocBackend::SendDone(Proc& p, uint32_t peer) {
   void* slot = AcquireSlot(p, p.ctrl_out[peer], peer);
   if (slot == nullptr) {
     return;  // aborted, or the peer is dead and will never consume it
   }
-  const WireHeader h{kWireDone, 1, 0, p.id, 0, 0};
+  const WireHeader h{kWireDone, 0, 0, p.id, 0, 0};
   WritePod(slot, &h, sizeof(h));
   if (__builtin_expect(p.ctrl_delay_ms != 0, 0)) {
     p.ctrl_out[peer].ArmDelayNext(p.ctrl_delay_ms);
@@ -767,8 +709,8 @@ void MultiprocBackend::ApplyDataSlot(Proc& p, const void* slot) {
   std::memcpy(&h, slot, sizeof(h));
   const uint8_t* payload = static_cast<const uint8_t*>(slot) + sizeof(h);
   if (h.kind == kWireTelemetry) {
-    // Fold in the sender's monotone increment since its previous broadcast —
-    // identical arithmetic to the in-process Apply(kTelemetry).
+    // Fold in the sender's monotone increment since its previous broadcast;
+    // the view stays the sum of per-shard partials plus our exact own counts.
     p.telemetry_scratch.resize(h.count_a);
     if (h.count_a != 0) {
       std::memcpy(p.telemetry_scratch.data(), payload,
@@ -825,28 +767,8 @@ void MultiprocBackend::DrainControlRings(Proc& p) {
       continue;
     }
     ShmSpscRing& ring = p.ctrl_in[peer];
-    while (const void* slot = ring.Front()) {
-      WireHeader h;
-      std::memcpy(&h, slot, sizeof(h));
-      if (h.kind == kWireDone) {
-        p.done_ring[h.from] = 1;
-      } else {  // kWireReport chunk
-        const uint8_t* payload = static_cast<const uint8_t*>(slot) + sizeof(h);
-        p.report_scratch.resize(h.count_a);
-        if (h.count_a != 0) {
-          std::memcpy(p.report_scratch.data(), payload,
-                      h.count_a * sizeof(ReportEntry));
-        }
-        auto& partial = p.partial_report[peer];
-        for (uint32_t i = 0; i < h.count_a; ++i) {
-          partial.emplace_back(p.report_scratch[i].key,
-                               static_cast<uint32_t>(p.report_scratch[i].count));
-        }
-        if (h.last) {
-          p.ready_reports[peer].push_back(std::move(partial));
-          partial.clear();
-        }
-      }
+    while (ring.Front() != nullptr) {  // kWireDone is the only control kind
+      p.done_ring[peer] = 1;
       ring.Pop();
     }
   }
@@ -854,9 +776,9 @@ void MultiprocBackend::DrainControlRings(Proc& p) {
 
 void MultiprocBackend::PollInbox(Proc& p) {
   DrainDataRings(p);
-  // Batch-boundary control poll, same accounting as the in-process engine: an
-  // all-empty probe (one acquire load per peer, vacuous at x1) counts as one
-  // uncontended receive; anything pending counts as one contended receive.
+  // Batch-boundary control poll: an all-empty probe (one acquire load per
+  // peer, vacuous at x1) counts as one uncontended receive; anything pending
+  // counts as one contended receive. Wait-loop drains are not counted.
   const uint32_t n = shard_map_.shards();
   bool pending = false;
   for (uint32_t peer = 0; peer < n && !pending; ++peer) {
@@ -873,9 +795,11 @@ void MultiprocBackend::PollInbox(Proc& p) {
 }
 
 void MultiprocBackend::FlushLoads(Proc& p) {
-  // End-of-run owner split — the exact double arithmetic of the in-process
-  // FlushLoads (same iteration order, same += sequence), with the deltas
-  // serialized into chunks instead of heap messages.
+  // End-of-run owner split (the hot path never tests ownership): own
+  // cumulative contributions land either in this shard's authoritative
+  // counters or in delta chunks per owning shard. Loads are sums of
+  // exactly-representable costs, so materializing the total here instead of
+  // accumulating per request is bit-identical.
   for (uint32_t flat = 0; flat < p.own_cache.size(); ++flat) {
     const double delta = p.own_cache[flat];
     if (delta == 0.0) {
@@ -911,68 +835,6 @@ void MultiprocBackend::FlushLoads(Proc& p) {
   }
 }
 
-std::shared_ptr<const RouteTable> MultiprocBackend::Reallocate(Proc& p) {
-  const uint32_t n = shard_map_.shards();
-  // All-to-all rendezvous: broadcast our observed counts, then collect one
-  // report per peer (FIFO per sender pairs the k-th report with the k-th
-  // rendezvous). Peers are guaranteed to reach the same step (it precedes
-  // their quota), so only a dead peer can keep us waiting — and that trips
-  // the abort flag.
-  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports;
-  reports.push_back(p.core.ObservedCounts());
-  BroadcastHotReport(p, reports.front());
-  for (uint32_t peer = 0; peer < n; ++peer) {
-    if (peer == p.id) {
-      continue;
-    }
-    Backoff backoff;
-    while (p.ready_reports[peer].empty()) {
-      DrainDataRings(p);
-      DrainControlRings(p);
-      if (!p.ready_reports[peer].empty()) {
-        break;
-      }
-      if (Aborted()) {
-        p.abort_seen = true;
-        return nullptr;  // keep current routes; we are winding down
-      }
-      if (ShardDead(peer)) {
-        break;  // died before (or mid-)report; the drains above got what exists
-      }
-      PulseHeartbeat(p);
-      backoff.Pause();
-    }
-    if (p.ready_reports[peer].empty()) {
-      reports.push_back({});  // dead peer: its sample is simply absent
-      continue;
-    }
-    reports.push_back(std::move(p.ready_reports[peer].front()));
-    p.ready_reports[peer].pop_front();
-  }
-  // Every process runs the controller computation on its own model copy.
-  // MergeHeavyHitterReports is order-independent and the refill/route build
-  // is hash-based and RNG-free, so all processes arrive at identical routes —
-  // and at x1 this is literally the in-process controller's code path.
-  model_.SyncControllerRemap(p.core.spine_alive());
-  std::vector<uint64_t> hottest;
-  for (const auto& [key, count] : MergeHeavyHitterReports(reports)) {
-    hottest.push_back(key);
-  }
-  model_.ReallocateCache(hottest);
-  auto routes = std::make_shared<const RouteTable>(
-      BuildRouteTable(model_, p.core.hot_shift()));
-  const std::vector<std::shared_ptr<const RouteTable>> suffix =
-      RebuildPlanSuffixRoutes(fired_plan_, p.core.next_action_index(), model_,
-                              p.core.spine_alive(), p.core.hot_shift());
-  const size_t from = p.core.next_action_index();
-  for (size_t i = 0; i < suffix.size(); ++i) {
-    if (suffix[i] != nullptr) {
-      p.core.SetActionRoutes(from + i, suffix[i]);
-    }
-  }
-  return routes;
-}
-
 std::vector<std::pair<uint64_t, uint32_t>> MultiprocBackend::ReadArenaReport(
     uint32_t step, uint32_t s) {
   const uint32_t n = shard_map_.shards();
@@ -996,9 +858,13 @@ std::vector<std::pair<uint64_t, uint32_t>> MultiprocBackend::ReadArenaReport(
 
 void MultiprocBackend::ApplyReallocModel(
     Proc& p, std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports) {
-  // MergeHeavyHitterReports is order-independent and the refill is hash-based
-  // and RNG-free, so every process given the same report set arrives at the
-  // same model state — the property controller failover leans on.
+  // Controller re-allocation (§6.4): merged observed counts → hottest-first
+  // refill. The controller acts on its *current* failure knowledge: re-sync
+  // its remap to the alive set as of this step (every shard has applied the
+  // same event prefix at the rendezvous). MergeHeavyHitterReports is
+  // order-independent and the refill is hash-based and RNG-free, so every
+  // process given the same report set arrives at the same model state — the
+  // property controller failover leans on.
   model_.SyncControllerRemap(p.core.spine_alive());
   std::vector<uint64_t> hottest;
   for (const auto& [key, count] : MergeHeavyHitterReports(reports)) {
@@ -1067,7 +933,7 @@ bool MultiprocBackend::ControllerPublishRealloc(Proc& p, uint32_t step) {
   return true;
 }
 
-std::shared_ptr<const RouteTable> MultiprocBackend::ReallocateViaArena(Proc& p) {
+std::shared_ptr<const RouteTable> MultiprocBackend::Reallocate(Proc& p) {
   const uint32_t n = shard_map_.shards();
   const uint32_t step = p.realloc_seq++;
   // 1. Publish this shard's heavy-hitter report into its idempotent slot:
@@ -1105,8 +971,7 @@ std::shared_ptr<const RouteTable> MultiprocBackend::ReallocateViaArena(Proc& p) 
   //    behind the ready flag). A waiter that observes a dead claimant with
   //    the tables still unpublished CASes the claim to the current first
   //    live shard — the paper's §4.4-style deterministic failover. In a
-  //    fault-free run shard 0 wins the first CAS uncontested, so the
-  //    controller call sequence is exactly the PR 9 one.
+  //    fault-free run shard 0 wins the first CAS uncontested.
   bool is_publisher = false;
   uint64_t ready = table_ready->load(std::memory_order_acquire);
   {
@@ -1152,12 +1017,14 @@ std::shared_ptr<const RouteTable> MultiprocBackend::ReallocateViaArena(Proc& p) 
       ready = table_ready->load(std::memory_order_acquire);
     }
   }
-  // 3. Non-publishers replay the controller's model mutations from the
+  // 3. Forked non-publishers replay the controller's model mutations from the
   //    masked report set, so any of them can take over as controller at a
   //    later step with the refilled allocation state. (The mask covers
   //    shards 0..62; beyond that the report flags stand in, which can
   //    over-include a report the publisher missed — documented limitation.)
-  if (!is_publisher && n > 1) {
+  //    Threads share the publisher's model, which it mutated while every
+  //    peer was parked above, so they skip the replay.
+  if (!is_publisher && launcher_ == Launcher::kForks) {
     const uint64_t mask = ready >> 1;
     std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports;
     for (uint32_t s = 0; s < n; ++s) {
@@ -1240,14 +1107,6 @@ void MultiprocBackend::ProcessBatch(Proc& p, uint32_t count) {
   if (__builtin_expect(p.next_fault < p.faults.size(), 0)) {
     MaybeInjectFaults(p);
   }
-  if (p.id == crash_shard_ && p.processed >= crash_after_ &&
-      CtrlBlockAt(arena_, control_offset_)
-              ->crash_consumed.exchange(1, std::memory_order_acq_rel) == 0) {
-    // Crash-isolation test hook: die the hard way, mid-run, like a real
-    // shard-process crash would. One-shot via the arena latch, so the
-    // respawned incarnation survives the same request range.
-    raise(SIGKILL);
-  }
   PollInbox(p);
   p.core.AdvanceTo(p.processed);
   p.batch_keys.resize(count);
@@ -1271,8 +1130,6 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
   p.own_cache.assign(num_cache_nodes, 0.0);
   p.own_server.assign(model_.num_servers(), 0.0);
   p.last_partial.assign(n, std::vector<double>(num_cache_nodes, 0.0));
-  p.partial_report.assign(n, {});
-  p.ready_reports.assign(n, {});
   p.out_cache.assign(n, {});
   p.out_server.assign(n, {});
   p.done_ring.assign(n, 0);
@@ -1283,11 +1140,13 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
                                           static_cast<double>(num_requests);
   // Schedule this shard's injected faults on its *local* request clock —
   // config timestamps are global-clock, scaled exactly like the timeline
-  // plan below. Empty in fault-free runs: the batch-loop hook then compiles
-  // to one never-taken branch.
+  // plan below. Empty in fault-free runs (and on threads, which share one
+  // crash domain): the batch-loop hook then compiles to one never-taken
+  // branch.
   for (size_t i = 0; i < config_.fault_plan.events.size(); ++i) {
     const FaultEvent& ev = config_.fault_plan.events[i];
-    if (ev.shard != p.id || ev.kind == FaultKind::kArenaMapFail) {
+    if (launcher_ == Launcher::kThreads || ev.shard != p.id ||
+        ev.kind == FaultKind::kArenaMapFail) {
       continue;
     }
     p.faults.push_back(
@@ -1304,8 +1163,11 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
   // non-owning view (the arena outlives the run by construction).
   const TableView base = ViewTable(arena_.At(plan_table_offset_[0]));
   p.core.SetRouteView(base.entries, base.len, base.overflow);
-  // Same open-loop discipline and seed derivation as the in-process shards:
-  // each shard process simulates an independent full-rate time slice.
+  // Open-loop: each shard simulates an independent full-rate time slice of
+  // the cluster (full arrival rate, full service rates, its own queue
+  // horizons), so the quota-end Merge of per-shard histograms is a union of
+  // slices rather than a re-timed interleaving. The time stream mixes in the
+  // shard id, as the key/write streams do.
   p.core.ConfigureOpenLoop(
       config_.queue,
       HashCombine(HashCombine(config_.cluster.seed, 0x0be71457ULL), p.id));
@@ -1325,15 +1187,12 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
           p.sampler = p.phase_sampler.get();
         }
       });
-  p.core.SetReallocateHook([this, &p] {
-    return arena_realloc_ ? ReallocateViaArena(p) : Reallocate(p);
-  });
+  p.core.SetReallocateHook([this, &p] { return Reallocate(p); });
 
-  // The timeline plan is a pure function of the config, so every child queues
-  // it locally — no controller multicast to wait on. Action construction
-  // matches the in-process QueueTimelineMsg field-for-field, except the route
-  // snapshots: those are arena-resident (the heap copies were freed pre-fork),
-  // so each step gets its serialized table installed as a view.
+  // The timeline plan is a pure function of the config, so every shard queues
+  // it locally — no controller multicast to wait on. The route snapshots are
+  // arena-resident (the heap copies were freed pre-launch), so each step gets
+  // its serialized table installed as a view.
   for (size_t i = 0; i < fired_plan_.size(); ++i) {
     const TimelineStep& step = fired_plan_[i];
     ClusterEvent ev = step.event;
@@ -1419,52 +1278,38 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
   p.core.FinishSeries(p.processed);
   p.local.requests = p.processed;
   // Memory accounting (max-merged, sim_backend.h): the base table and every
-  // plan snapshot are arena-resident (counted once, in the supervisor's
-  // arena_bytes stamp), so a child's private route-table footprint is zero —
-  // the figure the memwall gate banks on. Tables a runtime re-allocation
-  // builds on the legacy path are small-config test territory, uncounted
-  // (same rule as PlanRouteTableBytes).
+  // plan snapshot are arena-resident, so a shard's private route-table
+  // footprint is zero (Run stamps the thread launcher's shared copy).
   p.local.peak_rss_bytes = CurrentPeakRssBytes();
-  p.local.route_table_bytes = 0;
   p.local.sampler_bytes = p.two_level != nullptr ? p.two_level->bytes()
                                                  : p.sampler->bytes();
 }
 
 // ---- supervisor ------------------------------------------------------------
 
-BackendStats MultiprocBackend::Run(uint64_t num_requests) {
+bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
+                                   std::vector<uint8_t>* failed,
+                                   BackendStats* supervisor) {
   const uint32_t n = shard_map_.shards();
-  fired_plan_.clear();
-  for (const TimelineStep& step : plan_) {
-    if (step.at_request < num_requests) {
-      fired_plan_.push_back(step);
+  // _exit, never exit, in a child: no atexit handlers, no gtest/ASan
+  // teardown of inherited parent state — the child owns nothing but its
+  // stats region.
+  const auto child = [&](uint32_t i, bool again) {
+    if (config_.pin_cores) {
+      // Before any allocation and the ring prefault, so this shard's state
+      // and inbound rings land on the pinned core's NUMA node (first touch).
+      PinToCore(i);
     }
-  }
-  if (!LayoutAndMapArena(num_requests)) {
-    BackendStats stats = FailAll(n);
-    stats.fault_events.push_back(
-        {0, BackendStats::FaultRecord::kArenaMapFailed, 0});
-    if (config_.fault_plan.arena_map_failure()) {
-      stats.injected_faults = 1;
-    }
-    return stats;
-  }
-  if (config_.numa_interleave) {
-    // Before any arena page is faulted: the plan tables serialized below then
-    // stripe across nodes instead of landing wholly on the supervisor's.
-    arena_.InterleaveAcrossNumaNodes();
-  }
-  SerializePlanTables();
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<pid_t> pids(n, -1);
-  const auto quota_of = [&](uint32_t i) {
-    return num_requests / n + (i < num_requests % n ? 1 : 0);
+    const std::unique_ptr<Proc> p = NewProc(i);
+    const bool aborted =
+        ShardMain(*p, QuotaOf(num_requests, n, i), num_requests, again);
+    _exit(aborted ? 3 : 0);
   };
+  std::vector<pid_t> pids(n, -1);
   for (uint32_t i = 0; i < n; ++i) {
     const pid_t pid = ::fork();
     if (pid == 0) {
-      ChildMain(i, quota_of(i), num_requests, /*respawned=*/false);  // [[noreturn]]
+      child(i, /*again=*/false);
     }
     if (pid < 0) {
       // Partial-fork cleanup: kill and reap everything already spawned,
@@ -1484,7 +1329,7 @@ BackendStats MultiprocBackend::Run(uint64_t num_requests) {
         }
       }
       arena_.Unmap();
-      return FailAll(n);
+      return false;
     }
     pids[i] = pid;
   }
@@ -1497,21 +1342,18 @@ BackendStats MultiprocBackend::Run(uint64_t num_requests) {
   // wall-clock ladder: warn_ms without progress records a miss, dead_ms
   // SIGKILLs the wedged process into the same respawn-or-degrade path, so no
   // fault class (including a silent stall) can hang the run.
-  std::vector<uint8_t> failed(n, 0);
   std::vector<uint32_t> respawn_left(
       n, config_.respawn ? config_.respawn_limit : 0);
-  uint32_t respawned = 0;
   uint32_t live = n;
-  uint64_t heartbeat_misses = 0;
-  std::vector<BackendStats::FaultRecord> observed;
   struct Watch {
     uint64_t hb = 0;
     std::chrono::steady_clock::time_point since;
     bool warned = false;
   };
   std::vector<Watch> watch(n);
+  const auto forked_at = std::chrono::steady_clock::now();
   for (uint32_t i = 0; i < n; ++i) {
-    watch[i].since = t0;
+    watch[i].since = forked_at;
   }
   Backoff backoff;
   while (live > 0) {
@@ -1538,15 +1380,15 @@ BackendStats MultiprocBackend::Run(uint64_t num_requests) {
         if (!watch[i].warned && config_.heartbeat_warn_ms != 0 &&
             stalled_ms >= config_.heartbeat_warn_ms) {
           watch[i].warned = true;
-          ++heartbeat_misses;
-          observed.push_back(
+          ++supervisor->heartbeat_misses;
+          supervisor->fault_events.push_back(
               {i, BackendStats::FaultRecord::kHeartbeatWarn, 0});
         }
         if (config_.heartbeat_dead_ms != 0 &&
             stalled_ms >= config_.heartbeat_dead_ms) {
           // Declared dead: kill the wedged process; the next reap pass
           // routes it through the normal respawn-or-degrade path below.
-          observed.push_back(
+          supervisor->fault_events.push_back(
               {i, BackendStats::FaultRecord::kShardDeclaredDead, 0});
           ::kill(pids[i], SIGKILL);
           watch[i].since = now;
@@ -1569,7 +1411,8 @@ BackendStats MultiprocBackend::Run(uint64_t num_requests) {
       if (orderly) {
         continue;
       }
-      observed.push_back({i, BackendStats::FaultRecord::kShardDeath, 0});
+      supervisor->fault_events.push_back(
+          {i, BackendStats::FaultRecord::kShardDeath, 0});
       if (respawn_left[i] > 0) {
         --respawn_left[i];
         // Reset the completion slot: SIGKILL usually left it untouched, but a
@@ -1580,13 +1423,13 @@ BackendStats MultiprocBackend::Run(uint64_t num_requests) {
         slot->state.store(kShardRunning, std::memory_order_release);
         const pid_t fresh = ::fork();
         if (fresh == 0) {
-          ChildMain(i, quota_of(i), num_requests, /*respawned=*/true);
+          child(i, /*again=*/true);
         }
         if (fresh > 0) {
           pids[i] = fresh;
           ++live;
-          ++respawned;
-          observed.push_back(
+          ++supervisor->respawned_shards;
+          supervisor->fault_events.push_back(
               {i, BackendStats::FaultRecord::kShardRespawn, 0});
           watch[i].since = std::chrono::steady_clock::now();
           watch[i].warned = false;
@@ -1598,22 +1441,95 @@ BackendStats MultiprocBackend::Run(uint64_t num_requests) {
       // this shard in every send, rendezvous gather, election and the done
       // protocol; the run completes with the survivors' quota — degrade,
       // don't abort.
-      failed[i] = 1;
+      (*failed)[i] = 1;
       ShardSlotAt(arena_, control_offset_, i)
           ->state.store(kShardDead, std::memory_order_release);
-      observed.push_back(
+      supervisor->fault_events.push_back(
           {i, BackendStats::FaultRecord::kShardDeclaredDead, 0});
     }
     if (live > 0 && !progress) {
       backoff.Pause();
     }
   }
+  return true;
+}
+
+BackendStats MultiprocBackend::Run(uint64_t num_requests) {
+  const uint32_t n = shard_map_.shards();
+  fired_plan_.clear();
+  for (const TimelineStep& step : plan_) {
+    if (step.at_request < num_requests) {
+      fired_plan_.push_back(step);
+    }
+  }
+  if (!LayoutAndMapArena(num_requests)) {
+    BackendStats stats = FailAll(n);
+    stats.fault_events.push_back(
+        {0, BackendStats::FaultRecord::kArenaMapFailed, 0});
+    if (config_.fault_plan.arena_map_failure()) {
+      stats.injected_faults = 1;
+    }
+    return stats;
+  }
+  if (config_.numa_interleave) {
+    // Before any arena page is faulted: the plan tables serialized below then
+    // stripe across nodes instead of landing wholly on the supervisor's.
+    arena_.InterleaveAcrossNumaNodes();
+  }
+  // Thread shards share this process's one table copy, so their route-table
+  // footprint is the plan's; measure it before the heap copies are freed.
+  const uint64_t shared_table_bytes =
+      launcher_ == Launcher::kThreads
+          ? PlanRouteTableBytes(base_routes_.get(), plan_)
+          : 0;
+  SerializePlanTables();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<uint8_t> failed(n, 0);
+  // The supervisor's own observations: respawns, heartbeat misses and fault
+  // records (deaths, declared-dead, CRC mismatches).
+  BackendStats supervisor;
+  if (launcher_ == Launcher::kThreads) {
+    // Shard state is built on this thread, so the shards' cores come out of
+    // one malloc arena rather than one per shard thread (peak RSS).
+    std::vector<std::unique_ptr<Proc>> procs;
+    for (uint32_t i = 0; i < n; ++i) {
+      procs.push_back(NewProc(i));
+    }
+    std::vector<std::thread> threads;
+    threads.reserve(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      try {
+        threads.emplace_back([this, p = procs[i].get(), num_requests, n] {
+          if (config_.pin_cores) {
+            PinToCore(p->id);  // before the ring prefault (first touch)
+          }
+          ShardMain(*p, QuotaOf(num_requests, n, p->id), num_requests,
+                    /*respawned=*/false);
+        });
+      } catch (const std::system_error&) {
+        // Thread exhaustion: as on a failed fork, the abort flag winds the
+        // started shards down, and the run reports total failure.
+        CtrlBlockAt(arena_, control_offset_)
+            ->abort.store(1, std::memory_order_release);
+        break;
+      }
+    }
+    for (std::thread& t : threads) {
+      t.join();
+    }
+    if (threads.size() < n) {
+      arena_.Unmap();
+      return FailAll(n);
+    }
+  } else if (!ForkAndReap(num_requests, &failed, &supervisor)) {
+    return FailAll(n);
+  }
   const auto t1 = std::chrono::steady_clock::now();
 
   // Bucket-exact quota-end merge from the arena-resident per-shard stats:
-  // deserialization is bit-exact and BackendStats::Merge is the same
-  // element-wise accumulate the in-process engine uses across its joined
-  // threads. Every blob must match its child-computed CRC-32 — a mismatch
+  // deserialization is bit-exact and BackendStats::Merge is an element-wise
+  // accumulate. Every blob must match its shard-computed CRC-32 — a mismatch
   // (torn write, injected corruption) fails the shard instead of merging
   // garbage. Lost shards charge their quota to degraded_fraction, so the
   // caller can check hit-ratio degradation is proportional to lost quota.
@@ -1629,28 +1545,30 @@ BackendStats MultiprocBackend::Run(uint64_t num_requests) {
             Crc32(arena_.At(stats_offset_[i]), static_cast<size_t>(len));
     if (!failed[i] && state != kShardRunning && len != 0 &&
         len <= stats_bound_ && !crc_ok) {
-      observed.push_back(
+      supervisor.fault_events.push_back(
           {i, BackendStats::FaultRecord::kStatsCrcMismatch, 0});
     }
     BackendStats partial;
     if (failed[i] || state == kShardRunning || state == kShardDead || !crc_ok ||
         !DeserializeBackendStats(arena_.At(stats_offset_[i]), len, &partial)) {
       ++total.failed_shards;
-      lost_quota += quota_of(i);
+      lost_quota += QuotaOf(num_requests, n, i);
       continue;
     }
     total.Merge(partial);
   }
   total.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  total.respawned_shards = respawned;
-  total.heartbeat_misses += heartbeat_misses;
+  total.respawned_shards = supervisor.respawned_shards;
+  total.heartbeat_misses += supervisor.heartbeat_misses;
   total.degraded_fraction =
       num_requests == 0 ? 0.0
                         : static_cast<double>(lost_quota) /
                               static_cast<double>(num_requests);
-  total.fault_events.insert(total.fault_events.end(), observed.begin(),
-                            observed.end());
+  total.fault_events.insert(total.fault_events.end(),
+                            supervisor.fault_events.begin(),
+                            supervisor.fault_events.end());
   total.arena_bytes = arena_.size();
+  total.route_table_bytes = shared_table_bytes;
   total.peak_rss_bytes = std::max(total.peak_rss_bytes, CurrentPeakRssBytes());
   arena_.Unmap();
   return total;

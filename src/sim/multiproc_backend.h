@@ -1,127 +1,79 @@
-// The multi-process sharded runtime: the sharded engine's semantics with every
-// shard as a separate pinned *process* over a shared-memory arena.
+// The shard runtime: one per-shard engine over a shared-memory arena, with
+// two launchers. BackendKind::kSharded runs every shard as a std::thread of
+// this process; BackendKind::kMultiproc forks every shard as a pinned child
+// process. Everything between launch and merge — ring views, the start
+// barrier, RunShard, the realloc rendezvous and the stats publish — is the
+// same code on both.
 //
-// Why processes: the in-process sharded engine (sharded_backend.h) tops out at
-// one address space — one heap for every shard's route tables and samplers,
-// one crash domain, one NUMA node unless the allocator cooperates. This
-// backend is the production deployment shape from ROADMAP: per-shard crash
-// isolation and the path past the single-process memory wall, with the same
-// lock-free SPSC transport underneath (ported to the arena in
-// runtime/shm_ring.h) so `bench_scaling` measures the substrate swap and
-// nothing else.
+// Run state: the supervisor builds the immutable run state (cluster model,
+// route tables, alias sampler, precomputed timeline plan), maps the arena and
+// serializes the base route table and every plan snapshot *into the arena*,
+// freeing the heap copies before launch. Shards install the tables as
+// non-owning views (EngineCore::SetRouteView / SetActionRouteView), so one
+// physical copy exists however many shards run. Forked children inherit the
+// arena by mapping inheritance and the small read-only state copy-on-write
+// (fork without exec: an exec'd child would need a config wire format for no
+// isolation gain). Each shard pins itself when pin_cores is set, prefaults its
+// inbound rings (first-touch NUMA placement), passes the start barrier, runs
+// its event loop (EngineCore + EventQueue + batched hot path) and publishes
+// its serialized BackendStats behind a CRC-32 into its arena stats region. A
+// thread returns; a child _exit()s. The supervisor joins or reaps, then merges
+// every region through the same CRC check and BackendStats::Merge.
 //
-// Process model — fork *without* exec, deliberately: the supervisor constructs
-// the full immutable run state (cluster model, route tables, alias sampler,
-// precomputed timeline plan) exactly like the in-process engine, maps the
-// arena, and forks one child per shard. Children inherit the small read-only
-// state copy-on-write and the arena by mapping inheritance — no fixed-address
-// mmap negotiation, no exec'd binary to locate. (A fork+exec supervisor would
-// add a full config wire format for zero isolation benefit: a corrupted shard
-// process dies either way, and the supervisor detects it either way.) Each
-// child pins itself to core (shard % online-cores) when pin_cores is set,
-// prefaults its inbound rings (first-touch NUMA placement), runs the identical
-// per-shard event loop (EngineCore + EventQueue + batched hot path), and
-// _exit()s after publishing its serialized partial BackendStats into its arena
-// stats region.
+// Transport: one ShmSpscRing per directed shard pair for the data plane
+// (telemetry partials and end-of-run load deltas, serialized into fixed slots
+// sized so a full telemetry snapshot fits one), and one header-sized control
+// ring per pair that carries only kDone. The timeline needs no multicast: the
+// fired plan is a pure function of the config, so every shard queues it
+// locally and applies each step at its scaled local request clock.
 //
-// Arena-resident plan: the big per-run state — the base route table and every
-// precomputed timeline snapshot — is serialized *into the arena* pre-fork and
-// freed from the supervisor heap before the first fork. Children install the
-// tables as non-owning views (EngineCore::SetRouteView /
-// SetActionRouteView), so exactly one physical copy exists no matter the
-// shard count, it is huge-page eligible when the arena is, and no process
-// ever COW-copies a table page (children only read; the supervisor's heap
-// copy is gone). With --numa-interleave the arena is mbind-interleaved before
-// serialization so the shared tables stripe across nodes instead of landing
-// wholly on the supervisor's; the rings keep their per-shard first-touch
-// placement either way (children fault them post-fork).
+// kReallocateCache (§6.4) is the one step whose effect is runtime-observed, so
+// it runs as an arena rendezvous with a single controller: every shard
+// publishes its heavy-hitter report into an idempotent per-(step, shard) slot;
+// the lowest-indexed live shard claims a per-step controller word (CAS, value
+// = claimant + 1), merges the published reports, re-syncs the remap, refills
+// the allocation hottest-first, rebuilds the immediate and suffix route
+// tables, serializes them into the step's region and releases the ready word
+// (which also carries the mask of merged shards); everyone then installs the
+// tables as views. The model mutation is the one launcher-dependent step:
+// threads share one ClusterModel, so only the publisher mutates it (every
+// peer has set its report flag and is parked in the rendezvous); forked
+// children each own a copy, so non-publishers replay the same deterministic
+// mutation from the masked reports. Either way every model is current enough
+// to take over a later rendezvous. If a claimant dies before publishing,
+// waiters CAS the claim to the next live shard (§4.4-style failover, counted
+// in controller_failovers).
 //
-// Respawn (config.respawn): a shard that dies abnormally is re-forked — up to
-// config.respawn_limit times per shard — instead of degrading the run. The
-// respawned incarnation re-joins from the arena-resident plan and re-runs its
-// quota from the start: it skips the ring prefault (zero-filling a live ring
-// would clobber in-flight slots and the header's published tail), passes
-// straight through the already-released start barrier, and re-attaches its
-// ring views via ShmSpscRing::SyncFromShared. Known accepted skews, bounded
-// per crash: peers that folded the dead incarnation's telemetry see negative
-// deltas when the respawn's counters restart (the telemetry view is
-// approximate by design), and a crash landing inside the end-of-run delta
-// flush can double-count the flushed portion (the crash tests kill mid-run,
-// far from the flush).
+// Termination: a shard that finishes its quota flushes its deltas, publishes
+// kDone to every peer (the control-ring release orders the earlier data
+// publishes before it: a peer that acquired the kDone and then drains its
+// data rings sees every delta), and drains until every peer is done.
 //
-// Supervisor hardening (the PR 10 fault-model tentpole): each shard bumps a
-// heartbeat word in its arena slot at batch granularity and on every wait-loop
-// backoff pause, and the supervisor runs a wall-clock escalation ladder over
-// it — wait → warn (heartbeat_warn_ms; counted in heartbeat_misses) →
-// declare-dead (heartbeat_dead_ms; SIGKILL) → respawn-or-degrade. A shard
-// death without (or beyond) respawn budget no longer aborts the survivors:
-// the supervisor marks the slot kShardDead, every peer-facing wait (full-ring
-// retries, rendezvous gathers, the done protocol) skips dead peers, and the
-// run completes degraded — failed_shards + degraded_fraction (lost quota /
-// total) record the loss. Stats blobs are CRC32-checked (common/hash.h)
-// before deserialization, so a corrupted region marks the shard failed
-// instead of merging garbage. A clean exit that never published its state
-// word is treated as a death, not trusted. No fault class may hang the run.
+// Fork-only robustness (they need a crash domain per shard):
 //
-// Fault injection (runtime/fault_plan.h, config.fault_plan): crash / stall /
-// drop / delay / corrupt / mapfail events fire on the deterministic per-shard
-// request clock from a hook in the batch loop — one unlikely branch when the
-// plan is empty, so fault-free runs stay bit-identical to the goldens. Each
-// event has a one-shot latch in the arena, so a respawned incarnation replays
-// its request stream without re-firing faults that already fired.
+//   * Respawn (config.respawn): a child that dies abnormally is re-forked up
+//     to respawn_limit times. The new incarnation re-runs its quota from the
+//     start, skips the prefault (zeroing a live ring would clobber in-flight
+//     slots), passes the released barrier and re-attaches its ring views via
+//     ShmSpscRing::SyncFromShared. Accepted skews: peers see negative
+//     telemetry deltas when the respawn's counters restart, and a crash inside
+//     the end-of-run flush can double-count the flushed part.
+//   * Heartbeat ladder: each shard bumps an arena heartbeat word per batch and
+//     per wait-loop pause; the supervisor escalates wait → warn
+//     (heartbeat_warn_ms, counted in heartbeat_misses) → declare dead
+//     (heartbeat_dead_ms, SIGKILL) → respawn or degrade. A shard that dies
+//     beyond its budget is marked kShardDead: every send, rendezvous gather and
+//     the done protocol skip it, and the run completes degraded
+//     (failed_shards, degraded_fraction). A clean exit that never published
+//     its state word counts as a death.
+//   * Fault injection (runtime/fault_plan.h, config.fault_plan): crash /
+//     stall / drop / delay / corrupt / mapfail events fire on the per-shard
+//     request clock from one unlikely branch in the batch loop (an empty plan
+//     stays bit-identical to the goldens), each behind a one-shot arena latch
+//     so a respawned incarnation does not re-fire it.
 //
-// Transport: the same two-plane split as in-process, but both planes ride
-// arena rings (there is no cross-process mutex channel worth having):
-//
-//   * data plane — one ShmSpscRing per directed shard pair carries telemetry
-//     partials and end-of-run load deltas, serialized into fixed slots sized
-//     so a full telemetry snapshot fits one slot;
-//   * control plane — a second, smaller ShmSpscRing per directed pair carries
-//     chunked heavy-hitter reports and kDone markers.
-//
-// Control-plane divergences from the in-process engine (equivalent by
-// construction, pinned by the x1 bit-identity goldens):
-//
-//   * no timeline multicast — the fired plan is a pure function of the config,
-//     so every child queues it locally instead of receiving it from the
-//     controller shard;
-//   * the kReallocateCache rendezvous goes through the arena, single-
-//     controller with deterministic failover: every shard publishes its
-//     heavy-hitter report into an idempotent per-(step, shard) arena slot,
-//     then the lowest-indexed *live* shard claims a per-step controller word
-//     (CAS; value = claimant + 1), merges the published reports (a shard that
-//     died before publishing is excluded; the merged-shard mask rides in the
-//     ready word), runs the controller computation and serializes the rebuilt
-//     immediate + suffix tables into the step's arena region behind the ready
-//     flag; every shard then installs them as views. If the claimant dies
-//     before publishing (kShardDead is only set after the process is reaped,
-//     so its writes have stopped), waiters CAS the claim over to the next
-//     live shard by index, which recomputes and publishes — the
-//     controller_failovers counter records it. Every process (up to 63
-//     shards, the mask width) applies the same model mutations from the
-//     masked reports after the publish, so any shard's model is current
-//     enough to take over a *later* rendezvous too. The report slots are
-//     write-once per incarnation and the computation is deterministic, so a
-//     respawned shard — even a respawned controller — re-publishes identical
-//     bytes and the rendezvous stays consistent.
-//     Dynamic cache policies keep the legacy all-to-all broadcast where every
-//     process runs the controller computation on its own model copy (their
-//     policy runtimes read the local allocation, which must stay in sync);
-//     MergeHeavyHitterReports is order-independent and the refill/route-build
-//     is hash-based and RNG-free, so both schemes compute identical routes.
-//
-// Termination and crash isolation: a child that finishes its quota flushes
-// deltas, publishes kDone to every peer (the ring release orders the earlier
-// data publishes before it — the same happens-before edge the in-process
-// engine gets from release-on-ring-tail before the channel mutex), drains
-// until it has seen every peer's kDone (or the peer's slot says it exited or
-// died), serializes its stats behind a CRC and exits 0. The supervisor reaps
-// children as they exit; a child that dies abnormally is respawned while
-// budget remains, else marked kShardDead — survivors skip it everywhere and
-// complete their full quota, and the supervisor reports the loss in
-// failed_shards/degraded_fraction instead of hanging on the quota-end
-// rendezvous. The arena abort flag remains as the catastrophic backstop
-// (supervisor-side failures before/while forking).
+// The arena abort flag is the catastrophic backstop for a launch that fails
+// part-way (fork or thread creation); every wait loop checks it.
 #ifndef DISTCACHE_SIM_MULTIPROC_BACKEND_H_
 #define DISTCACHE_SIM_MULTIPROC_BACKEND_H_
 
@@ -145,10 +97,15 @@ namespace distcache {
 
 class MultiprocBackend : public SimBackend {
  public:
-  explicit MultiprocBackend(const SimBackendConfig& config);
+  enum class Launcher { kThreads, kForks };
+
+  explicit MultiprocBackend(const SimBackendConfig& config,
+                            Launcher launcher = Launcher::kForks);
   ~MultiprocBackend() override;  // out-of-line: Proc is incomplete here
 
-  std::string name() const override { return "multiproc"; }
+  std::string name() const override {
+    return launcher_ == Launcher::kThreads ? "sharded" : "multiproc";
+  }
   BackendStats Run(uint64_t num_requests) override;
 
   // False when the platform cannot run this backend (no fork / no shared
@@ -156,25 +113,19 @@ class MultiprocBackend : public SimBackend {
   // platform returns empty stats with failed_shards == shards.
   static bool Supported();
 
-  // Test hook (crash-isolation coverage): shard `shard` SIGKILLs itself after
-  // processing `after_requests` of its quota, modelling a shard-process crash
-  // mid-run. The supervisor must detect it, merge the survivors' partial
-  // stats and report failed_shards — never hang.
-  void TestCrashShardAt(uint32_t shard, uint64_t after_requests) {
-    crash_shard_ = shard;
-    crash_after_ = after_requests;
-  }
-
  private:
-  struct Proc;      // child-side per-shard state (process-local)
-  struct ProcSink;  // branch-free hot-path sink (mirror of ShardSink)
+  struct Proc;      // per-shard state (thread- or process-local)
+  struct ProcSink;  // branch-free hot-path sink
 
-  // ---- child side ----------------------------------------------------------
-  // The whole shard lifecycle; never returns (ends in _exit). `respawned`
-  // marks a second incarnation re-joining live rings (header comment): it
-  // skips the prefault and the start barrier and syncs its ring views.
-  [[noreturn]] void ChildMain(uint32_t id, uint64_t quota, uint64_t num_requests,
-                              bool respawned);
+  // ---- shard side ----------------------------------------------------------
+  std::unique_ptr<Proc> NewProc(uint32_t id) const;
+  // The whole shard lifecycle after launch (and pinning) up to the stats
+  // publish; returns true when the shard wound down after the abort flag.
+  // `respawned` marks a second incarnation re-joining live rings (header
+  // comment): it skips the prefault and the start barrier and syncs its ring
+  // views.
+  bool ShardMain(Proc& p, uint64_t quota, uint64_t num_requests,
+                 bool respawned);
   void RunShard(Proc& p, uint64_t quota, uint64_t num_requests);
   void ProcessBatch(Proc& p, uint32_t count);
   void PollInbox(Proc& p);
@@ -185,8 +136,6 @@ class MultiprocBackend : public SimBackend {
   void SendLoadDeltas(Proc& p, uint32_t peer,
                       const std::vector<std::pair<uint32_t, double>>& cache,
                       const std::vector<std::pair<uint32_t, double>>& server);
-  void BroadcastHotReport(
-      Proc& p, const std::vector<std::pair<uint64_t, uint32_t>>& report);
   void SendDone(Proc& p, uint32_t peer);
   // Fault-injection hook (runtime/fault_plan.h): fires every planned fault of
   // this shard whose local timestamp has been reached; one-shot per event via
@@ -202,16 +151,12 @@ class MultiprocBackend : public SimBackend {
   // Lowest-indexed shard not declared dead — the deterministic controller
   // (and controller-successor) choice for the realloc rendezvous.
   uint32_t FirstLiveShard() const;
-  // kReallocateCache, legacy all-to-all flavor (dynamic policies only): every
-  // process collects the reports and runs the controller computation. Null on
-  // abort.
+  // kReallocateCache rendezvous (header comment): publish report → the first
+  // live shard claims controllership, computes and publishes the tables
+  // (failover CAS if the claimant dies) → forked non-publishers replay the
+  // masked-report model mutations → everyone installs views. Always returns
+  // null (the views are installed directly on p.core).
   std::shared_ptr<const RouteTable> Reallocate(Proc& p);
-  // kReallocateCache, arena flavor (header comment): publish report → the
-  // first live shard claims controllership, computes and publishes the tables
-  // (failover CAS if the claimant dies) → everyone applies the masked-report
-  // model mutations and installs views. Always returns null (the views are
-  // installed directly on p.core).
-  std::shared_ptr<const RouteTable> ReallocateViaArena(Proc& p);
   // Controller half of the arena rendezvous: gather every live shard's
   // published report, run the model mutations, build + serialize the tables
   // and release the ready word carrying the merged-shard mask. False when
@@ -221,8 +166,9 @@ class MultiprocBackend : public SimBackend {
   std::vector<std::pair<uint64_t, uint32_t>> ReadArenaReport(uint32_t step,
                                                              uint32_t s);
   // The deterministic controller model mutations (remap sync + heavy-hitter
-  // merge + cache refill) every process applies, so later-step takeovers run
-  // against a current model.
+  // merge + cache refill): the publisher always applies them, and every
+  // forked child replays them, so later-step takeovers run against a current
+  // model.
   void ApplyReallocModel(Proc& p,
                          std::vector<std::vector<std::pair<uint64_t, uint32_t>>>
                              reports);
@@ -234,30 +180,36 @@ class MultiprocBackend : public SimBackend {
 
   // ---- supervisor side -----------------------------------------------------
   // Computes the arena layout for `shards` and this run's series bound —
-  // rings, stats regions, the serialized plan tables and (static policies
-  // with realloc steps) the realloc rendezvous slots — and maps it; false
-  // when the mapping fails.
+  // rings, stats regions, the serialized plan tables and the realloc
+  // rendezvous slots — and maps it; false when the mapping fails.
   bool LayoutAndMapArena(uint64_t num_requests);
   // Serializes the base route table and every fired-plan snapshot into the
-  // arena (pre-fork, post-interleave), then frees the supervisor-heap copies —
+  // arena (pre-launch, post-interleave), then frees the supervisor-heap copies —
   // from here on the arena is the only copy and Run() is single-shot (the
   // repo-wide new-backend-per-Run discipline, see EngineCore::ClearActions).
   void SerializePlanTables();
+  // Fork launcher: forks every shard, then reaps, respawns or declares dead
+  // (header comment) until none is left. Marks lost shards in *failed and
+  // records respawns, heartbeat misses and fault observations in
+  // *supervisor. False when a fork failed (children killed, arena unmapped).
+  bool ForkAndReap(uint64_t num_requests, std::vector<uint8_t>* failed,
+                   BackendStats* supervisor);
   BackendStats FailAll(uint32_t shards) const;
 
   SimBackendConfig config_;
+  Launcher launcher_;
   ClusterModel model_;
   ShardMap shard_map_;
   AliasSampler sampler_;            // head ranks + one tail bucket (phase 0)
-  // Opt-in O(hot) sampler (config.two_level_sampling): children inherit it
-  // pre-fork and draw from it instead of sampler_ — a different RNG stream,
-  // differentially validated, never golden-pinned.
+  // Opt-in O(hot) sampler (config.two_level_sampling): shards draw from it
+  // instead of sampler_ — a different RNG stream, differentially validated,
+  // never golden-pinned.
   std::unique_ptr<TwoLevelSampler> two_level_;
   std::shared_ptr<const RouteTable> base_routes_;
   std::vector<TimelineStep> plan_;
-  std::vector<TimelineStep> fired_plan_;  // restricted to this Run, pre-fork
+  std::vector<TimelineStep> fired_plan_;  // restricted to this Run, pre-launch
 
-  // Arena geometry, computed pre-fork and inherited by the children.
+  // Arena geometry, computed pre-launch.
   ShmArena arena_;
   size_t control_offset_ = 0;
   size_t data_slot_bytes_ = 0;
@@ -270,10 +222,9 @@ class MultiprocBackend : public SimBackend {
   // Arena-resident plan: serialized-table offsets — [0] the base table,
   // [1 + i] fired_plan_[i]'s snapshot (null steps carry a sentinel header).
   std::vector<size_t> plan_table_offset_;
-  // Single-controller realloc rendezvous (arena_realloc_ set for static
-  // policies): per fired kReallocateCache step, one report slot per shard and
-  // one ready-flag + published-tables region sized for the worst case.
-  bool arena_realloc_ = false;
+  // Realloc rendezvous: per fired kReallocateCache step, one report slot per
+  // shard and one ready-flag + published-tables region sized for the worst
+  // case.
   size_t report_entry_cap_ = 0;        // entries per report slot
   size_t table_cap_bytes_ = 0;         // capacity of one published table
   std::vector<uint32_t> realloc_step_index_;    // fired_plan_ index per step
@@ -284,9 +235,6 @@ class MultiprocBackend : public SimBackend {
   // respawned incarnations replay their streams without re-firing. 0 when the
   // plan is empty (no reservation, no hook work).
   size_t fault_latch_offset_ = 0;
-
-  uint32_t crash_shard_ = UINT32_MAX;  // test hook; no shard by default
-  uint64_t crash_after_ = 0;
 };
 
 }  // namespace distcache

@@ -2,8 +2,8 @@
 // request-level engines: the allocation and placement hashes are evaluated once per
 // table build, not once per request. Tables are immutable snapshots — failure
 // recovery and cache re-allocation build a fresh table from the mutated allocation
-// and swap/multicast it (see engine_core.h, sharded_backend.h), so the hot path
-// never sees a table mutate. Tables are indexed by *popularity rank*; the
+// and swap it in (see engine_core.h, multiproc_backend.h), so the hot path never
+// sees a table mutate. Tables are indexed by *popularity rank*; the
 // `hot_shift` build parameter is the rank→key rotation of the workload phase the
 // table serves (see common/workload.h), so entry r always routes the key the
 // clients actually query at rank r.

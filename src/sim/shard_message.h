@@ -1,24 +1,21 @@
-// Cross-shard message for the sharded simulation backend.
+// Heap-payload cross-shard message for in-process rings and channels.
 //
-// One message type, two transports (see sharded_backend.h): the data-plane
-// kinds (kLoadDeltas, kTelemetry) travel over the per-pair lock-free SPSC rings
-// (runtime/spsc_ring.h); the control kinds (kClusterEvent, kHotReport,
-// kRouteUpdate, kDone) travel over the per-shard mutex Channel. Senders batch
-// everything: a single message carries all the load deltas one source shard
-// produced for one owner shard, so transport traffic is O(epochs), not
-// O(requests).
+// The shard runtime (sim/multiproc_backend.h) serializes its messages into
+// fixed arena slots instead; this type keeps the in-process shape of the same
+// protocol — batched load deltas, dense telemetry partials and the kDone
+// end-of-stream marker — for code that moves messages through
+// runtime/spsc_ring.h or runtime/channel.h (the transport tests and the
+// ring microbenchmarks). Senders batch everything: one message carries all the
+// load deltas one source shard produced for one owner shard, so transport
+// traffic is O(epochs), not O(requests).
 #ifndef DISTCACHE_SIM_SHARD_MESSAGE_H_
 #define DISTCACHE_SIM_SHARD_MESSAGE_H_
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "common/workload.h"
 #include "net/topology.h"
-#include "sim/route_table.h"
-#include "sim/sim_backend.h"
 
 namespace distcache {
 
@@ -34,29 +31,6 @@ struct ShardMsg {
     // shard scheduling skew (absolute-load broadcasts from differently-aged epochs
     // would mix inconsistently).
     kTelemetry,
-    // One timeline step — a failure/recovery event (§4.4), a hot-spot shift, a
-    // cache re-allocation trigger (§6.4), or a workload phase switch (`is_phase`)
-    // — multicast by the controller shard before request processing starts so
-    // every shard applies it at the same shard-local timestamp (event.at_request
-    // scaled to the shard's quota). For steps with a precomputable routing effect
-    // (kRecoverSpine/kRunRecovery/kShiftHotspot and phase switches) `route_table`
-    // carries the immutable post-step routing snapshot the receiving shard swaps
-    // in when the step fires — this is how "the controller invalidates cached
-    // routes" reaches the shards. Phase steps additionally carry `pmf`, the
-    // head+tail popularity vector each shard rebuilds its alias sampler from.
-    kClusterEvent,
-    // Re-allocation rendezvous (§6.4), shard → controller: the sender reached a
-    // kReallocateCache step and reports its locally observed heavy-hitter counts
-    // (`hot_counts`), then blocks until the controller's kRouteUpdate.
-    kHotReport,
-    // Re-allocation rendezvous, controller → shards: the post-reallocation route
-    // table computed from the merged observed counts, plus rebuilt snapshots for
-    // every not-yet-applied timeline step (`suffix_routes`, aligned with the
-    // receiver's pending actions) so later failure/shift steps route the
-    // refilled cached set instead of the construction-time one. Unlike
-    // precomputed snapshots these are built at runtime — the whole point of the
-    // rendezvous.
-    kRouteUpdate,
     // Sender has processed its whole request quota and flushed all deltas. Because
     // each inbox is FIFO per sender, a Done marks the end of that sender's stream.
     kDone,
@@ -67,19 +41,6 @@ struct ShardMsg {
   std::vector<std::pair<CacheNodeId, double>> cache_entries;
   std::vector<std::pair<uint32_t, double>> server_entries;
   std::vector<double> cache_partials;
-  // kClusterEvent payload. event.at_request is the step's timestamp for phase
-  // steps too; when `is_phase` is set the receiver applies `phase` and ignores
-  // the event kind.
-  ClusterEvent event;
-  bool is_phase = false;
-  WorkloadPhase phase;
-  std::shared_ptr<const std::vector<double>> pmf;
-  std::shared_ptr<const RouteTable> route_table;  // also kRouteUpdate payload
-  // kRouteUpdate payload: one (possibly null) rebuilt snapshot per pending
-  // timeline step after the re-allocation.
-  std::vector<std::shared_ptr<const RouteTable>> suffix_routes;
-  // kHotReport payload: (key, observed count), hottest-first.
-  std::vector<std::pair<uint64_t, uint32_t>> hot_counts;
 };
 
 }  // namespace distcache

@@ -9,7 +9,6 @@
 #include "cluster/fluid_backend.h"
 #include "sim/multiproc_backend.h"
 #include "sim/sequential_backend.h"
-#include "sim/sharded_backend.h"
 
 namespace distcache {
 namespace {
@@ -189,7 +188,8 @@ std::unique_ptr<SimBackend> MakeSimBackend(BackendKind kind,
                                            const SimBackendConfig& config) {
   switch (kind) {
     case BackendKind::kSharded:
-      return std::make_unique<ShardedBackend>(config);
+      return std::make_unique<MultiprocBackend>(
+          config, MultiprocBackend::Launcher::kThreads);
     case BackendKind::kFluid:
       return std::make_unique<FluidBackend>(config);
     case BackendKind::kMultiproc:

@@ -11,14 +11,16 @@
 //                    routing via CacheAllocation::CopiesOf, PotRouter::Choose over a
 //                    materialized candidate list, per-request LoadTracker update).
 //                    This is the semantic baseline every other backend must match.
-//   * "sharded"    — the scalable runtime: nodes partitioned across N worker shards
-//                    (net/shard_map.h), one EventQueue per shard driving batch and
-//                    telemetry events, cross-shard data traffic as batched messages
-//                    over per-pair lock-free rings (runtime/spsc_ring.h; control
-//                    over runtime/channel.h), and a batched hot path that amortizes
-//                    Zipf sampling (alias table), hash routing (precomputed
-//                    per-key route entries, prefetched ahead) and LoadTracker
-//                    updates over batches of 256 requests.
+//   * "sharded"    — the scalable shard runtime (sim/multiproc_backend.h): nodes
+//                    partitioned across N worker shards (net/shard_map.h), one
+//                    EventQueue per shard driving batch and telemetry events,
+//                    cross-shard traffic as batched messages over per-pair
+//                    lock-free shared-memory rings (runtime/shm_ring.h), and a
+//                    batched hot path that amortizes Zipf sampling (alias
+//                    table), hash routing (precomputed per-key route entries,
+//                    prefetched ahead) and LoadTracker updates over batches of
+//                    256 requests. Shards are threads; "multiproc" launches the
+//                    same runtime as one forked process per shard.
 //
 // Contract for implementations:
 //
@@ -172,8 +174,8 @@ struct SimBackendConfig {
   // merges the per-shard histograms at quota end.
   QueueModelConfig queue;
   // Pin each shard worker to a CPU core (shard i -> core i % online cores):
-  // pthread affinity in the in-process sharded engine, process affinity (plus
-  // first-touch NUMA placement of the arena rings) in the multiproc engine.
+  // thread affinity for sharded, process affinity for multiproc; either way
+  // the shard then prefaults its inbound rings (first-touch NUMA placement).
   // Off by default — pinning helps dedicated hosts and hurts shared ones.
   bool pin_cores = false;
   // Back the multiproc engine's shared arena with 2 MiB huge pages when the
@@ -249,13 +251,13 @@ struct BackendStats {
   // Requests blackholed by a dead spine switch before the controller reacted
   // (ECMP transit through a failed switch, §4.4); they charge no load anywhere.
   uint64_t dropped = 0;
-  uint64_t cross_shard_messages = 0;  // sharded backend only (ring + control)
-  // Sharded-transport instrumentation (zero elsewhere): messages that travelled
-  // over the lock-free data-plane rings vs the mutex control channel, and the
-  // batch-boundary control-channel polls split by whether the lock-free
-  // emptiness fast path resolved them (uncontended) or the mutex was taken
-  // (contended). The scaling bench reports these — a healthy run is ~all-ring
-  // traffic and ~all-uncontended polls.
+  uint64_t cross_shard_messages = 0;  // shard runtime only (data + control)
+  // Shard-transport instrumentation (zero elsewhere): messages that travelled
+  // over the data-plane rings (the rest of cross_shard_messages are kDone
+  // markers on the control rings), and the batch-boundary control-ring polls
+  // split by whether every ring was empty (uncontended) or a marker was
+  // pending (contended). The scaling bench reports these — a healthy run is
+  // ~all-ring traffic and ~all-uncontended polls.
   uint64_t ring_messages = 0;
   uint64_t uncontended_receives = 0;
   uint64_t contended_receives = 0;
@@ -293,9 +295,10 @@ struct BackendStats {
   // the deterministic byte fields below instead.
   uint64_t peak_rss_bytes = 0;
   // Bytes held by this engine's route-table snapshots (base table + every
-  // precomputed timeline snapshot, compact hot-prefix layout). Merge keeps the
-  // max: in-process shards share one plan and multiproc children alias one
-  // arena/COW copy, so per-shard partials all report the same figure.
+  // precomputed timeline snapshot, compact hot-prefix layout). The shard
+  // runtime keeps the plan in its arena: thread shards report the plan's bytes
+  // (one copy in this process), forked children 0 (the arena is counted once
+  // in arena_bytes).
   uint64_t route_table_bytes = 0;
   // Bytes held by this engine's per-process workload sampler(s): the dense
   // alias / inverse-CDF tables, or the O(hot) two-level sampler. Merge keeps

@@ -12,6 +12,8 @@
 //  * crash isolation — a shard process SIGKILLed mid-run must be detected by
 //    the supervisor: the run returns (never hangs) with the survivors' partial
 //    stats and failed_shards reporting the dead shard.
+//  * launcher differential — threads and forks agree bit for bit on
+//    deterministic runs (one shard; two shards under a dynamic policy).
 //  * stats codec — the arena hand-off format round-trips BackendStats exactly,
 //    doubles bit for bit, and rejects truncated buffers.
 //
@@ -69,6 +71,14 @@ SimBackendConfig GoldenBackendConfig(uint32_t shards) {
   bcfg.shards = shards;
   bcfg.batch_size = 64;
   return bcfg;
+}
+
+// A SIGKILL of `shard` once it has processed `local` requests of its quota:
+// fault-plan timestamps use the global request clock, so at `shards` shards
+// the event sits at local * shards.
+void KillShardAt(SimBackendConfig* bcfg, uint32_t shard, uint64_t local) {
+  bcfg->fault_plan.events.push_back(
+      {FaultKind::kCrashKill, shard, local * bcfg->shards, 0});
 }
 
 std::vector<ClusterEvent> FullTimeline() {
@@ -227,14 +237,15 @@ TEST(MultiprocScaling, TimelineStatsParityAcross124Processes) {
 }
 
 // The crash-isolation contract: SIGKILL one shard process mid-run. The
-// supervisor must reap the corpse, wind the survivors down via the abort flag,
-// merge their *partial* stats, and report the dead shard — never hang on the
-// quota-end rendezvous.
+// supervisor must reap the corpse, let the survivors complete degraded, merge
+// their stats, and report the dead shard — never hang on the quota-end
+// rendezvous.
 TEST(MultiprocCrash, KilledShardIsReportedAndSurvivorsReturnPartialStats) {
   SKIP_UNLESS_MULTIPROC_RUNNABLE();
   constexpr uint64_t kRequests = 400'000;
-  MultiprocBackend backend(GoldenBackendConfig(2));
-  backend.TestCrashShardAt(/*shard=*/1, /*after_requests=*/10'000);
+  SimBackendConfig bcfg = GoldenBackendConfig(2);
+  KillShardAt(&bcfg, /*shard=*/1, /*local=*/10'000);
+  MultiprocBackend backend(bcfg);
   const BackendStats st = backend.Run(kRequests);
 
   EXPECT_EQ(st.failed_shards, 1u);
@@ -246,14 +257,14 @@ TEST(MultiprocCrash, KilledShardIsReportedAndSurvivorsReturnPartialStats) {
 
 TEST(MultiprocCrash, CrashDuringReallocateRendezvousDoesNotHang) {
   SKIP_UNLESS_MULTIPROC_RUNNABLE();
-  // The dead shard (killed at 10k) never reaches the re-allocation rendezvous
-  // at 120k — the survivor would wait for its report forever if the abort flag
-  // were not checked inside the rendezvous wait.
+  // The dead shard (killed at local 10k) never reaches the re-allocation
+  // rendezvous at 120k — the survivor would wait for its report forever if
+  // the rendezvous wait did not skip dead shards.
   constexpr uint64_t kRequests = 400'000;
   SimBackendConfig bcfg = GoldenBackendConfig(2);
   bcfg.events = FullTimeline();
+  KillShardAt(&bcfg, /*shard=*/0, /*local=*/10'000);
   MultiprocBackend backend(bcfg);
-  backend.TestCrashShardAt(/*shard=*/0, /*after_requests=*/10'000);
   const BackendStats st = backend.Run(kRequests);
 
   EXPECT_EQ(st.failed_shards, 1u);
@@ -306,8 +317,8 @@ TEST(MultiprocRespawn, KilledShardIsRespawnedAndTheRunCompletes) {
   constexpr uint64_t kRequests = 400'000;
   SimBackendConfig bcfg = GoldenBackendConfig(2);
   bcfg.respawn = true;
+  KillShardAt(&bcfg, /*shard=*/1, /*local=*/10'000);
   MultiprocBackend backend(bcfg);
-  backend.TestCrashShardAt(/*shard=*/1, /*after_requests=*/10'000);
   const BackendStats st = backend.Run(kRequests);
 
   // The second incarnation re-joins from the arena-resident plan, re-runs its
@@ -329,13 +340,58 @@ TEST(MultiprocRespawn, RespawnedControllerShardSurvivesReallocRendezvous) {
   SimBackendConfig bcfg = GoldenBackendConfig(2);
   bcfg.events = FullTimeline();
   bcfg.respawn = true;
+  KillShardAt(&bcfg, /*shard=*/0, /*local=*/10'000);
   MultiprocBackend backend(bcfg);
-  backend.TestCrashShardAt(/*shard=*/0, /*after_requests=*/10'000);
   const BackendStats st = backend.Run(kRequests);
 
   EXPECT_EQ(st.failed_shards, 0u);
   EXPECT_EQ(st.respawned_shards, 1u);
   EXPECT_EQ(st.requests, kRequests);
+}
+
+// ---- launcher differential -------------------------------------------------
+// kSharded (threads) and kMultiproc (forks) are one runtime with two
+// launchers; they differ only in how the realloc publisher's model mutation
+// reaches the other shards (one shared model vs a replay per child). Any
+// deterministic run must therefore agree bit for bit across them.
+
+void ExpectLaunchersAgree(const SimBackendConfig& bcfg, uint64_t requests) {
+  const BackendStats threads =
+      MakeSimBackend(BackendKind::kSharded, bcfg)->Run(requests);
+  const BackendStats forks =
+      MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(requests);
+  ASSERT_EQ(threads.requests, requests);
+  EXPECT_EQ(DeterministicStatsDigest(forks), DeterministicStatsDigest(threads));
+  EXPECT_EQ(forks.cache_load, threads.cache_load);  // element bit-exact
+  EXPECT_EQ(forks.server_load, threads.server_load);
+  EXPECT_EQ(forks.latency.counts(), threads.latency.counts());
+  EXPECT_EQ(forks.latency.total(), threads.latency.total());
+  EXPECT_EQ(forks.latency.infinite(), threads.latency.infinite());
+  EXPECT_EQ(forks.latency.finite_sum(), threads.latency.finite_sum());
+}
+
+TEST(LauncherDifferential, OneShardFullTimelineIsBitIdentical) {
+  SKIP_UNLESS_MULTIPROC_RUNNABLE();
+  SimBackendConfig bcfg = GoldenBackendConfig(1);
+  bcfg.events = FullTimeline();
+  bcfg.sample_interval = 40'000;
+  bcfg.queue.arrival.rate = 24.0;
+  ExpectLaunchersAgree(bcfg, 200'000);
+}
+
+// Dynamic policies route by primary server, never by telemetry, so a
+// two-shard run is deterministic and the shared-model vs replayed-model split
+// of the realloc rendezvous is visible in every counter.
+TEST(LauncherDifferential, TwoShardLruWriteBackShiftReallocIsBitIdentical) {
+  SKIP_UNLESS_MULTIPROC_RUNNABLE();
+  SimBackendConfig bcfg = GoldenBackendConfig(2);
+  bcfg.cluster.cache_policy = CachePolicyKind::kLru;
+  bcfg.cluster.write_policy = WritePolicy::kWriteBack;
+  bcfg.events = {ClusterEvent::ShiftHotspot(90'000, 12'345),
+                 ClusterEvent::ReallocateCache(120'000)};
+  bcfg.sample_interval = 40'000;
+  bcfg.queue.arrival.rate = 24.0;
+  ExpectLaunchersAgree(bcfg, 200'000);
 }
 
 // ---- stats codec -----------------------------------------------------------

@@ -1,19 +1,20 @@
-// Sharded-engine scaling substrate tests (the lock-free-transport PR):
+// Shard-runtime scaling tests on the thread launcher (sim/multiproc_backend.h):
 //
 //  * Single-shard golden parity — a one-shard sharded run exchanges no
 //    messages, so it is exactly deterministic. The constants below were
-//    captured from the pre-refactor build (mutex-channel transport, per-request
-//    owner-split sink, batch size 64): the transport rebuild must be a strict
-//    behavioral no-op for the simulated cluster, every counter exact and every
-//    double bit-for-bit (loads are sums of exactly-representable costs). The
-//    configs pin both a static run and the full failure+shift+realloc timeline.
+//    captured from an early build (per-request owner-split sink, batch size
+//    64) and have survived every transport rebuild since: each must be a
+//    strict behavioral no-op for the simulated cluster, every counter exact and
+//    every double bit-for-bit (loads are sums of exactly-representable costs).
+//    The configs pin both a static run and the full failure+shift+realloc
+//    timeline.
 //  * Multi-shard parity — hit ratio, load imbalance and drop counters must
 //    agree across 1, 2 and 4 shards on the full timeline within statistical
 //    tolerance (multi-shard runs are scheduling-dependent through telemetry
 //    arrival timing, so exact pins are impossible by design).
 //  * Transport accounting — data-plane traffic rides the SPSC rings, the
-//    control channel stays O(reconfigurations), and the batch-boundary polls
-//    resolve overwhelmingly through the lock-free emptiness fast path.
+//    control rings carry only the kDone markers, and the batch-boundary polls
+//    resolve overwhelmingly as empty.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -186,7 +187,7 @@ TEST(ShardedScaling, TimelineStatsParityAcross124Shards) {
 }
 
 // Transport accounting: data rides the rings, control stays low-rate, and the
-// empty-inbox poll almost never touches the mutex.
+// empty control-ring poll almost never finds a marker.
 TEST(ShardedScaling, DataPlaneRidesTheRings) {
   SimBackendConfig bcfg = GoldenBackendConfig(4);
   bcfg.epoch_requests = 4'096;
