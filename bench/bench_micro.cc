@@ -8,12 +8,15 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "cache/cache_switch.h"
 #include "cluster/cluster_sim.h"
+#include "common/alias_sampler.h"
 #include "common/cacheline.h"
 #include "common/hash.h"
 #include "common/random.h"
+#include "common/workload.h"
 #include "common/zipf.h"
 #include "core/pot_router.h"
 #include "kv/kv_store.h"
@@ -54,6 +57,35 @@ void BM_ZipfSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfSample);
+
+// The sequential engine's key-draw pmf: the 51,200-rank candidate pool of a
+// 100M-key Zipf-0.99 workload plus one aggregated tail bucket.
+std::vector<double> HeadTailPmf() {
+  const ZipfDistribution zipf(100'000'000, 0.99);
+  PopularityVector pv = BuildPopularityVector(zipf, 51'200);
+  pv.head.push_back(pv.tail_mass);
+  return pv.head;
+}
+
+// Guide-table inverse CDF (the sequential engine's draw).
+void BM_DiscreteSampleHeadTail(benchmark::State& state) {
+  const DiscreteDistribution dist(HeadTailPmf(), "head+tail");
+  Rng rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dist.Sample(rng));
+  }
+}
+BENCHMARK(BM_DiscreteSampleHeadTail);
+
+// Alias table over the same pmf (the shard runtime's draw).
+void BM_AliasSampleHeadTail(benchmark::State& state) {
+  const AliasSampler sampler(HeadTailPmf());
+  Rng rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler.Sample(rng));
+  }
+}
+BENCHMARK(BM_AliasSampleHeadTail);
 
 void BM_CountMinUpdate(benchmark::State& state) {
   CountMinSketch cm(CountMinSketch::Config{});

@@ -1,10 +1,12 @@
 // Walker/Vose alias-method sampler over a finite pmf: O(n) build, O(1) per draw.
 //
 // This is the "amortized Zipf sampling" half of the batched request hot path: the
-// sequential reference backend draws keys by inverse-CDF binary search (O(log n) with
-// a data-dependent branch per probe), while the sharded backend builds one alias
-// table over the head-key pmf (plus an aggregated tail bucket) and then samples each
-// request with two table reads — the build cost is amortized over millions of draws.
+// shard runtime builds one alias table over the head-key pmf (plus an aggregated
+// tail bucket) and then samples each request with two table reads — the build cost
+// is amortized over millions of draws. The sequential reference backend draws the
+// same pmf by inverse CDF instead (DiscreteDistribution's guide table: one cutpoint
+// read plus a short branchless search), which keeps it bit-identical to a plain
+// lower_bound over the CDF.
 #ifndef DISTCACHE_COMMON_ALIAS_SAMPLER_H_
 #define DISTCACHE_COMMON_ALIAS_SAMPLER_H_
 

@@ -1,8 +1,10 @@
 #include "common/zipf.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace distcache {
 namespace {
@@ -14,6 +16,11 @@ constexpr uint64_t kExactPrefix = 10000;
 // logarithmic limits: the integral tail and the Gray et al. constant alpha both
 // divide by (1 - theta), so theta = 1.0 exactly would produce inf/NaN ranks.
 constexpr double kThetaOneEps = 1e-6;
+
+// Cap on DiscreteDistribution's guide cells, bounding the table at 256 KiB. Larger
+// pmfs average more than two CDF entries per cell, which the window search absorbs
+// in a few extra steps.
+constexpr size_t kMaxGuideCells = size_t{1} << 16;
 
 }  // namespace
 
@@ -92,9 +99,21 @@ std::string ZipfDistribution::name() const {
 
 DiscreteDistribution::DiscreteDistribution(std::vector<double> pmf, std::string name)
     : pmf_(std::move(pmf)), name_(std::move(name)) {
+  if (pmf_.size() > UINT32_MAX) {
+    std::fprintf(stderr, "DiscreteDistribution: %zu weights exceed the 32-bit guide\n",
+                 pmf_.size());
+    std::abort();
+  }
   double sum = 0.0;
-  for (double p : pmf_) {
-    sum += p;
+  for (size_t i = 0; i < pmf_.size(); ++i) {
+    if (!std::isfinite(pmf_[i]) || pmf_[i] < 0.0) {
+      std::fprintf(stderr,
+                   "DiscreteDistribution: weight %zu is %g, not finite and "
+                   "non-negative\n",
+                   i, pmf_[i]);
+      std::abort();
+    }
+    sum += pmf_[i];
   }
   if (sum > 0.0) {
     for (double& p : pmf_) {
@@ -115,12 +134,42 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> pmf, std::string 
   if (!cdf_.empty()) {
     cdf_.back() = 1.0;  // guard against rounding
   }
+  // Guide table in one forward pass, O(n + M): guide_[j] is the first i with
+  // cdf_[i] >= j/M. j/M is exact (M is a power of two ≤ 2^16), and the scan stops
+  // at n − 1 for j = M because cdf_.back() == 1.0.
+  const size_t cells = std::min<size_t>(
+      std::bit_floor(std::max<size_t>(1, pmf_.size() / 2)), kMaxGuideCells);
+  guide_cells_ = static_cast<double>(cells);
+  guide_.resize(cells + 1);
+  size_t i = 0;
+  for (size_t j = 0; j <= cells; ++j) {
+    const double cut = static_cast<double>(j) / guide_cells_;
+    while (i < cdf_.size() && cdf_[i] < cut) {
+      ++i;
+    }
+    guide_[j] = static_cast<uint32_t>(i);
+  }
 }
 
-uint64_t DiscreteDistribution::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<uint64_t>(it - cdf_.begin());
+uint64_t DiscreteDistribution::InverseCdf(double u) const {
+  if (cdf_.empty()) {
+    return 0;
+  }
+  // u·M < M fits a signed conversion, which is one instruction (unsigned is two
+  // paths).
+  const size_t j = static_cast<size_t>(static_cast<int64_t>(u * guide_cells_));
+  // The answer lies in the inclusive window [guide_[j], guide_[j+1]]. Each step
+  // keeps it inside [base, base + len), so the search ends on it without a final
+  // compare. The step is masked arithmetic rather than a ternary, which compilers
+  // lower to a data-dependent branch on a double compare.
+  const double* base = cdf_.data() + guide_[j];
+  size_t len = guide_[j + 1] - guide_[j] + 1;
+  while (len > 1) {
+    const size_t half = len / 2;
+    base += -static_cast<size_t>(base[half - 1] < u) & half;
+    len -= half;
+  }
+  return static_cast<uint64_t>(base - cdf_.data());
 }
 
 double DiscreteDistribution::TopMass(uint64_t k) const {

@@ -91,13 +91,30 @@ class UniformDistribution : public KeyDistribution {
 };
 
 // Arbitrary finite distribution given by an explicit pmf (normalized internally).
-// Sampling is inverse-CDF via binary search. Used by the theory benches to construct
-// workloads that satisfy Theorem 1's precondition max_i p_i · R ≤ T̃/2.
+// Used by the theory benches to construct workloads that satisfy Theorem 1's
+// precondition max_i p_i · R ≤ T̃/2, and by the sequential engine over the
+// head+tail pmf.
+//
+// Sampling is inverse-CDF in O(1) expected time through a guide table (Chen–Asau
+// cutpoints): M + 1 entries, M the largest power of two ≤ max(1, n/2) capped at
+// 2^16, with guide[j] = lower_bound(cdf, j/M). A draw u ∈ [0, 1) falls in cell
+// j = ⌊u·M⌋ and searches only cdf[guide[j] .. guide[j+1]]. The answer is
+// bit-identical to a full lower_bound: M is a power of two, so u·M and j/M are
+// exact; lower_bound is monotone and j/M ≤ u < (j+1)/M, so the answer lies in
+// [guide[j], guide[j+1]]; and cdf.back() == 1.0 keeps guide[M] ≤ n − 1.
+//
+// Weights must be finite and non-negative (the constructor aborts otherwise): the
+// guide table is exact only over a monotone CDF.
 class DiscreteDistribution : public KeyDistribution {
  public:
   explicit DiscreteDistribution(std::vector<double> pmf, std::string name = "discrete");
 
-  uint64_t Sample(Rng& rng) const override;
+  uint64_t Sample(Rng& rng) const override { return InverseCdf(rng.NextDouble()); }
+
+  // Smallest i with cdf[i] >= u, i.e. std::lower_bound over the CDF, for u in
+  // [0, 1). Returns 0 for an empty pmf.
+  uint64_t InverseCdf(double u) const;
+
   double Pmf(uint64_t key) const override {
     return key < pmf_.size() ? pmf_[key] : 0.0;
   }
@@ -105,14 +122,18 @@ class DiscreteDistribution : public KeyDistribution {
   uint64_t num_keys() const override { return pmf_.size(); }
   std::string name() const override { return name_; }
 
-  // Table memory (capacity-based): the O(pool) cost the two-level sampler avoids.
+  // Table memory (capacity-based), guide table included: the O(pool) cost the
+  // two-level sampler avoids.
   size_t bytes() const {
-    return (pmf_.capacity() + cdf_.capacity()) * sizeof(double);
+    return (pmf_.capacity() + cdf_.capacity()) * sizeof(double) +
+           guide_.capacity() * sizeof(uint32_t);
   }
 
  private:
   std::vector<double> pmf_;
   std::vector<double> cdf_;
+  std::vector<uint32_t> guide_;  // M + 1 cutpoints; guide_[j] = lower_bound(cdf_, j/M)
+  double guide_cells_ = 1.0;     // M, as a double for the exact u·M
   std::string name_;
 };
 

@@ -1,10 +1,11 @@
 // The single-threaded request-level reference backend.
 //
 // Deliberately the straightforward driver around the shared EngineCore: one
-// request at a time through the faithful path — inverse-CDF key sampling
-// (O(log pool) binary search through the phase's head+tail pmf), the core's
-// route-table resolution, PoT choice with dead-node degradation, and a
-// per-request LoadTracker refresh (the piggybacked-telemetry semantics of §4.2).
+// request at a time through the faithful path — inverse-CDF key sampling (a
+// guide-table lookup plus a short search through the phase's head+tail CDF,
+// bit-identical to a binary search over it), the core's route-table resolution,
+// PoT choice with dead-node degradation, and a per-request LoadTracker refresh
+// (the piggybacked-telemetry semantics of §4.2).
 // It is the semantic baseline the sharded backend's batched hot path is validated
 // against, and the denominator of the engine-throughput comparison in
 // bench_fig9c_scalability.

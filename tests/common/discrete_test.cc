@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstddef>
+#include <limits>
+#include <vector>
+
 #include "common/random.h"
+#include "common/workload.h"
 #include "common/zipf.h"
 
 namespace distcache {
@@ -62,6 +70,150 @@ TEST(DiscreteDistribution, AllZeroPmfFallsBackToUniform) {
   for (int c : counts) {
     EXPECT_NEAR(c / static_cast<double>(kSamples), 0.25, 0.02);
   }
+}
+
+TEST(DiscreteDistributionDeathTest, RejectsNegativeOrNonFiniteWeights) {
+  // The guide table is exact only over a monotone CDF, so every weight must be
+  // finite and non-negative.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(DiscreteDistribution({1.0, -0.5, 1.0}), "weight 1 is -0.5");
+  EXPECT_DEATH(DiscreteDistribution({1.0, std::nan("")}), "weight 1 is .*nan");
+  EXPECT_DEATH(DiscreteDistribution({kInf, 1.0}), "weight 0 is inf");
+  EXPECT_DEATH(DiscreteDistribution({1.0, 1.0, -kInf}), "weight 2 is -inf");
+}
+
+// Guide cells M for n buckets: the largest power of two ≤ max(1, n/2), capped at
+// 2^16. Restated here so the boundary points below probe the real cutpoints.
+size_t GuideCells(size_t n) {
+  return std::min<size_t>(std::bit_floor(std::max<size_t>(1, n / 2)), size_t{1} << 16);
+}
+
+// The reference inverse: std::lower_bound over the CDF rebuilt from TopMass.
+struct ReferenceInverse {
+  std::vector<double> cdf;
+
+  explicit ReferenceInverse(const DiscreteDistribution& d) {
+    for (uint64_t k = 1; k <= d.num_keys(); ++k) {
+      cdf.push_back(d.TopMass(k));
+    }
+  }
+  uint64_t operator()(double u) const {
+    return static_cast<uint64_t>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                                 cdf.begin());
+  }
+};
+
+// Checks InverseCdf against the reference at every guide boundary j/M, every CDF
+// value and its nextafter neighbours, 0, 1 − 2^-53 and 10^6 random u.
+void ExpectMatchesLowerBound(const std::vector<double>& pmf) {
+  const DiscreteDistribution d(pmf);
+  const ReferenceInverse ref(d);
+  const size_t n = pmf.size();
+  const double last = 1.0 - 0x1.0p-53;
+  std::vector<double> points = {0.0, last};
+  const size_t cells = GuideCells(n);
+  for (size_t j = 0; j < cells; ++j) {
+    points.push_back(static_cast<double>(j) / static_cast<double>(cells));
+  }
+  for (double c : ref.cdf) {
+    for (double u : {std::nextafter(c, 0.0), c, std::nextafter(c, 1.0)}) {
+      if (u >= 0.0 && u <= last) {
+        points.push_back(u);
+      }
+    }
+  }
+  size_t mismatches = 0;
+  for (double u : points) {
+    if (d.InverseCdf(u) != ref(u) && ++mismatches <= 5) {
+      ADD_FAILURE() << "n=" << n << " u=" << u << ": " << d.InverseCdf(u)
+                    << " vs lower_bound " << ref(u);
+    }
+  }
+  Rng rng(n);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double u = rng.NextDouble();
+    if (d.InverseCdf(u) != ref(u) && ++mismatches <= 5) {
+      ADD_FAILURE() << "n=" << n << " u=" << u << ": " << d.InverseCdf(u)
+                    << " vs lower_bound " << ref(u);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "n=" << n;
+}
+
+// The sequential engine's own pmf: the 51,200-rank candidate pool of a 100M-key
+// Zipf-0.99 workload plus one aggregated tail bucket.
+std::vector<double> EngineHeadWithTail() {
+  const ZipfDistribution zipf(100'000'000, 0.99);
+  PopularityVector pv = BuildPopularityVector(zipf, 51'200);
+  pv.head.push_back(pv.tail_mass);
+  return pv.head;
+}
+
+TEST(DiscreteDistribution, InverseCdfMatchesLowerBoundOnEngineHeadTail) {
+  const std::vector<double> pmf = EngineHeadWithTail();
+  ASSERT_EQ(pmf.size(), 51'201u);
+  ExpectMatchesLowerBound(pmf);
+}
+
+TEST(DiscreteDistribution, InverseCdfMatchesLowerBoundOnZeroMassRuns) {
+  std::vector<double> pmf(1000, 1.0);
+  std::fill(pmf.begin(), pmf.begin() + 100, 0.0);   // start
+  std::fill(pmf.begin() + 400, pmf.begin() + 600, 0.0);  // middle
+  std::fill(pmf.end() - 150, pmf.end(), 0.0);       // end
+  ExpectMatchesLowerBound(pmf);
+  // One isolated zero between each pair of keys as well.
+  ExpectMatchesLowerBound({0.0, 3.0, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0});
+}
+
+TEST(DiscreteDistribution, InverseCdfMatchesLowerBoundOnDyadicCdf) {
+  // Every CDF value lands exactly on a guide boundary.
+  ExpectMatchesLowerBound({0.25, 0.25, 0.0, 0.5});
+  ExpectMatchesLowerBound({0.125, 0.125, 0.25, 0.0, 0.0, 0.5});
+}
+
+TEST(DiscreteDistribution, InverseCdfMatchesLowerBoundOnAllZeroFallback) {
+  ExpectMatchesLowerBound({0.0, 0.0, 0.0, 0.0, 0.0});
+}
+
+TEST(DiscreteDistribution, InverseCdfMatchesLowerBoundOnTinyPmfs) {
+  for (size_t n = 1; n <= 5; ++n) {
+    std::vector<double> pmf;
+    for (size_t i = 0; i < n; ++i) {
+      pmf.push_back(static_cast<double>(i + 1));
+    }
+    ExpectMatchesLowerBound(pmf);
+  }
+}
+
+TEST(DiscreteDistribution, InverseCdfMatchesLowerBoundAtGuideCap) {
+  // n = 2^17 + 1 reaches the 2^16-cell cap; n = 2^18 + 3 is past it (M stays 2^16
+  // while n/2 keeps growing).
+  for (size_t n : {(size_t{1} << 17) + 1, (size_t{1} << 18) + 3}) {
+    std::vector<double> pmf(n);
+    for (size_t i = 0; i < n; ++i) {
+      pmf[i] = std::pow(static_cast<double>(i + 1), -0.99);
+    }
+    ExpectMatchesLowerBound(pmf);
+  }
+}
+
+TEST(DiscreteDistribution, SampleMatchesLowerBoundOnSameSeed) {
+  const DiscreteDistribution d(EngineHeadWithTail(), "head+tail");
+  const ReferenceInverse ref(d);
+  Rng rng(2026);
+  Rng clone = rng;
+  for (int i = 0; i < 1'000'000; ++i) {
+    ASSERT_EQ(d.Sample(rng), ref(clone.NextDouble())) << "draw " << i;
+  }
+}
+
+TEST(DiscreteDistribution, BytesCountGuideTable) {
+  // 51,201 buckets → M = 16,384 guide cells (M + 1 32-bit cutpoints, 64 KiB).
+  std::vector<double> pmf = EngineHeadWithTail();
+  pmf.shrink_to_fit();
+  const DiscreteDistribution d(pmf);
+  EXPECT_EQ(d.bytes(), 2 * pmf.size() * sizeof(double) + (16'384 + 1) * sizeof(uint32_t));
+  EXPECT_EQ(DiscreteDistribution({1.0}).bytes(), 2 * sizeof(double) + 2 * sizeof(uint32_t));
 }
 
 TEST(CappedZipfPmf, RespectsCap) {
