@@ -79,9 +79,8 @@ class PipelineCacheSwitch {
     size_t value_size = 0;
   };
 
-  // Packs byte `i` of the value into the word registers and back.
+  // Packs byte `i` of the value into the word registers.
   void WriteValueWords(size_t slot, const std::string& value, size_t stages);
-  std::string ReadValueWords(size_t slot, size_t value_size) const;
   std::optional<size_t> AllocateSlot();
 
   Config config_;

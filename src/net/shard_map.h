@@ -38,9 +38,8 @@ class ShardMap {
   CacheNodeId NodeOfFlat(uint32_t flat) const { return offset_.NodeOfFlat(flat); }
   uint32_t num_cache_nodes() const { return offset_.total(); }
 
-  // Owner of a cache switch. Layers are interleaved so that a shard owns roughly
-  // num_cache_nodes() / shards switches.
-  uint32_t OwnerOfCache(CacheNodeId node) const { return FlatIndex(node) % shards_; }
+  // Owner of a cache switch by FlatIndex. Layers are interleaved so that a
+  // shard owns roughly num_cache_nodes() / shards switches.
   uint32_t OwnerOfFlat(uint32_t flat) const { return flat % shards_; }
 
   uint32_t OwnerOfServer(uint32_t server_id) const { return server_id % shards_; }

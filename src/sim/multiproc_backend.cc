@@ -1557,16 +1557,12 @@ BackendStats MultiprocBackend::Run(uint64_t num_requests) {
     }
     total.Merge(partial);
   }
+  total.Merge(supervisor);  // respawns, heartbeat misses, fault records
   total.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  total.respawned_shards = supervisor.respawned_shards;
-  total.heartbeat_misses += supervisor.heartbeat_misses;
   total.degraded_fraction =
       num_requests == 0 ? 0.0
                         : static_cast<double>(lost_quota) /
                               static_cast<double>(num_requests);
-  total.fault_events.insert(total.fault_events.end(),
-                            supervisor.fault_events.begin(),
-                            supervisor.fault_events.end());
   total.arena_bytes = arena_.size();
   total.route_table_bytes = shared_table_bytes;
   total.peak_rss_bytes = std::max(total.peak_rss_bytes, CurrentPeakRssBytes());

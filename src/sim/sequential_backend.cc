@@ -107,29 +107,14 @@ BackendStats SequentialBackend::Run(uint64_t num_requests) {
     core_.QueueAction({static_cast<double>(step.at_request), step.is_phase,
                        step.phase, step.event, step.pmf, step.routes});
   }
+  // The sink's per-request Set() keeps the client view equal to the true loads
+  // (dead spines keep their +inf pin through the tracker's shadow — see
+  // load_tracker.h), so this engine needs no telemetry epoch refresh.
   SequentialSink sink{&st, &core_.view()};
 
-  // Requests left until the next telemetry epoch boundary (i = 0, E, 2E, ...);
-  // E = 0 disables the refresh, since the countdown never returns to zero.
-  const uint64_t epoch = config_.epoch_requests;
-  uint64_t until_refresh = epoch == 0 ? UINT64_MAX : 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < num_requests; ++i) {
     core_.AdvanceTo(i);
-
-    // Telemetry epoch boundary: refresh the client's view from true loads.
-    // Between boundaries the per-request Set() in the sink keeps the view exact
-    // for routed nodes. (Dead spines emit no telemetry; the tracker routes their
-    // refresh to the shadow value, keeping the +inf pin — see load_tracker.h.)
-    if (until_refresh-- == 0) {
-      until_refresh = epoch - 1;
-      for (uint32_t layer = 0; layer < st.cache_load.size(); ++layer) {
-        for (uint32_t n = 0; n < st.cache_load[layer].size(); ++n) {
-          core_.view().Set({layer, n}, st.cache_load[layer][n]);
-        }
-      }
-    }
-
     const uint32_t bucket =
         two_level_ != nullptr
             ? two_level_->Sample(core_.rng())

@@ -5,7 +5,8 @@
 // guide-table lookup plus a short search through the phase's head+tail CDF,
 // bit-identical to a binary search over it), the core's route-table resolution,
 // PoT choice with dead-node degradation, and a per-request LoadTracker refresh
-// (the piggybacked-telemetry semantics of §4.2).
+// (the piggybacked-telemetry semantics of §4.2). The view is never stale, so
+// SimBackendConfig::epoch_requests does not apply here.
 // It is the semantic baseline the sharded backend's batched hot path is validated
 // against, and the denominator of the engine-throughput comparison in
 // bench_fig9c_scalability.

@@ -39,6 +39,15 @@ void AccumulateLoads(std::vector<double>& into, const std::vector<double>& from)
   }
 }
 
+// Folds `from` into `into` row by row, per each field's MergeRule.
+template <typename Counters>
+void MergeCounters(Counters& into, const Counters& from) {
+  Counters::ForEach([&](auto field, MergeRule rule, bool) {
+    into.*field = rule == MergeRule::kSum ? into.*field + from.*field
+                                          : std::max(into.*field, from.*field);
+  });
+}
+
 }  // namespace
 
 std::vector<double> ResolveServiceRates(const QueueModelConfig& queue,
@@ -105,43 +114,14 @@ double BackendStats::ServerImbalance() const {
 }
 
 void BackendStats::Merge(const BackendStats& other) {
-  requests += other.requests;
-  reads += other.reads;
-  writes += other.writes;
-  cache_hits += other.cache_hits;
-  spine_hits += other.spine_hits;
-  leaf_hits += other.leaf_hits;
-  server_reads += other.server_reads;
-  cache_write_hits += other.cache_write_hits;
-  writebacks += other.writebacks;
-  dropped += other.dropped;
-  cross_shard_messages += other.cross_shard_messages;
-  ring_messages += other.ring_messages;
-  uncontended_receives += other.uncontended_receives;
-  contended_receives += other.contended_receives;
-  failed_shards += other.failed_shards;
-  respawned_shards += other.respawned_shards;
-  injected_faults += other.injected_faults;
-  heartbeat_misses += other.heartbeat_misses;
-  controller_failovers += other.controller_failovers;
-  degraded_fraction += other.degraded_fraction;
+  MergeCounters<BackendCounters>(*this, other);
   fault_events.insert(fault_events.end(), other.fault_events.begin(),
                       other.fault_events.end());
-  // Memory fields keep the max (shared pages / shared snapshots would be
-  // overcounted by a sum — see the field comments).
-  peak_rss_bytes = std::max(peak_rss_bytes, other.peak_rss_bytes);
-  route_table_bytes = std::max(route_table_bytes, other.route_table_bytes);
-  sampler_bytes = std::max(sampler_bytes, other.sampler_bytes);
-  arena_bytes = std::max(arena_bytes, other.arena_bytes);
   if (series.size() < other.series.size()) {
     series.resize(other.series.size());
   }
   for (size_t i = 0; i < other.series.size(); ++i) {
-    series[i].requests += other.series[i].requests;
-    series[i].delivered += other.series[i].delivered;
-    series[i].dropped += other.series[i].dropped;
-    series[i].reads += other.series[i].reads;
-    series[i].cache_hits += other.series[i].cache_hits;
+    MergeCounters<IntervalCounters>(series[i], other.series[i]);
     series[i].latency.Merge(other.series[i].latency);
   }
   latency.Merge(other.latency);
@@ -152,7 +132,6 @@ void BackendStats::Merge(const BackendStats& other) {
     AccumulateLoads(cache_load[l], other.cache_load[l]);
   }
   AccumulateLoads(server_load, other.server_load);
-  wall_seconds = std::max(wall_seconds, other.wall_seconds);
 }
 
 uint64_t CurrentPeakRssBytes() {

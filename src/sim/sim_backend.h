@@ -42,6 +42,7 @@
 #ifndef DISTCACHE_SIM_SIM_BACKEND_H_
 #define DISTCACHE_SIM_SIM_BACKEND_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -148,7 +149,8 @@ struct SimBackendConfig {
   uint32_t batch_size = 256;
   // Telemetry epoch length in requests per shard: how often each shard broadcasts
   // its cumulative per-node load partials and folds in its peers' — the view
-  // staleness bound of the sharded backend.
+  // staleness bound of the shard runtime (sharded/multiproc only; the
+  // sequential engine's view is exact after every request).
   uint64_t epoch_requests = 4096;
 
   // Reconfiguration timeline applied during Run() (need not be sorted; engines
@@ -232,9 +234,22 @@ struct SimBackendConfig {
   uint64_t sample_interval = 0;
 };
 
-// Aggregate result of a backend run. Loads are cumulative arrival units (a read = 1
-// unit; writes add the coherence costs from ClusterConfig), indexed by node.
-struct BackendStats {
+// How BackendStats::Merge folds a shard partial's counter into the total.
+enum class MergeRule : uint8_t { kSum, kMax };
+
+// Number of rows in a counter table (BackendCounters, IntervalCounters).
+template <typename Counters>
+constexpr size_t CounterCount() {
+  size_t n = 0;
+  Counters::ForEach([&n](auto, MergeRule, bool) { ++n; });
+  return n;
+}
+
+// The scalar counters of a run, declared once. Merge, the stats codec and its
+// size bound, and DeterministicStatsDigest all walk ForEach, so a new counter is
+// one declaration plus one ForEach row; a declaration without a row fails the
+// static_assert below.
+struct BackendCounters {
   uint64_t requests = 0;
   uint64_t reads = 0;
   uint64_t writes = 0;
@@ -309,15 +324,78 @@ struct BackendStats {
   // shared by every shard process (supervisor-set after the merge).
   uint64_t arena_bytes = 0;
 
+  double wall_seconds = 0.0;
+
+  // The field table: calls f(&BackendCounters::field, merge rule, in_digest)
+  // for every field, in declaration order — the codec's wire order and the
+  // digest's mix order. in_digest marks the deterministic subset: everything
+  // timing-dependent (layer splits, transport counts, heartbeats, memory, wall
+  // time) stays out of DeterministicStatsDigest.
+  template <typename F>
+  static constexpr void ForEach(F&& f) {
+    using C = BackendCounters;
+    constexpr MergeRule kSum = MergeRule::kSum;
+    constexpr MergeRule kMax = MergeRule::kMax;
+    f(&C::requests, kSum, true);
+    f(&C::reads, kSum, true);
+    f(&C::writes, kSum, true);
+    f(&C::cache_hits, kSum, true);
+    f(&C::spine_hits, kSum, false);
+    f(&C::leaf_hits, kSum, false);
+    f(&C::server_reads, kSum, true);
+    f(&C::cache_write_hits, kSum, true);
+    f(&C::writebacks, kSum, true);
+    f(&C::dropped, kSum, true);
+    f(&C::cross_shard_messages, kSum, false);
+    f(&C::ring_messages, kSum, false);
+    f(&C::uncontended_receives, kSum, false);
+    f(&C::contended_receives, kSum, false);
+    f(&C::failed_shards, kSum, true);
+    f(&C::respawned_shards, kSum, true);
+    f(&C::injected_faults, kSum, true);
+    f(&C::heartbeat_misses, kSum, false);
+    f(&C::controller_failovers, kSum, true);
+    f(&C::degraded_fraction, kSum, true);
+    f(&C::peak_rss_bytes, kMax, false);
+    f(&C::route_table_bytes, kMax, false);
+    f(&C::sampler_bytes, kMax, false);
+    f(&C::arena_bytes, kMax, false);
+    f(&C::wall_seconds, kMax, false);
+  }
+};
+static_assert(sizeof(BackendCounters) == 8 * CounterCount<BackendCounters>(),
+              "every BackendCounters field needs a ForEach row");
+
+// The per-interval counters of BackendStats::series, with the same table
+// shape: all sum on merge; delivered (= requests - dropped) is derived, so the
+// digest skips it.
+struct IntervalCounters {
+  uint64_t requests = 0;
+  uint64_t reads = 0;
+  uint64_t cache_hits = 0;
+  uint64_t dropped = 0;
+  uint64_t delivered = 0;
+
+  template <typename F>
+  static constexpr void ForEach(F&& f) {
+    using C = IntervalCounters;
+    f(&C::requests, MergeRule::kSum, true);
+    f(&C::reads, MergeRule::kSum, true);
+    f(&C::cache_hits, MergeRule::kSum, true);
+    f(&C::dropped, MergeRule::kSum, true);
+    f(&C::delivered, MergeRule::kSum, false);
+  }
+};
+static_assert(sizeof(IntervalCounters) == 8 * CounterCount<IntervalCounters>(),
+              "every IntervalCounters field needs a ForEach row");
+
+// Aggregate result of a backend run. Loads are cumulative arrival units (a read = 1
+// unit; writes add the coherence costs from ClusterConfig), indexed by node.
+struct BackendStats : BackendCounters {
   // One entry per sample_interval requests (when SimBackendConfig::sample_interval
   // is set): the per-interval slice of the aggregate counters, for failure
   // time-series plots. delivered == requests - dropped for the interval.
-  struct IntervalPoint {
-    uint64_t requests = 0;
-    uint64_t delivered = 0;
-    uint64_t dropped = 0;
-    uint64_t reads = 0;
-    uint64_t cache_hits = 0;
+  struct IntervalPoint : IntervalCounters {
     // This interval's latency slice (empty on closed-loop runs). Inside the
     // engines' interval mark it holds the cumulative snapshot the next delta is
     // taken against.
@@ -376,8 +454,6 @@ struct BackendStats {
   // arrival process was configured). Shard-merge associative: the sharded
   // engine's quota-end Merge yields the bucket-exact union of its streams.
   LatencyHistogram latency;
-
-  double wall_seconds = 0.0;
 
   // Fraction of reads absorbed by the cache layers (the paper's cache hit ratio).
   double hit_ratio() const {

@@ -1,5 +1,6 @@
 #include "sim/stats_codec.h"
 
+#include <bit>
 #include <cstring>
 
 #include "common/hash.h"
@@ -101,9 +102,30 @@ bool GetHistogram(Reader& r, LatencyHistogram* h) {
   return true;
 }
 
+// Every row of a counter table, in table order, as its 8-byte bit pattern:
+// a Writer over const stats serializes, a Reader over mutable stats parses.
+template <typename Counters, typename Stream, typename Stats>
+void CounterBytes(Stream& io, Stats& c) {
+  Counters::ForEach([&](auto field, MergeRule, bool) {
+    io.Bytes(&(c.*field), sizeof(c.*field));
+  });
+}
+
+// Mixes the digest rows of a counter table (doubles by bit pattern).
+template <typename Counters, typename Mix>
+void MixCounters(const Mix& mix, const Counters& c) {
+  Counters::ForEach([&](auto field, MergeRule, bool in_digest) {
+    if (in_digest) {
+      mix(std::bit_cast<uint64_t>(c.*field));
+    }
+  });
+}
+
 constexpr size_t kHistogramBound =
     8 + LatencyHistogram::kNumBuckets * 8 + 8 + 8 + 8;
-constexpr size_t kCounterBound = 25 * 8 + 8;  // counters + doubles + slack word
+constexpr size_t kCounterBound =
+    8 * CounterCount<BackendCounters>() + 8;  // + slack word
+constexpr size_t kIntervalBound = 8 * CounterCount<IntervalCounters>();
 constexpr size_t kFaultRecordBound = 2 * 4 + 8;  // shard + kind + at
 
 }  // namespace
@@ -115,7 +137,7 @@ size_t StatsCodecBound(size_t num_layers, size_t num_cache_nodes,
   bytes += 8 + num_layers * 8 + num_cache_nodes * 8;  // cache_load
   bytes += 8 + num_servers * 8;                       // server_load
   bytes += kHistogramBound;                           // latency
-  bytes += 8 + max_series_points * (5 * 8 + kHistogramBound);  // series
+  bytes += 8 + max_series_points * (kIntervalBound + kHistogramBound);  // series
   bytes += 8 + max_fault_events * kFaultRecordBound;           // fault_events
   return bytes;
 }
@@ -123,31 +145,7 @@ size_t StatsCodecBound(size_t num_layers, size_t num_cache_nodes,
 size_t SerializeBackendStats(const BackendStats& stats, uint8_t* out,
                              size_t cap) {
   Writer w{out, cap};
-  w.U64(stats.requests);
-  w.U64(stats.reads);
-  w.U64(stats.writes);
-  w.U64(stats.cache_hits);
-  w.U64(stats.spine_hits);
-  w.U64(stats.leaf_hits);
-  w.U64(stats.server_reads);
-  w.U64(stats.cache_write_hits);
-  w.U64(stats.writebacks);
-  w.U64(stats.dropped);
-  w.U64(stats.cross_shard_messages);
-  w.U64(stats.ring_messages);
-  w.U64(stats.uncontended_receives);
-  w.U64(stats.contended_receives);
-  w.U64(stats.failed_shards);
-  w.U64(stats.respawned_shards);
-  w.U64(stats.injected_faults);
-  w.U64(stats.heartbeat_misses);
-  w.U64(stats.controller_failovers);
-  w.F64(stats.degraded_fraction);
-  w.U64(stats.peak_rss_bytes);
-  w.U64(stats.route_table_bytes);
-  w.U64(stats.sampler_bytes);
-  w.U64(stats.arena_bytes);
-  w.F64(stats.wall_seconds);
+  CounterBytes<BackendCounters>(w, stats);
   w.U64(stats.cache_load.size());
   for (const std::vector<double>& layer : stats.cache_load) {
     w.DoubleVec(layer);
@@ -156,11 +154,7 @@ size_t SerializeBackendStats(const BackendStats& stats, uint8_t* out,
   PutHistogram(w, stats.latency);
   w.U64(stats.series.size());
   for (const BackendStats::IntervalPoint& pt : stats.series) {
-    w.U64(pt.requests);
-    w.U64(pt.delivered);
-    w.U64(pt.dropped);
-    w.U64(pt.reads);
-    w.U64(pt.cache_hits);
+    CounterBytes<IntervalCounters>(w, pt);
     PutHistogram(w, pt.latency);
   }
   w.U64(stats.fault_events.size());
@@ -175,31 +169,7 @@ size_t SerializeBackendStats(const BackendStats& stats, uint8_t* out,
 bool DeserializeBackendStats(const uint8_t* in, size_t len, BackendStats* out) {
   *out = BackendStats{};
   Reader r{in, len};
-  out->requests = r.U64();
-  out->reads = r.U64();
-  out->writes = r.U64();
-  out->cache_hits = r.U64();
-  out->spine_hits = r.U64();
-  out->leaf_hits = r.U64();
-  out->server_reads = r.U64();
-  out->cache_write_hits = r.U64();
-  out->writebacks = r.U64();
-  out->dropped = r.U64();
-  out->cross_shard_messages = r.U64();
-  out->ring_messages = r.U64();
-  out->uncontended_receives = r.U64();
-  out->contended_receives = r.U64();
-  out->failed_shards = r.U64();
-  out->respawned_shards = r.U64();
-  out->injected_faults = r.U64();
-  out->heartbeat_misses = r.U64();
-  out->controller_failovers = r.U64();
-  out->degraded_fraction = r.F64();
-  out->peak_rss_bytes = r.U64();
-  out->route_table_bytes = r.U64();
-  out->sampler_bytes = r.U64();
-  out->arena_bytes = r.U64();
-  out->wall_seconds = r.F64();
+  CounterBytes<BackendCounters>(r, *out);
   const uint64_t layers = r.U64();
   if (!r.ok || layers > r.left / 8) {
     *out = BackendStats{};
@@ -212,18 +182,14 @@ bool DeserializeBackendStats(const uint8_t* in, size_t len, BackendStats* out) {
   r.DoubleVec(&out->server_load);
   GetHistogram(r, &out->latency);
   const uint64_t points = r.U64();
-  if (!r.ok || points > r.left / (5 * 8)) {
+  if (!r.ok || points > r.left / kIntervalBound) {
     *out = BackendStats{};
     return false;
   }
   out->series.resize(points);
   for (uint64_t i = 0; i < points; ++i) {
     BackendStats::IntervalPoint& pt = out->series[i];
-    pt.requests = r.U64();
-    pt.delivered = r.U64();
-    pt.dropped = r.U64();
-    pt.reads = r.U64();
-    pt.cache_hits = r.U64();
+    CounterBytes<IntervalCounters>(r, pt);
     GetHistogram(r, &pt.latency);
   }
   const uint64_t faults = r.U64();
@@ -248,27 +214,10 @@ bool DeserializeBackendStats(const uint8_t* in, size_t len, BackendStats* out) {
 uint64_t DeterministicStatsDigest(const BackendStats& stats) {
   uint64_t h = 0x5eed0d16e57ULL;
   const auto mix = [&h](uint64_t v) { h = Mix64(HashCombine(h, v)); };
-  mix(stats.requests);
-  mix(stats.reads);
-  mix(stats.writes);
-  mix(stats.cache_hits);
-  mix(stats.server_reads);
-  mix(stats.cache_write_hits);
-  mix(stats.writebacks);
-  mix(stats.dropped);
-  mix(stats.failed_shards);
-  mix(stats.respawned_shards);
-  mix(stats.injected_faults);
-  mix(stats.controller_failovers);
-  uint64_t degraded_bits = 0;
-  std::memcpy(&degraded_bits, &stats.degraded_fraction, sizeof(degraded_bits));
-  mix(degraded_bits);
+  MixCounters<BackendCounters>(mix, stats);
   mix(stats.series.size());
   for (const BackendStats::IntervalPoint& pt : stats.series) {
-    mix(pt.requests);
-    mix(pt.reads);
-    mix(pt.cache_hits);
-    mix(pt.dropped);
+    MixCounters<IntervalCounters>(mix, pt);
   }
   return h;
 }

@@ -16,6 +16,11 @@
 //     before the fork (a child can never outgrow its region: the bound is a
 //     function of the same config the child runs).
 //
+// The scalar counters are not named here: serialization, the bound's counter
+// term and the digest walk the field tables in sim/sim_backend.h
+// (BackendCounters, IntervalCounters), so a counter added there is encoded,
+// bounded and — if its row says so — digested without touching this file.
+//
 // Fields host-endian: the producer and consumer are a fork pair on one
 // machine, never a network peer.
 #ifndef DISTCACHE_SIM_STATS_CODEC_H_
@@ -47,12 +52,13 @@ size_t SerializeBackendStats(const BackendStats& stats, uint8_t* out,
 // value-initialized first, so a false return leaves an empty stats object.
 bool DeserializeBackendStats(const uint8_t* in, size_t len, BackendStats* out);
 
-// Order-independent digest over the *deterministic* subset of a run's stats:
-// the per-shard-stream counters (requests/reads/writes/cache_hits/
-// server_reads/dropped and the policy write path), failure accounting
-// (failed/respawned shards, injected faults, controller failovers,
-// degraded_fraction bits) and the per-interval request/read/hit series. It
-// deliberately excludes everything timing-dependent — telemetry-order-
+// Order-independent digest over the *deterministic* subset of a run's stats —
+// the field-table rows marked in_digest: the per-shard-stream counters
+// (requests/reads/writes/cache_hits/server_reads/dropped and the policy write
+// path), failure accounting (failed/respawned shards, injected faults,
+// controller failovers, degraded_fraction bits) and the per-interval
+// request/read/hit/drop series. It deliberately excludes everything
+// timing-dependent — telemetry-order-
 // sensitive layer splits (spine_hits/leaf_hits) and load vectors at shards>1,
 // wall seconds, RSS, heartbeat misses, transport message counts, and the
 // fault event series (supervisor entries fire on the wall clock). Same seed +

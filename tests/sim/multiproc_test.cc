@@ -15,14 +15,20 @@
 //  * launcher differential — threads and forks agree bit for bit on
 //    deterministic runs (one shard; two shards under a dynamic policy).
 //  * stats codec — the arena hand-off format round-trips BackendStats exactly,
-//    doubles bit for bit, and rejects truncated buffers.
+//    doubles bit for bit, and rejects truncated buffers; Merge and the
+//    determinism digest follow the counter field table, and the digest keeps
+//    its pinned value.
 //
 // Everything that forks is skipped under TSan (TSan's runtime does not follow
 // fork-without-exec children; the in-process engines keep TSan coverage of the
 // shared ring/transport logic) and on hosts where the arena cannot be mapped.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 #include "sim/multiproc_backend.h"
 #include "sim/sim_backend.h"
@@ -396,6 +402,30 @@ TEST(LauncherDifferential, TwoShardLruWriteBackShiftReallocIsBitIdentical) {
 
 // ---- stats codec -----------------------------------------------------------
 
+// Sets table row i of `c` to value(i) (a double row holds the same integer).
+template <typename Counters, typename Value>
+void FillDistinct(Counters& c, Value value) {
+  uint64_t row = 0;
+  Counters::ForEach([&](auto field, MergeRule, bool) {
+    c.*field = static_cast<std::remove_reference_t<decltype(c.*field)>>(
+        value(row++));
+  });
+}
+
+// Every row of the table equal bit for bit (doubles by their bit pattern).
+template <typename Counters>
+void ExpectCountersBitEqual(const Counters& got, const Counters& want) {
+  size_t row = 0;
+  Counters::ForEach([&](auto field, MergeRule, bool) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.*field),
+              std::bit_cast<uint64_t>(want.*field))
+        << "table row " << row;
+    ++row;
+  });
+  // Byte for byte too, so a row listed twice (and so another missing) fails.
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof(Counters)), 0);
+}
+
 TEST(StatsCodec, RoundTripsARealRunBitForBit) {
   // A real open-loop timeline run populates every field: counters, loads,
   // latency histogram, interval series with per-interval histograms.
@@ -403,15 +433,26 @@ TEST(StatsCodec, RoundTripsARealRunBitForBit) {
   bcfg.events = FullTimeline();
   bcfg.sample_interval = 40'000;
   bcfg.queue.arrival.rate = 24.0;
-  const BackendStats st =
-      MakeSimBackend(BackendKind::kSequential, bcfg)->Run(200'000);
+  BackendStats st = MakeSimBackend(BackendKind::kSequential, bcfg)->Run(200'000);
   ASSERT_FALSE(st.latency.empty());
   ASSERT_FALSE(st.series.empty());
+  // A real sequential run stamps RSS, table and sampler bytes.
+  EXPECT_GT(st.peak_rss_bytes, 0u);
+  EXPECT_GT(st.route_table_bytes, 0u);
+  EXPECT_GT(st.sampler_bytes, 0u);
+  // Distinct non-zero counters: two swapped rows cannot both round-trip.
+  FillDistinct<BackendCounters>(st, [](uint64_t i) { return 1000 + i; });
+  for (size_t i = 0; i < st.series.size(); ++i) {
+    FillDistinct<IntervalCounters>(
+        st.series[i], [i](uint64_t row) { return 100 * (i + 1) + row; });
+  }
+  st.fault_events = {{1, BackendStats::FaultRecord::kShardDeath, 0},
+                     {0, 3, 777}};
 
   const size_t bound = StatsCodecBound(
       st.cache_load.size(),
       st.cache_load.empty() ? 0 : st.cache_load.size() * st.cache_load[0].size(),
-      st.server_load.size(), st.series.size());
+      st.server_load.size(), st.series.size(), st.fault_events.size());
   std::vector<uint8_t> buf(bound);
   const size_t len = SerializeBackendStats(st, buf.data(), buf.size());
   ASSERT_GT(len, 0u);
@@ -419,26 +460,7 @@ TEST(StatsCodec, RoundTripsARealRunBitForBit) {
 
   BackendStats rt;
   ASSERT_TRUE(DeserializeBackendStats(buf.data(), len, &rt));
-  EXPECT_EQ(rt.requests, st.requests);
-  EXPECT_EQ(rt.reads, st.reads);
-  EXPECT_EQ(rt.writes, st.writes);
-  EXPECT_EQ(rt.cache_hits, st.cache_hits);
-  EXPECT_EQ(rt.spine_hits, st.spine_hits);
-  EXPECT_EQ(rt.leaf_hits, st.leaf_hits);
-  EXPECT_EQ(rt.server_reads, st.server_reads);
-  EXPECT_EQ(rt.dropped, st.dropped);
-  EXPECT_EQ(rt.failed_shards, st.failed_shards);
-  // Memory fields (PR 9): a real sequential run stamps RSS, table and sampler
-  // bytes — they must survive the hand-off too.
-  EXPECT_GT(st.peak_rss_bytes, 0u);
-  EXPECT_GT(st.route_table_bytes, 0u);
-  EXPECT_GT(st.sampler_bytes, 0u);
-  EXPECT_EQ(rt.peak_rss_bytes, st.peak_rss_bytes);
-  EXPECT_EQ(rt.route_table_bytes, st.route_table_bytes);
-  EXPECT_EQ(rt.sampler_bytes, st.sampler_bytes);
-  EXPECT_EQ(rt.arena_bytes, st.arena_bytes);
-  EXPECT_EQ(rt.respawned_shards, st.respawned_shards);
-  EXPECT_EQ(rt.wall_seconds, st.wall_seconds);  // == : bit-exact double
+  ExpectCountersBitEqual<BackendCounters>(rt, st);
   ASSERT_EQ(rt.cache_load.size(), st.cache_load.size());
   for (size_t l = 0; l < st.cache_load.size(); ++l) {
     ASSERT_EQ(rt.cache_load[l], st.cache_load[l]);  // element bit-exact
@@ -450,14 +472,16 @@ TEST(StatsCodec, RoundTripsARealRunBitForBit) {
   EXPECT_EQ(rt.latency.finite_sum(), st.latency.finite_sum());
   ASSERT_EQ(rt.series.size(), st.series.size());
   for (size_t i = 0; i < st.series.size(); ++i) {
-    EXPECT_EQ(rt.series[i].requests, st.series[i].requests);
-    EXPECT_EQ(rt.series[i].delivered, st.series[i].delivered);
-    EXPECT_EQ(rt.series[i].dropped, st.series[i].dropped);
-    EXPECT_EQ(rt.series[i].reads, st.series[i].reads);
-    EXPECT_EQ(rt.series[i].cache_hits, st.series[i].cache_hits);
+    ExpectCountersBitEqual<IntervalCounters>(rt.series[i], st.series[i]);
     EXPECT_EQ(rt.series[i].latency.counts(), st.series[i].latency.counts());
     EXPECT_EQ(rt.series[i].latency.finite_sum(),
               st.series[i].latency.finite_sum());
+  }
+  ASSERT_EQ(rt.fault_events.size(), st.fault_events.size());
+  for (size_t i = 0; i < st.fault_events.size(); ++i) {
+    EXPECT_EQ(rt.fault_events[i].shard, st.fault_events[i].shard);
+    EXPECT_EQ(rt.fault_events[i].kind, st.fault_events[i].kind);
+    EXPECT_EQ(rt.fault_events[i].at, st.fault_events[i].at);
   }
 }
 
@@ -486,6 +510,134 @@ TEST(StatsCodec, RejectsTruncatedBuffersWithoutCrashing) {
   // And a too-small serialize target reports 0, never a partial write claim.
   std::vector<uint8_t> tiny(8);
   EXPECT_EQ(SerializeBackendStats(st, tiny.data(), tiny.size()), 0u);
+}
+
+// Every scalar distinct and non-zero, three series points: the fixture the
+// digest golden is pinned on. Built field by field so it stays independent of
+// the table it checks.
+BackendStats DigestFixture() {
+  BackendStats st;
+  st.requests = 1001;
+  st.reads = 1002;
+  st.writes = 1003;
+  st.cache_hits = 1004;
+  st.spine_hits = 1005;
+  st.leaf_hits = 1006;
+  st.server_reads = 1007;
+  st.cache_write_hits = 1008;
+  st.writebacks = 1009;
+  st.dropped = 1010;
+  st.cross_shard_messages = 1011;
+  st.ring_messages = 1012;
+  st.uncontended_receives = 1013;
+  st.contended_receives = 1014;
+  st.failed_shards = 1015;
+  st.respawned_shards = 1016;
+  st.injected_faults = 1017;
+  st.heartbeat_misses = 1018;
+  st.controller_failovers = 1019;
+  st.degraded_fraction = 0.375;
+  st.peak_rss_bytes = 1021;
+  st.route_table_bytes = 1022;
+  st.sampler_bytes = 1023;
+  st.arena_bytes = 1024;
+  st.wall_seconds = 1.5;
+  for (uint64_t i = 0; i < 3; ++i) {
+    BackendStats::IntervalPoint pt;
+    pt.requests = 100 + i;
+    pt.delivered = 200 + i;
+    pt.dropped = 300 + i;
+    pt.reads = 400 + i;
+    pt.cache_hits = 500 + i;
+    st.series.push_back(pt);
+  }
+  return st;
+}
+
+// Pinned before the counters moved into one field table: the table must keep
+// the digest's rows and their order.
+TEST(StatsCodec, DeterministicDigestGolden) {
+  EXPECT_EQ(DeterministicStatsDigest(DigestFixture()), 0xd8d97cd143db7e68ULL);
+}
+
+// Perturbing a row changes the digest exactly when the table marks it in_digest.
+TEST(StatsCodec, DigestCoversExactlyTheTableDigestRows) {
+  const BackendStats base = DigestFixture();
+  const uint64_t digest = DeterministicStatsDigest(base);
+  BackendCounters::ForEach([&](auto field, MergeRule, bool in_digest) {
+    BackendStats copy = base;
+    copy.*field += 1;
+    EXPECT_EQ(DeterministicStatsDigest(copy) != digest, in_digest);
+  });
+  IntervalCounters::ForEach([&](auto field, MergeRule, bool in_digest) {
+    BackendStats copy = base;
+    copy.series[1].*field += 1;
+    EXPECT_EQ(DeterministicStatsDigest(copy) != digest, in_digest);
+  });
+}
+
+// Merge follows each row's rule, unions the fault records in order, merges
+// the series per index and accumulates the load vectors element-wise.
+TEST(StatsMerge, FollowsTheFieldTable) {
+  // Rows alternate above and below `a` in `b`, so kMax must pick both sides.
+  const auto a_value = [](uint64_t row) { return 1000 + row; };
+  const auto b_value = [](uint64_t row) {
+    return row % 2 == 0 ? 1500 + row : 500 + row;
+  };
+  BackendStats a;
+  BackendStats b;
+  FillDistinct<BackendCounters>(a, a_value);
+  FillDistinct<BackendCounters>(b, b_value);
+  a.fault_events = {{0, BackendStats::FaultRecord::kShardDeath, 0},
+                    {1, 2, 50}};
+  b.fault_events = {{3, BackendStats::FaultRecord::kShardRespawn, 0}};
+  a.series.resize(2);
+  b.series.resize(3);
+  for (size_t i = 0; i < 3; ++i) {
+    if (i < 2) {
+      FillDistinct<IntervalCounters>(a.series[i],
+                                     [i](uint64_t row) { return 10 * i + row; });
+      a.series[i].latency.Add(1.0);
+    }
+    FillDistinct<IntervalCounters>(
+        b.series[i], [i](uint64_t row) { return 100 * (i + 1) + row; });
+    b.series[i].latency.Add(2.0);
+  }
+  a.cache_load = {{1.0, 2.0}, {3.0}};
+  b.cache_load = {{10.0, 20.0}, {30.0, 40.0}, {50.0}};
+  a.server_load = {1.0};
+  b.server_load = {2.0, 3.0};
+
+  BackendStats merged = a;
+  merged.Merge(b);
+
+  uint64_t row = 0;
+  BackendCounters::ForEach([&](auto field, MergeRule rule, bool) {
+    using T = std::remove_reference_t<decltype(merged.*field)>;
+    const T x = static_cast<T>(a_value(row));
+    const T y = static_cast<T>(b_value(row));
+    EXPECT_EQ(merged.*field, rule == MergeRule::kSum ? x + y : std::max(x, y))
+        << "table row " << row;
+    ++row;
+  });
+  ASSERT_EQ(merged.fault_events.size(), 3u);
+  EXPECT_EQ(merged.fault_events[0].kind, BackendStats::FaultRecord::kShardDeath);
+  EXPECT_EQ(merged.fault_events[1].at, 50u);
+  EXPECT_EQ(merged.fault_events[2].shard, 3u);
+  ASSERT_EQ(merged.series.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    uint64_t r = 0;
+    IntervalCounters::ForEach([&](auto field, MergeRule, bool) {
+      const uint64_t want = (i < 2 ? 10 * i + r : 0) + 100 * (i + 1) + r;
+      EXPECT_EQ(merged.series[i].*field, want) << "point " << i << " row " << r;
+      ++r;
+    });
+    EXPECT_EQ(merged.series[i].latency.total(), i < 2 ? 2u : 1u);
+  }
+  const std::vector<std::vector<double>> want_cache = {
+      {11.0, 22.0}, {33.0, 40.0}, {50.0}};
+  EXPECT_EQ(merged.cache_load, want_cache);
+  EXPECT_EQ(merged.server_load, (std::vector<double>{3.0, 3.0}));
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "sim/stats_codec.h"
+
 namespace distcache {
 namespace {
 
@@ -39,6 +41,60 @@ TEST(SequentialBackend, ExactlyDeterministicForSameSeed) {
   ASSERT_EQ(a.server_load.size(), b.server_load.size());
   for (size_t i = 0; i < a.server_load.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.server_load[i], b.server_load[i]) << "server " << i;
+  }
+}
+
+// The sequential engine keeps its client view equal to the true loads after
+// every request (the sink's Set, MarkDead/MarkAlive through the shadow), so
+// the telemetry epoch length — a shard-runtime knob — must not change its
+// run. Pinned under both routing regimes (PoT over the view, and a dynamic
+// write-back policy) with spines failing and recovering, a hot-spot shift, a
+// realloc, 20% writes and open-loop arrivals.
+TEST(SequentialBackend, EpochLengthDoesNotChangeTheRun) {
+  for (const CachePolicyKind policy :
+       {CachePolicyKind::kDistCache, CachePolicyKind::kLru}) {
+    SimBackendConfig cfg = SmallConfig();
+    cfg.cluster.write_ratio = 0.2;
+    cfg.cluster.cache_policy = policy;
+    if (policy == CachePolicyKind::kLru) {
+      cfg.cluster.write_policy = WritePolicy::kWriteBack;
+    }
+    cfg.events = {ClusterEvent::FailSpine(40'000, 0),
+                  ClusterEvent::FailSpine(40'000, 1),
+                  ClusterEvent::RunRecovery(80'000),
+                  ClusterEvent::ShiftHotspot(120'000, 12'345),
+                  ClusterEvent::ReallocateCache(160'000),
+                  ClusterEvent::RecoverSpine(200'000, 0),
+                  ClusterEvent::RecoverSpine(200'000, 1)};
+    cfg.sample_interval = 20'000;
+    cfg.queue.arrival.rate = 24.0;
+    cfg.epoch_requests = 0;
+    const BackendStats ref =
+        MakeSimBackend(BackendKind::kSequential, cfg)->Run(240'000);
+    ASSERT_GT(ref.dropped, 0u);
+    ASSERT_FALSE(ref.latency.empty());
+    for (const uint64_t epoch : {1u, 7u, 4096u}) {
+      SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)) +
+                   ", epoch " + std::to_string(epoch));
+      cfg.epoch_requests = epoch;
+      const BackendStats st =
+          MakeSimBackend(BackendKind::kSequential, cfg)->Run(240'000);
+      EXPECT_EQ(DeterministicStatsDigest(st), DeterministicStatsDigest(ref));
+      EXPECT_EQ(st.spine_hits, ref.spine_hits);
+      EXPECT_EQ(st.leaf_hits, ref.leaf_hits);
+      EXPECT_EQ(st.cache_load, ref.cache_load);  // element bit-exact
+      EXPECT_EQ(st.server_load, ref.server_load);
+      EXPECT_EQ(st.latency.counts(), ref.latency.counts());
+      EXPECT_EQ(st.latency.infinite(), ref.latency.infinite());
+      EXPECT_EQ(st.latency.finite_sum(), ref.latency.finite_sum());
+      ASSERT_EQ(st.series.size(), ref.series.size());
+      for (size_t i = 0; i < st.series.size(); ++i) {
+        EXPECT_EQ(st.series[i].delivered, ref.series[i].delivered);
+        EXPECT_EQ(st.series[i].latency.counts(), ref.series[i].latency.counts());
+        EXPECT_EQ(st.series[i].latency.finite_sum(),
+                  ref.series[i].latency.finite_sum());
+      }
+    }
   }
 }
 

@@ -60,6 +60,24 @@ Mechanism ParseMechanism(const std::string& name) {
 
 int Run(int argc, char** argv) {
   const Flags flags(argc, argv);
+  // Every flag distcache_sim reads: a typo (--shard=4) or a retired flag must
+  // fail loudly instead of running without it.
+  if (const std::string unknown = flags.FirstUnknown(
+          {"arrival-rate", "backend", "batch", "burst", "cache-per-switch",
+           "cache-policy", "deadline-sec", "epoch", "fail-at", "fail-spines",
+           "fault-plan", "fault-seed", "heartbeat-dead-ms", "heartbeat-warn-ms",
+           "help", "hierarchy", "hop-cost", "huge-pages", "keys", "latency",
+           "layer-cache", "layer-sizes", "layers", "load", "mechanism",
+           "numa-interleave", "offered", "phases", "pin-cores", "racks",
+           "realloc-at", "recover-at", "remap-at", "requests", "respawn",
+           "respawn-limit", "routing", "sample", "seed", "server-rate",
+           "servers-per-rack", "service-rates", "shards", "shift-at",
+           "shift-by", "spines", "stale-telemetry", "two-level", "uncapped",
+           "write-policy", "write-ratio", "zipf"});
+      !unknown.empty()) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
+    return 1;
+  }
   if (flags.Has("help")) {
     std::printf(
         "usage: distcache_sim [--mechanism=distcache|replication|partition|nocache]\n"
@@ -69,7 +87,8 @@ int Run(int argc, char** argv) {
         "  [--latency --load=F] [--fail-spines=K --offered=R]\n"
         "  [--backend=sequential|sharded|multiproc|fluid --shards=N\n"
         "   --requests=N --batch=N --epoch=N]   (request-level engine run;\n"
-        "   multiproc runs one forked, shared-memory shard process per shard)\n"
+        "   multiproc runs one forked, shared-memory shard process per shard;\n"
+        "   --epoch is the shard runtime's telemetry epoch, not sequential's)\n"
         "  [--backend=sharded|multiproc --pin-cores]   (pin each shard to a\n"
         "   core: threads in-process, whole processes for multiproc)\n"
         "  [--backend=multiproc --huge-pages]   (try 2 MiB pages for the shared\n"
@@ -99,8 +118,6 @@ int Run(int argc, char** argv) {
         "   alias table over the hot head + closed-form capped-Zipf tail —\n"
         "   instead of the dense O(pool) inverse-CDF; different RNG stream, so\n"
         "   aggregates match statistically, not bit for bit)\n"
-        "  [--backend=... --dense-routes]   (pre-PR-9 dense O(pool) route\n"
-        "   tables, for memory A/B runs; results are bit-identical either way)\n"
         "  [--backend=... --fail-spines=K [--fail-at=R] [--remap-at=R]\n"
         "   [--recover-at=R] [--sample=N]]   (failure timeline: fail spines 0..K-1\n"
         "   at request fail-at, controller recovery at remap-at, switches restored\n"
@@ -360,7 +377,6 @@ int Run(int argc, char** argv) {
     bcfg.numa_interleave = flags.GetBool("numa-interleave", false);
     bcfg.respawn = flags.GetBool("respawn", false);
     bcfg.two_level_sampling = flags.GetBool("two-level", false);
-    bcfg.dense_routes = flags.GetBool("dense-routes", false);
     // Robustness knobs (multiproc only): respawn budget, heartbeat ladder,
     // injected fault plan.
     {

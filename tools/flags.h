@@ -1,20 +1,19 @@
 // Minimal command-line flag parsing for the CLI tools: --name=value or --name value.
 //
-// Two getter families:
-//  * GetString/GetDouble/GetUint/GetBool — permissive, never fail (malformed
-//    numbers parse as far as strtod/strtoull get). Fine for tools that validate
-//    elsewhere or for free-form values.
-//  * GetDoubleInRange/GetUintChecked — validating: reject text that is not
-//    entirely a number, NaN/inf, negatives, and out-of-range values with a
-//    human-readable error instead of silently misbehaving. CLI entry points
-//    should use these for every numeric knob (see tools/distcache_sim.cc).
+// GetString/GetBool read free-form values. Numbers only come through the
+// validating getters (GetDoubleInRange/GetUintChecked and the list forms): they
+// reject text that is not entirely a number, NaN/inf, negatives, and
+// out-of-range values with a human-readable error instead of silently
+// misbehaving.
 #ifndef DISTCACHE_TOOLS_FLAGS_H_
 #define DISTCACHE_TOOLS_FLAGS_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,16 +44,6 @@ class Flags {
   std::string GetString(const std::string& name, const std::string& def) const {
     const auto it = values_.find(name);
     return it == values_.end() ? def : it->second;
-  }
-
-  double GetDouble(const std::string& name, double def) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
-  }
-
-  uint64_t GetUint(const std::string& name, uint64_t def) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? def : std::strtoull(it->second.c_str(), nullptr, 10);
   }
 
   bool GetBool(const std::string& name, bool def) const {
@@ -108,70 +97,60 @@ class Flags {
   // true; malformed input fills *error and returns false.
   bool GetUintList(const std::string& name, std::vector<uint64_t>* out,
                    std::string* error) const {
-    const auto it = values_.find(name);
-    if (it == values_.end()) {
-      return true;
-    }
-    std::vector<uint64_t> parsed;
-    const std::string& text = it->second;
-    size_t start = 0;
-    while (start <= text.size()) {
-      const size_t comma = text.find(',', start);
-      const std::string field =
-          text.substr(start, comma == std::string::npos ? std::string::npos
-                                                        : comma - start);
-      uint64_t value = 0;
-      if (!ParseStrictUint(field, &value) || value == 0) {
-        *error = "--" + name + "=" + text +
-                 ": want a comma-separated list of positive integers";
-        return false;
-      }
-      parsed.push_back(value);
-      if (comma == std::string::npos) {
-        break;
-      }
-      start = comma + 1;
-    }
-    *out = std::move(parsed);
-    return true;
+    return GetList(name, ParseStrictUint, "positive integers", out, error);
   }
 
-  // Parses --name as a comma-separated list of positive finite doubles (strict
-  // per element, e.g. "6,1.5"). An absent flag leaves *out untouched and
-  // returns true; malformed input fills *error and returns false.
+  // As GetUintList, for positive finite doubles (e.g. "6,1.5").
   bool GetDoubleList(const std::string& name, std::vector<double>* out,
                      std::string* error) const {
-    const auto it = values_.find(name);
-    if (it == values_.end()) {
-      return true;
-    }
-    std::vector<double> parsed;
-    const std::string& text = it->second;
-    size_t start = 0;
-    while (start <= text.size()) {
-      const size_t comma = text.find(',', start);
-      const std::string field =
-          text.substr(start, comma == std::string::npos ? std::string::npos
-                                                        : comma - start);
-      double value = 0.0;
-      if (!ParseStrictDouble(field, &value) || value <= 0.0) {
-        *error = "--" + name + "=" + text +
-                 ": want a comma-separated list of positive finite values";
-        return false;
-      }
-      parsed.push_back(value);
-      if (comma == std::string::npos) {
-        break;
-      }
-      start = comma + 1;
-    }
-    *out = std::move(parsed);
-    return true;
+    return GetList(name, ParseStrictDouble, "positive finite values", out,
+                   error);
   }
 
   bool Has(const std::string& name) const { return values_.contains(name); }
 
+  // The first parsed flag not named in `known`, or "" when all are known.
+  std::string FirstUnknown(std::initializer_list<std::string_view> known) const {
+    for (const auto& entry : values_) {
+      if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+        return entry.first;
+      }
+    }
+    return "";
+  }
+
  private:
+  template <typename T, typename Parse>
+  bool GetList(const std::string& name, Parse parse, const char* want,
+               std::vector<T>* out, std::string* error) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) {
+      return true;
+    }
+    std::vector<T> parsed;
+    const std::string& text = it->second;
+    size_t start = 0;
+    while (start <= text.size()) {
+      const size_t comma = text.find(',', start);
+      const std::string field =
+          text.substr(start, comma == std::string::npos ? std::string::npos
+                                                        : comma - start);
+      T value{};
+      if (!parse(field, &value) || value <= T{}) {
+        *error = "--" + name + "=" + text + ": want a comma-separated list of " +
+                 want;
+        return false;
+      }
+      parsed.push_back(value);
+      if (comma == std::string::npos) {
+        break;
+      }
+      start = comma + 1;
+    }
+    *out = std::move(parsed);
+    return true;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
