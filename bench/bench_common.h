@@ -79,7 +79,7 @@ class BenchPolicyFlag {
     cfg->cache_policy = kind_;
     if (const std::string err =
             ValidateCachePolicy(cfg->cache_policy, cfg->cache_hierarchy,
-                                cfg->write_policy, cfg->mechanism);
+                                cfg->write_policy, cfg->mechanism, cfg->routing);
         !err.empty()) {
       std::fprintf(stderr, "--cache-policy: %s\n", err.c_str());
       std::exit(1);

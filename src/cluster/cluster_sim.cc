@@ -29,7 +29,7 @@ void CheckCacheLayersOrDie(const ClusterConfig& config) {
 void CheckCachePolicyOrDie(const ClusterConfig& config) {
   const std::string error =
       ValidateCachePolicy(config.cache_policy, config.cache_hierarchy,
-                          config.write_policy, config.mechanism);
+                          config.write_policy, config.mechanism, config.routing);
   if (!error.empty()) {
     std::fprintf(stderr, "invalid cache policy: %s\n", error.c_str());
     std::abort();
@@ -233,15 +233,7 @@ void ClusterSim::RouteKeyReads(uint64_t key, double read_rate, const CacheCopies
     return;
   }
 
-  if (config_.cache_policy == CachePolicyKind::kStaticTopK) {
-    // The naive strawman: same static contents, but every query goes to the
-    // first alive candidate (top layer first) — no balanced choice. The gap to
-    // kDistCache under skew is the balanced-routing contribution in isolation.
-    acc.cache[cand[0].layer][cand[0].index] += read_rate;
-    return;
-  }
-
-  switch (config_.routing) {
+  switch (EffectiveRouting(config_)) {
     case RoutingPolicy::kFirstChoice:
       acc.cache[cand[0].layer][cand[0].index] += read_rate;
       return;

@@ -73,8 +73,8 @@ struct ClusterConfig {
   uint64_t candidate_pool = 0;
 
   // Per-node cache semantics (core/cache_policy.h). The default, kDistCache,
-  // reproduces the historical engines bit-for-bit. kStaticTopK keeps the static
-  // contents but routes serially (first alive candidate). The dynamic policies
+  // reproduces the historical engines bit-for-bit. static-topk is distcache
+  // read through first-choice routing (EffectiveRouting). The dynamic policies
   // (lru/lfu/fifo/segmented) switch the request engines to the per-node policy
   // runtime and this fluid engine to per-policy closed forms (Che's
   // approximation for LRU/SLRU, λT/(1+λT) for FIFO, top-C for LFU, composed
@@ -113,6 +113,15 @@ struct ClusterConfig {
   int ticks_per_measurement = 8;
   uint64_t seed = 42;
 };
+
+// The routing every engine reads with: static-topk is the distcache contents
+// with first-choice routing (the first alive candidate, top layer first), so
+// it resolves to kFirstChoice; every other policy routes by config.routing.
+inline RoutingPolicy EffectiveRouting(const ClusterConfig& config) {
+  return config.cache_policy == CachePolicyKind::kStaticTopK
+             ? RoutingPolicy::kFirstChoice
+             : config.routing;
+}
 
 // The cluster's cache hierarchy: cache_layers when set, else the historical
 // two-layer {num_spine, num_racks} shape with per_switch_objects per node.

@@ -65,7 +65,8 @@ bool ParseWritePolicy(const std::string& name, WritePolicy* out) {
 }
 
 std::string ValidateCachePolicy(CachePolicyKind policy, HierarchyMode hierarchy,
-                                WritePolicy write, Mechanism mechanism) {
+                                WritePolicy write, Mechanism mechanism,
+                                RoutingPolicy routing) {
   if (policy != CachePolicyKind::kDistCache && mechanism != Mechanism::kDistCache) {
     return std::string("cache policy '") + CachePolicyName(policy) +
            "' replaces the DistCache allocation; it is defined for the "
@@ -78,6 +79,12 @@ std::string ValidateCachePolicy(CachePolicyKind policy, HierarchyMode hierarchy,
            CachePolicyName(policy) +
            "' allocation models multi-layer copies and write-through coherence "
            "natively (use inclusive + write-through)";
+  }
+  if (policy == CachePolicyKind::kStaticTopK &&
+      routing != RoutingPolicy::kPowerOfTwo) {
+    return "cache policy 'static-topk' already fixes first-choice routing "
+           "(every read goes to the first alive candidate); leave routing at "
+           "the default pot";
   }
   return "";
 }

@@ -11,8 +11,9 @@
 //   * CachePolicyKind — admission + replacement:
 //       - kDistCache   : the static top-k allocation + PoT routing (default; the
 //                        engines keep their historical hot path bit-for-bit);
-//       - kStaticTopK  : the same static contents, but naive serial routing
-//                        (first alive candidate, no power-of-two) — isolates the
+//       - kStaticTopK  : kDistCache with first-choice routing
+//                        (RoutingPolicy::kFirstChoice: the first alive
+//                        candidate, no power-of-two) — isolates the
 //                        balanced-*routing* contribution from the contents;
 //       - kLru / kLfu / kFifo / kSegmented : dynamic per-node caches that admit
 //                        on demand and evict by recency / frequency / arrival
@@ -60,6 +61,7 @@
 
 #include "core/allocation.h"
 #include "core/mechanism.h"
+#include "core/pot_router.h"
 #include "kv/placement.h"
 #include "net/topology.h"
 #include "sketch/count_min.h"
@@ -68,7 +70,7 @@ namespace distcache {
 
 enum class CachePolicyKind : uint8_t {
   kDistCache,   // static balanced allocation + PoT routing (the paper's design)
-  kStaticTopK,  // static allocation, serial first-alive-candidate routing
+  kStaticTopK,  // kDistCache with first-choice (first alive candidate) routing
   kLru,
   kLfu,
   kFifo,
@@ -100,9 +102,11 @@ bool ParseWritePolicy(const std::string& name, WritePolicy* out);
 // non-default policies are defined for the kDistCache mechanism only (they
 // replace its allocation, not the replication/partition baselines), and the
 // hierarchy/write knobs apply to the dynamic policies only (the static
-// allocation models multi-layer copies and write-through coherence natively).
+// allocation models multi-layer copies and write-through coherence natively),
+// and kStaticTopK fixes first-choice routing, so it takes no other routing.
 std::string ValidateCachePolicy(CachePolicyKind policy, HierarchyMode hierarchy,
-                                WritePolicy write, Mechanism mechanism);
+                                WritePolicy write, Mechanism mechanism,
+                                RoutingPolicy routing);
 
 // A line leaving a node (capacity eviction, demotion, or invalidation).
 struct EvictedLine {

@@ -149,16 +149,14 @@ EngineCore::EngineCore(const ClusterModel* model, uint64_t rng_seed,
     : model_(model),
       rng_(rng_seed),
       view_(MakeTrackerConfig(model->cfg)),
-      router_(&view_, model->cfg.routing, router_seed),
+      router_(&view_, EffectiveRouting(model->cfg), router_seed),
       write_ratio_(model->cfg.write_ratio),
       spine_alive_(model->cfg.num_spine, 1) {
   if (enable_observer) {
     observer_ = std::make_unique<HeavyHitterDetector>(ObserverConfig(model->pool));
   }
   const CachePolicyKind kind = model->cfg.cache_policy;
-  if (kind == CachePolicyKind::kStaticTopK) {
-    policy_mode_ = kSerialStatic;
-  } else if (PolicyIsDynamic(kind)) {
+  if (PolicyIsDynamic(kind)) {
     policy_mode_ = kDynamicPolicy;
     CachePolicyConfig pc;
     pc.policy = kind;

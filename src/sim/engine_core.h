@@ -244,14 +244,13 @@ class EngineCore {
   template <typename Sink>
   void Process(Sink& sink, uint32_t bucket);
 
-  // Policy variants behind the single dispatch branch in Process() (PR 5
-  // hot-path rule: the default kDistCache path pays exactly one
-  // perfectly-predicted compare, keeping the golden runs bit-identical and the
-  // throughput within the gate). ProcessSerialStatic routes to the first alive
-  // candidate instead of the PoT choice; ProcessPolicy drives the per-node
-  // dynamic cache runtime (core/cache_policy.h).
-  template <typename Sink>
-  void ProcessSerialStatic(Sink& sink, uint32_t bucket);
+  // The dynamic-policy variant behind the single dispatch branch in Process()
+  // (hot-path rule: the static path pays exactly one perfectly-predicted
+  // compare, keeping the golden runs bit-identical and the throughput within
+  // the gate). Process() itself serves both static policies — static-topk is
+  // distcache with first-choice routing, resolved into router_ at construction
+  // (EffectiveRouting); ProcessPolicy drives the per-node dynamic cache runtime
+  // (core/cache_policy.h).
   template <typename Sink>
   void ProcessPolicy(Sink& sink, uint32_t bucket);
 
@@ -334,7 +333,7 @@ class EngineCore {
                      : std::vector<std::pair<uint64_t, uint32_t>>{};
   }
 
-  // The dynamic-policy runtime (null for kDistCache/kStaticTopK) — tests read
+  // The dynamic-policy runtime (null for the static policies) — tests read
   // its counters and node caches.
   const CachePolicyRuntime* policy_runtime() const { return policy_.get(); }
 
@@ -349,6 +348,31 @@ class EngineCore {
     const double depart = start + time_rng_.NextExponential(rate);
     free_at = depart;
     stats_->latency.Add(hops * hop_cost_ + (depart - vnow_));
+  }
+  // Read terminals shared by Process and ProcessPolicy: each read outcome is
+  // dropped, served by a server or served by a cache node here and nowhere
+  // else. Server reads and below-top hits transit an ECMP-chosen spine on the
+  // way down (§3.4); a top-layer hit is absorbed by its alive serving switch
+  // and cannot be blackholed.
+  bool ReadBlackholed(bool hit, CacheNodeId node) {
+    if ((!hit || node.layer != 0) && TransitBlackholed()) {
+      ++stats_->dropped;
+      return true;
+    }
+    return false;
+  }
+  template <typename Sink>
+  void ServerRead(Sink& sink, uint32_t server) {
+    OpenLoopServer(server);
+    sink.AddServerLoad(server, 1.0);
+    ++stats_->server_reads;
+  }
+  template <typename Sink>
+  void CacheHit(Sink& sink, CacheNodeId node) {
+    OpenLoopCache(node);
+    sink.AddCacheLoad(node, 1.0);
+    ++stats_->cache_hits;
+    ++(node.layer == 0 ? stats_->spine_hits : stats_->leaf_hits);
   }
   void ResetObserver() {
     if (observer_) {
@@ -408,8 +432,8 @@ class EngineCore {
   std::vector<double> server_free_at_;
 
   // Cache-policy dispatch (set once at construction from cfg.cache_policy; the
-  // default path tests one always-equal byte and falls through).
-  enum PolicyMode : uint8_t { kStaticPot = 0, kSerialStatic = 1, kDynamicPolicy = 2 };
+  // static path tests one always-equal byte and falls through).
+  enum PolicyMode : uint8_t { kStaticPot = 0, kDynamicPolicy = 1 };
   uint8_t policy_mode_ = kStaticPot;
   std::unique_ptr<CachePolicyRuntime> policy_;  // kDynamicPolicy only
   std::vector<CacheNodeId> scratch_copies_;     // write-through copy list
@@ -422,18 +446,14 @@ class EngineCore {
 template <typename Sink>
 void EngineCore::Process(Sink& sink, uint32_t bucket) {
   // Open-loop arrival first (a no-op compare when the layer is off): every
-  // request's arrival timestamp exists before any routing decision, in all
-  // three policy variants, so the arrival process is policy-independent.
+  // request's arrival timestamp exists before any routing decision, in both
+  // request paths, so the arrival process is policy-independent.
   OpenLoopArrive();
   // Policy dispatch: one compare against a construction-time constant — under
-  // the default policy it is never taken and costs a perfectly-predicted
+  // a static policy it is never taken and costs a perfectly-predicted
   // not-taken branch, preserving the pre-policy goldens bit-for-bit.
-  if (__builtin_expect(policy_mode_ != kStaticPot, 0)) {
-    if (policy_mode_ == kDynamicPolicy) {
-      ProcessPolicy(sink, bucket);
-    } else {
-      ProcessSerialStatic(sink, bucket);
-    }
+  if (__builtin_expect(policy_mode_ == kDynamicPolicy, 0)) {
+    ProcessPolicy(sink, bucket);
     return;
   }
   const ClusterConfig& cc = model_->cfg;
@@ -516,221 +536,59 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
   }
   // Blackholed candidates degrade the power-of-k choice set: a dead top-layer
   // copy is skipped (k shrinks by one), and a key whose every copy is dead falls
-  // back to the primary server like an uncached key.
+  // back to the primary server like an uncached key. The router picks among
+  // the alive copies by the run's routing (EffectiveRouting: least-loaded
+  // under distcache, the first alive copy under static-topk).
+  bool hit = false;
   CacheNodeId node;
   if (entry == nullptr || entry->kind == RouteEntry::kUncached) {
-    if (TransitBlackholed()) {
-      ++st.dropped;
-      return;
-    }
-    OpenLoopServer(server);
-    sink.AddServerLoad(server, 1.0);
-    ++st.server_reads;
-    return;
-  }
-  if (entry->kind == RouteEntry::kCached) {
-    if (entry->num == 1) {
-      node = UnpackCandidate(entry->c0);
-      if (NodeDead(node)) {
-        if (TransitBlackholed()) {
-          ++st.dropped;
-          return;
-        }
-        OpenLoopServer(server);
-        sink.AddServerLoad(server, 1.0);
-        ++st.server_reads;
-        return;
-      }
-    } else if (entry->num == 2) {
-      // The two-layer fast path: PoT between the (at most one dead) candidates.
-      const CacheNodeId c0 = UnpackCandidate(entry->c0);
-      const CacheNodeId c1 = UnpackCandidate(entry->c1);
-      const bool dead0 = NodeDead(c0);
-      node = dead0 ? c1 : NodeDead(c1) ? c0 : router_.ChoosePair(c0, c1);
-    } else {
-      // Power-of-k (k > 2): the alive candidate subset, least-loaded wins.
+    // Served by the primary server.
+  } else if (entry->kind == RouteEntry::kCached && entry->num == 2) {
+    // The two-layer fast path: PoT between the (at most one dead) candidates.
+    const CacheNodeId c0 = UnpackCandidate(entry->c0);
+    const CacheNodeId c1 = UnpackCandidate(entry->c1);
+    const bool dead0 = NodeDead(c0);
+    node = dead0 ? c1 : NodeDead(c1) ? c0 : router_.ChoosePair(c0, c1);
+    hit = true;
+  } else if (entry->kind == RouteEntry::kCached && entry->num == 1) {
+    node = UnpackCandidate(entry->c0);
+    hit = !NodeDead(node);
+  } else {
+    // Power-of-k (k > 2 copies, or every spine replica plus the leaf copy of
+    // a kReplicated key): the alive candidate subset.
+    auto& cands = scratch_candidates_;
+    cands.clear();
+    if (entry->kind == RouteEntry::kCached) {
       const uint32_t* run = route_overflow_ + entry->c1;
-      auto& cands = scratch_candidates_;
-      cands.clear();
       for (uint8_t i = 0; i < entry->num; ++i) {
         const CacheNodeId c = UnpackCandidate(run[i]);
         if (!NodeDead(c)) {
           cands.push_back(c);
         }
       }
-      if (cands.empty()) {
-        if (TransitBlackholed()) {
-          ++st.dropped;
-          return;
+    } else {  // kReplicated
+      for (uint32_t s = 0; s < cc.num_spine; ++s) {
+        if (spine_alive_[s]) {
+          cands.push_back({0, s});
         }
-        OpenLoopServer(server);
-        sink.AddServerLoad(server, 1.0);
-        ++st.server_reads;
-        return;
       }
-      node = cands.size() == 1 ? cands[0] : cands[router_.Choose(cands)];
-    }
-  } else {  // kReplicated
-    auto& cands = scratch_candidates_;
-    cands.clear();
-    for (uint32_t s = 0; s < cc.num_spine; ++s) {
-      if (spine_alive_[s]) {
-        cands.push_back({0, s});
+      if (entry->num > 0) {
+        cands.push_back(UnpackCandidate(entry->c0));
       }
     }
-    if (entry->num > 0) {
-      cands.push_back(UnpackCandidate(entry->c0));
+    hit = !cands.empty();
+    if (hit) {
+      node = cands[router_.Choose(cands)];
     }
-    if (cands.empty()) {
-      // Every replica dead (all spines down, no leaf copy): fall back to the
-      // primary server like an uncached key, same as the kCached degradation.
-      if (TransitBlackholed()) {
-        ++st.dropped;
-        return;
-      }
-      OpenLoopServer(server);
-      sink.AddServerLoad(server, 1.0);
-      ++st.server_reads;
-      return;
-    }
-    node = cands[router_.Choose(cands)];
   }
-  // Hits below the top layer transit an ECMP-chosen spine on the way down (§3.4);
-  // top-layer hits are absorbed by their (alive) serving switch and cannot be
-  // blackholed.
-  if (node.layer != 0 && TransitBlackholed()) {
-    ++st.dropped;
+  if (ReadBlackholed(hit, node)) {
     return;
   }
-  OpenLoopCache(node);
-  sink.AddCacheLoad(node, 1.0);
-  ++st.cache_hits;
-  ++(node.layer == 0 ? st.spine_hits : st.leaf_hits);
-}
-
-template <typename Sink>
-void EngineCore::ProcessSerialStatic(Sink& sink, uint32_t bucket) {
-  // kStaticTopK: identical contents, coherence and failure semantics to the
-  // static path above, but reads go to the *first alive candidate* (top layer
-  // first) instead of the balanced power-of-k choice. The PotRouter is never
-  // consulted (it draws from its own RNG, so the main request stream is
-  // unaffected either way). The hit/miss counters therefore match kDistCache
-  // exactly for the same stream; only the load distribution differs — which is
-  // precisely the paper's claim this policy isolates.
-  const ClusterConfig& cc = model_->cfg;
-  BackendStats& st = *stats_;
-  const bool is_tail = bucket == model_->pool;
-  const bool is_write = write_ratio_ > 0.0 && rng_.NextBernoulli(write_ratio_);
-
-  uint32_t server;
-  uint64_t key;
-  const RouteEntry* entry = nullptr;
-  if (is_tail) {
-    const uint64_t rank =
-        model_->pool + rng_.NextBounded(cc.num_keys - model_->pool);
-    key = KeyOfRank(rank, hot_shift_, cc.num_keys);
-    server = model_->placement.ServerOf(key);
-  } else if (__builtin_expect(bucket < route_hot_len_, 1)) {
-    key = KeyOfRank(bucket, hot_shift_, cc.num_keys);
-    entry = &route_data_[bucket];
-    server = entry->server;
+  if (hit) {
+    CacheHit(sink, node);
   } else {
-    // Same compact-table fallback as the static path.
-    key = KeyOfRank(bucket, hot_shift_, cc.num_keys);
-    server = model_->placement.ServerOf(key);
+    ServerRead(sink, server);
   }
-
-  if (is_write) {
-    // Writes are routing-independent: same coherence accounting as the static
-    // path (every alive copy is touched regardless of how reads are routed).
-    ++st.writes;
-    if (TransitBlackholed()) {
-      ++st.dropped;
-      return;
-    }
-    size_t num_copies = 0;
-    if (entry != nullptr) {
-      if (entry->kind == RouteEntry::kCached) {
-        const uint32_t inline_cands[2] = {entry->c0, entry->c1};
-        const uint32_t* cands =
-            entry->num <= 2 ? inline_cands : route_overflow_ + entry->c1;
-        for (uint8_t i = 0; i < entry->num; ++i) {
-          const CacheNodeId node = UnpackCandidate(cands[i]);
-          if (!NodeDead(node)) {
-            ++num_copies;
-            sink.AddCacheLoad(node, cc.coherence_switch_cost);
-          }
-        }
-      } else if (entry->kind == RouteEntry::kReplicated) {
-        num_copies = static_cast<size_t>(cc.num_spine - dead_spines_) +
-                     static_cast<size_t>(entry->num);
-        for (uint32_t s = 0; s < cc.num_spine; ++s) {
-          if (spine_alive_[s]) {
-            sink.AddCacheLoad({0, s}, cc.coherence_switch_cost);
-          }
-        }
-        if (entry->num > 0) {
-          sink.AddCacheLoad(UnpackCandidate(entry->c0), cc.coherence_switch_cost);
-        }
-      }
-    }
-    OpenLoopServer(server);
-    sink.AddServerLoad(server,
-                       1.0 + cc.coherence_server_cost * static_cast<double>(num_copies));
-    return;
-  }
-
-  ++st.reads;
-  if (observer_) {
-    observer_->Record(key);
-  }
-  CacheNodeId node;
-  bool have_node = false;
-  if (entry != nullptr && entry->kind == RouteEntry::kCached) {
-    // Candidates are stored in ascending layer order: the first alive one is
-    // the topmost copy — the naive "always hit the spine copy" route.
-    const uint32_t inline_cands[2] = {entry->c0, entry->c1};
-    const uint32_t* cands =
-        entry->num <= 2 ? inline_cands : route_overflow_ + entry->c1;
-    for (uint8_t i = 0; i < entry->num; ++i) {
-      const CacheNodeId c = UnpackCandidate(cands[i]);
-      if (!NodeDead(c)) {
-        node = c;
-        have_node = true;
-        break;
-      }
-    }
-  } else if (entry != nullptr && entry->kind == RouteEntry::kReplicated) {
-    for (uint32_t s = 0; s < cc.num_spine; ++s) {
-      if (spine_alive_[s]) {
-        node = {0, s};
-        have_node = true;
-        break;
-      }
-    }
-    if (!have_node && entry->num > 0) {
-      node = UnpackCandidate(entry->c0);
-      have_node = true;
-    }
-  }
-  if (!have_node) {
-    if (TransitBlackholed()) {
-      ++st.dropped;
-      return;
-    }
-    OpenLoopServer(server);
-    sink.AddServerLoad(server, 1.0);
-    ++st.server_reads;
-    return;
-  }
-  if (node.layer != 0 && TransitBlackholed()) {
-    ++st.dropped;
-    return;
-  }
-  OpenLoopCache(node);
-  sink.AddCacheLoad(node, 1.0);
-  ++st.cache_hits;
-  ++(node.layer == 0 ? st.spine_hits : st.leaf_hits);
 }
 
 template <typename Sink>
@@ -796,36 +654,24 @@ void EngineCore::ProcessPolicy(Sink& sink, uint32_t bucket) {
     observer_->Record(key);
   }
   const CachePolicyRuntime::ReadProbe probe = policy_->Probe(key);
-  if (!probe.hit) {
-    if (TransitBlackholed()) {
-      ++st.dropped;
-      return;
-    }
-    scratch_servers_.clear();
-    policy_->CommitMiss(key, scratch_servers_);
-    for (const uint32_t wb_server : scratch_servers_) {
-      sink.AddServerLoad(wb_server, 1.0);
-      ++st.writebacks;
-    }
-    OpenLoopServer(server);
-    sink.AddServerLoad(server, 1.0);
-    ++st.server_reads;
-    return;
-  }
-  if (probe.node.layer != 0 && TransitBlackholed()) {
-    ++st.dropped;
+  if (ReadBlackholed(probe.hit, probe.node)) {
     return;
   }
   scratch_servers_.clear();
-  policy_->CommitHit(key, probe.node, scratch_servers_);
+  if (probe.hit) {
+    policy_->CommitHit(key, probe.node, scratch_servers_);
+  } else {
+    policy_->CommitMiss(key, scratch_servers_);
+  }
   for (const uint32_t wb_server : scratch_servers_) {
     sink.AddServerLoad(wb_server, 1.0);
     ++st.writebacks;
   }
-  OpenLoopCache(probe.node);
-  sink.AddCacheLoad(probe.node, 1.0);
-  ++st.cache_hits;
-  ++(probe.node.layer == 0 ? st.spine_hits : st.leaf_hits);
+  if (probe.hit) {
+    CacheHit(sink, probe.node);
+  } else {
+    ServerRead(sink, server);
+  }
 }
 
 template <typename Sink>

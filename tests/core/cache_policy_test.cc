@@ -466,28 +466,55 @@ TEST(CachePolicyConfigTest, ParseRoundTrips) {
 }
 
 TEST(CachePolicyConfigTest, ValidateRejectsInconsistentCombinations) {
+  constexpr RoutingPolicy kPot = RoutingPolicy::kPowerOfTwo;
   // Dynamic policies require the distcache mechanism.
   EXPECT_FALSE(ValidateCachePolicy(CachePolicyKind::kLru, HierarchyMode::kInclusive,
                                    WritePolicy::kWriteThrough,
-                                   Mechanism::kNoCache)
+                                   Mechanism::kNoCache, kPot)
                    .empty());
   // Hierarchy/write knobs require a dynamic policy.
   EXPECT_FALSE(ValidateCachePolicy(CachePolicyKind::kDistCache,
                                    HierarchyMode::kExclusive,
                                    WritePolicy::kWriteThrough,
-                                   Mechanism::kDistCache)
+                                   Mechanism::kDistCache, kPot)
                    .empty());
   EXPECT_FALSE(ValidateCachePolicy(CachePolicyKind::kStaticTopK,
                                    HierarchyMode::kInclusive,
-                                   WritePolicy::kWriteBack, Mechanism::kDistCache)
+                                   WritePolicy::kWriteBack, Mechanism::kDistCache,
+                                   kPot)
                    .empty());
   // The supported combinations are clean.
   EXPECT_TRUE(ValidateCachePolicy(CachePolicyKind::kDistCache,
                                   HierarchyMode::kInclusive,
-                                  WritePolicy::kWriteThrough, Mechanism::kNoCache)
+                                  WritePolicy::kWriteThrough, Mechanism::kNoCache,
+                                  kPot)
                   .empty());
   EXPECT_TRUE(ValidateCachePolicy(CachePolicyKind::kLfu, HierarchyMode::kExclusive,
-                                  WritePolicy::kWriteBack, Mechanism::kDistCache)
+                                  WritePolicy::kWriteBack, Mechanism::kDistCache,
+                                  kPot)
+                  .empty());
+}
+
+// static-topk is distcache with first-choice routing: asking for another
+// routing on top of it contradicts the policy, so it is refused rather than
+// silently ignored. The routing ablations stay legal under distcache.
+TEST(CachePolicyConfigTest, ValidateRejectsStaticTopKWithExplicitRouting) {
+  for (const RoutingPolicy routing :
+       {RoutingPolicy::kRandom, RoutingPolicy::kFirstChoice}) {
+    const std::string error = ValidateCachePolicy(
+        CachePolicyKind::kStaticTopK, HierarchyMode::kInclusive,
+        WritePolicy::kWriteThrough, Mechanism::kDistCache, routing);
+    EXPECT_NE(error.find("first-choice"), std::string::npos) << error;
+    EXPECT_TRUE(ValidateCachePolicy(CachePolicyKind::kDistCache,
+                                    HierarchyMode::kInclusive,
+                                    WritePolicy::kWriteThrough,
+                                    Mechanism::kDistCache, routing)
+                    .empty());
+  }
+  EXPECT_TRUE(ValidateCachePolicy(CachePolicyKind::kStaticTopK,
+                                  HierarchyMode::kInclusive,
+                                  WritePolicy::kWriteThrough,
+                                  Mechanism::kDistCache, RoutingPolicy::kPowerOfTwo)
                   .empty());
 }
 

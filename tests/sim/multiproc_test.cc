@@ -13,7 +13,10 @@
 //    the supervisor: the run returns (never hangs) with the survivors' partial
 //    stats and failed_shards reporting the dead shard.
 //  * launcher differential — threads and forks agree bit for bit on
-//    deterministic runs (one shard; two shards under a dynamic policy).
+//    deterministic runs (one shard; two shards under a dynamic policy or
+//    static-topk's first-choice routing).
+//  * static-topk equivalence — the static-topk policy and distcache with
+//    first-choice routing give the same run on every engine, bit for bit.
 //  * stats codec — the arena hand-off format round-trips BackendStats exactly,
 //    doubles bit for bit, and rejects truncated buffers; Merge and the
 //    determinism digest follow the counter field table, and the digest keeps
@@ -28,7 +31,10 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "sim/multiproc_backend.h"
 #include "sim/sim_backend.h"
@@ -92,6 +98,17 @@ std::vector<ClusterEvent> FullTimeline() {
           ClusterEvent::ShiftHotspot(90'000, 12'345),
           ClusterEvent::ReallocateCache(120'000),
           ClusterEvent::RecoverSpine(150'000, 2)};
+}
+
+// Two spine failures, recovery, a hot-spot shift, an observed-count
+// re-allocation and restoration of both spines.
+std::vector<ClusterEvent> TwoFailureTimeline() {
+  return {ClusterEvent::FailSpine(20'000, 0), ClusterEvent::FailSpine(20'000, 1),
+          ClusterEvent::RunRecovery(60'000),
+          ClusterEvent::ShiftHotspot(80'000, 500'000),
+          ClusterEvent::ReallocateCache(100'000),
+          ClusterEvent::RecoverSpine(120'000, 0),
+          ClusterEvent::RecoverSpine(120'000, 1)};
 }
 
 struct LoadSummary {
@@ -398,6 +415,75 @@ TEST(LauncherDifferential, TwoShardLruWriteBackShiftReallocIsBitIdentical) {
   bcfg.sample_interval = 40'000;
   bcfg.queue.arrival.rate = 24.0;
   ExpectLaunchersAgree(bcfg, 200'000);
+}
+
+// First-choice routing reads no telemetry either, so a two-shard static-topk
+// run is deterministic too — the static route-table counterpart of the LRU
+// case, under two failures, recovery, a shift, a re-allocation and restoration.
+TEST(LauncherDifferential, TwoShardStaticTopKFullTimelineIsBitIdentical) {
+  SKIP_UNLESS_MULTIPROC_RUNNABLE();
+  SimBackendConfig bcfg = GoldenBackendConfig(2);
+  bcfg.cluster.cache_policy = CachePolicyKind::kStaticTopK;
+  bcfg.events = TwoFailureTimeline();
+  bcfg.sample_interval = 40'000;
+  bcfg.queue.arrival.rate = 24.0;
+  ExpectLaunchersAgree(bcfg, 200'000);
+}
+
+// ---- static-topk is first-choice routing -----------------------------------
+// kStaticTopK is kDistCache's static contents read through first-choice
+// routing (EffectiveRouting, cluster/cluster_sim.h), so it must give the same
+// run as --routing=first, bit for bit, on every engine.
+
+TEST(StaticTopK, IsFirstChoiceRouting) {
+  std::vector<std::pair<BackendKind, uint32_t>> engines = {
+      {BackendKind::kSequential, 1},
+      {BackendKind::kFluid, 1},
+      {BackendKind::kSharded, 1},
+      {BackendKind::kSharded, 2}};
+  if (MultiprocRunnable()) {
+    engines.push_back({BackendKind::kMultiproc, 1});
+    engines.push_back({BackendKind::kMultiproc, 2});
+  }
+  for (const auto& [kind, shards] : engines) {
+    for (const size_t layers : {size_t{2}, size_t{3}}) {
+      for (const double writes : {0.2, 0.0}) {
+        for (const bool timeline : {false, true}) {
+          SimBackendConfig first = GoldenBackendConfig(shards);
+          first.cluster.write_ratio = writes;
+          first.cluster.routing = RoutingPolicy::kFirstChoice;
+          if (layers == 3) {
+            first.cluster.cache_layers.assign(3, LayerSpec{8, 50});
+          }
+          if (timeline) {
+            first.events = TwoFailureTimeline();
+            first.sample_interval = 40'000;
+            first.queue.arrival.rate = 24.0;
+          }
+          SimBackendConfig topk = first;
+          topk.cluster.routing = RoutingPolicy::kPowerOfTwo;
+          topk.cluster.cache_policy = CachePolicyKind::kStaticTopK;
+          SCOPED_TRACE("engine " + std::to_string(static_cast<int>(kind)) +
+                       " x" + std::to_string(shards) + " L=" +
+                       std::to_string(layers) + " writes=" +
+                       std::to_string(writes) +
+                       (timeline ? " timeline+open-loop" : " plain"));
+          const BackendStats a = MakeSimBackend(kind, first)->Run(200'000);
+          const BackendStats b = MakeSimBackend(kind, topk)->Run(200'000);
+          ASSERT_EQ(a.requests, 200'000u);
+          EXPECT_EQ(DeterministicStatsDigest(b), DeterministicStatsDigest(a));
+          EXPECT_EQ(b.CacheImbalance(), a.CacheImbalance());
+          EXPECT_EQ(b.hit_ratio(), a.hit_ratio());
+          EXPECT_EQ(b.latency.Percentile(99.0), a.latency.Percentile(99.0));
+          EXPECT_EQ(b.cache_load, a.cache_load);
+          if (timeline) {
+            EXPECT_GT(a.dropped, 0u);
+            EXPECT_GT(a.latency.total(), 0u);
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- stats codec -----------------------------------------------------------

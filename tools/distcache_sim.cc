@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_sim.h"
@@ -45,18 +46,30 @@ const char* FaultRecordName(uint32_t kind) {
   }
 }
 
-Mechanism ParseMechanism(const std::string& name) {
-  if (name == "nocache") {
-    return Mechanism::kNoCache;
+// Looks `name` up in a flag's spelling table; false (output untouched) when it
+// is not one of the spellings.
+template <typename T, size_t N>
+bool ParseSpelling(const std::string& name,
+                   const std::pair<const char*, T> (&table)[N], T* out) {
+  for (const auto& [spelling, value] : table) {
+    if (name == spelling) {
+      *out = value;
+      return true;
+    }
   }
-  if (name == "partition") {
-    return Mechanism::kCachePartition;
-  }
-  if (name == "replication") {
-    return Mechanism::kCacheReplication;
-  }
-  return Mechanism::kDistCache;
+  return false;
 }
+
+constexpr std::pair<const char*, Mechanism> kMechanisms[] = {
+    {"distcache", Mechanism::kDistCache},
+    {"replication", Mechanism::kCacheReplication},
+    {"partition", Mechanism::kCachePartition},
+    {"nocache", Mechanism::kNoCache}};
+
+constexpr std::pair<const char*, RoutingPolicy> kRoutings[] = {
+    {"pot", RoutingPolicy::kPowerOfTwo},
+    {"random", RoutingPolicy::kRandom},
+    {"first", RoutingPolicy::kFirstChoice}};
 
 int Run(int argc, char** argv) {
   const Flags flags(argc, argv);
@@ -143,11 +156,12 @@ int Run(int argc, char** argv) {
         "  [--cache-policy=distcache|static-topk|lru|lfu|fifo|segmented]\n"
         "  [--hierarchy=inclusive|exclusive] [--write-policy=write-through|write-back]\n"
         "   (per-node cache semantics, core/cache_policy.h: distcache is the\n"
-        "   paper's static balanced allocation + PoT routing; static-topk keeps\n"
-        "   the static contents but routes to the first alive candidate; the\n"
-        "   dynamic policies run per-node admission/replacement in the request\n"
-        "   engines and per-policy closed forms in the fluid engine. The\n"
-        "   hierarchy and write knobs apply to dynamic policies only)\n"
+        "   paper's static balanced allocation + PoT routing; static-topk is\n"
+        "   distcache with --routing=first (every read to the first alive copy)\n"
+        "   and takes no other --routing; the dynamic policies run per-node\n"
+        "   admission/replacement in the request engines and per-policy closed\n"
+        "   forms in the fluid engine. The hierarchy and write knobs apply to\n"
+        "   dynamic policies only)\n"
         "  [--layers=L] [--layer-sizes=a,b,c] [--layer-cache=x,y,z]\n"
         "   (multi-layer hierarchical caching, §3.1: L cache layers, top first;\n"
         "   the last layer is the rack-bound leaf layer, so its size must equal\n"
@@ -178,7 +192,13 @@ int Run(int argc, char** argv) {
     }
   }
   ClusterConfig cfg;
-  cfg.mechanism = ParseMechanism(flags.GetString("mechanism", "distcache"));
+  if (const std::string name = flags.GetString("mechanism", "distcache");
+      !ParseSpelling(name, kMechanisms, &cfg.mechanism)) {
+    std::fprintf(stderr,
+                 "unknown --mechanism=%s (want distcache|replication|partition|"
+                 "nocache)\n", name.c_str());
+    return 1;
+  }
   // Validated knobs: a NaN/negative/garbled value would silently skew every
   // derived number (or wrap through strtoull), so refuse instead.
   const auto uint32_flag = [&](const char* name, uint32_t def,
@@ -280,10 +300,12 @@ int Run(int argc, char** argv) {
   }
   cfg.stale_telemetry = flags.GetBool("stale-telemetry", false);
   cfg.cap_at_server_aggregate = !flags.GetBool("uncapped", false);
-  const std::string routing = flags.GetString("routing", "pot");
-  cfg.routing = routing == "random"  ? RoutingPolicy::kRandom
-                : routing == "first" ? RoutingPolicy::kFirstChoice
-                                     : RoutingPolicy::kPowerOfTwo;
+  if (const std::string name = flags.GetString("routing", "pot");
+      !ParseSpelling(name, kRoutings, &cfg.routing)) {
+    std::fprintf(stderr, "unknown --routing=%s (want pot|random|first)\n",
+                 name.c_str());
+    return 1;
+  }
   // Per-node cache semantics (core/cache_policy.h). Parse errors and invalid
   // combinations (e.g. --cache-policy=lru with --mechanism=nocache) are
   // rejected here with the same message the engine boundary would abort with.
@@ -309,7 +331,7 @@ int Run(int argc, char** argv) {
   }
   if (const std::string policy_error =
           ValidateCachePolicy(cfg.cache_policy, cfg.cache_hierarchy,
-                              cfg.write_policy, cfg.mechanism);
+                              cfg.write_policy, cfg.mechanism, cfg.routing);
       !policy_error.empty()) {
     std::fprintf(stderr, "%s\n", policy_error.c_str());
     return 1;
