@@ -23,7 +23,8 @@
 //   sharded xN     in-process shards, compact + two-level
 //   multiproc xN   shard processes, compact + two-level, arena-resident plan
 //
-// Columns report peak RSS (context: includes allocator slack and the
+// Columns report the set-up time (MakeSimBackend: model, allocation, sampler
+// and plan build), peak RSS (context: includes allocator slack and the
 // placement/allocation model) and the engines' deterministic byte accounting
 // (route tables, samplers, arena). The --gate legs use the deterministic
 // bytes, so they are exact at any scale, smoke included:
@@ -41,9 +42,11 @@
 // baseline drop to the smoke geometry with a note (the gates are
 // scale-invariant ratios, so they stay armed). DISTCACHE_BENCH_SMOKE shrinks
 // everything for CI; emits BENCH_memwall.json under --json.
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -123,6 +126,7 @@ struct Row {
   uint64_t requests = 0;
   double mrps = 0.0;
   double hit_ratio = 0.0;
+  double setup_s = 0.0;  // wall time of MakeSimBackend
   uint64_t peak_rss = 0;
   uint64_t route_bytes = 0;
   uint64_t sampler_bytes = 0;
@@ -148,7 +152,11 @@ Row MeasureRow(const char* name, BackendKind kind, const SimBackendConfig& cfg,
   std::snprintf(row.name, sizeof(row.name), "%s", name);
   row.shards = cfg.shards;
   auto fill = [&](Row* r) {
-    const BackendStats st = MakeSimBackend(kind, cfg)->Run(requests);
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::unique_ptr<SimBackend> backend = MakeSimBackend(kind, cfg);
+    r->setup_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                     .count();
+    const BackendStats st = backend->Run(requests);
     r->ran = true;
     r->ok = st.failed_shards == 0 && st.requests == requests;
     r->requests = st.requests;
@@ -208,9 +216,9 @@ void PrintRow(const Row& r) {
     std::printf("%-14s %10s  (skipped: substrate unavailable)\n", r.name, "-");
     return;
   }
-  std::printf("%-14s %10.2f %8.2f %10.4f %12.1f %10.1f %12.1f %10.1f %12.1f%s\n",
+  std::printf("%-14s %10.2f %8.2f %10.4f %9.3f %12.1f %10.1f %12.1f %10.1f %12.1f%s\n",
               r.name, static_cast<double>(r.requests) / 1e6, r.mrps, r.hit_ratio,
-              r.peak_rss / kMiB, r.route_bytes / kMiB, r.sampler_bytes / kMiB,
+              r.setup_s, r.peak_rss / kMiB, r.route_bytes / kMiB, r.sampler_bytes / kMiB,
               r.arena_bytes / kMiB, r.total_bytes() / kMiB,
               r.ok ? "" : "  [FAILED]");
 }
@@ -221,6 +229,7 @@ void RecordRow(BenchJson& json, const Row& r) {
   }
   const std::string p = r.name;
   json.Metric(p + "_mrps", r.mrps);
+  json.Metric(p + "_setup_s", r.setup_s);
   json.Metric(p + "_peak_rss_mb", r.peak_rss / kMiB);
   json.Metric(p + "_route_mb", r.route_bytes / kMiB);
   json.Metric(p + "_sampler_mb", r.sampler_bytes / kMiB);
@@ -263,8 +272,8 @@ int Run(BenchJson& json, bool gate) {
   json.Config("reduced", reduced ? 1.0 : 0.0);
   json.Config("multiproc_supported", multiproc_ok ? 1.0 : 0.0);
 
-  std::printf("\n%-14s %10s %8s %10s %12s %10s %12s %10s %12s\n", "substrate",
-              "req (M)", "Mreq/s", "hit ratio", "peakRSS(MB)", "route(MB)",
+  std::printf("\n%-14s %10s %8s %10s %9s %12s %10s %12s %10s %12s\n", "substrate",
+              "req (M)", "Mreq/s", "hit ratio", "setup(s)", "peakRSS(MB)", "route(MB)",
               "sampler(MB)", "arena(MB)", "total(MB)");
 
   SimBackendConfig dense_cfg = MakeConfig(g);

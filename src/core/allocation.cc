@@ -49,12 +49,7 @@ void CacheAllocation::Compute(const Placement& placement) {
   // the remaining budget demand unfilled).
   const uint64_t ranked =
       explicit_hot_list_ ? std::min<uint64_t>(key_of_rank_.size(), pool_) : pool_;
-  cached_.assign(num_layers, {});
   node_of_.assign(num_layers, {});
-  for (size_t l = 0; l < num_layers; ++l) {
-    cached_[l].assign(pool_, 0);
-    node_of_[l].assign(pool_, 0);
-  }
   layer_contents_.assign(num_layers, {});
   layer_contents_[leaf].assign(config_.layers[leaf].nodes, {});
   partition_contents_.assign(leaf, {});
@@ -69,48 +64,75 @@ void CacheAllocation::Compute(const Placement& placement) {
   const bool upper_partitioned = config_.mechanism == Mechanism::kDistCache;
   const bool top_replicated = config_.mechanism == Mechanism::kCacheReplication;
 
+  // Budgets still open: one per leaf rack, one per upper-layer partition, one
+  // for the replicated top set (zero-capacity budgets are never open). Once
+  // the last one fills, no later rank can be cached, so the walk stops there.
+  uint64_t open = 0;
+  if (leaf_caching && config_.layers[leaf].cache_objects > 0) {
+    open += config_.layers[leaf].nodes;
+  }
+  for (size_t l = 0; upper_partitioned && l < leaf; ++l) {
+    open += config_.layers[l].cache_objects > 0 ? config_.layers[l].nodes : 0;
+  }
+  if (top_replicated && config_.layers[0].cache_objects > 0) {
+    open += 1;
+  }
+  // Caches `key` in `contents` (one budget of `capacity`) if it has room.
+  auto admit = [&open](std::vector<uint64_t>& contents, uint32_t capacity,
+                       uint64_t key) {
+    if (contents.size() >= capacity) {
+      return false;
+    }
+    contents.push_back(key);
+    open -= contents.size() == capacity ? 1 : 0;
+    return true;
+  };
+
   // Ranks are visited hottest-first, so a single ascending pass fills every
   // per-node budget with the hottest members of its partition. All hashes (h_l,
   // placement) are evaluated on the *key id* holding the rank, so an explicit hot
   // list lands each key at its true rack/partitions.
   auto& leaf_contents = layer_contents_[leaf];
-  for (uint64_t rank = 0; rank < ranked; ++rank) {
+  num_cached_ = 0;
+  uint64_t cached_end = 0;
+  for (uint64_t rank = 0; rank < ranked && open > 0; ++rank) {
     const uint64_t key = KeyOfRank(rank);
+    bool any = false;
+    for (size_t l = 0; l < num_layers; ++l) {
+      node_of_[l].push_back(kNotCached);
+    }
     const uint32_t rack = placement.RackOf(key);
-    node_of_[leaf][rank] = rack;
     if (leaf_caching &&
-        leaf_contents[rack].size() < config_.layers[leaf].cache_objects) {
-      leaf_contents[rack].push_back(key);
-      cached_[leaf][rank] = 1;
+        admit(leaf_contents[rack], config_.layers[leaf].cache_objects, key)) {
+      node_of_[leaf][rank] = rack;
+      any = true;
     }
     if (upper_partitioned) {
       for (size_t l = 0; l < leaf; ++l) {
         const uint32_t partition = PartitionOf(l, key);
-        node_of_[l][rank] = partition;
-        if (partition_contents_[l][partition].size() <
-            config_.layers[l].cache_objects) {
-          partition_contents_[l][partition].push_back(key);
-          cached_[l][rank] = 1;
+        if (admit(partition_contents_[l][partition],
+                  config_.layers[l].cache_objects, key)) {
+          node_of_[l][rank] = partition;
+          any = true;
         }
       }
     } else if (top_replicated && rank < config_.layers[0].cache_objects) {
       // The globally hottest objects; identical content in every layer-0 node.
-      partition_contents_[0][0].push_back(key);
-      cached_[0][rank] = 1;
+      admit(partition_contents_[0][0], config_.layers[0].cache_objects, key);
+      node_of_[0][rank] = 0;
+      any = true;
     }
+    num_cached_ += any ? 1 : 0;
+    cached_end = any ? rank + 1 : cached_end;
+  }
+  // Keep exactly the cached span: ranks past it resolve as uncached.
+  for (auto& row : node_of_) {
+    row.resize(cached_end);
+    row.shrink_to_fit();
   }
 
   for (size_t l = 0; l < leaf; ++l) {
     DeriveLayerContents(l);
-  }
-
-  num_cached_ = 0;
-  for (uint64_t rank = 0; rank < ranked; ++rank) {
-    bool any = false;
-    for (size_t l = 0; l < num_layers; ++l) {
-      any = any || cached_[l][rank] != 0;
-    }
-    num_cached_ += any ? 1 : 0;
   }
 }
 
@@ -133,58 +155,48 @@ void CacheAllocation::DeriveLayerContents(size_t layer) {
   }
 }
 
-CacheCopies CacheAllocation::CopiesOf(uint64_t key) const {
+CacheCopies CacheAllocation::CopiesOfRank(uint64_t rank) const {
   CacheCopies copies;
   const size_t num_layers = config_.layers.size();
   copies.leaf_layer = static_cast<uint8_t>(num_layers - 1);
-  const uint64_t rank = RankOf(key);
-  if (rank >= pool_) {
+  if (rank >= CachedRankEnd()) {
     return copies;
   }
   const bool replicated = config_.mechanism == Mechanism::kCacheReplication;
   for (size_t l = 0; l < num_layers; ++l) {
-    if (!cached_[l][rank]) {
+    const uint32_t node = node_of_[l][rank];
+    if (node == kNotCached) {
       continue;
     }
     if (l == 0 && replicated) {
       copies.replicated_all_spines = true;
       continue;
     }
-    const uint32_t node = l + 1 == num_layers
-                              ? node_of_[l][rank]
-                              : node_of_partition_[l][node_of_[l][rank]];
-    copies.nodes[copies.num++] = {static_cast<uint32_t>(l), node};
+    copies.nodes[copies.num++] = {
+        static_cast<uint32_t>(l),
+        l + 1 == num_layers ? node : node_of_partition_[l][node]};
   }
   return copies;
 }
 
-uint64_t CacheAllocation::CachedRankEnd() const {
-  const size_t num_layers = config_.layers.size();
-  for (uint64_t rank = pool_; rank-- > 0;) {
-    for (size_t l = 0; l < num_layers; ++l) {
-      if (cached_[l][rank]) {
-        return rank + 1;
+size_t CacheAllocation::bytes() const {
+  size_t total = key_of_rank_.capacity() * sizeof(uint64_t);
+  // The key->rank index: its bucket array plus one heap node per entry.
+  total += rank_of_key_.bucket_count() * sizeof(void*) +
+           rank_of_key_.size() * (sizeof(std::pair<const uint64_t, uint64_t>) +
+                                  sizeof(void*));
+  for (const auto& row : node_of_) {
+    total += row.capacity() * sizeof(uint32_t);
+  }
+  for (const auto* layers : {&partition_contents_, &layer_contents_}) {
+    for (const auto& layer : *layers) {
+      for (const auto& contents : layer) {
+        total += contents.capacity() * sizeof(uint64_t);
       }
     }
   }
-  return 0;
-}
-
-size_t CacheAllocation::OverflowCandidates() const {
-  // Replicated entries never spill (the layer-0 replicas are implicit and the
-  // optional leaf copy rides inline), so only the partitioned mechanism with
-  // three or more layers can produce overflow runs.
-  if (config_.mechanism != Mechanism::kDistCache || config_.layers.size() <= 2) {
-    return 0;
-  }
-  const size_t num_layers = config_.layers.size();
-  size_t total = 0;
-  for (uint64_t rank = 0; rank < pool_; ++rank) {
-    size_t copies = 0;
-    for (size_t l = 0; l < num_layers; ++l) {
-      copies += cached_[l][rank] != 0 ? 1 : 0;
-    }
-    total += copies > 2 ? copies : 0;
+  for (const auto& remap : node_of_partition_) {
+    total += remap.capacity() * sizeof(uint32_t);
   }
   return total;
 }
@@ -195,14 +207,18 @@ void CacheAllocation::Refill(const std::vector<uint64_t>& hottest_first,
   key_of_rank_.assign(hottest_first.begin(),
                       hottest_first.begin() +
                           std::min<size_t>(hottest_first.size(), pool_));
+  const std::vector<std::vector<uint32_t>> remaps = node_of_partition_;
+  Compute(placement);
+  // Only the cached span needs its keys: a key first listed past it is
+  // uncached, exactly as a key not listed at all.
+  key_of_rank_.resize(CachedRankEnd());
+  key_of_rank_.shrink_to_fit();
   rank_of_key_.clear();
   rank_of_key_.reserve(key_of_rank_.size());
   for (uint64_t rank = 0; rank < key_of_rank_.size(); ++rank) {
     // First occurrence wins: a duplicate key keeps its hotter rank.
     rank_of_key_.emplace(key_of_rank_[rank], rank);
   }
-  const std::vector<std::vector<uint32_t>> remaps = node_of_partition_;
-  Compute(placement);
   // Failure remaps in effect survive the re-allocation, layer by layer.
   for (size_t l = 0; l < remaps.size(); ++l) {
     if (!remaps[l].empty()) {

@@ -107,7 +107,23 @@ class CacheAllocation {
   CacheAllocation(const AllocationConfig& config, const Placement& placement);
 
   // Copies of `key` (empty copies if the key is not cached).
-  CacheCopies CopiesOf(uint64_t key) const;
+  CacheCopies CopiesOf(uint64_t key) const { return CopiesOfRank(RankOf(key)); }
+
+  // Calls fn(key, copies) once for every distinct cached key, hottest first.
+  // O(CachedRankEnd()): the walk is over the stored cached span only.
+  template <typename Fn>
+  void ForEachCachedKey(Fn&& fn) const {
+    for (uint64_t rank = 0; rank < CachedRankEnd(); ++rank) {
+      const uint64_t key = KeyOfRank(rank);
+      if (RankOf(key) != rank) {
+        continue;  // a repeat of a hotter rank's key in the refill list
+      }
+      const CacheCopies copies = CopiesOfRank(rank);
+      if (copies.cached()) {
+        fn(key, copies);
+      }
+    }
+  }
 
   // Partition of a key in upper layer `layer` under h_layer (defined for every
   // key, cached or not).
@@ -134,15 +150,13 @@ class CacheAllocation {
   // Total number of distinct cached keys.
   size_t num_cached_keys() const { return num_cached_; }
   // One past the largest rank holding any cached copy (0 when nothing is
-  // cached). Ranks at or beyond this resolve to an uncached CacheCopies, which
-  // is what lets the compact route-table build (sim/route_table.h) truncate
-  // its entry array here instead of materializing the full candidate pool.
-  uint64_t CachedRankEnd() const;
-  // Exact number of packed candidates the route-table build spills into
-  // RouteTable::overflow (keys with more than two cached copies contribute all
-  // their copies). Lets the build reserve exactly instead of growth-doubling.
-  size_t OverflowCandidates() const;
+  // cached): the length of the stored per-rank span. Ranks at or beyond this
+  // resolve to an uncached CacheCopies.
+  uint64_t CachedRankEnd() const { return node_of_.front().size(); }
   uint64_t candidate_pool() const { return pool_; }
+  // Heap bytes the allocation holds (capacities; the key->rank index is
+  // estimated from its bucket and entry counts). O(cached), not O(pool).
+  size_t bytes() const;
   const AllocationConfig& config() const { return config_; }
 
   // Re-runs allocation for upper layer `layer` with some nodes marked failed:
@@ -168,15 +182,19 @@ class CacheAllocation {
 
   // The key id holding popularity rank `rank` in the current allocation
   // (identity unless Refill installed an explicit hot list; with a list, ranks
-  // beyond it have no key and map back to themselves).
+  // beyond the cached span have no key and map back to themselves).
   uint64_t KeyOfRank(uint64_t rank) const {
     return !explicit_hot_list_ || rank >= key_of_rank_.size() ? rank
                                                               : key_of_rank_[rank];
   }
 
  private:
+  // node_of_ marker for a layer that holds no copy of the rank.
+  static constexpr uint32_t kNotCached = UINT32_MAX;
+
   void Compute(const Placement& placement);
   void DeriveLayerContents(size_t layer);
+  CacheCopies CopiesOfRank(uint64_t rank) const;
 
   // Rank of `key` in the current hot-set ordering, or pool_ when unranked (tail).
   uint64_t RankOf(uint64_t key) const {
@@ -194,18 +212,21 @@ class CacheAllocation {
   std::vector<TabulationHash> hash_;
   uint64_t pool_ = 0;
   size_t num_cached_ = 0;
-  // Current hot-set ordering: key_of_rank_[r] is the key with popularity rank r.
-  // Until Refill() installs an explicit list (plus the inverse index below) the
-  // mapping is the identity (keys are ranks — the construction default). The
+  // Current hot-set ordering: key_of_rank_[r] is the key with popularity rank r,
+  // kept (like the inverse index below) for the cached span only. Until
+  // Refill() installs an explicit list the mapping is the identity (keys are
+  // ranks — the construction default). The
   // flag, not emptiness, is the discriminator: an *empty observed list* is a
   // legitimate refill that caches nothing, not a revert to identity.
   bool explicit_hot_list_ = false;
   std::vector<uint64_t> key_of_rank_;
   std::unordered_map<uint64_t, uint64_t> rank_of_key_;
-  // Dense per-layer, per-rank copy info for ranks < pool_: cached_[l][rank] and
-  // node_of_[l][rank] (for upper layers the *partition*, pre-remap; for the leaf
-  // layer the rack from the placement of the key).
-  std::vector<std::vector<uint8_t>> cached_;
+  // Dense per-layer, per-rank copy info for the cached span only: ranks
+  // [0, CachedRankEnd()), where the hottest-first walk stopped once every open
+  // budget was full (or the ranked keys ran out). node_of_[l][rank] is the node
+  // holding the rank's copy in layer l — for upper layers the *partition*,
+  // pre-remap; for the leaf layer the rack from the placement of the key — or
+  // kNotCached.
   std::vector<std::vector<uint32_t>> node_of_;
   // Per-upper-layer, per-partition cached keys; layer_contents_ derives from these
   // through node_of_partition_ so that failure remaps are cheap and lossless.

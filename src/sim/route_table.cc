@@ -1,5 +1,7 @@
 #include "sim/route_table.h"
 
+#include <algorithm>
+
 namespace distcache {
 
 namespace {
@@ -45,38 +47,54 @@ RouteTable BuildPrefix(const ClusterModel& model, uint64_t hot_shift,
   return routes;
 }
 
+// Where the cached keys land in table-rank space: entry r describes key
+// (r + hot_shift) % num_keys, so cached key k sits at rank (k − hot_shift) mod
+// num_keys and enters a table iff that rank is below the pool. One pass over
+// the allocation's cached keys yields the compact table's end (one past the
+// deepest such rank) and the exact overflow both builds spill.
+struct CachedSpan {
+  uint64_t end = 0;
+  size_t overflow = 0;
+};
+
+CachedSpan FindCachedSpan(const ClusterModel& model, uint64_t hot_shift) {
+  const uint64_t num_keys = model.cfg.num_keys;
+  const uint64_t back = hot_shift % num_keys;
+  CachedSpan span;
+  model.allocation->ForEachCachedKey(
+      [&](uint64_t key, const CacheCopies& copies) {
+        if (key >= num_keys) {
+          return;  // no rank of the key space ever queries it
+        }
+        const uint64_t rank = key >= back ? key - back : key + num_keys - back;
+        if (rank >= model.pool) {
+          return;
+        }
+        span.end = std::max(span.end, rank + 1);
+        if (!copies.replicated_all_spines && copies.num > 2) {
+          span.overflow += copies.num;
+        }
+      });
+  return span;
+}
+
 }  // namespace
 
 RouteTable BuildRouteTable(const ClusterModel& model, uint64_t hot_shift) {
   if (model.dense_routes) {
     return BuildDenseRouteTable(model, hot_shift);
   }
-  // The hot prefix ends one past the deepest *table* rank with a cached copy.
-  // That is not the allocation's CachedRankEnd() in general: the table is
-  // indexed in rotated rank space (entry r describes key (r + hot_shift) %
-  // num_keys), and after a refill the allocation ranks keys through the
-  // observed key→rank index — so find the boundary by probing CopiesOf in
-  // table-rank order from the top. Every rank at or beyond `end` then produces
-  // exactly the kUncached entry the engines' inline fallback recomputes, which
-  // makes the truncated table bit-identical to the dense one at ~C entries
-  // instead of the full 8×-budget candidate pool. The downward probe touches
-  // only uncached ranks (array reads, or hash-index misses post-refill), so
-  // the build stays O(pool) time like the dense one while dropping its memory.
-  uint64_t end = model.pool;
-  while (end > 0) {
-    const uint64_t key = KeyOfRank(end - 1, hot_shift, model.cfg.num_keys);
-    if (model.allocation->CopiesOf(key).cached()) {
-      break;
-    }
-    --end;
-  }
-  return BuildPrefix(model, hot_shift, end,
-                     model.allocation->OverflowCandidates());
+  // Every rank at or beyond the span's end produces exactly the kUncached
+  // entry the engines' inline fallback recomputes, which makes the truncated
+  // table bit-identical to the dense one at ~C entries instead of the full
+  // 8×-budget candidate pool — built in O(cached) time as well as memory.
+  const CachedSpan span = FindCachedSpan(model, hot_shift);
+  return BuildPrefix(model, hot_shift, span.end, span.overflow);
 }
 
 RouteTable BuildDenseRouteTable(const ClusterModel& model, uint64_t hot_shift) {
   return BuildPrefix(model, hot_shift, model.pool,
-                     model.allocation->OverflowCandidates());
+                     FindCachedSpan(model, hot_shift).overflow);
 }
 
 }  // namespace distcache

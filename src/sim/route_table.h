@@ -56,7 +56,8 @@ static_assert(sizeof(RouteEntry) == 16, "RouteEntry must stay 16 bytes");
 
 struct RouteTable {
   // The hot prefix: one entry per rank [0, entries.size()). A *compact* table
-  // truncates at the allocation's CachedRankEnd() — every rank at or beyond
+  // truncates one past its deepest cached table rank, found in one pass over
+  // the allocation's cached keys — every rank at or beyond
   // entries.size() is uncached by construction, and the engines recompute its
   // server inline from the placement hash (the branch-free fallback in
   // EngineCore::Process), which is bit-identical to reading a dense kUncached
@@ -81,9 +82,11 @@ struct RouteTable {
 // post-remap if the controller ran) and cached set (post-refill if it
 // re-allocated). `hot_shift` is the workload's current rank→key rotation:
 // entry r describes key (r + hot_shift) % num_keys. Compact by default (one
-// entry per rank in [0, allocation->CachedRankEnd()), exact-reserved); builds
-// the full-pool dense layout instead when model.dense_routes is set (the
-// differential-test / memory-baseline mode).
+// entry per rank up to the deepest cached table rank, which is the
+// allocation's CachedRankEnd() when hot_shift is 0 and no refill ran;
+// exact-reserved, O(cached) time and memory); builds the full-pool dense
+// layout instead when model.dense_routes is set (the differential-test /
+// memory-baseline mode).
 RouteTable BuildRouteTable(const ClusterModel& model, uint64_t hot_shift = 0);
 
 // The pre-compaction layout: one entry per rank [0, model.pool), uncached tail

@@ -108,42 +108,78 @@ TEST(CompactRoutes, EnginesBitIdenticalToDenseTables) {
 // Property test: the compact table is a strict prefix of the dense one, and
 // every rank at or past the prefix is uncached in the dense build with exactly
 // the server the placement hash yields — i.e. the branch-free fallback in
-// EngineCore::Process reads the same route the dense entry stored.
+// EngineCore::Process reads the same route the dense entry stored. Swept over
+// L=2 and L=3 (overflow runs), rotations that leave the cached keys in place,
+// rotate them out of the pool window, or wrap them to table ranks >= 3,000,
+// and a model re-allocated onto a shifted hot set. Both builds reserve exactly
+// what they fill, so bytes() is the real footprint.
 TEST(CompactRoutes, TailRanksResolveToPlacementServer) {
-  SimBackendConfig bcfg = GoldenBackendConfig();
-  for (const uint64_t hot_shift : {uint64_t{0}, uint64_t{12'345}}) {
-    ClusterModel model(bcfg.cluster);
-    const RouteTable compact = BuildRouteTable(model, hot_shift);
-    const RouteTable dense = BuildDenseRouteTable(model, hot_shift);
-    ASSERT_EQ(dense.entries.size(), model.pool);
-    ASSERT_LT(compact.entries.size(), dense.entries.size());
-    if (hot_shift == 0) {
-      // Identity rotation: the prefix is exactly the allocation's cached span.
-      ASSERT_EQ(compact.entries.size(), model.allocation->CachedRankEnd());
-    } else if (!compact.entries.empty()) {
-      // Rotated rank space: the table ends at the deepest cached *table* rank
-      // (a pre-refill shift can legally rotate every cached key out of the
-      // pool window, leaving an empty prefix — all-fallback, still correct).
-      EXPECT_NE(compact.entries.back().kind, RouteEntry::kUncached);
-    }
-    // Stored prefix: identical entries (field-wise: the struct has padding
-    // bytes memcmp would trip on) and identical overflow runs.
-    for (size_t rank = 0; rank < compact.entries.size(); ++rank) {
-      const RouteEntry& c = compact.entries[rank];
-      const RouteEntry& d = dense.entries[rank];
-      ASSERT_TRUE(c.kind == d.kind && c.num == d.num && c.server == d.server &&
-                  c.c0 == d.c0 && c.c1 == d.c1)
-          << "prefix rank " << rank;
-    }
-    EXPECT_EQ(compact.overflow, dense.overflow);
-    // Computed tail: every dropped entry was uncached with the placement server.
-    for (size_t rank = compact.entries.size(); rank < dense.entries.size();
-         ++rank) {
-      const RouteEntry& e = dense.entries[rank];
-      ASSERT_EQ(e.kind, RouteEntry::kUncached) << "rank " << rank;
-      ASSERT_EQ(e.num, 0) << "rank " << rank;
-      const uint64_t key = KeyOfRank(rank, hot_shift, bcfg.cluster.num_keys);
-      ASSERT_EQ(e.server, model.placement.ServerOf(key)) << "rank " << rank;
+  const uint64_t num_keys = GoldenBackendConfig().cluster.num_keys;
+  for (const size_t layers : {size_t{2}, size_t{3}}) {
+    for (const bool refilled : {false, true}) {
+      SimBackendConfig bcfg = GoldenBackendConfig();
+      if (layers == 3) {
+        bcfg.cluster.cache_layers.assign(3, LayerSpec{8, 50});
+      }
+      ClusterModel model(bcfg.cluster);
+      if (refilled) {
+        // The controller's view after a 12,345-rank hot-spot shift.
+        std::vector<uint64_t> hottest_first(model.pool);
+        for (uint64_t rank = 0; rank < model.pool; ++rank) {
+          hottest_first[rank] = KeyOfRank(rank, 12'345, num_keys);
+        }
+        model.ReallocateCache(hottest_first);
+      }
+      for (const uint64_t hot_shift :
+           {uint64_t{0}, uint64_t{12'345}, num_keys - 3'000}) {
+        SCOPED_TRACE("L=" + std::to_string(layers) +
+                     (refilled ? " refilled" : " identity") + " shift " +
+                     std::to_string(hot_shift));
+        const RouteTable compact = BuildRouteTable(model, hot_shift);
+        const RouteTable dense = BuildDenseRouteTable(model, hot_shift);
+        ASSERT_EQ(dense.entries.size(), model.pool);
+        ASSERT_LT(compact.entries.size(), dense.entries.size());
+        EXPECT_EQ(compact.entries.capacity(), compact.entries.size());
+        EXPECT_EQ(compact.overflow.capacity(), compact.overflow.size());
+        EXPECT_EQ(dense.entries.capacity(), dense.entries.size());
+        EXPECT_EQ(dense.overflow.capacity(), dense.overflow.size());
+        if (hot_shift == 0 && !refilled) {
+          // Identity rotation: the prefix is exactly the allocation's cached span.
+          ASSERT_EQ(compact.entries.size(), model.allocation->CachedRankEnd());
+        } else if (!compact.entries.empty()) {
+          // Rotated rank space: the table ends at the deepest cached *table*
+          // rank (a shift can legally rotate every cached key out of the pool
+          // window, leaving an empty prefix — all-fallback, still correct).
+          EXPECT_NE(compact.entries.back().kind, RouteEntry::kUncached);
+        }
+        if (hot_shift == num_keys - 3'000 && !refilled) {
+          // The wrap puts every cached key at table rank >= 3,000.
+          EXPECT_GT(compact.entries.size(), 3'000u);
+          for (size_t rank = 0; rank < 3'000; ++rank) {
+            ASSERT_EQ(compact.entries[rank].kind, RouteEntry::kUncached) << rank;
+          }
+        }
+        // Stored prefix: identical entries (field-wise: the struct has padding
+        // bytes memcmp would trip on) and identical overflow runs.
+        for (size_t rank = 0; rank < compact.entries.size(); ++rank) {
+          const RouteEntry& c = compact.entries[rank];
+          const RouteEntry& d = dense.entries[rank];
+          ASSERT_TRUE(c.kind == d.kind && c.num == d.num && c.server == d.server &&
+                      c.c0 == d.c0 && c.c1 == d.c1)
+              << "prefix rank " << rank;
+        }
+        EXPECT_EQ(compact.overflow, dense.overflow);
+        // Computed tail: every dropped entry was uncached with the placement
+        // server.
+        for (size_t rank = compact.entries.size(); rank < dense.entries.size();
+             ++rank) {
+          const RouteEntry& e = dense.entries[rank];
+          ASSERT_EQ(e.kind, RouteEntry::kUncached) << "rank " << rank;
+          ASSERT_EQ(e.num, 0) << "rank " << rank;
+          const uint64_t key = KeyOfRank(rank, hot_shift, num_keys);
+          ASSERT_EQ(e.server, model.placement.ServerOf(key)) << "rank " << rank;
+        }
+      }
     }
   }
 }
