@@ -1,7 +1,8 @@
 // Cache-coherence walkthrough (§4.3): runs a write-heavy workload against a hot,
 // twice-cached object and traces the two-phase update protocol — phase 1 invalidates
 // every copy, the primary is updated and acknowledged, phase 2 re-validates with the
-// new value. Readers racing with the writer never see a stale or mixed value.
+// new value. There is a single writer, so a linearizable store gives the racing
+// reader non-decreasing versions; the demo exits 1 if a read goes back in time.
 //
 //   $ ./examples/coherence_demo
 #include <atomic>
@@ -28,11 +29,18 @@ int main() {
   std::atomic<int> anomalies{0};
   std::thread reader([&] {
     auto client = runtime.NewClient(2);
+    int last_version = -1;  // the seeded value, which precedes every write
     while (!done) {
       const auto v = client->Get(0);
       ++reads;
-      if (!v.ok() || v.value().empty()) {
+      int version = -1;
+      if (!v.ok() || (v.value() != DistCacheRuntime::ValueFor(0) &&
+                      std::sscanf(v.value().c_str(), "version-%d", &version) != 1)) {
         ++anomalies;  // two-phase coherence must never expose a torn value
+      } else if (version < last_version) {
+        ++anomalies;  // stale: older than a version this reader already saw
+      } else {
+        last_version = version;
       }
     }
   });

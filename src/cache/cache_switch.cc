@@ -53,6 +53,9 @@ Status CacheSwitch::Invalidate(uint64_t key) {
 }
 
 Status CacheSwitch::UpdateValue(uint64_t key, std::string value) {
+  if (value.size() > KvStore::kMaxValueSize) {
+    return Status::InvalidArgument("value exceeds 128-byte limit");
+  }
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     return Status::NotFound();

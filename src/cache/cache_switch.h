@@ -62,7 +62,8 @@ class CacheSwitch {
   // Coherence phase 1: clears the validity bit. kNotFound if the key is not cached.
   Status Invalidate(uint64_t key);
 
-  // Coherence phase 2: writes the value and sets the validity bit.
+  // Coherence phase 2: writes the value and sets the validity bit. Values over the
+  // 128-byte cap are rejected, as in InsertInvalid.
   Status UpdateValue(uint64_t key, std::string value);
 
   // Removes the entry and releases its slots.

@@ -4,74 +4,57 @@
 
 namespace distcache {
 
-size_t TwoPhaseCoherence::Walk(uint64_t key, const std::vector<CacheNodeId>& copies,
-                               bool phase1, const std::string& value) {
-  size_t touched = 0;
-  for (const CacheNodeId& node : copies) {
-    CacheSwitch* sw = nullptr;
-    for (size_t attempt = 0; attempt <= config_.max_retries; ++attempt) {
-      sw = resolver_(node);
-      if (sw != nullptr) {
-        break;
-      }
-      ++stats_.retries;  // paper: the server resends the packet after a timeout
-    }
-    if (sw == nullptr) {
-      ++stats_.unreachable_copies;
-      continue;
-    }
-    if (phase1) {
-      sw->Invalidate(key).ok();
-      sw->AddTelemetryLoad(1);  // invalidation consumes switch capacity
-      ++stats_.invalidations_sent;
-    } else {
-      sw->UpdateValue(key, value).ok();
-      sw->AddTelemetryLoad(1);
-      ++stats_.updates_sent;
-    }
-    ++touched;
+void ApplyCoherence(CacheSwitch& sw, CoherencePhase phase, uint64_t key, std::string value) {
+  if (phase == CoherencePhase::kInvalidate) {
+    sw.Invalidate(key).ok();
+  } else {
+    sw.UpdateValue(key, std::move(value)).ok();
   }
-  return touched;
+  sw.AddTelemetryLoad(1);
+}
+
+void TwoPhaseCoherence::RunPhase(CoherencePhase phase, uint64_t key, const std::string& value,
+                                 const std::vector<CacheNodeId>& copies) {
+  uint64_t& delivered = phase == CoherencePhase::kInvalidate ? stats_.invalidations_sent
+                                                             : stats_.updates_sent;
+  std::vector<CacheNodeId> pending = copies;
+  for (size_t attempt = 0; attempt <= config_.max_retries && !pending.empty(); ++attempt) {
+    if (attempt > 0) {
+      stats_.retries += pending.size();  // paper: the server resends after a timeout
+    }
+    const size_t sent = pending.size();
+    transport_(phase, key, value, pending);
+    delivered += sent - pending.size();
+  }
+  // §4.4: a copy that stays unreachable is skipped; the primary stays authoritative.
+  stats_.unreachable_copies += pending.size();
 }
 
 Status TwoPhaseCoherence::Write(uint64_t key, std::string value, StorageServer* server,
-                                const std::vector<CacheNodeId>& copies) {
+                                const std::vector<CacheNodeId>& copies,
+                                const ClientAck& ack_client) {
   ++stats_.writes;
-  if (copies.empty()) {
-    return server->Put(key, std::move(value));
+  if (!copies.empty()) {
+    ++stats_.cached_writes;
+    // Phase 1: invalidate every cached copy. Readers racing with this observe either
+    // the old valid value (serialized before) or an invalid entry that falls through
+    // to the server — never a mix of old and new cache values.
+    RunPhase(CoherencePhase::kInvalidate, key, std::string(), copies);
   }
-  ++stats_.cached_writes;
-
-  // Phase 1: invalidate every cached copy. Readers racing with this observe either
-  // the old valid value (serialized before) or an invalid entry that falls through to
-  // the server — never a mix of old and new cache values.
-  Walk(key, copies, /*phase1=*/true, value);
 
   // Primary update + client acknowledgment point. The coherence work is charged to
   // the server's capacity (one unit per copy: invalidate + update round trips).
-  Status st = server->Put(key, value, copies.size());
-  if (!st.ok()) {
-    return st;
+  const Status st = server->Put(key, value, copies.size());
+  if (ack_client) {
+    ack_client(st);
   }
 
-  // Phase 2: write the new value and re-validate the copies.
-  Walk(key, copies, /*phase1=*/false, value);
-  return Status::Ok();
-}
-
-Status TwoPhaseCoherence::Populate(uint64_t key, StorageServer* server, CacheNodeId copy) {
-  auto value = server->Get(key);
-  if (!value.ok()) {
-    return value.status();
+  // Phase 2: write the new value and re-validate the copies. After a rejected
+  // primary update the copies stay invalid, so readers keep reaching the primary.
+  if (st.ok() && !copies.empty()) {
+    RunPhase(CoherencePhase::kUpdate, key, value, copies);
   }
-  CacheSwitch* sw = resolver_(copy);
-  if (sw == nullptr) {
-    ++stats_.unreachable_copies;
-    return Status::Unavailable("cache switch unreachable");
-  }
-  ++stats_.updates_sent;
-  sw->AddTelemetryLoad(1);
-  return sw->UpdateValue(key, std::move(value).value());
+  return st;
 }
 
 }  // namespace distcache

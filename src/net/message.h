@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "net/topology.h"
 
 namespace distcache {
@@ -45,6 +46,8 @@ struct Message {
   // For replies: set when no node processed the request (shutdown race); the
   // client maps it to Status::Unavailable instead of treating it as a miss.
   bool unavailable = false;
+  // For put replies: the primary update's status (e.g. an oversize value).
+  Status status;
   std::vector<LoadSample> piggyback;
 };
 

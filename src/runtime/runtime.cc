@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/coherence.h"
+
 namespace distcache {
 
 DistCacheRuntime::DistCacheRuntime(const RuntimeConfig& config)
@@ -23,17 +25,13 @@ DistCacheRuntime::DistCacheRuntime(const RuntimeConfig& config)
                              (config_.num_spine + config_.num_racks)));
   allocation_ = std::make_unique<CacheAllocation>(alloc, placement_);
 
-  for (uint32_t s = 0; s < config_.num_spine; ++s) {
-    CacheSwitch::Config sw;
-    sw.switch_id = s;
-    spine_switches_.push_back(std::make_unique<CacheSwitch>(sw));
-    spine_inboxes_.push_back(std::make_unique<Channel<Envelope>>());
-  }
-  for (uint32_t l = 0; l < config_.num_racks; ++l) {
-    CacheSwitch::Config sw;
-    sw.switch_id = config_.num_spine + l;
-    leaf_switches_.push_back(std::make_unique<CacheSwitch>(sw));
-    leaf_inboxes_.push_back(std::make_unique<Channel<Envelope>>());
+  const uint32_t layer_size[kLayers] = {config_.num_spine, config_.num_racks};
+  CacheSwitch::Config sw;
+  for (uint32_t layer = 0; layer < kLayers; ++layer) {
+    for (uint32_t i = 0; i < layer_size[layer]; ++i, ++sw.switch_id) {
+      switches_[layer].push_back(std::make_unique<CacheSwitch>(sw));
+      switch_inboxes_[layer].push_back(std::make_unique<Channel<Envelope>>());
+    }
   }
   const uint32_t num_servers = config_.num_racks * config_.servers_per_rack;
   for (uint32_t v = 0; v < num_servers; ++v) {
@@ -72,26 +70,17 @@ void DistCacheRuntime::Start() {
   for (uint64_t key = 0; key < config_.num_keys; ++key) {
     servers_[ServerOf(key)]->Seed(key, ValueFor(key)).ok();
   }
-  // Seed cache contents per the controller's allocation (valid from the start; the
-  // runtime exercise is query handling, not warm-up).
-  const auto seed_switch = [](CacheSwitch* sw, const std::vector<uint64_t>& keys) {
-    for (uint64_t key : keys) {
-      sw->InsertInvalid(key, ValueFor(key).size()).ok();
-      sw->UpdateValue(key, ValueFor(key)).ok();
+  // Seed each switch per the controller's allocation (valid from the start; the
+  // runtime exercise is query handling, not warm-up) and start its thread. Switch
+  // threads come first in threads_: Stop() relies on that order.
+  for (uint32_t layer = 0; layer < kLayers; ++layer) {
+    for (uint32_t i = 0; i < switches_[layer].size(); ++i) {
+      for (uint64_t key : allocation_->layer_contents(layer)[i]) {
+        switches_[layer][i]->InsertInvalid(key, ValueFor(key).size()).ok();
+        switches_[layer][i]->UpdateValue(key, ValueFor(key)).ok();
+      }
+      threads_.emplace_back([this, layer, i] { SwitchLoop(CacheNodeId{layer, i}); });
     }
-  };
-  for (uint32_t s = 0; s < config_.num_spine; ++s) {
-    seed_switch(spine_switches_[s].get(), allocation_->layer_contents(0)[s]);
-  }
-  for (uint32_t l = 0; l < config_.num_racks; ++l) {
-    seed_switch(leaf_switches_[l].get(), allocation_->layer_contents(1)[l]);
-  }
-
-  for (uint32_t s = 0; s < config_.num_spine; ++s) {
-    threads_.emplace_back([this, s] { SwitchLoop(/*spine_layer=*/true, s); });
-  }
-  for (uint32_t l = 0; l < config_.num_racks; ++l) {
-    threads_.emplace_back([this, l] { SwitchLoop(/*spine_layer=*/false, l); });
   }
   for (uint32_t v = 0; v < servers_.size(); ++v) {
     threads_.emplace_back([this, v] { ServerLoop(v); });
@@ -108,18 +97,17 @@ void DistCacheRuntime::Stop() {
   // returns; they must land in switch inboxes that are still open. Switch
   // forwards that reach a closed server inbox fail their client instead.
   // threads_ holds the switch threads first, then the server threads.
-  const size_t switch_threads = spine_inboxes_.size() + leaf_inboxes_.size();
+  const size_t switch_threads = switches_[0].size() + switches_[1].size();
   for (auto& inbox : server_inboxes_) {
     inbox->Close();
   }
   for (size_t t = switch_threads; t < threads_.size(); ++t) {
     threads_[t].join();
   }
-  for (auto& inbox : spine_inboxes_) {
-    inbox->Close();
-  }
-  for (auto& inbox : leaf_inboxes_) {
-    inbox->Close();
+  for (auto& layer : switch_inboxes_) {
+    for (auto& inbox : layer) {
+      inbox->Close();
+    }
   }
   for (size_t t = 0; t < switch_threads; ++t) {
     threads_[t].join();
@@ -127,12 +115,9 @@ void DistCacheRuntime::Stop() {
   threads_.clear();
 }
 
-void DistCacheRuntime::SwitchLoop(bool spine_layer, uint32_t index) {
-  CacheSwitch* sw =
-      spine_layer ? spine_switches_[index].get() : leaf_switches_[index].get();
-  Channel<Envelope>& inbox =
-      spine_layer ? *spine_inboxes_[index] : *leaf_inboxes_[index];
-  const CacheNodeId self{spine_layer ? 0u : 1u, index};
+void DistCacheRuntime::SwitchLoop(CacheNodeId self) {
+  CacheSwitch* sw = switches_[self.layer][self.index].get();
+  Channel<Envelope>& inbox = SwitchInbox(self);
 
   while (auto env = inbox.Receive()) {
     Message& msg = env->msg;
@@ -176,22 +161,16 @@ void DistCacheRuntime::SwitchLoop(bool spine_layer, uint32_t index) {
         }
         break;
       }
-      case MsgType::kInvalidate: {
-        sw->Invalidate(msg.key).ok();
-        sw->AddTelemetryLoad(1);
-        counters_.invalidations.fetch_add(1, std::memory_order_relaxed);
-        Message ack = msg;
-        ack.type = MsgType::kInvalidateAck;
-        (void)env->reply_to->Send(std::move(ack));
-        break;
-      }
+      case MsgType::kInvalidate:
       case MsgType::kCacheUpdate: {
-        sw->UpdateValue(msg.key, msg.value).ok();
-        sw->AddTelemetryLoad(1);
-        counters_.cache_updates.fetch_add(1, std::memory_order_relaxed);
-        Message ack = msg;
-        ack.type = MsgType::kCacheUpdateAck;
-        (void)env->reply_to->Send(std::move(ack));
+        const bool phase1 = msg.type == MsgType::kInvalidate;
+        ApplyCoherence(*sw, phase1 ? CoherencePhase::kInvalidate : CoherencePhase::kUpdate,
+                       msg.key, std::move(msg.value));
+        (phase1 ? counters_.invalidations : counters_.cache_updates)
+            .fetch_add(1, std::memory_order_relaxed);
+        // The ack keeps msg.target, which tells the server's transport who acked.
+        msg.type = phase1 ? MsgType::kInvalidateAck : MsgType::kCacheUpdateAck;
+        (void)env->reply_to->Send(std::move(msg));
         break;
       }
       default:
@@ -203,7 +182,27 @@ void DistCacheRuntime::SwitchLoop(bool spine_layer, uint32_t index) {
 void DistCacheRuntime::ServerLoop(uint32_t server_id) {
   StorageServer* server = servers_[server_id].get();
   Channel<Envelope>& inbox = *server_inboxes_[server_id];
-  Channel<Message> coherence_acks;  // private channel for protocol round trips
+  Channel<Message> acks;  // private channel for the protocol's round trips
+  // Every packet of a phase goes out before the first ack is awaited, so the copies
+  // apply it in parallel; an inbox that rejects the send leaves its copy pending.
+  TwoPhaseCoherence coherence(
+      [this, &acks](CoherencePhase phase, uint64_t key, const std::string& value,
+                    std::vector<CacheNodeId>& pending) {
+        size_t in_flight = 0;
+        for (const CacheNodeId& node : pending) {
+          Message packet;
+          packet.type = phase == CoherencePhase::kInvalidate ? MsgType::kInvalidate
+                                                             : MsgType::kCacheUpdate;
+          packet.key = key;
+          packet.value = value;
+          packet.target = node;
+          in_flight += SwitchInbox(node).Send(Envelope{std::move(packet), &acks});
+        }
+        for (; in_flight > 0; --in_flight) {
+          std::erase(pending, acks.Receive()->target);  // never closed: always a value
+        }
+      },
+      TwoPhaseCoherence::Config{});
 
   while (auto env = inbox.Receive()) {
     Message& msg = env->msg;
@@ -223,47 +222,14 @@ void DistCacheRuntime::ServerLoop(uint32_t server_id) {
       }
       case MsgType::kPutRequest: {
         counters_.writes.fetch_add(1, std::memory_order_relaxed);
-        const std::vector<CacheNodeId> copies = CopyNodes(msg.key);
-
-        // Phase 1: invalidate all cached copies and wait for the acks.
-        size_t pending = 0;
-        for (const CacheNodeId& node : copies) {
-          Message inval;
-          inval.type = MsgType::kInvalidate;
-          inval.key = msg.key;
-          if (SwitchInbox(node).Send(Envelope{std::move(inval), &coherence_acks})) {
-            ++pending;
-          }
-        }
-        for (size_t i = 0; i < pending; ++i) {
-          if (!coherence_acks.Receive()) {
-            break;  // shutting down
-          }
-        }
-
-        // Primary update, then the client acknowledgment — before phase 2, which is
-        // safe because every copy is invalid (§4.3 optimization).
-        server->Put(msg.key, msg.value, copies.size()).ok();
-        Message reply = msg;
-        reply.type = MsgType::kPutReply;
-        (void)env->reply_to->Send(std::move(reply));
-
-        // Phase 2: push the new value and re-validate.
-        pending = 0;
-        for (const CacheNodeId& node : copies) {
-          Message update;
-          update.type = MsgType::kCacheUpdate;
-          update.key = msg.key;
-          update.value = msg.value;
-          if (SwitchInbox(node).Send(Envelope{std::move(update), &coherence_acks})) {
-            ++pending;
-          }
-        }
-        for (size_t i = 0; i < pending; ++i) {
-          if (!coherence_acks.Receive()) {
-            break;
-          }
-        }
+        const auto ack_client = [&env](const Status& status) {
+          Message reply = env->msg;
+          reply.type = MsgType::kPutReply;
+          reply.status = status;
+          (void)env->reply_to->Send(std::move(reply));
+        };
+        coherence.Write(msg.key, std::move(msg.value), server, CopyNodes(msg.key), ack_client)
+            .ok();
         break;
       }
       default:
@@ -333,25 +299,17 @@ Status DistCacheRuntime::Client::Put(uint64_t key, std::string value) {
           Envelope{std::move(request), &replies_})) {
     return Status::Unavailable("runtime stopped");
   }
-  if (!replies_.Receive()) {
+  auto reply = replies_.Receive();
+  if (!reply) {
     return Status::Unavailable("runtime stopped");
   }
-  return Status::Ok();
+  return reply->status;
 }
 
-std::vector<uint64_t> DistCacheRuntime::SpineLoads() const {
+std::vector<uint64_t> DistCacheRuntime::Loads(uint32_t layer) const {
   std::vector<uint64_t> loads;
-  loads.reserve(spine_switches_.size());
-  for (const auto& sw : spine_switches_) {
-    loads.push_back(sw->TelemetryLoad());
-  }
-  return loads;
-}
-
-std::vector<uint64_t> DistCacheRuntime::LeafLoads() const {
-  std::vector<uint64_t> loads;
-  loads.reserve(leaf_switches_.size());
-  for (const auto& sw : leaf_switches_) {
+  loads.reserve(switches_[layer].size());
+  for (const auto& sw : switches_[layer]) {
     loads.push_back(sw->TelemetryLoad());
   }
   return loads;

@@ -9,14 +9,17 @@
 //    a hit is answered by the switch thread; an invalid/missing entry is forwarded to
 //    the primary server without any routing detour.
 //  * GET of an uncached key → sent to the primary server directly.
-//  * PUT → sent to the primary server, which runs the two-phase coherence protocol
-//    over the cached copies by messaging the switch threads (phase 1 invalidate, ack,
-//    primary update, client ack, phase 2 update).
+//  * PUT → sent to the primary server, whose thread drives TwoPhaseCoherence
+//    (core/coherence.h) over the cached copies: phase 1 invalidate, primary update,
+//    client ack carrying the update's status, phase 2 update. Its transport sends a
+//    phase's packets to the switch threads, which apply them with ApplyCoherence
+//    and ack on the server's private channel.
 #ifndef DISTCACHE_RUNTIME_RUNTIME_H_
 #define DISTCACHE_RUNTIME_RUNTIME_H_
 
-#include <cstddef>
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -98,8 +101,8 @@ class DistCacheRuntime {
   const RuntimeConfig& config() const { return config_; }
   const CacheAllocation& allocation() const { return *allocation_; }
   // Per-switch telemetry loads since start (hits + coherence touches).
-  std::vector<uint64_t> SpineLoads() const;
-  std::vector<uint64_t> LeafLoads() const;
+  std::vector<uint64_t> SpineLoads() const { return Loads(0); }
+  std::vector<uint64_t> LeafLoads() const { return Loads(1); }
 
  private:
   friend class Client;
@@ -109,25 +112,27 @@ class DistCacheRuntime {
     Channel<Message>* reply_to = nullptr;
   };
 
-  void SwitchLoop(bool spine_layer, uint32_t index);
+  // The paper's two-layer prototype: layer 0 is the spines, layer 1 the leaves.
+  static constexpr uint32_t kLayers = 2;
+
+  void SwitchLoop(CacheNodeId self);
   void ServerLoop(uint32_t server_id);
   // Cached copies of `key` as routable node ids (replication expands to all spines).
   std::vector<CacheNodeId> CopyNodes(uint64_t key) const;
   uint32_t ServerOf(uint64_t key) const { return placement_.ServerOf(key); }
   Channel<Envelope>& SwitchInbox(CacheNodeId node) {
-    return node.layer == 0 ? *spine_inboxes_[node.index] : *leaf_inboxes_[node.index];
+    return *switch_inboxes_[node.layer][node.index];
   }
+  std::vector<uint64_t> Loads(uint32_t layer) const;
 
   RuntimeConfig config_;
   Placement placement_;
   std::unique_ptr<CacheAllocation> allocation_;
 
-  std::vector<std::unique_ptr<CacheSwitch>> spine_switches_;
-  std::vector<std::unique_ptr<CacheSwitch>> leaf_switches_;
+  // Switches and their inboxes, indexed [layer][index] like CacheNodeId.
+  std::array<std::vector<std::unique_ptr<CacheSwitch>>, kLayers> switches_;
+  std::array<std::vector<std::unique_ptr<Channel<Envelope>>>, kLayers> switch_inboxes_;
   std::vector<std::unique_ptr<StorageServer>> servers_;
-
-  std::vector<std::unique_ptr<Channel<Envelope>>> spine_inboxes_;
-  std::vector<std::unique_ptr<Channel<Envelope>>> leaf_inboxes_;
   std::vector<std::unique_ptr<Channel<Envelope>>> server_inboxes_;
 
   std::vector<std::thread> threads_;

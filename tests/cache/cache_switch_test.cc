@@ -124,6 +124,19 @@ TEST(CacheSwitch, RejectsOversizedValue) {
   EXPECT_EQ(sw.InsertInvalid(1, 129).code(), StatusCode::kInvalidArgument);
 }
 
+// Coherence phase 2 must not install a value the primary's 128-byte cap rejects.
+TEST(CacheSwitch, UpdateValueRejectsOversizedValue) {
+  CacheSwitch sw = MakeSwitch();
+  ASSERT_TRUE(sw.InsertInvalid(1, 16).ok());
+  ASSERT_TRUE(sw.UpdateValue(1, "old").ok());
+  EXPECT_EQ(sw.UpdateValue(1, std::string(129, 'x')).code(), StatusCode::kInvalidArgument);
+  std::string value;
+  EXPECT_EQ(sw.Lookup(1, &value), LookupResult::kHit);
+  EXPECT_EQ(value, "old");
+  EXPECT_EQ(sw.slots_used(), 1u);
+  EXPECT_TRUE(sw.UpdateValue(1, std::string(128, 'x')).ok());  // the cap itself fits
+}
+
 TEST(CacheSwitch, ColdestKeyTracksHits) {
   CacheSwitch sw = MakeSwitch();
   for (uint64_t k : {1, 2, 3}) {

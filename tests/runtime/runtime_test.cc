@@ -73,6 +73,40 @@ TEST(Runtime, ReadAfterWriteIsConsistent) {
   EXPECT_GE(rt.counters().cache_updates.load(), 1u);
 }
 
+// The primary rejects a value over the 128-byte cap: the client sees the rejection,
+// and no cached copy may serve the rejected value afterwards.
+TEST(Runtime, OversizePutIsRejected) {
+  DistCacheRuntime rt(SmallRuntime());
+  rt.Start();
+  auto client = rt.NewClient(4);
+  EXPECT_EQ(client->Put(0, std::string(200, 'x')).code(), StatusCode::kInvalidArgument);
+  for (int i = 0; i < 40; ++i) {  // exercise both candidates
+    const auto v = client->Get(0);
+    ASSERT_TRUE(v.ok());
+    EXPECT_EQ(v.value(), DistCacheRuntime::ValueFor(0));
+  }
+  rt.Stop();
+}
+
+// One write to a key cached in both layers: each copy is touched once per phase.
+TEST(Runtime, CachedWriteChargesEachCopyPerPhase) {
+  DistCacheRuntime rt(SmallRuntime());
+  rt.Start();
+  auto client = rt.NewClient(4);
+  ASSERT_TRUE(client->Put(0, "updated").ok());
+  rt.Stop();  // servers drain first, so phase 2 has landed
+  uint64_t total = 0;
+  for (uint64_t l : rt.SpineLoads()) {
+    total += l;
+  }
+  for (uint64_t l : rt.LeafLoads()) {
+    total += l;
+  }
+  EXPECT_EQ(total, 4u);  // 2 copies x 2 phases
+  EXPECT_EQ(rt.counters().invalidations.load(), 2u);
+  EXPECT_EQ(rt.counters().cache_updates.load(), 2u);
+}
+
 TEST(Runtime, WriteToUncachedKeySkipsProtocol) {
   DistCacheRuntime rt(SmallRuntime(Mechanism::kNoCache));
   rt.Start();
