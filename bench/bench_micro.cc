@@ -49,6 +49,32 @@ void BM_TabulationHash(benchmark::State& state) {
 }
 BENCHMARK(BM_TabulationHash);
 
+// All r functions of an interleaved HashFamily on one key: one HashAll pass
+// (8 table lookups) against r Hash(i, key) calls (8 lookups each). Random
+// keys put every table line in play, as a sketch's uncached keys do.
+void BM_HashFamilyAllRows(benchmark::State& state) {
+  const HashFamily family(static_cast<size_t>(state.range(0)), 1);
+  Rng rng(3);
+  uint64_t out[8];
+  for (auto _ : state) {
+    family.HashAll(rng.Next(), out);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_HashFamilyAllRows)->Arg(2)->Arg(3)->Arg(4);
+
+void BM_HashFamilyPerRow(benchmark::State& state) {
+  const HashFamily family(static_cast<size_t>(state.range(0)), 1);
+  Rng rng(3);
+  for (auto _ : state) {
+    const uint64_t key = rng.Next();
+    for (size_t i = 0; i < family.size(); ++i) {
+      benchmark::DoNotOptimize(family.Hash(i, key));
+    }
+  }
+}
+BENCHMARK(BM_HashFamilyPerRow)->Arg(2)->Arg(3)->Arg(4);
+
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution dist(100'000'000, 0.99);
   Rng rng(7);

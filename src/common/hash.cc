@@ -34,19 +34,33 @@ uint32_t Crc32(const void* data, size_t len) {
   return crc ^ 0xffffffffu;
 }
 
-TabulationHash::TabulationHash(uint64_t seed) : seed_(seed) {
+namespace {
+
+// Calls fn(i, word) for the 8 × 256 table words of the tabulation function
+// seeded `seed`, i = byte * 256 + value: the one RNG stream both table
+// layouts are filled from.
+template <typename Fn>
+void ForEachTableWord(uint64_t seed, Fn&& fn) {
   Rng rng(Mix64(seed ^ 0x7ab1e5eedULL));
-  for (auto& row : table_) {
-    for (auto& cell : row) {
-      cell = rng.Next();
-    }
+  for (size_t i = 0; i < 8 * 256; ++i) {
+    fn(i, rng.Next());
   }
 }
 
-HashFamily::HashFamily(size_t count, uint64_t seed) {
-  functions_.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    functions_.emplace_back(HashCombine(seed, Mix64(i + 1)));
+}  // namespace
+
+TabulationHash::TabulationHash(uint64_t seed) : seed_(seed) {
+  ForEachTableWord(seed, [&](size_t i, uint64_t word) {
+    table_[i / 256][i % 256] = word;
+  });
+}
+
+HashFamily::HashFamily(size_t count, uint64_t seed)
+    : count_(count), lines_(256 * count) {  // 8 × 256 × count words, 8 per line
+  uint64_t* words = reinterpret_cast<uint64_t*>(lines_.data());
+  for (size_t f = 0; f < count; ++f) {
+    ForEachTableWord(HashCombine(seed, Mix64(f + 1)),
+                     [&](size_t i, uint64_t word) { words[i * count + f] = word; });
   }
 }
 

@@ -10,8 +10,10 @@
 //  * TabulationHash  — Zobrist/tabulation hashing: 3-independent and, per Pătraşcu &
 //                      Thorup, behaves like a fully random function for load-balancing
 //                      style applications. Different seeds yield independent functions.
-//  * HashFamily      — a named family {h_0, h_1, ..., h_{L-1}} of independent
-//                      TabulationHash instances, one per cache layer.
+//  * HashFamily      — a family {h_0, h_1, ..., h_{r-1}} of independent
+//                      tabulation functions (one per cache layer or sketch
+//                      row) with interleaved tables, so all r are evaluated
+//                      in one pass over the key's bytes.
 #ifndef DISTCACHE_COMMON_HASH_H_
 #define DISTCACHE_COMMON_HASH_H_
 
@@ -70,25 +72,78 @@ class TabulationHash {
   std::array<std::array<uint64_t, 256>, 8> table_;
 };
 
-// A family of independent hash functions {h_0 .. h_{layers-1}}, one per cache layer.
-// h_i(key) % buckets gives the cache node index of `key` within layer i.
+// A family of independent hash functions {h_0 .. h_{count-1}}: one per cache
+// layer (h_i(key) % buckets gives the cache node index of `key` within layer
+// i), or one per sketch row. h_i is the TabulationHash of the i-th derived
+// seed, filled from the same RNG stream, but the count tables are interleaved
+// as [byte][value][i]: the count words one key byte selects sit side by side,
+// so HashAll reads every function's words from the same 8 table lines.
 class HashFamily {
  public:
   // Creates `count` independent functions derived from `seed`.
   HashFamily(size_t count, uint64_t seed);
 
   // Value of h_i(key).
-  uint64_t Hash(size_t i, uint64_t key) const { return functions_[i](key); }
+  uint64_t Hash(size_t i, uint64_t key) const {
+    uint64_t h = 0;
+    for (int b = 0; b < 8; ++b) {
+      h ^= Cell(b, key)[i];
+    }
+    return h;
+  }
+
+  // Writes h_0(key) .. h_{size()-1}(key) to out[0 .. size()). Families of up
+  // to 4 functions (every sketch here) keep the running XORs in registers.
+  void HashAll(uint64_t key, uint64_t* out) const {
+    switch (count_) {
+      case 1: return HashAllOf<1>(key, out);
+      case 2: return HashAllOf<2>(key, out);
+      case 3: return HashAllOf<3>(key, out);
+      case 4: return HashAllOf<4>(key, out);
+      default:
+        for (size_t i = 0; i < count_; ++i) {
+          out[i] = Hash(i, key);
+        }
+    }
+  }
 
   // Bucket (cache-node index) of `key` in layer i with `buckets` nodes.
   size_t Bucket(size_t i, uint64_t key, size_t buckets) const {
-    return static_cast<size_t>(functions_[i](key) % buckets);
+    return static_cast<size_t>(Hash(i, key) % buckets);
   }
 
-  size_t size() const { return functions_.size(); }
+  size_t size() const { return count_; }
 
  private:
-  std::vector<TabulationHash> functions_;
+  // Cache-line-aligned storage unit, so a run of up to 8 words never straddles
+  // two lines when count is a power of two.
+  struct alignas(64) Line {
+    uint64_t words[8];
+  };
+
+  template <size_t kCount>
+  void HashAllOf(uint64_t key, uint64_t* out) const {
+    uint64_t h[kCount] = {};
+    for (int b = 0; b < 8; ++b) {
+      const uint64_t* cell = Cell(b, key);
+      for (size_t i = 0; i < kCount; ++i) {
+        h[i] ^= cell[i];
+      }
+    }
+    for (size_t i = 0; i < kCount; ++i) {
+      out[i] = h[i];
+    }
+  }
+
+  // The count words key byte `b` selects.
+  const uint64_t* Cell(int b, uint64_t key) const {
+    const size_t value = static_cast<uint8_t>(key >> (8 * b));
+    return reinterpret_cast<const uint64_t*>(lines_.data()) +
+           (static_cast<size_t>(b) * 256 + value) * count_;
+  }
+
+  size_t count_;
+  std::vector<Line> lines_;
 };
 
 }  // namespace distcache

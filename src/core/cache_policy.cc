@@ -97,22 +97,26 @@ class LruNodeCache : public NodeCache {
  public:
   explicit LruNodeCache(size_t capacity) : NodeCache(capacity), map_(capacity) {}
 
-  bool Lookup(uint64_t key, std::optional<EvictedLine>& evicted) override {
+  bool Lookup(uint64_t key, uint32_t tag,
+              std::optional<EvictedLine>& evicted) override {
     (void)evicted;  // plain LRU promotion never displaces a line
-    return map_.Get(key) != nullptr;
+    return map_.Get(key, tag) != nullptr;
   }
-  bool Contains(uint64_t key) const override { return map_.Contains(key); }
+  bool Contains(uint64_t key, uint32_t tag) const override {
+    return map_.Contains(key, tag);
+  }
 
-  std::optional<EvictedLine> Admit(uint64_t key, bool dirty) override {
-    auto victim = map_.Put(key, dirty ? uint8_t{1} : uint8_t{0});
+  std::optional<EvictedLine> Admit(uint64_t key, uint32_t tag, bool dirty) override {
+    uint32_t victim_tag = 0;
+    auto victim = map_.Put(key, dirty ? uint8_t{1} : uint8_t{0}, tag, &victim_tag);
     if (!victim) {
       return std::nullopt;
     }
-    return EvictedLine{victim->first, victim->second != 0};
+    return EvictedLine{victim->first, victim->second != 0, victim_tag};
   }
 
-  MarkResult MarkDirty(uint64_t key) override {
-    uint8_t* bit = map_.PeekMutable(key);
+  MarkResult MarkDirty(uint64_t key, uint32_t tag) override {
+    uint8_t* bit = map_.PeekMutable(key, tag);
     if (bit == nullptr) {
       return MarkResult::kAbsent;
     }
@@ -121,13 +125,13 @@ class LruNodeCache : public NodeCache {
     return r;
   }
 
-  std::optional<EvictedLine> Erase(uint64_t key) override {
-    const uint8_t* bit = map_.Peek(key);
+  std::optional<EvictedLine> Erase(uint64_t key, uint32_t tag) override {
+    const uint8_t* bit = map_.Peek(key, tag);
     if (bit == nullptr) {
       return std::nullopt;
     }
-    const EvictedLine line{key, *bit != 0};
-    map_.Erase(key);
+    const EvictedLine line{key, *bit != 0, tag};
+    map_.Erase(key, tag);
     return line;
   }
 
@@ -146,9 +150,10 @@ class FifoNodeCache final : public LruNodeCache {
  public:
   using LruNodeCache::LruNodeCache;
 
-  bool Lookup(uint64_t key, std::optional<EvictedLine>& evicted) override {
+  bool Lookup(uint64_t key, uint32_t tag,
+              std::optional<EvictedLine>& evicted) override {
     (void)evicted;
-    return Contains(key);
+    return Contains(key, tag);
   }
 };
 
@@ -159,7 +164,8 @@ class LfuNodeCache : public NodeCache {
   LfuNodeCache(size_t capacity, uint64_t seed)
       : NodeCache(capacity), history_(LfuHistorySketchConfig(seed)) {}
 
-  bool Lookup(uint64_t key, std::optional<EvictedLine>& evicted) override {
+  bool Lookup(uint64_t key, uint32_t /*tag*/,
+              std::optional<EvictedLine>& evicted) override {
     (void)evicted;
     auto it = lines_.find(key);
     if (it == lines_.end()) {
@@ -170,9 +176,11 @@ class LfuNodeCache : public NodeCache {
     }
     return true;
   }
-  bool Contains(uint64_t key) const override { return lines_.contains(key); }
+  bool Contains(uint64_t key, uint32_t /*tag*/) const override {
+    return lines_.contains(key);
+  }
 
-  std::optional<EvictedLine> Admit(uint64_t key, bool dirty) override {
+  std::optional<EvictedLine> Admit(uint64_t key, uint32_t tag, bool dirty) override {
     // Every admission attempt records the key in the miss-history sketch; the
     // returned estimate seeds the resident counter, so a key that keeps coming
     // back competes with its accumulated frequency, not from zero. Because the
@@ -199,10 +207,11 @@ class LfuNodeCache : public NodeCache {
     }
     const bool victim_dirty = lines_.at(victim_key).dirty;
     lines_.erase(victim_key);
-    return EvictedLine{victim_key, victim_dirty};
+    return EvictedLine{victim_key, victim_dirty,
+                       victim_key == key ? tag : LineTag(victim_key)};
   }
 
-  MarkResult MarkDirty(uint64_t key) override {
+  MarkResult MarkDirty(uint64_t key, uint32_t /*tag*/) override {
     auto it = lines_.find(key);
     if (it == lines_.end()) {
       return MarkResult::kAbsent;
@@ -213,12 +222,12 @@ class LfuNodeCache : public NodeCache {
     return r;
   }
 
-  std::optional<EvictedLine> Erase(uint64_t key) override {
+  std::optional<EvictedLine> Erase(uint64_t key, uint32_t tag) override {
     auto it = lines_.find(key);
     if (it == lines_.end()) {
       return std::nullopt;
     }
-    const EvictedLine line{key, it->second.dirty};
+    const EvictedLine line{key, it->second.dirty, tag};
     lines_.erase(it);
     return line;
   }
@@ -249,50 +258,54 @@ class SegmentedNodeCache : public NodeCache {
         protected_(capacity / 2),
         probation_(capacity - capacity / 2) {}
 
-  bool Lookup(uint64_t key, std::optional<EvictedLine>& evicted) override {
-    if (protected_.Get(key) != nullptr) {
+  bool Lookup(uint64_t key, uint32_t tag,
+              std::optional<EvictedLine>& evicted) override {
+    if (protected_.Get(key, tag) != nullptr) {
       return true;
     }
-    const uint8_t* bit = probation_.Peek(key);
+    const uint8_t* bit = probation_.Peek(key, tag);
     if (bit == nullptr) {
       return false;
     }
     if (protected_.capacity() == 0) {
-      probation_.Get(key);  // degenerate shape (capacity 1): stay, just touch
+      probation_.Get(key, tag);  // degenerate shape (capacity 1): stay, just touch
       return true;
     }
     // Second hit promotes probation → protected; the displaced protected line
     // demotes to probation MRU, which can overflow probation and push its LRU
     // line out of the node (the lookup-eviction the interface documents).
     const uint8_t dirty = *bit;
-    probation_.Erase(key);
-    auto demoted = protected_.Put(key, dirty);
+    probation_.Erase(key, tag);
+    uint32_t demoted_tag = 0;
+    auto demoted = protected_.Put(key, dirty, tag, &demoted_tag);
     if (demoted) {
-      auto out = probation_.Put(demoted->first, demoted->second);
+      uint32_t out_tag = 0;
+      auto out = probation_.Put(demoted->first, demoted->second, demoted_tag, &out_tag);
       if (out) {
-        evicted = EvictedLine{out->first, out->second != 0};
+        evicted = EvictedLine{out->first, out->second != 0, out_tag};
       }
     }
     return true;
   }
-  bool Contains(uint64_t key) const override {
-    return protected_.Contains(key) || probation_.Contains(key);
+  bool Contains(uint64_t key, uint32_t tag) const override {
+    return protected_.Contains(key, tag) || probation_.Contains(key, tag);
   }
 
-  std::optional<EvictedLine> Admit(uint64_t key, bool dirty) override {
+  std::optional<EvictedLine> Admit(uint64_t key, uint32_t tag, bool dirty) override {
     // New lines start on probation (scan resistance: one-touch keys never
     // displace the protected working set).
-    auto out = probation_.Put(key, dirty ? uint8_t{1} : uint8_t{0});
+    uint32_t out_tag = 0;
+    auto out = probation_.Put(key, dirty ? uint8_t{1} : uint8_t{0}, tag, &out_tag);
     if (!out) {
       return std::nullopt;
     }
-    return EvictedLine{out->first, out->second != 0};
+    return EvictedLine{out->first, out->second != 0, out_tag};
   }
 
-  MarkResult MarkDirty(uint64_t key) override {
-    uint8_t* bit = protected_.PeekMutable(key);
+  MarkResult MarkDirty(uint64_t key, uint32_t tag) override {
+    uint8_t* bit = protected_.PeekMutable(key, tag);
     if (bit == nullptr) {
-      bit = probation_.PeekMutable(key);
+      bit = probation_.PeekMutable(key, tag);
     }
     if (bit == nullptr) {
       return MarkResult::kAbsent;
@@ -302,12 +315,12 @@ class SegmentedNodeCache : public NodeCache {
     return r;
   }
 
-  std::optional<EvictedLine> Erase(uint64_t key) override {
+  std::optional<EvictedLine> Erase(uint64_t key, uint32_t tag) override {
     for (LruMap<uint64_t, uint8_t>* seg : {&protected_, &probation_}) {
-      const uint8_t* bit = seg->Peek(key);
+      const uint8_t* bit = seg->Peek(key, tag);
       if (bit != nullptr) {
-        const EvictedLine line{key, *bit != 0};
-        seg->Erase(key);
+        const EvictedLine line{key, *bit != 0, tag};
+        seg->Erase(key, tag);
         return line;
       }
     }
@@ -388,22 +401,22 @@ CachePolicyRuntime::CachePolicyRuntime(const CachePolicyConfig& config,
   }
 }
 
-CachePolicyRuntime::ReadProbe CachePolicyRuntime::Probe(uint64_t key) const {
+CachePolicyRuntime::ReadProbe CachePolicyRuntime::Probe(const KeyGeometry& g) const {
   for (size_t l = 0; l < caches_.size(); ++l) {
-    const CacheNodeId node = CandidateOf(l, key);
+    const CacheNodeId node = g.candidate[l];
     if (!NodeAlive(node)) {
       continue;
     }
-    if (caches_[l][node.index]->Contains(key)) {
+    if (caches_[l][node.index]->Contains(g.key, g.tag)) {
       return {true, node};
     }
   }
   return {};
 }
 
-size_t CachePolicyRuntime::TopEligibleLayer(uint64_t key) const {
+size_t CachePolicyRuntime::TopEligibleLayer(const KeyGeometry& g) const {
   for (size_t l = 0; l < caches_.size(); ++l) {
-    const CacheNodeId node = CandidateOf(l, key);
+    const CacheNodeId node = g.candidate[l];
     if (NodeAlive(node) && caches_[l][node.index]->capacity() > 0) {
       return l;
     }
@@ -420,7 +433,7 @@ void CachePolicyRuntime::HandleInclusiveEviction(size_t layer,
   uint32_t tokens = victim.dirty ? 1 : 0;
   for (size_t j = layer; j-- > 0;) {
     const CacheNodeId upper = CandidateOf(j, victim.key);
-    auto line = caches_[j][upper.index]->Erase(victim.key);
+    auto line = caches_[j][upper.index]->Erase(victim.key, victim.tag);
     if (line) {
       ++counters_.invalidations;
       tokens += line->dirty ? 1 : 0;
@@ -433,7 +446,7 @@ void CachePolicyRuntime::HandleInclusiveEviction(size_t layer,
   // the chain is intact); duplicates merge. Fell out of the leaf → write back.
   if (layer < leaf_layer_) {
     const CacheNodeId lower = CandidateOf(layer + 1, victim.key);
-    switch (caches_[layer + 1][lower.index]->MarkDirty(victim.key)) {
+    switch (caches_[layer + 1][lower.index]->MarkDirty(victim.key, victim.tag)) {
       case NodeCache::MarkResult::kWasClean:
         counters_.dirty_merged += tokens - 1;
         return;
@@ -457,15 +470,16 @@ void CachePolicyRuntime::CascadeDemote(size_t layer, EvictedLine line,
     if (!NodeAlive(node) || cache.capacity() == 0) {
       continue;
     }
-    if (cache.Contains(line.key)) {
+    if (cache.Contains(line.key, line.tag)) {
       // Not reachable from a pure exclusive history; merge rather than
       // double-insert if state ever degrades (e.g. after a failure wipe).
-      if (line.dirty && cache.MarkDirty(line.key) == NodeCache::MarkResult::kWasDirty) {
+      if (line.dirty &&
+          cache.MarkDirty(line.key, line.tag) == NodeCache::MarkResult::kWasDirty) {
         ++counters_.dirty_merged;
       }
       return;
     }
-    auto victim = cache.Admit(line.key, line.dirty);
+    auto victim = cache.Admit(line.key, line.tag, line.dirty);
     ++counters_.admissions;
     ++counters_.demotions;
     if (!victim) {
@@ -481,10 +495,9 @@ void CachePolicyRuntime::CascadeDemote(size_t layer, EvictedLine line,
   }
 }
 
-void CachePolicyRuntime::AdmitExclusiveAt(size_t layer, uint64_t key, bool dirty,
-                                          std::vector<uint32_t>& wb) {
-  const CacheNodeId node = CandidateOf(layer, key);
-  auto victim = caches_[layer][node.index]->Admit(key, dirty);
+void CachePolicyRuntime::AdmitExclusiveAt(size_t layer, const KeyGeometry& g,
+                                          bool dirty, std::vector<uint32_t>& wb) {
+  auto victim = caches_[layer][g.candidate[layer].index]->Admit(g.key, g.tag, dirty);
   ++counters_.admissions;
   if (victim) {
     ++counters_.evictions;
@@ -503,87 +516,85 @@ void CachePolicyRuntime::HandleLookupEviction(size_t layer,
   }
 }
 
-void CachePolicyRuntime::FillUpward(size_t holder, uint64_t key,
+void CachePolicyRuntime::FillUpward(size_t holder, const KeyGeometry& g,
                                     std::vector<uint32_t>& wb) {
   for (size_t l = holder; l-- > 0;) {
-    const CacheNodeId node = CandidateOf(l, key);
+    const CacheNodeId node = g.candidate[l];
     NodeCache& cache = *caches_[l][node.index];
     if (!NodeAlive(node) || cache.capacity() == 0) {
       break;  // the chain must stay contiguous: stop filling above a gap
     }
-    if (!cache.Contains(key)) {
-      auto victim = cache.Admit(key, false);
+    if (!cache.Contains(g.key, g.tag)) {
+      auto victim = cache.Admit(g.key, g.tag, false);
       ++counters_.admissions;
       if (victim) {
         HandleInclusiveEviction(l, *victim, wb);
       }
-      if (!cache.Contains(key)) {
+      if (!Admitted(g.key, victim)) {
         break;  // frequency admission filter rejected the fill: chain ends here
       }
     }
   }
 }
 
-void CachePolicyRuntime::CommitHit(uint64_t key, CacheNodeId node,
+void CachePolicyRuntime::CommitHit(const KeyGeometry& g, CacheNodeId node,
                                    std::vector<uint32_t>& wb) {
   std::optional<EvictedLine> evicted;
-  CacheAt(node).Lookup(key, evicted);  // replacement-state touch
+  CacheAt(node).Lookup(g.key, g.tag, evicted);  // replacement-state touch
   if (evicted) {
     HandleLookupEviction(node.layer, *evicted, wb);
   }
   if (config_.hierarchy == HierarchyMode::kInclusive) {
     // The classic inclusive fill: a hit below the top installs the line in the
     // upper layers too (also how a failure-wiped spine warms back up).
-    FillUpward(node.layer, key, wb);
+    FillUpward(node.layer, g, wb);
     return;
   }
   // Exclusive: promote a below-top hit to the top, demoting the displaced line.
-  const size_t top = TopEligibleLayer(key);
+  const size_t top = TopEligibleLayer(g);
   if (top < node.layer) {
-    auto line = CacheAt(node).Erase(key);
-    AdmitExclusiveAt(top, key, line && line->dirty, wb);
+    auto line = CacheAt(node).Erase(g.key, g.tag);
+    AdmitExclusiveAt(top, g, line && line->dirty, wb);
   }
 }
 
-void CachePolicyRuntime::CommitMiss(uint64_t key, std::vector<uint32_t>& wb) {
+void CachePolicyRuntime::CommitMiss(const KeyGeometry& g, std::vector<uint32_t>& wb) {
   if (config_.hierarchy == HierarchyMode::kExclusive) {
-    const size_t top = TopEligibleLayer(key);
+    const size_t top = TopEligibleLayer(g);
     if (top < caches_.size()) {
-      AdmitExclusiveAt(top, key, false, wb);
+      AdmitExclusiveAt(top, g, false, wb);
     }
     return;
   }
   // Inclusive: the leaf admits first, then the line fills upward while the
   // chain holds (upper ⊆ lower at every intermediate state).
-  const CacheNodeId leaf = CandidateOf(leaf_layer_, key);
-  NodeCache& cache = *caches_[leaf_layer_][leaf.index];
+  NodeCache& cache = *caches_[leaf_layer_][g.candidate[leaf_layer_].index];
   if (cache.capacity() == 0) {
     return;
   }
-  auto victim = cache.Admit(key, false);
+  auto victim = cache.Admit(g.key, g.tag, false);
   ++counters_.admissions;
   if (victim) {
     HandleInclusiveEviction(leaf_layer_, *victim, wb);
   }
-  if (cache.Contains(key)) {
-    FillUpward(leaf_layer_, key, wb);
+  if (Admitted(g.key, victim)) {
+    FillUpward(leaf_layer_, g, wb);
   }
 }
 
-void CachePolicyRuntime::WriteThrough(uint64_t key,
+void CachePolicyRuntime::WriteThrough(const KeyGeometry& g,
                                       std::vector<CacheNodeId>& copies,
                                       std::vector<uint32_t>& wb) {
   for (size_t l = 0; l < caches_.size(); ++l) {
-    const CacheNodeId node = CandidateOf(l, key);
+    const CacheNodeId node = g.candidate[l];
     if (!NodeAlive(node)) {
       continue;
     }
-    NodeCache& cache = *caches_[l][node.index];
-    if (!cache.Contains(key)) {
+    // The in-place update counts as a use; a miss leaves the node untouched.
+    std::optional<EvictedLine> evicted;
+    if (!caches_[l][node.index]->Lookup(g.key, g.tag, evicted)) {
       continue;
     }
-    std::optional<EvictedLine> evicted;
-    cache.Lookup(key, evicted);  // the in-place update counts as a use
     copies.push_back(node);
     if (evicted) {
       HandleLookupEviction(l, *evicted, wb);
@@ -592,19 +603,18 @@ void CachePolicyRuntime::WriteThrough(uint64_t key,
 }
 
 std::optional<CacheNodeId> CachePolicyRuntime::WriteBack(
-    uint64_t key, std::vector<uint32_t>& wb) {
+    const KeyGeometry& g, std::vector<uint32_t>& wb) {
   for (size_t l = 0; l < caches_.size(); ++l) {
-    const CacheNodeId node = CandidateOf(l, key);
+    const CacheNodeId node = g.candidate[l];
     if (!NodeAlive(node)) {
       continue;
     }
     NodeCache& cache = *caches_[l][node.index];
-    if (!cache.Contains(key)) {
+    std::optional<EvictedLine> evicted;
+    if (!cache.Lookup(g.key, g.tag, evicted)) {
       continue;
     }
-    std::optional<EvictedLine> evicted;
-    cache.Lookup(key, evicted);
-    if (cache.MarkDirty(key) == NodeCache::MarkResult::kWasClean) {
+    if (cache.MarkDirty(g.key, g.tag) == NodeCache::MarkResult::kWasClean) {
       ++counters_.dirty_created;
     }
     if (evicted) {

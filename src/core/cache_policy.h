@@ -51,6 +51,7 @@
 #ifndef DISTCACHE_CORE_CACHE_POLICY_H_
 #define DISTCACHE_CORE_CACHE_POLICY_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -65,6 +66,7 @@
 #include "kv/placement.h"
 #include "net/topology.h"
 #include "sketch/count_min.h"
+#include "sketch/lru_map.h"
 
 namespace distcache {
 
@@ -108,15 +110,21 @@ std::string ValidateCachePolicy(CachePolicyKind policy, HierarchyMode hierarchy,
                                 WritePolicy write, Mechanism mechanism,
                                 RoutingPolicy routing);
 
+// The lookup tag of a cached line: the hash LruMap probes with, computed once
+// per key and passed with it to every NodeCache call.
+inline uint32_t LineTag(uint64_t key) { return LruMap<uint64_t, uint8_t>::HashOf(key); }
+
 // A line leaving a node (capacity eviction, demotion, or invalidation).
 struct EvictedLine {
   uint64_t key = 0;
   bool dirty = false;
+  uint32_t tag = 0;  // LineTag(key), kept so the victim's path does not rehash it
 };
 
 // One node's cache: bounded key set + per-line dirty bit, replacement order
 // owned by the concrete policy. Implementations must be deterministic — the
-// sequential engine's policy runs are pinned by golden tests.
+// sequential engine's policy runs are pinned by golden tests. Every call names
+// a line by its key and LineTag(key).
 class NodeCache {
  public:
   enum class MarkResult : uint8_t { kAbsent, kWasClean, kWasDirty };
@@ -124,22 +132,26 @@ class NodeCache {
   virtual ~NodeCache() = default;
 
   // Hit test + replacement-state touch (LRU promote, LFU count, SLRU segment
-  // promotion). An SLRU promotion can overflow the protected segment and push a
-  // line out of the node entirely; such a lookup-eviction is reported in
-  // `evicted` exactly like an Admit() victim.
-  virtual bool Lookup(uint64_t key, std::optional<EvictedLine>& evicted) = 0;
+  // promotion); a pure miss test for a non-resident key. An SLRU promotion can
+  // overflow the protected segment and push a line out of the node entirely;
+  // such a lookup-eviction is reported in `evicted` exactly like an Admit()
+  // victim.
+  virtual bool Lookup(uint64_t key, uint32_t tag,
+                      std::optional<EvictedLine>& evicted) = 0;
   // Hit test without touching replacement state (the probe pass uses this so
   // requests dropped by the failure blackhole never perturb the cache).
-  virtual bool Contains(uint64_t key) const = 0;
+  virtual bool Contains(uint64_t key, uint32_t tag) const = 0;
   // Inserts `key` (caller guarantees !Contains(key) and capacity() > 0) and
-  // returns the displaced line, if any. A frequency-filtering policy may return
-  // the admitted key itself — admission rejected.
-  virtual std::optional<EvictedLine> Admit(uint64_t key, bool dirty) = 0;
+  // returns the displaced line, if any. The key stays resident unless that
+  // line is the key itself: a frequency-filtering policy (LFU) rejecting the
+  // admission. See Admitted().
+  virtual std::optional<EvictedLine> Admit(uint64_t key, uint32_t tag,
+                                           bool dirty) = 0;
   // Sets the dirty bit without touching replacement state; reports the previous
   // state (kAbsent when the key is not resident).
-  virtual MarkResult MarkDirty(uint64_t key) = 0;
+  virtual MarkResult MarkDirty(uint64_t key, uint32_t tag) = 0;
   // Removes `key`, returning the line if it was resident.
-  virtual std::optional<EvictedLine> Erase(uint64_t key) = 0;
+  virtual std::optional<EvictedLine> Erase(uint64_t key, uint32_t tag) = 0;
   // Visits every resident line (order unspecified).
   virtual void ForEach(
       const std::function<void(uint64_t key, bool dirty)>& fn) const = 0;
@@ -155,6 +167,11 @@ class NodeCache {
  private:
   size_t capacity_;
 };
+
+// True when `key` is resident after an Admit(key, ...) that returned `victim`.
+inline bool Admitted(uint64_t key, const std::optional<EvictedLine>& victim) {
+  return !victim || victim->key != key;
+}
 
 // The miss-history sketch configuration of one LFU node (exposed so the
 // differential tests can run a bit-identical reference sketch).
@@ -181,6 +198,9 @@ struct CachePolicyConfig {
 // relaxation the sharded backend already makes).
 //
 // Protocol (driven by EngineCore::ProcessPolicy):
+//   Locate() computes the request key's geometry once; every call below takes
+//   it, so no call rehashes the request key (only displaced lines are located
+//   on demand, through CandidateOf);
 //   reads:  Probe() (pure) → the engine applies drop/transit semantics →
 //           CommitHit()/CommitMiss() mutate state;
 //   writes: WriteThrough() / WriteBack() (the engine checks the blackhole
@@ -206,6 +226,15 @@ class CachePolicyRuntime {
     CacheNodeId node{};
   };
 
+  // Where a request key lives: its tag, its primary server and its candidate
+  // node per layer (the same values CandidateOf gives).
+  struct KeyGeometry {
+    uint64_t key = 0;
+    uint32_t tag = 0;     // LineTag(key)
+    uint32_t server = 0;  // primary server, Placement::ServerOf(key)
+    std::array<CacheNodeId, kMaxCacheLayers> candidate;  // [layer], top first
+  };
+
   // `allocation` supplies the upper-layer partition hashes and the per-layer
   // capacities; `placement` the rack binding; `spine_alive` (may be null = all
   // alive) is the engine's live top-layer alive vector, read on every probe.
@@ -223,27 +252,43 @@ class CachePolicyRuntime {
     }
     return {static_cast<uint8_t>(layer), allocation_->PartitionOf(layer, key)};
   }
+  // The geometry of `key`. The leaf candidate is the primary server's rack:
+  // RackOf and ServerOf are inline over the same placement hash, so the
+  // compiler evaluates that hash and its rack modulo once for both (cheaper
+  // than dividing the server id by servers_per_rack).
+  KeyGeometry Locate(uint64_t key) const {
+    KeyGeometry g;
+    g.key = key;
+    g.tag = LineTag(key);
+    g.server = placement_->ServerOf(key);
+    for (size_t l = 0; l < leaf_layer_; ++l) {
+      g.candidate[l] = {static_cast<uint8_t>(l), allocation_->PartitionOf(l, key)};
+    }
+    g.candidate[leaf_layer_] = {static_cast<uint8_t>(leaf_layer_),
+                                placement_->RackOf(key)};
+    return g;
+  }
   bool NodeAlive(CacheNodeId node) const {
     return node.layer != 0 || spine_alive_ == nullptr ||
            spine_alive_->empty() || (*spine_alive_)[node.index] != 0;
   }
 
   // Where would this read hit right now? (Non-mutating.)
-  ReadProbe Probe(uint64_t key) const;
+  ReadProbe Probe(const KeyGeometry& g) const;
   // Commits a delivered read that Probe() reported as a hit at `node`.
-  void CommitHit(uint64_t key, CacheNodeId node,
+  void CommitHit(const KeyGeometry& g, CacheNodeId node,
                  std::vector<uint32_t>& writeback_servers);
   // Commits a delivered read miss (admission per the hierarchy mode).
-  void CommitMiss(uint64_t key, std::vector<uint32_t>& writeback_servers);
+  void CommitMiss(const KeyGeometry& g, std::vector<uint32_t>& writeback_servers);
 
   // Write-through: touches every alive resident copy and appends them to
   // `copies` (the engine charges coherence per copy).
-  void WriteThrough(uint64_t key, std::vector<CacheNodeId>& copies,
+  void WriteThrough(const KeyGeometry& g, std::vector<CacheNodeId>& copies,
                     std::vector<uint32_t>& writeback_servers);
   // Write-back: absorbs the write at the topmost alive resident copy, marking
   // it dirty. Returns the absorbing node, or nullopt (the write goes to the
   // primary server).
-  std::optional<CacheNodeId> WriteBack(uint64_t key,
+  std::optional<CacheNodeId> WriteBack(const KeyGeometry& g,
                                        std::vector<uint32_t>& writeback_servers);
 
   // Failure wipe: drops every line of `node`; dirty lines count as dirty_lost.
@@ -263,20 +308,20 @@ class CachePolicyRuntime {
   }
 
  private:
-  // Topmost layer that can hold `key` right now (alive candidate, capacity>0);
-  // num_layers() when none.
-  size_t TopEligibleLayer(uint64_t key) const;
-  // Inclusive: installs `key` at every layer above `holder` (which holds it),
+  // Topmost layer that can hold the key right now (alive candidate,
+  // capacity>0); num_layers() when none.
+  size_t TopEligibleLayer(const KeyGeometry& g) const;
+  // Inclusive: installs the key at every layer above `holder` (which holds it),
   // walking up while the chain stays intact — this is both the miss-fill path
   // above the leaf and the lower-hit fill path (how a wiped spine warms up).
-  void FillUpward(size_t holder, uint64_t key, std::vector<uint32_t>& wb);
+  void FillUpward(size_t holder, const KeyGeometry& g, std::vector<uint32_t>& wb);
   // Inclusive: a line fell out of `layer` — back-invalidate the upper copies
   // and move the dirty token(s) down to the copy below, or write back.
   void HandleInclusiveEviction(size_t layer, const EvictedLine& victim,
                                std::vector<uint32_t>& wb);
   // Exclusive: find the demoted line a home at `layer` or below.
   void CascadeDemote(size_t layer, EvictedLine line, std::vector<uint32_t>& wb);
-  void AdmitExclusiveAt(size_t layer, uint64_t key, bool dirty,
+  void AdmitExclusiveAt(size_t layer, const KeyGeometry& g, bool dirty,
                         std::vector<uint32_t>& wb);
   // Routes a lookup-eviction (SLRU protected-segment overflow) per hierarchy.
   void HandleLookupEviction(size_t layer, const EvictedLine& victim,

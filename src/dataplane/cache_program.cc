@@ -77,8 +77,6 @@ PipelineCacheSwitch::PipelineCacheSwitch(const Config& config)
                                               config_.cm_width, 16));
     stage.DeclareHashBits(16);
     RegisterArray* reg = cm_rows_.back();
-    const TabulationHash* hash = nullptr;  // bound below via index capture
-    (void)hash;
     const uint32_t row_index = row;
     const size_t width = config_.cm_width;
     const HashFamily* family = &cm_hashes_;

@@ -532,7 +532,7 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
   if (observer_) {
     // Controller-side popularity observation (per-object hit counters for cached
     // keys, the heavy-hitter sketch for the rest — folded into one detector).
-    observer_->Record(key);
+    observer_->Observe(key);
   }
   // Blackholed candidates degrade the power-of-k choice set: a dead top-layer
   // copy is skipped (k shrinks by one), and a key whose every copy is dead falls
@@ -611,7 +611,10 @@ void EngineCore::ProcessPolicy(Sink& sink, uint32_t bucket) {
   } else {
     key = KeyOfRank(bucket, hot_shift_, cc.num_keys);
   }
-  const uint32_t server = model_->placement.ServerOf(key);
+  // The key's tag, server and per-layer candidates, hashed once for every
+  // runtime call below.
+  const CachePolicyRuntime::KeyGeometry geo = policy_->Locate(key);
+  const uint32_t server = geo.server;
 
   if (is_write) {
     ++st.writes;
@@ -622,7 +625,7 @@ void EngineCore::ProcessPolicy(Sink& sink, uint32_t bucket) {
     scratch_servers_.clear();
     if (policy_->config().write == WritePolicy::kWriteBack) {
       const std::optional<CacheNodeId> absorbed =
-          policy_->WriteBack(key, scratch_servers_);
+          policy_->WriteBack(geo, scratch_servers_);
       if (absorbed) {
         OpenLoopCache(*absorbed);
         sink.AddCacheLoad(*absorbed, 1.0);
@@ -633,7 +636,7 @@ void EngineCore::ProcessPolicy(Sink& sink, uint32_t bucket) {
       }
     } else {
       scratch_copies_.clear();
-      policy_->WriteThrough(key, scratch_copies_, scratch_servers_);
+      policy_->WriteThrough(geo, scratch_copies_, scratch_servers_);
       for (const CacheNodeId copy : scratch_copies_) {
         sink.AddCacheLoad(copy, cc.coherence_switch_cost);
       }
@@ -651,17 +654,17 @@ void EngineCore::ProcessPolicy(Sink& sink, uint32_t bucket) {
 
   ++st.reads;
   if (observer_) {
-    observer_->Record(key);
+    observer_->Observe(key);
   }
-  const CachePolicyRuntime::ReadProbe probe = policy_->Probe(key);
+  const CachePolicyRuntime::ReadProbe probe = policy_->Probe(geo);
   if (ReadBlackholed(probe.hit, probe.node)) {
     return;
   }
   scratch_servers_.clear();
   if (probe.hit) {
-    policy_->CommitHit(key, probe.node, scratch_servers_);
+    policy_->CommitHit(geo, probe.node, scratch_servers_);
   } else {
-    policy_->CommitMiss(key, scratch_servers_);
+    policy_->CommitMiss(geo, scratch_servers_);
   }
   for (const uint32_t wb_server : scratch_servers_) {
     sink.AddServerLoad(wb_server, 1.0);

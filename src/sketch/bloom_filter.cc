@@ -17,12 +17,19 @@ BloomFilter::BloomFilter(const Config& config)
                  config.bits);
     std::abort();
   }
+  if (config.hashes == 0 || config.hashes > kMaxHashes) {
+    std::fprintf(stderr, "BloomFilter: %zu hashes, want 1..%zu\n", config.hashes,
+                 kMaxHashes);
+    std::abort();
+  }
 }
 
 bool BloomFilter::InsertAndTest(uint64_t key) {
+  uint64_t hash[kMaxHashes];
+  hashes_.HashAll(key, hash);
   bool present = true;
   for (size_t r = 0; r < config_.hashes; ++r) {
-    const size_t bit = Bit(r, key);
+    const size_t bit = Bit(r, hash[r]);
     uint64_t& word = words_[bit / 64];
     const uint64_t m = uint64_t{1} << (bit % 64);
     present = present && (word & m) != 0;
@@ -32,8 +39,10 @@ bool BloomFilter::InsertAndTest(uint64_t key) {
 }
 
 bool BloomFilter::MayContain(uint64_t key) const {
+  uint64_t hash[kMaxHashes];
+  hashes_.HashAll(key, hash);
   for (size_t r = 0; r < config_.hashes; ++r) {
-    const size_t bit = Bit(r, key);
+    const size_t bit = Bit(r, hash[r]);
     if ((words_[bit / 64] & (uint64_t{1} << (bit % 64))) == 0) {
       return false;
     }

@@ -4,7 +4,10 @@
 //
 // The arrays are stored back to back in one uint64_t bitset, and a slot is the
 // hash masked to the array width: widths must be powers of two, and the
-// constructor aborts on any other width.
+// constructor aborts on any other width. The hashes are one interleaved
+// HashFamily evaluated in a single pass per key, so the constructor also aborts
+// unless 1 <= hashes <= kMaxHashes (zero hashes would make every key look
+// present).
 #ifndef DISTCACHE_SKETCH_BLOOM_FILTER_H_
 #define DISTCACHE_SKETCH_BLOOM_FILTER_H_
 
@@ -24,6 +27,8 @@ class BloomFilter {
     uint64_t seed = 0xb100f11e;
   };
 
+  static constexpr size_t kMaxHashes = 8;
+
   explicit BloomFilter(const Config& config);
 
   // Inserts `key`; returns true if the key was possibly already present (i.e., all its
@@ -40,9 +45,10 @@ class BloomFilter {
   size_t MemoryBits() const { return config_.hashes * config_.bits; }
 
  private:
-  // Index of `key`'s bit in array `row` of the flat bitset.
-  size_t Bit(size_t row, uint64_t key) const {
-    return row * config_.bits + static_cast<size_t>(hashes_.Hash(row, key) & mask_);
+  // Index of the bit in array `row` of the flat bitset that the row's hash
+  // `hash` selects.
+  size_t Bit(size_t row, uint64_t hash) const {
+    return row * config_.bits + static_cast<size_t>(hash & mask_);
   }
 
   Config config_;

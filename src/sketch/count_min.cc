@@ -17,12 +17,19 @@ CountMinSketch::CountMinSketch(const Config& config)
                  config.width);
     std::abort();
   }
+  if (config.rows == 0 || config.rows > kMaxRows) {
+    std::fprintf(stderr, "CountMinSketch: %zu rows, want 1..%zu\n", config.rows,
+                 kMaxRows);
+    std::abort();
+  }
 }
 
 uint32_t CountMinSketch::Update(uint64_t key) {
+  uint64_t hash[kMaxRows];
+  hashes_.HashAll(key, hash);
   uint32_t estimate = std::numeric_limits<uint32_t>::max();
   for (size_t r = 0; r < config_.rows; ++r) {
-    uint32_t& cell = counters_[Cell(r, key)];
+    uint32_t& cell = counters_[Cell(r, hash[r])];
     if (cell < config_.counter_max) {
       ++cell;  // saturating, like a fixed-width data-plane register
     }
@@ -32,16 +39,20 @@ uint32_t CountMinSketch::Update(uint64_t key) {
 }
 
 uint32_t CountMinSketch::Estimate(uint64_t key) const {
+  uint64_t hash[kMaxRows];
+  hashes_.HashAll(key, hash);
   uint32_t estimate = std::numeric_limits<uint32_t>::max();
   for (size_t r = 0; r < config_.rows; ++r) {
-    estimate = std::min(estimate, counters_[Cell(r, key)]);
+    estimate = std::min(estimate, counters_[Cell(r, hash[r])]);
   }
   return estimate;
 }
 
 void CountMinSketch::Prefetch(uint64_t key) const {
+  uint64_t hash[kMaxRows];
+  hashes_.HashAll(key, hash);
   for (size_t r = 0; r < config_.rows; ++r) {
-    __builtin_prefetch(&counters_[Cell(r, key)], 1, 1);
+    __builtin_prefetch(&counters_[Cell(r, hash[r])], 1, 1);
   }
 }
 

@@ -5,7 +5,10 @@
 //
 // The rows are stored back to back in one array, and a slot is the row hash
 // masked to the width: widths must be powers of two (register arrays are), and
-// the constructor aborts on any other width.
+// the constructor aborts on any other width. The row hashes are one interleaved
+// HashFamily evaluated in a single pass per key, so the constructor also aborts
+// unless 1 <= rows <= kMaxRows (zero rows would estimate every key as
+// UINT32_MAX).
 #ifndef DISTCACHE_SKETCH_COUNT_MIN_H_
 #define DISTCACHE_SKETCH_COUNT_MIN_H_
 
@@ -26,6 +29,8 @@ class CountMinSketch {
     uint32_t counter_max = std::numeric_limits<uint16_t>::max();  // 16-bit registers
     uint64_t seed = 0x5eedc0de;
   };
+
+  static constexpr size_t kMaxRows = 8;
 
   explicit CountMinSketch(const Config& config);
 
@@ -49,9 +54,10 @@ class CountMinSketch {
   size_t MemoryBits() const { return config_.rows * config_.width * 16; }
 
  private:
-  // Index of `key`'s counter in row `row` of the flat counter array.
-  size_t Cell(size_t row, uint64_t key) const {
-    return row * config_.width + static_cast<size_t>(hashes_.Hash(row, key) & mask_);
+  // Index of the counter in row `row` of the flat counter array that the row's
+  // hash `hash` selects.
+  size_t Cell(size_t row, uint64_t hash) const {
+    return row * config_.width + static_cast<size_t>(hash & mask_);
   }
 
   Config config_;

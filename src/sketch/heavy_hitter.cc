@@ -54,7 +54,7 @@ void HeavyHitterDetector::Grow() {
   }
 }
 
-bool HeavyHitterDetector::Record(uint64_t key) {
+bool HeavyHitterDetector::Observe(uint64_t key) {
   const uint32_t estimate = sketch_.Update(key);
   if (estimate < config_.report_threshold) {
     return false;
@@ -71,11 +71,9 @@ bool HeavyHitterDetector::Record(uint64_t key) {
     reports_[slot] = {key, 0, true};
     ++num_reports_;
   }
-  // The bloom filter suppresses duplicate reports for the same key within an epoch;
-  // we still refresh the stored estimate so TopReports ranks by the latest count.
-  const bool already_reported = bloom_.InsertAndTest(key);
+  // Refreshed on every access, so TopReports ranks by the latest count.
   reports_[slot].count = estimate;
-  return !already_reported;
+  return true;
 }
 
 std::vector<std::pair<uint64_t, uint32_t>> HeavyHitterDetector::TopReports() const {

@@ -4,6 +4,13 @@
 //
 // Counters are reset every epoch (1 second in the paper). A key is reported as a heavy
 // hitter when its estimated count within the epoch crosses `report_threshold`.
+//
+// Two ways to count an access. Record() is the switch's data-plane step: it also
+// runs the Bloom filter and says whether this access is the key's *first* report
+// this epoch (CacheSwitch::RecordMiss and the runtime's agents act on that bit).
+// Observe() is Record() without the Bloom filter, for a caller that only reads
+// TopReports() and Estimate() — the simulation engines' controller-side observer.
+// Both leave the sketch and the report table in the same state.
 #ifndef DISTCACHE_SKETCH_HEAVY_HITTER_H_
 #define DISTCACHE_SKETCH_HEAVY_HITTER_H_
 
@@ -37,10 +44,15 @@ class HeavyHitterDetector {
 
   explicit HeavyHitterDetector(const Config& config);
 
-  // Records one access to an *uncached* key (cached keys are counted by the per-object
-  // hit counters instead, as in NetCache). Returns true if this access pushed the key
-  // over the report threshold for the first time this epoch.
-  bool Record(uint64_t key);
+  // Counts one access to an *uncached* key (cached keys are counted by the per-object
+  // hit counters instead, as in NetCache): updates the sketch and, once the estimate
+  // reaches the threshold, the key's report-table entry. Returns true if the key is
+  // reported this epoch (false below the threshold or when the table is full).
+  bool Observe(uint64_t key);
+
+  // Observe() plus the Bloom filter: returns true if this access pushed the key over
+  // the report threshold for the first time this epoch.
+  bool Record(uint64_t key) { return Observe(key) && !bloom_.InsertAndTest(key); }
 
   // Keys reported this epoch, hottest-first by sketch estimate.
   std::vector<std::pair<uint64_t, uint32_t>> TopReports() const;

@@ -6,7 +6,10 @@
 // victim), threaded on an intrusive doubly-linked recency list by slot index.
 // Keys are found through an open-addressing index (linear probing, load <= 1/2)
 // whose buckets carry a 32-bit hash tag; erasure uses backward-shift deletion,
-// so there are no tombstones and probe chains never degrade.
+// so there are no tombstones and probe chains never degrade. Each slot keeps
+// its key's hash too, so evicting the LRU entry never rehashes it, and every
+// lookup has an overload taking the key's HashOf() for callers that already
+// computed it.
 #ifndef DISTCACHE_SKETCH_LRU_MAP_H_
 #define DISTCACHE_SKETCH_LRU_MAP_H_
 
@@ -39,9 +42,15 @@ class LruMap {
     Clear();
   }
 
-  // Inserts or updates; returns the evicted entry, if any.
-  std::optional<std::pair<K, V>> Put(const K& key, V value) {
-    const uint32_t hash = HashOf(key);
+  // The hash every lookup of `key` probes with.
+  static uint32_t HashOf(const K& key) {
+    return static_cast<uint32_t>(Mix64(static_cast<uint64_t>(std::hash<K>{}(key))));
+  }
+
+  // Inserts or updates; returns the evicted entry, if any, and stores its hash
+  // in *victim_hash when that is non-null.
+  std::optional<std::pair<K, V>> Put(const K& key, V value, uint32_t hash,
+                                     uint32_t* victim_hash = nullptr) {
     size_t b = Probe(key, hash);
     if (index_[b].slot != kNil) {
       const uint32_t s = index_[b].slot;
@@ -54,21 +63,29 @@ class LruMap {
     free_ = slots_[s].next;
     slots_[s].entry.first = key;
     slots_[s].entry.second = std::move(value);
+    slots_[s].hash = hash;
     index_[b] = {s, hash};
     LinkFront(s);
     if (++size_ <= capacity_) {
       return std::nullopt;
     }
     const uint32_t victim = tail_;
-    EraseBucket(Probe(slots_[victim].entry.first, HashOf(slots_[victim].entry.first)));
+    EraseBucket(Probe(slots_[victim].entry.first, slots_[victim].hash));
+    if (victim_hash != nullptr) {
+      *victim_hash = slots_[victim].hash;
+    }
     std::pair<K, V> out = std::move(slots_[victim].entry);
     Release(victim);
     return out;
   }
+  std::optional<std::pair<K, V>> Put(const K& key, V value) {
+    return Put(key, std::move(value), HashOf(key));
+  }
 
   // Looks up and promotes to most-recently-used.
-  V* Get(const K& key) {
-    const uint32_t s = Find(key);
+  V* Get(const K& key) { return Get(key, HashOf(key)); }
+  V* Get(const K& key, uint32_t hash) {
+    const uint32_t s = Find(key, hash);
     if (s == kNil) {
       return nullptr;
     }
@@ -77,20 +94,22 @@ class LruMap {
   }
 
   // Lookup without promoting.
-  const V* Peek(const K& key) const {
-    const uint32_t s = Find(key);
+  const V* Peek(const K& key) const { return Peek(key, HashOf(key)); }
+  const V* Peek(const K& key, uint32_t hash) const {
+    const uint32_t s = Find(key, hash);
     return s == kNil ? nullptr : &slots_[s].entry.second;
   }
 
   // Mutable lookup without promoting (update a line in place — e.g. a dirty
   // bit — without counting as a use).
-  V* PeekMutable(const K& key) {
-    const uint32_t s = Find(key);
+  V* PeekMutable(const K& key, uint32_t hash) {
+    const uint32_t s = Find(key, hash);
     return s == kNil ? nullptr : &slots_[s].entry.second;
   }
 
-  bool Erase(const K& key) {
-    const size_t b = Probe(key, HashOf(key));
+  bool Erase(const K& key) { return Erase(key, HashOf(key)); }
+  bool Erase(const K& key, uint32_t hash) {
+    const size_t b = Probe(key, hash);
     const uint32_t s = index_[b].slot;
     if (s == kNil) {
       return false;
@@ -113,7 +132,8 @@ class LruMap {
     size_ = 0;
   }
 
-  bool Contains(const K& key) const { return Find(key) != kNil; }
+  bool Contains(const K& key) const { return Contains(key, HashOf(key)); }
+  bool Contains(const K& key, uint32_t hash) const { return Find(key, hash) != kNil; }
   size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
   bool empty() const { return size_ == 0; }
@@ -136,6 +156,7 @@ class LruMap {
 
   struct Slot {
     std::pair<K, V> entry{};
+    uint32_t hash = 0;     // HashOf(entry.first)
     uint32_t prev = kNil;
     uint32_t next = kNil;  // also the free-list link
   };
@@ -143,10 +164,6 @@ class LruMap {
     uint32_t slot = kNil;  // kNil = empty
     uint32_t hash = 0;     // low bits give the home bucket; all 32 are the tag
   };
-
-  static uint32_t HashOf(const K& key) {
-    return static_cast<uint32_t>(Mix64(static_cast<uint64_t>(std::hash<K>{}(key))));
-  }
 
   // Bucket holding `key`, or the empty bucket that ends its probe chain.
   size_t Probe(const K& key, uint32_t hash) const {
@@ -158,7 +175,7 @@ class LruMap {
       }
     }
   }
-  uint32_t Find(const K& key) const { return index_[Probe(key, HashOf(key))].slot; }
+  uint32_t Find(const K& key, uint32_t hash) const { return index_[Probe(key, hash)].slot; }
 
   // Backward-shift deletion: pull each later member of the cluster into the
   // hole unless that would move it before its home bucket.

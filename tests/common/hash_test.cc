@@ -5,6 +5,8 @@
 #include <set>
 #include <vector>
 
+#include "common/random.h"
+
 namespace distcache {
 namespace {
 
@@ -127,6 +129,35 @@ TEST(HashFamily, SameSeedSameFamily) {
   for (uint64_t k = 0; k < 50; ++k) {
     EXPECT_EQ(a.Hash(0, k), b.Hash(0, k));
     EXPECT_EQ(a.Hash(1, k), b.Hash(1, k));
+  }
+}
+
+// The interleaved family is r separate tabulation functions: function i of
+// HashFamily(r, seed) is TabulationHash(HashCombine(seed, Mix64(i + 1))), and
+// the all-functions pass returns exactly their values. r = 8 takes the
+// per-function fallback of HashAll, the others its register-resident path.
+TEST(HashFamily, AllRowsEqualSeparateTabulationHashes) {
+  constexpr uint64_t kSeed = 0x5eedc0de;
+  for (const size_t r : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE(r);
+    const HashFamily family(r, kSeed);
+    std::vector<TabulationHash> reference;
+    for (size_t i = 0; i < r; ++i) {
+      reference.emplace_back(HashCombine(kSeed, Mix64(i + 1)));
+    }
+    Rng rng(r);
+    uint64_t out[8];
+    size_t mismatches = 0;
+    for (uint64_t n = 0; n < 1000000; ++n) {
+      // Small dense keys (popularity ranks) and full-width random ones.
+      const uint64_t key = n % 2 == 0 ? n : rng.Next();
+      family.HashAll(key, out);
+      for (size_t i = 0; i < r; ++i) {
+        const uint64_t want = reference[i](key);
+        mismatches += (out[i] != want) + (family.Hash(i, key) != want);
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
   }
 }
 

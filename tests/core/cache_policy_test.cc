@@ -361,14 +361,14 @@ void RunDifferential(CachePolicyKind kind, size_t capacity, uint64_t seed,
     switch (rng() % 8) {
       case 0: {  // erase
         const bool resident = ref->Contains(key);
-        auto erased = cache->Erase(key);
+        auto erased = cache->Erase(key, LineTag(key));
         EXPECT_EQ(erased.has_value(), resident);
         ref->Erase(key);
         break;
       }
       case 1: {  // mark dirty
         const bool resident = ref->Contains(key);
-        const auto r = cache->MarkDirty(key);
+        const auto r = cache->MarkDirty(key, LineTag(key));
         EXPECT_EQ(r == NodeCache::MarkResult::kAbsent, !resident);
         ref->MarkDirty(key);
         break;
@@ -382,22 +382,24 @@ void RunDifferential(CachePolicyKind kind, size_t capacity, uint64_t seed,
       }
       default: {  // lookup; admit on miss (the runtime's read path shape)
         std::optional<EvictedLine> evicted, ref_evicted;
-        const bool hit = cache->Lookup(key, evicted);
+        const bool hit = cache->Lookup(key, LineTag(key), evicted);
         const bool ref_hit = ref->Lookup(key, ref_evicted);
         ASSERT_EQ(hit, ref_hit) << "key " << key << " op " << op;
         EXPECT_EQ(evicted.has_value(), ref_evicted.has_value());
         if (evicted && ref_evicted) {
           EXPECT_EQ(evicted->key, ref_evicted->key);
           EXPECT_EQ(evicted->dirty, ref_evicted->dirty);
+          EXPECT_EQ(evicted->tag, LineTag(evicted->key));  // stored, not rehashed
         }
         if (!hit) {
           const bool dirty = rng() % 4 == 0;
-          auto victim = cache->Admit(key, dirty);
+          auto victim = cache->Admit(key, LineTag(key), dirty);
           auto ref_victim = ref->Admit(key, dirty);
           ASSERT_EQ(victim.has_value(), ref_victim.has_value());
           if (victim && ref_victim) {
             EXPECT_EQ(victim->key, ref_victim->key);
             EXPECT_EQ(victim->dirty, ref_victim->dirty);
+            EXPECT_EQ(victim->tag, LineTag(victim->key));
           }
         }
         break;
@@ -549,7 +551,7 @@ class PolicyRuntimeTest : public ::testing::Test {
   // probe → commit protocol. Returns the writeback fan-out (unused by most
   // assertions but kept to exercise the full signature).
   void Step(CachePolicyRuntime& rt, std::mt19937_64& rng, double write_ratio) {
-    const uint64_t key = rng() % kKeySpace;
+    const CachePolicyRuntime::KeyGeometry key = rt.Locate(rng() % kKeySpace);
     std::vector<uint32_t> wb;
     if (static_cast<double>(rng() % 1000) < write_ratio * 1000.0) {
       if (rt.config().write == WritePolicy::kWriteBack) {
@@ -585,7 +587,7 @@ class PolicyRuntimeTest : public ::testing::Test {
         rt.node_cache(l, n).ForEach([&](uint64_t key, bool) {
           for (size_t below = l + 1; below <= leaf; ++below) {
             const CacheNodeId at = rt.CandidateOf(below, key);
-            ASSERT_TRUE(rt.node_cache(below, at.index).Contains(key))
+            ASSERT_TRUE(rt.node_cache(below, at.index).Contains(key, LineTag(key)))
                 << "inclusive violation: key " << key << " at layer " << l
                 << " missing below at layer " << below;
           }
@@ -702,7 +704,7 @@ TEST_F(PolicyRuntimeTest, ProbeIsPure) {
   }
   const auto counters_before = rt->counters();
   for (uint64_t key = 0; key < 1000; ++key) {
-    rt->Probe(key);
+    rt->Probe(rt->Locate(key));
   }
   size_t idx = 0;
   for (size_t l = 0; l < rt->num_layers(); ++l) {
@@ -727,7 +729,7 @@ TEST_F(PolicyRuntimeTest, DeadSpineIsSkippedAndWipedCopiesRewarm) {
   EXPECT_EQ(rt->node_cache(0, 0).size(), 0u);
   // Probes for keys whose spine candidate is node 0 must skip to the leaf.
   for (uint64_t key = 0; key < 500; ++key) {
-    const auto probe = rt->Probe(key);
+    const auto probe = rt->Probe(rt->Locate(key));
     if (probe.hit) {
       EXPECT_TRUE(probe.node.layer != 0 || probe.node.index != 0);
     }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/hash.h"
 #include "common/random.h"
 
 namespace distcache {
@@ -73,6 +76,60 @@ TEST(BloomFilterDeathTest, RejectsNonPowerOfTwoWidth) {
   BloomFilter::Config one = SmallConfig();
   one.bits = 1;
   BloomFilter accepted(one);  // 2^0 is a valid (degenerate) width
+}
+
+// A filter needs at least one hash (zero hashes make every key look present),
+// and its hashes are evaluated in one pass of at most kMaxHashes.
+TEST(BloomFilterDeathTest, RejectsZeroOrTooManyHashes) {
+  for (size_t bad : {size_t{0}, BloomFilter::kMaxHashes + 1}) {
+    BloomFilter::Config cfg = SmallConfig();
+    cfg.hashes = bad;
+    EXPECT_DEATH(BloomFilter{cfg}, "hashes, want 1..") << bad;
+  }
+  BloomFilter::Config most = SmallConfig();
+  most.hashes = BloomFilter::kMaxHashes;
+  BloomFilter accepted(most);
+}
+
+// Per-row reference: one separately seeded TabulationHash and one bit array
+// per hash. The filter, which evaluates its hashes in one interleaved pass,
+// must give the same InsertAndTest and MayContain answers on every key.
+TEST(BloomFilterDifferential, MatchesARowByRowReference) {
+  for (const size_t hashes : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE(hashes);
+    BloomFilter::Config cfg = SmallConfig();
+    cfg.hashes = hashes;
+    BloomFilter bf(cfg);
+    std::vector<TabulationHash> row_hash;
+    std::vector<std::vector<bool>> row_bits;
+    for (size_t r = 0; r < hashes; ++r) {
+      row_hash.emplace_back(HashCombine(cfg.seed, Mix64(r + 1)));
+      row_bits.emplace_back(cfg.bits, false);
+    }
+    const auto slot = [&](size_t r, uint64_t key) {
+      return static_cast<size_t>(row_hash[r](key) & (cfg.bits - 1));
+    };
+    Rng rng(hashes);
+    // The paper shape gets the full 10^6-key stream, the others 10^5.
+    const int keys = hashes == 3 ? 1000000 : 100000;
+    size_t mismatches = 0;
+    for (int i = 0; i < keys; ++i) {
+      const uint64_t key = rng.NextBounded(1u << 16);  // repeats: both answers occur
+      bool present = true;
+      for (size_t r = 0; r < hashes; ++r) {
+        present = present && row_bits[r][slot(r, key)];
+        row_bits[r][slot(r, key)] = true;
+      }
+      mismatches += bf.InsertAndTest(key) != present;
+      const uint64_t probe = rng.Next();
+      bool may = true;
+      for (size_t r = 0; r < hashes; ++r) {
+        may = may && row_bits[r][slot(r, probe)];
+      }
+      mismatches += bf.MayContain(probe) != may;
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
 }
 
 }  // namespace

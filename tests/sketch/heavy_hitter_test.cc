@@ -179,6 +179,40 @@ TEST(HeavyHitterDifferential, TopReportsMatchUnorderedMapReference) {
   }
 }
 
+// Observe() is Record() without the Bloom filter: on the same stream it
+// reports the same keys, leaves the same reports and estimates, and its return
+// says whether the key is in the report table.
+TEST(HeavyHitterDetector, ObserveMatchesRecordWithoutTheBloomFilter) {
+  for (size_t cap : {size_t{50}, size_t{1} << 20}) {
+    SCOPED_TRACE(cap);
+    HeavyHitterDetector::Config cfg = SmallConfig(3);
+    cfg.max_reports_per_epoch = cap;
+    HeavyHitterDetector observed(cfg);
+    HeavyHitterDetector recorded(cfg);
+    ZipfDistribution dist(200000, 0.99);
+    Rng rng(cap);
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      for (int i = 0; i < 30000; ++i) {
+        const uint64_t key = dist.Sample(rng);
+        const bool reported = observed.Observe(key);
+        const bool first = recorded.Record(key);
+        ASSERT_FALSE(first && !reported) << "first report of an unreported key";
+        EXPECT_EQ(observed.Estimate(key), recorded.Estimate(key));
+        if (i % 1000 == 0) {
+          const auto top = observed.TopReports();
+          const bool listed = std::any_of(top.begin(), top.end(),
+                                          [&](const auto& r) { return r.first == key; });
+          EXPECT_EQ(reported, listed) << "key " << key;
+        }
+      }
+      EXPECT_EQ(observed.TopReports(), recorded.TopReports());
+      EXPECT_EQ(observed.TopReports().size() == cap, cap == 50);
+      observed.NewEpoch();
+      recorded.NewEpoch();
+    }
+  }
+}
+
 TEST(HeavyHitterDifferential, TopReportsMatchWhenTheCapBinds) {
   for (size_t cap : {1, 7, 100, 3000}) {
     HeavyHitterDetector::Config cfg = SmallConfig(3);
