@@ -147,8 +147,8 @@ void ClusterSim::SetWorkload(double zipf_theta, double write_ratio) {
 void ClusterSim::ReallocateCacheToHotSet() {
   if (UsesDynamicPolicy()) {
     // The dynamic policies own their contents; the controller has nothing to
-    // re-allocate (the request engines likewise ignore the rebuilt routes on
-    // the policy path). The steady-state model already follows the hot set.
+    // re-allocate (the request engines' timeline plans likewise drop the
+    // step). The steady-state model already follows the hot set.
     return;
   }
   std::vector<uint64_t> hottest(allocation_->candidate_pool());

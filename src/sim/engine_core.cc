@@ -93,7 +93,14 @@ std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
     step.phase = phase;
     plan.push_back(std::move(step));
   }
+  // A dynamic policy fills its own caches and never reads the allocation, so
+  // the controller's re-allocation has nothing to act on: the step is left
+  // out, and no engine queues it, observes for it or rendezvouses at it.
+  const bool dynamic = PolicyIsDynamic(config.cluster.cache_policy);
   for (const ClusterEvent& event : config.events) {
+    if (dynamic && event.kind == ClusterEvent::Kind::kReallocateCache) {
+      continue;
+    }
     TimelineStep step;
     step.at_request = event.at_request;
     step.event = event;
@@ -152,10 +159,13 @@ EngineCore::EngineCore(const ClusterModel* model, uint64_t rng_seed,
       router_(&view_, EffectiveRouting(model->cfg), router_seed),
       write_ratio_(model->cfg.write_ratio),
       spine_alive_(model->cfg.num_spine, 1) {
-  if (enable_observer) {
+  const CachePolicyKind kind = model->cfg.cache_policy;
+  // Only the static allocation is re-allocated from observed counts; a
+  // dynamic policy's plan has no kReallocateCache step (BuildTimelinePlan),
+  // so it gets no observer either.
+  if (enable_observer && !PolicyIsDynamic(kind)) {
     observer_ = std::make_unique<HeavyHitterDetector>(ObserverConfig(model->pool));
   }
-  const CachePolicyKind kind = model->cfg.cache_policy;
   if (PolicyIsDynamic(kind)) {
     policy_mode_ = kDynamicPolicy;
     CachePolicyConfig pc;

@@ -32,12 +32,14 @@
 // engine rebuilds its sampler from. kReallocateCache steps carry no snapshot: the
 // controller recomputes the allocation at runtime from *observed* per-key counts
 // (the core's heavy-hitter observer), which is the paper's §6.4 cache-update
-// loop. Re-allocation composes with failure events in both directions: the
-// realloc hooks re-sync the controller remap to the alive set at that timestamp
-// (failures before), and rebuild the remaining steps' snapshots against the
-// refilled allocation via RebuildPlanSuffixRoutes (failures/shifts after) — so a
-// post-reallocation switch restoration keeps the refilled cached set instead of
-// resurrecting the construction-time one.
+// loop. Only the static policies run it: a dynamic policy fills its own caches
+// and never reads the allocation, so its plan drops the step and its core
+// builds no observer. Re-allocation composes with failure events in both
+// directions: the realloc hooks re-sync the controller remap to the alive set
+// at that timestamp (failures before), and rebuild the remaining steps'
+// snapshots against the refilled allocation via RebuildPlanSuffixRoutes
+// (failures/shifts after) — so a post-reallocation switch restoration keeps the
+// refilled cached set instead of resurrecting the construction-time one.
 #ifndef DISTCACHE_SIM_ENGINE_CORE_H_
 #define DISTCACHE_SIM_ENGINE_CORE_H_
 
@@ -77,7 +79,8 @@ struct TimelineStep {
 
 // Merges config.events and config.phases into one plan ordered by at_request
 // (phases before events on timestamp ties; list order otherwise preserved),
-// precomputing each step's snapshot. Mutates `model`'s controller/allocation state
+// precomputing each step's snapshot. Under a dynamic cache policy the
+// kReallocateCache events are left out (see the header comment). Mutates `model`'s controller/allocation state
 // while walking the failure remaps — the same end state the runtime reads back.
 std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
                                             ClusterModel& model);
@@ -93,8 +96,10 @@ std::vector<std::shared_ptr<const RouteTable>> RebuildPlanSuffixRoutes(
     const std::vector<TimelineStep>& plan, size_t from, ClusterModel& model,
     std::vector<uint8_t> alive_now, uint64_t shift_now);
 
-// True when the timeline contains a kReallocateCache step — the engines then run
-// the core's heavy-hitter observer from the start of the run.
+// True when the timeline contains a kReallocateCache step — the engines then ask
+// for the core's heavy-hitter observer from the start of the run. The EngineCore
+// constructor builds it only under a static policy: a dynamic policy's plan has
+// no such step, so an observer would count reads nothing ever ranks.
 bool TimelineNeedsObserver(const std::vector<ClusterEvent>& events);
 
 // Total bytes of the base route table plus every precomputed plan snapshot —
@@ -137,6 +142,8 @@ class EngineCore {
 
   // `model` outlives the core and is read-only on the hot path. `rng_seed` /
   // `router_seed` preserve each engine's historical stream derivation.
+  // `enable_observer` asks for the heavy-hitter observer; it is built only
+  // under a static policy (a dynamic one has no re-allocation to feed).
   EngineCore(const ClusterModel* model, uint64_t rng_seed, uint64_t router_seed,
              bool enable_observer);
 
@@ -257,8 +264,7 @@ class EngineCore {
   // Batched hot path: executes `count` requests whose sampled buckets were
   // staged into `buckets` up front (the batch's stochastic input as a flat
   // array), software-prefetching the route-table entries of upcoming requests
-  // a fixed distance ahead (under a dynamic policy with the observer on, the
-  // observer's sketch counters instead). Requests execute through Process()
+  // a fixed distance ahead. Requests execute through Process()
   // in order, so the batch is bit-identical to the per-request loop in every
   // engine state (pinned by the sharded golden test); the implementation
   // comment records why a deeper two-pass SoA staging measured slower and was
@@ -403,8 +409,8 @@ class EngineCore {
   uint32_t dead_spines_ = 0;
   bool recovery_ran_ = true;  // partitions start mapped to their home switches
 
-  // Controller-side popularity observer driving kReallocateCache (§6.4). The
-  // sketch is wider than the data-plane one (§5): the simulated controller
+  // Controller-side popularity observer driving kReallocateCache (§6.4); null
+  // under a dynamic policy or a timeline without the step. The sketch is wider than the data-plane one (§5): the simulated controller
   // aggregates reports in software, so we trade memory for clean separation of
   // hot keys from sampled-tail noise, and let counters exceed 16 bits.
   std::unique_ptr<HeavyHitterDetector> observer_;
@@ -653,9 +659,6 @@ void EngineCore::ProcessPolicy(Sink& sink, uint32_t bucket) {
   }
 
   ++st.reads;
-  if (observer_) {
-    observer_->Observe(key);
-  }
   const CachePolicyRuntime::ReadProbe probe = policy_->Probe(geo);
   if (ReadBlackholed(probe.hit, probe.node)) {
     return;
@@ -694,30 +697,6 @@ void EngineCore::ProcessBatch(Sink& sink, const uint32_t* buckets, uint32_t coun
   // staging stores add traffic without removing any misses the prefetch does
   // not already hide. Re-measure with bench_scaling before re-staging.
   constexpr uint32_t kPrefetchDistance = 16;
-  if (__builtin_expect(policy_mode_ == kDynamicPolicy && observer_ != nullptr, 0)) {
-    // The dynamic policy reads no route entries; its costliest memory traffic
-    // is the observer's sketch counters (rows × 2^18 cells, far beyond L2).
-    // A head bucket's key is a pure function of the bucket, so those cells are
-    // prefetched the same distance ahead; tail keys come from the RNG at run
-    // time and are not. A prefetch changes no state, so this stays
-    // bit-identical to the per-request loop.
-    const auto prefetch_cells = [this](uint32_t bucket) {
-      if (bucket != model_->pool) {
-        observer_->Prefetch(KeyOfRank(bucket, hot_shift_, model_->cfg.num_keys));
-      }
-    };
-    const uint32_t lead = count < kPrefetchDistance ? count : kPrefetchDistance;
-    for (uint32_t i = 0; i < lead; ++i) {
-      prefetch_cells(buckets[i]);
-    }
-    for (uint32_t i = 0; i < count; ++i) {
-      if (i + kPrefetchDistance < count) {
-        prefetch_cells(buckets[i + kPrefetchDistance]);
-      }
-      Process(sink, buckets[i]);
-    }
-    return;
-  }
   const RouteEntry* const route_data = route_data_;
   const uint32_t hot_len = route_hot_len_;
   // Compact tables leave buckets past the hot prefix (and the tail bucket)

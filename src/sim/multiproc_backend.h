@@ -27,10 +27,12 @@
 // fired plan is a pure function of the config, so every shard queues it
 // locally and applies each step at its scaled local request clock.
 //
-// kReallocateCache (§6.4) is the one step whose effect is runtime-observed, so
-// it runs as an arena rendezvous with a single controller: every shard
-// publishes its heavy-hitter report into an idempotent per-(step, shard) slot;
-// the lowest-indexed live shard claims a per-step controller word (CAS, value
+// kReallocateCache (§6.4) is the one step whose effect is runtime-observed. A
+// dynamic policy's plan has no such step, so its runs reserve no report or
+// table regions and never rendezvous. Under a static policy the step runs as an
+// arena rendezvous with a single controller: every shard publishes its
+// heavy-hitter report into an idempotent per-(step, shard) slot; the
+// lowest-indexed live shard claims a per-step controller word (CAS, value
 // = claimant + 1), merges the published reports, re-syncs the remap, refills
 // the allocation hottest-first, rebuilds the immediate and suffix route
 // tables, serializes them into the step's region and releases the ready word

@@ -22,7 +22,8 @@
 //  * kReallocateCache — the controller ranks the core's observed heavy-hitter
 //    counts, refills the allocation hottest-first (core/allocation Refill), and
 //    the backend rebuilds + swaps the route table: the cache-update reaction that
-//    restores the hit ratio after a shift.
+//    restores the hit ratio after a shift. Static policies only: a dynamic
+//    policy's plan drops the step, so the hook never fires and no observer runs.
 #ifndef DISTCACHE_SIM_SEQUENTIAL_BACKEND_H_
 #define DISTCACHE_SIM_SEQUENTIAL_BACKEND_H_
 

@@ -48,14 +48,6 @@ uint32_t CountMinSketch::Estimate(uint64_t key) const {
   return estimate;
 }
 
-void CountMinSketch::Prefetch(uint64_t key) const {
-  uint64_t hash[kMaxRows];
-  hashes_.HashAll(key, hash);
-  for (size_t r = 0; r < config_.rows; ++r) {
-    __builtin_prefetch(&counters_[Cell(r, hash[r])], 1, 1);
-  }
-}
-
 void CountMinSketch::Reset() { std::fill(counters_.begin(), counters_.end(), 0); }
 
 }  // namespace distcache

@@ -40,10 +40,6 @@ class CountMinSketch {
   // Point-query estimate of the count of `key` (an overestimate in expectation).
   uint32_t Estimate(uint64_t key) const;
 
-  // Issues a prefetch for each of `key`'s counters (a pure cache hint; it
-  // changes no state), so a later Update(key) finds them warm.
-  void Prefetch(uint64_t key) const;
-
   // Zeroes all counters. The switch agent does this every second (§5).
   void Reset();
 

@@ -44,10 +44,12 @@ class HeavyHitterDetector {
 
   explicit HeavyHitterDetector(const Config& config);
 
-  // Counts one access to an *uncached* key (cached keys are counted by the per-object
-  // hit counters instead, as in NetCache): updates the sketch and, once the estimate
-  // reaches the threshold, the key's report-table entry. Returns true if the key is
+  // Counts one access to `key`: updates the sketch and, once the estimate reaches
+  // the threshold, the key's report-table entry. Returns true if the key is
   // reported this epoch (false below the threshold or when the table is full).
+  // The switch data plane counts only uncached keys (through Record; cached keys
+  // are counted by the per-object hit counters, as in NetCache); the engines'
+  // controller-side observer counts every read of a static-policy run.
   bool Observe(uint64_t key);
 
   // Observe() plus the Bloom filter: returns true if this access pushed the key over
@@ -59,10 +61,6 @@ class HeavyHitterDetector {
 
   // Clears sketch, bloom filter and report list. Called by the agent every second.
   void NewEpoch();
-
-  // Warms the sketch counters a later Record(key) will update (a cache hint
-  // only: no state changes).
-  void Prefetch(uint64_t key) const { sketch_.Prefetch(key); }
 
   uint32_t Estimate(uint64_t key) const { return sketch_.Estimate(key); }
   size_t MemoryBits() const { return sketch_.MemoryBits() + bloom_.MemoryBits(); }

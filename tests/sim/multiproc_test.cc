@@ -36,36 +36,13 @@
 #include <utility>
 #include <vector>
 
+#include "multiproc_runnable.h"
 #include "sim/multiproc_backend.h"
 #include "sim/sim_backend.h"
 #include "sim/stats_codec.h"
 
-#if defined(__SANITIZE_THREAD__)
-#define DISTCACHE_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DISTCACHE_TSAN 1
-#endif
-#endif
-
 namespace distcache {
 namespace {
-
-bool MultiprocRunnable() {
-#if defined(DISTCACHE_TSAN)
-  return false;
-#else
-  return MultiprocBackend::Supported();
-#endif
-}
-
-#define SKIP_UNLESS_MULTIPROC_RUNNABLE()                                  \
-  do {                                                                    \
-    if (!MultiprocRunnable()) {                                           \
-      GTEST_SKIP() << "multiproc backend not runnable here (TSan build, " \
-                      "non-Linux, or shm arena unavailable)";             \
-    }                                                                     \
-  } while (0)
 
 // The scaling_test.cc golden cluster (8 spines, 8 racks, 4 servers/rack, 1M
 // keys, zipf 0.99, 20% writes, seed 42) and batch size — the bit-level pins

@@ -12,11 +12,24 @@
 //    analytic tolerance of the request-level engines.
 //  * Write-path counters — write-back absorbs writes at the caches and emits
 //    eviction-time writebacks; write-through never does either.
+//  * No controller re-allocation — the plan drops kReallocateCache and the
+//    core builds no observer under a dynamic policy, and the timeline with
+//    the step gives the same run as the one without it on every engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "multiproc_runnable.h"
+#include "sim/cluster_model.h"
+#include "sim/engine_core.h"
+#include "sim/route_table.h"
 #include "sim/sim_backend.h"
+#include "sim/stats_codec.h"
 
 namespace distcache {
 namespace {
@@ -40,10 +53,10 @@ ClusterConfig PolicyCluster(CachePolicyKind policy, HierarchyMode hierarchy,
   return cfg;
 }
 
-// The §4.4 + §6.4 composite timeline shared with scaling_test.cc. Note the
-// kReallocateCache step is a deliberate no-op for dynamic policies (the
-// controller does not manage their contents); it stays in the timeline to pin
-// exactly that.
+// The §4.4 + §6.4 composite timeline shared with scaling_test.cc. Under a
+// dynamic policy the controller does not manage the contents, so the plan
+// drops the kReallocateCache step; it stays in the timeline to pin that
+// (ReallocateStepChangesNoDynamicRun below).
 std::vector<ClusterEvent> FullTimeline() {
   return {ClusterEvent::FailSpine(40'000, 2), ClusterEvent::RunRecovery(60'000),
           ClusterEvent::ShiftHotspot(90'000, 12'345),
@@ -91,6 +104,116 @@ TEST(PolicyGolden, SequentialLruRunIsReproducible) {
   EXPECT_EQ(a.cache_write_hits, b.cache_write_hits);
   EXPECT_EQ(a.writebacks, b.writebacks);
   EXPECT_EQ(a.dropped, b.dropped);
+}
+
+// A dynamic policy fills its own caches and never reads the allocation, so the
+// controller's re-allocation step cannot change a request outcome: the full
+// timeline gives the same run as the timeline without its ReallocateCache
+// step, on every request engine. The dynamic path reads no PoT telemetry, so
+// two-shard runs repeat and are compared by value too.
+TEST(PolicyGolden, ReallocateStepChangesNoDynamicRun) {
+  std::vector<ClusterEvent> without_step;
+  for (const ClusterEvent& e : FullTimeline()) {
+    if (e.kind != ClusterEvent::Kind::kReallocateCache) {
+      without_step.push_back(e);
+    }
+  }
+  ASSERT_EQ(without_step.size() + 1, FullTimeline().size());
+  std::vector<std::pair<BackendKind, uint32_t>> engines = {
+      {BackendKind::kSequential, 1},
+      {BackendKind::kSharded, 1},
+      {BackendKind::kSharded, 2}};
+  if (MultiprocRunnable()) {
+    engines.push_back({BackendKind::kMultiproc, 1});
+    engines.push_back({BackendKind::kMultiproc, 2});
+  }
+  // One hierarchy/write pairing per policy, so all four combinations appear.
+  const struct {
+    CachePolicyKind policy;
+    HierarchyMode hierarchy;
+    WritePolicy write;
+  } cases[] = {
+      {CachePolicyKind::kLru, HierarchyMode::kInclusive, WritePolicy::kWriteThrough},
+      {CachePolicyKind::kLfu, HierarchyMode::kExclusive, WritePolicy::kWriteBack},
+      {CachePolicyKind::kFifo, HierarchyMode::kInclusive, WritePolicy::kWriteBack},
+      {CachePolicyKind::kSegmented, HierarchyMode::kExclusive,
+       WritePolicy::kWriteThrough}};
+  for (const auto& c : cases) {
+    for (const auto& [kind, shards] : engines) {
+      SimBackendConfig with;
+      with.cluster = PolicyCluster(c.policy, c.hierarchy, c.write);
+      with.shards = shards;
+      with.sample_interval = 40'000;
+      with.events = FullTimeline();
+      SimBackendConfig without = with;
+      without.events = without_step;
+      const auto engine = MakeSimBackend(kind, with);
+      const BackendStats a = engine->Run(200'000);
+      const BackendStats b = MakeSimBackend(kind, without)->Run(200'000);
+      const std::string label = std::string(CachePolicyName(c.policy)) + " " +
+                                engine->name() + " x" + std::to_string(shards);
+      ASSERT_EQ(a.requests, 200'000u) << label;
+      EXPECT_EQ(DeterministicStatsDigest(a), DeterministicStatsDigest(b)) << label;
+      EXPECT_EQ(a.cache_load, b.cache_load) << label;  // element bit-exact
+      EXPECT_EQ(a.server_load, b.server_load) << label;
+    }
+  }
+}
+
+// The resolution behind that no-op: under a dynamic policy the plan has no
+// re-allocation step and the core builds no observer, so no engine counts,
+// rendezvouses or refills for it. The static policies keep both.
+TEST(PolicyGolden, OnlyStaticPoliciesPlanTheReallocateStep) {
+  for (const CachePolicyKind policy :
+       {CachePolicyKind::kDistCache, CachePolicyKind::kStaticTopK,
+        CachePolicyKind::kLru, CachePolicyKind::kLfu, CachePolicyKind::kFifo,
+        CachePolicyKind::kSegmented}) {
+    SimBackendConfig bcfg;
+    bcfg.cluster = PolicyCluster(policy, HierarchyMode::kInclusive,
+                                 WritePolicy::kWriteThrough);
+    bcfg.events = FullTimeline();
+    ClusterModel model(bcfg.cluster);
+    const std::vector<TimelineStep> plan = BuildTimelinePlan(bcfg, model);
+    const bool has_step =
+        std::any_of(plan.begin(), plan.end(), [](const TimelineStep& step) {
+          return !step.is_phase &&
+                 step.event.kind == ClusterEvent::Kind::kReallocateCache;
+        });
+    EXPECT_EQ(has_step, !PolicyIsDynamic(policy)) << CachePolicyName(policy);
+    // Every other step survives, in order.
+    EXPECT_EQ(plan.size(), FullTimeline().size() - (has_step ? 0 : 1))
+        << CachePolicyName(policy);
+  }
+}
+
+TEST(PolicyGolden, OnlyStaticPoliciesBuildTheObserver) {
+  struct NullSink {
+    void AddCacheLoad(CacheNodeId, double) {}
+    void AddServerLoad(uint32_t, double) {}
+  };
+  for (const CachePolicyKind policy :
+       {CachePolicyKind::kDistCache, CachePolicyKind::kLru}) {
+    ClusterConfig cfg = PolicyCluster(policy, HierarchyMode::kInclusive,
+                                      WritePolicy::kWriteThrough);
+    cfg.write_ratio = 0.0;
+    const ClusterModel model(cfg);
+    EngineCore core(&model, 1, 2, /*enable_observer=*/true);
+    BackendStats st;
+    st.cache_load = model.ZeroCacheLoads();
+    st.server_load.assign(model.num_servers(), 0.0);
+    core.BindStats(&st);
+    core.SetRoutes(std::make_shared<const RouteTable>(BuildRouteTable(model)));
+    NullSink sink;
+    // Every head rank read twice: each crosses the observer's threshold.
+    for (int round = 0; round < 2; ++round) {
+      for (uint32_t bucket = 0; bucket < 64; ++bucket) {
+        core.Process(sink, bucket);
+      }
+    }
+    ASSERT_EQ(st.reads, 128u);
+    EXPECT_EQ(core.ObservedCounts().empty(), PolicyIsDynamic(policy))
+        << CachePolicyName(policy);
+  }
 }
 
 // Sequential vs sharded parity on the full timeline, across shard counts. Each

@@ -554,6 +554,11 @@ int Run(int argc, char** argv) {
         return 1;
       }
       bcfg.events.push_back(ClusterEvent::ReallocateCache(realloc_at));
+      if (PolicyIsDynamic(cfg.cache_policy)) {
+        std::printf("note: --realloc-at skipped: cache policy %s manages its own "
+                    "contents (no controller re-allocation)\n",
+                    CachePolicyName(cfg.cache_policy));
+      }
     }
     if (flags.Has("phases")) {
       if (!ParsePhaseList(flags.GetString("phases", ""), &bcfg.phases, &error)) {
