@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/hash.h"
+#include "sketch/heavy_hitter.h"
 
 namespace distcache {
 
@@ -32,6 +33,17 @@ ClusterModel::ClusterModel(const ClusterConfig& config, bool build_popularity)
 
 void ClusterModel::ReallocateCache(const std::vector<uint64_t>& hottest_first) {
   controller->ReallocateCache(hottest_first, placement);
+}
+
+void ClusterModel::ReallocateFromReports(
+    const std::vector<uint8_t>& spine_alive,
+    const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports) {
+  SyncControllerRemap(spine_alive);
+  std::vector<uint64_t> hottest;
+  for (const auto& [key, count] : MergeHeavyHitterReports(reports)) {
+    hottest.push_back(key);
+  }
+  ReallocateCache(hottest);
 }
 
 std::vector<double> ClusterModel::HeadWithTailFor(double theta) const {

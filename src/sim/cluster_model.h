@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_sim.h"
@@ -53,6 +54,17 @@ struct ClusterModel {
   // counts, preserving any failure remap in effect. Mutates `allocation`; callers
   // must rebuild route tables afterwards (see sim/route_table.h).
   void ReallocateCache(const std::vector<uint64_t>& hottest_first);
+
+  // The controller's re-allocation step from heavy-hitter reports (one list
+  // per reporting engine stream, each hottest-first): re-syncs the remap to
+  // `spine_alive` (the controller acts on its failure knowledge as of the
+  // step), merges the reports (MergeHeavyHitterReports) and refills the cached
+  // set hottest-first. Order-independent in `reports`, hash-based and RNG-free,
+  // so every process given the same reports reaches the same model state —
+  // what the shard runtime's controller failover relies on.
+  void ReallocateFromReports(
+      const std::vector<uint8_t>& spine_alive,
+      const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports);
 
   // head-with-tail pmf for an arbitrary skew — what the request-level samplers draw
   // from after a phase boundary changes theta. The bucket layout (pool head ranks +

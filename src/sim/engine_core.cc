@@ -27,7 +27,7 @@ HeavyHitterDetector::Config ObserverConfig(uint64_t pool) {
 // returns the post-step route snapshot (null for steps that change no routes:
 // kFailSpine keeps clients on their stale routes, kReallocateCache is computed
 // at runtime). Shared by the construction-time plan walk and the
-// post-reallocation suffix rebuild so the two can never diverge.
+// post-reallocation rebuild (BuildReallocRoutes) so the two can never diverge.
 std::shared_ptr<const RouteTable> AdvancePlanState(const TimelineStep& step,
                                                    ClusterModel& model,
                                                    std::vector<uint8_t>& alive,
@@ -135,17 +135,15 @@ std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
   return plan;
 }
 
-std::vector<std::shared_ptr<const RouteTable>> RebuildPlanSuffixRoutes(
-    const std::vector<TimelineStep>& plan, size_t from, ClusterModel& model,
-    std::vector<uint8_t> alive_now, uint64_t shift_now) {
+std::vector<std::shared_ptr<const RouteTable>> BuildReallocRoutes(
+    const std::vector<TimelineStep>& plan, const EngineCore& core,
+    ClusterModel& model) {
   std::vector<std::shared_ptr<const RouteTable>> routes;
-  if (from >= plan.size()) {
-    return routes;
-  }
-  routes.reserve(plan.size() - from);
-  std::vector<uint8_t> alive = std::move(alive_now);
-  uint64_t shift = shift_now;
-  for (size_t i = from; i < plan.size(); ++i) {
+  routes.push_back(
+      std::make_shared<const RouteTable>(BuildRouteTable(model, core.hot_shift())));
+  std::vector<uint8_t> alive = core.spine_alive();
+  uint64_t shift = core.hot_shift();
+  for (size_t i = core.next_action_index(); i < plan.size(); ++i) {
     routes.push_back(AdvancePlanState(plan[i], model, alive, shift));
   }
   return routes;
@@ -198,20 +196,10 @@ void EngineCore::ConfigureOpenLoop(const QueueModelConfig& queue,
 }
 
 void EngineCore::ApplyAction(const Action& action) {
-  // Route installation honoring both snapshot flavors: the owning shared_ptr
-  // (in-process plans) and the non-owning arena view (multiproc plans).
-  const auto install_routes = [this, &action] {
-    if (action.has_route_view) {
-      SetRouteView(action.route_view, action.route_view_len,
-                   action.overflow_view);
-    } else if (action.routes != nullptr) {
-      SetRoutes(action.routes);
-    }
-  };
   if (action.is_phase) {
     write_ratio_ = action.phase.write_ratio;
     hot_shift_ = action.phase.hot_shift;
-    install_routes();
+    SetRoutes(action.routes);
     // Phase boundaries reset the observation window: the controller must rank
     // keys by their popularity under the *new* regime, not the accumulated past.
     ResetObserver();
@@ -242,22 +230,20 @@ void EngineCore::ApplyAction(const Action& action) {
         --dead_spines_;
         view_.MarkAlive({0, event.spine});
       }
-      install_routes();  // partitions return to their home switch
+      SetRoutes(action.routes);  // partitions return to their home switch
       break;
     case ClusterEvent::Kind::kRunRecovery:
       recovery_ran_ = true;
-      install_routes();  // invalidate cached routes
+      SetRoutes(action.routes);  // invalidate cached routes
       break;
     case ClusterEvent::Kind::kShiftHotspot:
       hot_shift_ = event.value;
-      install_routes();
+      SetRoutes(action.routes);
       ResetObserver();
       break;
     case ClusterEvent::Kind::kReallocateCache:
       if (realloc_hook_) {
-        if (std::shared_ptr<const RouteTable> routes = realloc_hook_()) {
-          SetRoutes(std::move(routes));
-        }
+        realloc_hook_();
       }
       // A fresh window: subsequent re-allocations rank by post-reallocation
       // popularity only.

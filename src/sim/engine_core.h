@@ -34,12 +34,18 @@
 // (the core's heavy-hitter observer), which is the paper's §6.4 cache-update
 // loop. Only the static policies run it: a dynamic policy fills its own caches
 // and never reads the allocation, so its plan drops the step and its core
-// builds no observer. Re-allocation composes with failure events in both
-// directions: the realloc hooks re-sync the controller remap to the alive set
-// at that timestamp (failures before), and rebuild the remaining steps'
-// snapshots against the refilled allocation via RebuildPlanSuffixRoutes
-// (failures/shifts after) — so a post-reallocation switch restoration keeps the
-// refilled cached set instead of resurrecting the construction-time one.
+// builds no observer. Both engines' realloc hooks run the same two calls:
+// ClusterModel::ReallocateFromReports re-syncs the controller remap to the
+// alive set at that timestamp (failures before), merges the heavy-hitter
+// reports and refills the allocation; BuildReallocRoutes then builds the
+// immediate table and rebuilds the remaining steps' snapshots against the
+// refilled allocation (failures/shifts after) — so a post-reallocation switch
+// restoration keeps the refilled cached set instead of resurrecting the
+// construction-time one.
+//
+// The core routes through non-owning RouteViews (sim/route_table.h): whoever
+// builds a table owns its storage for the whole run — the plan and the
+// sequential backend's members in process, the arena in the shard runtime.
 #ifndef DISTCACHE_SIM_ENGINE_CORE_H_
 #define DISTCACHE_SIM_ENGINE_CORE_H_
 
@@ -80,21 +86,11 @@ struct TimelineStep {
 // Merges config.events and config.phases into one plan ordered by at_request
 // (phases before events on timestamp ties; list order otherwise preserved),
 // precomputing each step's snapshot. Under a dynamic cache policy the
-// kReallocateCache events are left out (see the header comment). Mutates `model`'s controller/allocation state
-// while walking the failure remaps — the same end state the runtime reads back.
+// kReallocateCache events are left out (see the header comment). Mutates
+// `model`'s controller/allocation state while walking the failure remaps — the
+// same end state the runtime reads back.
 std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
                                             ClusterModel& model);
-
-// Recomputes the route-table snapshots of plan[from..] against the model's
-// *current* allocation (the re-allocation hooks call this right after a runtime
-// Refill, so failure/shift steps after a kReallocateCache route the refilled
-// cached set instead of the construction-time one). `alive_now`/`shift_now` seed
-// the replayed alive-set and rotation transitions. Returns one (possibly null)
-// table per suffix step, aligned with plan[from..]; mutates the model's
-// controller state to the end-of-suffix remap, exactly like BuildTimelinePlan.
-std::vector<std::shared_ptr<const RouteTable>> RebuildPlanSuffixRoutes(
-    const std::vector<TimelineStep>& plan, size_t from, ClusterModel& model,
-    std::vector<uint8_t> alive_now, uint64_t shift_now);
 
 // True when the timeline contains a kReallocateCache step — the engines then ask
 // for the core's heavy-hitter observer from the start of the run. The EngineCore
@@ -120,14 +116,10 @@ class EngineCore {
     WorkloadPhase phase;
     ClusterEvent event;
     std::shared_ptr<const std::vector<double>> pmf;
-    std::shared_ptr<const RouteTable> routes;
-    // Non-owning alternative to `routes`: a route snapshot resident in memory
-    // that outlives the run (the multiproc engine's arena-resident plan). When
-    // `has_route_view` is set the view wins and `routes` is ignored.
-    bool has_route_view = false;
-    const RouteEntry* route_view = nullptr;
-    size_t route_view_len = 0;
-    const uint32_t* overflow_view = nullptr;
+    // The post-step route snapshot; absent for steps that change no routes.
+    // Its storage (the plan's tables, or the shard runtime's arena) outlives
+    // the run.
+    RouteView routes;
   };
 
   // Rebuild-the-sampler callback, invoked after the core switched phase state.
@@ -135,10 +127,11 @@ class EngineCore {
   using PhaseHook =
       std::function<void(const WorkloadPhase&,
                          const std::shared_ptr<const std::vector<double>>& pmf)>;
-  // kReallocateCache callback: returns the post-reallocation route table (null
-  // keeps the current one). The sequential engine recomputes locally from
-  // ObservedCounts(); the shard runtime runs the arena controller rendezvous.
-  using ReallocateHook = std::function<std::shared_ptr<const RouteTable>()>;
+  // kReallocateCache callback: re-allocates the cache and installs the new
+  // routes through SetRoutes / SetActionRoutes (BuildReallocRoutes). The
+  // sequential engine refills from its own ObservedCounts(); the shard runtime
+  // runs the arena controller rendezvous.
+  using ReallocateHook = std::function<void()>;
 
   // `model` outlives the core and is read-only on the hot path. `rng_seed` /
   // `router_seed` preserve each engine's historical stream derivation.
@@ -151,22 +144,14 @@ class EngineCore {
   void BindStats(BackendStats* stats) { stats_ = stats; }
   void SetPhaseHook(PhaseHook hook) { phase_hook_ = std::move(hook); }
   void SetReallocateHook(ReallocateHook hook) { realloc_hook_ = std::move(hook); }
-  void SetRoutes(std::shared_ptr<const RouteTable> routes) {
-    routes_ = std::move(routes);
-    route_data_ = routes_ ? routes_->entries.data() : nullptr;
-    route_overflow_ = routes_ ? routes_->overflow.data() : nullptr;
-    route_hot_len_ = routes_ ? static_cast<uint32_t>(routes_->entries.size()) : 0;
-  }
-  // Non-owning route snapshot (the arena-resident plan): the caller guarantees
-  // the arrays outlive every request routed through them. Compact semantics are
-  // identical to SetRoutes — ranks at or beyond `hot_len` take the computed
+  // Installs a route snapshot; an absent view keeps the current routes. The
+  // caller keeps the storage alive while requests route through it (see
+  // RouteView). Ranks at or beyond the view's hot_len take the computed
   // uncached fallback.
-  void SetRouteView(const RouteEntry* entries, size_t hot_len,
-                    const uint32_t* overflow) {
-    routes_.reset();
-    route_data_ = entries;
-    route_overflow_ = overflow;
-    route_hot_len_ = static_cast<uint32_t>(hot_len);
+  void SetRoutes(RouteView routes) {
+    if (routes.present) {
+      routes_ = routes;
+    }
   }
   // Interval-series step in local request units (0 disables series bookkeeping).
   // Resets the interval mark, so call once per Run before processing.
@@ -200,21 +185,9 @@ class EngineCore {
   // Swaps the route snapshot of the pending action at `index` (used by the
   // reallocate hooks to install suffix tables rebuilt against the refilled
   // allocation). Applied actions are never patched.
-  void SetActionRoutes(size_t index, std::shared_ptr<const RouteTable> routes) {
+  void SetActionRoutes(size_t index, RouteView routes) {
     if (index >= next_action_ && index < actions_.size()) {
-      actions_[index].routes = std::move(routes);
-      actions_[index].has_route_view = false;
-    }
-  }
-  // View flavor of SetActionRoutes (arena-published suffix tables).
-  void SetActionRouteView(size_t index, const RouteEntry* entries,
-                          size_t hot_len, const uint32_t* overflow) {
-    if (index >= next_action_ && index < actions_.size()) {
-      actions_[index].routes.reset();
-      actions_[index].has_route_view = true;
-      actions_[index].route_view = entries;
-      actions_[index].route_view_len = hot_len;
-      actions_[index].overflow_view = overflow;
+      actions_[index].routes = routes;
     }
   }
 
@@ -264,7 +237,7 @@ class EngineCore {
   // Batched hot path: executes `count` requests whose sampled buckets were
   // staged into `buckets` up front (the batch's stochastic input as a flat
   // array), software-prefetching the route-table entries of upcoming requests
-  // a fixed distance ahead. Requests execute through Process()
+  // a fixed distance ahead under a static policy. Requests execute through Process()
   // in order, so the batch is bit-identical to the per-request loop in every
   // engine state (pinned by the sharded golden test); the implementation
   // comment records why a deeper two-pass SoA staging measured slower and was
@@ -392,13 +365,10 @@ class EngineCore {
   PotRouter router_;
   BackendStats* stats_ = nullptr;
 
-  std::shared_ptr<const RouteTable> routes_;  // null when a view is installed
-  const RouteEntry* route_data_ = nullptr;      // hot-path view of the snapshot
-  const uint32_t* route_overflow_ = nullptr;    // candidate runs of k>2 entries
-  // Stored hot-prefix length of the current snapshot: buckets at or beyond it
-  // are uncached by construction and take the computed-server fallback in
-  // Process (dense tables make this the pool, so the branch is never taken).
-  uint32_t route_hot_len_ = 0;
+  // The current route snapshot. Buckets at or beyond its hot_len are uncached
+  // by construction and take the computed-server fallback in Process (dense
+  // tables make it the pool, so the branch is never taken).
+  RouteView routes_;
 
   // Current workload-phase state.
   double write_ratio_;
@@ -479,9 +449,9 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
     // the formerly-hot (still cached, now tail) keys would briefly hit: their
     // per-key mass is ~1/num_keys, a vanishing correction the fluid model ignores
     // for the same reason.
-  } else if (__builtin_expect(bucket < route_hot_len_, 1)) {
+  } else if (__builtin_expect(bucket < routes_.hot_len, 1)) {
     key = KeyOfRank(bucket, hot_shift_, cc.num_keys);
-    entry = &route_data_[bucket];
+    entry = &routes_.entries[bucket];
     server = entry->server;
   } else {
     // Compact-table fallback: ranks past the stored hot prefix are uncached by
@@ -507,7 +477,7 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
         // One cached copy per layer, ascending; coherence touches the alive ones.
         const uint32_t inline_cands[2] = {entry->c0, entry->c1};
         const uint32_t* cands =
-            entry->num <= 2 ? inline_cands : route_overflow_ + entry->c1;
+            entry->num <= 2 ? inline_cands : routes_.overflow + entry->c1;
         for (uint8_t i = 0; i < entry->num; ++i) {
           const CacheNodeId node = UnpackCandidate(cands[i]);
           if (!NodeDead(node)) {
@@ -565,7 +535,7 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
     auto& cands = scratch_candidates_;
     cands.clear();
     if (entry->kind == RouteEntry::kCached) {
-      const uint32_t* run = route_overflow_ + entry->c1;
+      const uint32_t* run = routes_.overflow + entry->c1;
       for (uint8_t i = 0; i < entry->num; ++i) {
         const CacheNodeId c = UnpackCandidate(run[i]);
         if (!NodeDead(c)) {
@@ -697,25 +667,41 @@ void EngineCore::ProcessBatch(Sink& sink, const uint32_t* buckets, uint32_t coun
   // staging stores add traffic without removing any misses the prefetch does
   // not already hide. Re-measure with bench_scaling before re-staging.
   constexpr uint32_t kPrefetchDistance = 16;
-  const RouteEntry* const route_data = route_data_;
-  const uint32_t hot_len = route_hot_len_;
+  const RouteEntry* const route_data = routes_.entries;
+  const uint32_t hot_len = routes_.hot_len;
   // Compact tables leave buckets past the hot prefix (and the tail bucket)
   // with no entry to fetch; clamp those to entry 0 — one cmov, and the
   // formed address stays inside the allocation.
   const auto prefetch_entry = [route_data, hot_len](uint32_t bucket) {
     __builtin_prefetch(&route_data[bucket < hot_len ? bucket : 0], 0, 1);
   };
-  const uint32_t lead = count < kPrefetchDistance ? count : kPrefetchDistance;
+  // A dynamic policy never reads the route table (ProcessPolicy), so its
+  // batches prefetch nothing.
+  const uint32_t prefetch_end = policy_mode_ == kDynamicPolicy ? 0 : count;
+  const uint32_t lead =
+      prefetch_end < kPrefetchDistance ? prefetch_end : kPrefetchDistance;
   for (uint32_t i = 0; i < lead; ++i) {
     prefetch_entry(buckets[i]);
   }
   for (uint32_t i = 0; i < count; ++i) {
-    if (i + kPrefetchDistance < count) {
+    if (i + kPrefetchDistance < prefetch_end) {
       prefetch_entry(buckets[i + kPrefetchDistance]);
     }
     Process(sink, buckets[i]);
   }
 }
+
+// The route tables of a re-allocation, built against the model's *current*
+// (just refilled) allocation at the core's clock: [0] the immediate table at
+// the core's hot shift, then one (possibly null) snapshot per pending plan
+// step, aligned with plan[core.next_action_index()..], so failure/shift steps
+// after a kReallocateCache route the refilled cached set instead of the
+// construction-time one. Mutates the model's controller state to the
+// end-of-plan remap, exactly like BuildTimelinePlan. The hook installs [0] with
+// SetRoutes and the rest with SetActionRoutes.
+std::vector<std::shared_ptr<const RouteTable>> BuildReallocRoutes(
+    const std::vector<TimelineStep>& plan, const EngineCore& core,
+    ClusterModel& model);
 
 }  // namespace distcache
 

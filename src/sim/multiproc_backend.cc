@@ -23,7 +23,6 @@
 #include "runtime/affinity.h"
 #include "runtime/backoff.h"
 #include "sim/stats_codec.h"
-#include "sketch/heavy_hitter.h"
 
 namespace distcache {
 
@@ -159,26 +158,17 @@ void SerializeTable(uint8_t* dst, const RouteTable* table) {
            sizeof(h) + h.entries_len * sizeof(RouteEntry));
 }
 
-struct TableView {
-  bool null = false;
-  const RouteEntry* entries = nullptr;
-  size_t len = 0;
-  const uint32_t* overflow = nullptr;
-};
-
-TableView ViewTable(const uint8_t* src) {
+// The null sentinel gives the absent view.
+RouteView ViewTable(const uint8_t* src) {
   ArenaTableHeader h;
   std::memcpy(&h, src, sizeof(h));
-  TableView v;
   if (h.entries_len == kNullTableLen) {
-    v.null = true;
-    return v;
+    return RouteView();
   }
-  v.entries = reinterpret_cast<const RouteEntry*>(src + sizeof(h));
-  v.len = static_cast<size_t>(h.entries_len);
-  v.overflow = reinterpret_cast<const uint32_t*>(
-      src + sizeof(h) + h.entries_len * sizeof(RouteEntry));
-  return v;
+  return RouteView(reinterpret_cast<const RouteEntry*>(src + sizeof(h)),
+                   static_cast<size_t>(h.entries_len),
+                   reinterpret_cast<const uint32_t*>(
+                       src + sizeof(h) + h.entries_len * sizeof(RouteEntry)));
 }
 
 }  // namespace
@@ -856,23 +846,6 @@ std::vector<std::pair<uint64_t, uint32_t>> MultiprocBackend::ReadArenaReport(
   return report;
 }
 
-void MultiprocBackend::ApplyReallocModel(
-    Proc& p, std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports) {
-  // Controller re-allocation (§6.4): merged observed counts → hottest-first
-  // refill. The controller acts on its *current* failure knowledge: re-sync
-  // its remap to the alive set as of this step (every shard has applied the
-  // same event prefix at the rendezvous). MergeHeavyHitterReports is
-  // order-independent and the refill is hash-based and RNG-free, so every
-  // process given the same report set arrives at the same model state — the
-  // property controller failover leans on.
-  model_.SyncControllerRemap(p.core.spine_alive());
-  std::vector<uint64_t> hottest;
-  for (const auto& [key, count] : MergeHeavyHitterReports(reports)) {
-    hottest.push_back(key);
-  }
-  model_.ReallocateCache(hottest);
-}
-
 bool MultiprocBackend::ControllerPublishRealloc(Proc& p, uint32_t step) {
   const uint32_t n = shard_map_.shards();
   auto* table_ready = reinterpret_cast<std::atomic<uint64_t>*>(
@@ -913,27 +886,24 @@ bool MultiprocBackend::ControllerPublishRealloc(Proc& p, uint32_t step) {
     }
     reports.push_back(ReadArenaReport(step, s));
   }
-  ApplyReallocModel(p, std::move(reports));
-  const RouteTable routes = BuildRouteTable(model_, p.core.hot_shift());
-  const std::vector<std::shared_ptr<const RouteTable>> suffix =
-      RebuildPlanSuffixRoutes(fired_plan_, p.core.next_action_index(), model_,
-                              p.core.spine_alive(), p.core.hot_shift());
+  model_.ReallocateFromReports(p.core.spine_alive(), reports);
+  const std::vector<std::shared_ptr<const RouteTable>> routes =
+      BuildReallocRoutes(fired_plan_, p.core, model_);
   // On a controller respawn the flag may already be set; the model mutations
   // above still ran — later realloc steps need the refilled state — but the
   // identical bytes are not rewritten under concurrent readers. A failover
   // successor always finds the flag clear (kShardDead is set only after the
   // dead claimant's writes stopped), so its full rewrite wins cleanly.
   if (table_ready->load(std::memory_order_acquire) == 0) {
-    SerializeTable(arena_.At(tables[0]), &routes);
-    for (size_t i = 0; i < suffix.size(); ++i) {
-      SerializeTable(arena_.At(tables[1 + i]), suffix[i].get());
+    for (size_t i = 0; i < routes.size(); ++i) {
+      SerializeTable(arena_.At(tables[i]), routes[i].get());
     }
     table_ready->store(1 | (mask << 1), std::memory_order_release);
   }
   return true;
 }
 
-std::shared_ptr<const RouteTable> MultiprocBackend::Reallocate(Proc& p) {
+void MultiprocBackend::Reallocate(Proc& p) {
   const uint32_t n = shard_map_.shards();
   const uint32_t step = p.realloc_seq++;
   // 1. Publish this shard's heavy-hitter report into its idempotent slot:
@@ -1000,7 +970,7 @@ std::shared_ptr<const RouteTable> MultiprocBackend::Reallocate(Proc& p) {
       }
       if (claim->load(std::memory_order_acquire) == p.id + 1) {
         if (!ControllerPublishRealloc(p, step)) {
-          return nullptr;  // winding down
+          return;  // winding down
         }
         is_publisher = true;
         ready = table_ready->load(std::memory_order_acquire);
@@ -1010,7 +980,7 @@ std::shared_ptr<const RouteTable> MultiprocBackend::Reallocate(Proc& p) {
       DrainControlRings(p);
       if (Aborted()) {
         p.abort_seen = true;
-        return nullptr;  // keep current routes; we are winding down
+        return;  // keep current routes; we are winding down
       }
       PulseHeartbeat(p);
       backoff.Pause();
@@ -1034,18 +1004,13 @@ std::shared_ptr<const RouteTable> MultiprocBackend::Reallocate(Proc& p) {
         reports.push_back(ReadArenaReport(step, s));
       }
     }
-    ApplyReallocModel(p, std::move(reports));
+    model_.ReallocateFromReports(p.core.spine_alive(), reports);
   }
-  const TableView immediate = ViewTable(arena_.At(tables[0]));
-  p.core.SetRouteView(immediate.entries, immediate.len, immediate.overflow);
+  p.core.SetRoutes(ViewTable(arena_.At(tables[0])));
   const size_t from = p.core.next_action_index();
   for (size_t i = 1; i < tables.size(); ++i) {
-    const TableView v = ViewTable(arena_.At(tables[i]));
-    if (!v.null) {
-      p.core.SetActionRouteView(from + (i - 1), v.entries, v.len, v.overflow);
-    }
+    p.core.SetActionRoutes(from + i - 1, ViewTable(arena_.At(tables[i])));
   }
-  return nullptr;  // views installed directly; nothing for the hook to swap
 }
 
 void MultiprocBackend::MaybeInjectFaults(Proc& p) {
@@ -1161,8 +1126,7 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
   p.core.BindStats(&p.local);
   // Arena-resident plan: the base table lives in the arena; install it as a
   // non-owning view (the arena outlives the run by construction).
-  const TableView base = ViewTable(arena_.At(plan_table_offset_[0]));
-  p.core.SetRouteView(base.entries, base.len, base.overflow);
+  p.core.SetRoutes(ViewTable(arena_.At(plan_table_offset_[0])));
   // Open-loop: each shard simulates an independent full-rate time slice of
   // the cluster (full arrival rate, full service rates, its own queue
   // horizons), so the quota-end Merge of per-shard histograms is a union of
@@ -1187,7 +1151,7 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
           p.sampler = p.phase_sampler.get();
         }
       });
-  p.core.SetReallocateHook([this, &p] { return Reallocate(p); });
+  p.core.SetReallocateHook([this, &p] { Reallocate(p); });
 
   // The timeline plan is a pure function of the config, so every shard queues
   // it locally — no controller multicast to wait on. The route snapshots are
@@ -1198,11 +1162,8 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
     ClusterEvent ev = step.event;
     ev.at_request = step.at_request;
     p.core.QueueAction({static_cast<double>(step.at_request) * p.quota_scale,
-                        step.is_phase, step.phase, ev, step.pmf, nullptr});
-    const TableView v = ViewTable(arena_.At(plan_table_offset_[1 + i]));
-    if (!v.null) {
-      p.core.SetActionRouteView(i, v.entries, v.len, v.overflow);
-    }
+                        step.is_phase, step.phase, ev, step.pmf,
+                        ViewTable(arena_.At(plan_table_offset_[1 + i]))});
   }
 
   std::function<void()> batch_event = [&] {

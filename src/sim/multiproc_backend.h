@@ -9,7 +9,7 @@
 // route tables, alias sampler, precomputed timeline plan), maps the arena and
 // serializes the base route table and every plan snapshot *into the arena*,
 // freeing the heap copies before launch. Shards install the tables as
-// non-owning views (EngineCore::SetRouteView / SetActionRouteView), so one
+// non-owning RouteViews (EngineCore::SetRoutes / SetActionRoutes), so one
 // physical copy exists however many shards run. Forked children inherit the
 // arena by mapping inheritance and the small read-only state copy-on-write
 // (fork without exec: an exec'd child would need a config wire format for no
@@ -33,16 +33,18 @@
 // arena rendezvous with a single controller: every shard publishes its
 // heavy-hitter report into an idempotent per-(step, shard) slot; the
 // lowest-indexed live shard claims a per-step controller word (CAS, value
-// = claimant + 1), merges the published reports, re-syncs the remap, refills
-// the allocation hottest-first, rebuilds the immediate and suffix route
-// tables, serializes them into the step's region and releases the ready word
-// (which also carries the mask of merged shards); everyone then installs the
-// tables as views. The model mutation is the one launcher-dependent step:
-// threads share one ClusterModel, so only the publisher mutates it (every
-// peer has set its report flag and is parked in the rendezvous); forked
-// children each own a copy, so non-publishers replay the same deterministic
-// mutation from the masked reports. Either way every model is current enough
-// to take over a later rendezvous. If a claimant dies before publishing,
+// = claimant + 1), re-syncs the remap, merges the published reports and
+// refills the allocation hottest-first (ClusterModel::ReallocateFromReports),
+// rebuilds the immediate and suffix route tables (BuildReallocRoutes — the
+// same two calls as the sequential engine's hook), serializes them into the
+// step's region and releases the ready word (which also carries the mask of
+// merged shards); everyone then installs the tables as views. The model
+// mutation is the one launcher-dependent step: threads share one
+// ClusterModel, so only the publisher mutates it (every peer has set its
+// report flag and is parked in the rendezvous); forked children each own a
+// copy, so non-publishers replay ReallocateFromReports from the masked
+// reports. Either way every model is current enough to take over a later
+// rendezvous. If a claimant dies before publishing,
 // waiters CAS the claim to the next live shard (§4.4-style failover, counted
 // in controller_failovers).
 //
@@ -156,24 +158,17 @@ class MultiprocBackend : public SimBackend {
   // kReallocateCache rendezvous (header comment): publish report → the first
   // live shard claims controllership, computes and publishes the tables
   // (failover CAS if the claimant dies) → forked non-publishers replay the
-  // masked-report model mutations → everyone installs views. Always returns
-  // null (the views are installed directly on p.core).
-  std::shared_ptr<const RouteTable> Reallocate(Proc& p);
+  // masked-report model mutations (ClusterModel::ReallocateFromReports) →
+  // everyone installs the arena tables on p.core.
+  void Reallocate(Proc& p);
   // Controller half of the arena rendezvous: gather every live shard's
   // published report, run the model mutations, build + serialize the tables
-  // and release the ready word carrying the merged-shard mask. False when
-  // aborted mid-gather.
+  // (BuildReallocRoutes) and release the ready word carrying the merged-shard
+  // mask. False when aborted mid-gather.
   bool ControllerPublishRealloc(Proc& p, uint32_t step);
   // Reads shard `s`'s published report for `step` (its flag must be set).
   std::vector<std::pair<uint64_t, uint32_t>> ReadArenaReport(uint32_t step,
                                                              uint32_t s);
-  // The deterministic controller model mutations (remap sync + heavy-hitter
-  // merge + cache refill): the publisher always applies them, and every
-  // forked child replays them, so later-step takeovers run against a current
-  // model.
-  void ApplyReallocModel(Proc& p,
-                         std::vector<std::vector<std::pair<uint64_t, uint32_t>>>
-                             reports);
   void ApplyDataSlot(Proc& p, const void* slot);
   // Full-ring retry with own-ring drains + backoff; null once aborted or when
   // `peer` was declared dead (callers distinguish via p.abort_seen).

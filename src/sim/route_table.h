@@ -17,7 +17,9 @@
 #ifndef DISTCACHE_SIM_ROUTE_TABLE_H_
 #define DISTCACHE_SIM_ROUTE_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/topology.h"
@@ -76,6 +78,35 @@ struct RouteTable {
     return entries.capacity() * sizeof(RouteEntry) +
            overflow.capacity() * sizeof(uint32_t);
   }
+};
+
+// A non-owning view of a route snapshot: what the engines install and route
+// through. The storage — a RouteTable the caller keeps alive, or a table
+// serialized into the shard runtime's arena — must outlive every request
+// routed through the view. The default view is *absent* (a plan step that
+// changes no routes; installing it keeps the current routes), which differs
+// from a present view of an empty compact table (hot_len 0: every rank takes
+// the computed uncached fallback). Like std::string_view it refuses
+// temporaries: a view of an rvalue table or shared_ptr would dangle.
+struct RouteView {
+  const RouteEntry* entries = nullptr;
+  uint32_t hot_len = 0;  // ranks at or beyond it are uncached by construction
+  const uint32_t* overflow = nullptr;
+  bool present = false;
+
+  RouteView() = default;
+  RouteView(const RouteEntry* entries, size_t hot_len, const uint32_t* overflow)
+      : entries(entries),
+        hot_len(static_cast<uint32_t>(hot_len)),
+        overflow(overflow),
+        present(true) {}
+  RouteView(const RouteTable& table)  // NOLINT: implicit by design
+      : RouteView(table.entries.data(), table.hot_len(), table.overflow.data()) {}
+  // A null snapshot gives the absent view.
+  RouteView(const std::shared_ptr<const RouteTable>& table)  // NOLINT
+      : RouteView(table != nullptr ? RouteView(*table) : RouteView()) {}
+  RouteView(RouteTable&&) = delete;
+  RouteView(std::shared_ptr<const RouteTable>&&) = delete;
 };
 
 // Builds the table for the allocation's current partition→node mappings (i.e.

@@ -46,9 +46,8 @@ SequentialBackend::SequentialBackend(const SimBackendConfig& config)
   // The pre-event route table must snapshot the pristine allocation, so build it
   // before the plan walk below mutates the controller state.
   model_.dense_routes = config_.dense_routes;
-  auto base = std::make_shared<const RouteTable>(BuildRouteTable(model_));
-  base_route_bytes_ = base->bytes();
-  core_.SetRoutes(std::move(base));
+  base_routes_ = BuildRouteTable(model_);
+  core_.SetRoutes(base_routes_);
   // Open-loop virtual time, when configured. The time stream gets its own seed
   // derivation so the key/write streams stay bit-identical to closed-loop runs.
   core_.ConfigureOpenLoop(config_.queue,
@@ -64,33 +63,18 @@ SequentialBackend::SequentialBackend(const SimBackendConfig& config)
       head_dist_ = std::make_unique<DiscreteDistribution>(*pmf, "head+tail");
     }
   });
-  core_.SetReallocateHook([this]() -> std::shared_ptr<const RouteTable> {
-    // Controller re-allocation (§6.4): rank the observed heavy-hitter counts,
-    // refill the allocation hottest-first, and swap in the rebuilt routes. The
-    // controller acts on its *current* failure knowledge, so first re-sync its
-    // remap to the alive set as of this timestamp (the construction-time plan
-    // walk left it at the end-of-timeline state).
-    model_.SyncControllerRemap(core_.spine_alive());
-    std::vector<uint64_t> hottest;
-    for (const auto& [key, count] : core_.ObservedCounts()) {
-      hottest.push_back(key);
-    }
-    model_.ReallocateCache(hottest);
-    auto routes = std::make_shared<const RouteTable>(
-        BuildRouteTable(model_, core_.hot_shift()));
-    // The remaining timeline's precomputed snapshots describe the pre-refill
-    // cached set; rebuild them against the refilled allocation so later
-    // failure/shift steps do not resurrect it. (Actions align with plan_ 1:1.)
+  core_.SetReallocateHook([this] {
+    // Controller re-allocation (§6.4) from this engine's one report. The
+    // tables stay in realloc_routes_ for the rest of the run; actions align
+    // with plan_ 1:1.
+    model_.ReallocateFromReports(core_.spine_alive(), {core_.ObservedCounts()});
+    const auto tables = BuildReallocRoutes(plan_, core_, model_);
+    realloc_routes_.insert(realloc_routes_.end(), tables.begin(), tables.end());
+    core_.SetRoutes(tables[0]);
     const size_t from = core_.next_action_index();
-    const auto suffix = RebuildPlanSuffixRoutes(plan_, from, model_,
-                                                core_.spine_alive(),
-                                                core_.hot_shift());
-    for (size_t i = 0; i < suffix.size(); ++i) {
-      if (suffix[i] != nullptr) {
-        core_.SetActionRoutes(from + i, suffix[i]);
-      }
+    for (size_t i = 1; i < tables.size(); ++i) {
+      core_.SetActionRoutes(from + i - 1, tables[i]);
     }
-    return routes;
   });
 }
 
@@ -126,7 +110,7 @@ BackendStats SequentialBackend::Run(uint64_t num_requests) {
   core_.FinishSeries(num_requests);
   st.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   st.peak_rss_bytes = CurrentPeakRssBytes();
-  st.route_table_bytes = base_route_bytes_ + PlanRouteTableBytes(nullptr, plan_);
+  st.route_table_bytes = PlanRouteTableBytes(&base_routes_, plan_);
   st.sampler_bytes =
       two_level_ != nullptr ? two_level_->bytes() : head_dist_->bytes();
   return st;

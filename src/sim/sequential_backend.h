@@ -21,9 +21,10 @@
 //    moves onto uncached keys (§6.4).
 //  * kReallocateCache — the controller ranks the core's observed heavy-hitter
 //    counts, refills the allocation hottest-first (core/allocation Refill), and
-//    the backend rebuilds + swaps the route table: the cache-update reaction that
-//    restores the hit ratio after a shift. Static policies only: a dynamic
-//    policy's plan drops the step, so the hook never fires and no observer runs.
+//    the backend builds the new route tables, keeps them and installs them: the
+//    cache-update reaction that restores the hit ratio after a shift. Static
+//    policies only: a dynamic policy's plan drops the step, so the hook never
+//    fires and no observer runs.
 #ifndef DISTCACHE_SIM_SEQUENTIAL_BACKEND_H_
 #define DISTCACHE_SIM_SEQUENTIAL_BACKEND_H_
 
@@ -35,6 +36,7 @@
 #include "common/alias_sampler.h"
 #include "sim/cluster_model.h"
 #include "sim/engine_core.h"
+#include "sim/route_table.h"
 #include "sim/sim_backend.h"
 
 namespace distcache {
@@ -55,7 +57,10 @@ class SequentialBackend : public SimBackend {
   // the O(pool) pmf materialization entirely — different RNG stream, so it is
   // differentially validated, never golden-pinned.
   std::unique_ptr<TwoLevelSampler> two_level_;
-  uint64_t base_route_bytes_ = 0;  // pre-timeline snapshot, for stats
+  // Route storage for the core's views, kept for the whole run: the
+  // pre-timeline table and every table a re-allocation built.
+  RouteTable base_routes_;
+  std::vector<std::shared_ptr<const RouteTable>> realloc_routes_;
   EngineCore core_;
 };
 

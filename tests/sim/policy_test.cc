@@ -202,7 +202,8 @@ TEST(PolicyGolden, OnlyStaticPoliciesBuildTheObserver) {
     st.cache_load = model.ZeroCacheLoads();
     st.server_load.assign(model.num_servers(), 0.0);
     core.BindStats(&st);
-    core.SetRoutes(std::make_shared<const RouteTable>(BuildRouteTable(model)));
+    const RouteTable routes = BuildRouteTable(model);
+    core.SetRoutes(routes);
     NullSink sink;
     // Every head rank read twice: each crosses the observer's threshold.
     for (int round = 0; round < 2; ++round) {

@@ -213,6 +213,31 @@ TEST(HeavyHitterDetector, ObserveMatchesRecordWithoutTheBloomFilter) {
   }
 }
 
+// The controller merges every engine stream's report; with a single stream
+// (the sequential engine) the merge must be the identity: same keys, same
+// counts, same order — keys tied on count included.
+TEST(HeavyHitterDetector, MergingOneReportIsTheIdentity) {
+  HeavyHitterDetector hh(SmallConfig(2));
+  ZipfDistribution dist(100000, 0.99);
+  Rng rng(17);
+  for (int i = 0; i < 20000; ++i) {
+    hh.Record(dist.Sample(rng));
+  }
+  const auto top = hh.TopReports();
+  ASSERT_GT(top.size(), 100u);
+  size_t ties = 0;
+  for (size_t i = 1; i < top.size(); ++i) {
+    ties += top[i].second == top[i - 1].second ? 1 : 0;
+  }
+  ASSERT_GT(ties, 10u);  // the tie order is part of what is compared
+  const auto merged = MergeHeavyHitterReports({top});
+  ASSERT_EQ(merged.size(), top.size());
+  for (size_t i = 0; i < top.size(); ++i) {
+    EXPECT_EQ(merged[i].first, top[i].first) << "rank " << i;
+    EXPECT_EQ(merged[i].second, top[i].second) << "rank " << i;
+  }
+}
+
 TEST(HeavyHitterDifferential, TopReportsMatchWhenTheCapBinds) {
   for (size_t cap : {1, 7, 100, 3000}) {
     HeavyHitterDetector::Config cfg = SmallConfig(3);
