@@ -1,122 +1,23 @@
 #include "cluster/cluster_sim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 namespace distcache {
 
-std::vector<LayerSpec> ResolvedCacheLayers(const ClusterConfig& config) {
-  if (!config.cache_layers.empty()) {
-    return config.cache_layers;
-  }
-  return {{config.num_spine, config.per_switch_objects},
-          {config.num_racks, config.per_switch_objects}};
-}
-
-void CheckCacheLayersOrDie(const ClusterConfig& config) {
-  const std::string error = ValidateCacheLayers(config);
-  if (!error.empty()) {
-    // An inconsistent hierarchy would index per-rack arrays out of bounds deep
-    // in the allocation; fail loudly in every build mode instead.
-    std::fprintf(stderr, "invalid cache hierarchy: %s\n", error.c_str());
-    std::abort();
-  }
-}
-
-void CheckCachePolicyOrDie(const ClusterConfig& config) {
-  const std::string error =
-      ValidateCachePolicy(config.cache_policy, config.cache_hierarchy,
-                          config.write_policy, config.mechanism, config.routing);
-  if (!error.empty()) {
-    std::fprintf(stderr, "invalid cache policy: %s\n", error.c_str());
-    std::abort();
-  }
-}
-
-std::string ValidateCacheLayers(const ClusterConfig& config) {
-  // Validate the *resolved* hierarchy so the legacy two-layer shape is held to
-  // the same structural limits (notably the packed-candidate index range) as an
-  // explicit layer vector.
-  const std::vector<LayerSpec> layers = ResolvedCacheLayers(config);
-  if (layers.size() < 2 || layers.size() > kMaxCacheLayers) {
-    return "cache hierarchy must have between 2 and " +
-           std::to_string(kMaxCacheLayers) + " layers, got " +
-           std::to_string(layers.size());
-  }
-  for (size_t l = 0; l < layers.size(); ++l) {
-    if (layers[l].nodes == 0) {
-      return "cache layer " + std::to_string(l) + " has zero nodes";
-    }
-    if (layers[l].nodes > kCandIndexMask) {
-      // A larger index would bleed into the packed candidate's layer bits
-      // (sim/route_table.h) and route to garbage nodes.
-      return "cache layer " + std::to_string(l) + " has " +
-             std::to_string(layers[l].nodes) + " nodes; the route-table " +
-             "candidate packing supports at most " +
-             std::to_string(kCandIndexMask) + " per layer";
-    }
-  }
-  if (config.cache_layers.empty()) {
-    return "";
-  }
-  if (layers.back().nodes != config.num_racks) {
-    return "the last (leaf) cache layer is rack-bound: its node count " +
-           std::to_string(layers.back().nodes) + " must equal the rack count " +
-           std::to_string(config.num_racks);
-  }
-  if (layers.front().nodes != config.num_spine) {
-    return "the first (spine) cache layer's node count " +
-           std::to_string(layers.front().nodes) +
-           " must equal num_spine (" + std::to_string(config.num_spine) + ")";
-  }
-  return "";
-}
-
 ClusterSim::ClusterSim(const ClusterConfig& config)
     : config_(config),
-      layers_(ResolvedCacheLayers(config)),
-      placement_(config.num_racks, config.servers_per_rack,
-                 HashCombine(config.seed, 0x91ace3e22ULL)),
-      dist_(MakeDistribution(config.num_keys, config.zipf_theta)),
-      rng_(HashCombine(config.seed, 0xc1057e4ULL)) {
-  CheckCacheLayersOrDie(config_);
-  CheckCachePolicyOrDie(config_);
-  AllocationConfig alloc;
-  alloc.mechanism = config_.mechanism;
-  alloc.layers = layers_;
-  alloc.candidate_pool = std::min(config_.candidate_pool, config_.num_keys);
-  alloc.hash_seed = HashCombine(config_.seed, 0xd15ca4eULL);
-  allocation_ = std::make_unique<CacheAllocation>(alloc, placement_);
-  controller_ = std::make_unique<CacheController>(allocation_.get(), config_.num_spine);
-  spine_alive_.assign(config_.num_spine, true);
-
-  popularity_ = BuildPopularityVector(*dist_, allocation_->candidate_pool());
-
-  // Every layer is rate-limited to one rack's aggregate by default (the paper's
-  // testbed discipline); the spine/leaf overrides apply to the first/last layer.
-  const double rack_aggregate =
-      config_.server_capacity * static_cast<double>(config_.servers_per_rack);
-  layer_capacity_.assign(layers_.size(), rack_aggregate);
-  if (config_.spine_capacity > 0) {
-    layer_capacity_.front() = config_.spine_capacity;
-  }
-  if (config_.leaf_capacity > 0) {
-    layer_capacity_.back() = config_.leaf_capacity;
-  }
-
-  prev_.cache.resize(layers_.size());
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    prev_.cache[l].assign(layers_[l].nodes, 0.0);
-  }
+      model_(config, /*build_popularity=*/false),
+      popularity_(model_.PopularityFor(config.zipf_theta)),
+      spine_alive_(config.num_spine, 1),
+      layer_capacity_(LayerCapacities(config)) {
+  prev_.cache = model_.ZeroCacheLoads();
   prev_.server.assign(num_servers(), 0.0);
 }
 
 void ClusterSim::FailSpine(uint32_t spine) {
   if (spine < config_.num_spine) {
-    spine_alive_[spine] = false;
+    spine_alive_[spine] = 0;
     recovery_ran_ = false;  // hot objects of the dead switch lose their spine copy
     policy_dirty_ = true;   // dynamic policies: the dead node's layer goes cold
   }
@@ -124,8 +25,8 @@ void ClusterSim::FailSpine(uint32_t spine) {
 
 void ClusterSim::RecoverSpine(uint32_t spine) {
   if (spine < config_.num_spine) {
-    spine_alive_[spine] = true;
-    ApplyRemap();  // restoration returns remapped partitions to their home switch
+    spine_alive_[spine] = 1;
+    model_.SyncControllerRemap(spine_alive_);  // remapped partitions go home
     policy_dirty_ = true;
   }
 }
@@ -137,8 +38,7 @@ uint64_t ClusterSim::KeyOfRank(uint64_t rank) const {
 void ClusterSim::SetWorkload(double zipf_theta, double write_ratio) {
   if (zipf_theta != config_.zipf_theta) {
     config_.zipf_theta = zipf_theta;
-    dist_ = MakeDistribution(config_.num_keys, zipf_theta);
-    popularity_ = BuildPopularityVector(*dist_, allocation_->candidate_pool());
+    popularity_ = model_.PopularityFor(zipf_theta);
   }
   config_.write_ratio = write_ratio;
   policy_dirty_ = true;
@@ -151,21 +51,11 @@ void ClusterSim::ReallocateCacheToHotSet() {
     // step). The steady-state model already follows the hot set.
     return;
   }
-  std::vector<uint64_t> hottest(allocation_->candidate_pool());
+  std::vector<uint64_t> hottest(model_.pool);
   for (uint64_t rank = 0; rank < hottest.size(); ++rank) {
     hottest[rank] = KeyOfRank(rank);
   }
-  controller_->ReallocateCache(hottest, placement_);
-}
-
-void ClusterSim::ApplyRemap() {
-  for (uint32_t s = 0; s < config_.num_spine; ++s) {
-    if (!spine_alive_[s] && controller_->IsAlive(s)) {
-      controller_->OnSpineFailure(s);
-    } else if (spine_alive_[s] && !controller_->IsAlive(s)) {
-      controller_->OnSpineRecovery(s);
-    }
-  }
+  model_.ReallocateCache(hottest);
 }
 
 double ClusterSim::RoutingLoad(CacheNodeId node, const LoadSnapshot& acc) const {
@@ -180,7 +70,7 @@ void ClusterSim::RouteKeyReads(uint64_t key, double read_rate, const CacheCopies
     return;
   }
   if (!copies.cached()) {
-    acc.server[placement_.ServerOf(key)] += read_rate;
+    acc.server[model_.placement.ServerOf(key)] += read_rate;
     return;
   }
 
@@ -198,7 +88,7 @@ void ClusterSim::RouteKeyReads(uint64_t key, double read_rate, const CacheCopies
     const auto leaf = copies.leaf();
     const double n = static_cast<double>(spines.size() + (leaf ? 1 : 0));
     if (n == 0) {
-      acc.server[placement_.ServerOf(key)] += read_rate;
+      acc.server[model_.placement.ServerOf(key)] += read_rate;
       return;
     }
     for (uint32_t s : spines) {
@@ -225,7 +115,7 @@ void ClusterSim::RouteKeyReads(uint64_t key, double read_rate, const CacheCopies
     cand[k++] = node;
   }
   if (k == 0) {
-    acc.server[placement_.ServerOf(key)] += read_rate;
+    acc.server[model_.placement.ServerOf(key)] += read_rate;
     return;
   }
   if (k == 1) {
@@ -350,7 +240,7 @@ void ClusterSim::ChargeWrite(uint64_t key, double write_rate, const CacheCopies&
   }
   // The primary server performs the write plus one invalidation+update round per copy
   // (§4.3); uncached objects cost exactly one unit.
-  acc.server[placement_.ServerOf(key)] +=
+  acc.server[model_.placement.ServerOf(key)] +=
       write_rate * (1.0 + config_.coherence_server_cost * static_cast<double>(num_copies));
 }
 
@@ -358,10 +248,7 @@ LoadSnapshot ClusterSim::RunTicks(double offered_rate, int ticks) {
   LoadSnapshot acc;
   for (int t = 0; t < ticks; ++t) {
     acc = LoadSnapshot{};
-    acc.cache.resize(layers_.size());
-    for (size_t l = 0; l < layers_.size(); ++l) {
-      acc.cache[l].assign(layers_[l].nodes, 0.0);
-    }
+    acc.cache = model_.ZeroCacheLoads();
     acc.server.assign(num_servers(), 0.0);
 
     if (UsesDynamicPolicy()) {
@@ -380,7 +267,7 @@ LoadSnapshot ClusterSim::RunTicks(double offered_rate, int ticks) {
           continue;
         }
         const uint64_t key = KeyOfRank(rank);
-        const CacheCopies copies = allocation_->CopiesOf(key);
+        const CacheCopies copies = model_.allocation->CopiesOf(key);
         RouteKeyReads(key, rate * (1.0 - write_ratio), copies, acc);
         ChargeWrite(key, rate * write_ratio, copies, acc);
       }
@@ -407,8 +294,8 @@ LoadSnapshot ClusterSim::RunTicks(double offered_rate, int ticks) {
       max_util = std::max(max_util, util);
       dropped += std::max(0.0, acc.cache[0][s] - layer_capacity_[0]);
     }
-    for (size_t l = 1; l < layers_.size(); ++l) {
-      for (uint32_t i = 0; i < layers_[l].nodes; ++i) {
+    for (size_t l = 1; l < model_.layers.size(); ++l) {
+      for (uint32_t i = 0; i < model_.layers[l].nodes; ++i) {
         const double util = acc.cache[l][i] / layer_capacity_[l];
         max_util = std::max(max_util, util);
         dropped += std::max(0.0, acc.cache[l][i] - layer_capacity_[l]);
@@ -446,8 +333,8 @@ LoadSnapshot ClusterSim::RunTicks(double offered_rate, int ticks) {
 
 double ClusterSim::SaturationThroughput(double tolerance) {
   double cache_capacity = 0.0;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    cache_capacity += layer_capacity_[l] * static_cast<double>(layers_[l].nodes);
+  for (size_t l = 0; l < model_.layers.size(); ++l) {
+    cache_capacity += layer_capacity_[l] * static_cast<double>(model_.layers[l].nodes);
   }
   const double total_capacity = TotalServerCapacity() + cache_capacity;
   const auto stable = [&](double rate) {
@@ -481,10 +368,10 @@ double ClusterSim::AchievedThroughput(double offered_rate, int ticks) {
 // ---- Dynamic-policy fluid analytics ----------------------------------------
 
 CacheNodeId ClusterSim::PolicyCandidate(size_t layer, uint64_t key) const {
-  if (layer + 1 == layers_.size()) {
-    return {static_cast<uint8_t>(layer), placement_.RackOf(key)};
+  if (layer + 1 == model_.layers.size()) {
+    return {static_cast<uint8_t>(layer), model_.placement.RackOf(key)};
   }
-  return {static_cast<uint8_t>(layer), allocation_->PartitionOf(layer, key)};
+  return {static_cast<uint8_t>(layer), model_.allocation->PartitionOf(layer, key)};
 }
 
 namespace {
@@ -512,7 +399,7 @@ double PolicyResidency(CachePolicyKind kind, double a, double t) {
 void ClusterSim::ComputePolicyModel() {
   policy_dirty_ = false;
   const CachePolicyKind kind = config_.cache_policy;
-  const size_t num_layers = layers_.size();
+  const size_t num_layers = model_.layers.size();
   const size_t head = popularity_.head.size();
   const double tail_keys =
       static_cast<double>(config_.num_keys - static_cast<uint64_t>(head));
@@ -525,8 +412,8 @@ void ClusterSim::ComputePolicyModel() {
   double tail_carry = 1.0;
 
   for (size_t l = 0; l < num_layers; ++l) {
-    const uint32_t nodes = layers_[l].nodes;
-    const double capacity = static_cast<double>(layers_[l].cache_objects);
+    const uint32_t nodes = model_.layers[l].nodes;
+    const double capacity = static_cast<double>(model_.layers[l].cache_objects);
     policy_tail_hit_[l].assign(nodes, 0.0);
 
     // Group the thinned head arrivals by candidate node.
@@ -644,7 +531,7 @@ void ClusterSim::ChargePolicyTick(double offered_rate, LoadSnapshot& acc) {
   if (policy_dirty_) {
     ComputePolicyModel();
   }
-  const size_t num_layers = layers_.size();
+  const size_t num_layers = model_.layers.size();
   const size_t head = popularity_.head.size();
   const double write_ratio = config_.write_ratio;
   const bool write_back = config_.write_policy == WritePolicy::kWriteBack;
@@ -694,7 +581,7 @@ void ClusterSim::ChargePolicyTick(double offered_rate, LoadSnapshot& acc) {
         server += write * (1.0 + config_.coherence_server_cost * expected_copies);
       }
     }
-    acc.server[placement_.ServerOf(key)] += server;
+    acc.server[model_.placement.ServerOf(key)] += server;
   }
 
   // Tail: uniform spread; per-node hit shares from the model, the rest (misses
@@ -705,7 +592,7 @@ void ClusterSim::ChargePolicyTick(double offered_rate, LoadSnapshot& acc) {
     const double tail_read = tail_rate * (1.0 - write_ratio);
     double tail_carry = 1.0;
     for (size_t l = 0; l < num_layers; ++l) {
-      const uint32_t nodes = layers_[l].nodes;
+      const uint32_t nodes = model_.layers[l].nodes;
       const double arrival_per_node =
           tail_read * tail_carry / static_cast<double>(nodes);
       double avg = 0.0;

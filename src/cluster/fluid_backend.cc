@@ -5,18 +5,12 @@
 #include <cmath>
 
 #include "cluster/latency.h"
+#include "sim/engine_core.h"
 
 namespace distcache {
 
 FluidBackend::FluidBackend(const SimBackendConfig& config)
-    : config_(config),
-      sim_(config.cluster),
-      events_(config.events),
-      phases_(config.phases),
-      spine_alive_(config.cluster.num_spine, 1) {
-  SortEventsByRequest(events_);
-  SortPhasesByStart(phases_);
-}
+    : config_(config), sim_(config.cluster) {}
 
 double FluidBackend::CachedMass() {
   // Static policies: the allocation-defined cached mass that is reachable given
@@ -27,17 +21,18 @@ double FluidBackend::CachedMass() {
 
 double FluidBackend::ReachableCachedMass() const {
   const PopularityVector& pv = sim_.popularity();
+  const std::vector<uint8_t>& spine_alive = sim_.spine_alive();
   double mass = 0.0;
   for (uint64_t rank = 0; rank < pv.head.size(); ++rank) {
     const CacheCopies copies = sim_.allocation().CopiesOf(sim_.KeyOfRank(rank));
     // Reachable iff some copy is on an alive node; only top-layer nodes die.
     bool reachable = false;
     for (uint8_t i = 0; i < copies.num && !reachable; ++i) {
-      reachable = copies.nodes[i].layer != 0 || spine_alive_[copies.nodes[i].index] != 0;
+      reachable = copies.nodes[i].layer != 0 || spine_alive[copies.nodes[i].index] != 0;
     }
     if (!reachable && copies.replicated_all_spines) {
-      for (uint32_t s = 0; s < spine_alive_.size() && !reachable; ++s) {
-        reachable = spine_alive_[s] != 0;
+      for (uint32_t s = 0; s < spine_alive.size() && !reachable; ++s) {
+        reachable = spine_alive[s] != 0;
       }
     }
     if (reachable) {
@@ -58,7 +53,8 @@ BackendStats FluidBackend::Run(uint64_t num_requests) {
 
   BackendStats st;
   LoadSnapshot snap;
-  if (events_.empty() && phases_.empty() && config_.sample_interval == 0) {
+  const std::vector<TimelineStep> timeline = MergeTimeline(config_);
+  if (timeline.empty() && config_.sample_interval == 0) {
     // Historical single-measurement path.
     snap = sim_.RunTicks(offered, config_.cluster.ticks_per_measurement);
     const double write_ratio = config_.cluster.write_ratio;
@@ -69,8 +65,8 @@ BackendStats FluidBackend::Run(uint64_t num_requests) {
         static_cast<uint64_t>(std::llround(reads * CachedMass()));
   } else {
     // Timeline mode: one fluid measurement per segment, where segments are
-    // delimited by the sampling grid *and* every event/phase timestamp — so each
-    // step applies exactly "before the at_request-th request" like the
+    // delimited by the sampling grid *and* every timeline step — so each step
+    // applies exactly "before the at_request-th request" like the
     // request-level engines, even with no sampling or with steps inside the final
     // interval. Off-grid steps simply contribute extra series points
     // (IntervalPoint carries its own request count, so non-uniform widths are
@@ -82,47 +78,33 @@ BackendStats FluidBackend::Run(uint64_t num_requests) {
         boundaries.push_back(t);
       }
     }
-    for (const ClusterEvent& event : events_) {
-      if (event.at_request > 0 && event.at_request < num_requests) {
-        boundaries.push_back(event.at_request);
-      }
-    }
-    for (const WorkloadPhase& phase : phases_) {
-      if (phase.start_request > 0 && phase.start_request < num_requests) {
-        boundaries.push_back(phase.start_request);
+    for (const TimelineStep& step : timeline) {
+      if (step.at_request > 0 && step.at_request < num_requests) {
+        boundaries.push_back(step.at_request);
       }
     }
     std::sort(boundaries.begin(), boundaries.end());
     boundaries.erase(std::unique(boundaries.begin(), boundaries.end()),
                      boundaries.end());
     boundaries.push_back(num_requests);
-    size_t next_event = 0;
-    size_t next_phase = 0;
+    size_t next = 0;
     for (size_t seg = 0; seg + 1 < boundaries.size(); ++seg) {
       const uint64_t start = boundaries[seg];
       const uint64_t end = boundaries[seg + 1];
-      // Phases before events on timestamp ties, like the request-level engines.
-      while (next_phase < phases_.size() &&
-             phases_[next_phase].start_request <= start) {
-        const WorkloadPhase& phase = phases_[next_phase++];
-        sim_.SetWorkload(phase.zipf_theta, phase.write_ratio);
-        sim_.SetHotShift(phase.hot_shift);
-      }
-      while (next_event < events_.size() &&
-             events_[next_event].at_request <= start) {
-        const ClusterEvent& event = events_[next_event++];
+      for (; next < timeline.size() && timeline[next].at_request <= start; ++next) {
+        const TimelineStep& step = timeline[next];
+        if (step.is_phase) {
+          sim_.SetWorkload(step.phase.zipf_theta, step.phase.write_ratio);
+          sim_.SetHotShift(step.phase.hot_shift);
+          continue;
+        }
+        const ClusterEvent& event = step.event;
         switch (event.kind) {
           case ClusterEvent::Kind::kFailSpine:
-            if (event.spine < spine_alive_.size()) {
-              spine_alive_[event.spine] = 0;
-              sim_.FailSpine(event.spine);
-            }
+            sim_.FailSpine(event.spine);
             break;
           case ClusterEvent::Kind::kRecoverSpine:
-            if (event.spine < spine_alive_.size()) {
-              spine_alive_[event.spine] = 1;
-              sim_.RecoverSpine(event.spine);
-            }
+            sim_.RecoverSpine(event.spine);
             break;
           case ClusterEvent::Kind::kRunRecovery:
             sim_.RunFailureRecovery();

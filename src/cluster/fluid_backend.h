@@ -11,24 +11,26 @@
 // Use it to cross-validate the request-level backends: their measured hit ratios
 // converge to this backend's analytic value as the request count grows.
 //
-// The backend honours the ClusterEvent timeline *and* the workload phase timeline
-// by measuring one fluid segment per stretch of requests between consecutive
-// boundaries, where boundaries come from the sampling grid, every event timestamp
-// and every phase start — each step thus applies to the underlying ClusterSim
-// (FailSpine / RecoverSpine / RunFailureRecovery / SetHotShift / SetWorkload /
-// ReallocateCacheToHotSet) exactly before its at_request-th request, even without
-// sampling. Phases apply before events on timestamp ties, matching the
-// request-level engines. Each segment records its achieved-throughput fraction and
-// reachable-copy hit mass into BackendStats::series — the fluid column of the
-// Fig. 11 engine-parity bench and of bench_hotspot_shift (off-grid steps add
-// extra, self-describing series points). Re-allocation is analytic: the fluid
-// controller refills with the exact hottest-first key list (the bound the
-// request-level engines' sketch-observed re-allocation approaches).
+// The backend walks the same merged timeline as the request engines
+// (MergeTimeline in sim/engine_core.h: events and workload phases in one order,
+// phases first on timestamp ties). It measures one fluid segment per stretch of
+// requests between consecutive boundaries, where boundaries come from the
+// sampling grid and every step's timestamp — each step thus applies to the
+// underlying ClusterSim (FailSpine / RecoverSpine / RunFailureRecovery /
+// SetHotShift / SetWorkload / ReallocateCacheToHotSet) exactly before its
+// at_request-th request, even without sampling. Under a dynamic policy a
+// kReallocateCache step changes nothing but still starts a segment (the
+// request engines' plans drop it). Each segment records its achieved-throughput
+// fraction and reachable-copy hit mass into BackendStats::series — the fluid
+// column of the Fig. 11 engine-parity bench and of bench_hotspot_shift
+// (off-grid steps add extra, self-describing series points). Re-allocation is
+// analytic: the fluid controller refills with the exact hottest-first key list
+// (the bound the request-level engines' sketch-observed re-allocation
+// approaches).
 #ifndef DISTCACHE_CLUSTER_FLUID_BACKEND_H_
 #define DISTCACHE_CLUSTER_FLUID_BACKEND_H_
 
 #include <string>
-#include <vector>
 
 #include "cluster/cluster_sim.h"
 #include "sim/sim_backend.h"
@@ -54,9 +56,6 @@ class FluidBackend : public SimBackend {
 
   SimBackendConfig config_;
   ClusterSim sim_;
-  std::vector<ClusterEvent> events_;   // sorted by at_request
-  std::vector<WorkloadPhase> phases_;  // sorted by start_request
-  std::vector<uint8_t> spine_alive_;
 };
 
 }  // namespace distcache

@@ -12,8 +12,7 @@ ClusterModel::ClusterModel(const ClusterConfig& config, bool build_popularity)
     : cfg(config),
       layers(ResolvedCacheLayers(config)),
       placement(config.num_racks, config.servers_per_rack,
-                HashCombine(config.seed, 0x91ace3e22ULL)),
-      dist(MakeDistribution(config.num_keys, config.zipf_theta)) {
+                HashCombine(config.seed, 0x91ace3e22ULL)) {
   CheckCacheLayersOrDie(cfg);
   CheckCachePolicyOrDie(cfg);
   AllocationConfig alloc;
@@ -25,9 +24,7 @@ ClusterModel::ClusterModel(const ClusterConfig& config, bool build_popularity)
   controller = std::make_unique<CacheController>(allocation.get(), cfg.num_spine);
   pool = allocation->candidate_pool();
   if (build_popularity) {
-    popularity = BuildPopularityVector(*dist, pool);
-    head_with_tail = popularity.head;
-    head_with_tail.push_back(popularity.tail_mass);
+    head_with_tail = HeadWithTailFor(cfg.zipf_theta);
   }
 }
 
@@ -46,12 +43,15 @@ void ClusterModel::ReallocateFromReports(
   ReallocateCache(hottest);
 }
 
+PopularityVector ClusterModel::PopularityFor(double theta) const {
+  return BuildPopularityVector(*MakeDistribution(cfg.num_keys, theta), pool);
+}
+
 std::vector<double> ClusterModel::HeadWithTailFor(double theta) const {
-  if (theta == cfg.zipf_theta) {
+  if (theta == cfg.zipf_theta && !head_with_tail.empty()) {
     return head_with_tail;
   }
-  const auto phase_dist = MakeDistribution(cfg.num_keys, theta);
-  PopularityVector pv = BuildPopularityVector(*phase_dist, pool);
+  PopularityVector pv = PopularityFor(theta);
   std::vector<double> pmf = std::move(pv.head);
   pmf.push_back(pv.tail_mass);
   return pmf;

@@ -1,9 +1,10 @@
-// Immutable cluster state shared by the request-level simulation backends.
-//
-// Derived hash seeds are identical to ClusterSim's, so a given (ClusterConfig, seed)
-// produces the same storage placement, cache allocation and head-key popularity in
-// every backend — cross-backend stat comparisons (sequential vs sharded vs fluid)
-// compare engines, never workloads.
+// The cluster every simulation engine is built on: resolved cache layers,
+// storage placement, cache allocation and the failure/re-allocation controller,
+// all derived from one (ClusterConfig, seed). The request engines read it
+// directly and the fluid ClusterSim holds one, so a given config produces the
+// same placement, allocation and head-key popularity in every backend —
+// cross-backend stat comparisons (sequential vs sharded vs fluid) compare
+// engines, never workloads.
 #ifndef DISTCACHE_SIM_CLUSTER_MODEL_H_
 #define DISTCACHE_SIM_CLUSTER_MODEL_H_
 
@@ -12,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/cluster_sim.h"
+#include "cluster/cluster_config.h"
 #include "common/workload.h"
 #include "common/zipf.h"
 #include "core/allocation.h"
@@ -37,16 +38,17 @@ inline LoadTracker::Config MakeTrackerConfig(const ClusterConfig& cfg) {
 }
 
 struct ClusterModel {
-  // `build_popularity` materializes the O(pool) head pmf (`popularity` /
-  // `head_with_tail`) the dense samplers draw from; the two-level sampling
-  // mode passes false and derives its per-bucket masses in closed form
-  // instead (common/alias_sampler.h), keeping construction O(cached keys).
+  // `build_popularity` materializes the O(pool) head pmf (`head_with_tail`)
+  // the dense samplers draw from; the two-level sampling mode passes false and
+  // derives its per-bucket masses in closed form instead
+  // (common/alias_sampler.h), keeping construction O(cached keys). The fluid
+  // engine passes false too and keeps its own PopularityFor vector.
   explicit ClusterModel(const ClusterConfig& config, bool build_popularity = true);
 
-  // Syncs the controller's alive set to `spine_alive` (same transition logic as
-  // ClusterSim::ApplyRemap): failed spines hand their partitions to alive ones via
-  // consistent hashing, recovered spines take theirs home. Mutates `allocation`,
-  // so CopiesOf() reflects the remap afterwards.
+  // Syncs the controller's alive set to `spine_alive`: failed spines hand their
+  // partitions to alive ones via consistent hashing, recovered spines take
+  // theirs home. Mutates `allocation`, so CopiesOf() reflects the remap
+  // afterwards.
   void SyncControllerRemap(const std::vector<uint8_t>& spine_alive);
 
   // Online cache re-allocation (§6.4): replaces the cached set with the
@@ -66,6 +68,9 @@ struct ClusterModel {
       const std::vector<uint8_t>& spine_alive,
       const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports);
 
+  // The pool head ranks' pmf and the aggregate tail mass under skew `theta`.
+  PopularityVector PopularityFor(double theta) const;
+
   // head-with-tail pmf for an arbitrary skew — what the request-level samplers draw
   // from after a phase boundary changes theta. The bucket layout (pool head ranks +
   // one aggregated tail bucket) is identical to `head_with_tail`.
@@ -74,7 +79,6 @@ struct ClusterModel {
   ClusterConfig cfg;
   std::vector<LayerSpec> layers;  // resolved cache hierarchy, top first
   Placement placement;
-  std::unique_ptr<KeyDistribution> dist;
   std::unique_ptr<CacheAllocation> allocation;
   // Off-path cache controller driving failure remaps (§4.4); shares `allocation`.
   std::unique_ptr<CacheController> controller;
@@ -85,9 +89,8 @@ struct ClusterModel {
   // full-pool dense layout instead of the compact hot prefix (bit-identical
   // routing either way; see sim/route_table.h). Off everywhere by default.
   bool dense_routes = false;
-  PopularityVector popularity;
-  // popularity.head with the aggregate tail mass appended as one extra bucket —
-  // the pmf both request-level samplers draw from.
+  // PopularityFor(cfg.zipf_theta)'s head with the aggregate tail mass appended
+  // as one extra bucket — the pmf both request-level samplers draw from.
   std::vector<double> head_with_tail;
 
   uint32_t num_servers() const { return cfg.num_racks * cfg.servers_per_rack; }

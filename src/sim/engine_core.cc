@@ -82,38 +82,45 @@ bool TimelineNeedsObserver(const std::vector<ClusterEvent>& events) {
   });
 }
 
-std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
-                                            ClusterModel& model) {
-  std::vector<TimelineStep> plan;
-  plan.reserve(config.events.size() + config.phases.size());
+std::vector<TimelineStep> MergeTimeline(const SimBackendConfig& config) {
+  std::vector<TimelineStep> timeline;
+  timeline.reserve(config.events.size() + config.phases.size());
   for (const WorkloadPhase& phase : config.phases) {
     TimelineStep step;
     step.at_request = phase.start_request;
     step.is_phase = true;
     step.phase = phase;
-    plan.push_back(std::move(step));
+    timeline.push_back(std::move(step));
   }
-  // A dynamic policy fills its own caches and never reads the allocation, so
-  // the controller's re-allocation has nothing to act on: the step is left
-  // out, and no engine queues it, observes for it or rendezvouses at it.
-  const bool dynamic = PolicyIsDynamic(config.cluster.cache_policy);
   for (const ClusterEvent& event : config.events) {
-    if (dynamic && event.kind == ClusterEvent::Kind::kReallocateCache) {
-      continue;
-    }
     TimelineStep step;
     step.at_request = event.at_request;
     step.event = event;
-    plan.push_back(std::move(step));
+    timeline.push_back(std::move(step));
   }
   // Phases before events on ties; otherwise list order (stable).
-  std::stable_sort(plan.begin(), plan.end(),
+  std::stable_sort(timeline.begin(), timeline.end(),
                    [](const TimelineStep& a, const TimelineStep& b) {
                      if (a.at_request != b.at_request) {
                        return a.at_request < b.at_request;
                      }
                      return a.is_phase && !b.is_phase;
                    });
+  return timeline;
+}
+
+std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
+                                            ClusterModel& model) {
+  std::vector<TimelineStep> plan = MergeTimeline(config);
+  // A dynamic policy fills its own caches and never reads the allocation, so
+  // the controller's re-allocation has nothing to act on: the step is left
+  // out, and no engine queues it, observes for it or rendezvouses at it.
+  if (PolicyIsDynamic(config.cluster.cache_policy)) {
+    std::erase_if(plan, [](const TimelineStep& step) {
+      return !step.is_phase &&
+             step.event.kind == ClusterEvent::Kind::kReallocateCache;
+    });
+  }
 
   // Walk the timeline once, tracking the alive set the way the controller would
   // observe it, and snapshot the route table after every routing-relevant step

@@ -14,8 +14,8 @@
 //     boundaries with timeline timestamps scaled to the shard's quota, and with
 //     load charging / telemetry routed through the owner-partitioned gossip
 //     machinery (see multiproc_backend.h);
-//   * the fluid backend keeps its analytic path but consumes the same timeline
-//     (see cluster/fluid_backend.h).
+//   * the fluid backend keeps its analytic path but walks the same merged
+//     timeline (MergeTimeline; see cluster/fluid_backend.h).
 //
 // Load charging is abstracted behind a Sink (AddCacheLoad/AddServerLoad): the
 // sequential sink writes the global cumulative counters and refreshes the
@@ -83,12 +83,17 @@ struct TimelineStep {
   std::shared_ptr<const RouteTable> routes;
 };
 
-// Merges config.events and config.phases into one plan ordered by at_request
-// (phases before events on timestamp ties; list order otherwise preserved),
-// precomputing each step's snapshot. Under a dynamic cache policy the
-// kReallocateCache events are left out (see the header comment). Mutates
-// `model`'s controller/allocation state while walking the failure remaps — the
-// same end state the runtime reads back.
+// Merges config.events and config.phases into one timeline ordered by
+// at_request (phases before events on timestamp ties; list order otherwise
+// preserved). Only orders the steps: no snapshot is built and no step is left
+// out. The fluid engine walks it as is.
+std::vector<TimelineStep> MergeTimeline(const SimBackendConfig& config);
+
+// The request engines' plan: MergeTimeline, with each step's snapshot
+// precomputed. Under a dynamic cache policy the kReallocateCache events are
+// left out (see the header comment). Mutates `model`'s controller/allocation
+// state while walking the failure remaps — the same end state the runtime
+// reads back.
 std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
                                             ClusterModel& model);
 

@@ -1,6 +1,8 @@
 #include "sim/sim_backend.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -52,34 +54,17 @@ void MergeCounters(Counters& into, const Counters& from) {
 
 std::vector<double> ResolveServiceRates(const QueueModelConfig& queue,
                                         const ClusterConfig& cluster) {
-  const std::vector<LayerSpec> layers = ResolvedCacheLayers(cluster);
-  // Auto: the fluid model's rate-limit discipline (cluster_sim.cc) — every
-  // cache node matches a rack's aggregate, with the explicit spine/leaf
-  // capacity overrides honoured.
-  const double rack_aggregate = static_cast<double>(cluster.servers_per_rack) *
-                                cluster.server_capacity;
-  std::vector<double> rates(layers.size(), rack_aggregate);
-  if (cluster.spine_capacity > 0) {
-    rates.front() = cluster.spine_capacity;
+  const std::vector<double>& rates = queue.service_rates;
+  const size_t layers = ResolvedCacheLayers(cluster).size();
+  if (rates.empty()) {
+    return LayerCapacities(cluster);
   }
-  if (cluster.leaf_capacity > 0) {
-    rates.back() = cluster.leaf_capacity;
+  if (rates.size() != 1 && rates.size() != layers) {
+    std::fprintf(stderr, "invalid queue model: %zu service rates for %zu cache "
+                 "layers (want 1 or one per layer)\n", rates.size(), layers);
+    std::abort();
   }
-  if (queue.service_rates.size() == 1) {
-    rates.assign(layers.size(), queue.service_rates[0]);  // broadcast
-  } else if (!queue.service_rates.empty()) {
-    for (size_t l = 0; l < rates.size() && l < queue.service_rates.size(); ++l) {
-      rates[l] = queue.service_rates[l];
-    }
-  }
-  return rates;
-}
-
-void SortEventsByRequest(std::vector<ClusterEvent>& events) {
-  std::stable_sort(events.begin(), events.end(),
-                   [](const ClusterEvent& a, const ClusterEvent& b) {
-                     return a.at_request < b.at_request;
-                   });
+  return rates.size() == 1 ? std::vector<double>(layers, rates[0]) : rates;
 }
 
 void BackendStats::CloseIntervalAt(uint64_t processed, IntervalPoint& mark) {

@@ -7,10 +7,11 @@
 //   * "fluid"      — ClusterSim, the analytic fluid model (rates, not requests).
 //                    Exact and fast for saturation searches; no per-request effects.
 //   * "sequential" — the single-threaded request-level reference: one request at a
-//                    time through the faithful path (inverse-CDF key sampling, hash
-//                    routing via CacheAllocation::CopiesOf, PotRouter::Choose over a
-//                    materialized candidate list, per-request LoadTracker update).
-//                    This is the semantic baseline every other backend must match.
+//                    time through EngineCore (sim/engine_core.h): inverse-CDF key
+//                    sampling, a route-table lookup for the key's candidates
+//                    (sim/route_table.h), the PoT choice among them and a
+//                    per-request LoadTracker update. This is the semantic
+//                    baseline every other backend must match.
 //   * "sharded"    — the scalable shard runtime (sim/multiproc_backend.h): nodes
 //                    partitioned across N worker shards (net/shard_map.h), one
 //                    EventQueue per shard driving batch and telemetry events,
@@ -28,8 +29,9 @@
 //     ratio) and returns aggregate statistics. The fluid backend is the one licensed
 //     exception: it simulates offered *rates* and reports analytic equivalents.
 //  2. Same ClusterConfig + seed ⇒ the same workload distribution, placement, and
-//     cache allocation as ClusterSim (identical derived hash seeds), so hit ratios
-//     and load shapes are comparable across backends and against the fluid model.
+//     cache allocation in every backend (all build one ClusterModel, which
+//     ClusterSim holds too), so hit ratios and load shapes are comparable across
+//     backends and against the fluid model.
 //  3. Backends must preserve the PoT routing invariants documented in
 //     core/pot_router.h and core/load_tracker.h: fixed candidate sets from the
 //     allocation hashes, less-loaded-wins among candidates, bounded-staleness load
@@ -48,7 +50,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster_sim.h"
+#include "cluster/cluster_config.h"
 #include "common/stats.h"
 #include "common/workload.h"
 #include "runtime/fault_plan.h"
@@ -93,10 +95,6 @@ struct ClusterEvent {
   }
 };
 
-// Orders a timeline by at_request, preserving list order for ties (the order the
-// engines apply simultaneous events in).
-void SortEventsByRequest(std::vector<ClusterEvent>& events);
-
 // Open-loop virtual-time model (the tentpole of the latency layer). When the
 // arrival process is enabled every request acquires an arrival timestamp from a
 // Poisson clock, waits in a per-node FIFO at the node that serves it, draws an
@@ -127,8 +125,11 @@ struct QueueModelConfig {
 };
 
 // The per-layer cache service rates a QueueModelConfig resolves to against a
-// cluster (auto-derivation + broadcast above). Used by the request engines and
-// the fluid engine's analytic forms, so their mus cannot diverge.
+// cluster, top first. queue.service_rates must be empty (auto:
+// LayerCapacities), hold one value (broadcast to every layer) or hold one
+// value per cache layer; any other length is a config error — the CLI refuses
+// it and this aborts on it. Used by the request engines and the fluid
+// engine's analytic forms, so their mus cannot diverge.
 std::vector<double> ResolveServiceRates(const QueueModelConfig& queue,
                                         const ClusterConfig& cluster);
 
@@ -478,7 +479,7 @@ class SimBackend {
  public:
   virtual ~SimBackend() = default;
 
-  // Human-readable engine name ("sequential", "sharded", "fluid").
+  // Human-readable engine name ("sequential", "sharded", "multiproc", "fluid").
   virtual std::string name() const = 0;
 
   // Executes `num_requests` requests and returns aggregate stats (contract above).

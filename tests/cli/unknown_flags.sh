@@ -1,24 +1,29 @@
 #!/bin/sh
 # distcache_sim must refuse a flag it does not know — a retired flag
-# (--dense-routes) or a typo (--shard=4) — and a misspelled value of a flag it
-# does know (--routing=frist) with exit code 1 and an error naming the flag,
-# instead of running without it or with the default. It also checks the note
-# printed when --realloc-at meets a dynamic --cache-policy.
+# (--dense-routes) or a typo (--shard=4) — a misspelled value of a flag it
+# does know (--routing=frist), a flag the chosen mode never reads (--shards on
+# the sequential engine) and a --service-rates list that fits no layer count,
+# with exit code 1 and an error naming the flag, instead of running without it
+# or with the default. It also checks the note printed when --realloc-at meets
+# a dynamic --cache-policy, and pins the summary text of a fixed set of runs.
 #
 #   tests/cli/unknown_flags.sh path/to/distcache_sim
 sim="$1"
+# expect_refused "FLAGS" "WANT": a sequential run with FLAGS (split on spaces)
+# must exit 1 and print WANT.
 expect_refused() {
-  flag="$1"
+  flags="$1"
   want="$2"
-  err=$("$sim" --backend=sequential --requests=1000 "$flag" 2>&1 >/dev/null)
+  # shellcheck disable=SC2086
+  err=$("$sim" --backend=sequential --requests=1000 $flags 2>&1 >/dev/null)
   status=$?
   if [ "$status" -ne 1 ]; then
-    echo "FAIL: distcache_sim $flag exited $status, want 1"
+    echo "FAIL: distcache_sim $flags exited $status, want 1"
     exit 1
   fi
   case "$err" in
     *"$want"*) ;;
-    *) echo "FAIL: distcache_sim $flag printed: $err"; exit 1 ;;
+    *) echo "FAIL: distcache_sim $flags printed: $err"; exit 1 ;;
   esac
 }
 expect_refused --dense-routes "error: unknown flag --dense-routes"
@@ -27,6 +32,31 @@ expect_refused --routing=frist "unknown --routing=frist (want pot|random|first)"
 expect_refused --mechanism=replicaton \
   "unknown --mechanism=replicaton (want distcache|replication|partition|nocache)"
 echo "ok: unknown flags and values rejected"
+
+# Flags the chosen mode never reads.
+expect_refused --offered=512 "--offered is a fluid-model option"
+expect_refused --load=0.5 "--load is a fluid-model option"
+expect_refused "--backend=fluid --offered=512" "--offered is a fluid-model option"
+expect_refused --shards=8 "--shards needs --backend=sharded|multiproc"
+expect_refused --batch=64 "--batch needs --backend=sharded|multiproc"
+expect_refused --epoch=1024 "--epoch needs --backend=sharded|multiproc"
+expect_refused "--backend=fluid --shards=2" "--shards needs --backend=sharded|multiproc"
+expect_refused "--backend=sharded --huge-pages" "--huge-pages needs --backend=multiproc"
+echo "ok: flags the mode never reads rejected"
+
+# --service-rates takes one value (broadcast) or one per cache layer.
+expect_refused "--arrival-rate=500 --service-rates=6,6,6,6" \
+  "--service-rates: want 1 value or one per cache layer (2 layers), got 4"
+expect_refused "--layers=3 --arrival-rate=500 --service-rates=60,70" \
+  "--service-rates: want 1 value or one per cache layer (3 layers), got 2"
+for rates in 6 60,70,80; do
+  if ! "$sim" --backend=sequential --requests=1000 --layers=3 --arrival-rate=500 \
+      --service-rates=$rates >/dev/null 2>&1; then
+    echo "FAIL: distcache_sim --layers=3 --service-rates=$rates refused"
+    exit 1
+  fi
+done
+echo "ok: --service-rates lengths checked against the layer count"
 
 # --realloc-at under a dynamic cache policy is a note, not an error: the policy
 # manages its own contents, so the run goes ahead without the step.
@@ -48,3 +78,30 @@ case "$out" in
     echo "FAIL: skip note printed under the static distcache policy"; exit 1 ;;
 esac
 echo "ok: --realloc-at skip note under a dynamic policy only"
+
+# Summary text golden: the deterministic lines of a fixed set of runs must
+# match tests/cli/golden_output.txt byte for byte. The wall-clock part of the
+# backend line (" in X s (Y Mreq/s)") and the memory line vary run to run and
+# are filtered out.
+golden="$(dirname "$0")/golden_output.txt"
+golden_runs() {
+  for args in \
+    "--mechanism=distcache --uncapped" \
+    "--mechanism=replication --uncapped" \
+    "--mechanism=partition --uncapped" \
+    "--mechanism=nocache --uncapped" \
+    "--latency --load=0.5" \
+    "--fail-spines=4 --offered=512" \
+    "--backend=fluid --requests=200000 --fail-spines=2 --sample=20000" \
+    "--backend=fluid --requests=200000 --shift-at=50000 --realloc-at=100000 --write-ratio=0.1" \
+    "--backend=sequential --requests=20000 --sample=5000"; do
+    echo "\$ distcache_sim $args"
+    # shellcheck disable=SC2086
+    "$sim" $args 2>&1 | sed -e 's/ in [0-9.]*s ([0-9.]* Mreq\/s)//' -e '/  memory: /d'
+  done
+}
+if ! golden_runs | diff "$golden" - ; then
+  echo "FAIL: distcache_sim summaries differ from $golden (diff above: < golden, > now)"
+  exit 1
+fi
+echo "ok: summaries match $golden"

@@ -98,10 +98,12 @@ int Run(int argc, char** argv) {
         "  [--keys=N] [--zipf=T] [--write-ratio=W] [--seed=S]\n"
         "  [--routing=pot|random|first] [--stale-telemetry] [--uncapped]\n"
         "  [--latency --load=F] [--fail-spines=K --offered=R]\n"
-        "  [--backend=sequential|sharded|multiproc|fluid --shards=N\n"
-        "   --requests=N --batch=N --epoch=N]   (request-level engine run;\n"
-        "   multiproc runs one forked, shared-memory shard process per shard;\n"
-        "   --epoch is the shard runtime's telemetry epoch, not sequential's)\n"
+        "  [--backend=sequential|sharded|multiproc|fluid --requests=N]\n"
+        "   (engine run through the SimBackend interface; --latency, --load,\n"
+        "   --offered, --stale-telemetry and --uncapped are fluid-model only)\n"
+        "  [--backend=sharded|multiproc --shards=N --batch=N --epoch=N]\n"
+        "   (shard runtime; multiproc runs one forked, shared-memory shard\n"
+        "   process per shard; --epoch is its telemetry epoch)\n"
         "  [--backend=sharded|multiproc --pin-cores]   (pin each shard to a\n"
         "   core: threads in-process, whole processes for multiproc)\n"
         "  [--backend=multiproc --huge-pages]   (try 2 MiB pages for the shared\n"
@@ -372,12 +374,27 @@ int Run(int argc, char** argv) {
                    backend_name.c_str());
       return 1;
     }
-    // The remaining fluid-model-only modes and ablations are not implemented by
-    // the request-level engines; refuse rather than silently ignore them.
-    for (const char* incompatible : {"latency", "stale-telemetry", "uncapped"}) {
+    // The fluid-model-only modes, ablations and rates are not read by the
+    // backend runs; refuse rather than silently ignore them.
+    for (const char* incompatible :
+         {"latency", "load", "offered", "stale-telemetry", "uncapped"}) {
       if (flags.Has(incompatible)) {
-        std::fprintf(stderr, "--%s is a fluid-model mode; it cannot be combined "
+        std::fprintf(stderr, "--%s is a fluid-model option; it cannot be combined "
                              "with --backend\n", incompatible);
+        return 1;
+      }
+    }
+    // Likewise the shard-runtime and multiproc-only knobs on the other engines.
+    const bool shard_runtime = backend_name == "sharded" || backend_name == "multiproc";
+    for (const char* knob : {"shards", "batch", "epoch", "pin-cores"}) {
+      if (!shard_runtime && flags.Has(knob)) {
+        std::fprintf(stderr, "--%s needs --backend=sharded|multiproc\n", knob);
+        return 1;
+      }
+    }
+    for (const char* knob : {"huge-pages", "numa-interleave", "respawn", "fault-plan"}) {
+      if (backend_name != "multiproc" && flags.Has(knob)) {
+        std::fprintf(stderr, "--%s needs --backend=multiproc\n", knob);
         return 1;
       }
     }
@@ -418,10 +435,6 @@ int Run(int argc, char** argv) {
       bcfg.respawn_limit = static_cast<uint32_t>(limit);
     }
     if (flags.Has("fault-plan")) {
-      if (backend_name != "multiproc") {
-        std::fprintf(stderr, "--fault-plan needs --backend=multiproc\n");
-        return 1;
-      }
       uint64_t fault_seed = cfg.seed;
       if (!flags.GetUintChecked("fault-seed", cfg.seed, &fault_seed, &error) ||
           !ParseFaultPlan(flags.GetString("fault-plan", ""), bcfg.shards,
@@ -431,23 +444,6 @@ int Run(int argc, char** argv) {
       }
       std::printf("fault plan: %s\n",
                   FaultPlanToString(bcfg.fault_plan).c_str());
-    }
-    if (bcfg.pin_cores && backend_name != "sharded" &&
-        backend_name != "multiproc") {
-      std::fprintf(stderr, "--pin-cores needs --backend=sharded|multiproc\n");
-      return 1;
-    }
-    if (bcfg.huge_pages && backend_name != "multiproc") {
-      std::fprintf(stderr, "--huge-pages needs --backend=multiproc\n");
-      return 1;
-    }
-    if (bcfg.numa_interleave && backend_name != "multiproc") {
-      std::fprintf(stderr, "--numa-interleave needs --backend=multiproc\n");
-      return 1;
-    }
-    if (bcfg.respawn && backend_name != "multiproc") {
-      std::fprintf(stderr, "--respawn needs --backend=multiproc\n");
-      return 1;
     }
     // Open-loop virtual time (sim/sim_backend.h QueueModelConfig): Poisson
     // arrivals, per-node FIFO queueing, per-layer service rates, hop costs.
@@ -461,6 +457,13 @@ int Run(int argc, char** argv) {
         !flags.GetDoubleList("service-rates", &bcfg.queue.service_rates,
                              &error)) {
       std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
+    }
+    if (const size_t n = bcfg.queue.service_rates.size(),
+        layers = ResolvedCacheLayers(cfg).size();
+        n > 1 && n != layers) {
+      std::fprintf(stderr, "--service-rates: want 1 value or one per cache layer "
+                   "(%zu layers), got %zu\n", layers, n);
       return 1;
     }
     if (flags.Has("burst") &&
