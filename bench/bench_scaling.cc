@@ -151,7 +151,7 @@ int Run(BenchJson& json, bool gate, bool pin_cores) {
     for (const Workload& w : workloads) {
       const std::string prefix = "L" + std::to_string(layers) + "_" + w.name;
       std::printf("\n%-22s %10s %10s %12s %14s %12s\n", prefix.c_str(), "Mreq/s",
-                  "vs seq", "hit ratio", "ring msgs", "ctrl polls");
+                  "vs seq", "hit ratio", "ring msgs", "done polls");
       const Point seq = Measure(prefix + "_seq", BackendKind::kSequential, 1,
                                 layers, w, requests, trials, pin_cores);
       json.Metric(seq.key + "_mrps", seq.mrps);

@@ -22,8 +22,9 @@ double SojournRate(double load, double cap) {
 }
 
 // Walks the read mix (popularity head + uniform tail) and emits one mixture
-// component per key: `weight` of the read mass, a deterministic network shift
-// of hops·`rtt`, and the sojourn rate at the serving node (0 = saturated).
+// component per head rank, read as its KeyOfRank key: `weight` of the read
+// mass, a deterministic network shift of hops·`rtt`, and the sojourn rate at
+// the serving node (0 = saturated).
 // Cache hits go to the candidate with the least mean latency, matching the
 // power-of-k router's steady state. Hops follow the request-level engines'
 // convention — cache hit at layer l costs l+1 hops, a server read costs
@@ -36,11 +37,12 @@ void ForEachReadComponent(ClusterSim& sim, const LoadSnapshot& snap,
   const CacheAllocation& alloc = sim.allocation();
   const PopularityVector& pop = sim.popularity();
   const double server_hops = static_cast<double>(snap.cache.size()) + 1.0;
-  for (uint64_t key = 0; key < pop.head.size(); ++key) {
-    const double weight = pop.head[key];
+  for (uint64_t rank = 0; rank < pop.head.size(); ++rank) {
+    const double weight = pop.head[rank];
     if (weight <= 0.0) {
       continue;
     }
+    const uint64_t key = sim.KeyOfRank(rank);
     const CacheCopies copies = alloc.CopiesOf(key);
     if (!copies.cached()) {
       emit(weight, server_hops * rtt,

@@ -21,8 +21,9 @@
 //   kDropTelemetry drop   the next `param` telemetry broadcasts are armed to
 //                         drop at the shm-ring view (published slots are
 //                         swallowed): peers' load views go stale.
-//   kDelayControl delay   the next control-plane publish is delayed `param`
-//                         wall-ms at the ring view.
+//   kDelayControl delay   the shard's kDone publish (its last ring message
+//                         to each peer) is delayed `param` wall-ms at the
+//                         ring view.
 //   kCorruptStats corrupt the shard's quota-end stats blob is corrupted
 //                         after its CRC is computed; the supervisor must
 //                         detect the mismatch and count the shard failed

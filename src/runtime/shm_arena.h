@@ -8,7 +8,7 @@
 // are valid in every process (the SBLLmalloc shared-heap idiom: one
 // page-granular region, layout fixed up front, processes communicate through
 // offsets computed against a common base). Everything cross-process lives here:
-// one ShmSpscRing per directed shard pair (data + control plane), the
+// one ShmSpscRing per directed shard pair (every shard message), the
 // supervisor's control block (abort flag, per-shard completion states) and one
 // serialized-BackendStats region per shard for the quota-end merge.
 //

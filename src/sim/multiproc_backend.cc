@@ -28,13 +28,12 @@ namespace distcache {
 
 namespace {
 
-// Ring depths per directed shard pair. Data traffic is O(epochs + 1) messages
-// (telemetry broadcasts plus the end-of-run delta flush, chunked) and every
-// batch boundary drains it; control traffic is one kDone. Consumers drain
-// while waiting, so a shallow ring only adds retry rounds, never deadlock —
-// and every slot is touched as the index wraps, so depth is resident memory.
+// Ring depth per directed shard pair. Traffic is O(epochs + 1) messages
+// (telemetry broadcasts, the end-of-run delta flush, chunked, and one kDone)
+// and every batch boundary drains it. Consumers drain while waiting, so a
+// shallow ring only adds retry rounds, never deadlock — and every slot is
+// touched as the index wraps, so depth is resident memory.
 constexpr size_t kDataRingCapacity = 32;
-constexpr size_t kCtrlRingCapacity = 64;
 
 // Floor for the data-plane payload when the topology is tiny.
 constexpr size_t kMinDataPayloadBytes = 1024;
@@ -46,7 +45,7 @@ constexpr size_t kMinDataPayloadBytes = 1024;
 enum WireKind : uint8_t {
   kWireTelemetry = 0,  // dense own-contribution partials, one slot
   kWireDeltas = 1,     // end-of-run load deltas, chunked
-  kWireDone = 2,       // end-of-stream marker, the only control-ring kind
+  kWireDone = 2,       // end-of-stream marker, the sender's last message
 };
 
 struct WireHeader {
@@ -93,26 +92,7 @@ struct alignas(kCacheLineSize) ShmControlBlock {
   // so the prefault writes can never race a producer.
   std::atomic<uint32_t> ready{0};
 };
-
-struct alignas(kCacheLineSize) ShardSlot {
-  std::atomic<uint32_t> state{kShardRunning};
-  // CRC-32 (common/hash.h) of the serialized stats blob, stored before the
-  // len/state releases: the supervisor recomputes it over the region and a
-  // mismatch marks the shard failed instead of deserializing a corrupted
-  // blob.
-  std::atomic<uint32_t> stats_crc{0};
-  std::atomic<uint64_t> stats_len{0};
-  // Liveness word: bumped (relaxed) once per processed batch and on every
-  // wait-loop backoff pause. The supervisor's wall-clock escalation ladder
-  // (wait → warn → declare-dead) only ever watches it advance, so legitimate
-  // rendezvous waits never trip a deadline but a genuinely stalled or wedged
-  // shard does.
-  std::atomic<uint64_t> heartbeat{0};
-};
-static_assert(sizeof(ShmControlBlock) == kCacheLineSize &&
-                  sizeof(ShardSlot) == kCacheLineSize,
-              "one line each: a child's completion store must not invalidate "
-              "its neighbour's");
+static_assert(sizeof(ShmControlBlock) == kCacheLineSize, "one line");
 
 void WritePod(void* slot, const void* src, size_t bytes, size_t offset = 0) {
   if (bytes == 0) {
@@ -173,6 +153,22 @@ RouteView ViewTable(const uint8_t* src) {
 
 }  // namespace
 
+struct alignas(kCacheLineSize) MultiprocBackend::ShardSlot {
+  std::atomic<uint32_t> state{kShardRunning};
+  // CRC-32 (common/hash.h) of the serialized stats blob, stored before the
+  // len/state releases: the supervisor recomputes it over the region and a
+  // mismatch marks the shard failed instead of deserializing a corrupted
+  // blob.
+  std::atomic<uint32_t> stats_crc{0};
+  std::atomic<uint64_t> stats_len{0};
+  // Liveness word: bumped (relaxed) once per processed batch and on every
+  // wait-loop backoff pause. The supervisor's wall-clock escalation ladder
+  // (wait → warn → declare-dead) only ever watches it advance, so legitimate
+  // rendezvous waits never trip a deadline but a genuinely stalled or wedged
+  // shard does.
+  std::atomic<uint64_t> heartbeat{0};
+};
+
 // Per-shard state, local to the shard's thread or process. Ring *views*
 // (runtime/shm_ring.h) live here (private index caches); ring storage lives in
 // the arena.
@@ -189,8 +185,6 @@ struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   // Indexed by peer; the self slot is a detached default view, never touched.
   std::vector<ShmSpscRing> data_in;   // consumer views: peer -> this shard
   std::vector<ShmSpscRing> data_out;  // producer views: this shard -> peer
-  std::vector<ShmSpscRing> ctrl_in;
-  std::vector<ShmSpscRing> ctrl_out;
 
   BackendStats local;
   CacheAlignedVector<double> own_cache;
@@ -232,7 +226,7 @@ struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   size_t next_fault = 0;
   // Armed survivable effects, consumed at their hook points.
   uint32_t drop_telemetry = 0;  // broadcasts to swallow at the ring views
-  uint32_t ctrl_delay_ms = 0;   // delay armed on the next control publish
+  uint32_t done_delay_ms = 0;   // delay armed on the next kDone publish
   bool corrupt_stats = false;   // flip a byte of the stats blob post-CRC
 
   // This shard's arena heartbeat word (ShardSlot::heartbeat).
@@ -300,7 +294,6 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
   // A full telemetry snapshot (one double per cache node) must fit one slot.
   data_slot_bytes_ =
       sizeof(WireHeader) + std::max(nodes * sizeof(double), kMinDataPayloadBytes);
-  ctrl_slot_bytes_ = sizeof(WireHeader);
   const uint64_t max_points =
       config_.sample_interval == 0 ? 0
                                    : num_requests / config_.sample_interval + 4;
@@ -316,7 +309,6 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
   control_offset_ = layout.Reserve(sizeof(ShmControlBlock) +
                                    static_cast<size_t>(n) * sizeof(ShardSlot));
   data_ring_offset_.assign(static_cast<size_t>(n) * n, 0);
-  ctrl_ring_offset_.assign(static_cast<size_t>(n) * n, 0);
   for (uint32_t to = 0; to < n; ++to) {
     for (uint32_t from = 0; from < n; ++from) {
       if (to == from) {
@@ -324,8 +316,6 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
       }
       data_ring_offset_[static_cast<size_t>(to) * n + from] = layout.Reserve(
           ShmSpscRing::BytesFor(kDataRingCapacity, data_slot_bytes_));
-      ctrl_ring_offset_[static_cast<size_t>(to) * n + from] = layout.Reserve(
-          ShmSpscRing::BytesFor(kCtrlRingCapacity, ctrl_slot_bytes_));
     }
   }
   stats_offset_.assign(n, 0);
@@ -401,12 +391,9 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
   }
   // Pre-launch, single-threaded: construct the handshake block in place (the
   // zero-filled bytes are already the right values; this makes it formal).
-  auto* ctrl = new (arena_.At(control_offset_)) ShmControlBlock();
-  (void)ctrl;
-  auto* slots = reinterpret_cast<ShardSlot*>(arena_.At(control_offset_) +
-                                             sizeof(ShmControlBlock));
+  new (arena_.At(control_offset_)) ShmControlBlock();
   for (uint32_t i = 0; i < n; ++i) {
-    new (&slots[i]) ShardSlot();
+    new (SlotOf(i)) ShardSlot();
   }
   return true;
 }
@@ -436,12 +423,23 @@ uint64_t QuotaOf(uint64_t num_requests, uint32_t n, uint32_t i) {
 ShmControlBlock* CtrlBlockAt(const ShmArena& arena, size_t offset) {
   return reinterpret_cast<ShmControlBlock*>(arena.At(offset));
 }
-ShardSlot* ShardSlotAt(const ShmArena& arena, size_t offset, uint32_t shard) {
-  return reinterpret_cast<ShardSlot*>(arena.At(offset) +
+}  // namespace
+
+MultiprocBackend::ShardSlot* MultiprocBackend::SlotOf(uint32_t shard) const {
+  static_assert(sizeof(ShardSlot) == kCacheLineSize,
+                "one line each: a child's completion store must not "
+                "invalidate its neighbour's");
+  return reinterpret_cast<ShardSlot*>(arena_.At(control_offset_) +
                                       sizeof(ShmControlBlock)) +
          shard;
 }
-}  // namespace
+
+std::atomic<uint64_t>* MultiprocBackend::ReportFlag(uint32_t step,
+                                                    uint32_t s) const {
+  return reinterpret_cast<std::atomic<uint64_t>*>(
+      arena_.At(report_offset_[static_cast<size_t>(step) * shard_map_.shards() +
+                               s]));
+}
 
 bool MultiprocBackend::Aborted() const {
   return CtrlBlockAt(arena_, control_offset_)
@@ -462,8 +460,7 @@ void MultiprocBackend::PulseHeartbeat(Proc& p) {
 }
 
 bool MultiprocBackend::ShardDead(uint32_t shard) const {
-  return ShardSlotAt(arena_, control_offset_, shard)
-             ->state.load(std::memory_order_acquire) == kShardDead;
+  return SlotOf(shard)->state.load(std::memory_order_acquire) == kShardDead;
 }
 
 uint32_t MultiprocBackend::FirstLiveShard() const {
@@ -495,11 +492,9 @@ bool MultiprocBackend::ShardMain(Proc& p, uint64_t quota,
                                  uint64_t num_requests, bool respawned) {
   const uint32_t id = p.id;
   const uint32_t n = shard_map_.shards();
-  p.heartbeat = &ShardSlotAt(arena_, control_offset_, id)->heartbeat;
+  p.heartbeat = &SlotOf(id)->heartbeat;
   p.data_in.resize(n);
   p.data_out.resize(n);
-  p.ctrl_in.resize(n);
-  p.ctrl_out.resize(n);
   for (uint32_t peer = 0; peer < n; ++peer) {
     if (peer == id) {
       continue;
@@ -510,10 +505,6 @@ bool MultiprocBackend::ShardMain(Proc& p, uint64_t quota,
                                   kDataRingCapacity, data_slot_bytes_);
     p.data_out[peer] = ShmSpscRing(arena_.At(data_ring_offset_[out_idx]),
                                    kDataRingCapacity, data_slot_bytes_);
-    p.ctrl_in[peer] = ShmSpscRing(arena_.At(ctrl_ring_offset_[in_idx]),
-                                  kCtrlRingCapacity, ctrl_slot_bytes_);
-    p.ctrl_out[peer] = ShmSpscRing(arena_.At(ctrl_ring_offset_[out_idx]),
-                                   kCtrlRingCapacity, ctrl_slot_bytes_);
     if (respawned) {
       // Live rings: adopt the shared indices (a fresh view's zeroed caches
       // are only valid for a pristine ring) and do NOT prefault — writing a
@@ -521,22 +512,16 @@ bool MultiprocBackend::ShardMain(Proc& p, uint64_t quota,
       // and the header's published tail.
       p.data_in[peer].SyncFromShared();
       p.data_out[peer].SyncFromShared();
-      p.ctrl_in[peer].SyncFromShared();
-      p.ctrl_out[peer].SyncFromShared();
       continue;
     }
     // Prefault this shard's *inbound* ring pages by writing (reads would map
     // shared zero pages, placing nothing): first touch from the pinned core
     // allocates them on its node. Pre-barrier, so no producer can be writing.
-    for (const size_t off : {data_ring_offset_[in_idx], ctrl_ring_offset_[in_idx]}) {
-      const size_t bytes =
-          off == data_ring_offset_[in_idx]
-              ? ShmSpscRing::BytesFor(kDataRingCapacity, data_slot_bytes_)
-              : ShmSpscRing::BytesFor(kCtrlRingCapacity, ctrl_slot_bytes_);
-      volatile uint8_t* page = arena_.At(off);
-      for (size_t b = 0; b < bytes; b += 4096) {
-        page[b] = 0;
-      }
+    volatile uint8_t* page = arena_.At(data_ring_offset_[in_idx]);
+    const size_t bytes =
+        ShmSpscRing::BytesFor(kDataRingCapacity, data_slot_bytes_);
+    for (size_t b = 0; b < bytes; b += 4096) {
+      page[b] = 0;
     }
   }
 
@@ -576,7 +561,7 @@ bool MultiprocBackend::ShardMain(Proc& p, uint64_t quota,
       region[len / 2] ^= 0x5a;
     }
   }
-  ShardSlot* slot = ShardSlotAt(arena_, control_offset_, id);
+  ShardSlot* slot = SlotOf(id);
   slot->stats_crc.store(crc, std::memory_order_release);
   slot->stats_len.store(len, std::memory_order_release);
   slot->state.store(p.abort_seen ? kShardAborted : kShardDone,
@@ -584,28 +569,35 @@ bool MultiprocBackend::ShardMain(Proc& p, uint64_t quota,
   return p.abort_seen;
 }
 
-void* MultiprocBackend::AcquireSlot(Proc& p, ShmSpscRing& ring, uint32_t peer) {
+template <typename Ready>
+bool MultiprocBackend::WaitFor(Proc& p, Ready ready) {
   Backoff backoff;
-  while (true) {
-    if (void* slot = ring.TryStage()) {
-      return slot;
-    }
-    // Full ring: the receiver is behind. Draining our own rings while
-    // retrying guarantees global progress (no send cycle can wedge: some
-    // shard in it always empties a ring); the abort and dead-peer checks
-    // guarantee a dead receiver cannot wedge us.
+  while (!ready()) {
     DrainDataRings(p);
-    DrainControlRings(p);
+    if (ready()) {
+      break;
+    }
     if (Aborted()) {
       p.abort_seen = true;
-      return nullptr;
-    }
-    if (ShardDead(peer)) {
-      return nullptr;  // receiver permanently gone; the message is moot
+      return false;
     }
     PulseHeartbeat(p);
     backoff.Pause();
   }
+  return true;
+}
+
+void* MultiprocBackend::AcquireSlot(Proc& p, ShmSpscRing& ring, uint32_t peer) {
+  // A full ring means the receiver is behind. Draining our own rings while
+  // retrying guarantees global progress (no send cycle can wedge: some shard
+  // in it always empties a ring); the abort and dead-peer checks guarantee a
+  // dead receiver cannot wedge us (its message is moot).
+  void* slot = nullptr;
+  WaitFor(p, [&] {
+    slot = ring.TryStage();
+    return slot != nullptr || ShardDead(peer);
+  });
+  return slot;
 }
 
 void MultiprocBackend::BroadcastTelemetry(Proc& p) {
@@ -677,27 +669,31 @@ void MultiprocBackend::SendLoadDeltas(
 }
 
 void MultiprocBackend::SendDone(Proc& p, uint32_t peer) {
-  void* slot = AcquireSlot(p, p.ctrl_out[peer], peer);
+  void* slot = AcquireSlot(p, p.data_out[peer], peer);
   if (slot == nullptr) {
     return;  // aborted, or the peer is dead and will never consume it
   }
   const WireHeader h{kWireDone, 0, 0, p.id, 0, 0};
   WritePod(slot, &h, sizeof(h));
-  if (__builtin_expect(p.ctrl_delay_ms != 0, 0)) {
-    p.ctrl_out[peer].ArmDelayNext(p.ctrl_delay_ms);
-    p.ctrl_delay_ms = 0;
+  if (__builtin_expect(p.done_delay_ms != 0, 0)) {
+    p.data_out[peer].ArmDelayNext(p.done_delay_ms);
+    p.done_delay_ms = 0;
   }
-  // This release orders every earlier data-ring publish by this process
-  // before the kDone: a peer that has acquired the kDone and then drains its
-  // data rings observes all of this shard's deltas (the no-missed-delta edge).
-  p.ctrl_out[peer].Publish();
+  // The kDone follows every delta this shard sent to `peer` on the same FIFO
+  // ring, so the peer has applied them all by the time it consumes the kDone
+  // (the no-missed-delta edge).
+  p.data_out[peer].Publish();
   ++p.local.cross_shard_messages;
 }
 
-void MultiprocBackend::ApplyDataSlot(Proc& p, const void* slot) {
+bool MultiprocBackend::ApplyDataSlot(Proc& p, const void* slot) {
   WireHeader h;
   std::memcpy(&h, slot, sizeof(h));
   const uint8_t* payload = static_cast<const uint8_t*>(slot) + sizeof(h);
+  if (h.kind == kWireDone) {
+    p.done_ring[h.from] = 1;
+    return true;
+  }
   if (h.kind == kWireTelemetry) {
     // Fold in the sender's monotone increment since its previous broadcast;
     // the view stays the sum of per-shard partials plus our exact own counts.
@@ -714,7 +710,7 @@ void MultiprocBackend::ApplyDataSlot(Proc& p, const void* slot) {
         last[flat] = p.telemetry_scratch[flat];
       }
     }
-    return;
+    return false;
   }
   // kWireDeltas
   const size_t entries = static_cast<size_t>(h.count_a) + h.count_b;
@@ -731,10 +727,12 @@ void MultiprocBackend::ApplyDataSlot(Proc& p, const void* slot) {
     const DeltaEntry& e = p.delta_scratch[h.count_a + i];
     p.local.server_load[static_cast<uint32_t>(e.index)] += e.delta;
   }
+  return false;
 }
 
-void MultiprocBackend::DrainDataRings(Proc& p) {
+bool MultiprocBackend::DrainDataRings(Proc& p) {
   const uint32_t n = shard_map_.shards();
+  bool done = false;
   for (uint32_t peer = 0; peer < n; ++peer) {
     if (peer == p.id) {
       continue;
@@ -744,44 +742,22 @@ void MultiprocBackend::DrainDataRings(Proc& p) {
       continue;
     }
     while (const void* slot = ring.Front()) {
-      ApplyDataSlot(p, slot);
+      done |= ApplyDataSlot(p, slot);
       ring.Pop();
     }
   }
-}
-
-void MultiprocBackend::DrainControlRings(Proc& p) {
-  const uint32_t n = shard_map_.shards();
-  for (uint32_t peer = 0; peer < n; ++peer) {
-    if (peer == p.id) {
-      continue;
-    }
-    ShmSpscRing& ring = p.ctrl_in[peer];
-    while (ring.Front() != nullptr) {  // kWireDone is the only control kind
-      p.done_ring[peer] = 1;
-      ring.Pop();
-    }
-  }
+  return done;
 }
 
 void MultiprocBackend::PollInbox(Proc& p) {
-  DrainDataRings(p);
-  // Batch-boundary control poll: an all-empty probe (one acquire load per
-  // peer, vacuous at x1) counts as one uncontended receive; anything pending
-  // counts as one contended receive. Wait-loop drains are not counted.
-  const uint32_t n = shard_map_.shards();
-  bool pending = false;
-  for (uint32_t peer = 0; peer < n && !pending; ++peer) {
-    if (peer != p.id && !p.ctrl_in[peer].EmptyApprox()) {
-      pending = true;
-    }
-  }
-  if (!pending) {
+  // Batch-boundary drain: one that consumed a kDone counts as one contended
+  // receive, any other (vacuous at x1) as one uncontended receive. Wait-loop
+  // drains are not counted.
+  if (DrainDataRings(p)) {
+    ++p.local.contended_receives;
+  } else {
     ++p.local.uncontended_receives;
-    return;
   }
-  ++p.local.contended_receives;
-  DrainControlRings(p);
 }
 
 void MultiprocBackend::FlushLoads(Proc& p) {
@@ -827,18 +803,15 @@ void MultiprocBackend::FlushLoads(Proc& p) {
 
 std::vector<std::pair<uint64_t, uint32_t>> MultiprocBackend::ReadArenaReport(
     uint32_t step, uint32_t s) {
-  const uint32_t n = shard_map_.shards();
-  const uint8_t* slot =
-      arena_.At(report_offset_[static_cast<size_t>(step) * n + s]);
-  const auto* flag = reinterpret_cast<const std::atomic<uint64_t>*>(slot);
+  const std::atomic<uint64_t>* flag = ReportFlag(step, s);
   const uint64_t published = flag->load(std::memory_order_acquire);
   std::vector<std::pair<uint64_t, uint32_t>> report;
   if (published == 0) {
     return report;  // never published (dead shard)
   }
   const size_t count = static_cast<size_t>(published - 1);
-  const auto* entries =
-      reinterpret_cast<const ReportEntry*>(slot + kCacheLineSize);
+  const auto* entries = reinterpret_cast<const ReportEntry*>(
+      reinterpret_cast<const uint8_t*>(flag) + kCacheLineSize);
   report.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     report.emplace_back(entries[i].key, static_cast<uint32_t>(entries[i].count));
@@ -855,28 +828,13 @@ bool MultiprocBackend::ControllerPublishRealloc(Proc& p, uint32_t step) {
   std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports;
   reports.reserve(n);
   for (uint32_t s = 0; s < n; ++s) {
-    const uint8_t* slot =
-        arena_.At(report_offset_[static_cast<size_t>(step) * n + s]);
-    const auto* flag = reinterpret_cast<const std::atomic<uint64_t>*>(slot);
-    Backoff backoff;
-    while (flag->load(std::memory_order_acquire) == 0) {
-      // Keep draining while waiting: a peer stuck on a full ring toward us
-      // must make progress before it can reach this step (same global-
-      // progress argument as AcquireSlot).
-      DrainDataRings(p);
-      DrainControlRings(p);
-      if (flag->load(std::memory_order_acquire) != 0) {
-        break;
-      }
-      if (Aborted()) {
-        p.abort_seen = true;
-        return false;
-      }
-      if (s != p.id && ShardDead(s)) {
-        break;  // died before publishing; its sample is simply absent
-      }
-      PulseHeartbeat(p);
-      backoff.Pause();
+    const std::atomic<uint64_t>* flag = ReportFlag(step, s);
+    // A shard that died before publishing is simply absent from the sample.
+    if (!WaitFor(p, [&] {
+          return flag->load(std::memory_order_acquire) != 0 ||
+                 (s != p.id && ShardDead(s));
+        })) {
+      return false;
     }
     if (flag->load(std::memory_order_acquire) == 0) {
       continue;  // excluded from the merge — and from the published mask
@@ -911,12 +869,12 @@ void MultiprocBackend::Reallocate(Proc& p) {
   //    incarnation finds the flag set (reports are deterministic per shard)
   //    and skips the write, so a concurrent controller read never races.
   {
-    uint8_t* slot = arena_.At(report_offset_[static_cast<size_t>(step) * n + p.id]);
-    auto* flag = reinterpret_cast<std::atomic<uint64_t>*>(slot);
+    std::atomic<uint64_t>* flag = ReportFlag(step, p.id);
     if (flag->load(std::memory_order_acquire) == 0) {
       const auto report = p.core.ObservedCounts();
       const size_t count = std::min(report.size(), report_entry_cap_);
-      auto* entries = reinterpret_cast<ReportEntry*>(slot + kCacheLineSize);
+      auto* entries = reinterpret_cast<ReportEntry*>(
+          reinterpret_cast<uint8_t*>(flag) + kCacheLineSize);
       for (size_t i = 0; i < count; ++i) {
         entries[i] = {report[i].first, report[i].second};
       }
@@ -930,11 +888,6 @@ void MultiprocBackend::Reallocate(Proc& p) {
   // at the deterministic successor when a claimant dies before publishing.
   auto* claim = reinterpret_cast<std::atomic<uint64_t>*>(ready_line + 8);
   const std::vector<size_t>& tables = realloc_table_offset_[step];
-  const auto report_flag = [&](uint32_t s) {
-    return reinterpret_cast<const std::atomic<uint64_t>*>(
-               arena_.At(report_offset_[static_cast<size_t>(step) * n + s]))
-        ->load(std::memory_order_acquire);
-  };
 
   // 2. Controller election + publication. The first live shard claims the
   //    role and runs ControllerPublishRealloc (gather → refill → publish
@@ -942,51 +895,40 @@ void MultiprocBackend::Reallocate(Proc& p) {
   //    the tables still unpublished CASes the claim to the current first
   //    live shard — the paper's §4.4-style deterministic failover. In a
   //    fault-free run shard 0 wins the first CAS uncontested.
-  bool is_publisher = false;
-  uint64_t ready = table_ready->load(std::memory_order_acquire);
-  {
-    Backoff backoff;
-    while (ready == 0) {
-      uint64_t cur = claim->load(std::memory_order_acquire);
-      if (cur == 0) {
-        if (FirstLiveShard() == p.id &&
-            claim->compare_exchange_strong(cur, p.id + 1,
-                                           std::memory_order_acq_rel) &&
-            p.id != 0) {
-          // Shard 0 died before ever claiming: this election IS the failover.
-          ++p.local.controller_failovers;
-          p.local.fault_events.push_back(
-              {p.id, BackendStats::FaultRecord::kControllerFailover, 0});
-        }
-      } else if (cur != p.id + 1 &&
-                 ShardDead(static_cast<uint32_t>(cur - 1))) {
-        const uint32_t successor = FirstLiveShard();
-        if (claim->compare_exchange_strong(cur, successor + 1,
-                                           std::memory_order_acq_rel)) {
-          ++p.local.controller_failovers;
-          p.local.fault_events.push_back(
-              {successor, BackendStats::FaultRecord::kControllerFailover, 0});
-        }
-      }
-      if (claim->load(std::memory_order_acquire) == p.id + 1) {
-        if (!ControllerPublishRealloc(p, step)) {
-          return;  // winding down
-        }
-        is_publisher = true;
-        ready = table_ready->load(std::memory_order_acquire);
-        continue;
-      }
-      DrainDataRings(p);
-      DrainControlRings(p);
-      if (Aborted()) {
-        p.abort_seen = true;
-        return;  // keep current routes; we are winding down
-      }
-      PulseHeartbeat(p);
-      backoff.Pause();
-      ready = table_ready->load(std::memory_order_acquire);
+  const auto published_or_ours = [&] {
+    if (table_ready->load(std::memory_order_acquire) != 0) {
+      return true;
     }
+    uint64_t cur = claim->load(std::memory_order_acquire);
+    if (cur == 0) {
+      if (FirstLiveShard() == p.id &&
+          claim->compare_exchange_strong(cur, p.id + 1,
+                                         std::memory_order_acq_rel) &&
+          p.id != 0) {
+        // Shard 0 died before ever claiming: this election IS the failover.
+        ++p.local.controller_failovers;
+        p.local.fault_events.push_back(
+            {p.id, BackendStats::FaultRecord::kControllerFailover, 0});
+      }
+    } else if (cur != p.id + 1 && ShardDead(static_cast<uint32_t>(cur - 1))) {
+      const uint32_t successor = FirstLiveShard();
+      if (claim->compare_exchange_strong(cur, successor + 1,
+                                         std::memory_order_acq_rel)) {
+        ++p.local.controller_failovers;
+        p.local.fault_events.push_back(
+            {successor, BackendStats::FaultRecord::kControllerFailover, 0});
+      }
+    }
+    return claim->load(std::memory_order_acquire) == p.id + 1;
+  };
+  if (!WaitFor(p, published_or_ours)) {
+    return;  // keep current routes; we are winding down
   }
+  const bool is_publisher = table_ready->load(std::memory_order_acquire) == 0;
+  if (is_publisher && !ControllerPublishRealloc(p, step)) {
+    return;  // winding down
+  }
+  const uint64_t ready = table_ready->load(std::memory_order_acquire);
   // 3. Forked non-publishers replay the controller's model mutations from the
   //    masked report set, so any of them can take over as controller at a
   //    later step with the refilled allocation state. (The mask covers
@@ -999,7 +941,8 @@ void MultiprocBackend::Reallocate(Proc& p) {
     std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports;
     for (uint32_t s = 0; s < n; ++s) {
       const bool included =
-          s < 63 ? ((mask >> s) & 1) != 0 : report_flag(s) != 0;
+          s < 63 ? ((mask >> s) & 1) != 0
+                 : ReportFlag(step, s)->load(std::memory_order_acquire) != 0;
       if (included) {
         reports.push_back(ReadArenaReport(step, s));
       }
@@ -1056,7 +999,7 @@ void MultiprocBackend::MaybeInjectFaults(Proc& p) {
         break;
       case FaultKind::kDelayControl:
         RecordFault(p, f.kind, f.at_request);
-        p.ctrl_delay_ms += static_cast<uint32_t>(f.param);
+        p.done_delay_ms += static_cast<uint32_t>(f.param);
         break;
       case FaultKind::kCorruptStats:
         RecordFault(p, f.kind, f.at_request);
@@ -1200,42 +1143,22 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
       SendDone(p, peer);
     }
   }
-  {
-    // A peer is finished when its kDone arrived on the ring — or when its
-    // completion slot says it already exited (its kDone may have been
-    // consumed by a since-crashed incarnation of this shard under respawn;
-    // the slot store is release-ordered after the peer's last ring publish,
-    // so counting it finished still guarantees its deltas are visible to the
-    // drains below).
-    const auto all_done = [&] {
-      for (uint32_t peer = 0; peer < n; ++peer) {
-        if (peer == p.id || p.done_ring[peer]) {
-          continue;
-        }
-        if (ShardSlotAt(arena_, control_offset_, peer)
-                ->state.load(std::memory_order_acquire) != kShardRunning) {
-          continue;
-        }
+  // A peer is finished when its kDone arrived on the ring — or when its
+  // completion slot says it already exited (its kDone may have been consumed
+  // by a since-crashed incarnation of this shard under respawn; the slot
+  // store is release-ordered after the peer's last ring publish, so counting
+  // it finished still guarantees its deltas are visible to the drain below).
+  WaitFor(p, [&] {
+    for (uint32_t peer = 0; peer < n; ++peer) {
+      if (peer != p.id && !p.done_ring[peer] &&
+          SlotOf(peer)->state.load(std::memory_order_acquire) ==
+              kShardRunning) {
         return false;
       }
-      return true;
-    };
-    Backoff backoff;
-    while (!all_done()) {
-      DrainDataRings(p);
-      DrainControlRings(p);
-      if (all_done()) {
-        break;
-      }
-      if (Aborted()) {
-        p.abort_seen = true;
-        break;
-      }
-      PulseHeartbeat(p);
-      backoff.Pause();
     }
-    DrainDataRings(p);  // every live peer's final deltas are visible now
-  }
+    return true;
+  });
+  DrainDataRings(p);  // every live peer's final deltas are visible now
   p.core.FinishSeries(p.processed);
   p.local.requests = p.processed;
   // Memory accounting (max-merged, sim_backend.h): the base table and every
@@ -1327,8 +1250,8 @@ bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
       const pid_t r = ::waitpid(pids[i], &status, WNOHANG);
       if (r == 0) {
         // Still running: advance the liveness ladder.
-        const uint64_t hb = ShardSlotAt(arena_, control_offset_, i)
-                                ->heartbeat.load(std::memory_order_relaxed);
+        const uint64_t hb =
+            SlotOf(i)->heartbeat.load(std::memory_order_relaxed);
         const auto now = std::chrono::steady_clock::now();
         if (hb != watch[i].hb) {
           watch[i] = {hb, now, false};
@@ -1367,8 +1290,7 @@ bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
       const bool orderly =
           r > 0 && WIFEXITED(status) &&
           (WEXITSTATUS(status) == 0 || WEXITSTATUS(status) == 3) &&
-          ShardSlotAt(arena_, control_offset_, i)
-                  ->state.load(std::memory_order_acquire) != kShardRunning;
+          SlotOf(i)->state.load(std::memory_order_acquire) != kShardRunning;
       if (orderly) {
         continue;
       }
@@ -1379,7 +1301,7 @@ bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
         // Reset the completion slot: SIGKILL usually left it untouched, but a
         // death between the stats publish and _exit would otherwise let peers
         // count this shard done while the respawn is still re-running.
-        ShardSlot* slot = ShardSlotAt(arena_, control_offset_, i);
+        ShardSlot* slot = SlotOf(i);
         slot->stats_len.store(0, std::memory_order_release);
         slot->state.store(kShardRunning, std::memory_order_release);
         const pid_t fresh = ::fork();
@@ -1403,8 +1325,7 @@ bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
       // protocol; the run completes with the survivors' quota — degrade,
       // don't abort.
       (*failed)[i] = 1;
-      ShardSlotAt(arena_, control_offset_, i)
-          ->state.store(kShardDead, std::memory_order_release);
+      SlotOf(i)->state.store(kShardDead, std::memory_order_release);
       supervisor->fault_events.push_back(
           {i, BackendStats::FaultRecord::kShardDeclaredDead, 0});
     }
@@ -1497,7 +1418,7 @@ BackendStats MultiprocBackend::Run(uint64_t num_requests) {
   BackendStats total;
   uint64_t lost_quota = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    ShardSlot* slot = ShardSlotAt(arena_, control_offset_, i);
+    ShardSlot* slot = SlotOf(i);
     const uint32_t state = slot->state.load(std::memory_order_acquire);
     const uint64_t len = slot->stats_len.load(std::memory_order_acquire);
     const bool crc_ok =

@@ -20,12 +20,12 @@
 // thread returns; a child _exit()s. The supervisor joins or reaps, then merges
 // every region through the same CRC check and BackendStats::Merge.
 //
-// Transport: one ShmSpscRing per directed shard pair for the data plane
-// (telemetry partials and end-of-run load deltas, serialized into fixed slots
-// sized so a full telemetry snapshot fits one), and one header-sized control
-// ring per pair that carries only kDone. The timeline needs no multicast: the
-// fired plan is a pure function of the config, so every shard queues it
-// locally and applies each step at its scaled local request clock.
+// Transport: one ShmSpscRing per directed shard pair carries every message
+// (telemetry partials, end-of-run load deltas and the kDone marker, serialized
+// into fixed slots sized so a full telemetry snapshot fits one). The timeline
+// needs no multicast: the fired plan is a pure function of the config, so
+// every shard queues it locally and applies each step at its scaled local
+// request clock.
 //
 // kReallocateCache (§6.4) is the one step whose effect is runtime-observed. A
 // dynamic policy's plan has no such step, so its runs reserve no report or
@@ -49,9 +49,9 @@
 // in controller_failovers).
 //
 // Termination: a shard that finishes its quota flushes its deltas, publishes
-// kDone to every peer (the control-ring release orders the earlier data
-// publishes before it: a peer that acquired the kDone and then drains its
-// data rings sees every delta), and drains until every peer is done.
+// kDone to every peer on the same ring, and drains until every peer is done.
+// The ring is FIFO, so a peer consumes every delta sent to it before the kDone
+// that marks the sender finished.
 //
 // Fork-only robustness (they need a crash domain per shard):
 //
@@ -77,10 +77,11 @@
 //     so a respawned incarnation does not re-fire it.
 //
 // The arena abort flag is the catastrophic backstop for a launch that fails
-// part-way (fork or thread creation); every wait loop checks it.
+// part-way (fork or thread creation); the start barrier and WaitFor check it.
 #ifndef DISTCACHE_SIM_MULTIPROC_BACKEND_H_
 #define DISTCACHE_SIM_MULTIPROC_BACKEND_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -118,8 +119,9 @@ class MultiprocBackend : public SimBackend {
   static bool Supported();
 
  private:
-  struct Proc;      // per-shard state (thread- or process-local)
-  struct ProcSink;  // branch-free hot-path sink
+  struct Proc;       // per-shard state (thread- or process-local)
+  struct ProcSink;   // branch-free hot-path sink
+  struct ShardSlot;  // per-shard arena line: completion state and heartbeat
 
   // ---- shard side ----------------------------------------------------------
   std::unique_ptr<Proc> NewProc(uint32_t id) const;
@@ -133,8 +135,8 @@ class MultiprocBackend : public SimBackend {
   void RunShard(Proc& p, uint64_t quota, uint64_t num_requests);
   void ProcessBatch(Proc& p, uint32_t count);
   void PollInbox(Proc& p);
-  void DrainDataRings(Proc& p);
-  void DrainControlRings(Proc& p);
+  // Applies every pending inbound slot; true when one of them was a kDone.
+  bool DrainDataRings(Proc& p);
   void FlushLoads(Proc& p);
   void BroadcastTelemetry(Proc& p);
   void SendLoadDeltas(Proc& p, uint32_t peer,
@@ -149,6 +151,13 @@ class MultiprocBackend : public SimBackend {
   // Bumps this shard's arena heartbeat word (relaxed); called per batch and
   // from every wait-loop backoff so legitimate waits never look like stalls.
   void PulseHeartbeat(Proc& p);
+  // The post-barrier wait: until ready() holds, drain the inbound rings (a
+  // peer blocked on a full ring toward us must progress before it can make
+  // us ready), pulse the heartbeat and back off. False, with abort_seen set,
+  // once the arena abort flag is up.
+  template <typename Ready>
+  bool WaitFor(Proc& p, Ready ready);
+  ShardSlot* SlotOf(uint32_t shard) const;
   // True once the supervisor declared `shard` permanently dead (kShardDead is
   // only stored after the process was reaped — its writes have stopped).
   bool ShardDead(uint32_t shard) const;
@@ -166,12 +175,17 @@ class MultiprocBackend : public SimBackend {
   // (BuildReallocRoutes) and release the ready word carrying the merged-shard
   // mask. False when aborted mid-gather.
   bool ControllerPublishRealloc(Proc& p, uint32_t step);
+  // Shard `s`'s report slot for `step`: this flag word (0 = unpublished,
+  // else entry count + 1), then the entries one cache line in.
+  std::atomic<uint64_t>* ReportFlag(uint32_t step, uint32_t s) const;
   // Reads shard `s`'s published report for `step` (its flag must be set).
   std::vector<std::pair<uint64_t, uint32_t>> ReadArenaReport(uint32_t step,
                                                              uint32_t s);
-  void ApplyDataSlot(Proc& p, const void* slot);
-  // Full-ring retry with own-ring drains + backoff; null once aborted or when
-  // `peer` was declared dead (callers distinguish via p.abort_seen).
+  // True when the slot was a kDone.
+  bool ApplyDataSlot(Proc& p, const void* slot);
+  // Stages a slot, waiting (WaitFor) while the ring is full; null once
+  // aborted or when `peer` was declared dead (callers distinguish via
+  // p.abort_seen).
   void* AcquireSlot(Proc& p, ShmSpscRing& ring, uint32_t peer);
   bool Aborted() const;
 
@@ -210,9 +224,7 @@ class MultiprocBackend : public SimBackend {
   ShmArena arena_;
   size_t control_offset_ = 0;
   size_t data_slot_bytes_ = 0;
-  size_t ctrl_slot_bytes_ = 0;
   std::vector<size_t> data_ring_offset_;   // [to * shards + from]
-  std::vector<size_t> ctrl_ring_offset_;   // [to * shards + from]
   std::vector<size_t> stats_offset_;       // [shard]
   size_t stats_bound_ = 0;
 

@@ -268,11 +268,11 @@ struct BackendCounters {
   // (ECMP transit through a failed switch, §4.4); they charge no load anywhere.
   uint64_t dropped = 0;
   uint64_t cross_shard_messages = 0;  // shard runtime only (data + control)
-  // Shard-transport instrumentation (zero elsewhere): messages that travelled
-  // over the data-plane rings (the rest of cross_shard_messages are kDone
-  // markers on the control rings), and the batch-boundary control-ring polls
-  // split by whether every ring was empty (uncontended) or a marker was
-  // pending (contended). The scaling bench reports these — a healthy run is
+  // Shard-transport instrumentation (zero elsewhere): telemetry and delta
+  // messages that travelled over the rings (the rest of cross_shard_messages
+  // are the kDone markers on the same rings), and the batch-boundary ring
+  // drains split by whether they consumed a kDone (contended) or not
+  // (uncontended). The scaling bench reports these — a healthy run is
   // ~all-ring traffic and ~all-uncontended polls.
   uint64_t ring_messages = 0;
   uint64_t uncontended_receives = 0;

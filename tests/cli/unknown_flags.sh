@@ -2,7 +2,8 @@
 # distcache_sim must refuse a flag it does not know — a retired flag
 # (--dense-routes) or a typo (--shard=4) — a misspelled value of a flag it
 # does know (--routing=frist), a flag the chosen mode never reads (--shards on
-# the sequential engine) and a --service-rates list that fits no layer count,
+# the sequential engine, --requests without --backend, --fault-seed without
+# --fault-plan) and a --service-rates list that fits no layer count,
 # with exit code 1 and an error naming the flag, instead of running without it
 # or with the default. It also checks the note printed when --realloc-at meets
 # a dynamic --cache-policy, and pins the summary text of a fixed set of runs.
@@ -10,12 +11,16 @@
 #   tests/cli/unknown_flags.sh path/to/distcache_sim
 sim="$1"
 # expect_refused "FLAGS" "WANT": a sequential run with FLAGS (split on spaces)
-# must exit 1 and print WANT.
+# must exit 1 and print WANT. expect_refused_fluid: the same for a run without
+# --backend.
 expect_refused() {
+  expect_refused_fluid "--backend=sequential --requests=1000 $1" "$2"
+}
+expect_refused_fluid() {
   flags="$1"
   want="$2"
   # shellcheck disable=SC2086
-  err=$("$sim" --backend=sequential --requests=1000 $flags 2>&1 >/dev/null)
+  err=$("$sim" $flags 2>&1 >/dev/null)
   status=$?
   if [ "$status" -ne 1 ]; then
     echo "FAIL: distcache_sim $flags exited $status, want 1"
@@ -42,6 +47,20 @@ expect_refused --batch=64 "--batch needs --backend=sharded|multiproc"
 expect_refused --epoch=1024 "--epoch needs --backend=sharded|multiproc"
 expect_refused "--backend=fluid --shards=2" "--shards needs --backend=sharded|multiproc"
 expect_refused "--backend=sharded --huge-pages" "--huge-pages needs --backend=multiproc"
+for knob in --respawn-limit=5 --heartbeat-warn-ms=3 --heartbeat-dead-ms=3; do
+  expect_refused "--backend=sharded $knob" "${knob%%=*} needs --backend=multiproc"
+done
+expect_refused --fault-seed=2 "--fault-seed needs --backend=multiproc"
+expect_refused "--backend=multiproc --fault-seed=2" "--fault-seed needs --fault-plan"
+expect_refused "--backend=multiproc --respawn-limit=2" "--respawn-limit needs --respawn"
+for knob in --fail-at=100 --remap-at=200 --recover-at=300; do
+  expect_refused "$knob" "${knob%%=*} needs --fail-spines"
+done
+for knob in --requests=1000 --sample=100 --shift-at=500 --arrival-rate=5; do
+  expect_refused_fluid "$knob" "${knob%%=*} needs --backend"
+done
+expect_refused_fluid --offered=5 "--offered needs --fail-spines"
+expect_refused_fluid --load=0.5 "--load needs --latency"
 echo "ok: flags the mode never reads rejected"
 
 # --service-rates takes one value (broadcast) or one per cache layer.

@@ -67,6 +67,33 @@ TEST(Latency, HitFractionMatchesCacheSize) {
   EXPECT_EQ(ComputeLatencyReport(none, 1.0).hit_fraction, 0.0);
 }
 
+// After a hot-spot shift, popularity rank r reads key KeyOfRank(r): the hit
+// mass is that of the ranks whose shifted key is cached, not of the ranks that
+// were cached before the shift. A shift of 100 keeps part of the hot head on
+// cached keys, so the expected mass is neither zero nor the unshifted one.
+TEST(Latency, HitFractionFollowsTheHotShift) {
+  ClusterSim sim(Cfg(Mechanism::kDistCache));
+  const double rate = 0.3 * sim.TotalServerCapacity();
+  const double unshifted = ComputeLatencyReport(sim, rate).hit_fraction;
+  sim.SetHotShift(100);
+  const PopularityVector& pop = sim.popularity();
+  double hit = 0.0;
+  double total = 0.0;
+  for (uint64_t rank = 0; rank < pop.head.size(); ++rank) {
+    if (pop.head[rank] <= 0.0) {
+      continue;
+    }
+    total += pop.head[rank];
+    if (sim.allocation().CopiesOf(sim.KeyOfRank(rank)).cached()) {
+      hit += pop.head[rank];
+    }
+  }
+  total += pop.tail_mass;
+  ASSERT_GT(hit, 0.0);
+  ASSERT_LT(hit / total, unshifted);
+  EXPECT_DOUBLE_EQ(ComputeLatencyReport(sim, rate).hit_fraction, hit / total);
+}
+
 // Saturated mass is explicit overload accounting, not a finite pseudo-latency:
 // a percentile rank inside it reads +infinity, the fraction carries the mass,
 // and the mean covers the finite queries only.

@@ -349,6 +349,48 @@ TEST(MultiprocRespawn, RespawnedControllerShardSurvivesReallocRendezvous) {
   EXPECT_EQ(st.requests, kRequests);
 }
 
+// ---- delta delivery ----------------------------------------------------------
+// At quota end a shard sends every load it charged to a node or server another
+// shard owns as a delta, and may finish only after applying every delta sent
+// to it. On a read-only run every charge is 1.0, so the merged loads must sum
+// exactly to the hit and server-read counters. 16,384 servers give each peer
+// about 8,192 (x2) or 4,096 (x4) server entries, 64+ slots of 68 entries: one
+// flush needs more slots than a data ring holds, so it can fill the ring and
+// wait in the full-ring retry while its receiver drains.
+
+void ExpectDeltasConserved(BackendKind kind, uint32_t shards) {
+  SCOPED_TRACE(testing::Message() << "shards=" << shards);
+  SimBackendConfig bcfg = GoldenBackendConfig(shards);
+  bcfg.cluster.num_racks = 128;
+  bcfg.cluster.servers_per_rack = 128;
+  bcfg.cluster.write_ratio = 0.0;
+  bcfg.epoch_requests = 1'024;
+  constexpr uint64_t kRequests = 800'000;
+  const BackendStats st = MakeSimBackend(kind, bcfg)->Run(kRequests);
+  ASSERT_EQ(st.requests, kRequests);
+  ASSERT_EQ(st.failed_shards, 0u);
+  double cache = 0.0;
+  for (const std::vector<double>& layer : st.cache_load) {
+    cache += Summarize(layer).sum;
+  }
+  EXPECT_EQ(cache, static_cast<double>(st.cache_hits));
+  EXPECT_EQ(Summarize(st.server_load).sum, static_cast<double>(st.server_reads));
+  EXPECT_EQ(st.cache_hits + st.server_reads, kRequests);
+}
+
+TEST(DeltaDelivery, ThreadShardsConserveEveryCharge) {
+  for (const uint32_t shards : {2u, 4u}) {
+    ExpectDeltasConserved(BackendKind::kSharded, shards);
+  }
+}
+
+TEST(DeltaDelivery, ForkedShardsConserveEveryCharge) {
+  SKIP_UNLESS_MULTIPROC_RUNNABLE();
+  for (const uint32_t shards : {2u, 4u}) {
+    ExpectDeltasConserved(BackendKind::kMultiproc, shards);
+  }
+}
+
 // ---- launcher differential -------------------------------------------------
 // kSharded (threads) and kMultiproc (forks) are one runtime with two
 // launchers; they differ only in how the realloc publisher's model mutation

@@ -12,9 +12,9 @@
 //    agree across 1, 2 and 4 shards on the full timeline within statistical
 //    tolerance (multi-shard runs are scheduling-dependent through telemetry
 //    arrival timing, so exact pins are impossible by design).
-//  * Transport accounting — data-plane traffic rides the SPSC rings, the
-//    control rings carry only the kDone markers, and the batch-boundary polls
-//    resolve overwhelmingly as empty.
+//  * Transport accounting — telemetry and deltas ride the SPSC rings, the
+//    only other message is one kDone per peer on the same ring, and the
+//    batch-boundary drains almost never consume a kDone.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -186,8 +186,8 @@ TEST(ShardedScaling, TimelineStatsParityAcross124Shards) {
   }
 }
 
-// Transport accounting: data rides the rings, control stays low-rate, and the
-// empty control-ring poll almost never finds a marker.
+// Transport accounting: data rides the rings, the kDone markers stay
+// low-rate, and a batch-boundary drain almost never consumes one.
 TEST(ShardedScaling, DataPlaneRidesTheRings) {
   SimBackendConfig bcfg = GoldenBackendConfig(4);
   bcfg.epoch_requests = 4'096;
@@ -198,10 +198,10 @@ TEST(ShardedScaling, DataPlaneRidesTheRings) {
   // Telemetry epochs: each of the 4 shards broadcasts to 3 peers roughly every
   // 4096 local requests, plus the end-of-run delta flushes.
   EXPECT_GT(st.ring_messages, 100u);
-  // Control traffic: only the kDone markers on an event-free run.
+  // The rest: only the kDone markers on an event-free run.
   EXPECT_EQ(st.cross_shard_messages - st.ring_messages, 4u * 3u);
-  // The batch-boundary control poll must resolve lock-free when idle: one poll
-  // per batch minimum, nearly all uncontended (the only contended ones absorb
+  // The batch-boundary drain must resolve lock-free when idle: one drain per
+  // batch minimum, nearly all uncontended (the only contended ones consume
   // the 12 kDone markers at shutdown).
   EXPECT_GT(st.uncontended_receives, 400'000u / 256u / 2u);
   EXPECT_LT(st.contended_receives, 64u);

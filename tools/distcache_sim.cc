@@ -71,6 +71,54 @@ constexpr std::pair<const char*, RoutingPolicy> kRoutings[] = {
     {"random", RoutingPolicy::kRandom},
     {"first", RoutingPolicy::kFirstChoice}};
 
+// A run's mode: one per --backend value, or, without --backend, a fluid-model
+// figure (saturation, --latency or --fail-spines).
+enum RunMode : uint8_t {
+  kSequentialRun = 1,
+  kShardedRun = 2,
+  kMultiprocRun = 4,
+  kFluidRun = 8,
+  kFigureRun = 16,
+};
+constexpr uint8_t kAnyBackend =
+    kSequentialRun | kShardedRun | kMultiprocRun | kFluidRun;
+constexpr uint8_t kShardRuntime = kShardedRun | kMultiprocRun;
+
+constexpr std::pair<const char*, uint8_t> kBackends[] = {
+    {"sequential", kSequentialRun},
+    {"sharded", kShardedRun},
+    {"multiproc", kMultiprocRun},
+    {"fluid", kFluidRun}};
+
+// Every flag only some modes read: the modes that read it and, for a flag
+// read only next to another, that flag. Any other run refuses the flag
+// instead of silently dropping it.
+struct ModeFlag {
+  const char* name;
+  uint8_t modes;
+  const char* next_to = nullptr;
+};
+constexpr ModeFlag kModeFlags[] = {
+    {"latency", kFigureRun}, {"load", kFigureRun, "latency"},
+    {"offered", kFigureRun, "fail-spines"}, {"stale-telemetry", kFigureRun},
+    {"uncapped", kFigureRun},
+    {"requests", kAnyBackend}, {"sample", kAnyBackend},
+    {"fail-at", kAnyBackend, "fail-spines"},
+    {"remap-at", kAnyBackend, "fail-spines"},
+    {"recover-at", kAnyBackend, "fail-spines"}, {"shift-at", kAnyBackend},
+    {"shift-by", kAnyBackend}, {"realloc-at", kAnyBackend},
+    {"phases", kAnyBackend}, {"arrival-rate", kAnyBackend},
+    {"burst", kAnyBackend}, {"service-rates", kAnyBackend},
+    {"server-rate", kAnyBackend}, {"hop-cost", kAnyBackend},
+    {"two-level", kAnyBackend},
+    {"shards", kShardRuntime}, {"batch", kShardRuntime},
+    {"epoch", kShardRuntime}, {"pin-cores", kShardRuntime},
+    {"huge-pages", kMultiprocRun}, {"numa-interleave", kMultiprocRun},
+    {"respawn", kMultiprocRun}, {"respawn-limit", kMultiprocRun, "respawn"},
+    {"heartbeat-warn-ms", kMultiprocRun}, {"heartbeat-dead-ms", kMultiprocRun},
+    {"fault-plan", kMultiprocRun}, {"fault-seed", kMultiprocRun, "fault-plan"},
+};
+
 int Run(int argc, char** argv) {
   const Flags flags(argc, argv);
   // Every flag distcache_sim reads: a typo (--shard=4) or a retired flag must
@@ -172,6 +220,36 @@ int Run(int argc, char** argv) {
         "   layer to --cache-per-switch objects per node; a single value\n"
         "   broadcasts to all L layers)\n");
     return 0;
+  }
+  uint8_t mode = kFigureRun;
+  if (const std::string name = flags.GetString("backend", "");
+      flags.Has("backend") && !ParseSpelling(name, kBackends, &mode)) {
+    std::fprintf(stderr,
+                 "unknown --backend=%s (want sequential|sharded|multiproc|"
+                 "fluid)\n",
+                 name.c_str());
+    return 1;
+  }
+  for (const ModeFlag& f : kModeFlags) {
+    if (!flags.Has(f.name)) {
+      continue;
+    }
+    if ((f.modes & mode) == 0) {
+      if (f.modes == kFigureRun) {
+        std::fprintf(stderr, "--%s is a fluid-model option; it cannot be "
+                             "combined with --backend\n", f.name);
+      } else {
+        std::fprintf(stderr, "--%s needs --backend%s\n", f.name,
+                     f.modes == kMultiprocRun   ? "=multiproc"
+                     : f.modes == kShardRuntime ? "=sharded|multiproc"
+                                                : "");
+      }
+      return 1;
+    }
+    if (f.next_to != nullptr && !flags.Has(f.next_to)) {
+      std::fprintf(stderr, "--%s needs --%s\n", f.name, f.next_to);
+      return 1;
+    }
   }
   std::string error;
   // Wall-clock watchdog (--deadline-sec): a detached thread that _exits(4)
@@ -365,39 +443,7 @@ int Run(int argc, char** argv) {
 
   if (flags.Has("backend")) {
     // Request-level engine run through the pluggable SimBackend interface.
-    const std::string backend_name = flags.GetString("backend", "sequential");
-    if (backend_name != "sequential" && backend_name != "sharded" &&
-        backend_name != "multiproc" && backend_name != "fluid") {
-      std::fprintf(stderr,
-                   "unknown --backend=%s (want sequential|sharded|multiproc|"
-                   "fluid)\n",
-                   backend_name.c_str());
-      return 1;
-    }
-    // The fluid-model-only modes, ablations and rates are not read by the
-    // backend runs; refuse rather than silently ignore them.
-    for (const char* incompatible :
-         {"latency", "load", "offered", "stale-telemetry", "uncapped"}) {
-      if (flags.Has(incompatible)) {
-        std::fprintf(stderr, "--%s is a fluid-model option; it cannot be combined "
-                             "with --backend\n", incompatible);
-        return 1;
-      }
-    }
-    // Likewise the shard-runtime and multiproc-only knobs on the other engines.
-    const bool shard_runtime = backend_name == "sharded" || backend_name == "multiproc";
-    for (const char* knob : {"shards", "batch", "epoch", "pin-cores"}) {
-      if (!shard_runtime && flags.Has(knob)) {
-        std::fprintf(stderr, "--%s needs --backend=sharded|multiproc\n", knob);
-        return 1;
-      }
-    }
-    for (const char* knob : {"huge-pages", "numa-interleave", "respawn", "fault-plan"}) {
-      if (backend_name != "multiproc" && flags.Has(knob)) {
-        std::fprintf(stderr, "--%s needs --backend=multiproc\n", knob);
-        return 1;
-      }
-    }
+    const std::string backend_name = flags.GetString("backend", "");
     SimBackendConfig bcfg;
     bcfg.cluster = cfg;
     uint64_t requests = 0;
