@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -268,14 +267,12 @@ int Run(BenchJson& json, bool gate, uint64_t seed_base) {
 }  // namespace distcache
 
 int main(int argc, char** argv) {
-  bool gate = false;
+  distcache::BenchJson json(argc, argv, "chaos", {"gate", "seed-base"});
   uint64_t seed_base = 0;
-  for (int i = 1; i < argc; ++i) {
-    gate = gate || std::strcmp(argv[i], "--gate") == 0;
-    if (std::strncmp(argv[i], "--seed-base=", 12) == 0) {
-      seed_base = std::strtoull(argv[i] + 12, nullptr, 10);
-    }
+  if (std::string error;
+      !json.flags().GetUintChecked("seed-base", 0, &seed_base, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
   }
-  distcache::BenchJson json(argc, argv, "chaos");
-  return distcache::Run(json, gate, seed_base);
+  return distcache::Run(json, json.flags().GetBool("gate", false), seed_base);
 }

@@ -2,17 +2,20 @@
 #ifndef DISTCACHE_BENCH_BENCH_COMMON_H_
 #define DISTCACHE_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "cluster/cluster_sim.h"
 #include "core/cache_policy.h"
 #include "core/mechanism.h"
+#include "tools/flags.h"
 
 namespace distcache {
 
@@ -58,17 +61,13 @@ inline ClusterConfig PaperDefaultConfig(Mechanism m) {
 // invalid combinations fail fast instead of silently benchmarking the default.
 class BenchPolicyFlag {
  public:
-  BenchPolicyFlag(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--cache-policy=", 15) == 0) {
-        const char* name = argv[i] + 15;
-        if (!ParseCachePolicy(name, &kind_)) {
-          std::fprintf(stderr,
-                       "unknown --cache-policy=%s (want distcache|static-topk|"
-                       "lru|lfu|fifo|segmented)\n", name);
-          std::exit(1);
-        }
-      }
+  explicit BenchPolicyFlag(const Flags& flags) {
+    const std::string name = flags.GetString("cache-policy", "distcache");
+    if (!ParseCachePolicy(name, &kind_)) {
+      std::fprintf(stderr,
+                   "unknown --cache-policy=%s (want distcache|static-topk|"
+                   "lru|lfu|fifo|segmented)\n", name.c_str());
+      std::exit(1);
     }
   }
 
@@ -114,13 +113,24 @@ inline void PrintRow(const std::string& label, const std::vector<double>& values
 // scalar metrics and metric series — the artifact the perf-trajectory tooling
 // ingests. With the flag absent every recording call is a no-op, so benches can
 // record unconditionally.
+//
+// It also owns the bench's command line: `other_flags` names every flag the
+// bench reads besides --json (read through flags()), and any other flag exits 1
+// with "error: unknown flag --X" instead of being silently ignored.
 class BenchJson {
  public:
-  BenchJson(int argc, char** argv, std::string bench_name)
-      : name_(std::move(bench_name)) {
-    for (int i = 1; i < argc; ++i) {
-      enabled_ = enabled_ || std::strcmp(argv[i], "--json") == 0;
+  BenchJson(int argc, char** argv, std::string bench_name,
+            std::initializer_list<std::string_view> other_flags = {})
+      : name_(std::move(bench_name)), flags_(argc, argv) {
+    if (const std::string unknown = flags_.FirstUnknown([&](std::string_view flag) {
+          return flag == "json" || std::find(other_flags.begin(), other_flags.end(),
+                                             flag) != other_flags.end();
+        });
+        !unknown.empty()) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
+      std::exit(1);
     }
+    enabled_ = flags_.GetBool("json", false);
     const char* env = std::getenv("DISTCACHE_BENCH_JSON");
     enabled_ = enabled_ || (env != nullptr && env[0] != '\0' && env[0] != '0');
   }
@@ -130,6 +140,7 @@ class BenchJson {
   BenchJson& operator=(const BenchJson&) = delete;
 
   bool enabled() const { return enabled_; }
+  const Flags& flags() const { return flags_; }
 
   void Config(const std::string& key, const std::string& value) {
     config_.emplace_back(key, Quote(value));
@@ -211,6 +222,7 @@ class BenchJson {
 
   bool enabled_ = false;
   std::string name_;
+  Flags flags_;
   Entries config_;
   Entries metrics_;
   Entries series_;

@@ -56,8 +56,8 @@ void Run(BenchJson& json, const BenchPolicyFlag& policy) {
 }  // namespace distcache
 
 int main(int argc, char** argv) {
-  distcache::BenchJson json(argc, argv, "fig9b");
-  const distcache::BenchPolicyFlag policy(argc, argv);
+  distcache::BenchJson json(argc, argv, "fig9b", {"cache-policy"});
+  const distcache::BenchPolicyFlag policy(json.flags());
   distcache::Run(json, policy);
   return 0;
 }

@@ -19,7 +19,6 @@
 // --gate: exit nonzero unless balanced caching beats fixed routing on p99 at
 // the highest load point (the CI regression gate for the queueing layer).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -151,10 +150,6 @@ int Run(BenchJson& json, bool gate) {
 }  // namespace distcache
 
 int main(int argc, char** argv) {
-  bool gate = false;
-  for (int i = 1; i < argc; ++i) {
-    gate = gate || std::strcmp(argv[i], "--gate") == 0;
-  }
-  distcache::BenchJson json(argc, argv, "latency_slo");
-  return distcache::Run(json, gate);
+  distcache::BenchJson json(argc, argv, "latency_slo", {"gate"});
+  return distcache::Run(json, json.flags().GetBool("gate", false));
 }

@@ -368,10 +368,6 @@ int Run(BenchJson& json, bool gate) {
 }  // namespace distcache
 
 int main(int argc, char** argv) {
-  bool gate = false;
-  for (int i = 1; i < argc; ++i) {
-    gate = gate || std::strcmp(argv[i], "--gate") == 0;
-  }
-  distcache::BenchJson json(argc, argv, "memwall");
-  return distcache::Run(json, gate);
+  distcache::BenchJson json(argc, argv, "memwall", {"gate"});
+  return distcache::Run(json, json.flags().GetBool("gate", false));
 }

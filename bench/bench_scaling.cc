@@ -224,12 +224,7 @@ int Run(BenchJson& json, bool gate, bool pin_cores) {
 }  // namespace distcache
 
 int main(int argc, char** argv) {
-  bool gate = false;
-  bool pin_cores = false;
-  for (int i = 1; i < argc; ++i) {
-    gate = gate || std::strcmp(argv[i], "--gate") == 0;
-    pin_cores = pin_cores || std::strcmp(argv[i], "--pin-cores") == 0;
-  }
-  distcache::BenchJson json(argc, argv, "scaling");
-  return distcache::Run(json, gate, pin_cores);
+  distcache::BenchJson json(argc, argv, "scaling", {"gate", "pin-cores"});
+  return distcache::Run(json, json.flags().GetBool("gate", false),
+                        json.flags().GetBool("pin-cores", false));
 }

@@ -136,16 +136,19 @@ uint64_t CurrentPeakRssBytes() {
 }
 
 BackendKind ParseBackendKind(const std::string& name) {
-  if (name == "sharded") {
-    return BackendKind::kSharded;
+  constexpr std::pair<const char*, BackendKind> kNames[] = {
+      {"sequential", BackendKind::kSequential}, {"sharded", BackendKind::kSharded},
+      {"fluid", BackendKind::kFluid}, {"multiproc", BackendKind::kMultiproc}};
+  for (const auto& [spelling, kind] : kNames) {
+    if (name == spelling) {
+      return kind;
+    }
   }
-  if (name == "fluid") {
-    return BackendKind::kFluid;
-  }
-  if (name == "multiproc") {
-    return BackendKind::kMultiproc;
-  }
-  return BackendKind::kSequential;
+  // A misspelled engine must not silently run as another one.
+  std::fprintf(stderr,
+               "unknown backend \"%s\" (want sequential|sharded|fluid|multiproc)\n",
+               name.c_str());
+  std::abort();
 }
 
 std::unique_ptr<SimBackend> MakeSimBackend(BackendKind kind,

@@ -496,8 +496,8 @@ enum class BackendKind {
   kMultiproc,
 };
 
-// Parses "sequential" / "sharded" / "fluid" / "multiproc"; defaults to
-// kSequential on anything else.
+// Parses "sequential" / "sharded" / "fluid" / "multiproc"; aborts with a
+// message on anything else.
 BackendKind ParseBackendKind(const std::string& name);
 
 // This process's peak resident set in bytes (getrusage ru_maxrss; 0 where the

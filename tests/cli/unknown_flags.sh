@@ -2,8 +2,9 @@
 # distcache_sim must refuse a flag it does not know — a retired flag
 # (--dense-routes) or a typo (--shard=4) — a misspelled value of a flag it
 # does know (--routing=frist), a flag the chosen mode never reads (--shards on
-# the sequential engine, --requests without --backend, --fault-seed without
-# --fault-plan) and a --service-rates list that fits no layer count,
+# the sequential engine, --requests without --backend, --uncapped outside the
+# saturation figure, --fault-seed without --fault-plan), a --fail-spines count
+# above the spine count and a --service-rates list that fits no layer count,
 # with exit code 1 and an error naming the flag, instead of running without it
 # or with the default. It also checks the note printed when --realloc-at meets
 # a dynamic --cache-policy, and pins the summary text of a fixed set of runs.
@@ -61,7 +62,33 @@ for knob in --requests=1000 --sample=100 --shift-at=500 --arrival-rate=5; do
 done
 expect_refused_fluid --offered=5 "--offered needs --fail-spines"
 expect_refused_fluid --load=0.5 "--load needs --latency"
+# Each fluid-model figure reads only its own flags; --fail-spines selects the
+# failure figure over --latency.
+expect_refused_fluid "--fail-spines=2 --latency --load=0.3" \
+  "--latency cannot be combined with --fail-spines"
+expect_refused_fluid "--uncapped --latency" \
+  "--uncapped cannot be combined with --latency"
+expect_refused_fluid "--uncapped --fail-spines=2" \
+  "--uncapped cannot be combined with --fail-spines"
+expect_refused_fluid "--backend=fluid --requests=1000 --two-level" \
+  "--two-level needs --backend=sequential|sharded|multiproc"
+# The queue knobs shape an open-loop arrival process, which a zero rate is not.
+for knob in --burst=2:200:50 --service-rates=6 --server-rate=2 --hop-cost=0.1; do
+  expect_refused "$knob" "${knob%%=*} needs --arrival-rate"
+done
+expect_refused "--arrival-rate=0 --hop-cost=0.1" "--arrival-rate=0: want a finite"
 echo "ok: flags the mode never reads rejected"
+
+# --fail-spines above the spine count, in the failure figure and the timeline.
+expect_refused --fail-spines=40 "--fail-spines=40: the cluster has only 32 spines"
+expect_refused_fluid "--spines=8 --fail-spines=9" \
+  "--fail-spines=9: the cluster has only 8 spines"
+echo "ok: --fail-spines bounded by the spine count"
+
+if ! "$sim" --help >/dev/null; then
+  echo "FAIL: distcache_sim --help exited nonzero"
+  exit 1
+fi
 
 # --service-rates takes one value (broadcast) or one per cache layer.
 expect_refused "--arrival-rate=500 --service-rates=6,6,6,6" \

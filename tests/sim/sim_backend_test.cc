@@ -193,5 +193,17 @@ TEST(ShardedBackend, ShardCountDoesNotChangeRequestTotal) {
   EXPECT_EQ(st.reads + st.writes, 100'001u);
 }
 
+TEST(ParseBackendKind, MapsEveryEngineName) {
+  EXPECT_EQ(ParseBackendKind("sequential"), BackendKind::kSequential);
+  EXPECT_EQ(ParseBackendKind("sharded"), BackendKind::kSharded);
+  EXPECT_EQ(ParseBackendKind("fluid"), BackendKind::kFluid);
+  EXPECT_EQ(ParseBackendKind("multiproc"), BackendKind::kMultiproc);
+}
+
+TEST(ParseBackendKindDeathTest, AbortsOnAnUnknownName) {
+  EXPECT_DEATH(ParseBackendKind("shraded"), "unknown backend \"shraded\"");
+  EXPECT_DEATH(ParseBackendKind(""), "unknown backend");
+}
+
 }  // namespace
 }  // namespace distcache

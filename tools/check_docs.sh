@@ -6,9 +6,13 @@
 #     top-level *.md / CMakeLists.txt) must exist.
 #  2. docs/ARCHITECTURE.md's paper-to-code map must mention every bench harness
 #     (bench/bench_*.cc) by file name.
+#  3. Every --flag on a distcache_sim command in those docs (continuation lines
+#     joined) must be one `distcache_sim --help` lists.
 #
-# Run from the repo root (the `docs-check` CMake target does).
+# Run from the repo root (the `docs-check` CMake target does):
+#   tools/check_docs.sh path/to/distcache_sim
 set -u
+help=$("${1:?usage: tools/check_docs.sh path/to/distcache_sim}" --help)
 
 fail=0
 for doc in README.md docs/ARCHITECTURE.md; do
@@ -25,6 +29,16 @@ for doc in README.md docs/ARCHITECTURE.md; do
   for ref in $refs; do
     if [ ! -e "$ref" ]; then
       echo "docs-check: $doc references missing path: $ref"
+      fail=1
+    fi
+  done
+  # A command starts at a line whose first word is distcache_sim and runs on
+  # while its lines end in a backslash.
+  flags=$(awk '/^[[:space:]]*(\.\/)?distcache_sim[[:space:]]/ { cmd = 1 }
+               cmd { print; cmd = /\\$/ }' "$doc" | grep -oE -- '--[a-z0-9-]+' | sort -u)
+  for flag in $flags; do
+    if ! printf '%s\n' "$help" | grep -qE -- "^  $flag([= ]|\$)"; then
+      echo "docs-check: $doc runs distcache_sim with $flag, which --help does not list"
       fail=1
     fi
   done

@@ -8,9 +8,7 @@
 #ifndef DISTCACHE_TOOLS_FLAGS_H_
 #define DISTCACHE_TOOLS_FLAGS_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
@@ -92,6 +90,22 @@ class Flags {
     return true;
   }
 
+  // As GetUintChecked, for a uint32 of at least `min` (a count or a size).
+  bool GetUint32(const std::string& name, uint32_t def, uint32_t min,
+                 uint32_t* out, std::string* error) const {
+    uint64_t value = 0;
+    if (!GetUintChecked(name, def, &value, error)) {
+      return false;
+    }
+    if (value < min || value > 0xffffffffULL) {
+      *error = "--" + name + "=" + std::to_string(value) + ": want an integer in [" +
+               std::to_string(min) + ", 2^32)";
+      return false;
+    }
+    *out = static_cast<uint32_t>(value);
+    return true;
+  }
+
   // Parses --name as a comma-separated list of positive integers (strict per
   // element, e.g. "32,16,32"). An absent flag leaves *out untouched and returns
   // true; malformed input fills *error and returns false.
@@ -109,10 +123,12 @@ class Flags {
 
   bool Has(const std::string& name) const { return values_.contains(name); }
 
-  // The first parsed flag not named in `known`, or "" when all are known.
-  std::string FirstUnknown(std::initializer_list<std::string_view> known) const {
+  // The first parsed flag for which `known(std::string_view name)` is false,
+  // or "" when all are known.
+  template <typename Known>
+  std::string FirstUnknown(Known known) const {
     for (const auto& entry : values_) {
-      if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+      if (!known(std::string_view(entry.first))) {
         return entry.first;
       }
     }
