@@ -267,7 +267,7 @@ int Run(BenchJson& json, bool gate, uint64_t seed_base) {
 }  // namespace distcache
 
 int main(int argc, char** argv) {
-  distcache::BenchJson json(argc, argv, "chaos", {"gate", "seed-base"});
+  distcache::BenchJson json(argc, argv, "chaos", {"gate", "seed-base="});
   uint64_t seed_base = 0;
   if (std::string error;
       !json.flags().GetUintChecked("seed-base", 0, &seed_base, &error)) {

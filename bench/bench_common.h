@@ -115,19 +115,26 @@ inline void PrintRow(const std::string& label, const std::vector<double>& values
 // record unconditionally.
 //
 // It also owns the bench's command line: `other_flags` names every flag the
-// bench reads besides --json (read through flags()), and any other flag exits 1
-// with "error: unknown flag --X" instead of being silently ignored.
+// bench reads besides --json (read through flags()), a flag that takes a value
+// spelled with a trailing "=" ("seed-base="), a boolean one without. Any other
+// flag, a stray word or a boolean flag given another value than true|false|1|0
+// exits 1 with the Flags::Refusal error instead of being silently ignored.
 class BenchJson {
  public:
   BenchJson(int argc, char** argv, std::string bench_name,
             std::initializer_list<std::string_view> other_flags = {})
       : name_(std::move(bench_name)), flags_(argc, argv) {
-    if (const std::string unknown = flags_.FirstUnknown([&](std::string_view flag) {
-          return flag == "json" || std::find(other_flags.begin(), other_flags.end(),
-                                             flag) != other_flags.end();
+    if (const std::string error = flags_.Refusal([&](std::string_view flag) {
+          for (std::string_view known : other_flags) {
+            const bool valued = known.ends_with('=');
+            if (known.substr(0, known.size() - (valued ? 1 : 0)) == flag) {
+              return valued ? FlagKind::kValued : FlagKind::kBoolean;
+            }
+          }
+          return flag == "json" ? FlagKind::kBoolean : FlagKind::kUnknown;
         });
-        !unknown.empty()) {
-      std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
+        !error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
       std::exit(1);
     }
     enabled_ = flags_.GetBool("json", false);

@@ -14,7 +14,7 @@
 //     caches without losing balance;
 //   * fluid — the analytic hit ratio (pmf mass of the cached set) each engine
 //     must match within small tolerance;
-//   * HierarchicalCacheGraph (matching/hierarchy.h) — max-flow feasibility: the
+//   * CacheGraph (matching/cache_graph.h) — max-flow feasibility: the
 //     supportable fraction of the L*m*T~ aggregate under capped-Zipf demand;
 //   * PokProcess (sim/pok_process.h) — queueing stationarity of the
 //     power-of-k process at 85% per-node load with k = L choices.
@@ -30,7 +30,7 @@
 #include "bench/bench_common.h"
 #include "common/stats.h"
 #include "common/zipf.h"
-#include "matching/hierarchy.h"
+#include "matching/cache_graph.h"
 #include "sim/pok_process.h"
 #include "sim/sim_backend.h"
 
@@ -45,7 +45,7 @@ struct DepthResult {
   double shd_hit = 0.0;
   double shd_imb = 0.0;
   double fluid_hit = 0.0;
-  double flow_fraction = 0.0;  // HierarchicalCacheGraph R*/(L*m*T~)
+  double flow_fraction = 0.0;  // CacheGraph R*/(L*m*T~)
   int stationary = 0;          // PokProcess stationary seeds out of kSeeds
 };
 
@@ -107,8 +107,7 @@ void Run(BenchJson& json) {
           objects, base.zipf_theta, 1.0 / (2.0 * static_cast<double>(kNodesPerLayer)));
       StreamingStats frac;
       for (uint64_t seed = 0; seed < kSeeds; ++seed) {
-        HierarchicalCacheGraph graph(
-            objects, std::vector<size_t>(layers, kNodesPerLayer), seed);
+        CacheGraph graph(objects, std::vector<size_t>(layers, kNodesPerLayer), seed);
         frac.Add(graph.MaxSupportedRate(pmf, 1.0, 0.01) /
                  (static_cast<double>(layers) * kNodesPerLayer));
       }

@@ -62,7 +62,7 @@ void Run(BenchJson& json, const BenchPolicyFlag& policy) {
 }  // namespace distcache
 
 int main(int argc, char** argv) {
-  distcache::BenchJson json(argc, argv, "latency", {"cache-policy"});
+  distcache::BenchJson json(argc, argv, "latency", {"cache-policy="});
   const distcache::BenchPolicyFlag policy(json.flags());
   distcache::Run(json, policy);
   return 0;

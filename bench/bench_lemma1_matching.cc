@@ -48,7 +48,7 @@ void Run() {
     int feasible = 0;
     constexpr int kSeeds = 20;
     for (uint64_t seed = 0; seed < kSeeds; ++seed) {
-      CacheGraph g(k, m, m, seed);
+      CacheGraph g(k, {m, m}, seed);
       capped_rate.Add(g.MaxSupportedRate(capped, 1.0, 0.01) / static_cast<double>(m));
       raw_rate.Add(g.MaxSupportedRate(raw, 1.0, 0.01) / static_cast<double>(m));
       unif_rate.Add(g.MaxSupportedRate(uniform, 1.0, 0.01) / static_cast<double>(m));
@@ -57,7 +57,7 @@ void Run() {
       for (size_t i = 0; i < k; ++i) {
         rates[i] = 0.9 * static_cast<double>(m) * capped[i];
       }
-      feasible += g.FeasibleMatching(rates, 1.0) ? 1 : 0;
+      feasible += g.FeasibleMatching(rates, {1.0, 1.0}) ? 1 : 0;
     }
     std::printf("%-6zu %-6zu %-16.2f %-16.2f %-14.2f %10d/%-3d\n", m, k,
                 capped_rate.mean(), raw_rate.mean(), unif_rate.mean(), feasible,
@@ -74,8 +74,8 @@ void Run() {
     int one = 0;
     constexpr int kSeeds = 20;
     for (uint64_t seed = 0; seed < kSeeds; ++seed) {
-      two += CacheGraph(k, m, m, seed).HasExpansionProperty() ? 1 : 0;
-      one += CacheGraph(k, m, m, seed, /*single_hash=*/true).HasExpansionProperty() ? 1 : 0;
+      two += CacheGraph(k, {m, m}, seed).HasExpansionProperty() ? 1 : 0;
+      one += CacheGraph(k, {m}, seed).HasExpansionProperty() ? 1 : 0;
     }
     std::printf("%-6zu %-6zu %16d/%-3d %16d/%-3d\n", m, k, two, kSeeds, one, kSeeds);
   }

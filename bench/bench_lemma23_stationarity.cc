@@ -13,7 +13,7 @@
 
 #include "common/stats.h"
 #include "common/zipf.h"
-#include "sim/pot_process.h"
+#include "sim/pok_process.h"
 
 namespace distcache {
 namespace {
@@ -23,14 +23,17 @@ struct PolicyResult {
   double mean_backlog = 0.0;
 };
 
-PolicyResult RunPolicy(ChoicePolicy policy, double load_fraction, size_t m, int seeds) {
+// One choice per layer of `layers`: two layers of m nodes for the two-choice
+// policies, one layer of 2m nodes for single hash.
+PolicyResult RunPolicy(std::vector<size_t> layers, ChoicePolicy policy,
+                       double load_fraction, size_t m, int seeds) {
   PolicyResult out;
   StreamingStats backlog;
   for (uint64_t seed = 0; seed < static_cast<uint64_t>(seeds); ++seed) {
-    PotProcess::Config cfg;
+    PokProcess::Config cfg;
     cfg.num_objects = 8 * m;
-    cfg.upper_nodes = policy == ChoicePolicy::kSingleHash ? 0 : m;
-    cfg.lower_nodes = policy == ChoicePolicy::kSingleHash ? 2 * m : m;
+    cfg.layer_sizes = layers;
+    cfg.choices = layers.size();
     cfg.service_rate = 1.0;
     cfg.total_rate = load_fraction * 2.0 * static_cast<double>(m);
     cfg.zipf_theta = 0.99;
@@ -38,7 +41,7 @@ PolicyResult RunPolicy(ChoicePolicy policy, double load_fraction, size_t m, int 
     cfg.pmf_cap = 1.0 / (2.0 * 0.85 * 2.0 * static_cast<double>(m));
     cfg.policy = policy;
     cfg.seed = seed;
-    PotProcess process(cfg);
+    PokProcess process(cfg);
     const auto result = process.Run(500.0);
     out.stationary += result.stationary ? 1 : 0;
     backlog.Add(result.backlog_series.back());
@@ -55,9 +58,11 @@ void Run() {
               "single (stat, backlog)", "rand-2 (stat, backlog)");
   for (size_t m : {8, 16, 32}) {
     for (double load : {0.5, 0.7, 0.85}) {
-      const PolicyResult pot = RunPolicy(ChoicePolicy::kPowerOfTwo, load, m, 10);
-      const PolicyResult single = RunPolicy(ChoicePolicy::kSingleHash, load, m, 10);
-      const PolicyResult rnd = RunPolicy(ChoicePolicy::kRandomOfTwo, load, m, 10);
+      const PolicyResult pot =
+          RunPolicy({m, m}, ChoicePolicy::kShortestQueue, load, m, 10);
+      const PolicyResult single =
+          RunPolicy({2 * m}, ChoicePolicy::kShortestQueue, load, m, 10);
+      const PolicyResult rnd = RunPolicy({m, m}, ChoicePolicy::kRandom, load, m, 10);
       std::printf("%-6zu %-8.2f | %6d/10 %12.0f | %6d/10 %12.0f | %6d/10 %12.0f\n", m,
                   load, pot.stationary, pot.mean_backlog, single.stationary,
                   single.mean_backlog, rnd.stationary, rnd.mean_backlog);
@@ -68,15 +73,14 @@ void Run() {
   std::printf("rho_max < 1 must predict the simulated stationarity (Lemma 2)\n");
   for (double load : {0.6, 0.9, 1.05}) {
     for (uint64_t seed = 0; seed < 3; ++seed) {
-      PotProcess::Config cfg;
+      PokProcess::Config cfg;
       cfg.num_objects = 64;
-      cfg.upper_nodes = 8;
-      cfg.lower_nodes = 8;
+      cfg.layer_sizes = {8, 8};
       cfg.total_rate = load * 16.0;
       cfg.zipf_theta = 0.99;
       cfg.pmf_cap = 1.0 / (2.0 * 16.0);  // p_max * R <= T~/2 even at overload
       cfg.seed = seed;
-      PotProcess process(cfg);
+      PokProcess process(cfg);
       DiscreteDistribution dist(CappedZipfPmf(64, 0.99, cfg.pmf_cap));
       std::vector<double> rates(64);
       for (size_t i = 0; i < 64; ++i) {

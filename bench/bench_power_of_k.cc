@@ -10,7 +10,7 @@
 
 #include "common/stats.h"
 #include "common/zipf.h"
-#include "matching/hierarchy.h"
+#include "matching/cache_graph.h"
 #include "sim/pok_process.h"
 
 namespace distcache {
@@ -28,7 +28,7 @@ void Run() {
     const size_t k = 8 * kM;
     StreamingStats frac;
     for (uint64_t seed = 0; seed < 10; ++seed) {
-      HierarchicalCacheGraph g(k, std::vector<size_t>(layers, kM), seed);
+      CacheGraph g(k, std::vector<size_t>(layers, kM), seed);
       const std::vector<double> pmf =
           CappedZipfPmf(k, 0.99, 1.0 / (2.0 * static_cast<double>(kM)));
       frac.Add(g.MaxSupportedRate(pmf, 1.0, 0.01) /

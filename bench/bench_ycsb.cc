@@ -91,7 +91,7 @@ void Run(BenchJson& json, const BenchPolicyFlag& policy) {
 }  // namespace distcache
 
 int main(int argc, char** argv) {
-  distcache::BenchJson json(argc, argv, "ycsb", {"cache-policy"});
+  distcache::BenchJson json(argc, argv, "ycsb", {"cache-policy="});
   const distcache::BenchPolicyFlag policy(json.flags());
   distcache::Run(json, policy);
   return 0;

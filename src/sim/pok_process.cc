@@ -2,40 +2,58 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
+
+#include "common/hash.h"
 
 namespace distcache {
 
 PokProcess::PokProcess(const Config& config)
     : config_(config),
-      graph_(config.num_objects, config.layer_sizes, HashCombine(config.seed, 0x90cULL)),
+      graph_(config.num_objects, config.layer_sizes, HashCombine(config.seed, 0x907a11ULL)),
       dist_(config.pmf_cap > 0.0
                 ? std::make_unique<DiscreteDistribution>(
                       CappedZipfPmf(config.num_objects, config.zipf_theta,
                                     config.pmf_cap),
                       "capped-zipf")
                 : MakeDistribution(config.num_objects, config.zipf_theta)),
-      rng_(HashCombine(config.seed, 0x90c2ULL)) {
-  assert(config_.total_rate > 0.0);
-  assert(config_.choices >= 1 && config_.choices <= graph_.num_layers());
+      rng_(HashCombine(config.seed, 0x4ea1ULL)) {
+  // choices past L would read another object's candidates (or past the node
+  // table), and a zero or non-finite rate schedules no sane event: fail loudly in
+  // every build mode instead.
+  const auto positive = [](double rate) { return std::isfinite(rate) && rate > 0.0; };
+  if (config_.choices < 1 || config_.choices > graph_.num_layers() ||
+      !positive(config_.total_rate) || !positive(config_.service_rate)) {
+    std::fprintf(stderr,
+                 "invalid PokProcess config: choices=%zu (want 1..%zu), total_rate=%g, "
+                 "service_rate=%g (want positive finite rates)\n",
+                 config_.choices, graph_.num_layers(), config_.total_rate,
+                 config_.service_rate);
+    std::abort();
+  }
   queue_len_.assign(graph_.num_cache_nodes(), 0);
   busy_.assign(graph_.num_cache_nodes(), false);
 }
 
 size_t PokProcess::ChooseQueue(uint64_t object) {
+  if (config_.policy == ChoicePolicy::kRandom) {
+    return graph_.NodeOf(object, rng_.NextBounded(config_.choices));
+  }
+  // The shortest queue; the t-th candidate to tie the shortest so far replaces it
+  // with probability 1/t, so ties are broken uniformly (appendix A.3).
   size_t best = graph_.NodeOf(object, 0);
-  uint64_t best_len = queue_len_[best];
-  size_t ties = 1;
+  uint64_t ties = 1;
   for (size_t l = 1; l < config_.choices; ++l) {
     const size_t node = graph_.NodeOf(object, l);
-    const uint64_t len = queue_len_[node];
-    if (len < best_len) {
+    if (queue_len_[node] < queue_len_[best]) {
       best = node;
-      best_len = len;
       ties = 1;
-    } else if (len == best_len) {
+    } else if (queue_len_[node] == queue_len_[best]) {
       ++ties;
-      if (rng_.NextBounded(ties) == 0) {
+      if (rng_.NextBounded(ties) == ties - 1) {
         best = node;
       }
     }
@@ -84,6 +102,8 @@ PokProcess::Result PokProcess::Run(double duration) {
   }
   result.arrivals = arrivals_;
   result.departures = departures_;
+
+  // Drift: least-squares slope of the backlog over the second half of the samples.
   const size_t half = result.backlog_series.size() / 2;
   const size_t n = result.backlog_series.size() - half;
   if (n >= 2) {
@@ -99,6 +119,8 @@ PokProcess::Result PokProcess::Run(double duration) {
     const double denom = static_cast<double>(n) * sxx - sx * sx;
     result.drift = denom != 0.0 ? (static_cast<double>(n) * sxy - sx * sy) / denom : 0.0;
   }
+  // Stationary when the backlog is not persistently growing: drift well below 1% of
+  // the arrival rate (an unstable system drifts at Θ(R - capacity)).
   result.stationary = result.drift < 0.01 * config_.total_rate;
   return result;
 }

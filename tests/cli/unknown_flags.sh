@@ -39,6 +39,22 @@ expect_refused --mechanism=replicaton \
   "unknown --mechanism=replicaton (want distcache|replication|partition|nocache)"
 echo "ok: unknown flags and values rejected"
 
+# A word that is neither --name[=value] nor the value of the flag before it
+# (a single-dash or dashless flag), and a boolean flag given a value other than
+# true|false|1|0, whether as --name=value or as --name value.
+expect_refused -requests=1000 "error: unexpected argument '-requests=1000'"
+expect_refused requests=1000 "error: unexpected argument 'requests=1000'"
+expect_refused "--two-level extra" \
+  "error: --two-level takes no value or true|false|1|0, not 'extra'"
+expect_refused --two-level=extra \
+  "error: --two-level takes no value or true|false|1|0, not 'extra'"
+if ! "$sim" --backend sequential --requests 1000 --two-level true --seed 3 \
+    >/dev/null 2>&1; then
+  echo "FAIL: distcache_sim refused --name value flags"
+  exit 1
+fi
+echo "ok: stray words and non-boolean values of boolean flags rejected"
+
 # Flags the chosen mode never reads.
 expect_refused --offered=512 "--offered is a fluid-model option"
 expect_refused --load=0.5 "--load is a fluid-model option"

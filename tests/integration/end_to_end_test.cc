@@ -7,7 +7,7 @@
 #include "common/zipf.h"
 #include "matching/cache_graph.h"
 #include "runtime/runtime.h"
-#include "sim/pot_process.h"
+#include "sim/pok_process.h"
 
 namespace distcache {
 namespace {
@@ -26,22 +26,21 @@ TEST(EndToEnd, TheoremStoryIsConsistentAcrossModels) {
     pmf[i] = dist.Pmf(i);
   }
 
-  CacheGraph graph(kObjects, kM, kM, /*seed=*/3);
+  CacheGraph graph(kObjects, {kM, kM}, /*seed=*/3);
   const double r_star = graph.MaxSupportedRate(pmf, kServiceRate);
   // Lemma 1: R* ≈ α·m·T̃ with α close to 1 — here it must at least be a healthy
   // fraction of the 2m aggregate and beyond the single-node bound.
   EXPECT_GT(r_star, 0.5 * kM * kServiceRate);
 
   // Lemma 2: at 90% of R*, the PoT queueing process must be stationary.
-  PotProcess::Config pp;
+  PokProcess::Config pp;
   pp.num_objects = kObjects;
-  pp.upper_nodes = kM;
-  pp.lower_nodes = kM;
+  pp.layer_sizes = {kM, kM};
   pp.service_rate = kServiceRate;
   pp.total_rate = 0.9 * r_star;
   pp.zipf_theta = 0.99;
   pp.seed = 3;
-  PotProcess process(pp);
+  PokProcess process(pp);
   EXPECT_TRUE(process.Run(600.0).stationary);
 }
 

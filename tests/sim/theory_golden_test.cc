@@ -12,7 +12,7 @@
 
 #include "common/zipf.h"
 #include "matching/cache_graph.h"
-#include "sim/pot_process.h"
+#include "sim/pok_process.h"
 
 namespace distcache {
 namespace {
@@ -27,23 +27,23 @@ struct PinnedRun {
 };
 
 // Two layers of 8 unit-rate nodes, the Lemma 2 geometry.
-PotProcess::Result RunTwoLayer(size_t objects, double rate, double theta,
+PokProcess::Result RunTwoLayer(size_t objects, double rate, double theta,
                                double pmf_cap, ChoicePolicy policy, uint64_t seed,
                                double duration) {
-  PotProcess::Config cfg;
+  PokProcess::Config cfg;
   cfg.num_objects = objects;
-  cfg.upper_nodes = 8;
-  cfg.lower_nodes = 8;
+  cfg.layer_sizes = {8, 8};
   cfg.service_rate = 1.0;
   cfg.total_rate = rate;
   cfg.zipf_theta = theta;
   cfg.pmf_cap = pmf_cap;
+  cfg.choices = 2;
   cfg.policy = policy;
   cfg.seed = seed;
-  return PotProcess(cfg).Run(duration);
+  return PokProcess(cfg).Run(duration);
 }
 
-void ExpectPinned(const PotProcess::Result& got, const PinnedRun& want) {
+void ExpectPinned(const PokProcess::Result& got, const PinnedRun& want) {
   EXPECT_EQ(got.arrivals, want.arrivals);
   EXPECT_EQ(got.departures, want.departures);
   EXPECT_EQ(std::bit_cast<uint64_t>(got.max_queue),
@@ -59,7 +59,7 @@ void ExpectPinned(const PotProcess::Result& got, const PinnedRun& want) {
 }
 
 TEST(TheoryGolden, PowerOfTwoRunIsPinned) {
-  ExpectPinned(RunTwoLayer(128, 11.0, 0.9, 0.0, ChoicePolicy::kPowerOfTwo, 7, 40.0),
+  ExpectPinned(RunTwoLayer(128, 11.0, 0.9, 0.0, ChoicePolicy::kShortestQueue, 7, 40.0),
                {432, 403, 6.0, 0xbfb217de1f91217eULL, true,
                 {4,  10, 12, 19, 19, 14, 12, 13, 19, 28, 30, 31, 24, 23,
                  23, 29, 22, 29, 31, 26, 26, 29, 30, 24, 28, 17, 21, 15,
@@ -67,7 +67,7 @@ TEST(TheoryGolden, PowerOfTwoRunIsPinned) {
 }
 
 TEST(TheoryGolden, RandomOfTwoRunIsPinned) {
-  ExpectPinned(RunTwoLayer(128, 13.0, 0.9, 0.0, ChoicePolicy::kRandomOfTwo, 3, 40.0),
+  ExpectPinned(RunTwoLayer(128, 13.0, 0.9, 0.0, ChoicePolicy::kRandom, 3, 40.0),
                {521, 402, 53.0, 0x40085ad9e38345aeULL, false,
                 {7,  14, 8,  13, 14, 17, 23, 33,  35,  35,  39,  36,  41,  45,
                  42, 50, 47, 55, 57, 63, 64, 63,  61,  78,  82,  88,  89,  93,
@@ -77,7 +77,7 @@ TEST(TheoryGolden, RandomOfTwoRunIsPinned) {
 TEST(TheoryGolden, CappedPowerOfTwoRunIsPinned) {
   // The bench_lemma23 regime: capped zipf-0.99 at 85% of the 16-node aggregate.
   ExpectPinned(RunTwoLayer(64, 0.85 * 16.0, 0.99, 1.0 / (2.0 * 0.85 * 16.0),
-                           ChoicePolicy::kPowerOfTwo, 2, 30.0),
+                           ChoicePolicy::kShortestQueue, 2, 30.0),
                {387, 329, 11.0, 0x3f9999999999999aULL, true,
                 {6,  10, 11, 14, 20, 14, 20, 28, 24, 19, 18, 22, 28, 29, 35,
                  47, 55, 53, 49, 54, 50, 46, 47, 43, 43, 47, 49, 49, 53, 58}});
@@ -86,10 +86,10 @@ TEST(TheoryGolden, CappedPowerOfTwoRunIsPinned) {
 // The candidate nodes {layer-0 node, layer-1 node} of objects 0..15 (global
 // node ids: layer 0 is 0..7, layer 1 is 8..15).
 std::vector<std::pair<size_t, size_t>> ChoiceSets(uint64_t seed) {
-  CacheGraph g(16, 8, 8, seed);
+  CacheGraph g(16, {8, 8}, seed);
   std::vector<std::pair<size_t, size_t>> sets;
   for (uint64_t i = 0; i < 16; ++i) {
-    sets.emplace_back(g.UpperNodeOf(i), g.LowerNodeOf(i));
+    sets.emplace_back(g.NodeOf(i, 0), g.NodeOf(i, 1));
   }
   return sets;
 }
@@ -114,7 +114,7 @@ TEST(TheoryGolden, MaxSupportedRateBitsArePinned) {
       {0x402d400000000000ULL, 0x402d400000000000ULL, 0x402f400000000000ULL},
       {0x402cd00000000000ULL, 0x402cc00000000000ULL, 0x4030000000000000ULL}};
   for (uint64_t seed = 0; seed < 3; ++seed) {
-    const CacheGraph g(64, 8, 8, seed);
+    const CacheGraph g(64, {8, 8}, seed);
     EXPECT_EQ(std::bit_cast<uint64_t>(g.MaxSupportedRate(capped, 1.0)), want[seed][0]);
     EXPECT_EQ(std::bit_cast<uint64_t>(g.MaxSupportedRate(capped, 1.0, 0.01)),
               want[seed][1]);
@@ -129,7 +129,7 @@ TEST(TheoryGolden, RhoMaxBitsArePinned) {
   for (size_t i = 0; i < 64; ++i) {
     rates[i] = 12.0 * capped[i];
   }
-  EXPECT_EQ(std::bit_cast<uint64_t>(CacheGraph(64, 8, 8, 1).RhoMax(rates, 1.0)),
+  EXPECT_EQ(std::bit_cast<uint64_t>(CacheGraph(64, {8, 8}, 1).RhoMax(rates, 1.0)),
             0x3fea3e25605d82aaULL);
 }
 

@@ -113,7 +113,8 @@ const char* Selector(uint8_t modes) {
 // Every flag distcache_sim reads: the modes that read it, its --help line and
 // the flag it is read next to, if any. A flag missing from the table (a typo,
 // a retired flag) or one the run's mode does not read is refused instead of
-// silently dropped. A choice flag's help spells its values as "=a|b|c".
+// silently dropped. A flag that takes a value has help starting "=" (a choice
+// flag spells its values "=a|b|c"); any other is boolean.
 struct FlagRow {
   const char* name;
   uint8_t modes;
@@ -636,10 +637,14 @@ std::string RunFigure(const Flags& flags, const ClusterConfig& cfg, uint8_t mode
 // Runs what `flags` asks for. Returns "" or the error that stopped the run,
 // with *status the exit code to report it with.
 std::string Simulate(const Flags& flags, int* status) {
-  if (const std::string unknown = flags.FirstUnknown(
-          [](std::string_view name) { return FindRow(name) != nullptr; });
-      !unknown.empty()) {
-    return "error: unknown flag --" + unknown;
+  if (std::string error = flags.Refusal([](std::string_view name) {
+        const FlagRow* row = FindRow(name);
+        return row == nullptr        ? FlagKind::kUnknown
+               : row->help[0] == '=' ? FlagKind::kValued
+                                     : FlagKind::kBoolean;
+      });
+      !error.empty()) {
+    return error;
   }
   if (flags.Has("help")) {
     PrintHelp();

@@ -1,4 +1,5 @@
 // Minimal command-line flag parsing for the CLI tools: --name=value or --name value.
+// Refusal() names a word that is neither, an unknown flag or a bad boolean value.
 //
 // GetString/GetBool read free-form values. Numbers only come through the
 // validating getters (GetDoubleInRange/GetUintChecked and the list forms): they
@@ -19,12 +20,17 @@
 
 namespace distcache {
 
+// How a program reads a flag: not at all, as a boolean (a bare --name, or a
+// value of true|false|1|0), or with a value.
+enum class FlagKind { kUnknown, kBoolean, kValued };
+
 class Flags {
  public:
   Flags(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) {
+        stray_.push_back(std::move(arg));
         continue;
       }
       arg = arg.substr(2);
@@ -123,13 +129,24 @@ class Flags {
 
   bool Has(const std::string& name) const { return values_.contains(name); }
 
-  // The first parsed flag for which `known(std::string_view name)` is false,
-  // or "" when all are known.
-  template <typename Known>
-  std::string FirstUnknown(Known known) const {
-    for (const auto& entry : values_) {
-      if (!known(std::string_view(entry.first))) {
-        return entry.first;
+  // Why the command line cannot run, given `kind(std::string_view name)`, or
+  // "": the first word that is neither --name[=value] nor the value of the flag
+  // before it, else the first flag of FlagKind::kUnknown or boolean flag whose
+  // value is not true|false|1|0.
+  template <typename Kind>
+  std::string Refusal(Kind kind) const {
+    if (!stray_.empty()) {
+      return "error: unexpected argument '" + stray_.front() + "' (want --name[=value])";
+    }
+    for (const auto& [name, value] : values_) {
+      const FlagKind k = kind(std::string_view(name));
+      if (k == FlagKind::kUnknown) {
+        return "error: unknown flag --" + name;
+      }
+      if (k == FlagKind::kBoolean && value != "true" && value != "false" &&
+          value != "1" && value != "0") {
+        return "error: --" + name + " takes no value or true|false|1|0, not '" +
+               value + "'";
       }
     }
     return "";
@@ -168,6 +185,7 @@ class Flags {
   }
 
   std::map<std::string, std::string> values_;
+  std::vector<std::string> stray_;  // words that are neither a flag nor its value
 };
 
 }  // namespace distcache
