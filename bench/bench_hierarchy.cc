@@ -17,7 +17,8 @@
 //   * CacheGraph (matching/cache_graph.h) — max-flow feasibility: the
 //     supportable fraction of the L*m*T~ aggregate under capped-Zipf demand;
 //   * PokProcess (sim/pok_process.h) — queueing stationarity of the
-//     power-of-k process at 85% per-node load with k = L choices.
+//     power-of-k process at 85% per-node load with k = L choices, over 100
+//     seeds of 6400 time units each (10 seeds of 400 in smoke mode).
 //
 // Acceptance (printed at the end): every engine hit ratio within 2% of the fluid
 // analytic value, sharded-vs-sequential imbalance within 2%, and L=3/L=4
@@ -46,11 +47,11 @@ struct DepthResult {
   double shd_imb = 0.0;
   double fluid_hit = 0.0;
   double flow_fraction = 0.0;  // CacheGraph R*/(L*m*T~)
-  int stationary = 0;          // PokProcess stationary seeds out of kSeeds
+  int stationary = 0;          // PokProcess stationary seeds out of pok_seeds
 };
 
 constexpr uint32_t kNodesPerLayer = 16;
-constexpr int kSeeds = 10;
+constexpr int kFlowSeeds = 10;
 
 void Run(BenchJson& json) {
   PrintHeader("Multi-layer hierarchical caching (§3.1): engine vs analytic depth trade-off",
@@ -67,6 +68,12 @@ void Run(BenchJson& json) {
   // Two-layer baseline budget: 2 x 16 x 100 = 3200 objects in total.
   const uint32_t total_budget = 2 * kNodesPerLayer * 100;
   std::vector<size_t> depth_sweep = SmokeSweep<size_t>({2, 3}, {2, 3, 4});
+  // At L = 2, 85% load lies inside the spread of the sampled candidate
+  // graphs' capacity (per-graph R*/agg 0.79–0.96): the stationarity verdict
+  // needs long runs to settle and the count needs many graphs to stop
+  // depending on which ones were drawn.
+  const int pok_seeds = BenchSmoke() ? 10 : 100;
+  const double pok_duration = BenchSmoke() ? 400.0 : 6400.0;
   if (BenchSmoke()) {
     requests = 200'000;
     shards = 2;
@@ -77,6 +84,8 @@ void Run(BenchJson& json) {
   json.Config("requests", static_cast<double>(requests));
   json.Config("num_keys", static_cast<double>(base.num_keys));
   json.Config("zipf_theta", base.zipf_theta);
+  json.Config("pok_seeds", static_cast<double>(pok_seeds));
+  json.Config("pok_duration", pok_duration);
 
   std::vector<DepthResult> results;
   for (const size_t layers : depth_sweep) {
@@ -106,7 +115,7 @@ void Run(BenchJson& json) {
       const std::vector<double> pmf = CappedZipfPmf(
           objects, base.zipf_theta, 1.0 / (2.0 * static_cast<double>(kNodesPerLayer)));
       StreamingStats frac;
-      for (uint64_t seed = 0; seed < kSeeds; ++seed) {
+      for (uint64_t seed = 0; seed < kFlowSeeds; ++seed) {
         CacheGraph graph(objects, std::vector<size_t>(layers, kNodesPerLayer), seed);
         frac.Add(graph.MaxSupportedRate(pmf, 1.0, 0.01) /
                  (static_cast<double>(layers) * kNodesPerLayer));
@@ -114,7 +123,7 @@ void Run(BenchJson& json) {
       r.flow_fraction = frac.mean();
     }
     // Analytic side 2: power-of-k queueing stationarity at 85% per-node load.
-    for (uint64_t seed = 0; seed < kSeeds; ++seed) {
+    for (int seed = 0; seed < pok_seeds; ++seed) {
       PokProcess::Config pk;
       pk.num_objects = 8 * kNodesPerLayer;
       pk.layer_sizes = std::vector<size_t>(layers, kNodesPerLayer);
@@ -123,7 +132,7 @@ void Run(BenchJson& json) {
       pk.pmf_cap = 1.0 / (2.0 * 0.85 * static_cast<double>(kNodesPerLayer));
       pk.choices = layers;
       pk.seed = seed;
-      r.stationary += PokProcess(pk).Run(400.0).stationary ? 1 : 0;
+      r.stationary += PokProcess(pk).Run(pok_duration).stationary ? 1 : 0;
     }
     results.push_back(r);
   }
@@ -134,7 +143,7 @@ void Run(BenchJson& json) {
   for (const DepthResult& r : results) {
     std::printf("%-7zu %-9u %10.4f %10.4f %10.4f %10.3f %10.3f %12.2f %8d/%d\n",
                 r.layers, r.per_node, r.seq_hit, r.shd_hit, r.fluid_hit, r.seq_imb,
-                r.shd_imb, r.flow_fraction, r.stationary, kSeeds);
+                r.shd_imb, r.flow_fraction, r.stationary, pok_seeds);
   }
 
   // Acceptance lines (consumed by eyeballs and CI greps alike).

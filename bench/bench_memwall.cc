@@ -22,6 +22,8 @@
 //   seq            sequential, compact tables + two-level sampler
 //   sharded xN     in-process shards, compact + two-level
 //   multiproc xN   shard processes, compact + two-level, arena-resident plan
+//   failover x2    in-process shards at the smoke geometry with a two-spine
+//                  fail/remap/recover timeline (distcache_sim --fail-spines=2)
 //
 // Columns report the set-up time (MakeSimBackend: model, allocation, sampler
 // and plan build), peak RSS (context: includes allocator slack and the
@@ -35,7 +37,12 @@
 //                        private bytes — < 2x the seq-dense single-process
 //                        bytes (the "beats N x copy-heavy baseline" criterion:
 //                        without the arena-resident plan and compaction this
-//                        figure is ~N x the baseline, not a fraction of one).
+//                        figure is ~N x the baseline, not a fraction of one);
+//   gate 3 (snapshots):  failover x2 route-table bytes <= 2x its base table's
+//                        bytes — the remap is the one table the timeline adds:
+//                        the first recover is superseded at its timestamp and
+//                        the last one restores the base table, which the plan
+//                        shares instead of copying.
 //
 // Detect-and-skip: hosts that cannot map the arena skip the multiproc row and
 // gate 2 (like bench_scaling); hosts without the memory for the full dense
@@ -58,7 +65,9 @@
 
 #include "bench/bench_common.h"
 #include "runtime/shm_arena.h"
+#include "sim/cluster_model.h"
 #include "sim/multiproc_backend.h"
+#include "sim/route_table.h"
 #include "sim/sim_backend.h"
 
 namespace distcache {
@@ -114,6 +123,22 @@ SimBackendConfig MakeConfig(const Geometry& g) {
   bcfg.cluster.num_keys = g.num_keys;
   bcfg.cluster.candidate_pool = g.candidate_pool;
   bcfg.cluster.per_switch_objects = g.per_switch_objects;
+  return bcfg;
+}
+
+// The failover row's config: two shards on the thread launcher (whose
+// route_table_bytes is the plan's) and distcache_sim's --fail-spines=2
+// timeline — spines 0 and 1 fail at 20%, remap at 50%, recover at 75%.
+SimBackendConfig FailoverConfig() {
+  SimBackendConfig bcfg = MakeConfig(kSmoke);
+  bcfg.two_level_sampling = true;
+  bcfg.shards = 2;
+  const uint64_t n = kSmoke.requests;
+  for (uint32_t s = 0; s < 2; ++s) {
+    bcfg.events.push_back(ClusterEvent::FailSpine(n / 5, s));
+    bcfg.events.push_back(ClusterEvent::RecoverSpine(n * 3 / 4, s));
+  }
+  bcfg.events.push_back(ClusterEvent::RunRecovery(n / 2));
   return bcfg;
 }
 
@@ -308,6 +333,11 @@ int Run(BenchJson& json, bool gate) {
   PrintRow(multi);
   RecordRow(json, multi);
 
+  const Row failover = MeasureRow("failover", BackendKind::kSharded,
+                                  FailoverConfig(), kSmoke.requests);
+  PrintRow(failover);
+  RecordRow(json, failover);
+
   // ---- gates ---------------------------------------------------------------
   int failed = 0;
   const bool base_ok = dense.ran && dense.ok && seq.ran && seq.ok;
@@ -330,6 +360,18 @@ int Run(BenchJson& json, bool gate) {
                 kShards, multi.total_bytes() / kMiB, share, kShards,
                 kShards * dense.total_bytes() / kMiB);
   }
+  // Measured after every row, so no forked row inherits the table's pages.
+  const uint64_t failover_base_bytes = [] {
+    const ClusterModel model(FailoverConfig().cluster, /*build_popularity=*/false);
+    return BuildRouteTable(model).bytes();
+  }();
+  const double failover_ratio =
+      failover_base_bytes > 0
+          ? static_cast<double>(failover.route_bytes) / failover_base_bytes
+          : 0.0;
+  json.Metric("failover_route_over_base", failover_ratio);
+  std::printf("failover x2 route-table bytes: %.2f MB = %.2fx its base table\n",
+              failover.route_bytes / kMiB, failover_ratio);
   if (gate) {
     if (!base_ok) {
       std::fprintf(stderr, "memwall gate FAILED: baseline rows did not run\n");
@@ -359,6 +401,19 @@ int Run(BenchJson& json, bool gate) {
     } else {
       std::printf("memwall gate: multiproc leg skipped (arena unavailable); "
                   "compaction leg still gates\n");
+    }
+    if (!failover.ok || failover_base_bytes == 0 ||
+        failover.route_bytes > 2 * failover_base_bytes) {
+      std::fprintf(stderr,
+                   "memwall gate FAILED: failover x2 route tables %.2f MB "
+                   "exceed 2x the base table's %.2f MB — the plan builds "
+                   "snapshots no request sees\n",
+                   failover.route_bytes / kMiB, failover_base_bytes / kMiB);
+      failed = 1;
+    } else {
+      std::printf("memwall gate OK: failover x2 route tables = %.2fx the base "
+                  "table (threshold 2x)\n",
+                  failover_ratio);
     }
   }
   return failed;

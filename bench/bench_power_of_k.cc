@@ -38,7 +38,10 @@ void Run() {
   }
 
   // Part 2: stationarity of the power-of-k process at fixed high per-node load.
-  std::printf("\nQueueing stationarity at 85%% per-node load, 10 seeds, 400 time units\n");
+  // With `choices` < 4 only the first `choices` layers serve requests, so the
+  // offered rate is 85% of those layers' capacity, not of all four.
+  std::printf("\nQueueing stationarity at 85%% per-node load of the layers used, "
+              "10 seeds, 400 time units\n");
   std::printf("(choices=1 is the single-hash strawman; more choices = more stable):\n");
   std::printf("%-10s %-14s %-14s\n", "choices", "stationary", "final backlog");
   for (size_t choices : {1, 2, 3, 4}) {
@@ -50,10 +53,11 @@ void Run() {
       PokProcess::Config cfg;
       cfg.num_objects = 8 * kM;
       cfg.layer_sizes = std::vector<size_t>(kLayers, kM);
-      cfg.total_rate = 0.85 * static_cast<double>(kLayers * kM);
+      cfg.total_rate = 0.85 * static_cast<double>(choices * kM);
       cfg.zipf_theta = 0.99;
-      cfg.pmf_cap = 1.0 / (2.0 * 0.85 * static_cast<double>(kLayers * kM) /
-                           static_cast<double>(kLayers));
+      // p_max * R = choices / 2: the hottest object can fill half of each of
+      // its `choices` nodes.
+      cfg.pmf_cap = 1.0 / (2.0 * 0.85 * static_cast<double>(kM));
       cfg.choices = choices;
       cfg.seed = seed;
       PokProcess process(cfg);

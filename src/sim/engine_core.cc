@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <unordered_set>
 
 namespace distcache {
 
@@ -22,56 +24,107 @@ HeavyHitterDetector::Config ObserverConfig(uint64_t pool) {
   return cfg;
 }
 
-// Applies one plan step's routing-relevant transition to (alive, shift, model) —
-// the single source of truth for how a step changes the controller state — and
-// returns the post-step route snapshot (null for steps that change no routes:
-// kFailSpine keeps clients on their stale routes, kReallocateCache is computed
-// at runtime). Shared by the construction-time plan walk and the
-// post-reallocation rebuild (BuildReallocRoutes) so the two can never diverge.
-std::shared_ptr<const RouteTable> AdvancePlanState(const TimelineStep& step,
-                                                   ClusterModel& model,
-                                                   std::vector<uint8_t>& alive,
-                                                   uint64_t& shift) {
-  const auto snapshot = [&] {
-    return std::make_shared<const RouteTable>(BuildRouteTable(model, shift));
-  };
+// Applies one plan step's transition to (alive, shift, model) — the single
+// source of truth for how a step changes the controller state — and returns
+// whether the step installs routes. kFailSpine keeps clients on their stale
+// routes until recovery; kReallocateCache's tables are computed at runtime.
+// Shared by the construction-time plan walk and the post-reallocation rebuild
+// (BuildReallocRoutes) so the two can never diverge.
+bool AdvancePlanState(const TimelineStep& step, ClusterModel& model,
+                      std::vector<uint8_t>& alive, uint64_t& shift) {
   if (step.is_phase) {
     shift = step.phase.hot_shift;
-    return snapshot();
+    return true;
   }
   switch (step.event.kind) {
     case ClusterEvent::Kind::kFailSpine:
       if (step.event.spine < alive.size()) {
         alive[step.event.spine] = 0;
       }
-      return nullptr;  // no remap: stale routes until recovery
+      return false;
     case ClusterEvent::Kind::kRecoverSpine:
       if (step.event.spine < alive.size()) {
         alive[step.event.spine] = 1;
       }
       model.SyncControllerRemap(alive);
-      return snapshot();
+      return true;
     case ClusterEvent::Kind::kRunRecovery:
       model.SyncControllerRemap(alive);
-      return snapshot();
+      return true;
     case ClusterEvent::Kind::kShiftHotspot:
       shift = step.event.value;
-      return snapshot();
+      return true;
     case ClusterEvent::Kind::kReallocateCache:
       break;
   }
-  return nullptr;
+  return false;
+}
+
+// Walks plan[from, end) from (alive, shift) and returns each step's snapshot.
+// All due steps apply in one AdvanceTo loop, so no request routes between
+// steps that share an at_request: only the last route-changing step of each
+// timestamp gets a table, of the state after the whole timestamp; the others
+// get absent ones. Within a walk the cached set is fixed, so a table is a
+// function of the controller's partition→spine map and the hot shift alone: a
+// state seen before — `start`, the table of the walk's starting state when
+// given, included — shares its table instead of building an equal copy.
+std::vector<std::shared_ptr<const RouteTable>> WalkSnapshots(
+    const std::vector<TimelineStep>& plan, size_t from, ClusterModel& model,
+    std::vector<uint8_t> alive, uint64_t shift,
+    std::shared_ptr<const RouteTable> start) {
+  struct Built {
+    std::vector<uint32_t> spine_of_partition;
+    uint64_t shift;
+    std::shared_ptr<const RouteTable> table;
+  };
+  std::vector<Built> built;
+  if (start != nullptr) {
+    built.push_back(
+        {model.controller->spine_of_partition(), shift, std::move(start)});
+  }
+  const auto snapshot = [&] {
+    const std::vector<uint32_t>& map = model.controller->spine_of_partition();
+    for (const Built& b : built) {
+      if (b.shift == shift && b.spine_of_partition == map) {
+        return b.table;
+      }
+    }
+    built.push_back({map, shift,
+                     std::make_shared<const RouteTable>(
+                         BuildRouteTable(model, shift))});
+    return built.back().table;
+  };
+
+  std::vector<std::shared_ptr<const RouteTable>> routes(plan.size() - from);
+  std::optional<size_t> last_change;
+  for (size_t i = from; i < plan.size(); ++i) {
+    if (AdvancePlanState(plan[i], model, alive, shift)) {
+      last_change = i;
+    }
+    const bool timestamp_ends =
+        i + 1 == plan.size() || plan[i + 1].at_request != plan[i].at_request;
+    if (timestamp_ends && last_change) {
+      routes[*last_change - from] = snapshot();
+      last_change.reset();
+    }
+  }
+  return routes;
 }
 
 }  // namespace
 
 uint64_t PlanRouteTableBytes(const RouteTable* base,
                              const std::vector<TimelineStep>& plan) {
-  uint64_t total = base != nullptr ? base->bytes() : 0;
-  for (const TimelineStep& step : plan) {
-    if (step.routes != nullptr) {
-      total += step.routes->bytes();
+  std::unordered_set<const RouteTable*> counted = {nullptr};  // absent steps
+  uint64_t total = 0;
+  const auto count = [&](const RouteTable* table) {
+    if (counted.insert(table).second) {
+      total += table->bytes();
     }
+  };
+  count(base);
+  for (const TimelineStep& step : plan) {
+    count(step.routes.get());
   }
   return total;
 }
@@ -109,8 +162,9 @@ std::vector<TimelineStep> MergeTimeline(const SimBackendConfig& config) {
   return timeline;
 }
 
-std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
-                                            ClusterModel& model) {
+std::vector<TimelineStep> BuildTimelinePlan(
+    const SimBackendConfig& config, ClusterModel& model,
+    std::shared_ptr<const RouteTable> base) {
   std::vector<TimelineStep> plan = MergeTimeline(config);
   // A dynamic policy fills its own caches and never reads the allocation, so
   // the controller's re-allocation has nothing to act on: the step is left
@@ -122,14 +176,17 @@ std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
     });
   }
 
-  // Walk the timeline once, tracking the alive set the way the controller would
-  // observe it, and snapshot the route table after every routing-relevant step
-  // (each snapshot is a pure function of the timeline prefix, so precomputing it
-  // off the hot path is exact). kReallocateCache snapshots cannot be precomputed:
-  // they depend on runtime-observed counts.
-  std::vector<uint8_t> alive(model.cfg.num_spine, 1);
-  uint64_t shift = 0;
-  for (TimelineStep& step : plan) {
+  // Walk the timeline once, tracking the alive set the way the controller
+  // would observe it. Each snapshot is a pure function of the timeline prefix,
+  // so precomputing it off the hot path is exact; kReallocateCache snapshots
+  // depend on runtime-observed counts and cannot be. The walk starts from
+  // `model`'s state on entry at shift 0, which is the state `base` shows.
+  std::vector<std::shared_ptr<const RouteTable>> routes =
+      WalkSnapshots(plan, 0, model, std::vector<uint8_t>(model.cfg.num_spine, 1),
+                    0, std::move(base));
+  for (size_t i = 0; i < plan.size(); ++i) {
+    TimelineStep& step = plan[i];
+    step.routes = std::move(routes[i]);
     if (step.is_phase && !config.two_level_sampling) {
       // O(pool) dense pmf for the phase's sampler rebuild. Two-level mode
       // skips it: the engines rebuild their O(hot) samplers from the phase's
@@ -137,7 +194,6 @@ std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
       step.pmf = std::make_shared<const std::vector<double>>(
           model.HeadWithTailFor(step.phase.zipf_theta));
     }
-    step.routes = AdvancePlanState(step, model, alive, shift);
   }
   return plan;
 }
@@ -145,14 +201,15 @@ std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
 std::vector<std::shared_ptr<const RouteTable>> BuildReallocRoutes(
     const std::vector<TimelineStep>& plan, const EngineCore& core,
     ClusterModel& model) {
-  std::vector<std::shared_ptr<const RouteTable>> routes;
-  routes.push_back(
-      std::make_shared<const RouteTable>(BuildRouteTable(model, core.hot_shift())));
-  std::vector<uint8_t> alive = core.spine_alive();
-  uint64_t shift = core.hot_shift();
-  for (size_t i = core.next_action_index(); i < plan.size(); ++i) {
-    routes.push_back(AdvancePlanState(plan[i], model, alive, shift));
-  }
+  // The refill changed the cached set, so no table built before it can be
+  // shared: the walk starts from the immediate table.
+  std::vector<std::shared_ptr<const RouteTable>> routes = {
+      std::make_shared<const RouteTable>(
+          BuildRouteTable(model, core.hot_shift()))};
+  const std::vector<std::shared_ptr<const RouteTable>> suffix =
+      WalkSnapshots(plan, core.next_action_index(), model, core.spine_alive(),
+                    core.hot_shift(), routes[0]);
+  routes.insert(routes.end(), suffix.begin(), suffix.end());
   return routes;
 }
 

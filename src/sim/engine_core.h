@@ -27,25 +27,35 @@
 // Timeline model: a run's reconfigurations (SimBackendConfig::events) and workload
 // phases (SimBackendConfig::phases) are merged into an ordered plan by
 // BuildTimelinePlan(). Steps whose effect is a pure function of the timeline
-// prefix (phase switches, hot-spot shifts, failure remaps) carry precomputed
-// immutable snapshots — a route table and, for phases, the head+tail pmf the
-// engine rebuilds its sampler from. kReallocateCache steps carry no snapshot: the
-// controller recomputes the allocation at runtime from *observed* per-key counts
-// (the core's heavy-hitter observer), which is the paper's §6.4 cache-update
-// loop. Only the static policies run it: a dynamic policy fills its own caches
-// and never reads the allocation, so its plan drops the step and its core
-// builds no observer. Both engines' realloc hooks run the same two calls:
-// ClusterModel::ReallocateFromReports re-syncs the controller remap to the
-// alive set at that timestamp (failures before), merges the heavy-hitter
-// reports and refills the allocation; BuildReallocRoutes then builds the
-// immediate table and rebuilds the remaining steps' snapshots against the
-// refilled allocation (failures/shifts after) — so a post-reallocation switch
-// restoration keeps the refilled cached set instead of resurrecting the
+// prefix (phase switches, hot-spot shifts, failure remaps, switch
+// restorations) carry precomputed immutable snapshots — a route table and, for
+// phases, the head+tail pmf the engine rebuilds its sampler from. Every step
+// due at one timestamp applies in one AdvanceTo loop, so no request routes
+// between them: only the last route-changing step at each at_request carries
+// a table, and the steps it supersedes carry an absent one (keep the current
+// routes). Within one walk the cached set is fixed, so a table depends only on
+// the controller's partition→spine map and the hot shift; a step whose state
+// equals one the walk already built a table for (the base table included)
+// shares that table instead of building an equal copy — a switch restoration
+// that undoes the last remap gets the base table back. kReallocateCache steps
+// carry no snapshot: the controller recomputes the allocation at runtime from
+// *observed* per-key counts (the core's heavy-hitter observer), which is the
+// paper's §6.4 cache-update loop. Only the static policies run it: a dynamic
+// policy fills its own caches and never reads the allocation, so its plan
+// drops the step and its core builds no observer. Both engines' realloc hooks
+// run the same two calls: ClusterModel::ReallocateFromReports re-syncs the
+// controller remap to the alive set at that timestamp (failures before),
+// merges the heavy-hitter reports and refills the allocation;
+// BuildReallocRoutes then builds the immediate table and rebuilds the
+// remaining steps' snapshots against the refilled allocation (failures/shifts
+// after), by the same coalescing and sharing rules — so a post-reallocation
+// switch restoration keeps the refilled cached set instead of resurrecting the
 // construction-time one.
 //
 // The core routes through non-owning RouteViews (sim/route_table.h): whoever
 // builds a table owns its storage for the whole run — the plan and the
-// sequential backend's members in process, the arena in the shard runtime.
+// sequential backend's members in process, the arena (one copy per distinct
+// table) in the shard runtime.
 #ifndef DISTCACHE_SIM_ENGINE_CORE_H_
 #define DISTCACHE_SIM_ENGINE_CORE_H_
 
@@ -78,8 +88,10 @@ struct TimelineStep {
   // Phase payload: the head+tail pmf under phase.zipf_theta (layout of
   // ClusterModel::head_with_tail) the engines rebuild their samplers from.
   std::shared_ptr<const std::vector<double>> pmf;
-  // Immutable post-step route table, when precomputable (null for kFailSpine,
-  // which changes no routes, and for kReallocateCache, which is runtime-computed).
+  // Immutable post-step route table. Null for kFailSpine, which changes no
+  // routes, for kReallocateCache, which is runtime-computed, and for a
+  // route-changing step that a later step at the same at_request supersedes.
+  // Steps of equal controller state share one table (see the header comment).
   std::shared_ptr<const RouteTable> routes;
 };
 
@@ -90,12 +102,14 @@ struct TimelineStep {
 std::vector<TimelineStep> MergeTimeline(const SimBackendConfig& config);
 
 // The request engines' plan: MergeTimeline, with each step's snapshot
-// precomputed. Under a dynamic cache policy the kReallocateCache events are
-// left out (see the header comment). Mutates `model`'s controller/allocation
-// state while walking the failure remaps — the same end state the runtime
-// reads back.
-std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
-                                            ClusterModel& model);
+// precomputed, coalesced and shared (see the header comment). Under a dynamic
+// cache policy the kReallocateCache events are left out. `base`, when given,
+// is BuildRouteTable(model) of `model` as passed in; a step that returns to
+// that state shares it. Mutates `model`'s controller/allocation state while
+// walking the failure remaps — the same end state the runtime reads back.
+std::vector<TimelineStep> BuildTimelinePlan(
+    const SimBackendConfig& config, ClusterModel& model,
+    std::shared_ptr<const RouteTable> base = nullptr);
 
 // True when the timeline contains a kReallocateCache step — the engines then ask
 // for the core's heavy-hitter observer from the start of the run. The EngineCore
@@ -103,10 +117,11 @@ std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
 // no such step, so an observer would count reads nothing ever ranks.
 bool TimelineNeedsObserver(const std::vector<ClusterEvent>& events);
 
-// Total bytes of the base route table plus every precomputed plan snapshot —
-// the figure the engines stamp into BackendStats::route_table_bytes. Tables a
-// runtime re-allocation builds later are not included (realloc timelines are
-// small-config test territory; the plan covers the steady-state footprint).
+// Total bytes of the distinct tables among the base route table and the plan's
+// snapshots, each shared table counted once — the figure the engines stamp
+// into BackendStats::route_table_bytes. Tables a runtime re-allocation builds
+// later are not included (realloc timelines are small-config test territory;
+// the plan covers the steady-state footprint).
 uint64_t PlanRouteTableBytes(const RouteTable* base,
                              const std::vector<TimelineStep>& plan);
 
@@ -701,7 +716,9 @@ void EngineCore::ProcessBatch(Sink& sink, const uint32_t* buckets, uint32_t coun
 // the core's hot shift, then one (possibly null) snapshot per pending plan
 // step, aligned with plan[core.next_action_index()..], so failure/shift steps
 // after a kReallocateCache route the refilled cached set instead of the
-// construction-time one. Mutates the model's controller state to the
+// construction-time one. The suffix is coalesced like the plan, and equal
+// states share a table with each other and with [0] (never with a table built
+// before the refill). Mutates the model's controller state to the
 // end-of-plan remap, exactly like BuildTimelinePlan. The hook installs [0] with
 // SetRoutes and the rest with SetActionRoutes.
 std::vector<std::shared_ptr<const RouteTable>> BuildReallocRoutes(

@@ -9,6 +9,8 @@
 #include <functional>
 #include <system_error>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include <ctime>
@@ -273,7 +275,7 @@ MultiprocBackend::MultiprocBackend(const SimBackendConfig& config,
     two_level_ = std::make_unique<TwoLevelSampler>(
         model_.cfg.num_keys, model_.cfg.zipf_theta, model_.pool);
   }
-  plan_ = BuildTimelinePlan(config_, model_);
+  plan_ = BuildTimelinePlan(config_, model_, base_routes_);
 }
 
 MultiprocBackend::~MultiprocBackend() = default;
@@ -323,14 +325,22 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
     stats_offset_[i] = layout.Reserve(stats_bound_);
   }
 
-  // Arena-resident plan: exact-size reservations — every table already exists
-  // on the supervisor heap, so no capacity guesswork (SerializePlanTables
-  // frees the heap copies right after writing these).
+  // Arena-resident plan: one exact-size reservation per distinct table —
+  // every table already exists on the supervisor heap, so no capacity
+  // guesswork (SerializePlanTables frees the heap copies right after writing
+  // these). Steps that share a table, and all absent steps, share its slot.
+  std::unordered_map<const RouteTable*, size_t> table_slot;
+  const auto reserve_table = [&](const RouteTable* table) {
+    const auto [it, fresh] = table_slot.try_emplace(table, 0);
+    if (fresh) {
+      it->second = layout.Reserve(SerializedTableBytes(table));
+    }
+    return it->second;
+  };
   plan_table_offset_.assign(1 + fired_plan_.size(), 0);
-  plan_table_offset_[0] = layout.Reserve(SerializedTableBytes(base_routes_.get()));
+  plan_table_offset_[0] = reserve_table(base_routes_.get());
   for (size_t i = 0; i < fired_plan_.size(); ++i) {
-    plan_table_offset_[1 + i] =
-        layout.Reserve(SerializedTableBytes(fired_plan_[i].routes.get()));
+    plan_table_offset_[1 + i] = reserve_table(fired_plan_[i].routes.get());
   }
 
   // Realloc rendezvous regions. Runtime tables cannot be pre-sized exactly,
@@ -399,10 +409,15 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
 }
 
 void MultiprocBackend::SerializePlanTables() {
-  SerializeTable(arena_.At(plan_table_offset_[0]), base_routes_.get());
+  std::unordered_set<size_t> written;
+  const auto write = [&](size_t offset, const RouteTable* table) {
+    if (written.insert(offset).second) {
+      SerializeTable(arena_.At(offset), table);
+    }
+  };
+  write(plan_table_offset_[0], base_routes_.get());
   for (size_t i = 0; i < fired_plan_.size(); ++i) {
-    SerializeTable(arena_.At(plan_table_offset_[1 + i]),
-                   fired_plan_[i].routes.get());
+    write(plan_table_offset_[1 + i], fired_plan_[i].routes.get());
   }
   // The arena is the only copy from here on: drop the heap tables before
   // launch, so no forked child ever holds (or COW-duplicates) a private one.

@@ -7,8 +7,8 @@
 //
 // Run state: the supervisor builds the immutable run state (cluster model,
 // route tables, alias sampler, precomputed timeline plan), maps the arena and
-// serializes the base route table and every plan snapshot *into the arena*,
-// freeing the heap copies before launch. Shards install the tables as
+// serializes each distinct table among the base route table and the plan
+// snapshots *into the arena* once, freeing the heap copies before launch. Shards install the tables as
 // non-owning RouteViews (EngineCore::SetRoutes / SetActionRoutes), so one
 // physical copy exists however many shards run. Forked children inherit the
 // arena by mapping inheritance and the small read-only state copy-on-write
@@ -194,8 +194,9 @@ class MultiprocBackend : public SimBackend {
   // rings, stats regions, the serialized plan tables and the realloc
   // rendezvous slots — and maps it; false when the mapping fails.
   bool LayoutAndMapArena(uint64_t num_requests);
-  // Serializes the base route table and every fired-plan snapshot into the
-  // arena (pre-launch, post-interleave), then frees the supervisor-heap copies —
+  // Serializes each distinct table among the base route table and the
+  // fired-plan snapshots into the arena once (pre-launch, post-interleave),
+  // then frees the supervisor-heap copies —
   // from here on the arena is the only copy and Run() is single-shot (the
   // repo-wide new-backend-per-Run discipline, see EngineCore::ClearActions).
   void SerializePlanTables();
@@ -229,7 +230,8 @@ class MultiprocBackend : public SimBackend {
   size_t stats_bound_ = 0;
 
   // Arena-resident plan: serialized-table offsets — [0] the base table,
-  // [1 + i] fired_plan_[i]'s snapshot (null steps carry a sentinel header).
+  // [1 + i] fired_plan_[i]'s snapshot. Entries that share a table share its
+  // offset; every null step shares one sentinel header.
   std::vector<size_t> plan_table_offset_;
   // Realloc rendezvous: per fired kReallocateCache step, one report slot per
   // shard and one ready-flag + published-tables region sized for the worst

@@ -46,13 +46,13 @@ SequentialBackend::SequentialBackend(const SimBackendConfig& config)
   // The pre-event route table must snapshot the pristine allocation, so build it
   // before the plan walk below mutates the controller state.
   model_.dense_routes = config_.dense_routes;
-  base_routes_ = BuildRouteTable(model_);
+  base_routes_ = std::make_shared<const RouteTable>(BuildRouteTable(model_));
   core_.SetRoutes(base_routes_);
   // Open-loop virtual time, when configured. The time stream gets its own seed
   // derivation so the key/write streams stay bit-identical to closed-loop runs.
   core_.ConfigureOpenLoop(config_.queue,
                           HashCombine(config.cluster.seed, 0x0be71457ULL));
-  plan_ = BuildTimelinePlan(config_, model_);
+  plan_ = BuildTimelinePlan(config_, model_, base_routes_);
   core_.SetPhaseHook([this](const WorkloadPhase& phase,
                             const std::shared_ptr<const std::vector<double>>& pmf) {
     if (two_level_ != nullptr) {
@@ -110,7 +110,7 @@ BackendStats SequentialBackend::Run(uint64_t num_requests) {
   core_.FinishSeries(num_requests);
   st.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   st.peak_rss_bytes = CurrentPeakRssBytes();
-  st.route_table_bytes = PlanRouteTableBytes(&base_routes_, plan_);
+  st.route_table_bytes = PlanRouteTableBytes(base_routes_.get(), plan_);
   st.sampler_bytes =
       two_level_ != nullptr ? two_level_->bytes() : head_dist_->bytes();
   return st;

@@ -58,8 +58,9 @@ class SequentialBackend : public SimBackend {
   // differentially validated, never golden-pinned.
   std::unique_ptr<TwoLevelSampler> two_level_;
   // Route storage for the core's views, kept for the whole run: the
-  // pre-timeline table and every table a re-allocation built.
-  RouteTable base_routes_;
+  // pre-timeline table (which plan steps may share) and every table a
+  // re-allocation built.
+  std::shared_ptr<const RouteTable> base_routes_;
   std::vector<std::shared_ptr<const RouteTable>> realloc_routes_;
   EngineCore core_;
 };

@@ -530,8 +530,9 @@ std::string RunEngine(const Flags& flags, BackendKind kind,
       static_cast<unsigned long long>(stats.cross_shard_messages),
       static_cast<unsigned long long>(stats.dropped));
   // Memory footprint: peak RSS is the max across the driver and any shard
-  // processes; route/sampler bytes are per-process state (multiproc keeps
-  // route tables in the shared arena, counted once under `arena`).
+  // processes; route/sampler bytes are per-process state, each distinct route
+  // table counted once (multiproc keeps route tables in the shared arena,
+  // counted once under `arena`).
   constexpr double kMiB = 1024.0 * 1024.0;
   std::printf("  memory: peak RSS %.1f MiB  route tables %.1f MiB  "
               "sampler %.1f MiB  arena %.1f MiB\n",
