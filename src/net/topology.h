@@ -38,8 +38,8 @@ struct CacheNodeId {
 // Flat indexing of a layered cache hierarchy: layer l's nodes occupy
 // [LayerBegin(l), LayerEnd(l)) of a dense [0, total()) range, top layer first.
 // This is the single source of the layer→flat encoding shared by the load
-// tracker, the shard map and the telemetry payloads — a second hand-rolled copy
-// could silently desynchronize them. Offsets live in fixed inline storage:
+// tracker, the shard runtime and its telemetry payloads — a second hand-rolled
+// copy could silently desynchronize them. Offsets live in fixed inline storage:
 // Flat() runs on per-request hot paths and must not chase a heap pointer.
 class LayerOffsets {
  public:

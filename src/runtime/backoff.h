@@ -1,6 +1,6 @@
 // Wait-loop pacing shared by every off-hot-path poll loop in the runtime: the
-// in-process sharded engine's control waits (timeline rendezvous, re-allocation
-// barrier, final drain) and the multi-process engine's shared-memory ring waits.
+// shard runtime's waits (start barrier, full-ring retry, re-allocation
+// rendezvous) and the multi-process supervisor's reap loop.
 //
 // Escalation schedule: yield first so a runnable peer gets the core (the
 // single-core case — the peer we are waiting on may be timesliced onto *this*

@@ -12,15 +12,15 @@
 //     applying timeline actions at exact request timestamps;
 //   * each sharded worker runs its own EngineCore, advancing it at batch
 //     boundaries with timeline timestamps scaled to the shard's quota, and with
-//     load charging / telemetry routed through the owner-partitioned gossip
-//     machinery (see multiproc_backend.h);
+//     load charging into the shard's own-contribution arrays, which are its
+//     telemetry partials and its quota-end loads (see multiproc_backend.h);
 //   * the fluid backend keeps its analytic path but walks the same merged
 //     timeline (MergeTimeline; see cluster/fluid_backend.h).
 //
 // Load charging is abstracted behind a Sink (AddCacheLoad/AddServerLoad): the
 // sequential sink writes the global cumulative counters and refreshes the
-// telemetry view in place, the sharded sink splits charges into owner-local
-// counters, unsent deltas and gossip partials. Everything else — who is a
+// telemetry view in place, the sharded sink adds each charge to the shard's
+// own-contribution arrays and its view. Everything else — who is a
 // candidate, who wins, what a write costs, what gets dropped — is shared code, so
 // a new scenario lands in one place instead of three.
 //

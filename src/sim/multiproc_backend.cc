@@ -6,7 +6,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <functional>
 #include <system_error>
 #include <thread>
 #include <unordered_map>
@@ -30,49 +29,30 @@ namespace distcache {
 
 namespace {
 
-// Ring depth per directed shard pair. Traffic is O(epochs + 1) messages
-// (telemetry broadcasts, the end-of-run delta flush, chunked, and one kDone)
-// and every batch boundary drains it. Consumers drain while waiting, so a
-// shallow ring only adds retry rounds, never deadlock — and every slot is
+// Ring depth per directed shard pair. Traffic is one telemetry slot per
+// epoch and every batch boundary drains it. Consumers drain while waiting, so
+// a shallow ring only adds retry rounds, never deadlock — and every slot is
 // touched as the index wraps, so depth is resident memory.
 constexpr size_t kDataRingCapacity = 32;
 
-// Floor for the data-plane payload when the topology is tiny.
-constexpr size_t kMinDataPayloadBytes = 1024;
-
-// The ring message set. Everything that crosses between shards is one of
-// these POD-serialized kinds: the timeline needs no multicast (every shard
-// queues the fired plan locally) and the realloc rendezvous goes through the
-// arena (see multiproc_backend.h).
-enum WireKind : uint8_t {
-  kWireTelemetry = 0,  // dense own-contribution partials, one slot
-  kWireDeltas = 1,     // end-of-run load deltas, chunked
-  kWireDone = 2,       // end-of-stream marker, the sender's last message
-};
-
+// The one ring message: the sender's dense own-contribution partials, one
+// double per cache node in flat order, behind this header. The timeline needs
+// no multicast (every shard queues the fired plan locally), the realloc
+// rendezvous goes through the arena and each shard hands in its own loads
+// with its stats (see multiproc_backend.h). Everything moves through memcpy,
+// so slot alignment is a non-issue and no object is ever aliased across the
+// arena.
 struct WireHeader {
-  uint8_t kind;
-  uint8_t pad8;
-  uint16_t pad16;
-  uint32_t from;     // sender shard
-  uint32_t count_a;  // telemetry: #partials; deltas: #cache
-  uint32_t count_b;  // deltas: #server entries
+  uint32_t from;   // sender shard
+  uint32_t count;  // partials that follow
 };
-static_assert(sizeof(WireHeader) == 16, "wire header layout");
 
-// Fixed 16-byte entry for both delta kinds ({flat-or-server index, delta}) and
-// arena report pairs ({key, count}); everything moves through memcpy, so slot
-// alignment is a non-issue and no object is ever aliased across the arena.
-struct DeltaEntry {
-  uint64_t index;
-  double delta;
-};
+// An arena report pair ({key, count}) of the realloc rendezvous.
 struct ReportEntry {
   uint64_t key;
   uint64_t count;
 };
-static_assert(sizeof(DeltaEntry) == 16 && sizeof(ReportEntry) == 16,
-              "wire entry layout");
+static_assert(sizeof(ReportEntry) == 16, "report entry layout");
 
 // Supervisor/child handshake block at the head of the arena.
 enum ShardState : uint32_t {
@@ -80,8 +60,8 @@ enum ShardState : uint32_t {
   kShardDone = 1,     // full quota, stats published
   kShardAborted = 2,  // wound down after the abort flag, partial stats published
   // Supervisor-set after reaping a shard it will not respawn: the shard is
-  // permanently gone. Peers skip it in every send, rendezvous gather and the
-  // done protocol, and the run completes degraded instead of aborting.
+  // permanently gone. Peers skip it in every send and rendezvous gather, and
+  // the run completes degraded instead of aborting.
   kShardDead = 3,
 };
 
@@ -182,7 +162,6 @@ struct alignas(kCacheLineSize) MultiprocBackend::Proc {
 
   uint32_t id;
   EngineCore core;
-  EventQueue queue;
 
   // Indexed by peer; the self slot is a detached default view, never touched.
   std::vector<ShmSpscRing> data_in;   // consumer views: peer -> this shard
@@ -194,8 +173,7 @@ struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   std::vector<std::vector<double>> last_partial;  // [peer][flat]
   CacheAlignedVector<uint32_t> batch_keys;
   uint64_t processed = 0;
-  std::vector<uint8_t> done_ring;  // [peer] kDone marker consumed from the ring
-  uint32_t realloc_seq = 0;        // fired kReallocateCache steps, plan order
+  uint32_t realloc_seq = 0;  // fired kReallocateCache steps, plan order
 
   // Exactly one of sampler / two_level is active (two-level mode swaps the
   // dense alias table for the O(hot) one — see alias_sampler.h).
@@ -204,11 +182,7 @@ struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   const TwoLevelSampler* two_level = nullptr;
   std::unique_ptr<TwoLevelSampler> phase_two_level;
 
-  // Flush / deserialize scratch.
-  std::vector<std::vector<std::pair<uint32_t, double>>> out_cache;
-  std::vector<std::vector<std::pair<uint32_t, double>>> out_server;
-  std::vector<double> telemetry_scratch;
-  std::vector<DeltaEntry> delta_scratch;
+  std::vector<double> telemetry_scratch;  // deserialize scratch
 
   double quota_scale = 1.0;
   bool abort_seen = false;
@@ -227,23 +201,23 @@ struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   std::vector<PlannedFault> faults;
   size_t next_fault = 0;
   // Armed survivable effects, consumed at their hook points.
-  uint32_t drop_telemetry = 0;  // broadcasts to swallow at the ring views
-  uint32_t done_delay_ms = 0;   // delay armed on the next kDone publish
-  bool corrupt_stats = false;   // flip a byte of the stats blob post-CRC
+  uint32_t drop_telemetry = 0;      // broadcasts to swallow at the ring views
+  uint32_t telemetry_delay_ms = 0;  // delay armed on the next telemetry publish
+  bool corrupt_stats = false;       // flip a byte of the stats blob post-CRC
 
   // This shard's arena heartbeat word (ShardSlot::heartbeat).
   std::atomic<uint64_t>* heartbeat = nullptr;
 };
 
 // The branch-free hot-path sink: every charge is two dense array adds (own
-// contribution + optimistic local view). No owner test, no shared write — the
-// owner split is deferred to FlushLoads at quota end.
+// contribution + optimistic local view). No shared write — the own arrays
+// become this shard's loads at quota end.
 struct MultiprocBackend::ProcSink {
   MultiprocBackend* backend;
   Proc* p;
 
   void AddCacheLoad(CacheNodeId node, double delta) {
-    p->own_cache[backend->shard_map_.FlatIndex(node)] += delta;
+    p->own_cache[backend->offsets_.Flat(node)] += delta;
     p->core.view().Add(node, delta);  // optimistic local view
   }
   void AddServerLoad(uint32_t server, double delta) {
@@ -256,18 +230,13 @@ MultiprocBackend::MultiprocBackend(const SimBackendConfig& config,
     : config_(config),
       launcher_(launcher),
       model_(config.cluster, /*build_popularity=*/!config.two_level_sampling),
-      shard_map_(
-          [this] {
-            std::vector<uint32_t> sizes;
-            for (const LayerSpec& layer : model_.layers) {
-              sizes.push_back(layer.nodes);
-            }
-            return sizes;
-          }(),
-          model_.num_servers(), config.shards),
+      offsets_(MakeTrackerConfig(model_.cfg).layer_sizes),
       sampler_(model_.head_with_tail) {
   model_.dense_routes = config_.dense_routes;
   base_routes_ = std::make_shared<const RouteTable>(BuildRouteTable(model_));
+  if (config_.shards == 0) {
+    config_.shards = 1;
+  }
   if (config_.batch_size == 0) {
     config_.batch_size = 1;
   }
@@ -291,11 +260,10 @@ bool MultiprocBackend::Supported() {
 // ---- arena layout ----------------------------------------------------------
 
 bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
-  const uint32_t n = shard_map_.shards();
-  const size_t nodes = shard_map_.num_cache_nodes();
-  // A full telemetry snapshot (one double per cache node) must fit one slot.
-  data_slot_bytes_ =
-      sizeof(WireHeader) + std::max(nodes * sizeof(double), kMinDataPayloadBytes);
+  const uint32_t n = config_.shards;
+  const size_t nodes = offsets_.total();
+  // A full telemetry snapshot (one double per cache node) fills one slot.
+  data_slot_bytes_ = sizeof(WireHeader) + nodes * sizeof(double);
   const uint64_t max_points =
       config_.sample_interval == 0 ? 0
                                    : num_requests / config_.sample_interval + 4;
@@ -452,7 +420,7 @@ MultiprocBackend::ShardSlot* MultiprocBackend::SlotOf(uint32_t shard) const {
 std::atomic<uint64_t>* MultiprocBackend::ReportFlag(uint32_t step,
                                                     uint32_t s) const {
   return reinterpret_cast<std::atomic<uint64_t>*>(
-      arena_.At(report_offset_[static_cast<size_t>(step) * shard_map_.shards() +
+      arena_.At(report_offset_[static_cast<size_t>(step) * config_.shards +
                                s]));
 }
 
@@ -478,8 +446,12 @@ bool MultiprocBackend::ShardDead(uint32_t shard) const {
   return SlotOf(shard)->state.load(std::memory_order_acquire) == kShardDead;
 }
 
+bool MultiprocBackend::ShardRunning(uint32_t shard) const {
+  return SlotOf(shard)->state.load(std::memory_order_acquire) == kShardRunning;
+}
+
 uint32_t MultiprocBackend::FirstLiveShard() const {
-  const uint32_t n = shard_map_.shards();
+  const uint32_t n = config_.shards;
   for (uint32_t s = 0; s < n; ++s) {
     if (!ShardDead(s)) {
       return s;
@@ -506,7 +478,7 @@ std::unique_ptr<MultiprocBackend::Proc> MultiprocBackend::NewProc(
 bool MultiprocBackend::ShardMain(Proc& p, uint64_t quota,
                                  uint64_t num_requests, bool respawned) {
   const uint32_t id = p.id;
-  const uint32_t n = shard_map_.shards();
+  const uint32_t n = config_.shards;
   p.heartbeat = &SlotOf(id)->heartbeat;
   p.data_in.resize(n);
   p.data_out.resize(n);
@@ -605,22 +577,23 @@ bool MultiprocBackend::WaitFor(Proc& p, Ready ready) {
 void* MultiprocBackend::AcquireSlot(Proc& p, ShmSpscRing& ring, uint32_t peer) {
   // A full ring means the receiver is behind. Draining our own rings while
   // retrying guarantees global progress (no send cycle can wedge: some shard
-  // in it always empties a ring); the abort and dead-peer checks guarantee a
-  // dead receiver cannot wedge us (its message is moot).
+  // in it always empties a ring); the abort and peer-state checks guarantee
+  // that a receiver which stopped draining — finished or dead — cannot wedge
+  // us (its message is moot).
   void* slot = nullptr;
   WaitFor(p, [&] {
     slot = ring.TryStage();
-    return slot != nullptr || ShardDead(peer);
+    return slot != nullptr || !ShardRunning(peer);
   });
   return slot;
 }
 
 void MultiprocBackend::BroadcastTelemetry(Proc& p) {
-  const uint32_t n = shard_map_.shards();
+  const uint32_t n = config_.shards;
   const uint32_t count = static_cast<uint32_t>(p.own_cache.size());
   for (uint32_t peer = 0; peer < n; ++peer) {
-    if (peer == p.id || ShardDead(peer)) {
-      continue;
+    if (peer == p.id || !ShardRunning(peer)) {
+      continue;  // a finished or dead peer no longer drains
     }
     if (__builtin_expect(p.drop_telemetry != 0, 0)) {
       // Armed kDropTelemetry: the staged slot below is rewound at Publish,
@@ -632,13 +605,17 @@ void MultiprocBackend::BroadcastTelemetry(Proc& p) {
       if (p.abort_seen) {
         return;
       }
-      continue;  // peer died while we waited; skip it
+      continue;  // peer finished or died while we waited; skip it
     }
-    const WireHeader h{kWireTelemetry, 0, 0, p.id, count, 0};
+    const WireHeader h{p.id, count};
     WritePod(slot, &h, sizeof(h));
     WritePod(slot, p.own_cache.data(), count * sizeof(double), sizeof(h));
+    if (__builtin_expect(p.telemetry_delay_ms != 0, 0)) {
+      // Armed kDelayControl: this publish sleeps at the ring view first.
+      p.data_out[peer].ArmDelayNext(p.telemetry_delay_ms);
+      p.telemetry_delay_ms = 0;
+    }
     p.data_out[peer].Publish();
-    ++p.local.cross_shard_messages;
     ++p.local.ring_messages;
   }
   if (__builtin_expect(p.drop_telemetry != 0, 0)) {
@@ -646,108 +623,30 @@ void MultiprocBackend::BroadcastTelemetry(Proc& p) {
   }
 }
 
-void MultiprocBackend::SendLoadDeltas(
-    Proc& p, uint32_t peer,
-    const std::vector<std::pair<uint32_t, double>>& cache,
-    const std::vector<std::pair<uint32_t, double>>& server) {
-  const size_t max_entries =
-      (data_slot_bytes_ - sizeof(WireHeader)) / sizeof(DeltaEntry);
-  size_t ci = 0;
-  size_t si = 0;
-  // Chunked so any topology fits the fixed slot; every chunk is independently
-  // applicable (pure += deltas), so no reassembly state is needed.
-  while (ci < cache.size() || si < server.size()) {
-    const size_t nc = std::min(cache.size() - ci, max_entries);
-    const size_t ns = std::min(server.size() - si, max_entries - nc);
-    void* slot = AcquireSlot(p, p.data_out[peer], peer);
-    if (slot == nullptr) {
-      return;  // aborted, or the peer died — its merge share is lost anyway
-    }
-    const WireHeader h{kWireDeltas, 0, 0, p.id, static_cast<uint32_t>(nc),
-                       static_cast<uint32_t>(ns)};
-    WritePod(slot, &h, sizeof(h));
-    p.delta_scratch.clear();
-    for (size_t i = 0; i < nc; ++i) {
-      p.delta_scratch.push_back({cache[ci + i].first, cache[ci + i].second});
-    }
-    for (size_t i = 0; i < ns; ++i) {
-      p.delta_scratch.push_back({server[si + i].first, server[si + i].second});
-    }
-    WritePod(slot, p.delta_scratch.data(),
-             p.delta_scratch.size() * sizeof(DeltaEntry), sizeof(h));
-    p.data_out[peer].Publish();
-    ++p.local.cross_shard_messages;
-    ++p.local.ring_messages;
-    ci += nc;
-    si += ns;
-  }
-}
-
-void MultiprocBackend::SendDone(Proc& p, uint32_t peer) {
-  void* slot = AcquireSlot(p, p.data_out[peer], peer);
-  if (slot == nullptr) {
-    return;  // aborted, or the peer is dead and will never consume it
-  }
-  const WireHeader h{kWireDone, 0, 0, p.id, 0, 0};
-  WritePod(slot, &h, sizeof(h));
-  if (__builtin_expect(p.done_delay_ms != 0, 0)) {
-    p.data_out[peer].ArmDelayNext(p.done_delay_ms);
-    p.done_delay_ms = 0;
-  }
-  // The kDone follows every delta this shard sent to `peer` on the same FIFO
-  // ring, so the peer has applied them all by the time it consumes the kDone
-  // (the no-missed-delta edge).
-  p.data_out[peer].Publish();
-  ++p.local.cross_shard_messages;
-}
-
-bool MultiprocBackend::ApplyDataSlot(Proc& p, const void* slot) {
+void MultiprocBackend::ApplyTelemetry(Proc& p, const void* slot) {
   WireHeader h;
   std::memcpy(&h, slot, sizeof(h));
-  const uint8_t* payload = static_cast<const uint8_t*>(slot) + sizeof(h);
-  if (h.kind == kWireDone) {
-    p.done_ring[h.from] = 1;
-    return true;
+  // Fold in the sender's monotone increment since its previous broadcast;
+  // the view stays the sum of per-shard partials plus our exact own counts.
+  p.telemetry_scratch.resize(h.count);
+  if (h.count != 0) {
+    std::memcpy(p.telemetry_scratch.data(),
+                static_cast<const uint8_t*>(slot) + sizeof(h),
+                h.count * sizeof(double));
   }
-  if (h.kind == kWireTelemetry) {
-    // Fold in the sender's monotone increment since its previous broadcast;
-    // the view stays the sum of per-shard partials plus our exact own counts.
-    p.telemetry_scratch.resize(h.count_a);
-    if (h.count_a != 0) {
-      std::memcpy(p.telemetry_scratch.data(), payload,
-                  h.count_a * sizeof(double));
+  std::vector<double>& last = p.last_partial[h.from];
+  for (uint32_t flat = 0; flat < h.count; ++flat) {
+    const double delta = p.telemetry_scratch[flat] - last[flat];
+    if (delta != 0.0) {
+      p.core.view().Add(offsets_.NodeOfFlat(flat), delta);
+      last[flat] = p.telemetry_scratch[flat];
     }
-    std::vector<double>& last = p.last_partial[h.from];
-    for (uint32_t flat = 0; flat < h.count_a; ++flat) {
-      const double delta = p.telemetry_scratch[flat] - last[flat];
-      if (delta != 0.0) {
-        p.core.view().Add(shard_map_.NodeOfFlat(flat), delta);
-        last[flat] = p.telemetry_scratch[flat];
-      }
-    }
-    return false;
   }
-  // kWireDeltas
-  const size_t entries = static_cast<size_t>(h.count_a) + h.count_b;
-  p.delta_scratch.resize(entries);
-  if (entries != 0) {
-    std::memcpy(p.delta_scratch.data(), payload, entries * sizeof(DeltaEntry));
-  }
-  for (uint32_t i = 0; i < h.count_a; ++i) {
-    const CacheNodeId node =
-        shard_map_.NodeOfFlat(static_cast<uint32_t>(p.delta_scratch[i].index));
-    p.local.cache_load[node.layer][node.index] += p.delta_scratch[i].delta;
-  }
-  for (uint32_t i = 0; i < h.count_b; ++i) {
-    const DeltaEntry& e = p.delta_scratch[h.count_a + i];
-    p.local.server_load[static_cast<uint32_t>(e.index)] += e.delta;
-  }
-  return false;
 }
 
 bool MultiprocBackend::DrainDataRings(Proc& p) {
-  const uint32_t n = shard_map_.shards();
-  bool done = false;
+  const uint32_t n = config_.shards;
+  bool applied = false;
   for (uint32_t peer = 0; peer < n; ++peer) {
     if (peer == p.id) {
       continue;
@@ -757,62 +656,22 @@ bool MultiprocBackend::DrainDataRings(Proc& p) {
       continue;
     }
     while (const void* slot = ring.Front()) {
-      done |= ApplyDataSlot(p, slot);
+      ApplyTelemetry(p, slot);
       ring.Pop();
+      applied = true;
     }
   }
-  return done;
+  return applied;
 }
 
 void MultiprocBackend::PollInbox(Proc& p) {
-  // Batch-boundary drain: one that consumed a kDone counts as one contended
-  // receive, any other (vacuous at x1) as one uncontended receive. Wait-loop
-  // drains are not counted.
+  // Batch-boundary drain: one that applied at least one slot counts as one
+  // contended receive, an empty one (always, at x1) as one uncontended
+  // receive. Wait-loop drains are not counted.
   if (DrainDataRings(p)) {
     ++p.local.contended_receives;
   } else {
     ++p.local.uncontended_receives;
-  }
-}
-
-void MultiprocBackend::FlushLoads(Proc& p) {
-  // End-of-run owner split (the hot path never tests ownership): own
-  // cumulative contributions land either in this shard's authoritative
-  // counters or in delta chunks per owning shard. Loads are sums of
-  // exactly-representable costs, so materializing the total here instead of
-  // accumulating per request is bit-identical.
-  for (uint32_t flat = 0; flat < p.own_cache.size(); ++flat) {
-    const double delta = p.own_cache[flat];
-    if (delta == 0.0) {
-      continue;
-    }
-    const CacheNodeId node = shard_map_.NodeOfFlat(flat);
-    if (shard_map_.OwnerOfFlat(flat) == p.id) {
-      p.local.cache_load[node.layer][node.index] += delta;
-    } else {
-      p.out_cache[shard_map_.OwnerOfFlat(flat)].emplace_back(flat, delta);
-    }
-  }
-  for (uint32_t server = 0; server < p.own_server.size(); ++server) {
-    const double delta = p.own_server[server];
-    if (delta == 0.0) {
-      continue;
-    }
-    if (shard_map_.OwnerOfServer(server) == p.id) {
-      p.local.server_load[server] += delta;
-    } else {
-      p.out_server[shard_map_.OwnerOfServer(server)].emplace_back(server, delta);
-    }
-  }
-  const uint32_t n = shard_map_.shards();
-  for (uint32_t peer = 0; peer < n; ++peer) {
-    if (peer == p.id ||
-        (p.out_cache[peer].empty() && p.out_server[peer].empty())) {
-      continue;
-    }
-    SendLoadDeltas(p, peer, p.out_cache[peer], p.out_server[peer]);
-    p.out_cache[peer].clear();
-    p.out_server[peer].clear();
   }
 }
 
@@ -835,7 +694,7 @@ std::vector<std::pair<uint64_t, uint32_t>> MultiprocBackend::ReadArenaReport(
 }
 
 bool MultiprocBackend::ControllerPublishRealloc(Proc& p, uint32_t step) {
-  const uint32_t n = shard_map_.shards();
+  const uint32_t n = config_.shards;
   auto* table_ready = reinterpret_cast<std::atomic<uint64_t>*>(
       arena_.At(realloc_ready_offset_[step]));
   const std::vector<size_t>& tables = realloc_table_offset_[step];
@@ -877,7 +736,7 @@ bool MultiprocBackend::ControllerPublishRealloc(Proc& p, uint32_t step) {
 }
 
 void MultiprocBackend::Reallocate(Proc& p) {
-  const uint32_t n = shard_map_.shards();
+  const uint32_t n = config_.shards;
   const uint32_t step = p.realloc_seq++;
   // 1. Publish this shard's heavy-hitter report into its idempotent slot:
   //    entries first, then count+1 through the release flag. A respawned
@@ -1014,7 +873,7 @@ void MultiprocBackend::MaybeInjectFaults(Proc& p) {
         break;
       case FaultKind::kDelayControl:
         RecordFault(p, f.kind, f.at_request);
-        p.done_delay_ms += static_cast<uint32_t>(f.param);
+        p.telemetry_delay_ms += static_cast<uint32_t>(f.param);
         break;
       case FaultKind::kCorruptStats:
         RecordFault(p, f.kind, f.at_request);
@@ -1046,16 +905,11 @@ void MultiprocBackend::ProcessBatch(Proc& p, uint32_t count) {
 
 void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
                                 uint64_t num_requests) {
-  const uint32_t n = shard_map_.shards();
-  const uint32_t num_cache_nodes = shard_map_.num_cache_nodes();
-  p.local.cache_load = model_.ZeroCacheLoads();
-  p.local.server_load.assign(model_.num_servers(), 0.0);
+  const uint32_t n = config_.shards;
+  const uint32_t num_cache_nodes = offsets_.total();
   p.own_cache.assign(num_cache_nodes, 0.0);
   p.own_server.assign(model_.num_servers(), 0.0);
   p.last_partial.assign(n, std::vector<double>(num_cache_nodes, 0.0));
-  p.out_cache.assign(n, {});
-  p.out_server.assign(n, {});
-  p.done_ring.assign(n, 0);
   p.sampler = &sampler_;
   p.two_level = two_level_.get();
   p.quota_scale = num_requests == 0 ? 0.0
@@ -1124,56 +978,29 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
                         ViewTable(arena_.At(plan_table_offset_[1 + i]))});
   }
 
-  std::function<void()> batch_event = [&] {
-    if (p.processed >= quota) {
-      return;
+  // The batch loop. Before each batch, one telemetry broadcast for every
+  // epoch boundary the local request clock has reached (none at x1).
+  const uint64_t epoch = n > 1 ? config_.epoch_requests : 0;
+  uint64_t next_broadcast = epoch;
+  while (p.processed < quota) {
+    for (; epoch != 0 && next_broadcast <= p.processed; next_broadcast += epoch) {
+      BroadcastTelemetry(p);
     }
-    const uint32_t count = static_cast<uint32_t>(
-        std::min<uint64_t>(config_.batch_size, quota - p.processed));
-    ProcessBatch(p, count);
-    if (p.processed < quota) {
-      p.queue.Schedule(static_cast<double>(count), batch_event);
-    }
-  };
-  std::function<void()> telemetry_event = [&] {
-    if (p.processed >= quota) {
-      return;
-    }
-    BroadcastTelemetry(p);
-    p.queue.Schedule(static_cast<double>(config_.epoch_requests),
-                     telemetry_event);
-  };
-  p.queue.Schedule(0.0, batch_event);
-  if (config_.epoch_requests > 0 && n > 1) {
-    p.queue.Schedule(static_cast<double>(config_.epoch_requests),
-                     telemetry_event);
+    ProcessBatch(p, static_cast<uint32_t>(std::min<uint64_t>(
+                        config_.batch_size, quota - p.processed)));
   }
-  p.queue.RunUntil(static_cast<double>(quota) + 1.0);
-
   p.core.AdvanceTo(quota);
 
-  FlushLoads(p);
-  for (uint32_t peer = 0; peer < n; ++peer) {
-    if (peer != p.id && !ShardDead(peer)) {
-      SendDone(p, peer);
-    }
+  // This shard's own contributions are its share of every node's load; the
+  // supervisor's BackendStats::Merge sums the shares. Loads are sums of
+  // exactly-representable costs, so the total is bit-identical to per-request
+  // accumulation in any order.
+  p.local.cache_load = model_.ZeroCacheLoads();
+  for (uint32_t flat = 0; flat < num_cache_nodes; ++flat) {
+    const CacheNodeId node = offsets_.NodeOfFlat(flat);
+    p.local.cache_load[node.layer][node.index] = p.own_cache[flat];
   }
-  // A peer is finished when its kDone arrived on the ring — or when its
-  // completion slot says it already exited (its kDone may have been consumed
-  // by a since-crashed incarnation of this shard under respawn; the slot
-  // store is release-ordered after the peer's last ring publish, so counting
-  // it finished still guarantees its deltas are visible to the drain below).
-  WaitFor(p, [&] {
-    for (uint32_t peer = 0; peer < n; ++peer) {
-      if (peer != p.id && !p.done_ring[peer] &&
-          SlotOf(peer)->state.load(std::memory_order_acquire) ==
-              kShardRunning) {
-        return false;
-      }
-    }
-    return true;
-  });
-  DrainDataRings(p);  // every live peer's final deltas are visible now
+  p.local.server_load.assign(p.own_server.begin(), p.own_server.end());
   p.core.FinishSeries(p.processed);
   p.local.requests = p.processed;
   // Memory accounting (max-merged, sim_backend.h): the base table and every
@@ -1189,7 +1016,7 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
 bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
                                    std::vector<uint8_t>* failed,
                                    BackendStats* supervisor) {
-  const uint32_t n = shard_map_.shards();
+  const uint32_t n = config_.shards;
   // _exit, never exit, in a child: no atexit handlers, no gtest/ASan
   // teardown of inherited parent state — the child owns nothing but its
   // stats region.
@@ -1352,7 +1179,7 @@ bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
 }
 
 BackendStats MultiprocBackend::Run(uint64_t num_requests) {
-  const uint32_t n = shard_map_.shards();
+  const uint32_t n = config_.shards;
   fired_plan_.clear();
   for (const TimelineStep& step : plan_) {
     if (step.at_request < num_requests) {

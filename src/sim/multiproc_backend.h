@@ -8,24 +8,25 @@
 // Run state: the supervisor builds the immutable run state (cluster model,
 // route tables, alias sampler, precomputed timeline plan), maps the arena and
 // serializes each distinct table among the base route table and the plan
-// snapshots *into the arena* once, freeing the heap copies before launch. Shards install the tables as
-// non-owning RouteViews (EngineCore::SetRoutes / SetActionRoutes), so one
-// physical copy exists however many shards run. Forked children inherit the
-// arena by mapping inheritance and the small read-only state copy-on-write
-// (fork without exec: an exec'd child would need a config wire format for no
-// isolation gain). Each shard pins itself when pin_cores is set, prefaults its
-// inbound rings (first-touch NUMA placement), passes the start barrier, runs
-// its event loop (EngineCore + EventQueue + batched hot path) and publishes
-// its serialized BackendStats behind a CRC-32 into its arena stats region. A
-// thread returns; a child _exit()s. The supervisor joins or reaps, then merges
-// every region through the same CRC check and BackendStats::Merge.
+// snapshots *into the arena* once, freeing the heap copies before launch.
+// Shards install the tables as non-owning RouteViews (EngineCore::SetRoutes /
+// SetActionRoutes), so one physical copy exists however many shards run.
+// Forked children inherit the arena by mapping inheritance and the small
+// read-only state copy-on-write (fork without exec: an exec'd child would need
+// a config wire format for no isolation gain). Each shard pins itself when
+// pin_cores is set, prefaults its inbound rings (first-touch NUMA placement),
+// passes the start barrier, runs its batch loop (EngineCore + batched hot
+// path, a telemetry broadcast per epoch) and publishes its serialized
+// BackendStats behind a CRC-32 into its arena stats region. A thread returns;
+// a child _exit()s. The supervisor joins or reaps, then merges every region
+// through the same CRC check and BackendStats::Merge.
 //
-// Transport: one ShmSpscRing per directed shard pair carries every message
-// (telemetry partials, end-of-run load deltas and the kDone marker, serialized
-// into fixed slots sized so a full telemetry snapshot fits one). The timeline
-// needs no multicast: the fired plan is a pure function of the config, so
-// every shard queues it locally and applies each step at its scaled local
-// request clock.
+// Transport: one ShmSpscRing per directed shard pair carries the one message
+// kind, a telemetry snapshot (the sender's own-contribution partials, one
+// fixed slot). Loads never cross a ring: each shard's stats carry its own
+// contributions and Merge sums them. The timeline needs no multicast: the
+// fired plan is a pure function of the config, so every shard queues it
+// locally and applies each step at its scaled local request clock.
 //
 // kReallocateCache (§6.4) is the one step whose effect is runtime-observed. A
 // dynamic policy's plan has no such step, so its runs reserve no report or
@@ -48,10 +49,10 @@
 // waiters CAS the claim to the next live shard (§4.4-style failover, counted
 // in controller_failovers).
 //
-// Termination: a shard that finishes its quota flushes its deltas, publishes
-// kDone to every peer on the same ring, and drains until every peer is done.
-// The ring is FIFO, so a peer consumes every delta sent to it before the kDone
-// that marks the sender finished.
+// Termination: a shard that finishes its quota copies its own contributions
+// into its stats, publishes them and returns, waiting for no peer. Its state
+// word then reads finished, so peers stop sending to it (a shard that no
+// longer drains must not wedge a sender).
 //
 // Fork-only robustness (they need a crash domain per shard):
 //
@@ -59,15 +60,15 @@
 //     to respawn_limit times. The new incarnation re-runs its quota from the
 //     start, skips the prefault (zeroing a live ring would clobber in-flight
 //     slots), passes the released barrier and re-attaches its ring views via
-//     ShmSpscRing::SyncFromShared. Accepted skews: peers see negative
-//     telemetry deltas when the respawn's counters restart, and a crash inside
-//     the end-of-run flush can double-count the flushed part.
+//     ShmSpscRing::SyncFromShared. Accepted skew: peers see negative
+//     telemetry deltas when the respawn's counters restart. Loads count
+//     exactly once, since only the final incarnation's stats are merged.
 //   * Heartbeat ladder: each shard bumps an arena heartbeat word per batch and
 //     per wait-loop pause; the supervisor escalates wait → warn
 //     (heartbeat_warn_ms, counted in heartbeat_misses) → declare dead
 //     (heartbeat_dead_ms, SIGKILL) → respawn or degrade. A shard that dies
-//     beyond its budget is marked kShardDead: every send, rendezvous gather and
-//     the done protocol skip it, and the run completes degraded
+//     beyond its budget is marked kShardDead: every send and rendezvous gather
+//     skip it, and the run completes degraded
 //     (failed_shards, degraded_fraction). A clean exit that never published
 //     its state word counts as a death.
 //   * Fault injection (runtime/fault_plan.h, config.fault_plan): crash /
@@ -89,12 +90,11 @@
 #include <vector>
 
 #include "common/alias_sampler.h"
-#include "net/shard_map.h"
+#include "net/topology.h"
 #include "runtime/shm_arena.h"
 #include "runtime/shm_ring.h"
 #include "sim/cluster_model.h"
 #include "sim/engine_core.h"
-#include "sim/event_queue.h"
 #include "sim/route_table.h"
 #include "sim/sim_backend.h"
 
@@ -135,14 +135,11 @@ class MultiprocBackend : public SimBackend {
   void RunShard(Proc& p, uint64_t quota, uint64_t num_requests);
   void ProcessBatch(Proc& p, uint32_t count);
   void PollInbox(Proc& p);
-  // Applies every pending inbound slot; true when one of them was a kDone.
+  // Applies every pending inbound slot; true when there was one.
   bool DrainDataRings(Proc& p);
-  void FlushLoads(Proc& p);
+  // Sends this shard's telemetry snapshot to every running peer.
   void BroadcastTelemetry(Proc& p);
-  void SendLoadDeltas(Proc& p, uint32_t peer,
-                      const std::vector<std::pair<uint32_t, double>>& cache,
-                      const std::vector<std::pair<uint32_t, double>>& server);
-  void SendDone(Proc& p, uint32_t peer);
+  void ApplyTelemetry(Proc& p, const void* slot);
   // Fault-injection hook (runtime/fault_plan.h): fires every planned fault of
   // this shard whose local timestamp has been reached; one-shot per event via
   // an arena latch. Called behind an unlikely-branch guard in the batch loop.
@@ -161,6 +158,9 @@ class MultiprocBackend : public SimBackend {
   // True once the supervisor declared `shard` permanently dead (kShardDead is
   // only stored after the process was reaped — its writes have stopped).
   bool ShardDead(uint32_t shard) const;
+  // True while `shard` has published no completion state: it still drains
+  // its inbound rings.
+  bool ShardRunning(uint32_t shard) const;
   // Lowest-indexed shard not declared dead — the deterministic controller
   // (and controller-successor) choice for the realloc rendezvous.
   uint32_t FirstLiveShard() const;
@@ -181,10 +181,8 @@ class MultiprocBackend : public SimBackend {
   // Reads shard `s`'s published report for `step` (its flag must be set).
   std::vector<std::pair<uint64_t, uint32_t>> ReadArenaReport(uint32_t step,
                                                              uint32_t s);
-  // True when the slot was a kDone.
-  bool ApplyDataSlot(Proc& p, const void* slot);
   // Stages a slot, waiting (WaitFor) while the ring is full; null once
-  // aborted or when `peer` was declared dead (callers distinguish via
+  // aborted or when `peer` stopped running (callers distinguish via
   // p.abort_seen).
   void* AcquireSlot(Proc& p, ShmSpscRing& ring, uint32_t peer);
   bool Aborted() const;
@@ -211,7 +209,7 @@ class MultiprocBackend : public SimBackend {
   SimBackendConfig config_;
   Launcher launcher_;
   ClusterModel model_;
-  ShardMap shard_map_;
+  LayerOffsets offsets_;  // the flat cache-node index of telemetry slots
   AliasSampler sampler_;            // head ranks + one tail bucket (phase 0)
   // Opt-in O(hot) sampler (config.two_level_sampling): shards draw from it
   // instead of sampler_ — a different RNG stream, differentially validated,

@@ -1,13 +1,13 @@
 // Heap-payload cross-shard message for in-process rings and channels.
 //
-// The shard runtime (sim/multiproc_backend.h) serializes its messages into
-// fixed arena slots instead; this type keeps the in-process shape of the same
-// protocol — batched load deltas, dense telemetry partials and the kDone
-// end-of-stream marker — for code that moves messages through
-// runtime/spsc_ring.h or runtime/channel.h (the transport tests and the
-// ring microbenchmarks). Senders batch everything: one message carries all the
-// load deltas one source shard produced for one owner shard, so transport
-// traffic is O(epochs), not O(requests).
+// The shard runtime (sim/multiproc_backend.h) sends only telemetry, serialized
+// into fixed arena slots; this type keeps an in-process message shape —
+// batched load deltas, dense telemetry partials and an end-of-stream marker —
+// for code that moves messages through runtime/spsc_ring.h or
+// runtime/channel.h (the transport tests and the ring microbenchmarks).
+// Senders batch everything: one message carries all the load deltas one
+// source shard produced for one destination, so transport traffic is
+// O(epochs), not O(requests).
 #ifndef DISTCACHE_SIM_SHARD_MESSAGE_H_
 #define DISTCACHE_SIM_SHARD_MESSAGE_H_
 

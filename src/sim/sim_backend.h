@@ -12,16 +12,17 @@
 //                    (sim/route_table.h), the PoT choice among them and a
 //                    per-request LoadTracker update. This is the semantic
 //                    baseline every other backend must match.
-//   * "sharded"    — the scalable shard runtime (sim/multiproc_backend.h): nodes
-//                    partitioned across N worker shards (net/shard_map.h), one
-//                    EventQueue per shard driving batch and telemetry events,
-//                    cross-shard traffic as batched messages over per-pair
-//                    lock-free shared-memory rings (runtime/shm_ring.h), and a
-//                    batched hot path that amortizes Zipf sampling (alias
-//                    table), hash routing (precomputed per-key route entries,
-//                    prefetched ahead) and LoadTracker updates over batches of
-//                    256 requests. Shards are threads; "multiproc" launches the
-//                    same runtime as one forked process per shard.
+//   * "sharded"    — the scalable shard runtime (sim/multiproc_backend.h): the
+//                    request quota split across N worker shards, one batch
+//                    loop per shard, load telemetry broadcast once per epoch
+//                    over per-pair lock-free shared-memory rings
+//                    (runtime/shm_ring.h), per-shard loads summed at the
+//                    quota-end merge, and a batched hot path that amortizes
+//                    Zipf sampling (alias table), hash routing (precomputed
+//                    per-key route entries, prefetched ahead) and LoadTracker
+//                    updates over batches of 256 requests. Shards are threads;
+//                    "multiproc" launches the same runtime as one forked
+//                    process per shard.
 //
 // Contract for implementations:
 //
@@ -267,13 +268,12 @@ struct BackendCounters {
   // Requests blackholed by a dead spine switch before the controller reacted
   // (ECMP transit through a failed switch, §4.4); they charge no load anywhere.
   uint64_t dropped = 0;
-  uint64_t cross_shard_messages = 0;  // shard runtime only (data + control)
-  // Shard-transport instrumentation (zero elsewhere): telemetry and delta
-  // messages that travelled over the rings (the rest of cross_shard_messages
-  // are the kDone markers on the same rings), and the batch-boundary ring
-  // drains split by whether they consumed a kDone (contended) or not
-  // (uncontended). The scaling bench reports these — a healthy run is
-  // ~all-ring traffic and ~all-uncontended polls.
+  // Shard-transport instrumentation (zero elsewhere): telemetry messages that
+  // travelled over the rings (the only cross-shard messages), and the
+  // batch-boundary ring drains split by whether they applied at least one
+  // slot (contended) or found every ring empty (uncontended). The scaling
+  // bench reports these — a healthy run is ~all-uncontended polls, and every
+  // contended one applied at least one of the ring messages.
   uint64_t ring_messages = 0;
   uint64_t uncontended_receives = 0;
   uint64_t contended_receives = 0;
@@ -347,7 +347,6 @@ struct BackendCounters {
     f(&C::cache_write_hits, kSum, true);
     f(&C::writebacks, kSum, true);
     f(&C::dropped, kSum, true);
-    f(&C::cross_shard_messages, kSum, false);
     f(&C::ring_messages, kSum, false);
     f(&C::uncontended_receives, kSum, false);
     f(&C::contended_receives, kSum, false);

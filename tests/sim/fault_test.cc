@@ -2,7 +2,7 @@
 // sim/multiproc_backend.h):
 //
 //  * every fault class terminates — crash (clean exit / SIGKILL / abort),
-//    straggler stall, telemetry drop, control delay, stats corruption and
+//    straggler stall, telemetry drop, telemetry delay, stats corruption and
 //    arena-map failure each get a run that must return within the test
 //    timeout with the right failed/respawned/degraded accounting;
 //  * determinism — two runs with the same seed and the same fault plan
@@ -176,6 +176,8 @@ TEST(FaultInjection, DelayedControlMessagesRunCompletes) {
   EXPECT_EQ(st.failed_shards, 0u);
   EXPECT_EQ(st.requests, kRequests);
   EXPECT_GE(st.injected_faults, 1u);
+  EXPECT_TRUE(
+      HasRecord(st, static_cast<uint32_t>(FaultKind::kDelayControl)));
 }
 
 // ---- stats integrity -------------------------------------------------------

@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "multiproc_runnable.h"
 #include "sim/multiproc_backend.h"
 #include "sim/sim_backend.h"
@@ -131,7 +132,6 @@ TEST(MultiprocGolden, SingleProcessStaticRunMatchesShardedGolden) {
   EXPECT_DOUBLE_EQ(server.sum, 138055.75);
   EXPECT_DOUBLE_EQ(server.max, 10628.0);
   // One process: nothing crosses the arena.
-  EXPECT_EQ(st.cross_shard_messages, 0u);
   EXPECT_EQ(st.ring_messages, 0u);
   EXPECT_EQ(st.contended_receives, 0u);
 }
@@ -350,13 +350,12 @@ TEST(MultiprocRespawn, RespawnedControllerShardSurvivesReallocRendezvous) {
 }
 
 // ---- delta delivery ----------------------------------------------------------
-// At quota end a shard sends every load it charged to a node or server another
-// shard owns as a delta, and may finish only after applying every delta sent
-// to it. On a read-only run every charge is 1.0, so the merged loads must sum
-// exactly to the hit and server-read counters. 16,384 servers give each peer
-// about 8,192 (x2) or 4,096 (x4) server entries, 64+ slots of 68 entries: one
-// flush needs more slots than a data ring holds, so it can fill the ring and
-// wait in the full-ring retry while its receiver drains.
+// Every shard hands in the loads it charged with its own stats, and the
+// supervisor's merge sums them: no charge may be lost or counted twice. On a
+// read-only run every charge is 1.0, so the merged loads must sum exactly to
+// the hit and server-read counters. The 16,384 servers and the short epoch
+// keep the per-node load vectors large and the telemetry rings busy while
+// shards finish at different times.
 
 void ExpectDeltasConserved(BackendKind kind, uint32_t shards) {
   SCOPED_TRACE(testing::Message() << "shards=" << shards);
@@ -447,6 +446,94 @@ TEST(LauncherDifferential, TwoShardStaticTopKFullTimelineIsBitIdentical) {
   bcfg.sample_interval = 40'000;
   bcfg.queue.arrival.rate = 24.0;
   ExpectLaunchersAgree(bcfg, 200'000);
+}
+
+// ---- xN digest pins ----------------------------------------------------------
+// The deterministic multi-shard runs (static-topk's first-choice routing and
+// the dynamic policies read no telemetry) pinned by value on both launchers:
+// however the shards exchange messages or hand in their loads, these runs'
+// DeterministicStatsDigest may not move, nor may the bits of their per-node
+// loads (which the digest does not cover).
+
+// Every cache and server load folded by its bit pattern, in node order.
+uint64_t LoadBitsDigest(const BackendStats& st) {
+  uint64_t h = 0;
+  for (const std::vector<double>& layer : st.cache_load) {
+    for (const double x : layer) {
+      h = HashCombine(h, std::bit_cast<uint64_t>(x));
+    }
+  }
+  for (const double x : st.server_load) {
+    h = HashCombine(h, std::bit_cast<uint64_t>(x));
+  }
+  return h;
+}
+
+SimBackendConfig StaticTopKTimelineConfig(uint32_t shards) {
+  SimBackendConfig bcfg = GoldenBackendConfig(shards);
+  bcfg.cluster.cache_policy = CachePolicyKind::kStaticTopK;
+  bcfg.events = TwoFailureTimeline();
+  bcfg.sample_interval = 40'000;
+  bcfg.queue.arrival.rate = 24.0;
+  return bcfg;
+}
+
+TEST(ShardedDigestPins, DeterministicMultiShardRunsKeepTheirDigests) {
+  SimBackendConfig lru = GoldenBackendConfig(2);
+  lru.cluster.cache_policy = CachePolicyKind::kLru;
+  lru.cluster.write_policy = WritePolicy::kWriteBack;
+  lru.events = {ClusterEvent::ShiftHotspot(90'000, 12'345),
+                ClusterEvent::ReallocateCache(120'000)};
+  lru.sample_interval = 40'000;
+  lru.queue.arrival.rate = 24.0;
+  struct Pin {
+    std::string label;
+    SimBackendConfig config;
+    uint64_t digest;
+    uint64_t loads;
+  };
+  const std::vector<Pin> pins = {
+      {"static-topk x2", StaticTopKTimelineConfig(2), 0x3a0940fc49d51b20ULL,
+       0x938938edd1bb2ca0ULL},
+      {"static-topk x4", StaticTopKTimelineConfig(4), 0x3be126038868ead7ULL,
+       0x4a70af800080f536ULL},
+      {"lru write-back x2", lru, 0xc9b99a3ec62433abULL,
+       0x1ffd18ce60a2d419ULL},
+  };
+  std::vector<BackendKind> kinds = {BackendKind::kSharded};
+  if (MultiprocRunnable()) {
+    kinds.push_back(BackendKind::kMultiproc);
+  }
+  for (const Pin& pin : pins) {
+    for (const BackendKind kind : kinds) {
+      SCOPED_TRACE(pin.label + (kind == BackendKind::kSharded ? " threads"
+                                                              : " forks"));
+      const BackendStats st = MakeSimBackend(kind, pin.config)->Run(200'000);
+      ASSERT_EQ(st.requests, 200'000u);
+      EXPECT_EQ(DeterministicStatsDigest(st), pin.digest);
+      EXPECT_EQ(LoadBitsDigest(st), pin.loads);
+    }
+  }
+}
+
+// A respawned shard re-runs its quota from the start, and only its final
+// incarnation's stats blob is merged: the run equals the fault-free one in
+// every digest row but the respawn count, and in every load bit for bit.
+TEST(MultiprocRespawn, RespawnedShardLoadsCountExactlyOnce) {
+  SKIP_UNLESS_MULTIPROC_RUNNABLE();
+  SimBackendConfig bcfg = StaticTopKTimelineConfig(2);
+  const BackendStats clean =
+      MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(200'000);
+  bcfg.respawn = true;
+  KillShardAt(&bcfg, /*shard=*/1, /*local=*/25'000);  // kill:1@50000
+  BackendStats st = MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(200'000);
+
+  EXPECT_EQ(st.failed_shards, 0u);
+  EXPECT_EQ(st.respawned_shards, 1u);
+  st.respawned_shards = 0;
+  EXPECT_EQ(DeterministicStatsDigest(st), DeterministicStatsDigest(clean));
+  EXPECT_EQ(st.cache_load, clean.cache_load);  // element bit-exact
+  EXPECT_EQ(st.server_load, clean.server_load);
 }
 
 // ---- static-topk is first-choice routing -----------------------------------
@@ -632,7 +719,6 @@ BackendStats DigestFixture() {
   st.cache_write_hits = 1008;
   st.writebacks = 1009;
   st.dropped = 1010;
-  st.cross_shard_messages = 1011;
   st.ring_messages = 1012;
   st.uncontended_receives = 1013;
   st.contended_receives = 1014;

@@ -12,9 +12,9 @@
 //    agree across 1, 2 and 4 shards on the full timeline within statistical
 //    tolerance (multi-shard runs are scheduling-dependent through telemetry
 //    arrival timing, so exact pins are impossible by design).
-//  * Transport accounting — telemetry and deltas ride the SPSC rings, the
-//    only other message is one kDone per peer on the same ring, and the
-//    batch-boundary drains almost never consume a kDone.
+//  * Transport accounting — telemetry rides the SPSC rings, and the
+//    batch-boundary drains that applied a slot never outnumber the ring
+//    messages.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -99,7 +99,6 @@ TEST(ShardedGolden, SingleShardStaticRunMatchesPreRefactorBuild) {
   EXPECT_DOUBLE_EQ(server.sum, 138055.75);
   EXPECT_DOUBLE_EQ(server.max, 10628.0);
   // One shard: nothing to send, nothing contended.
-  EXPECT_EQ(st.cross_shard_messages, 0u);
   EXPECT_EQ(st.ring_messages, 0u);
   EXPECT_EQ(st.contended_receives, 0u);
 }
@@ -186,8 +185,8 @@ TEST(ShardedScaling, TimelineStatsParityAcross124Shards) {
   }
 }
 
-// Transport accounting: data rides the rings, the kDone markers stay
-// low-rate, and a batch-boundary drain almost never consumes one.
+// Transport accounting: telemetry rides the rings, and a batch-boundary drain
+// that applied a slot applied at least one of the ring messages.
 TEST(ShardedScaling, DataPlaneRidesTheRings) {
   SimBackendConfig bcfg = GoldenBackendConfig(4);
   bcfg.epoch_requests = 4'096;
@@ -196,15 +195,12 @@ TEST(ShardedScaling, DataPlaneRidesTheRings) {
 
   EXPECT_EQ(st.requests, 400'000u);
   // Telemetry epochs: each of the 4 shards broadcasts to 3 peers roughly every
-  // 4096 local requests, plus the end-of-run delta flushes.
+  // 4096 local requests.
   EXPECT_GT(st.ring_messages, 100u);
-  // The rest: only the kDone markers on an event-free run.
-  EXPECT_EQ(st.cross_shard_messages - st.ring_messages, 4u * 3u);
   // The batch-boundary drain must resolve lock-free when idle: one drain per
-  // batch minimum, nearly all uncontended (the only contended ones consume
-  // the 12 kDone markers at shutdown).
+  // batch minimum, most of them uncontended.
   EXPECT_GT(st.uncontended_receives, 400'000u / 256u / 2u);
-  EXPECT_LT(st.contended_receives, 64u);
+  EXPECT_LE(st.contended_receives, st.ring_messages);
 }
 
 }  // namespace

@@ -527,7 +527,7 @@ std::string RunEngine(const Flags& flags, BackendKind kind,
       static_cast<unsigned long long>(stats.leaf_hits),
       static_cast<unsigned long long>(stats.server_reads),
       stats.CacheImbalance(), stats.ServerImbalance(),
-      static_cast<unsigned long long>(stats.cross_shard_messages),
+      static_cast<unsigned long long>(stats.ring_messages),
       static_cast<unsigned long long>(stats.dropped));
   // Memory footprint: peak RSS is the max across the driver and any shard
   // processes; route/sampler bytes are per-process state, each distinct route
