@@ -60,7 +60,8 @@ SimBackendConfig ChaosConfig(uint64_t requests, uint64_t seed) {
   bcfg.shards = kShards;
   bcfg.batch_size = 64;
   // A hotspot shift plus realloc rendezvous in every run, so control-plane
-  // faults (delay, controller death) have a control plane to hit.
+  // faults (a delay, a shard dying before the report gather) have a control
+  // plane to hit.
   bcfg.events = {ClusterEvent::ShiftHotspot(requests * 9 / 20, 12'345),
                  ClusterEvent::ReallocateCache(requests * 3 / 5)};
   return bcfg;

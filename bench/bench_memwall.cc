@@ -13,7 +13,7 @@
 //                          popularity vectors);
 //   * N processes:         N copies of all of it.
 //
-// Four measured rows, each run in a *forked child* so getrusage(ru_maxrss) is a
+// The measured rows, each run in a *forked child* so getrusage(ru_maxrss) is a
 // clean per-run high-water mark (maxrss is a process-lifetime figure; rows
 // sharing a process would smear into each other):
 //
@@ -24,6 +24,10 @@
 //   multiproc xN   shard processes, compact + two-level, arena-resident plan
 //   failover x2    in-process shards at the smoke geometry with a two-spine
 //                  fail/remap/recover timeline (distcache_sim --fail-spines=2)
+//   realloc x2     shard processes at the smoke geometry, static-topk, a
+//                  hot-spot shift then a re-allocation: every shard refills
+//                  and builds its own tables, so this row shows what that
+//                  costs in arena and peak RSS (no gate)
 //
 // Columns report the set-up time (MakeSimBackend: model, allocation, sampler
 // and plan build), peak RSS (context: includes allocator slack and the
@@ -52,7 +56,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -142,9 +145,23 @@ SimBackendConfig FailoverConfig() {
   return bcfg;
 }
 
+// The realloc row's config: two shard processes, static-topk, the hot set
+// shifts at 40% and the controller re-allocates at 60%.
+SimBackendConfig ReallocConfig() {
+  SimBackendConfig bcfg = MakeConfig(kSmoke);
+  bcfg.two_level_sampling = true;
+  bcfg.shards = 2;
+  bcfg.cluster.cache_policy = CachePolicyKind::kStaticTopK;
+  const uint64_t n = kSmoke.requests;
+  bcfg.events = {ClusterEvent::ShiftHotspot(n * 2 / 5, kSmoke.num_keys / 2),
+                 ClusterEvent::ReallocateCache(n * 3 / 5)};
+  return bcfg;
+}
+
 // One measured row, POD so it survives the child->parent pipe.
 struct Row {
   char name[24] = {0};
+  bool forked = false;  // shard processes: per-process bytes count N times
   bool ran = false;  // false: skipped (substrate unavailable)
   bool ok = false;
   uint32_t shards = 1;
@@ -164,7 +181,7 @@ struct Row {
   // counted once) and are charged their sampler per process — an upper bound,
   // since the pre-fork sampler pages are COW-shared until written (never).
   uint64_t total_bytes() const {
-    if (std::strncmp(name, "multiproc", 9) == 0) {
+    if (forked) {
       return arena_bytes + uint64_t{shards} * (route_bytes + sampler_bytes);
     }
     return route_bytes + sampler_bytes;
@@ -176,6 +193,7 @@ Row MeasureRow(const char* name, BackendKind kind, const SimBackendConfig& cfg,
   Row row;
   std::snprintf(row.name, sizeof(row.name), "%s", name);
   row.shards = cfg.shards;
+  row.forked = kind == BackendKind::kMultiproc;
   auto fill = [&](Row* r) {
     const auto t0 = std::chrono::steady_clock::now();
     const std::unique_ptr<SimBackend> backend = MakeSimBackend(kind, cfg);
@@ -337,6 +355,15 @@ int Run(BenchJson& json, bool gate) {
                                   FailoverConfig(), kSmoke.requests);
   PrintRow(failover);
   RecordRow(json, failover);
+
+  Row realloc;
+  std::snprintf(realloc.name, sizeof(realloc.name), "realloc");
+  if (multiproc_ok) {
+    realloc = MeasureRow("realloc", BackendKind::kMultiproc, ReallocConfig(),
+                         kSmoke.requests);
+  }
+  PrintRow(realloc);
+  RecordRow(json, realloc);
 
   // ---- gates ---------------------------------------------------------------
   int failed = 0;

@@ -63,7 +63,7 @@ struct ClusterModel {
   // step), merges the reports (MergeHeavyHitterReports) and refills the cached
   // set hottest-first. Order-independent in `reports`, hash-based and RNG-free,
   // so every process given the same reports reaches the same model state —
-  // what the shard runtime's controller failover relies on.
+  // which lets every forked shard of the shard runtime refill on its own.
   void ReallocateFromReports(
       const std::vector<uint8_t>& spine_alive,
       const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports);

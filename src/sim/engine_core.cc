@@ -213,6 +213,27 @@ std::vector<std::shared_ptr<const RouteTable>> BuildReallocRoutes(
   return routes;
 }
 
+void InstallReallocRoutes(
+    const std::vector<std::shared_ptr<const RouteTable>>& tables,
+    EngineCore& core) {
+  core.SetRoutes(tables[0]);
+  const size_t from = core.next_action_index();
+  for (size_t i = 1; i < tables.size(); ++i) {
+    core.SetActionRoutes(from + i - 1, tables[i]);
+  }
+}
+
+std::vector<std::shared_ptr<const RouteTable>> ReallocateAndInstall(
+    const std::vector<TimelineStep>& plan,
+    const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports,
+    EngineCore& core, ClusterModel& model) {
+  model.ReallocateFromReports(core.spine_alive(), reports);
+  std::vector<std::shared_ptr<const RouteTable>> tables =
+      BuildReallocRoutes(plan, core, model);
+  InstallReallocRoutes(tables, core);
+  return tables;
+}
+
 EngineCore::EngineCore(const ClusterModel* model, uint64_t rng_seed,
                        uint64_t router_seed, bool enable_observer)
     : model_(model),

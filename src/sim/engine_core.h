@@ -43,9 +43,10 @@
 // paper's §6.4 cache-update loop. Only the static policies run it: a dynamic
 // policy fills its own caches and never reads the allocation, so its plan
 // drops the step and its core builds no observer. Both engines' realloc hooks
-// run the same two calls: ClusterModel::ReallocateFromReports re-syncs the
-// controller remap to the alive set at that timestamp (failures before),
-// merges the heavy-hitter reports and refills the allocation;
+// run ReallocateAndInstall, i.e. the same two calls:
+// ClusterModel::ReallocateFromReports re-syncs the controller remap to the
+// alive set at that timestamp (failures before), merges the heavy-hitter
+// reports and refills the allocation;
 // BuildReallocRoutes then builds the immediate table and rebuilds the
 // remaining steps' snapshots against the refilled allocation (failures/shifts
 // after), by the same coalescing and sharing rules — so a post-reallocation
@@ -54,8 +55,8 @@
 //
 // The core routes through non-owning RouteViews (sim/route_table.h): whoever
 // builds a table owns its storage for the whole run — the plan and the
-// sequential backend's members in process, the arena (one copy per distinct
-// table) in the shard runtime.
+// sequential backend's members in process; in the shard runtime the arena (one
+// copy per distinct plan table) and the backend's re-allocation tables.
 #ifndef DISTCACHE_SIM_ENGINE_CORE_H_
 #define DISTCACHE_SIM_ENGINE_CORE_H_
 
@@ -148,9 +149,9 @@ class EngineCore {
       std::function<void(const WorkloadPhase&,
                          const std::shared_ptr<const std::vector<double>>& pmf)>;
   // kReallocateCache callback: re-allocates the cache and installs the new
-  // routes through SetRoutes / SetActionRoutes (BuildReallocRoutes). The
+  // routes through SetRoutes / SetActionRoutes (ReallocateAndInstall). The
   // sequential engine refills from its own ObservedCounts(); the shard runtime
-  // runs the arena controller rendezvous.
+  // from every shard's report, gathered through the arena.
   using ReallocateHook = std::function<void()>;
 
   // `model` outlives the core and is read-only on the hot path. `rng_seed` /
@@ -724,6 +725,22 @@ void EngineCore::ProcessBatch(Sink& sink, const uint32_t* buckets, uint32_t coun
 std::vector<std::shared_ptr<const RouteTable>> BuildReallocRoutes(
     const std::vector<TimelineStep>& plan, const EngineCore& core,
     ClusterModel& model);
+
+// Installs a re-allocation's tables (BuildReallocRoutes's output) on `core`:
+// [0] with SetRoutes, the suffix with SetActionRoutes.
+void InstallReallocRoutes(
+    const std::vector<std::shared_ptr<const RouteTable>>& tables,
+    EngineCore& core);
+
+// The kReallocateCache step every engine's hook runs (§4.3 cache update):
+// refills `model` from `reports` (ClusterModel::ReallocateFromReports at the
+// core's alive set), builds the tables (BuildReallocRoutes) and installs them
+// (InstallReallocRoutes). Returns the tables, which the caller keeps alive
+// while the core routes through them.
+std::vector<std::shared_ptr<const RouteTable>> ReallocateAndInstall(
+    const std::vector<TimelineStep>& plan,
+    const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports,
+    EngineCore& core, ClusterModel& model);
 
 }  // namespace distcache
 

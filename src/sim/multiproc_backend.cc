@@ -202,7 +202,7 @@ struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   size_t next_fault = 0;
   // Armed survivable effects, consumed at their hook points.
   uint32_t drop_telemetry = 0;      // broadcasts to swallow at the ring views
-  uint32_t telemetry_delay_ms = 0;  // delay armed on the next telemetry publish
+  uint32_t telemetry_delay_ms = 0;  // delay for the next telemetry/stats publish
   bool corrupt_stats = false;       // flip a byte of the stats blob post-CRC
 
   // This shard's arena heartbeat word (ShardSlot::heartbeat).
@@ -267,10 +267,9 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
   const uint64_t max_points =
       config_.sample_interval == 0 ? 0
                                    : num_requests / config_.sample_interval + 4;
-  // Fault-record bound: a child can record at most its planned injections
-  // plus one failover per realloc step (plus slack for future record kinds).
-  const size_t max_fault_events =
-      config_.fault_plan.events.size() + fired_plan_.size() + 8;
+  // Fault-record bound: a child records at most its planned injections (plus
+  // slack for future record kinds).
+  const size_t max_fault_events = config_.fault_plan.events.size() + 8;
   stats_bound_ = StatsCodecBound(model_.layers.size(), nodes,
                                  model_.num_servers(), max_points,
                                  max_fault_events);
@@ -311,44 +310,23 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
     plan_table_offset_[1 + i] = reserve_table(fired_plan_[i].routes.get());
   }
 
-  // Realloc rendezvous regions. Runtime tables cannot be pre-sized exactly,
-  // so the regions are worst-case: a report slot holds the observer's
-  // max_reports_per_epoch (2·pool) and a table slot the dense pool with every
-  // entry spilled to overflow. Pages are only touched as written.
-  realloc_step_index_.clear();
+  // Realloc rendezvous: one report slot per (step, shard), sized for the
+  // observer's max_reports_per_epoch (2·pool). Pages are only touched as
+  // written. The tables never enter the arena: each forked shard builds its
+  // own, the thread launcher shares shard 0's (Reallocate).
+  size_t realloc_steps = 0;
+  for (const TimelineStep& step : fired_plan_) {
+    realloc_steps += !step.is_phase &&
+                     step.event.kind == ClusterEvent::Kind::kReallocateCache;
+  }
   report_offset_.clear();
-  realloc_ready_offset_.clear();
-  realloc_table_offset_.clear();
-  for (uint32_t i = 0; i < fired_plan_.size(); ++i) {
-    if (!fired_plan_[i].is_phase &&
-        fired_plan_[i].event.kind == ClusterEvent::Kind::kReallocateCache) {
-      realloc_step_index_.push_back(i);
-    }
+  report_entry_cap_ = static_cast<size_t>(2 * model_.pool);
+  const size_t report_bytes =
+      kCacheLineSize + report_entry_cap_ * sizeof(ReportEntry);
+  for (size_t i = 0; i < realloc_steps * n; ++i) {
+    report_offset_.push_back(layout.Reserve(report_bytes));
   }
-  if (!realloc_step_index_.empty()) {
-    report_entry_cap_ = static_cast<size_t>(2 * model_.pool);
-    table_cap_bytes_ =
-        sizeof(ArenaTableHeader) +
-        static_cast<size_t>(model_.pool) * sizeof(RouteEntry) +
-        static_cast<size_t>(model_.pool) * model_.layers.size() * sizeof(uint32_t);
-    const size_t report_bytes =
-        kCacheLineSize + report_entry_cap_ * sizeof(ReportEntry);
-    for (const uint32_t step : realloc_step_index_) {
-      for (uint32_t s = 0; s < n; ++s) {
-        report_offset_.push_back(layout.Reserve(report_bytes));
-      }
-      realloc_ready_offset_.push_back(layout.Reserve(kCacheLineSize));
-      // One immediate table plus one per remaining plan step (the suffix the
-      // controller rebuilds against the refilled allocation).
-      std::vector<size_t> tables;
-      const size_t count = 1 + (fired_plan_.size() - step - 1);
-      tables.reserve(count);
-      for (size_t t = 0; t < count; ++t) {
-        tables.push_back(layout.Reserve(table_cap_bytes_));
-      }
-      realloc_table_offset_.push_back(std::move(tables));
-    }
-  }
+  realloc_routes_.assign(realloc_steps, {});
 
   // One-shot fault latches: a u32 per planned event, zero-initialized =
   // unfired. Respawned incarnations consult them before re-firing.
@@ -429,6 +407,13 @@ bool MultiprocBackend::Aborted() const {
              ->abort.load(std::memory_order_acquire) != 0;
 }
 
+void MultiprocBackend::SleepUnlessAborted(uint64_t ms) const {
+  struct timespec one_ms {0, 1000000L};
+  for (uint64_t i = 0; i < ms && !Aborted(); ++i) {
+    nanosleep(&one_ms, nullptr);
+  }
+}
+
 BackendStats MultiprocBackend::FailAll(uint32_t shards) const {
   BackendStats stats;
   stats.failed_shards = shards;
@@ -448,16 +433,6 @@ bool MultiprocBackend::ShardDead(uint32_t shard) const {
 
 bool MultiprocBackend::ShardRunning(uint32_t shard) const {
   return SlotOf(shard)->state.load(std::memory_order_acquire) == kShardRunning;
-}
-
-uint32_t MultiprocBackend::FirstLiveShard() const {
-  const uint32_t n = config_.shards;
-  for (uint32_t s = 0; s < n; ++s) {
-    if (!ShardDead(s)) {
-      return s;
-    }
-  }
-  return 0;  // unreachable while any process runs this code
 }
 
 void MultiprocBackend::RecordFault(Proc& p, FaultKind kind,
@@ -538,6 +513,12 @@ bool MultiprocBackend::ShardMain(Proc& p, uint64_t quota,
 
   RunShard(p, quota, num_requests);
 
+  if (__builtin_expect(p.telemetry_delay_ms != 0, 0)) {
+    // An armed kDelayControl that no telemetry publish consumed (it fired
+    // after the last epoch boundary, or at x1): the stats publish takes it.
+    SleepUnlessAborted(p.telemetry_delay_ms);
+    p.telemetry_delay_ms = 0;
+  }
   uint8_t* region = arena_.At(stats_offset_[id]);
   const size_t len = SerializeBackendStats(p.local, region, stats_bound_);
   const uint32_t crc = Crc32(region, len);
@@ -693,55 +674,13 @@ std::vector<std::pair<uint64_t, uint32_t>> MultiprocBackend::ReadArenaReport(
   return report;
 }
 
-bool MultiprocBackend::ControllerPublishRealloc(Proc& p, uint32_t step) {
-  const uint32_t n = config_.shards;
-  auto* table_ready = reinterpret_cast<std::atomic<uint64_t>*>(
-      arena_.At(realloc_ready_offset_[step]));
-  const std::vector<size_t>& tables = realloc_table_offset_[step];
-  uint64_t mask = 0;
-  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports;
-  reports.reserve(n);
-  for (uint32_t s = 0; s < n; ++s) {
-    const std::atomic<uint64_t>* flag = ReportFlag(step, s);
-    // A shard that died before publishing is simply absent from the sample.
-    if (!WaitFor(p, [&] {
-          return flag->load(std::memory_order_acquire) != 0 ||
-                 (s != p.id && ShardDead(s));
-        })) {
-      return false;
-    }
-    if (flag->load(std::memory_order_acquire) == 0) {
-      continue;  // excluded from the merge — and from the published mask
-    }
-    if (s < 63) {
-      mask |= 1ull << s;
-    }
-    reports.push_back(ReadArenaReport(step, s));
-  }
-  model_.ReallocateFromReports(p.core.spine_alive(), reports);
-  const std::vector<std::shared_ptr<const RouteTable>> routes =
-      BuildReallocRoutes(fired_plan_, p.core, model_);
-  // On a controller respawn the flag may already be set; the model mutations
-  // above still ran — later realloc steps need the refilled state — but the
-  // identical bytes are not rewritten under concurrent readers. A failover
-  // successor always finds the flag clear (kShardDead is set only after the
-  // dead claimant's writes stopped), so its full rewrite wins cleanly.
-  if (table_ready->load(std::memory_order_acquire) == 0) {
-    for (size_t i = 0; i < routes.size(); ++i) {
-      SerializeTable(arena_.At(tables[i]), routes[i].get());
-    }
-    table_ready->store(1 | (mask << 1), std::memory_order_release);
-  }
-  return true;
-}
-
 void MultiprocBackend::Reallocate(Proc& p) {
   const uint32_t n = config_.shards;
   const uint32_t step = p.realloc_seq++;
   // 1. Publish this shard's heavy-hitter report into its idempotent slot:
   //    entries first, then count+1 through the release flag. A respawned
   //    incarnation finds the flag set (reports are deterministic per shard)
-  //    and skips the write, so a concurrent controller read never races.
+  //    and skips the write, so a concurrent reader never races.
   {
     std::atomic<uint64_t>* flag = ReportFlag(step, p.id);
     if (flag->load(std::memory_order_acquire) == 0) {
@@ -755,79 +694,38 @@ void MultiprocBackend::Reallocate(Proc& p) {
       flag->store(count + 1, std::memory_order_release);
     }
   }
-  uint8_t* ready_line = arena_.At(realloc_ready_offset_[step]);
-  auto* table_ready = reinterpret_cast<std::atomic<uint64_t>*>(ready_line);
-  // Controller claim word (claimant id + 1), sharing the reserved line with
-  // the ready flag. Zero until the first live shard elects itself; re-pointed
-  // at the deterministic successor when a claimant dies before publishing.
-  auto* claim = reinterpret_cast<std::atomic<uint64_t>*>(ready_line + 8);
-  const std::vector<size_t>& tables = realloc_table_offset_[step];
-
-  // 2. Controller election + publication. The first live shard claims the
-  //    role and runs ControllerPublishRealloc (gather → refill → publish
-  //    behind the ready flag). A waiter that observes a dead claimant with
-  //    the tables still unpublished CASes the claim to the current first
-  //    live shard — the paper's §4.4-style deterministic failover. In a
-  //    fault-free run shard 0 wins the first CAS uncontested.
-  const auto published_or_ours = [&] {
-    if (table_ready->load(std::memory_order_acquire) != 0) {
-      return true;
+  // Thread shards share one model: shard 0 refills it while every peer waits
+  // here, then releases the tables, which the peers install as views.
+  if (launcher_ == Launcher::kThreads && p.id != 0) {
+    if (WaitFor(p, [&] {
+          return realloc_released_.load(std::memory_order_acquire) > step;
+        })) {
+      InstallReallocRoutes(realloc_routes_[step], p.core);
     }
-    uint64_t cur = claim->load(std::memory_order_acquire);
-    if (cur == 0) {
-      if (FirstLiveShard() == p.id &&
-          claim->compare_exchange_strong(cur, p.id + 1,
-                                         std::memory_order_acq_rel) &&
-          p.id != 0) {
-        // Shard 0 died before ever claiming: this election IS the failover.
-        ++p.local.controller_failovers;
-        p.local.fault_events.push_back(
-            {p.id, BackendStats::FaultRecord::kControllerFailover, 0});
-      }
-    } else if (cur != p.id + 1 && ShardDead(static_cast<uint32_t>(cur - 1))) {
-      const uint32_t successor = FirstLiveShard();
-      if (claim->compare_exchange_strong(cur, successor + 1,
-                                         std::memory_order_acq_rel)) {
-        ++p.local.controller_failovers;
-        p.local.fault_events.push_back(
-            {successor, BackendStats::FaultRecord::kControllerFailover, 0});
-      }
+    return;  // on abort keep the current routes; we are winding down
+  }
+  // 2. Gather every shard's report; one that died before publishing is
+  //    absent from the sample. kShardDead is stored only after the shard was
+  //    reaped, so once it is seen the flag is final: the re-read below gives
+  //    every gatherer the same report set.
+  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports;
+  reports.reserve(n);
+  for (uint32_t s = 0; s < n; ++s) {
+    const std::atomic<uint64_t>* flag = ReportFlag(step, s);
+    if (!WaitFor(p, [&] {
+          return flag->load(std::memory_order_acquire) != 0 || ShardDead(s);
+        })) {
+      return;
     }
-    return claim->load(std::memory_order_acquire) == p.id + 1;
-  };
-  if (!WaitFor(p, published_or_ours)) {
-    return;  // keep current routes; we are winding down
-  }
-  const bool is_publisher = table_ready->load(std::memory_order_acquire) == 0;
-  if (is_publisher && !ControllerPublishRealloc(p, step)) {
-    return;  // winding down
-  }
-  const uint64_t ready = table_ready->load(std::memory_order_acquire);
-  // 3. Forked non-publishers replay the controller's model mutations from the
-  //    masked report set, so any of them can take over as controller at a
-  //    later step with the refilled allocation state. (The mask covers
-  //    shards 0..62; beyond that the report flags stand in, which can
-  //    over-include a report the publisher missed — documented limitation.)
-  //    Threads share the publisher's model, which it mutated while every
-  //    peer was parked above, so they skip the replay.
-  if (!is_publisher && launcher_ == Launcher::kForks) {
-    const uint64_t mask = ready >> 1;
-    std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports;
-    for (uint32_t s = 0; s < n; ++s) {
-      const bool included =
-          s < 63 ? ((mask >> s) & 1) != 0
-                 : ReportFlag(step, s)->load(std::memory_order_acquire) != 0;
-      if (included) {
-        reports.push_back(ReadArenaReport(step, s));
-      }
+    if (flag->load(std::memory_order_acquire) != 0) {
+      reports.push_back(ReadArenaReport(step, s));
     }
-    model_.ReallocateFromReports(p.core.spine_alive(), reports);
   }
-  p.core.SetRoutes(ViewTable(arena_.At(tables[0])));
-  const size_t from = p.core.next_action_index();
-  for (size_t i = 1; i < tables.size(); ++i) {
-    p.core.SetActionRoutes(from + i - 1, ViewTable(arena_.At(tables[i])));
-  }
+  // 3. The refill is a pure function of the reports, so every forked shard
+  //    runs it on its own model copy and keeps its own tables.
+  realloc_routes_[step] =
+      ReallocateAndInstall(fired_plan_, reports, p.core, model_);
+  realloc_released_.store(step + 1, std::memory_order_release);
 }
 
 void MultiprocBackend::MaybeInjectFaults(Proc& p) {
@@ -859,12 +757,8 @@ void MultiprocBackend::MaybeInjectFaults(Proc& p) {
       case FaultKind::kStall: {
         RecordFault(p, f.kind, f.at_request);
         // Straggler: wedge for `param` ms WITHOUT heartbeat pulses, so the
-        // supervisor ladder sees a genuine stall; sliced sleeps keep the
-        // shard abort-responsive.
-        struct timespec ms {0, 1000000L};
-        for (uint64_t i = 0; i < f.param && !Aborted(); ++i) {
-          nanosleep(&ms, nullptr);
-        }
+        // supervisor ladder sees a genuine stall.
+        SleepUnlessAborted(f.param);
         break;
       }
       case FaultKind::kDropTelemetry:
@@ -1163,9 +1057,8 @@ bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
         // fork failed: fall through to the dead-shard path
       }
       // Budget exhausted: permanently dead. Peers see kShardDead and skip
-      // this shard in every send, rendezvous gather, election and the done
-      // protocol; the run completes with the survivors' quota — degrade,
-      // don't abort.
+      // this shard in every send and rendezvous gather; the run completes
+      // with the survivors' quota — degrade, don't abort.
       (*failed)[i] = 1;
       SlotOf(i)->state.store(kShardDead, std::memory_order_release);
       supervisor->fault_events.push_back(

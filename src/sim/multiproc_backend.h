@@ -5,12 +5,13 @@
 // barrier, RunShard, the realloc rendezvous and the stats publish — is the
 // same code on both.
 //
-// Run state: the supervisor builds the immutable run state (cluster model,
-// route tables, alias sampler, precomputed timeline plan), maps the arena and
+// Run state: the supervisor builds the run state (cluster model, route
+// tables, alias sampler, precomputed timeline plan), maps the arena and
 // serializes each distinct table among the base route table and the plan
 // snapshots *into the arena* once, freeing the heap copies before launch.
 // Shards install the tables as non-owning RouteViews (EngineCore::SetRoutes /
-// SetActionRoutes), so one physical copy exists however many shards run.
+// SetActionRoutes), so one physical copy exists however many shards run. The
+// model is read-only on the hot path; only a re-allocation mutates it (below).
 // Forked children inherit the arena by mapping inheritance and the small
 // read-only state copy-on-write (fork without exec: an exec'd child would need
 // a config wire format for no isolation gain). Each shard pins itself when
@@ -29,25 +30,17 @@
 // locally and applies each step at its scaled local request clock.
 //
 // kReallocateCache (§6.4) is the one step whose effect is runtime-observed. A
-// dynamic policy's plan has no such step, so its runs reserve no report or
-// table regions and never rendezvous. Under a static policy the step runs as an
-// arena rendezvous with a single controller: every shard publishes its
-// heavy-hitter report into an idempotent per-(step, shard) slot; the
-// lowest-indexed live shard claims a per-step controller word (CAS, value
-// = claimant + 1), re-syncs the remap, merges the published reports and
-// refills the allocation hottest-first (ClusterModel::ReallocateFromReports),
-// rebuilds the immediate and suffix route tables (BuildReallocRoutes — the
-// same two calls as the sequential engine's hook), serializes them into the
-// step's region and releases the ready word (which also carries the mask of
-// merged shards); everyone then installs the tables as views. The model
-// mutation is the one launcher-dependent step: threads share one
-// ClusterModel, so only the publisher mutates it (every peer has set its
-// report flag and is parked in the rendezvous); forked children each own a
-// copy, so non-publishers replay ReallocateFromReports from the masked
-// reports. Either way every model is current enough to take over a later
-// rendezvous. If a claimant dies before publishing,
-// waiters CAS the claim to the next live shard (§4.4-style failover, counted
-// in controller_failovers).
+// dynamic policy's plan has no such step, so its runs reserve no report
+// regions and never rendezvous. Under a static policy every shard publishes
+// its heavy-hitter report into an idempotent per-(step, shard) arena slot.
+// The refill that follows (ReallocateAndInstall, the sequential engine's hook)
+// is a pure function of the reports — ClusterModel::ReallocateFromReports is
+// order-independent, hash-based and RNG-free — so no controller is elected:
+// each forked shard gathers every report (a dead shard's is absent), refills
+// its own copy of the model and builds and installs its own tables. Thread
+// shards share one model, and no thread shard can die, so shard 0 gathers,
+// refills and releases its tables through a backend word while its peers wait
+// at the rendezvous, then the peers install views of them.
 //
 // Termination: a shard that finishes its quota copies its own contributions
 // into its stats, publishes them and returns, waiting for no peer. Its state
@@ -70,7 +63,8 @@
 //     beyond its budget is marked kShardDead: every send and rendezvous gather
 //     skip it, and the run completes degraded
 //     (failed_shards, degraded_fraction). A clean exit that never published
-//     its state word counts as a death.
+//     its state word counts as a death. The realloc rendezvous has no single
+//     controller to lose: the survivors refill from the reports they have.
 //   * Fault injection (runtime/fault_plan.h, config.fault_plan): crash /
 //     stall / drop / delay / corrupt / mapfail events fire on the per-shard
 //     request clock from one unlikely branch in the batch loop (an empty plan
@@ -161,20 +155,10 @@ class MultiprocBackend : public SimBackend {
   // True while `shard` has published no completion state: it still drains
   // its inbound rings.
   bool ShardRunning(uint32_t shard) const;
-  // Lowest-indexed shard not declared dead — the deterministic controller
-  // (and controller-successor) choice for the realloc rendezvous.
-  uint32_t FirstLiveShard() const;
-  // kReallocateCache rendezvous (header comment): publish report → the first
-  // live shard claims controllership, computes and publishes the tables
-  // (failover CAS if the claimant dies) → forked non-publishers replay the
-  // masked-report model mutations (ClusterModel::ReallocateFromReports) →
-  // everyone installs the arena tables on p.core.
+  // kReallocateCache rendezvous (header comment): publish this shard's
+  // report → gather every live shard's → ReallocateAndInstall on this
+  // process's model (thread shards other than 0 install shard 0's tables).
   void Reallocate(Proc& p);
-  // Controller half of the arena rendezvous: gather every live shard's
-  // published report, run the model mutations, build + serialize the tables
-  // (BuildReallocRoutes) and release the ready word carrying the merged-shard
-  // mask. False when aborted mid-gather.
-  bool ControllerPublishRealloc(Proc& p, uint32_t step);
   // Shard `s`'s report slot for `step`: this flag word (0 = unpublished,
   // else entry count + 1), then the entries one cache line in.
   std::atomic<uint64_t>* ReportFlag(uint32_t step, uint32_t s) const;
@@ -186,11 +170,14 @@ class MultiprocBackend : public SimBackend {
   // p.abort_seen).
   void* AcquireSlot(Proc& p, ShmSpscRing& ring, uint32_t peer);
   bool Aborted() const;
+  // Sleeps `ms` in 1 ms slices, returning early once the abort flag is up.
+  void SleepUnlessAborted(uint64_t ms) const;
 
   // ---- supervisor side -----------------------------------------------------
   // Computes the arena layout for `shards` and this run's series bound —
-  // rings, stats regions, the serialized plan tables and the realloc
-  // rendezvous slots — and maps it; false when the mapping fails.
+  // rings, stats regions, the serialized plan tables and the realloc report
+  // slots — and maps it; false when the mapping fails. Also sizes
+  // realloc_routes_ (one entry per fired kReallocateCache step).
   bool LayoutAndMapArena(uint64_t num_requests);
   // Serializes each distinct table among the base route table and the
   // fired-plan snapshots into the arena once (pre-launch, post-interleave),
@@ -231,15 +218,14 @@ class MultiprocBackend : public SimBackend {
   // [1 + i] fired_plan_[i]'s snapshot. Entries that share a table share its
   // offset; every null step shares one sentinel header.
   std::vector<size_t> plan_table_offset_;
-  // Realloc rendezvous: per fired kReallocateCache step, one report slot per
-  // shard and one ready-flag + published-tables region sized for the worst
-  // case.
-  size_t report_entry_cap_ = 0;        // entries per report slot
-  size_t table_cap_bytes_ = 0;         // capacity of one published table
-  std::vector<uint32_t> realloc_step_index_;    // fired_plan_ index per step
-  std::vector<size_t> report_offset_;           // [step * shards + shard]
-  std::vector<size_t> realloc_ready_offset_;    // [step]
-  std::vector<std::vector<size_t>> realloc_table_offset_;  // [step][table]
+  // Realloc rendezvous: per fired kReallocateCache step, one arena report
+  // slot per shard; the step's tables (BuildReallocRoutes), owned by this
+  // process for the rest of the run; and the thread launcher's release word
+  // (steps whose tables shard 0 has published).
+  size_t report_entry_cap_ = 0;                  // entries per report slot
+  std::vector<size_t> report_offset_;            // [step * shards + shard]
+  std::vector<std::vector<std::shared_ptr<const RouteTable>>> realloc_routes_;
+  std::atomic<uint32_t> realloc_released_{0};
   // One-shot fault latches: one u32 per fault_plan event (zero = unfired), so
   // respawned incarnations replay their streams without re-firing. 0 when the
   // plan is empty (no reservation, no hook work).

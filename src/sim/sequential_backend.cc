@@ -67,14 +67,9 @@ SequentialBackend::SequentialBackend(const SimBackendConfig& config)
     // Controller re-allocation (§6.4) from this engine's one report. The
     // tables stay in realloc_routes_ for the rest of the run; actions align
     // with plan_ 1:1.
-    model_.ReallocateFromReports(core_.spine_alive(), {core_.ObservedCounts()});
-    const auto tables = BuildReallocRoutes(plan_, core_, model_);
+    const auto tables =
+        ReallocateAndInstall(plan_, {core_.ObservedCounts()}, core_, model_);
     realloc_routes_.insert(realloc_routes_.end(), tables.begin(), tables.end());
-    core_.SetRoutes(tables[0]);
-    const size_t from = core_.next_action_index();
-    for (size_t i = 1; i < tables.size(); ++i) {
-      core_.SetActionRoutes(from + i - 1, tables[i]);
-    }
   });
 }
 

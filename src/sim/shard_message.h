@@ -21,8 +21,9 @@ namespace distcache {
 
 struct ShardMsg {
   enum class Kind : uint8_t {
-    // cache_entries/server_entries are *deltas* to the owner's authoritative
-    // cumulative load counters (flushed when a shard finishes its quota).
+    // cache_entries/server_entries are load *deltas* for the receiver to add
+    // to its counters (the ring tests and microbenchmarks batch them; the
+    // shard runtime no longer sends loads between shards).
     kLoadDeltas,
     // cache_partials[flat_node] is the sender's *own cumulative contribution* to
     // each cache node (flat index: spine i → i, leaf l → num_spine + l). Partials
@@ -31,8 +32,8 @@ struct ShardMsg {
     // shard scheduling skew (absolute-load broadcasts from differently-aged epochs
     // would mix inconsistently).
     kTelemetry,
-    // Sender has processed its whole request quota and flushed all deltas. Because
-    // each inbox is FIFO per sender, a Done marks the end of that sender's stream.
+    // End of the sender's stream: each inbox is FIFO per sender, so nothing
+    // from it follows. Only the transport tests send it.
     kDone,
   };
 

@@ -293,9 +293,8 @@ struct BackendCounters {
   // Multiproc engine only: heartbeat warn episodes the supervisor observed
   // (a shard silent past heartbeat_warn_ms; wall-clock, not deterministic).
   uint64_t heartbeat_misses = 0;
-  // Multiproc engine only: realloc-rendezvous controller takeovers (the
-  // configured controller was dead, the next live shard by index published
-  // the tables instead). Child-recorded, deterministic for a given plan.
+  // Retired: nothing sets it (the realloc rendezvous elects no controller);
+  // its row keeps the digest's mix order and the codec's wire order.
   uint64_t controller_failovers = 0;
   // Multiproc engine only: fraction of the run's request quota lost to shards
   // that died without (or beyond) respawn — lost_quota / num_requests. The
@@ -421,15 +420,14 @@ struct BackendStats : BackendCounters {
   // One fault or recovery observation (multiproc only). kind < 16 is an
   // injected FaultKind (runtime/fault_plan.h) recorded by the shard that
   // survived it, with `at` the plan timestamp; kind >= 16 is a supervisor
-  // observation (death, respawn, declared-dead, heartbeat warn, CRC mismatch)
-  // or a child-recorded failover, with `at` = 0 — supervisor entries carry no
-  // virtual timestamp because they fire on the wall clock.
+  // observation (death, respawn, declared-dead, heartbeat warn, CRC mismatch,
+  // arena map failure), with `at` = 0 — supervisor entries carry no virtual
+  // timestamp because they fire on the wall clock.
   struct FaultRecord {
     static constexpr uint32_t kShardDeath = 16;
     static constexpr uint32_t kShardRespawn = 17;
     static constexpr uint32_t kShardDeclaredDead = 18;
     static constexpr uint32_t kHeartbeatWarn = 19;
-    static constexpr uint32_t kControllerFailover = 20;
     static constexpr uint32_t kStatsCrcMismatch = 21;
     static constexpr uint32_t kArenaMapFailed = 22;
 

@@ -55,8 +55,8 @@ bool DeserializeBackendStats(const uint8_t* in, size_t len, BackendStats* out);
 // Order-independent digest over the *deterministic* subset of a run's stats —
 // the field-table rows marked in_digest: the per-shard-stream counters
 // (requests/reads/writes/cache_hits/server_reads/dropped and the policy write
-// path), failure accounting (failed/respawned shards, injected faults,
-// controller failovers, degraded_fraction bits) and the per-interval
+// path), failure accounting (failed/respawned shards, injected faults, the
+// retired controller_failovers row, degraded_fraction bits) and the per-interval
 // request/read/hit/drop series. It deliberately excludes everything
 // timing-dependent — telemetry-order-
 // sensitive layer splits (spine_hits/leaf_hits) and load vectors at shards>1,

@@ -536,6 +536,32 @@ TEST(MultiprocRespawn, RespawnedShardLoadsCountExactlyOnce) {
   EXPECT_EQ(st.server_load, clean.server_load);
 }
 
+// Shard 0 dies before the re-allocation. With respawn on, its second
+// incarnation republishes the same report, so the run is the fault-free
+// ShardedDigestPins one. Without respawn the survivors refill from their own
+// reports; its pins are the values the elected-controller runtime gave, with
+// its one failover count zeroed (no controller is elected any more).
+TEST(ShardedDigestPins, ShardZeroKilledBeforeTheReallocation) {
+  SKIP_UNLESS_MULTIPROC_RUNNABLE();
+  SimBackendConfig respawn = StaticTopKTimelineConfig(4);
+  respawn.respawn = true;
+  KillShardAt(&respawn, /*shard=*/0, /*local=*/10'000);  // kill:0@40000
+  BackendStats st = MakeSimBackend(BackendKind::kMultiproc, respawn)->Run(200'000);
+  EXPECT_EQ(st.failed_shards, 0u);
+  EXPECT_EQ(st.respawned_shards, 1u);
+  st.respawned_shards = 0;
+  EXPECT_EQ(DeterministicStatsDigest(st), 0x3be126038868ead7ULL);
+  EXPECT_EQ(LoadBitsDigest(st), 0x4a70af800080f536ULL);
+
+  SimBackendConfig degraded = StaticTopKTimelineConfig(3);
+  KillShardAt(&degraded, /*shard=*/0, /*local=*/10'000);  // kill:0@30000
+  st = MakeSimBackend(BackendKind::kMultiproc, degraded)->Run(200'000);
+  EXPECT_EQ(st.failed_shards, 1u);
+  EXPECT_EQ(st.controller_failovers, 0u);
+  EXPECT_EQ(DeterministicStatsDigest(st), 0x49633ebcf212ecabULL);
+  EXPECT_EQ(LoadBitsDigest(st), 0xe5e5ac93c18098a3ULL);
+}
+
 // ---- static-topk is first-choice routing -----------------------------------
 // kStaticTopK is kDistCache's static contents read through first-choice
 // routing (EffectiveRouting, cluster/cluster_sim.h), so it must give the same

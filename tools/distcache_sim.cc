@@ -40,7 +40,6 @@ const char* FaultRecordName(uint32_t kind) {
     case BackendStats::FaultRecord::kShardRespawn: return "respawn";
     case BackendStats::FaultRecord::kShardDeclaredDead: return "declared-dead";
     case BackendStats::FaultRecord::kHeartbeatWarn: return "hb-warn";
-    case BackendStats::FaultRecord::kControllerFailover: return "failover";
     case BackendStats::FaultRecord::kStatsCrcMismatch: return "crc-mismatch";
     case BackendStats::FaultRecord::kArenaMapFailed: return "map-fail";
     default: return "?";
@@ -543,21 +542,19 @@ std::string RunEngine(const Flags& flags, BackendKind kind,
                 static_cast<unsigned long long>(stats.respawned_shards));
   }
   if (stats.injected_faults > 0 || stats.heartbeat_misses > 0 ||
-      stats.controller_failovers > 0 || stats.degraded_fraction > 0.0 ||
-      !stats.fault_events.empty()) {
+      stats.degraded_fraction > 0.0 || !stats.fault_events.empty()) {
     std::printf(
-        "  faults: injected %llu  heartbeat misses %llu  controller "
-        "failovers %llu  degraded fraction %.4f\n",
+        "  faults: injected %llu  heartbeat misses %llu  degraded fraction "
+        "%.4f\n",
         static_cast<unsigned long long>(stats.injected_faults),
         static_cast<unsigned long long>(stats.heartbeat_misses),
-        static_cast<unsigned long long>(stats.controller_failovers),
         stats.degraded_fraction);
     std::printf("  fault timeline:");
     for (const BackendStats::FaultRecord& rec : stats.fault_events) {
       if (rec.kind < 16) {  // injected: the plan timestamp is meaningful
         std::printf(" %s:%u@%llu", FaultRecordName(rec.kind), rec.shard,
                     static_cast<unsigned long long>(rec.at));
-      } else {  // supervisor/failover observation, wall-clock ordered
+      } else {  // supervisor observation, wall-clock ordered
         std::printf(" %s:%u", FaultRecordName(rec.kind), rec.shard);
       }
     }
