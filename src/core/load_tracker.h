@@ -22,8 +22,8 @@
 //     systematically inverted loads.
 //  2. *Bounded staleness*: every node's entry is refreshed at least once per
 //     telemetry epoch while the node serves traffic. The sharded simulation backend
-//     preserves this with partial-sum gossip — each shard broadcasts its own
-//     cumulative per-node contributions every epoch and receivers fold in the
+//     preserves this with partial-sum gossip — each shard publishes its own
+//     cumulative per-node contributions every epoch and its peers fold in the
 //     monotone increments — while each client tracks its own contributions via
 //     Add(), so the view error for any node is at most the traffic other clients
 //     sent it within one epoch (sim/multiproc_backend.h). Broadcasting absolute

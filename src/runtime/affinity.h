@@ -6,10 +6,10 @@
 //   * the in-process sharded engine calls PinToCore from each shard thread
 //     when SimBackendConfig::pin_cores is set (--pin-cores), and
 //   * the multi-process engine calls it from each forked shard process right
-//     after the fork, before the process touches its arena rings — so the
-//     first-touch page placement of the rings it consumes lands on the pinned
-//     core's NUMA node (the "NUMA-aware arena placement" discipline: no
-//     mbind/libnuma dependency, just pin-then-prefault).
+//     after the fork, before the process allocates its state or writes its
+//     arena telemetry slot — so their first-touch page placement lands on
+//     the pinned core's NUMA node (the "NUMA-aware arena placement"
+//     discipline: no mbind/libnuma dependency, just pin-then-touch).
 //
 // Cores are assigned round-robin modulo the online-CPU count, so shard counts
 // above the machine size degrade to oversubscription instead of failing.

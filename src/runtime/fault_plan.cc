@@ -29,7 +29,7 @@ uint64_t DefaultParam(FaultKind kind) {
     case FaultKind::kStall:
       return 20;  // ms
     case FaultKind::kDropTelemetry:
-      return 2;  // broadcasts
+      return 2;  // publishes
     case FaultKind::kDelayControl:
       return 10;  // ms
     default:

@@ -18,12 +18,12 @@
 //   kStall       stall    the shard sleeps `param` wall-ms without bumping
 //                         its heartbeat — a straggler; survivable when the
 //                         supervisor's dead-deadline is larger.
-//   kDropTelemetry drop   the next `param` telemetry broadcasts are armed to
-//                         drop at the shm-ring view (published slots are
-//                         swallowed): peers' load views go stale.
-//   kDelayControl delay   the shard's next telemetry publish (to the first
-//                         running peer) is delayed `param` wall-ms at the
-//                         ring view.
+//   kDropTelemetry drop   the shard skips its next `param` telemetry
+//                         publishes (its slot keeps the older partial):
+//                         peers' load views go stale.
+//   kDelayControl delay   the shard sleeps `param` wall-ms before its next
+//                         telemetry publish (its stats publish, when no
+//                         epoch boundary is left).
 //   kCorruptStats corrupt the shard's quota-end stats blob is corrupted
 //                         after its CRC is computed; the supervisor must
 //                         detect the mismatch and count the shard failed

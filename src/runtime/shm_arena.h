@@ -8,9 +8,11 @@
 // are valid in every process (the SBLLmalloc shared-heap idiom: one
 // page-granular region, layout fixed up front, processes communicate through
 // offsets computed against a common base). Everything cross-process lives here:
-// one ShmSpscRing per directed shard pair (every shard message), the
-// supervisor's control block (abort flag, per-shard completion states) and one
-// serialized-BackendStats region per shard for the quota-end merge.
+// the supervisor's control block (abort flag, start barrier, per-shard
+// completion states and heartbeats), one telemetry slot per shard (a version
+// word and its load partials), the serialized route tables, the realloc report
+// slots and one serialized-BackendStats region per shard for the quota-end
+// merge.
 //
 // Huge pages: Map(bytes, /*huge_pages=*/true) first tries MAP_HUGETLB with the
 // size rounded up to 2 MiB and falls back to normal pages when the pool is

@@ -1,5 +1,8 @@
 // ShmSpscRing — the SpscRing (runtime/spsc_ring.h) ported onto the shared
-// arena for cross-process transport.
+// arena for cross-process transport. No engine uses it (the shard runtime's
+// shards publish telemetry through one arena slot each,
+// sim/multiproc_backend.h); the arena tests, bench_micro and perfbench's
+// transport replay measure it.
 //
 // Same Lamport structure and memory-ordering discipline as the in-process
 // ring: producer-released tail, consumer-released head, each on its own cache
@@ -9,8 +12,7 @@
 // space forces:
 //
 //   * storage is raw fixed-size slots in the arena (POD bytes, no
-//     constructors, no heap payloads — the multiproc wire format serializes
-//     into the slot), because a std::vector or shared_ptr crossing a process
+//     constructors, no heap payloads — a sender serializes into the slot), because a std::vector or shared_ptr crossing a process
 //     boundary would be a dangling pointer in the receiver;
 //   * the shared state is a plain-offset header + slot array; nothing in the
 //     arena is a pointer, so the mapping address does not need to agree
@@ -27,8 +29,7 @@
 // is Front()/Pop(): zero-copy deserialize in place, then release the slot.
 //
 // Capacity must be a power of two; both sides must be constructed with the
-// same geometry (the multiproc supervisor computes one layout pre-fork, so
-// they are).
+// same geometry (compute one layout before the fork, and they are).
 #ifndef DISTCACHE_RUNTIME_SHM_RING_H_
 #define DISTCACHE_RUNTIME_SHM_RING_H_
 
@@ -36,7 +37,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <ctime>
 
 #include "common/cacheline.h"
 
@@ -63,7 +63,7 @@ class ShmSpscRing {
   }
 
   ShmSpscRing() = default;
-  // Attaches a view to ring storage at `base` (supervisor-reserved,
+  // Attaches a view to ring storage at `base` (reserved before the fork,
   // zero-initialized arena memory — a zeroed SharedHeader is a valid empty
   // ring, so there is no separate Init step to race on).
   ShmSpscRing(void* base, size_t capacity, size_t slot_size)
@@ -77,19 +77,6 @@ class ShmSpscRing {
 
   size_t capacity() const { return mask_ + 1; }
   size_t slot_size() const { return slot_size_; }
-
-  // Re-attach after a process respawn (multiproc --respawn): a fresh view's
-  // local caches start at zero, which is only correct for a pristine ring.
-  // Adopt the shared indices instead: staged_ jumps to the published tail
-  // (slots the dead incarnation staged but never published are forgotten —
-  // correct, they were never visible to the consumer), and the consumer-side
-  // tail cache starts at head so the first Front() re-reads the true tail
-  // with acquire semantics rather than trusting a stale bound.
-  void SyncFromShared() {
-    staged_ = hdr_->tail.load(std::memory_order_acquire);
-    head_cache_ = hdr_->head.load(std::memory_order_acquire);
-    tail_cache_ = head_cache_;
-  }
 
   // ---- producer side -------------------------------------------------------
 
@@ -109,29 +96,12 @@ class ShmSpscRing {
 
   // Releases every staged slot with one tail store. No-op when nothing is
   // staged. The release also orders any *earlier* shared-memory writes of this
-  // process (e.g. publishes into other rings) before the tail value — the
-  // happens-before edge the multiproc done-protocol leans on.
+  // process (e.g. publishes into other rings) before the tail value.
   void Publish() {
-    if (__builtin_expect(drop_next_ != 0 || delay_next_ms_ != 0, 0)) {
-      FaultedPublish();
-      return;
-    }
     if (staged_ != hdr_->tail.load(std::memory_order_relaxed)) {
       hdr_->tail.store(staged_, std::memory_order_release);
     }
   }
-
-  // Fault-injection arms (runtime/fault_plan.h), process-local to this view:
-  // both words are zero in a fault-free run, so Publish keeps its two-
-  // instruction fast path behind one unlikely branch. ArmDropNext swallows
-  // the next `n` Publish batches (the staged slots are rewound to the
-  // published tail and never become visible — a dropped control message);
-  // ArmDelayNext sleeps the next Publish `ms` wall-milliseconds before the
-  // release (a delayed one). Injected here, at the transport seam, so every
-  // consumer-side staleness/fallback path is exercised exactly as a real
-  // lost/late message would.
-  void ArmDropNext(uint32_t n) { drop_next_ += n; }
-  void ArmDelayNext(uint32_t ms) { delay_next_ms_ += ms; }
 
   // ---- consumer side -------------------------------------------------------
 
@@ -166,25 +136,6 @@ class ShmSpscRing {
   }
 
  private:
-  // Cold path of Publish() when a fault arm is set: consume one drop (rewind
-  // the staged batch) or the pending delay (sleep, then release normally).
-  void FaultedPublish() {
-    if (drop_next_ != 0) {
-      --drop_next_;
-      staged_ = hdr_->tail.load(std::memory_order_relaxed);
-      return;
-    }
-    const uint32_t ms = delay_next_ms_;
-    delay_next_ms_ = 0;
-    struct timespec ts {
-      static_cast<time_t>(ms / 1000), static_cast<long>(ms % 1000) * 1000000L
-    };
-    nanosleep(&ts, nullptr);
-    if (staged_ != hdr_->tail.load(std::memory_order_relaxed)) {
-      hdr_->tail.store(staged_, std::memory_order_release);
-    }
-  }
-
   SharedHeader* hdr_ = nullptr;
   uint8_t* slots_ = nullptr;
   size_t stride_ = 0;
@@ -197,11 +148,6 @@ class ShmSpscRing {
   uint64_t staged_ = 0;      // producer: next slot to write
   uint64_t head_cache_ = 0;  // producer: cached consumer head
   uint64_t tail_cache_ = 0;  // consumer: cached producer tail
-
-  // Producer-side fault arms (see ArmDropNext/ArmDelayNext); zero when no
-  // fault plan targets this view.
-  uint32_t drop_next_ = 0;
-  uint32_t delay_next_ms_ = 0;
 };
 
 }  // namespace distcache

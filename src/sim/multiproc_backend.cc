@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <system_error>
 #include <thread>
@@ -29,23 +32,12 @@ namespace distcache {
 
 namespace {
 
-// Ring depth per directed shard pair. Traffic is one telemetry slot per
-// epoch and every batch boundary drains it. Consumers drain while waiting, so
-// a shallow ring only adds retry rounds, never deadlock — and every slot is
-// touched as the index wraps, so depth is resident memory.
-constexpr size_t kDataRingCapacity = 32;
-
-// The one ring message: the sender's dense own-contribution partials, one
-// double per cache node in flat order, behind this header. The timeline needs
-// no multicast (every shard queues the fired plan locally), the realloc
-// rendezvous goes through the arena and each shard hands in its own loads
-// with its stats (see multiproc_backend.h). Everything moves through memcpy,
-// so slot alignment is a non-issue and no object is ever aliased across the
-// arena.
-struct WireHeader {
-  uint32_t from;   // sender shard
-  uint32_t count;  // partials that follow
-};
+// A telemetry slot crosses processes, so its words must be lock-free atomics
+// (a lock-based std::atomic would keep its lock in one process's memory).
+static_assert(std::atomic<uint64_t>::is_always_lock_free,
+              "telemetry slot words must be lock-free");
+// A telemetry slot's partials start one cache line in, past the version word.
+constexpr size_t kPartialsWord = kCacheLineSize / sizeof(std::atomic<uint64_t>);
 
 // An arena report pair ({key, count}) of the realloc rendezvous.
 struct ReportEntry {
@@ -60,18 +52,18 @@ enum ShardState : uint32_t {
   kShardDone = 1,     // full quota, stats published
   kShardAborted = 2,  // wound down after the abort flag, partial stats published
   // Supervisor-set after reaping a shard it will not respawn: the shard is
-  // permanently gone. Peers skip it in every send and rendezvous gather, and
-  // the run completes degraded instead of aborting.
+  // permanently gone. Peers skip it at the start barrier and in every
+  // rendezvous gather, and the run completes degraded instead of aborting.
   kShardDead = 3,
 };
 
 struct alignas(kCacheLineSize) ShmControlBlock {
-  // Set by the supervisor when any child dies abnormally; checked by every
-  // child wait loop, full-ring retry and backoff — the no-hang guarantee.
+  // Set by the supervisor when a launch fails part-way; checked by every
+  // child wait loop and delay — the no-hang guarantee.
   std::atomic<uint32_t> abort{0};
-  // Start barrier: shards prefault their inbound rings (first-touch NUMA
-  // placement under pinning), then rendezvous here before any ring traffic,
-  // so the prefault writes can never race a producer.
+  // Start barrier: shards start their request clocks together, so no shard
+  // runs through its quota while a peer is still being forked or built and
+  // the telemetry each one reads comes from peers that are running.
   std::atomic<uint32_t> ready{0};
 };
 static_assert(sizeof(ShmControlBlock) == kCacheLineSize, "one line");
@@ -151,9 +143,7 @@ struct alignas(kCacheLineSize) MultiprocBackend::ShardSlot {
   std::atomic<uint64_t> heartbeat{0};
 };
 
-// Per-shard state, local to the shard's thread or process. Ring *views*
-// (runtime/shm_ring.h) live here (private index caches); ring storage lives in
-// the arena.
+// Per-shard state, local to the shard's thread or process.
 struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   Proc(uint32_t id, const ClusterModel* model, uint64_t seed, bool observer)
       : id(id),
@@ -163,14 +153,11 @@ struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   uint32_t id;
   EngineCore core;
 
-  // Indexed by peer; the self slot is a detached default view, never touched.
-  std::vector<ShmSpscRing> data_in;   // consumer views: peer -> this shard
-  std::vector<ShmSpscRing> data_out;  // producer views: this shard -> peer
-
   BackendStats local;
   CacheAlignedVector<double> own_cache;
   CacheAlignedVector<double> own_server;
   std::vector<std::vector<double>> last_partial;  // [peer][flat]
+  std::vector<uint64_t> seen_version;  // [peer] telemetry version last folded
   CacheAlignedVector<uint32_t> batch_keys;
   uint64_t processed = 0;
   uint32_t realloc_seq = 0;  // fired kReallocateCache steps, plan order
@@ -181,8 +168,6 @@ struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   std::unique_ptr<AliasSampler> phase_sampler;
   const TwoLevelSampler* two_level = nullptr;
   std::unique_ptr<TwoLevelSampler> phase_two_level;
-
-  std::vector<double> telemetry_scratch;  // deserialize scratch
 
   double quota_scale = 1.0;
   bool abort_seen = false;
@@ -201,7 +186,7 @@ struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   std::vector<PlannedFault> faults;
   size_t next_fault = 0;
   // Armed survivable effects, consumed at their hook points.
-  uint32_t drop_telemetry = 0;      // broadcasts to swallow at the ring views
+  uint32_t drop_telemetry = 0;      // telemetry publishes to skip
   uint32_t telemetry_delay_ms = 0;  // delay for the next telemetry/stats publish
   bool corrupt_stats = false;       // flip a byte of the stats blob post-CRC
 
@@ -225,21 +210,34 @@ struct MultiprocBackend::ProcSink {
   }
 };
 
+namespace {
+// A config the shard runtime cannot run aborts with a message in every build
+// mode: no shard, an empty batch, or (with peers) a zero epoch, which would
+// route by a view that never hears from them.
+const SimBackendConfig& ShardConfigOrDie(const SimBackendConfig& config) {
+  if (config.shards == 0 || config.batch_size == 0 ||
+      (config.shards > 1 && config.epoch_requests == 0)) {
+    std::fprintf(stderr,
+                 "invalid shard runtime config: shards=%u (want >= 1), "
+                 "batch_size=%u (want >= 1), epoch_requests=%llu (want >= 1 "
+                 "at shards > 1)\n",
+                 config.shards, config.batch_size,
+                 static_cast<unsigned long long>(config.epoch_requests));
+    std::abort();
+  }
+  return config;
+}
+}  // namespace
+
 MultiprocBackend::MultiprocBackend(const SimBackendConfig& config,
                                    Launcher launcher)
-    : config_(config),
+    : config_(ShardConfigOrDie(config)),
       launcher_(launcher),
       model_(config.cluster, /*build_popularity=*/!config.two_level_sampling),
       offsets_(MakeTrackerConfig(model_.cfg).layer_sizes),
       sampler_(model_.head_with_tail) {
   model_.dense_routes = config_.dense_routes;
   base_routes_ = std::make_shared<const RouteTable>(BuildRouteTable(model_));
-  if (config_.shards == 0) {
-    config_.shards = 1;
-  }
-  if (config_.batch_size == 0) {
-    config_.batch_size = 1;
-  }
   if (config_.two_level_sampling) {
     two_level_ = std::make_unique<TwoLevelSampler>(
         model_.cfg.num_keys, model_.cfg.zipf_theta, model_.pool);
@@ -262,8 +260,6 @@ bool MultiprocBackend::Supported() {
 bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
   const uint32_t n = config_.shards;
   const size_t nodes = offsets_.total();
-  // A full telemetry snapshot (one double per cache node) fills one slot.
-  data_slot_bytes_ = sizeof(WireHeader) + nodes * sizeof(double);
   const uint64_t max_points =
       config_.sample_interval == 0 ? 0
                                    : num_requests / config_.sample_interval + 4;
@@ -277,18 +273,13 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
   ArenaLayout layout;
   control_offset_ = layout.Reserve(sizeof(ShmControlBlock) +
                                    static_cast<size_t>(n) * sizeof(ShardSlot));
-  data_ring_offset_.assign(static_cast<size_t>(n) * n, 0);
-  for (uint32_t to = 0; to < n; ++to) {
-    for (uint32_t from = 0; from < n; ++from) {
-      if (to == from) {
-        continue;
-      }
-      data_ring_offset_[static_cast<size_t>(to) * n + from] = layout.Reserve(
-          ShmSpscRing::BytesFor(kDataRingCapacity, data_slot_bytes_));
-    }
-  }
+  // One telemetry slot per shard: its version word, then one partial per
+  // cache node a line in. Reserved at x1 too, though nothing publishes there.
+  telemetry_offset_.assign(n, 0);
   stats_offset_.assign(n, 0);
   for (uint32_t i = 0; i < n; ++i) {
+    telemetry_offset_[i] = layout.Reserve(
+        kCacheLineSize + nodes * sizeof(std::atomic<uint64_t>));
     stats_offset_[i] = layout.Reserve(stats_bound_);
   }
 
@@ -376,11 +367,12 @@ void MultiprocBackend::SerializePlanTables() {
   }
 }
 
-namespace {
-// Shard i's share of the run: an even split, the remainder to the lowest ids.
-uint64_t QuotaOf(uint64_t num_requests, uint32_t n, uint32_t i) {
+uint64_t MultiprocBackend::QuotaOf(uint64_t num_requests, uint32_t n,
+                                   uint32_t i) {
   return num_requests / n + (i < num_requests % n ? 1 : 0);
 }
+
+namespace {
 ShmControlBlock* CtrlBlockAt(const ShmArena& arena, size_t offset) {
   return reinterpret_cast<ShmControlBlock*>(arena.At(offset));
 }
@@ -393,6 +385,12 @@ MultiprocBackend::ShardSlot* MultiprocBackend::SlotOf(uint32_t shard) const {
   return reinterpret_cast<ShardSlot*>(arena_.At(control_offset_) +
                                       sizeof(ShmControlBlock)) +
          shard;
+}
+
+std::atomic<uint64_t>* MultiprocBackend::TelemetryVersion(
+    uint32_t shard) const {
+  return reinterpret_cast<std::atomic<uint64_t>*>(
+      arena_.At(telemetry_offset_[shard]));
 }
 
 std::atomic<uint64_t>* MultiprocBackend::ReportFlag(uint32_t step,
@@ -431,10 +429,6 @@ bool MultiprocBackend::ShardDead(uint32_t shard) const {
   return SlotOf(shard)->state.load(std::memory_order_acquire) == kShardDead;
 }
 
-bool MultiprocBackend::ShardRunning(uint32_t shard) const {
-  return SlotOf(shard)->state.load(std::memory_order_acquire) == kShardRunning;
-}
-
 void MultiprocBackend::RecordFault(Proc& p, FaultKind kind,
                                    uint64_t at_request) {
   ++p.local.injected_faults;
@@ -451,48 +445,17 @@ std::unique_ptr<MultiprocBackend::Proc> MultiprocBackend::NewProc(
 }
 
 bool MultiprocBackend::ShardMain(Proc& p, uint64_t quota,
-                                 uint64_t num_requests, bool respawned) {
+                                 uint64_t num_requests) {
   const uint32_t id = p.id;
   const uint32_t n = config_.shards;
   p.heartbeat = &SlotOf(id)->heartbeat;
-  p.data_in.resize(n);
-  p.data_out.resize(n);
-  for (uint32_t peer = 0; peer < n; ++peer) {
-    if (peer == id) {
-      continue;
-    }
-    const size_t in_idx = static_cast<size_t>(id) * n + peer;
-    const size_t out_idx = static_cast<size_t>(peer) * n + id;
-    p.data_in[peer] = ShmSpscRing(arena_.At(data_ring_offset_[in_idx]),
-                                  kDataRingCapacity, data_slot_bytes_);
-    p.data_out[peer] = ShmSpscRing(arena_.At(data_ring_offset_[out_idx]),
-                                   kDataRingCapacity, data_slot_bytes_);
-    if (respawned) {
-      // Live rings: adopt the shared indices (a fresh view's zeroed caches
-      // are only valid for a pristine ring) and do NOT prefault — writing a
-      // zero into every page of an in-use ring would clobber in-flight slots
-      // and the header's published tail.
-      p.data_in[peer].SyncFromShared();
-      p.data_out[peer].SyncFromShared();
-      continue;
-    }
-    // Prefault this shard's *inbound* ring pages by writing (reads would map
-    // shared zero pages, placing nothing): first touch from the pinned core
-    // allocates them on its node. Pre-barrier, so no producer can be writing.
-    volatile uint8_t* page = arena_.At(data_ring_offset_[in_idx]);
-    const size_t bytes =
-        ShmSpscRing::BytesFor(kDataRingCapacity, data_slot_bytes_);
-    for (size_t b = 0; b < bytes; b += 4096) {
-      page[b] = 0;
-    }
-  }
 
-  // Start barrier (ShmControlBlock comment): everyone's prefault is complete
-  // before anyone's first send. Every incarnation — fresh or respawned —
-  // increments, and the release condition also counts supervisor-declared-
-  // dead shards, so a shard that dies before arriving can never wedge the
-  // others (the respawn over-count is harmless under >=). A respawned
-  // incarnation usually finds the barrier long released and falls through.
+  // Start barrier (ShmControlBlock comment). Every incarnation — fresh or
+  // respawned — increments, and the release condition also counts
+  // supervisor-declared-dead shards, so a shard that dies before arriving can
+  // never wedge the others (the respawn over-count is harmless under >=). A
+  // respawned incarnation usually finds the barrier long released and falls
+  // through.
   {
     ShmControlBlock* ctrl = CtrlBlockAt(arena_, control_offset_);
     ctrl->ready.fetch_add(1, std::memory_order_acq_rel);
@@ -513,12 +476,9 @@ bool MultiprocBackend::ShardMain(Proc& p, uint64_t quota,
 
   RunShard(p, quota, num_requests);
 
-  if (__builtin_expect(p.telemetry_delay_ms != 0, 0)) {
-    // An armed kDelayControl that no telemetry publish consumed (it fired
-    // after the last epoch boundary, or at x1): the stats publish takes it.
-    SleepUnlessAborted(p.telemetry_delay_ms);
-    p.telemetry_delay_ms = 0;
-  }
+  // An armed kDelayControl that no telemetry publish consumed (it fired after
+  // the last epoch boundary, or at x1): the stats publish takes it.
+  TakeDelay(p);
   uint8_t* region = arena_.At(stats_offset_[id]);
   const size_t len = SerializeBackendStats(p.local, region, stats_bound_);
   const uint32_t crc = Crc32(region, len);
@@ -541,10 +501,6 @@ template <typename Ready>
 bool MultiprocBackend::WaitFor(Proc& p, Ready ready) {
   Backoff backoff;
   while (!ready()) {
-    DrainDataRings(p);
-    if (ready()) {
-      break;
-    }
     if (Aborted()) {
       p.abort_seen = true;
       return false;
@@ -555,101 +511,66 @@ bool MultiprocBackend::WaitFor(Proc& p, Ready ready) {
   return true;
 }
 
-void* MultiprocBackend::AcquireSlot(Proc& p, ShmSpscRing& ring, uint32_t peer) {
-  // A full ring means the receiver is behind. Draining our own rings while
-  // retrying guarantees global progress (no send cycle can wedge: some shard
-  // in it always empties a ring); the abort and peer-state checks guarantee
-  // that a receiver which stopped draining — finished or dead — cannot wedge
-  // us (its message is moot).
-  void* slot = nullptr;
-  WaitFor(p, [&] {
-    slot = ring.TryStage();
-    return slot != nullptr || !ShardRunning(peer);
-  });
-  return slot;
+void MultiprocBackend::TakeDelay(Proc& p) {
+  if (__builtin_expect(p.telemetry_delay_ms != 0, 0)) {
+    SleepUnlessAborted(p.telemetry_delay_ms);
+    p.telemetry_delay_ms = 0;
+  }
 }
 
-void MultiprocBackend::BroadcastTelemetry(Proc& p) {
-  const uint32_t n = config_.shards;
-  const uint32_t count = static_cast<uint32_t>(p.own_cache.size());
-  for (uint32_t peer = 0; peer < n; ++peer) {
-    if (peer == p.id || !ShardRunning(peer)) {
-      continue;  // a finished or dead peer no longer drains
-    }
-    if (__builtin_expect(p.drop_telemetry != 0, 0)) {
-      // Armed kDropTelemetry: the staged slot below is rewound at Publish,
-      // so this broadcast is lost exactly as a dropped message would be.
-      p.data_out[peer].ArmDropNext(1);
-    }
-    void* slot = AcquireSlot(p, p.data_out[peer], peer);
-    if (slot == nullptr) {
-      if (p.abort_seen) {
-        return;
-      }
-      continue;  // peer finished or died while we waited; skip it
-    }
-    const WireHeader h{p.id, count};
-    WritePod(slot, &h, sizeof(h));
-    WritePod(slot, p.own_cache.data(), count * sizeof(double), sizeof(h));
-    if (__builtin_expect(p.telemetry_delay_ms != 0, 0)) {
-      // Armed kDelayControl: this publish sleeps at the ring view first.
-      p.data_out[peer].ArmDelayNext(p.telemetry_delay_ms);
-      p.telemetry_delay_ms = 0;
-    }
-    p.data_out[peer].Publish();
-    ++p.local.ring_messages;
-  }
+void MultiprocBackend::PublishTelemetry(Proc& p) {
   if (__builtin_expect(p.drop_telemetry != 0, 0)) {
-    --p.drop_telemetry;
+    --p.drop_telemetry;  // armed kDropTelemetry: this publish is lost
+    return;
   }
+  TakeDelay(p);  // armed kDelayControl: this publish comes late
+  // Relaxed partials, then the release that makes them visible: a peer that
+  // acquires the new version reads at least these values (or later ones).
+  std::atomic<uint64_t>* version = TelemetryVersion(p.id);
+  std::atomic<uint64_t>* partials = version + kPartialsWord;
+  for (size_t flat = 0; flat < p.own_cache.size(); ++flat) {
+    partials[flat].store(std::bit_cast<uint64_t>(p.own_cache[flat]),
+                         std::memory_order_relaxed);
+  }
+  version->fetch_add(1, std::memory_order_release);
+  p.local.ring_messages += config_.shards - 1;
 }
 
-void MultiprocBackend::ApplyTelemetry(Proc& p, const void* slot) {
-  WireHeader h;
-  std::memcpy(&h, slot, sizeof(h));
-  // Fold in the sender's monotone increment since its previous broadcast;
-  // the view stays the sum of per-shard partials plus our exact own counts.
-  p.telemetry_scratch.resize(h.count);
-  if (h.count != 0) {
-    std::memcpy(p.telemetry_scratch.data(),
-                static_cast<const uint8_t*>(slot) + sizeof(h),
-                h.count * sizeof(double));
-  }
-  std::vector<double>& last = p.last_partial[h.from];
-  for (uint32_t flat = 0; flat < h.count; ++flat) {
-    const double delta = p.telemetry_scratch[flat] - last[flat];
+void MultiprocBackend::ApplyTelemetry(Proc& p, uint32_t peer) {
+  // Fold in the peer's monotone increment since the partial last folded; the
+  // view stays the sum of per-shard partials plus our exact own counts.
+  const std::atomic<uint64_t>* partials =
+      TelemetryVersion(peer) + kPartialsWord;
+  std::vector<double>& last = p.last_partial[peer];
+  for (uint32_t flat = 0; flat < last.size(); ++flat) {
+    const double partial =
+        std::bit_cast<double>(partials[flat].load(std::memory_order_relaxed));
+    const double delta = partial - last[flat];
     if (delta != 0.0) {
       p.core.view().Add(offsets_.NodeOfFlat(flat), delta);
-      last[flat] = p.telemetry_scratch[flat];
+      last[flat] = partial;
     }
   }
-}
-
-bool MultiprocBackend::DrainDataRings(Proc& p) {
-  const uint32_t n = config_.shards;
-  bool applied = false;
-  for (uint32_t peer = 0; peer < n; ++peer) {
-    if (peer == p.id) {
-      continue;
-    }
-    ShmSpscRing& ring = p.data_in[peer];
-    if (ring.EmptyApprox()) {
-      continue;
-    }
-    while (const void* slot = ring.Front()) {
-      ApplyTelemetry(p, slot);
-      ring.Pop();
-      applied = true;
-    }
-  }
-  return applied;
 }
 
 void MultiprocBackend::PollInbox(Proc& p) {
-  // Batch-boundary drain: one that applied at least one slot counts as one
-  // contended receive, an empty one (always, at x1) as one uncontended
-  // receive. Wait-loop drains are not counted.
-  if (DrainDataRings(p)) {
+  // Batch-boundary poll: one that found a new version in any peer's slot
+  // counts as one contended receive, one that found none (always, at x1) as
+  // one uncontended receive.
+  bool fresh = false;
+  for (uint32_t peer = 0; peer < config_.shards; ++peer) {
+    if (peer == p.id) {
+      continue;
+    }
+    const uint64_t version =
+        TelemetryVersion(peer)->load(std::memory_order_acquire);
+    if (version != p.seen_version[peer]) {
+      p.seen_version[peer] = version;
+      ApplyTelemetry(p, peer);
+      fresh = true;
+    }
+  }
+  if (fresh) {
     ++p.local.contended_receives;
   } else {
     ++p.local.uncontended_receives;
@@ -804,6 +725,7 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
   p.own_cache.assign(num_cache_nodes, 0.0);
   p.own_server.assign(model_.num_servers(), 0.0);
   p.last_partial.assign(n, std::vector<double>(num_cache_nodes, 0.0));
+  p.seen_version.assign(n, 0);
   p.sampler = &sampler_;
   p.two_level = two_level_.get();
   p.quota_scale = num_requests == 0 ? 0.0
@@ -872,13 +794,13 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
                         ViewTable(arena_.At(plan_table_offset_[1 + i]))});
   }
 
-  // The batch loop. Before each batch, one telemetry broadcast for every
-  // epoch boundary the local request clock has reached (none at x1).
+  // The batch loop. Before each batch, one telemetry publish for every epoch
+  // boundary the local request clock has reached (none at x1).
   const uint64_t epoch = n > 1 ? config_.epoch_requests : 0;
-  uint64_t next_broadcast = epoch;
+  uint64_t next_publish = epoch;
   while (p.processed < quota) {
-    for (; epoch != 0 && next_broadcast <= p.processed; next_broadcast += epoch) {
-      BroadcastTelemetry(p);
+    for (; epoch != 0 && next_publish <= p.processed; next_publish += epoch) {
+      PublishTelemetry(p);
     }
     ProcessBatch(p, static_cast<uint32_t>(std::min<uint64_t>(
                         config_.batch_size, quota - p.processed)));
@@ -914,22 +836,21 @@ bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
   // _exit, never exit, in a child: no atexit handlers, no gtest/ASan
   // teardown of inherited parent state — the child owns nothing but its
   // stats region.
-  const auto child = [&](uint32_t i, bool again) {
+  const auto child = [&](uint32_t i) {
     if (config_.pin_cores) {
-      // Before any allocation and the ring prefault, so this shard's state
-      // and inbound rings land on the pinned core's NUMA node (first touch).
+      // Before any allocation, so this shard's state and its telemetry slot
+      // land on the pinned core's NUMA node (first touch).
       PinToCore(i);
     }
     const std::unique_ptr<Proc> p = NewProc(i);
-    const bool aborted =
-        ShardMain(*p, QuotaOf(num_requests, n, i), num_requests, again);
+    const bool aborted = ShardMain(*p, QuotaOf(num_requests, n, i), num_requests);
     _exit(aborted ? 3 : 0);
   };
   std::vector<pid_t> pids(n, -1);
   for (uint32_t i = 0; i < n; ++i) {
     const pid_t pid = ::fork();
     if (pid == 0) {
-      child(i, /*again=*/false);
+      child(i);
     }
     if (pid < 0) {
       // Partial-fork cleanup: kill and reap everything already spawned,
@@ -1042,7 +963,7 @@ bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
         slot->state.store(kShardRunning, std::memory_order_release);
         const pid_t fresh = ::fork();
         if (fresh == 0) {
-          child(i, /*again=*/true);
+          child(i);
         }
         if (fresh > 0) {
           pids[i] = fresh;
@@ -1057,7 +978,8 @@ bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
         // fork failed: fall through to the dead-shard path
       }
       // Budget exhausted: permanently dead. Peers see kShardDead and skip
-      // this shard in every send and rendezvous gather; the run completes
+      // this shard at the start barrier and in every rendezvous gather; the
+      // run completes
       // with the survivors' quota — degrade, don't abort.
       (*failed)[i] = 1;
       SlotOf(i)->state.store(kShardDead, std::memory_order_release);
@@ -1119,10 +1041,9 @@ BackendStats MultiprocBackend::Run(uint64_t num_requests) {
       try {
         threads.emplace_back([this, p = procs[i].get(), num_requests, n] {
           if (config_.pin_cores) {
-            PinToCore(p->id);  // before the ring prefault (first touch)
+            PinToCore(p->id);
           }
-          ShardMain(*p, QuotaOf(num_requests, n, p->id), num_requests,
-                    /*respawned=*/false);
+          ShardMain(*p, QuotaOf(num_requests, n, p->id), num_requests);
         });
       } catch (const std::system_error&) {
         // Thread exhaustion: as on a failed fork, the abort flag winds the

@@ -1,8 +1,8 @@
 // The shard runtime: one per-shard engine over a shared-memory arena, with
 // two launchers. BackendKind::kSharded runs every shard as a std::thread of
 // this process; BackendKind::kMultiproc forks every shard as a pinned child
-// process. Everything between launch and merge — ring views, the start
-// barrier, RunShard, the realloc rendezvous and the stats publish — is the
+// process. Everything between launch and merge — the start barrier, RunShard,
+// the telemetry slots, the realloc rendezvous and the stats publish — is the
 // same code on both.
 //
 // Run state: the supervisor builds the run state (cluster model, route
@@ -15,19 +15,24 @@
 // Forked children inherit the arena by mapping inheritance and the small
 // read-only state copy-on-write (fork without exec: an exec'd child would need
 // a config wire format for no isolation gain). Each shard pins itself when
-// pin_cores is set, prefaults its inbound rings (first-touch NUMA placement),
-// passes the start barrier, runs its batch loop (EngineCore + batched hot
-// path, a telemetry broadcast per epoch) and publishes its serialized
-// BackendStats behind a CRC-32 into its arena stats region. A thread returns;
-// a child _exit()s. The supervisor joins or reaps, then merges every region
-// through the same CRC check and BackendStats::Merge.
+// pin_cores is set, passes the start barrier, runs its batch loop (EngineCore
+// + batched hot path, a telemetry publish per epoch) and publishes its
+// serialized BackendStats behind a CRC-32 into its arena stats region. A
+// thread returns; a child _exit()s. The supervisor joins or reaps, then merges
+// every region through the same CRC check and BackendStats::Merge.
 //
-// Transport: one ShmSpscRing per directed shard pair carries the one message
-// kind, a telemetry snapshot (the sender's own-contribution partials, one
-// fixed slot). Loads never cross a ring: each shard's stats carry its own
-// contributions and Merge sums them. The timeline needs no multicast: the
-// fired plan is a pure function of the config, so every shard queues it
-// locally and applies each step at its scaled local request clock.
+// Transport: each shard owns one arena telemetry slot — a version word, then
+// one lock-free 64-bit word per cache node holding the bits of the shard's
+// own-contribution partial. At each epoch boundary the shard stores the
+// partials (relaxed) and bumps the version (release); at each batch boundary
+// every peer acquires each version and, when it moved, folds the slot through
+// its last_partial delta fold. Partials are cumulative and every cost is a
+// multiple of 0.25, so folding only the newest value gives the view that
+// folding every earlier one would. Nothing can block a publish, and nothing
+// else crosses between shards while they run: each shard's stats carry its
+// own loads and Merge sums them. The timeline needs no multicast: the fired
+// plan is a pure function of the config, so every shard queues it locally and
+// applies each step at its scaled local request clock.
 //
 // kReallocateCache (§6.4) is the one step whose effect is runtime-observed. A
 // dynamic policy's plan has no such step, so its runs reserve no report
@@ -43,25 +48,24 @@
 // at the rendezvous, then the peers install views of them.
 //
 // Termination: a shard that finishes its quota copies its own contributions
-// into its stats, publishes them and returns, waiting for no peer. Its state
-// word then reads finished, so peers stop sending to it (a shard that no
-// longer drains must not wedge a sender).
+// into its stats, publishes them and returns, waiting for no peer. Its slot
+// keeps its last partial, which peers still running may fold.
 //
 // Fork-only robustness (they need a crash domain per shard):
 //
 //   * Respawn (config.respawn): a child that dies abnormally is re-forked up
 //     to respawn_limit times. The new incarnation re-runs its quota from the
-//     start, skips the prefault (zeroing a live ring would clobber in-flight
-//     slots), passes the released barrier and re-attaches its ring views via
-//     ShmSpscRing::SyncFromShared. Accepted skew: peers see negative
-//     telemetry deltas when the respawn's counters restart. Loads count
-//     exactly once, since only the final incarnation's stats are merged.
+//     start, passes the released barrier, folds its peers' slots at its first
+//     poll and keeps bumping its own slot's version. Accepted skew: peers see
+//     negative telemetry deltas when the respawn's partials restart. Loads
+//     count exactly once, since only the final incarnation's stats are
+//     merged.
 //   * Heartbeat ladder: each shard bumps an arena heartbeat word per batch and
 //     per wait-loop pause; the supervisor escalates wait → warn
 //     (heartbeat_warn_ms, counted in heartbeat_misses) → declare dead
 //     (heartbeat_dead_ms, SIGKILL) → respawn or degrade. A shard that dies
-//     beyond its budget is marked kShardDead: every send and rendezvous gather
-//     skip it, and the run completes degraded
+//     beyond its budget is marked kShardDead: the start barrier and every
+//     rendezvous gather skip it, and the run completes degraded
 //     (failed_shards, degraded_fraction). A clean exit that never published
 //     its state word counts as a death. The realloc rendezvous has no single
 //     controller to lose: the survivors refill from the reports they have.
@@ -86,7 +90,6 @@
 #include "common/alias_sampler.h"
 #include "net/topology.h"
 #include "runtime/shm_arena.h"
-#include "runtime/shm_ring.h"
 #include "sim/cluster_model.h"
 #include "sim/engine_core.h"
 #include "sim/route_table.h"
@@ -112,6 +115,10 @@ class MultiprocBackend : public SimBackend {
   // platform returns empty stats with failed_shards == shards.
   static bool Supported();
 
+  // Shard i's share of a run of `num_requests` over `n` shards: an even
+  // split, the remainder to the lowest ids.
+  static uint64_t QuotaOf(uint64_t num_requests, uint32_t n, uint32_t i);
+
  private:
   struct Proc;       // per-shard state (thread- or process-local)
   struct ProcSink;   // branch-free hot-path sink
@@ -121,19 +128,17 @@ class MultiprocBackend : public SimBackend {
   std::unique_ptr<Proc> NewProc(uint32_t id) const;
   // The whole shard lifecycle after launch (and pinning) up to the stats
   // publish; returns true when the shard wound down after the abort flag.
-  // `respawned` marks a second incarnation re-joining live rings (header
-  // comment): it skips the prefault and the start barrier and syncs its ring
-  // views.
-  bool ShardMain(Proc& p, uint64_t quota, uint64_t num_requests,
-                 bool respawned);
+  bool ShardMain(Proc& p, uint64_t quota, uint64_t num_requests);
   void RunShard(Proc& p, uint64_t quota, uint64_t num_requests);
   void ProcessBatch(Proc& p, uint32_t count);
+  // Folds every peer slot whose version moved since this shard last looked.
   void PollInbox(Proc& p);
-  // Applies every pending inbound slot; true when there was one.
-  bool DrainDataRings(Proc& p);
-  // Sends this shard's telemetry snapshot to every running peer.
-  void BroadcastTelemetry(Proc& p);
-  void ApplyTelemetry(Proc& p, const void* slot);
+  // Writes this shard's partials into its telemetry slot and bumps the
+  // version, unless an armed drop swallows the publish.
+  void PublishTelemetry(Proc& p);
+  void ApplyTelemetry(Proc& p, uint32_t peer);
+  // Sleeps an armed kDelayControl off (abort-responsive) and disarms it.
+  void TakeDelay(Proc& p);
   // Fault-injection hook (runtime/fault_plan.h): fires every planned fault of
   // this shard whose local timestamp has been reached; one-shot per event via
   // an arena latch. Called behind an unlikely-branch guard in the batch loop.
@@ -142,19 +147,17 @@ class MultiprocBackend : public SimBackend {
   // Bumps this shard's arena heartbeat word (relaxed); called per batch and
   // from every wait-loop backoff so legitimate waits never look like stalls.
   void PulseHeartbeat(Proc& p);
-  // The post-barrier wait: until ready() holds, drain the inbound rings (a
-  // peer blocked on a full ring toward us must progress before it can make
-  // us ready), pulse the heartbeat and back off. False, with abort_seen set,
-  // once the arena abort flag is up.
+  // The post-barrier wait: until ready() holds, pulse the heartbeat and back
+  // off. False, with abort_seen set, once the arena abort flag is up.
   template <typename Ready>
   bool WaitFor(Proc& p, Ready ready);
   ShardSlot* SlotOf(uint32_t shard) const;
   // True once the supervisor declared `shard` permanently dead (kShardDead is
   // only stored after the process was reaped — its writes have stopped).
   bool ShardDead(uint32_t shard) const;
-  // True while `shard` has published no completion state: it still drains
-  // its inbound rings.
-  bool ShardRunning(uint32_t shard) const;
+  // Shard `shard`'s telemetry slot: this version word (publishes so far),
+  // then its partials one cache line in.
+  std::atomic<uint64_t>* TelemetryVersion(uint32_t shard) const;
   // kReallocateCache rendezvous (header comment): publish this shard's
   // report → gather every live shard's → ReallocateAndInstall on this
   // process's model (thread shards other than 0 install shard 0's tables).
@@ -165,19 +168,15 @@ class MultiprocBackend : public SimBackend {
   // Reads shard `s`'s published report for `step` (its flag must be set).
   std::vector<std::pair<uint64_t, uint32_t>> ReadArenaReport(uint32_t step,
                                                              uint32_t s);
-  // Stages a slot, waiting (WaitFor) while the ring is full; null once
-  // aborted or when `peer` stopped running (callers distinguish via
-  // p.abort_seen).
-  void* AcquireSlot(Proc& p, ShmSpscRing& ring, uint32_t peer);
   bool Aborted() const;
   // Sleeps `ms` in 1 ms slices, returning early once the abort flag is up.
   void SleepUnlessAborted(uint64_t ms) const;
 
   // ---- supervisor side -----------------------------------------------------
   // Computes the arena layout for `shards` and this run's series bound —
-  // rings, stats regions, the serialized plan tables and the realloc report
-  // slots — and maps it; false when the mapping fails. Also sizes
-  // realloc_routes_ (one entry per fired kReallocateCache step).
+  // telemetry slots, stats regions, the serialized plan tables and the
+  // realloc report slots — and maps it; false when the mapping fails. Also
+  // sizes realloc_routes_ (one entry per fired kReallocateCache step).
   bool LayoutAndMapArena(uint64_t num_requests);
   // Serializes each distinct table among the base route table and the
   // fired-plan snapshots into the arena once (pre-launch, post-interleave),
@@ -209,8 +208,7 @@ class MultiprocBackend : public SimBackend {
   // Arena geometry, computed pre-launch.
   ShmArena arena_;
   size_t control_offset_ = 0;
-  size_t data_slot_bytes_ = 0;
-  std::vector<size_t> data_ring_offset_;   // [to * shards + from]
+  std::vector<size_t> telemetry_offset_;   // [shard]
   std::vector<size_t> stats_offset_;       // [shard]
   size_t stats_bound_ = 0;
 

@@ -14,10 +14,10 @@
 //                    baseline every other backend must match.
 //   * "sharded"    — the scalable shard runtime (sim/multiproc_backend.h): the
 //                    request quota split across N worker shards, one batch
-//                    loop per shard, load telemetry broadcast once per epoch
-//                    over per-pair lock-free shared-memory rings
-//                    (runtime/shm_ring.h), per-shard loads summed at the
-//                    quota-end merge, and a batched hot path that amortizes
+//                    loop per shard, load telemetry published once per epoch
+//                    into one lock-free shared-memory slot per shard that
+//                    every peer polls at its batch boundaries, per-shard
+//                    loads summed at the quota-end merge, and a batched hot path that amortizes
 //                    Zipf sampling (alias table), hash routing (precomputed
 //                    per-key route entries, prefetched ahead) and LoadTracker
 //                    updates over batches of 256 requests. Shards are threads;
@@ -149,10 +149,11 @@ struct SimBackendConfig {
   // sampled batch-at-a-time), so runs are bit-reproducible per batch size, not
   // across batch sizes; the sharded golden test pins the legacy 64.
   uint32_t batch_size = 256;
-  // Telemetry epoch length in requests per shard: how often each shard broadcasts
-  // its cumulative per-node load partials and folds in its peers' — the view
-  // staleness bound of the shard runtime (sharded/multiproc only; the
-  // sequential engine's view is exact after every request).
+  // Telemetry epoch length in requests per shard: how often each shard
+  // publishes its cumulative per-node load partials for its peers to fold in
+  // — the view staleness bound of the shard runtime (sharded/multiproc only,
+  // which refuse 0 at shards > 1; the sequential engine's view is exact after
+  // every request and ignores it).
   uint64_t epoch_requests = 4096;
 
   // Reconfiguration timeline applied during Run() (need not be sorted; engines
@@ -179,8 +180,9 @@ struct SimBackendConfig {
   QueueModelConfig queue;
   // Pin each shard worker to a CPU core (shard i -> core i % online cores):
   // thread affinity for sharded, process affinity for multiproc; either way
-  // the shard then prefaults its inbound rings (first-touch NUMA placement).
-  // Off by default — pinning helps dedicated hosts and hurts shared ones.
+  // before the shard allocates its state, so first touch places it on the
+  // core's NUMA node. Off by default — pinning helps dedicated hosts and
+  // hurts shared ones.
   bool pin_cores = false;
   // Back the multiproc engine's shared arena with 2 MiB huge pages when the
   // reserved pool has them (runtime/shm_arena.h; silent fallback otherwise).
@@ -194,8 +196,8 @@ struct SimBackendConfig {
   // degrading the run. The respawned shard re-joins from the arena-resident
   // plan and re-runs its quota from the start of its (deterministic) stream;
   // exact counters stay exact-once (only the final incarnation serializes its
-  // stats), but telemetry partials the dead incarnation broadcast are not
-  // recalled, so peers' *approximate* load views may double-count them. A
+  // stats), but its restarted telemetry partials fold into peers' views as
+  // negative deltas, so their *approximate* load views skew meanwhile. A
   // shard that exhausts respawn_limit is declared dead and the run degrades
   // (survivors complete; failed_shards/degraded_fraction record the loss).
   bool respawn = false;
@@ -268,12 +270,12 @@ struct BackendCounters {
   // Requests blackholed by a dead spine switch before the controller reacted
   // (ECMP transit through a failed switch, §4.4); they charge no load anywhere.
   uint64_t dropped = 0;
-  // Shard-transport instrumentation (zero elsewhere): telemetry messages that
-  // travelled over the rings (the only cross-shard messages), and the
-  // batch-boundary ring drains split by whether they applied at least one
-  // slot (contended) or found every ring empty (uncontended). The scaling
-  // bench reports these — a healthy run is ~all-uncontended polls, and every
-  // contended one applied at least one of the ring messages.
+  // Shard-transport instrumentation (zero elsewhere): telemetry messages, one
+  // per peer per telemetry publish (the only cross-shard messages; a function
+  // of quota, epoch, batch size and fault plan), and the batch-boundary polls
+  // split by whether they found a new version in some peer's slot (contended)
+  // or none (uncontended). The scaling bench reports these; every contended
+  // poll folded at least one of the messages.
   uint64_t ring_messages = 0;
   uint64_t uncontended_receives = 0;
   uint64_t contended_receives = 0;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/stats.h"
@@ -218,6 +219,36 @@ uint64_t DeterministicStatsDigest(const BackendStats& stats) {
   mix(stats.series.size());
   for (const BackendStats::IntervalPoint& pt : stats.series) {
     MixCounters<IntervalCounters>(mix, pt);
+  }
+  return h;
+}
+
+uint64_t FullStatsDigest(const BackendStats& stats) {
+  uint64_t h = DeterministicStatsDigest(stats);
+  const auto mix = [&h](uint64_t v) { h = Mix64(HashCombine(h, v)); };
+  const auto mix_loads = [&mix](const std::vector<double>& loads) {
+    mix(loads.size());
+    for (const double x : loads) {
+      mix(std::bit_cast<uint64_t>(x));
+    }
+  };
+  const auto mix_histogram = [&mix](const LatencyHistogram& hist) {
+    mix(hist.counts().size());
+    for (const uint64_t c : hist.counts()) {
+      mix(c);
+    }
+    mix(hist.total());
+    mix(hist.infinite());
+    mix(std::bit_cast<uint64_t>(hist.finite_sum()));
+  };
+  mix(stats.cache_load.size());
+  for (const std::vector<double>& layer : stats.cache_load) {
+    mix_loads(layer);
+  }
+  mix_loads(stats.server_load);
+  mix_histogram(stats.latency);
+  for (const BackendStats::IntervalPoint& pt : stats.series) {
+    mix_histogram(pt.latency);
   }
   return h;
 }

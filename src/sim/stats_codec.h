@@ -66,6 +66,13 @@ bool DeserializeBackendStats(const uint8_t* in, size_t len, BackendStats* out);
 // and the chaos tests assert.
 uint64_t DeterministicStatsDigest(const BackendStats& stats);
 
+// DeterministicStatsDigest's rows plus the bit patterns of every per-node load
+// (cache_load, server_load) and every LatencyHistogram (the run's and each
+// interval's): the whole simulated outcome of a run, for the runs whose loads
+// and latencies are deterministic too (one shard, or routing that reads no
+// telemetry).
+uint64_t FullStatsDigest(const BackendStats& stats);
+
 }  // namespace distcache
 
 #endif  // DISTCACHE_SIM_STATS_CODEC_H_

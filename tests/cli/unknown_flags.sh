@@ -62,6 +62,8 @@ expect_refused "--backend=fluid --offered=512" "--offered is a fluid-model optio
 expect_refused --shards=8 "--shards needs --backend=sharded|multiproc"
 expect_refused --batch=64 "--batch needs --backend=sharded|multiproc"
 expect_refused --epoch=1024 "--epoch needs --backend=sharded|multiproc"
+expect_refused "--backend=sharded --shards=2 --epoch=0" \
+  "--epoch=0: want an integer in [1, 2^32)"
 expect_refused "--backend=fluid --shards=2" "--shards needs --backend=sharded|multiproc"
 expect_refused "--backend=sharded --huge-pages" "--huge-pages needs --backend=multiproc"
 for knob in --respawn-limit=5 --heartbeat-warn-ms=3 --heartbeat-dead-ms=3; do

@@ -162,7 +162,7 @@ TEST(FaultInjection, DroppedTelemetryRunCompletesNearCleanHitRatio) {
   EXPECT_EQ(st.failed_shards, 0u);
   EXPECT_EQ(st.requests, kRequests);
   EXPECT_GE(st.injected_faults, 1u);
-  // Losing a few telemetry broadcasts shifts load estimates, not hits.
+  // Losing a few telemetry publishes shifts load estimates, not hits.
   EXPECT_NEAR(st.hit_ratio(), clean.hit_ratio(), 0.05);
 }
 
@@ -180,8 +180,8 @@ TEST(FaultInjection, DelayedControlMessagesRunCompletes) {
       HasRecord(st, static_cast<uint32_t>(FaultKind::kDelayControl)));
 }
 
-// A delay that fires after shard 0's last telemetry broadcast (local 99,500
-// of its 100,000) has no ring publish left to hold: the stats publish must
+// A delay that fires after shard 0's last telemetry publish (local 99,500 of
+// its 100,000) has no telemetry publish left to hold: the stats publish must
 // take it, so the run still lasts the delay.
 TEST(FaultInjection, DelayAfterTheLastBroadcastHoldsTheStatsPublish) {
   SKIP_UNLESS_MULTIPROC_RUNNABLE();

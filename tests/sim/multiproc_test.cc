@@ -390,11 +390,99 @@ TEST(DeltaDelivery, ForkedShardsConserveEveryCharge) {
   }
 }
 
+// ---- telemetry slots ---------------------------------------------------------
+// Each shard publishes its partial into its own arena slot once per epoch
+// boundary its clock reaches before its last batch, and no publish can block
+// or be skipped for a peer's sake, so the transport count is a function of the
+// config alone: (n - 1) messages per publish.
+
+// Publishes of a shard with `quota` requests: the multiples of the epoch up to
+// the start of its last batch.
+uint64_t PublishesOf(uint64_t quota, uint64_t batch, uint64_t epoch) {
+  return quota == 0 ? 0 : (quota - 1) / batch * batch / epoch;
+}
+
+uint64_t ExpectedRingMessages(const SimBackendConfig& bcfg, uint64_t requests) {
+  uint64_t publishes = 0;
+  for (uint32_t i = 0; i < bcfg.shards; ++i) {
+    publishes += PublishesOf(MultiprocBackend::QuotaOf(requests, bcfg.shards, i),
+                             bcfg.batch_size, bcfg.epoch_requests);
+  }
+  return (bcfg.shards - 1) * publishes;
+}
+
+TEST(TelemetrySlots, MessageCountIsAFunctionOfTheConfig) {
+  constexpr uint64_t kRequests = 200'003;  // uneven quotas at x2 and x4
+  std::vector<BackendKind> kinds = {BackendKind::kSharded};
+  if (MultiprocRunnable()) {
+    kinds.push_back(BackendKind::kMultiproc);
+  }
+  for (const BackendKind kind : kinds) {
+    for (const uint32_t shards : {2u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << (kind == BackendKind::kSharded ? "threads" : "forks")
+                   << " x" << shards);
+      SimBackendConfig bcfg = GoldenBackendConfig(shards);
+      bcfg.epoch_requests = 1'000;  // not a multiple of the batch size
+      const uint64_t want = ExpectedRingMessages(bcfg, kRequests);
+      ASSERT_GT(want, 0u);
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        const BackendStats st = MakeSimBackend(kind, bcfg)->Run(kRequests);
+        ASSERT_EQ(st.requests, kRequests);
+        EXPECT_EQ(st.ring_messages, want) << "repeat " << repeat;
+        EXPECT_LE(st.contended_receives, st.ring_messages);
+      }
+    }
+  }
+}
+
+// A drop fault swallows whole publishes: k of them cost k (n - 1) messages.
+TEST(TelemetrySlots, DroppedPublishesAreNotCounted) {
+  SKIP_UNLESS_MULTIPROC_RUNNABLE();
+  constexpr uint64_t kRequests = 200'000;
+  for (const uint32_t shards : {2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "x" << shards);
+    SimBackendConfig bcfg = GoldenBackendConfig(shards);
+    bcfg.epoch_requests = 1'000;
+    bcfg.fault_plan.events.push_back(
+        {FaultKind::kDropTelemetry, 0, 20'000, 3});  // drop:0@20000:3
+    const BackendStats st =
+        MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(kRequests);
+    ASSERT_EQ(st.requests, kRequests);
+    EXPECT_EQ(st.injected_faults, 1u);
+    EXPECT_EQ(st.ring_messages,
+              ExpectedRingMessages(bcfg, kRequests) - 3 * (shards - 1));
+  }
+}
+
+// The shard runtime refuses a config it cannot run, in every build mode.
+TEST(MultiprocBackendDeathTest, RefusesZeroShards) {
+  EXPECT_DEATH(MultiprocBackend{GoldenBackendConfig(0)},
+               "shards=0 \\(want >= 1\\)");
+}
+
+TEST(MultiprocBackendDeathTest, RefusesAnEmptyBatch) {
+  SimBackendConfig bcfg = GoldenBackendConfig(2);
+  bcfg.batch_size = 0;
+  EXPECT_DEATH(MultiprocBackend{bcfg}, "batch_size=0 \\(want >= 1\\)");
+}
+
+TEST(MultiprocBackendDeathTest, RefusesAZeroEpochWithPeers) {
+  SimBackendConfig bcfg = GoldenBackendConfig(2);
+  bcfg.epoch_requests = 0;
+  EXPECT_DEATH(MultiprocBackend{bcfg},
+               "epoch_requests=0 \\(want >= 1 at shards > 1\\)");
+  // One shard has no peers to hear from: its epoch is never read.
+  bcfg.shards = 1;
+  EXPECT_EQ(MakeSimBackend(BackendKind::kSharded, bcfg)->Run(1'000).requests,
+            1'000u);
+}
+
 // ---- launcher differential -------------------------------------------------
 // kSharded (threads) and kMultiproc (forks) are one runtime with two
-// launchers; they differ only in how the realloc publisher's model mutation
-// reaches the other shards (one shared model vs a replay per child). Any
-// deterministic run must therefore agree bit for bit across them.
+// launchers; they differ only in who runs a re-allocation's refill (thread
+// shard 0 once for the shared model, every forked shard on its own copy).
+// Any deterministic run must therefore agree bit for bit across them.
 
 void ExpectLaunchersAgree(const SimBackendConfig& bcfg, uint64_t requests) {
   const BackendStats threads =
@@ -421,8 +509,8 @@ TEST(LauncherDifferential, OneShardFullTimelineIsBitIdentical) {
 }
 
 // Dynamic policies route by primary server, never by telemetry, so a
-// two-shard run is deterministic and the shared-model vs replayed-model split
-// of the realloc rendezvous is visible in every counter.
+// two-shard run is deterministic and the shared-model vs per-child refill of
+// the realloc rendezvous is visible in every counter.
 TEST(LauncherDifferential, TwoShardLruWriteBackShiftReallocIsBitIdentical) {
   SKIP_UNLESS_MULTIPROC_RUNNABLE();
   SimBackendConfig bcfg = GoldenBackendConfig(2);
@@ -453,7 +541,8 @@ TEST(LauncherDifferential, TwoShardStaticTopKFullTimelineIsBitIdentical) {
 // the dynamic policies read no telemetry) pinned by value on both launchers:
 // however the shards exchange messages or hand in their loads, these runs'
 // DeterministicStatsDigest may not move, nor may the bits of their per-node
-// loads (which the digest does not cover).
+// loads (which the digest does not cover). FullStatsDigest covers the loads and
+// every latency histogram too.
 
 // Every cache and server load folded by its bit pattern, in node order.
 uint64_t LoadBitsDigest(const BackendStats& st) {
@@ -491,14 +580,15 @@ TEST(ShardedDigestPins, DeterministicMultiShardRunsKeepTheirDigests) {
     SimBackendConfig config;
     uint64_t digest;
     uint64_t loads;
+    uint64_t full;  // FullStatsDigest
   };
   const std::vector<Pin> pins = {
       {"static-topk x2", StaticTopKTimelineConfig(2), 0x3a0940fc49d51b20ULL,
-       0x938938edd1bb2ca0ULL},
+       0x938938edd1bb2ca0ULL, 0xf19d7aa3866f9bd7ULL},
       {"static-topk x4", StaticTopKTimelineConfig(4), 0x3be126038868ead7ULL,
-       0x4a70af800080f536ULL},
+       0x4a70af800080f536ULL, 0xb553e3f61321477cULL},
       {"lru write-back x2", lru, 0xc9b99a3ec62433abULL,
-       0x1ffd18ce60a2d419ULL},
+       0x1ffd18ce60a2d419ULL, 0xc3e1d60fd7fdaaf8ULL},
   };
   std::vector<BackendKind> kinds = {BackendKind::kSharded};
   if (MultiprocRunnable()) {
@@ -512,6 +602,7 @@ TEST(ShardedDigestPins, DeterministicMultiShardRunsKeepTheirDigests) {
       ASSERT_EQ(st.requests, 200'000u);
       EXPECT_EQ(DeterministicStatsDigest(st), pin.digest);
       EXPECT_EQ(LoadBitsDigest(st), pin.loads);
+      EXPECT_EQ(FullStatsDigest(st), pin.full);
     }
   }
 }
@@ -552,6 +643,7 @@ TEST(ShardedDigestPins, ShardZeroKilledBeforeTheReallocation) {
   st.respawned_shards = 0;
   EXPECT_EQ(DeterministicStatsDigest(st), 0x3be126038868ead7ULL);
   EXPECT_EQ(LoadBitsDigest(st), 0x4a70af800080f536ULL);
+  EXPECT_EQ(FullStatsDigest(st), 0xb553e3f61321477cULL);
 
   SimBackendConfig degraded = StaticTopKTimelineConfig(3);
   KillShardAt(&degraded, /*shard=*/0, /*local=*/10'000);  // kill:0@30000
@@ -560,6 +652,7 @@ TEST(ShardedDigestPins, ShardZeroKilledBeforeTheReallocation) {
   EXPECT_EQ(st.controller_failovers, 0u);
   EXPECT_EQ(DeterministicStatsDigest(st), 0x49633ebcf212ecabULL);
   EXPECT_EQ(LoadBitsDigest(st), 0xe5e5ac93c18098a3ULL);
+  EXPECT_EQ(FullStatsDigest(st), 0x6aab621f1eb6ffa1ULL);
 }
 
 // ---- static-topk is first-choice routing -----------------------------------

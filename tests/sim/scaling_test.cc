@@ -12,8 +12,8 @@
 //    agree across 1, 2 and 4 shards on the full timeline within statistical
 //    tolerance (multi-shard runs are scheduling-dependent through telemetry
 //    arrival timing, so exact pins are impossible by design).
-//  * Transport accounting — telemetry rides the SPSC rings, and the
-//    batch-boundary drains that applied a slot never outnumber the ring
+//  * Transport accounting — telemetry rides the shards' arena slots, and the
+//    batch-boundary polls that folded a slot never outnumber the telemetry
 //    messages.
 #include <gtest/gtest.h>
 
@@ -185,8 +185,8 @@ TEST(ShardedScaling, TimelineStatsParityAcross124Shards) {
   }
 }
 
-// Transport accounting: telemetry rides the rings, and a batch-boundary drain
-// that applied a slot applied at least one of the ring messages.
+// Transport accounting: telemetry rides the shards' arena slots, and a
+// batch-boundary poll that folded a slot folded at least one of the messages.
 TEST(ShardedScaling, DataPlaneRidesTheRings) {
   SimBackendConfig bcfg = GoldenBackendConfig(4);
   bcfg.epoch_requests = 4'096;
@@ -194,11 +194,11 @@ TEST(ShardedScaling, DataPlaneRidesTheRings) {
       MakeSimBackend(BackendKind::kSharded, bcfg)->Run(400'000);
 
   EXPECT_EQ(st.requests, 400'000u);
-  // Telemetry epochs: each of the 4 shards broadcasts to 3 peers roughly every
-  // 4096 local requests.
+  // Telemetry epochs: each of the 4 shards publishes for 3 peers every 4096
+  // local requests.
   EXPECT_GT(st.ring_messages, 100u);
-  // The batch-boundary drain must resolve lock-free when idle: one drain per
-  // batch minimum, most of them uncontended.
+  // The batch-boundary poll must resolve lock-free when idle: one poll per
+  // batch, most of them uncontended.
   EXPECT_GT(st.uncontended_receives, 400'000u / 256u / 2u);
   EXPECT_LE(st.contended_receives, st.ring_messages);
 }

@@ -382,12 +382,14 @@ std::string RunEngine(const Flags& flags, BackendKind kind,
   SimBackendConfig bcfg;
   bcfg.cluster = cfg;
   uint64_t requests = 0;
+  uint32_t epoch = 0;
   std::string error;
   if (!flags.GetUint32("shards", 1, 1, &bcfg.shards, &error) ||
       // Flag default = the engine default, so a flag-less CLI run matches
       // library/bench runs bit for bit.
       !flags.GetUint32("batch", bcfg.batch_size, 1, &bcfg.batch_size, &error) ||
-      !flags.GetUintChecked("epoch", 4096, &bcfg.epoch_requests, &error) ||
+      // A zero epoch would leave every shard deaf to its peers' loads.
+      !flags.GetUint32("epoch", 4096, 1, &epoch, &error) ||
       !flags.GetUintChecked("requests", 2'000'000, &requests, &error) ||
       !flags.GetUintChecked("sample", 0, &bcfg.sample_interval, &error) ||
       !flags.GetUint32("respawn-limit", bcfg.respawn_limit, 0, &bcfg.respawn_limit,
@@ -410,6 +412,7 @@ std::string RunEngine(const Flags& flags, BackendKind kind,
       !flags.GetDoubleList("service-rates", &bcfg.queue.service_rates, &error)) {
     return error;
   }
+  bcfg.epoch_requests = epoch;
   bcfg.pin_cores = flags.GetBool("pin-cores", false);
   bcfg.huge_pages = flags.GetBool("huge-pages", false);
   bcfg.numa_interleave = flags.GetBool("numa-interleave", false);
