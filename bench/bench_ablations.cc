@@ -1,7 +1,7 @@
 // Ablations of DistCache's design choices (DESIGN.md §5):
 //  1. Query routing policy: PoT vs random-of-two vs always-spine.
 //  2. Telemetry freshness: continuous piggybacking vs one-epoch-stale snapshots
-//     (herding), with and without aging.
+//     (herding).
 //  3. Layer shape (§3.3 non-uniform remark): 32 spines at 1x rack aggregate vs
 //     8 spines at 4x vs 4 spines at 8x (same aggregate spine capacity).
 //  4. Coherence cost sensitivity: per-copy server cost sweep at a fixed write ratio.

@@ -81,7 +81,7 @@ ChaosResult RunCell(uint64_t requests, uint64_t seed, const std::string& spec,
                     bool respawn) {
   ChaosResult r;
   SimBackendConfig bcfg = ChaosConfig(requests, seed);
-  bcfg.respawn = respawn;
+  bcfg.respawn_limit = respawn ? 3 : 0;
   std::string error;
   if (!ParseFaultPlan(spec, kShards, requests, seed, &bcfg.fault_plan,
                       &error)) {

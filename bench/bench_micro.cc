@@ -1,7 +1,7 @@
 // Microbenchmarks of the substrate operations (google-benchmark): hashing, workload
 // generation, sketch updates, switch lookup path, KV store ops, PoT routing decision,
 // a full fluid-simulator tick, and the sharded-engine scaling substrate — transport
-// (SPSC ring vs mutex channel, empty-poll fast path) and cache-line padding
+// (in-process SPSC ring vs shared-memory arena ring) and cache-line padding
 // (padded vs unpadded per-thread load lanes) — so the two scaling-PR claims are
 // individually measurable.
 #include <benchmark/benchmark.h>
@@ -20,7 +20,6 @@
 #include "common/zipf.h"
 #include "core/pot_router.h"
 #include "kv/kv_store.h"
-#include "runtime/channel.h"
 #include "runtime/shm_arena.h"
 #include "runtime/shm_ring.h"
 #include "runtime/spsc_ring.h"
@@ -179,10 +178,10 @@ void BM_CacheSwitchLookupHit(benchmark::State& state) {
 BENCHMARK(BM_CacheSwitchLookupHit);
 
 void BM_PotRouterChoose(benchmark::State& state) {
-  LoadTracker tracker({{32, 32}, 1.0});
+  LoadTracker tracker({{32, 32}});
   for (uint32_t i = 0; i < 32; ++i) {
-    tracker.Update({0, i}, i * 10);
-    tracker.Update({1, i}, i * 7);
+    tracker.Set({0, i}, i * 10);
+    tracker.Set({1, i}, i * 7);
   }
   PotRouter router(&tracker, RoutingPolicy::kPowerOfTwo, 9);
   const std::vector<CacheNodeId> candidates{{0, 5}, {1, 9}};
@@ -192,10 +191,9 @@ void BM_PotRouterChoose(benchmark::State& state) {
 }
 BENCHMARK(BM_PotRouterChoose);
 
-// ---- sharded-engine transport: ring vs mutex channel ------------------------
-// Uncontended single-thread push+pop round trip. The ring's round trip is a
-// couple of plain loads/stores plus two release stores; the channel's is two
-// mutex acquisitions, a deque allocation amortized, and a condvar notify.
+// ---- sharded-engine transport: in-process vs shared-memory ring -------------
+// Uncontended single-thread push+pop round trip: a couple of plain loads/stores
+// plus two release stores.
 void BM_SpscRingPushPop(benchmark::State& state) {
   SpscRing<uint64_t> ring(256);
   uint64_t x = 0;
@@ -205,16 +203,6 @@ void BM_SpscRingPushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpscRingPushPop);
-
-void BM_ChannelSendTryReceive(benchmark::State& state) {
-  Channel<uint64_t> channel;
-  uint64_t x = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(channel.Send(uint64_t{++x}));
-    benchmark::DoNotOptimize(channel.TryReceive());
-  }
-}
-BENCHMARK(BM_ChannelSendTryReceive);
 
 // Cross-thread transfer throughput: producer thread 0, consumer thread 1.
 // Run with --benchmark_filter=Transfer to compare the two transports under a
@@ -251,8 +239,8 @@ BENCHMARK(BM_SpscRingTransfer)->Threads(1)->Threads(2)->UseRealTime();
 // the fork pair — each side holds its own view object over the same arena
 // storage, exactly the aliasing the processes have — so the row isolates the
 // ring-port cost (serialize-into-slot, offset arithmetic) without fork noise.
-// Compare the three Transfer rows: shm ring vs in-process ring is the
-// substrate swap; channel is the mutex baseline both rings replaced.
+// Compare the two Transfer rows: shm ring vs in-process ring is the substrate
+// swap.
 void BM_ShmRingTransfer(benchmark::State& state) {
   constexpr size_t kCapacity = 1024;
   constexpr size_t kSlotBytes = sizeof(uint64_t);
@@ -299,50 +287,6 @@ void BM_ShmRingTransfer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShmRingTransfer)->Threads(1)->Threads(2)->UseRealTime();
-
-// The mutex-channel transfer baseline for the same two-thread handoff.
-void BM_ChannelTransfer(benchmark::State& state) {
-  static Channel<uint64_t>* channel = nullptr;
-  if (state.thread_index() == 0) {
-    channel = new Channel<uint64_t>();
-  }
-  uint64_t x = 0;
-  for (auto _ : state) {
-    if (state.threads() == 1) {
-      benchmark::DoNotOptimize(channel->Send(uint64_t{++x}));
-      benchmark::DoNotOptimize(channel->TryReceive());
-    } else if (state.thread_index() == 0) {
-      benchmark::DoNotOptimize(channel->Send(uint64_t{++x}));
-    } else {
-      while (!channel->TryReceive()) {
-      }
-    }
-  }
-  if (state.thread_index() == 0) {
-    delete channel;
-    channel = nullptr;
-  }
-}
-BENCHMARK(BM_ChannelTransfer)->Threads(1)->Threads(2)->UseRealTime();
-
-// The batch-boundary poll of an idle inbox: the Channel's lock-free emptiness
-// fast path (one acquire load) vs the cost it replaced (full mutex acquisition,
-// modelled by size() which still locks).
-void BM_ChannelEmptyPollFastPath(benchmark::State& state) {
-  Channel<uint64_t> channel;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(channel.TryReceive());  // empty: no mutex
-  }
-}
-BENCHMARK(BM_ChannelEmptyPollFastPath);
-
-void BM_ChannelEmptyPollMutex(benchmark::State& state) {
-  Channel<uint64_t> channel;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(channel.size());  // the pre-PR cost: lock, look
-  }
-}
-BENCHMARK(BM_ChannelEmptyPollMutex);
 
 // ---- cache-line padding: per-thread load lanes ------------------------------
 // Each thread hammers its own accumulator, either packed adjacently in one

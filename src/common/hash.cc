@@ -4,16 +4,6 @@
 
 namespace distcache {
 
-uint64_t HashBytes(const void* data, size_t len, uint64_t seed) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t h = 0xcbf29ce484222325ULL ^ seed;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return Mix64(h);
-}
-
 uint32_t Crc32(const void* data, size_t len) {
   static const auto table = [] {
     std::array<uint32_t, 256> t{};

@@ -37,9 +37,6 @@ constexpr uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));
 }
 
-// Hashes an arbitrary byte string (FNV-1a core + Mix64 finalizer).
-uint64_t HashBytes(const void* data, size_t len, uint64_t seed = 0);
-
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte range.
 // Used as the integrity check on multiproc stats blobs: unlike the avalanche
 // hashes above it is the standard wire checksum, so a corrupted shared-memory

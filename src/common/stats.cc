@@ -2,27 +2,6 @@
 
 namespace distcache {
 
-double Histogram::Percentile(double p) const {
-  if (total_ == 0) {
-    return 0.0;
-  }
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  const auto target =
-      static_cast<uint64_t>(clamped / 100.0 * static_cast<double>(total_ - 1));
-  uint64_t seen = 0;
-  const size_t bins = counts_.size() - 1;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (seen > target) {
-      if (i == bins) {
-        return upper_;
-      }
-      return static_cast<double>(i) * upper_ / static_cast<double>(bins);
-    }
-  }
-  return upper_;
-}
-
 int LatencyHistogram::BucketOf(double value) {
   if (!(value > 0.0)) {
     return 0;  // non-positive (or NaN): the smallest representable bucket

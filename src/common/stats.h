@@ -1,5 +1,5 @@
-// Streaming statistics and histograms used by the simulators and benches to report
-// per-node load, imbalance factors and latency percentiles.
+// Streaming statistics and the latency histogram used by the simulators and benches
+// to report per-node load, imbalance factors and latency percentiles.
 #ifndef DISTCACHE_COMMON_STATS_H_
 #define DISTCACHE_COMMON_STATS_H_
 
@@ -39,34 +39,6 @@ class StreamingStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Fixed-resolution histogram over [0, upper) with `buckets` equal-width bins; values
-// ≥ upper land in the overflow bin. Supports percentile queries.
-class Histogram {
- public:
-  Histogram(double upper, size_t buckets) : upper_(upper), counts_(buckets + 1, 0) {}
-
-  void Add(double x) {
-    ++total_;
-    if (x >= upper_ || x < 0.0) {
-      ++counts_.back();
-      return;
-    }
-    const auto idx = static_cast<size_t>(x / upper_ * static_cast<double>(counts_.size() - 1));
-    ++counts_[idx];
-  }
-
-  // Value at percentile p in [0, 100]. Returns the lower edge of the bucket containing
-  // the p-th percentile sample; the overflow bucket reports `upper`.
-  double Percentile(double p) const;
-
-  uint64_t total() const { return total_; }
-
- private:
-  double upper_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
 };
 
 // Log-bucketed latency histogram: the mergeable distribution carried by

@@ -3,8 +3,10 @@
 // Cache switches piggyback their epoch load in reply headers; the client ToR stores
 // the latest value per cache switch in on-chip registers (256 × 32-bit in the
 // prototype). Loads can go stale when a switch stops seeing traffic; the paper
-// proposes an aging mechanism that gradually decays un-refreshed loads toward zero
-// (not implementable in P4 at the time — we implement it and ablate it).
+// proposes an aging mechanism that gradually decays un-refreshed loads toward zero,
+// but notes that P4 could not express it. The engines do not model that aging
+// either: no live entry decays. Only a dead node's entry is aged out, by the pin
+// below.
 //
 // The table covers an arbitrary cache hierarchy: one load slot per node of every
 // layer (layer 0 = the top/"spine" layer, the last layer = the rack-bound leaves),
@@ -16,10 +18,10 @@
 // (Theorem 1) to apply:
 //
 //  1. *Per-node monotone freshness*: the stored load for a node is always some past
-//     true load of that node (possibly decayed by aging) plus optimistic local
-//     increments the client itself caused — never an arbitrary value. PoT tolerates
-//     bounded staleness (it only compares candidates), but it does not tolerate
-//     systematically inverted loads.
+//     true load of that node plus optimistic local increments the client itself
+//     caused — never an arbitrary value. PoT tolerates bounded staleness (it only
+//     compares candidates), but it does not tolerate systematically inverted
+//     loads.
 //  2. *Bounded staleness*: every node's entry is refreshed at least once per
 //     telemetry epoch while the node serves traffic. The sharded simulation backend
 //     preserves this with partial-sum gossip — each shard publishes its own
@@ -48,8 +50,6 @@
 #ifndef DISTCACHE_CORE_LOAD_TRACKER_H_
 #define DISTCACHE_CORE_LOAD_TRACKER_H_
 
-#include <array>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -67,26 +67,20 @@ class LoadTracker {
     // Nodes per cache layer, top first (the historical shape is {num_spine,
     // num_racks}).
     std::vector<uint32_t> layer_sizes{32, 32};
-    // Multiplier applied per Age() call to entries not refreshed since the last
-    // Age(); 1.0 disables aging (the prototype's behaviour).
-    double aging_factor = 0.5;
   };
 
   explicit LoadTracker(const Config& config)
       : config_(config), offset_(config.layer_sizes) {
     loads_.assign(offset_.total(), 0.0);
-    fresh_.assign(offset_.total(), false);
     dead_.assign(offset_.total(), false);
     shadow_.assign(offset_.total(), 0.0);
   }
 
-  // Telemetry arrival: reply traversed `node` which reported `load`.
-  void Update(CacheNodeId node, uint64_t load) { Set(node, static_cast<double>(load)); }
-
   double Load(CacheNodeId node) const { return loads_[offset_.Flat(node)]; }
 
-  // Authoritative refresh (epoch telemetry broadcast in the simulation backends):
-  // replaces the view with the owner's true cumulative load and marks it fresh.
+  // Authoritative refresh (a reply's telemetry piggyback in the runtime, the
+  // epoch telemetry fold in the simulation backends): replaces the view with the
+  // node's reported cumulative load.
   // While a node is marked dead the refresh lands on the shadow value instead, so
   // the +infinity pin survives until MarkAlive().
   void Set(CacheNodeId node, double load) {
@@ -95,12 +89,11 @@ class LoadTracker {
     }
     const size_t i = offset_.Flat(node);
     (dead_[i] ? shadow_ : loads_)[i] = load;
-    fresh_[i] = true;
   }
 
   // Optimistic local increment: the client just routed `delta` work to `node` and
   // accounts for it immediately, without waiting for the next telemetry epoch
-  // (invariant 3 above). Does not mark the entry fresh — only real telemetry does.
+  // (invariant 3 above).
   void Add(CacheNodeId node, double delta) {
     if (!Valid(node)) {
       return;
@@ -142,27 +135,6 @@ class LoadTracker {
     return Valid(node) && dead_[offset_.Flat(node)];
   }
 
-  // Epoch boundary: decay entries that saw no telemetry this epoch (aging, §4.2), and
-  // clear freshness marks. Dead entries stay pinned at +infinity — decaying a dead
-  // node toward zero would make the ghost *attractive* (and 0 × inf is NaN).
-  void Age() {
-    for (size_t i = 0; i < loads_.size(); ++i) {
-      if (!fresh_[i] && !dead_[i]) {
-        loads_[i] *= config_.aging_factor;
-      }
-      fresh_[i] = false;
-    }
-  }
-
-  // ToR switch replacement (§4.4): a new client ToR "initializes the loads of all
-  // cache switches to be zero" and relearns from telemetry.
-  void Reset() {
-    loads_.assign(loads_.size(), 0.0);
-    fresh_.assign(fresh_.size(), false);
-    dead_.assign(dead_.size(), false);
-    shadow_.assign(shadow_.size(), 0.0);
-  }
-
   size_t num_layers() const { return config_.layer_sizes.size(); }
 
   // One layer's current view (a copy; test/diagnostic use).
@@ -186,7 +158,6 @@ class LoadTracker {
   // guarantees two workers' lanes never share a line even when the allocator
   // packs the trackers' heap blocks back to back.
   CacheAlignedVector<double> loads_;
-  std::vector<bool> fresh_;
   // Dead-node aging state: while dead_[i], loads_[i] holds +infinity and
   // shadow_[i] carries the live estimate (see MarkDead/MarkAlive).
   std::vector<bool> dead_;

@@ -1,7 +1,7 @@
-// Two-layer leaf-spine datacenter topology (Fig. 5): spine switches on top; each
-// storage rack has a ToR (leaf) cache switch and `servers_per_rack` storage servers;
-// client racks have ToRs that perform query routing. Provides the id scheme and the
-// switch traversal paths that query handling (§4.2) and cache coherence (§4.3) need.
+// Cache-node ids of the leaf-spine hierarchy (Fig. 5: spine switches on top, one
+// ToR cache switch per storage rack, §3.1's extra layers in between) and their
+// flat layer-by-layer encoding. The cluster's shape itself lives in
+// cluster/cluster_config.h.
 #ifndef DISTCACHE_NET_TOPOLOGY_H_
 #define DISTCACHE_NET_TOPOLOGY_H_
 
@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <vector>
 
 namespace distcache {
@@ -81,48 +80,6 @@ class LayerOffsets {
  private:
   std::array<uint32_t, kMaxCacheLayers + 1> offset_;
   size_t num_layers_ = 0;
-};
-
-class LeafSpineTopology {
- public:
-  struct Config {
-    uint32_t num_spine = 32;          // paper default: 32 spine switches
-    uint32_t num_storage_racks = 32;  // paper default: 32 storage racks
-    uint32_t servers_per_rack = 32;   // paper default: 32 servers per rack
-    uint32_t num_client_racks = 4;
-  };
-
-  explicit LeafSpineTopology(const Config& config) : config_(config) {}
-
-  uint32_t num_spine() const { return config_.num_spine; }
-  uint32_t num_storage_racks() const { return config_.num_storage_racks; }
-  uint32_t servers_per_rack() const { return config_.servers_per_rack; }
-  uint32_t num_client_racks() const { return config_.num_client_racks; }
-  uint32_t num_servers() const { return config_.num_storage_racks * config_.servers_per_rack; }
-  // Total cache nodes across both layers (2m in the analysis when layers are equal).
-  uint32_t num_cache_nodes() const { return config_.num_spine + config_.num_storage_racks; }
-
-  uint32_t RackOfServer(uint32_t server_id) const { return server_id / config_.servers_per_rack; }
-
-  // The switches a read query traverses from a client rack to cache node `target` —
-  // hitting a spine cache traverses only that spine; hitting a leaf cache traverses an
-  // (arbitrary, load-balanced) spine and the leaf (§3.4: such pass-through spines are
-  // interchangeable, so we expose the leaf as the single cache touch point).
-  std::vector<CacheNodeId> QueryPath(CacheNodeId target) const {
-    return {target};
-  }
-
-  // The cache switches an invalidation/update packet must traverse for an object whose
-  // copies live at the given nodes (§4.3: one packet walks all caching switches, e.g.
-  // server → leaf → spine → leaf → server).
-  std::vector<CacheNodeId> CoherencePath(const std::vector<CacheNodeId>& copies) const {
-    return copies;
-  }
-
-  std::string Describe() const;
-
- private:
-  Config config_;
 };
 
 }  // namespace distcache

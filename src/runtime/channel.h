@@ -1,26 +1,22 @@
-// Blocking MPMC channel — the message transport between node threads in the runtime.
+// Blocking MPMC channel — the message transport between node threads in the runtime
+// (switch and server inboxes, client reply queues). Consumers block in Receive();
+// nothing polls a channel.
 //
-// Shutdown discipline: a channel is closed by its consumer side (Close or
-// CloseAndDrain). Send() on a closed channel is *rejected*, never silently
-// enqueued — the bool return is the only delivery signal a producer gets, so it
-// is [[nodiscard]]: every caller must either handle a false result (reply
-// unavailable, count a drop, ...) or deliberately discard it with a cast. This is
-// the compile-time regression guard for the stranded-message class of shutdown
-// bug (a producer that assumes delivery while the consumer is gone). The channel
-// also counts post-close sends (rejected_sends(), maintained in every build
-// type) so tests and shutdown paths can assert the rejections were observed.
+// Shutdown discipline: a channel is closed by its consumer side (Close). Send() on
+// a closed channel is *rejected*, never silently enqueued — the bool return is the
+// only delivery signal a producer gets, so it is [[nodiscard]]: every caller must
+// either handle a false result (reply unavailable, count a drop, ...) or
+// deliberately discard it with a cast. This is the compile-time regression guard
+// for the stranded-message class of shutdown bug (a producer that assumes delivery
+// while the consumer is gone).
 #ifndef DISTCACHE_RUNTIME_CHANNEL_H_
 #define DISTCACHE_RUNTIME_CHANNEL_H_
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 namespace distcache {
 
@@ -40,33 +36,11 @@ class Channel {
   [[nodiscard]] bool Send(T item) {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) {
-      ++rejected_sends_;
       return false;
     }
     items_.push_back(std::move(item));
-    approx_size_.store(items_.size(), std::memory_order_release);
     cv_.notify_one();
     return true;
-  }
-
-  // Non-blocking receive: returns nullopt when the queue is momentarily empty, even
-  // if the channel is still open. Shard workers poll their inbox with this at batch
-  // boundaries, so the empty case must cost no mutex acquisition: one acquire load
-  // of the size the producers maintain answers it. A Send racing the load is seen
-  // one poll later — the same staleness a TryReceive that lost the lock race always
-  // had.
-  std::optional<T> TryReceive() {
-    if (approx_size_.load(std::memory_order_acquire) == 0) {
-      return std::nullopt;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    approx_size_.store(items_.size(), std::memory_order_release);
-    return item;
   }
 
   // Blocks until an item is available or the channel is closed and drained.
@@ -78,7 +52,6 @@ class Channel {
     }
     T item = std::move(items_.front());
     items_.pop_front();
-    approx_size_.store(items_.size(), std::memory_order_release);
     return item;
   }
 
@@ -91,62 +64,11 @@ class Channel {
     cv_.notify_all();
   }
 
-  // Closes the channel and hands back everything still undelivered, atomically:
-  // no concurrent Send can interleave between the close and the drain, so after
-  // this call the returned vector is exactly the set of messages no consumer will
-  // ever see. Shutdown paths use it to account for in-flight work (re-reply,
-  // count, or assert-empty) instead of silently stranding it — the PR-2
-  // stranded-Receive() bug class. Blocked Receive() calls wake and return nullopt.
-  std::vector<T> CloseAndDrain() {
-    std::vector<T> undelivered;
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    undelivered.assign(std::make_move_iterator(items_.begin()),
-                       std::make_move_iterator(items_.end()));
-    items_.clear();
-    approx_size_.store(0, std::memory_order_release);
-    cv_.notify_all();
-    return undelivered;
-  }
-
-  // Number of Sends rejected because the channel was already closed. Debug/test
-  // instrumentation for shutdown-path assertions; always available but only
-  // meaningful where the shutdown order is deterministic.
-  size_t rejected_sends() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return rejected_sends_;
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
-  // True once Close()/CloseAndDrain() ran. Poll-style consumers (the sharded
-  // engine's control waits) use this as their shutdown signal, since TryReceive
-  // cannot distinguish "empty" from "closed and drained".
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
-  // Lock-free emptiness probe — the same acquire load TryReceive's fast path
-  // uses, exposed so callers can classify a poll (and count it) without paying
-  // for the classification inside every TryReceive (wait loops spin on
-  // TryReceive and must not pollute hot-path poll statistics).
-  bool empty_approx() const {
-    return approx_size_.load(std::memory_order_acquire) == 0;
-  }
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<T> items_;
   bool closed_ = false;
-  size_t rejected_sends_ = 0;
-  // Queue length mirror maintained under mu_, read lock-free by the TryReceive
-  // fast path (the batch-boundary poll of the sharded engine).
-  std::atomic<size_t> approx_size_{0};
 };
 
 }  // namespace distcache

@@ -240,9 +240,7 @@ void DistCacheRuntime::ServerLoop(uint32_t server_id) {
 
 DistCacheRuntime::Client::Client(DistCacheRuntime* runtime, uint64_t seed)
     : runtime_(runtime),
-      tracker_(LoadTracker::Config{
-          {runtime->config_.num_spine, runtime->config_.num_racks},
-          /*aging_factor=*/1.0}),
+      tracker_(LoadTracker::Config{{runtime->config_.num_spine, runtime->config_.num_racks}}),
       router_(&tracker_, runtime->config_.routing, HashCombine(seed, 0xc11e7ULL)) {}
 
 std::unique_ptr<DistCacheRuntime::Client> DistCacheRuntime::NewClient(uint64_t seed) {
@@ -251,7 +249,7 @@ std::unique_ptr<DistCacheRuntime::Client> DistCacheRuntime::NewClient(uint64_t s
 
 void DistCacheRuntime::Client::AbsorbPiggyback(const Message& reply) {
   for (const LoadSample& sample : reply.piggyback) {
-    tracker_.Update(sample.node, sample.load);
+    tracker_.Set(sample.node, static_cast<double>(sample.load));
   }
 }
 

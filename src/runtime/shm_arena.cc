@@ -2,8 +2,6 @@
 
 #ifdef __linux__
 #include <sys/mman.h>
-#include <sys/syscall.h>
-#include <unistd.h>
 #endif
 
 namespace distcache {
@@ -59,36 +57,6 @@ void ShmArena::Unmap() {
   }
 }
 
-bool ShmArena::InterleaveAcrossNumaNodes() {
-#if defined(SYS_mbind) && defined(SYS_get_mempolicy)
-  if (base_ == nullptr) {
-    return false;
-  }
-  // Local copies of the <numaif.h> constants — the syscall ABI is stable and
-  // the headers are libnuma's, which the image does not ship.
-  constexpr int kMpolInterleave = 3;
-  constexpr unsigned long kMpolFMemsAllowed = 1ul << 2;
-  constexpr unsigned long kMaxNode = 1024;
-  unsigned long nodemask[kMaxNode / (8 * sizeof(unsigned long))] = {0};
-  int mode = 0;
-  if (::syscall(SYS_get_mempolicy, &mode, nodemask, kMaxNode, nullptr,
-                kMpolFMemsAllowed) != 0) {
-    return false;
-  }
-  int nodes = 0;
-  for (unsigned long word : nodemask) {
-    nodes += __builtin_popcountl(word);
-  }
-  if (nodes <= 1) {
-    return false;  // interleave is a no-op; keep the first-touch default
-  }
-  return ::syscall(SYS_mbind, base_, mapped_, kMpolInterleave, nodemask,
-                   kMaxNode, 0ul) == 0;
-#else
-  return false;
-#endif
-}
-
 bool ShmArena::Available(size_t bytes) {
   if (void* p = TryMap(bytes == 0 ? 1 : bytes, 0)) {
     ::munmap(p, bytes == 0 ? 1 : bytes);
@@ -109,7 +77,6 @@ bool ShmArena::HugePagesAvailable() {
 
 bool ShmArena::Map(size_t, bool) { return false; }
 void ShmArena::Unmap() {}
-bool ShmArena::InterleaveAcrossNumaNodes() { return false; }
 bool ShmArena::Available(size_t) { return false; }
 bool ShmArena::HugePagesAvailable() { return false; }
 

@@ -22,6 +22,10 @@
 // referenced from ROADMAP for the hugepage pool setup itself
 // (vm.nr_hugepages); nothing here requires it.
 //
+// Page placement is the kernel's first-touch default: nothing binds or
+// interleaves the region across NUMA nodes, so the plan tables the supervisor
+// serializes land on its node and each shard's slots on the first writer's.
+//
 // Layout discipline: ArenaLayout is a bump allocator over *offsets* run twice —
 // once before Map() to size the region, once after to hand out the same
 // offsets as pointers. Alignment floor is the cache line, so no two
@@ -78,14 +82,6 @@ class ShmArena {
   size_t size() const { return size_; }
   uint8_t* base() const { return base_; }
   uint8_t* At(size_t offset) const { return base_ + offset; }
-
-  // Best-effort MPOL_INTERLEAVE across every NUMA node the process is allowed
-  // to allocate on (the multiproc --numa-interleave flag; raw mbind syscall, no
-  // libnuma dependency). Call after Map() and before the region is faulted —
-  // the policy binds pages at first touch, so already-faulted pages keep their
-  // node. Returns false, leaving the first-touch default in place, on
-  // single-node hosts, non-Linux builds and kernels without mbind.
-  bool InterleaveAcrossNumaNodes();
 
   // Probe: can a region of `bytes` be mapped right now (normal pages)? Used by
   // the bench/CI detect-and-skip path — maps and immediately unmaps.

@@ -23,17 +23,14 @@
 
 namespace distcache {
 
-// Client-view tracker dimensions for a cluster; both request-level backends use
-// this so their telemetry policy (no aging — the prototype's behaviour) cannot
-// diverge, which their parity tests assume. One slot per node of every cache
-// layer, top first.
+// Client-view tracker dimensions for a cluster, shared by the request-level
+// backends: one slot per node of every cache layer, top first.
 inline LoadTracker::Config MakeTrackerConfig(const ClusterConfig& cfg) {
   LoadTracker::Config tc;
   tc.layer_sizes.clear();
   for (const LayerSpec& layer : ResolvedCacheLayers(cfg)) {
     tc.layer_sizes.push_back(layer.nodes);
   }
-  tc.aging_factor = 1.0;
   return tc;
 }
 

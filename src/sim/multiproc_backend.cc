@@ -227,6 +227,14 @@ const SimBackendConfig& ShardConfigOrDie(const SimBackendConfig& config) {
   }
   return config;
 }
+
+// A shard running `quota` of `num_requests` reads config-clock timestamps
+// (timeline steps, faults) scaled by this onto its local request clock.
+double QuotaScale(uint64_t quota, uint64_t num_requests) {
+  return num_requests == 0 ? 0.0
+                           : static_cast<double>(quota) /
+                                 static_cast<double>(num_requests);
+}
 }  // namespace
 
 MultiprocBackend::MultiprocBackend(const SimBackendConfig& config,
@@ -370,6 +378,37 @@ void MultiprocBackend::SerializePlanTables() {
 uint64_t MultiprocBackend::QuotaOf(uint64_t num_requests, uint32_t n,
                                    uint32_t i) {
   return num_requests / n + (i < num_requests % n ? 1 : 0);
+}
+
+std::string MultiprocBackend::UnfiredDropFault(const SimBackendConfig& config,
+                                               uint64_t num_requests) {
+  const uint64_t batch = config.batch_size;
+  const uint64_t epoch = config.epoch_requests;
+  for (const FaultEvent& ev : config.fault_plan.events) {
+    if (ev.kind != FaultKind::kDropTelemetry) {
+      continue;
+    }
+    // RunShard's batch loop: batches start at multiples of `batch` below the
+    // quota; each start first publishes every epoch boundary it has reached,
+    // then fires the faults whose local timestamp it has reached. So the drop
+    // arms at the first batch start at or past its timestamp, and it fires
+    // iff an epoch boundary lies after that start and at or before the last.
+    const uint64_t quota = QuotaOf(num_requests, config.shards, ev.shard);
+    const auto at_local = static_cast<uint64_t>(
+        static_cast<double>(ev.at_request) * QuotaScale(quota, num_requests));
+    const uint64_t arm = (at_local + batch - 1) / batch * batch;
+    const bool fires = config.shards > 1 && quota > 0 &&
+                       (arm / epoch + 1) * epoch <= (quota - 1) / batch * batch;
+    if (!fires) {
+      return "fault term " + FaultPlanToString(FaultPlan{{ev}}) +
+             " can never fire: shard " + std::to_string(ev.shard) +
+             " publishes no telemetry after the batch where it arms (" +
+             std::to_string(config.shards) + " shard(s), quota " +
+             std::to_string(quota) + ", epoch " + std::to_string(epoch) +
+             ", batch " + std::to_string(batch) + ")";
+    }
+  }
+  return "";
 }
 
 namespace {
@@ -728,9 +767,7 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
   p.seen_version.assign(n, 0);
   p.sampler = &sampler_;
   p.two_level = two_level_.get();
-  p.quota_scale = num_requests == 0 ? 0.0
-                                    : static_cast<double>(quota) /
-                                          static_cast<double>(num_requests);
+  p.quota_scale = QuotaScale(quota, num_requests);
   // Schedule this shard's injected faults on its *local* request clock —
   // config timestamps are global-clock, scaled exactly like the timeline
   // plan below. Empty in fault-free runs (and on threads, which share one
@@ -883,8 +920,7 @@ bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
   // wall-clock ladder: warn_ms without progress records a miss, dead_ms
   // SIGKILLs the wedged process into the same respawn-or-degrade path, so no
   // fault class (including a silent stall) can hang the run.
-  std::vector<uint32_t> respawn_left(
-      n, config_.respawn ? config_.respawn_limit : 0);
+  std::vector<uint32_t> respawn_left(n, config_.respawn_limit);
   uint32_t live = n;
   struct Watch {
     uint64_t hb = 0;
@@ -995,6 +1031,13 @@ bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
 
 BackendStats MultiprocBackend::Run(uint64_t num_requests) {
   const uint32_t n = config_.shards;
+  if (launcher_ == Launcher::kForks) {
+    if (const std::string error = UnfiredDropFault(config_, num_requests);
+        !error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      std::abort();
+    }
+  }
   fired_plan_.clear();
   for (const TimelineStep& step : plan_) {
     if (step.at_request < num_requests) {
@@ -1009,11 +1052,6 @@ BackendStats MultiprocBackend::Run(uint64_t num_requests) {
       stats.injected_faults = 1;
     }
     return stats;
-  }
-  if (config_.numa_interleave) {
-    // Before any arena page is faulted: the plan tables serialized below then
-    // stripe across nodes instead of landing wholly on the supervisor's.
-    arena_.InterleaveAcrossNumaNodes();
   }
   // Thread shards share this process's one table copy, so their route-table
   // footprint is the plan's; measure it before the heap copies are freed.

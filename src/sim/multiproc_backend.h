@@ -53,8 +53,8 @@
 //
 // Fork-only robustness (they need a crash domain per shard):
 //
-//   * Respawn (config.respawn): a child that dies abnormally is re-forked up
-//     to respawn_limit times. The new incarnation re-runs its quota from the
+//   * Respawn (config.respawn_limit > 0): a child that dies abnormally is
+//     re-forked up to respawn_limit times. The new incarnation re-runs its quota from the
 //     start, passes the released barrier, folds its peers' slots at its first
 //     poll and keeps bumping its own slot's version. Accepted skew: peers see
 //     negative telemetry deltas when the respawn's partials restart. Loads
@@ -118,6 +118,15 @@ class MultiprocBackend : public SimBackend {
   // Shard i's share of a run of `num_requests` over `n` shards: an even
   // split, the remainder to the lowest ids.
   static uint64_t QuotaOf(uint64_t num_requests, uint32_t n, uint32_t i);
+
+  // Empty when every `drop` term of config.fault_plan fires on a run of
+  // `num_requests`; otherwise an error naming the first term that cannot,
+  // because its shard publishes no telemetry after the batch where the drop
+  // arms (one shard has no peers to publish to; a drop past the shard's last
+  // epoch boundary has no publish left to swallow). Run aborts with it on the
+  // fork launcher, the only one that injects faults.
+  static std::string UnfiredDropFault(const SimBackendConfig& config,
+                                      uint64_t num_requests);
 
  private:
   struct Proc;       // per-shard state (thread- or process-local)

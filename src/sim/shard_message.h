@@ -1,10 +1,9 @@
-// Heap-payload cross-shard message for in-process rings and channels.
+// Heap-payload cross-shard message for in-process rings.
 //
 // The shard runtime (sim/multiproc_backend.h) sends only telemetry, serialized
 // into fixed arena slots; this type keeps an in-process message shape —
 // batched load deltas, dense telemetry partials and an end-of-stream marker —
-// for code that moves messages through runtime/spsc_ring.h or
-// runtime/channel.h (the transport tests and the ring microbenchmarks).
+// for the benchmark program's ring replay (perfbench/), its only user.
 // Senders batch everything: one message carries all the load deltas one
 // source shard produced for one destination, so transport traffic is
 // O(epochs), not O(requests).
@@ -22,8 +21,8 @@ namespace distcache {
 struct ShardMsg {
   enum class Kind : uint8_t {
     // cache_entries/server_entries are load *deltas* for the receiver to add
-    // to its counters (the ring tests and microbenchmarks batch them; the
-    // shard runtime no longer sends loads between shards).
+    // to its counters (nothing sends them now: the shard runtime no longer
+    // sends loads between shards).
     kLoadDeltas,
     // cache_partials[flat_node] is the sender's *own cumulative contribution* to
     // each cache node (flat index: spine i → i, leaf l → num_spine + l). Partials
@@ -33,7 +32,7 @@ struct ShardMsg {
     // would mix inconsistently).
     kTelemetry,
     // End of the sender's stream: each inbox is FIFO per sender, so nothing
-    // from it follows. Only the transport tests send it.
+    // from it follows. The shard runtime never sends it.
     kDone,
   };
 

@@ -187,22 +187,17 @@ struct SimBackendConfig {
   // Back the multiproc engine's shared arena with 2 MiB huge pages when the
   // reserved pool has them (runtime/shm_arena.h; silent fallback otherwise).
   bool huge_pages = false;
-  // Interleave the multiproc arena's pages across NUMA nodes (mbind
-  // MPOL_INTERLEAVE) instead of the default first-touch placement — the right
-  // policy when many shards on different nodes read the one shared plan.
-  // Silent no-op off Linux or when the mbind call is unavailable.
-  bool numa_interleave = false;
-  // Multiproc: re-fork a shard process that dies abnormally instead of
-  // degrading the run. The respawned shard re-joins from the arena-resident
-  // plan and re-runs its quota from the start of its (deterministic) stream;
-  // exact counters stay exact-once (only the final incarnation serializes its
-  // stats), but its restarted telemetry partials fold into peers' views as
-  // negative deltas, so their *approximate* load views skew meanwhile. A
-  // shard that exhausts respawn_limit is declared dead and the run degrades
-  // (survivors complete; failed_shards/degraded_fraction record the loss).
-  bool respawn = false;
-  // Respawns allowed per shard under respawn mode (total across the run).
-  uint32_t respawn_limit = 3;
+  // Multiproc: re-fork a shard process that dies abnormally, up to
+  // respawn_limit times per shard (total across the run), instead of degrading
+  // the run; 0 (the default) never respawns. The respawned shard re-joins from
+  // the arena-resident plan and re-runs its quota from the start of its
+  // (deterministic) stream; exact counters stay exact-once (only the final
+  // incarnation serializes its stats), but its restarted telemetry partials
+  // fold into peers' views as negative deltas, so their *approximate* load
+  // views skew meanwhile. A shard that exhausts the limit is declared dead and
+  // the run degrades (survivors complete; failed_shards/degraded_fraction
+  // record the loss).
+  uint32_t respawn_limit = 0;
   // Multiproc: injected-fault schedule (runtime/fault_plan.h). Empty (the
   // default) compiles to one never-taken branch per batch — bit-identical to
   // a fault-free run. Other engines ignore it.
@@ -284,7 +279,7 @@ struct BackendCounters {
   // partial picture and the driver should report failure — the crash-isolation
   // contract: a dead shard yields an explicit error, never a hang.
   uint64_t failed_shards = 0;
-  // Multiproc engine only: re-forks performed under respawn mode (supervisor-
+  // Multiproc engine only: re-forks performed under respawn_limit (supervisor-
   // set; counts every respawn, so one shard killed twice contributes 2). A
   // shard that exhausts SimBackendConfig::respawn_limit still counts failed.
   uint64_t respawned_shards = 0;

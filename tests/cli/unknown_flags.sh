@@ -72,6 +72,8 @@ done
 expect_refused --fault-seed=2 "--fault-seed needs --backend=multiproc"
 expect_refused "--backend=multiproc --fault-seed=2" "--fault-seed needs --fault-plan"
 expect_refused "--backend=multiproc --respawn-limit=2" "--respawn-limit needs --respawn"
+expect_refused "--backend=multiproc --numa-interleave" \
+  "error: unknown flag --numa-interleave"
 for knob in --fail-at=100 --remap-at=200 --recover-at=300; do
   expect_refused "$knob" "${knob%%=*} needs --fail-spines"
 done
@@ -102,6 +104,16 @@ expect_refused --fail-spines=40 "--fail-spines=40: the cluster has only 32 spine
 expect_refused_fluid "--spines=8 --fail-spines=9" \
   "--fail-spines=9: the cluster has only 8 spines"
 echo "ok: --fail-spines bounded by the spine count"
+
+# A drop fault with no telemetry publish left after it arms: past the shard's
+# last epoch boundary, or on one shard (no peers to publish to).
+drop_run="--backend=multiproc --requests=200000 --spines=8 --racks=8"
+drop_run="$drop_run --servers-per-rack=4 --keys=1000000 --epoch=4096"
+expect_refused "$drop_run --shards=2 --fault-plan=drop:0@199000:3" \
+  "--fault-plan: fault term drop:0@199000:3 can never fire"
+expect_refused "$drop_run --shards=1 --fault-plan=drop:0@1000:3" \
+  "--fault-plan: fault term drop:0@1000:3 can never fire"
+echo "ok: drop faults that cannot fire rejected"
 
 if ! "$sim" --help >/dev/null; then
   echo "FAIL: distcache_sim --help exited nonzero"

@@ -47,17 +47,6 @@ TEST(HashCombine, OrderSensitive) {
   EXPECT_NE(HashCombine(1, 2), HashCombine(2, 1));
 }
 
-TEST(HashBytes, DeterministicAndSeedSensitive) {
-  const char data[] = "distcache";
-  EXPECT_EQ(HashBytes(data, sizeof(data)), HashBytes(data, sizeof(data)));
-  EXPECT_NE(HashBytes(data, sizeof(data), 1), HashBytes(data, sizeof(data), 2));
-}
-
-TEST(HashBytes, LengthSensitive) {
-  const char data[] = "distcache";
-  EXPECT_NE(HashBytes(data, 4), HashBytes(data, 5));
-}
-
 TEST(TabulationHash, Deterministic) {
   TabulationHash h(7);
   EXPECT_EQ(h(123456), h(123456));

@@ -48,36 +48,6 @@ TEST(StreamingStats, CvOfConstantIsZero) {
   EXPECT_DOUBLE_EQ(s.cv(), 0.0);
 }
 
-TEST(Histogram, PercentilesOfUniformRamp) {
-  Histogram h(100.0, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.Add(i + 0.5);
-  }
-  EXPECT_NEAR(h.Percentile(50), 50.0, 2.0);
-  EXPECT_NEAR(h.Percentile(90), 90.0, 2.0);
-  EXPECT_NEAR(h.Percentile(0), 0.0, 2.0);
-}
-
-TEST(Histogram, OverflowGoesToUpperBound) {
-  Histogram h(10.0, 10);
-  for (int i = 0; i < 10; ++i) {
-    h.Add(1e9);
-  }
-  EXPECT_DOUBLE_EQ(h.Percentile(50), 10.0);
-}
-
-TEST(Histogram, EmptyPercentileIsZero) {
-  Histogram h(10.0, 10);
-  EXPECT_EQ(h.Percentile(99), 0.0);
-}
-
-TEST(Histogram, NegativeClampsToOverflow) {
-  Histogram h(10.0, 10);
-  h.Add(-1.0);
-  EXPECT_EQ(h.total(), 1u);
-  EXPECT_DOUBLE_EQ(h.Percentile(50), 10.0);
-}
-
 TEST(ImbalanceFactor, BalancedIsOne) {
   EXPECT_DOUBLE_EQ(ImbalanceFactor({3.0, 3.0, 3.0}), 1.0);
 }

@@ -7,9 +7,7 @@
 namespace distcache {
 namespace {
 
-LoadTracker::Config SmallConfig(double aging = 0.5) {
-  return LoadTracker::Config{{4, 4}, aging};
-}
+LoadTracker::Config SmallConfig() { return LoadTracker::Config{{4, 4}}; }
 
 TEST(LoadTracker, StartsAtZero) {
   LoadTracker t(SmallConfig());
@@ -17,62 +15,27 @@ TEST(LoadTracker, StartsAtZero) {
   EXPECT_EQ(t.Load({1, 3}), 0.0);
 }
 
-TEST(LoadTracker, UpdateStoresPerLayer) {
+TEST(LoadTracker, SetStoresPerLayer) {
   LoadTracker t(SmallConfig());
-  t.Update({0, 1}, 100);
-  t.Update({1, 1}, 50);
+  t.Set({0, 1}, 100);
+  t.Set({1, 1}, 50);
   EXPECT_EQ(t.Load({0, 1}), 100.0);
   EXPECT_EQ(t.Load({1, 1}), 50.0);
+  t.Set({0, 1}, 60);  // a refresh replaces the entry
+  EXPECT_EQ(t.Load({0, 1}), 60.0);
 }
 
-TEST(LoadTracker, OutOfRangeUpdateIgnored) {
+TEST(LoadTracker, OutOfRangeSetIgnored) {
   LoadTracker t(SmallConfig());
-  t.Update({0, 99}, 7);
+  t.Set({0, 99}, 7);
   for (uint32_t i = 0; i < 4; ++i) {
     EXPECT_EQ(t.Load({0, i}), 0.0);
   }
 }
 
-TEST(LoadTracker, AgingDecaysStaleEntries) {
-  LoadTracker t(SmallConfig(0.5));
-  t.Update({0, 0}, 80);
-  t.Age();  // entry was fresh this epoch: no decay on the first boundary
-  EXPECT_EQ(t.Load({0, 0}), 80.0);
-  t.Age();  // no refresh since: decays
-  EXPECT_EQ(t.Load({0, 0}), 40.0);
-  t.Age();
-  EXPECT_EQ(t.Load({0, 0}), 20.0);
-}
-
-TEST(LoadTracker, RefreshPreventsDecay) {
-  LoadTracker t(SmallConfig(0.5));
-  t.Update({0, 0}, 80);
-  t.Age();
-  t.Update({0, 0}, 60);
-  t.Age();
-  EXPECT_EQ(t.Load({0, 0}), 60.0);
-}
-
-TEST(LoadTracker, AgingFactorOneDisablesDecay) {
-  LoadTracker t(SmallConfig(1.0));
-  t.Update({1, 2}, 30);
-  t.Age();
-  t.Age();
-  EXPECT_EQ(t.Load({1, 2}), 30.0);
-}
-
-TEST(LoadTracker, ResetClearsEverything) {
-  LoadTracker t(SmallConfig());
-  t.Update({0, 1}, 10);
-  t.Update({1, 2}, 20);
-  t.Reset();
-  EXPECT_EQ(t.Load({0, 1}), 0.0);
-  EXPECT_EQ(t.Load({1, 2}), 0.0);
-}
-
 TEST(LoadTracker, VectorsExposeLayers) {
   LoadTracker t(SmallConfig());
-  t.Update({0, 3}, 5);
+  t.Set({0, 3}, 5);
   EXPECT_EQ(t.spine_loads()[3], 5.0);
   EXPECT_EQ(t.leaf_loads()[3], 0.0);
 }
@@ -81,7 +44,7 @@ TEST(LoadTracker, VectorsExposeLayers) {
 // instead of freezing at a stale — eventually minimal — value (invariant 3).
 TEST(LoadTracker, MarkDeadPinsLoadToInfinity) {
   LoadTracker t(SmallConfig());
-  t.Update({0, 1}, 40);
+  t.Set({0, 1}, 40);
   t.MarkDead({0, 1});
   EXPECT_TRUE(t.IsDead({0, 1}));
   EXPECT_TRUE(std::isinf(t.Load({0, 1})));
@@ -93,7 +56,7 @@ TEST(LoadTracker, MarkDeadPinsLoadToInfinity) {
 
 TEST(LoadTracker, DeadNodeAbsorbsTelemetryIntoShadow) {
   LoadTracker t(SmallConfig());
-  t.Update({1, 2}, 10);
+  t.Set({1, 2}, 10);
   t.MarkDead({1, 2});
   // Late telemetry / gossip folds keep updating the hidden estimate...
   t.Add({1, 2}, 5.0);
@@ -101,26 +64,6 @@ TEST(LoadTracker, DeadNodeAbsorbsTelemetryIntoShadow) {
   EXPECT_TRUE(std::isinf(t.Load({1, 2})));  // ...without unpinning the entry.
   t.MarkAlive({1, 2});
   EXPECT_EQ(t.Load({1, 2}), 25.0);
-}
-
-TEST(LoadTracker, AgingSkipsDeadEntries) {
-  LoadTracker t(SmallConfig(0.0));  // full decay would turn inf into NaN via 0*inf
-  t.Update({0, 0}, 80);
-  t.MarkDead({0, 0});
-  t.Age();
-  t.Age();
-  EXPECT_TRUE(std::isinf(t.Load({0, 0})));
-  t.MarkAlive({0, 0});
-  EXPECT_EQ(t.Load({0, 0}), 80.0);
-}
-
-TEST(LoadTracker, ResetClearsDeadPins) {
-  LoadTracker t(SmallConfig());
-  t.Update({0, 1}, 10);
-  t.MarkDead({0, 1});
-  t.Reset();
-  EXPECT_FALSE(t.IsDead({0, 1}));
-  EXPECT_EQ(t.Load({0, 1}), 0.0);
 }
 
 }  // namespace

@@ -6,30 +6,30 @@ namespace distcache {
 namespace {
 
 TEST(PotRouter, SingleCandidateAlwaysChosen) {
-  LoadTracker t({{4, 4}, 1.0});
+  LoadTracker t({{4, 4}});
   PotRouter router(&t, RoutingPolicy::kPowerOfTwo, 1);
   EXPECT_EQ(router.Choose({{0, 1}}), 0u);
 }
 
 TEST(PotRouter, PicksLessLoaded) {
-  LoadTracker t({{4, 4}, 1.0});
-  t.Update({0, 0}, 100);
-  t.Update({1, 0}, 10);
+  LoadTracker t({{4, 4}});
+  t.Set({0, 0}, 100);
+  t.Set({1, 0}, 10);
   PotRouter router(&t, RoutingPolicy::kPowerOfTwo, 2);
   const std::vector<CacheNodeId> candidates{{0, 0}, {1, 0}};
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(router.Choose(candidates), 1u);
   }
-  t.Update({1, 0}, 500);
+  t.Set({1, 0}, 500);
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(router.Choose(candidates), 0u);
   }
 }
 
 TEST(PotRouter, TiesBrokenRoughlyEvenly) {
-  LoadTracker t({{4, 4}, 1.0});
-  t.Update({0, 0}, 50);
-  t.Update({1, 0}, 50);
+  LoadTracker t({{4, 4}});
+  t.Set({0, 0}, 50);
+  t.Set({1, 0}, 50);
   PotRouter router(&t, RoutingPolicy::kPowerOfTwo, 3);
   const std::vector<CacheNodeId> candidates{{0, 0}, {1, 0}};
   int first = 0;
@@ -42,11 +42,11 @@ TEST(PotRouter, TiesBrokenRoughlyEvenly) {
 
 TEST(PotRouter, PowerOfKChoosesGlobalMinimum) {
   // §3.1: multi-layer hierarchies use power-of-k-choices.
-  LoadTracker t({{8, 8}, 1.0});
-  t.Update({0, 0}, 30);
-  t.Update({0, 1}, 20);
-  t.Update({1, 2}, 10);
-  t.Update({1, 3}, 40);
+  LoadTracker t({{8, 8}});
+  t.Set({0, 0}, 30);
+  t.Set({0, 1}, 20);
+  t.Set({1, 2}, 10);
+  t.Set({1, 3}, 40);
   PotRouter router(&t, RoutingPolicy::kPowerOfTwo, 4);
   const std::vector<CacheNodeId> candidates{{0, 0}, {0, 1}, {1, 2}, {1, 3}};
   EXPECT_EQ(router.Choose(candidates), 2u);
@@ -56,7 +56,7 @@ TEST(PotRouter, PowerOfKChoosesGlobalMinimum) {
 // multi-layer hierarchy must share the choice uniformly, not herd onto the
 // lowest index.
 TEST(PotRouter, KaryTiesBrokenUniformly) {
-  LoadTracker t({{4, 4, 4, 4}, 1.0});
+  LoadTracker t({{4, 4, 4, 4}});
   PotRouter router(&t, RoutingPolicy::kPowerOfTwo, 17);
   const std::vector<CacheNodeId> candidates{{0, 1}, {1, 2}, {2, 3}, {3, 0}};
   constexpr int kTrials = 40000;
@@ -72,10 +72,10 @@ TEST(PotRouter, KaryTiesBrokenUniformly) {
 // Dead-node degradation at k > 2: a MarkDead-pinned candidate (+inf view,
 // core/load_tracker.h) must lose every power-of-k comparison.
 TEST(PotRouter, KaryDeadCandidateNeverChosen) {
-  LoadTracker t({{4, 4, 4}, 1.0});
-  t.Update({0, 0}, 1000);
-  t.Update({1, 1}, 999);
-  t.Update({2, 2}, 998);
+  LoadTracker t({{4, 4, 4}});
+  t.Set({0, 0}, 1000);
+  t.Set({1, 1}, 999);
+  t.Set({2, 2}, 998);
   t.MarkDead({2, 2});  // the least-loaded candidate dies
   PotRouter router(&t, RoutingPolicy::kPowerOfTwo, 23);
   const std::vector<CacheNodeId> candidates{{0, 0}, {1, 1}, {2, 2}};
@@ -89,8 +89,8 @@ TEST(PotRouter, KaryDeadCandidateNeverChosen) {
 }
 
 TEST(PotRouter, RandomPolicyUsesBothCandidates) {
-  LoadTracker t({{4, 4}, 1.0});
-  t.Update({0, 0}, 1000);  // load-aware routing would avoid this one entirely
+  LoadTracker t({{4, 4}});
+  t.Set({0, 0}, 1000);  // load-aware routing would avoid this one entirely
   PotRouter router(&t, RoutingPolicy::kRandom, 5);
   const std::vector<CacheNodeId> candidates{{0, 0}, {1, 0}};
   int first = 0;
@@ -101,8 +101,8 @@ TEST(PotRouter, RandomPolicyUsesBothCandidates) {
 }
 
 TEST(PotRouter, FirstChoicePolicyIsDeterministic) {
-  LoadTracker t({{4, 4}, 1.0});
-  t.Update({0, 0}, 1000);
+  LoadTracker t({{4, 4}});
+  t.Set({0, 0}, 1000);
   PotRouter router(&t, RoutingPolicy::kFirstChoice, 6);
   const std::vector<CacheNodeId> candidates{{0, 0}, {1, 0}};
   for (int i = 0; i < 10; ++i) {
@@ -111,7 +111,7 @@ TEST(PotRouter, FirstChoicePolicyIsDeterministic) {
 }
 
 TEST(PotRouter, EmptyCandidatesReturnsZero) {
-  LoadTracker t({{4, 4}, 1.0});
+  LoadTracker t({{4, 4}});
   PotRouter router(&t, RoutingPolicy::kPowerOfTwo, 7);
   EXPECT_EQ(router.Choose({}), 0u);
 }
@@ -125,7 +125,7 @@ TEST(PotRouter, EmptyCandidatesReturnsZero) {
 class PotRouterParityTest : public ::testing::TestWithParam<RoutingPolicy> {};
 
 TEST_P(PotRouterParityTest, ChoosePairMatchesChoose) {
-  LoadTracker tracker({{4, 4}, 1.0});
+  LoadTracker tracker({{4, 4}});
   constexpr uint64_t kSeed = 99;
   PotRouter via_choose(&tracker, GetParam(), kSeed);
   PotRouter via_pair(&tracker, GetParam(), kSeed);

@@ -2,60 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace distcache {
 namespace {
-
-LeafSpineTopology MakeTopology() {
-  LeafSpineTopology::Config cfg;
-  cfg.num_spine = 4;
-  cfg.num_storage_racks = 8;
-  cfg.servers_per_rack = 16;
-  cfg.num_client_racks = 2;
-  return LeafSpineTopology(cfg);
-}
-
-TEST(LeafSpineTopology, Counts) {
-  const auto topo = MakeTopology();
-  EXPECT_EQ(topo.num_spine(), 4u);
-  EXPECT_EQ(topo.num_storage_racks(), 8u);
-  EXPECT_EQ(topo.num_servers(), 128u);
-  EXPECT_EQ(topo.num_cache_nodes(), 12u);
-  EXPECT_EQ(topo.num_client_racks(), 2u);
-}
-
-TEST(LeafSpineTopology, RackOfServer) {
-  const auto topo = MakeTopology();
-  EXPECT_EQ(topo.RackOfServer(0), 0u);
-  EXPECT_EQ(topo.RackOfServer(15), 0u);
-  EXPECT_EQ(topo.RackOfServer(16), 1u);
-  EXPECT_EQ(topo.RackOfServer(127), 7u);
-}
-
-TEST(LeafSpineTopology, QueryPathTouchesTarget) {
-  const auto topo = MakeTopology();
-  const CacheNodeId target{0, 2};
-  const auto path = topo.QueryPath(target);
-  ASSERT_EQ(path.size(), 1u);
-  EXPECT_EQ(path[0], target);
-}
-
-TEST(LeafSpineTopology, CoherencePathCoversAllCopies) {
-  const auto topo = MakeTopology();
-  const std::vector<CacheNodeId> copies{{0, 1}, {1, 3}};
-  const auto path = topo.CoherencePath(copies);
-  EXPECT_EQ(path, copies);
-}
-
-TEST(LeafSpineTopology, DescribeMentionsShape) {
-  const auto topo = MakeTopology();
-  const std::string desc = topo.Describe();
-  EXPECT_NE(desc.find("4 spine"), std::string::npos);
-  EXPECT_NE(desc.find("8 storage racks"), std::string::npos);
-}
 
 TEST(CacheNodeId, Equality) {
   EXPECT_EQ((CacheNodeId{0, 1}), (CacheNodeId{0, 1}));
   EXPECT_FALSE((CacheNodeId{0, 1}) == (CacheNodeId{1, 1}));
+}
+
+// Layer l's nodes occupy [LayerBegin(l), LayerEnd(l)), top layer first, and
+// NodeOfFlat inverts Flat over the whole range.
+TEST(LayerOffsets, FlatRoundTripsLayerByLayer) {
+  const LayerOffsets offsets(std::vector<uint32_t>{4, 2, 8});
+  EXPECT_EQ(offsets.num_layers(), 3u);
+  EXPECT_EQ(offsets.total(), 14u);
+  EXPECT_EQ(offsets.LayerBegin(1), 4u);
+  EXPECT_EQ(offsets.LayerEnd(1), 6u);
+  EXPECT_EQ(offsets.Flat({2, 0}), 6u);
+  for (uint32_t flat = 0; flat < offsets.total(); ++flat) {
+    EXPECT_EQ(offsets.Flat(offsets.NodeOfFlat(flat)), flat);
+  }
 }
 
 }  // namespace

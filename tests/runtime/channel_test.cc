@@ -3,10 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
-
-#include "sim/shard_message.h"
 
 namespace distcache {
 namespace {
@@ -23,16 +22,6 @@ TEST(Channel, FifoWithinSingleProducer) {
   }
 }
 
-TEST(Channel, TryReceiveReturnsNulloptWhenEmpty) {
-  Channel<int> ch;
-  EXPECT_FALSE(ch.TryReceive().has_value());
-  ASSERT_TRUE(ch.Send(7));
-  auto v = ch.TryReceive();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-  EXPECT_FALSE(ch.TryReceive().has_value());
-}
-
 TEST(Channel, CloseDrainsThenReturnsNullopt) {
   Channel<int> ch;
   ASSERT_TRUE(ch.Send(1));
@@ -42,7 +31,6 @@ TEST(Channel, CloseDrainsThenReturnsNullopt) {
   EXPECT_EQ(ch.Receive().value_or(-1), 1);
   EXPECT_EQ(ch.Receive().value_or(-1), 2);
   EXPECT_FALSE(ch.Receive().has_value());
-  EXPECT_FALSE(ch.TryReceive().has_value());
 }
 
 TEST(Channel, ReceiveBlocksUntilSend) {
@@ -52,57 +40,6 @@ TEST(Channel, ReceiveBlocksUntilSend) {
   producer.join();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 42);
-}
-
-// The sharded backend's cross-shard protocol in miniature: several producer shards
-// send batched load-delta messages followed by a Done marker to one owner's inbox.
-// Per-sender FIFO means once the owner has seen Done from every peer, every delta
-// has been applied — the invariant the end-of-run drain relies on.
-TEST(Channel, CrossShardDeltaStreamsDrainCompletely) {
-  constexpr uint32_t kPeers = 3;
-  constexpr int kMessagesPerPeer = 50;
-  Channel<ShardMsg> inbox;
-
-  std::vector<std::thread> peers;
-  for (uint32_t p = 0; p < kPeers; ++p) {
-    peers.emplace_back([&inbox, p] {
-      for (int i = 0; i < kMessagesPerPeer; ++i) {
-        ShardMsg msg;
-        msg.kind = ShardMsg::Kind::kLoadDeltas;
-        msg.from = p;
-        msg.cache_entries.emplace_back(CacheNodeId{0, p}, 1.0);
-        ASSERT_TRUE(inbox.Send(std::move(msg)));
-      }
-      ShardMsg done;
-      done.kind = ShardMsg::Kind::kDone;
-      done.from = p;
-      ASSERT_TRUE(inbox.Send(std::move(done)));
-    });
-  }
-
-  // Owner: drain (blocking) until Done has arrived from every peer.
-  std::vector<double> applied(kPeers, 0.0);
-  uint32_t done_seen = 0;
-  while (done_seen < kPeers) {
-    auto msg = inbox.Receive();
-    ASSERT_TRUE(msg.has_value());
-    if (msg->kind == ShardMsg::Kind::kDone) {
-      ++done_seen;
-      // FIFO per sender: every delta this peer sent must already be applied.
-      EXPECT_DOUBLE_EQ(applied[msg->from], kMessagesPerPeer);
-    } else {
-      for (const auto& [node, delta] : msg->cache_entries) {
-        applied[node.index] += delta;
-      }
-    }
-  }
-  for (auto& t : peers) {
-    t.join();
-  }
-  for (uint32_t p = 0; p < kPeers; ++p) {
-    EXPECT_DOUBLE_EQ(applied[p], kMessagesPerPeer);
-  }
-  EXPECT_FALSE(inbox.TryReceive().has_value());
 }
 
 TEST(Channel, ManyProducersOneConsumerLosesNothing) {
@@ -129,44 +66,23 @@ TEST(Channel, ManyProducersOneConsumerLosesNothing) {
   EXPECT_EQ(sum, kProducers * kPerProducer);
 }
 
-// CloseAndDrain atomically closes and returns the undelivered backlog: nothing a
-// consumer will ever see again, nothing lost. The shutdown-accounting primitive
-// for the stranded-message class of bug.
-TEST(Channel, CloseAndDrainReturnsUndeliveredItems) {
-  Channel<int> ch;
-  ASSERT_TRUE(ch.Send(1));
-  ASSERT_TRUE(ch.Send(2));
-  ASSERT_TRUE(ch.Send(3));
-  EXPECT_EQ(ch.Receive().value_or(-1), 1);  // consumed before shutdown
-  const std::vector<int> undelivered = ch.CloseAndDrain();
-  EXPECT_EQ(undelivered, (std::vector<int>{2, 3}));
-  // Closed and empty: receivers observe clean end-of-stream, senders rejection.
-  EXPECT_FALSE(ch.Receive().has_value());
-  EXPECT_FALSE(ch.TryReceive().has_value());
-  EXPECT_FALSE(ch.Send(4));
-  EXPECT_EQ(ch.size(), 0u);
-}
-
 // Send after close must be reported to the caller — the bool result is the only
-// delivery signal, and the rejected-send counter lets shutdown paths assert the
-// rejection was observed rather than silently dropped.
-TEST(Channel, SendAfterCloseIsReportedAndCounted) {
+// delivery signal a producer gets.
+TEST(Channel, SendAfterCloseIsReported) {
   Channel<int> ch;
-  EXPECT_EQ(ch.rejected_sends(), 0u);
   ch.Close();
   EXPECT_FALSE(ch.Send(1));
   EXPECT_FALSE(ch.Send(2));
-  EXPECT_EQ(ch.rejected_sends(), 2u);
+  EXPECT_FALSE(ch.Receive().has_value());
 }
 
-// CloseAndDrain wakes blocked receivers with end-of-stream, like Close.
-TEST(Channel, CloseAndDrainWakesBlockedReceiver) {
+// Close wakes blocked receivers with end-of-stream.
+TEST(Channel, CloseWakesBlockedReceiver) {
   Channel<int> ch;
   std::optional<int> got = 0;
   std::thread consumer([&] { got = ch.Receive(); });
-  const std::vector<int> undelivered = ch.CloseAndDrain();
+  ch.Close();
   consumer.join();
-  EXPECT_TRUE(undelivered.empty());
   EXPECT_FALSE(got.has_value());
 }
 

@@ -90,7 +90,7 @@ TEST(FaultInjection, CleanExitIsDetectedAndRespawned) {
   // An injected clean exit(0) leaves the shard slot in kShardRunning, which
   // is how the supervisor tells a premature exit 0 from an orderly one.
   SimBackendConfig bcfg = FaultConfig(2, "exit:1@20000");
-  bcfg.respawn = true;
+  bcfg.respawn_limit = 3;
   const BackendStats st =
       MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(kRequests);
 
@@ -105,7 +105,7 @@ TEST(FaultInjection, CleanExitIsDetectedAndRespawned) {
 TEST(FaultInjection, AbortIsDetectedAndRespawned) {
   SKIP_UNLESS_MULTIPROC_RUNNABLE();
   SimBackendConfig bcfg = FaultConfig(2, "abort:1@20000");
-  bcfg.respawn = true;
+  bcfg.respawn_limit = 3;
   const BackendStats st =
       MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(kRequests);
 
@@ -136,7 +136,7 @@ TEST(FaultInjection, LongStallIsDeclaredDeadAndRespawned) {
   // The stall (10s) far exceeds the dead deadline (500ms): the supervisor
   // must SIGKILL the straggler and respawn it instead of waiting it out.
   SimBackendConfig bcfg = FaultConfig(2, "stall:1@10000:10000");
-  bcfg.respawn = true;
+  bcfg.respawn_limit = 3;
   bcfg.heartbeat_warn_ms = 100;
   bcfg.heartbeat_dead_ms = 500;
   const BackendStats st =
@@ -230,7 +230,7 @@ TEST(FaultInjection, ArenaMapFailureFailsFastWithoutForking) {
 TEST(FaultInjection, SameSeedSameFaultPlanIsByteIdentical) {
   SKIP_UNLESS_MULTIPROC_RUNNABLE();
   SimBackendConfig bcfg = FaultConfig(2, "random:6");
-  bcfg.respawn = true;
+  bcfg.respawn_limit = 3;
   bcfg.events = ReallocTimeline();
   const BackendStats a =
       MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(kRequests);
@@ -279,7 +279,7 @@ TEST(FaultInjection, SameShardKilledThriceUnderRespawnStillCompletes) {
   // keep already-fired faults from firing again.
   SimBackendConfig bcfg =
       FaultConfig(2, "kill:1@20000,kill:1@100000,kill:1@120000");
-  bcfg.respawn = true;
+  bcfg.respawn_limit = 3;
   bcfg.events = ReallocTimeline();
   const BackendStats st =
       MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(kRequests);

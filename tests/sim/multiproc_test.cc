@@ -316,7 +316,7 @@ TEST(MultiprocRespawn, KilledShardIsRespawnedAndTheRunCompletes) {
   SKIP_UNLESS_MULTIPROC_RUNNABLE();
   constexpr uint64_t kRequests = 400'000;
   SimBackendConfig bcfg = GoldenBackendConfig(2);
-  bcfg.respawn = true;
+  bcfg.respawn_limit = 3;
   KillShardAt(&bcfg, /*shard=*/1, /*local=*/10'000);
   MultiprocBackend backend(bcfg);
   const BackendStats st = backend.Run(kRequests);
@@ -339,7 +339,7 @@ TEST(MultiprocRespawn, RespawnedControllerShardSurvivesReallocRendezvous) {
   constexpr uint64_t kRequests = 400'000;
   SimBackendConfig bcfg = GoldenBackendConfig(2);
   bcfg.events = FullTimeline();
-  bcfg.respawn = true;
+  bcfg.respawn_limit = 3;
   KillShardAt(&bcfg, /*shard=*/0, /*local=*/10'000);
   MultiprocBackend backend(bcfg);
   const BackendStats st = backend.Run(kRequests);
@@ -478,6 +478,26 @@ TEST(MultiprocBackendDeathTest, RefusesAZeroEpochWithPeers) {
             1'000u);
 }
 
+// A drop with no telemetry publish left after it arms would be counted as
+// injected yet swallow nothing: past the shard's last epoch boundary (×2,
+// quota 100,000, batch 64: the last publish is at 98,304, so a drop must arm
+// at a batch start below it), or at ×1, which never publishes.
+TEST(MultiprocBackendDeathTest, RefusesADropThatCannotFire) {
+  SimBackendConfig bcfg = GoldenBackendConfig(2);
+  bcfg.epoch_requests = 4096;
+  bcfg.fault_plan.events = {{FaultKind::kDropTelemetry, 0, 196'480, 3}};
+  EXPECT_EQ(MultiprocBackend::UnfiredDropFault(bcfg, 200'000), "");
+  bcfg.fault_plan.events = {{FaultKind::kDropTelemetry, 0, 196'482, 3}};
+  EXPECT_NE(MultiprocBackend::UnfiredDropFault(bcfg, 200'000), "");
+  bcfg.fault_plan.events = {{FaultKind::kDropTelemetry, 0, 199'000, 3}};
+  EXPECT_DEATH(MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(200'000),
+               "fault term drop:0@199000:3 can never fire");
+  bcfg.shards = 1;
+  bcfg.fault_plan.events = {{FaultKind::kDropTelemetry, 0, 1'000, 3}};
+  EXPECT_DEATH(MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(200'000),
+               "fault term drop:0@1000:3 can never fire");
+}
+
 // ---- launcher differential -------------------------------------------------
 // kSharded (threads) and kMultiproc (forks) are one runtime with two
 // launchers; they differ only in who runs a re-allocation's refill (thread
@@ -490,13 +510,9 @@ void ExpectLaunchersAgree(const SimBackendConfig& bcfg, uint64_t requests) {
   const BackendStats forks =
       MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(requests);
   ASSERT_EQ(threads.requests, requests);
-  EXPECT_EQ(DeterministicStatsDigest(forks), DeterministicStatsDigest(threads));
-  EXPECT_EQ(forks.cache_load, threads.cache_load);  // element bit-exact
-  EXPECT_EQ(forks.server_load, threads.server_load);
-  EXPECT_EQ(forks.latency.counts(), threads.latency.counts());
-  EXPECT_EQ(forks.latency.total(), threads.latency.total());
-  EXPECT_EQ(forks.latency.infinite(), threads.latency.infinite());
-  EXPECT_EQ(forks.latency.finite_sum(), threads.latency.finite_sum());
+  // The digest rows plus every load and latency histogram bit, the run's and
+  // each interval's.
+  EXPECT_EQ(FullStatsDigest(forks), FullStatsDigest(threads));
 }
 
 TEST(LauncherDifferential, OneShardFullTimelineIsBitIdentical) {
@@ -615,7 +631,7 @@ TEST(MultiprocRespawn, RespawnedShardLoadsCountExactlyOnce) {
   SimBackendConfig bcfg = StaticTopKTimelineConfig(2);
   const BackendStats clean =
       MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(200'000);
-  bcfg.respawn = true;
+  bcfg.respawn_limit = 3;
   KillShardAt(&bcfg, /*shard=*/1, /*local=*/25'000);  // kill:1@50000
   BackendStats st = MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(200'000);
 
@@ -635,7 +651,7 @@ TEST(MultiprocRespawn, RespawnedShardLoadsCountExactlyOnce) {
 TEST(ShardedDigestPins, ShardZeroKilledBeforeTheReallocation) {
   SKIP_UNLESS_MULTIPROC_RUNNABLE();
   SimBackendConfig respawn = StaticTopKTimelineConfig(4);
-  respawn.respawn = true;
+  respawn.respawn_limit = 3;
   KillShardAt(&respawn, /*shard=*/0, /*local=*/10'000);  // kill:0@40000
   BackendStats st = MakeSimBackend(BackendKind::kMultiproc, respawn)->Run(200'000);
   EXPECT_EQ(st.failed_shards, 0u);

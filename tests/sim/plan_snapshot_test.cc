@@ -164,32 +164,40 @@ TEST(PlanSnapshots, EveryTableMatchesARebuildOfTheWalkState) {
 }
 
 // Pinned from the engines before plan steps were coalesced or shared: no
-// request's routing changed.
+// request's routing changed. The FullStatsDigest pins (every load and latency
+// histogram bit on top of the digest rows) came from the same engines.
 TEST(PlanSnapshots, RunsMatchThePinnedDigests) {
   const struct {
     const char* name;
     SimBackendConfig cfg;
     uint64_t sequential;
     uint64_t sharded;
+    uint64_t sequential_full;
+    uint64_t sharded_full;
   } cases[] = {
       {"failover", FailoverConfig(), 0x030d1703015e712eULL,
-       0xe51c74c76f2ea4b5ULL},
+       0xe51c74c76f2ea4b5ULL, 0x1e47683818c0901dULL, 0xc0ee426fdf37994eULL},
       {"realloc", ReallocConfig(), 0x96bbb07987059678ULL,
-       0x9abb7ee02bfd4c19ULL},
+       0x9abb7ee02bfd4c19ULL, 0x82e26e006788e0ebULL, 0xd8247b7a64a30091ULL},
   };
   for (const auto& c : cases) {
-    EXPECT_EQ(DeterministicStatsDigest(
-                  MakeSimBackend(BackendKind::kSequential, c.cfg)->Run(kRequests)),
-              c.sequential)
+    const BackendStats sequential =
+        MakeSimBackend(BackendKind::kSequential, c.cfg)->Run(kRequests);
+    EXPECT_EQ(DeterministicStatsDigest(sequential), c.sequential)
         << c.name << " sequential";
-    EXPECT_EQ(DeterministicStatsDigest(
-                  MakeSimBackend(BackendKind::kSharded, c.cfg)->Run(kRequests)),
-              c.sharded)
+    EXPECT_EQ(FullStatsDigest(sequential), c.sequential_full)
+        << c.name << " sequential";
+    const BackendStats threads =
+        MakeSimBackend(BackendKind::kSharded, c.cfg)->Run(kRequests);
+    EXPECT_EQ(DeterministicStatsDigest(threads), c.sharded)
         << c.name << " sharded x1";
+    EXPECT_EQ(FullStatsDigest(threads), c.sharded_full) << c.name << " sharded x1";
     if (MultiprocRunnable()) {
-      EXPECT_EQ(DeterministicStatsDigest(
-                    MakeSimBackend(BackendKind::kMultiproc, c.cfg)->Run(kRequests)),
-                c.sharded)
+      const BackendStats forks =
+          MakeSimBackend(BackendKind::kMultiproc, c.cfg)->Run(kRequests);
+      EXPECT_EQ(DeterministicStatsDigest(forks), c.sharded)
+          << c.name << " multiproc x1";
+      EXPECT_EQ(FullStatsDigest(forks), c.sharded_full)
           << c.name << " multiproc x1";
     }
   }

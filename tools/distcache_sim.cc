@@ -23,6 +23,7 @@
 #include "cluster/cluster_sim.h"
 #include "cluster/latency.h"
 #include "runtime/fault_plan.h"
+#include "sim/multiproc_backend.h"
 #include "sim/sim_backend.h"
 #include "tools/flags.h"
 
@@ -166,7 +167,6 @@ constexpr FlagRow kFlagTable[] = {
     {"epoch", kShardRuntime, "=N  requests per telemetry epoch, default 4096"},
     {"pin-cores", kShardRuntime, "  pin each shard to a core"},
     {"huge-pages", kMultiprocRun, "  2 MiB arena pages where the host has them"},
-    {"numa-interleave", kMultiprocRun, "  interleave the arena across NUMA nodes"},
     {"respawn", kMultiprocRun, "  re-fork a shard process that dies mid-run"},
     {"respawn-limit", kMultiprocRun, "=N  respawns per shard, default 3", "respawn"},
     {"heartbeat-warn-ms", kMultiprocRun, "=D  silence that counts a miss (0: off)"},
@@ -383,6 +383,7 @@ std::string RunEngine(const Flags& flags, BackendKind kind,
   bcfg.cluster = cfg;
   uint64_t requests = 0;
   uint32_t epoch = 0;
+  uint32_t respawn_limit = 0;
   std::string error;
   if (!flags.GetUint32("shards", 1, 1, &bcfg.shards, &error) ||
       // Flag default = the engine default, so a flag-less CLI run matches
@@ -392,8 +393,7 @@ std::string RunEngine(const Flags& flags, BackendKind kind,
       !flags.GetUint32("epoch", 4096, 1, &epoch, &error) ||
       !flags.GetUintChecked("requests", 2'000'000, &requests, &error) ||
       !flags.GetUintChecked("sample", 0, &bcfg.sample_interval, &error) ||
-      !flags.GetUint32("respawn-limit", bcfg.respawn_limit, 0, &bcfg.respawn_limit,
-                       &error) ||
+      !flags.GetUint32("respawn-limit", 3, 0, &respawn_limit, &error) ||
       !flags.GetUintChecked("heartbeat-warn-ms", bcfg.heartbeat_warn_ms,
                             &bcfg.heartbeat_warn_ms, &error) ||
       !flags.GetUintChecked("heartbeat-dead-ms", bcfg.heartbeat_dead_ms,
@@ -415,8 +415,7 @@ std::string RunEngine(const Flags& flags, BackendKind kind,
   bcfg.epoch_requests = epoch;
   bcfg.pin_cores = flags.GetBool("pin-cores", false);
   bcfg.huge_pages = flags.GetBool("huge-pages", false);
-  bcfg.numa_interleave = flags.GetBool("numa-interleave", false);
-  bcfg.respawn = flags.GetBool("respawn", false);
+  bcfg.respawn_limit = flags.GetBool("respawn", false) ? respawn_limit : 0;
   bcfg.two_level_sampling = flags.GetBool("two-level", false);
   if (flags.Has("fault-plan")) {
     uint64_t fault_seed = cfg.seed;
@@ -424,6 +423,10 @@ std::string RunEngine(const Flags& flags, BackendKind kind,
         !ParseFaultPlan(flags.GetString("fault-plan", ""), bcfg.shards,
                         requests, fault_seed, &bcfg.fault_plan, &error)) {
       return error;
+    }
+    if (error = MultiprocBackend::UnfiredDropFault(bcfg, requests);
+        !error.empty()) {
+      return "--fault-plan: " + error;
     }
   }
   if (const size_t n = bcfg.queue.service_rates.size(),
