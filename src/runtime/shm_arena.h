@@ -10,9 +10,9 @@
 // offsets computed against a common base). Everything cross-process lives here:
 // the supervisor's control block (abort flag, start barrier, per-shard
 // completion states and heartbeats), one telemetry slot per shard (a version
-// word and its load partials), the serialized route tables, the realloc report
-// slots and one serialized-BackendStats region per shard for the quota-end
-// merge.
+// word and its load partials), the realloc report slots and one
+// serialized-BackendStats region per shard for the quota-end merge. The route
+// tables stay out: the children inherit the supervisor's heap copy.
 //
 // Huge pages: Map(bytes, /*huge_pages=*/true) first tries MAP_HUGETLB with the
 // size rounded up to 2 MiB and falls back to normal pages when the pool is
@@ -23,8 +23,8 @@
 // (vm.nr_hugepages); nothing here requires it.
 //
 // Page placement is the kernel's first-touch default: nothing binds or
-// interleaves the region across NUMA nodes, so the plan tables the supervisor
-// serializes land on its node and each shard's slots on the first writer's.
+// interleaves the region across NUMA nodes, so each shard's slots land on the
+// first writer's node.
 //
 // Layout discipline: ArenaLayout is a bump allocator over *offsets* run twice —
 // once before Map() to size the region, once after to hand out the same

@@ -8,11 +8,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <system_error>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include <ctime>
@@ -67,63 +64,6 @@ struct alignas(kCacheLineSize) ShmControlBlock {
   std::atomic<uint32_t> ready{0};
 };
 static_assert(sizeof(ShmControlBlock) == kCacheLineSize, "one line");
-
-void WritePod(void* slot, const void* src, size_t bytes, size_t offset = 0) {
-  if (bytes == 0) {
-    return;  // an empty vector's data() may be nullptr; memcpy forbids it
-  }
-  std::memcpy(static_cast<uint8_t*>(slot) + offset, src, bytes);
-}
-
-// ---- arena-resident route tables -------------------------------------------
-// A serialized table is a 16-byte header followed by the entry array and the
-// overflow array, all raw POD. The header comes first in a cache-line-aligned
-// reservation, so entries land 16-byte aligned and overflow 4-byte aligned —
-// children read them in place through typed views, no deserialization copy.
-struct ArenaTableHeader {
-  uint64_t entries_len;
-  uint64_t overflow_len;
-};
-// entries_len sentinel for a null snapshot (plan steps that change no routes).
-constexpr uint64_t kNullTableLen = ~0ull;
-
-size_t SerializedTableBytes(const RouteTable* table) {
-  if (table == nullptr) {
-    return sizeof(ArenaTableHeader);
-  }
-  return sizeof(ArenaTableHeader) + table->entries.size() * sizeof(RouteEntry) +
-         table->overflow.size() * sizeof(uint32_t);
-}
-
-void SerializeTable(uint8_t* dst, const RouteTable* table) {
-  ArenaTableHeader h;
-  if (table == nullptr) {
-    h.entries_len = kNullTableLen;
-    h.overflow_len = 0;
-    std::memcpy(dst, &h, sizeof(h));
-    return;
-  }
-  h.entries_len = table->entries.size();
-  h.overflow_len = table->overflow.size();
-  std::memcpy(dst, &h, sizeof(h));
-  WritePod(dst, table->entries.data(), h.entries_len * sizeof(RouteEntry),
-           sizeof(h));
-  WritePod(dst, table->overflow.data(), h.overflow_len * sizeof(uint32_t),
-           sizeof(h) + h.entries_len * sizeof(RouteEntry));
-}
-
-// The null sentinel gives the absent view.
-RouteView ViewTable(const uint8_t* src) {
-  ArenaTableHeader h;
-  std::memcpy(&h, src, sizeof(h));
-  if (h.entries_len == kNullTableLen) {
-    return RouteView();
-  }
-  return RouteView(reinterpret_cast<const RouteEntry*>(src + sizeof(h)),
-                   static_cast<size_t>(h.entries_len),
-                   reinterpret_cast<const uint32_t*>(
-                       src + sizeof(h) + h.entries_len * sizeof(RouteEntry)));
-}
 
 }  // namespace
 
@@ -291,24 +231,6 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
     stats_offset_[i] = layout.Reserve(stats_bound_);
   }
 
-  // Arena-resident plan: one exact-size reservation per distinct table —
-  // every table already exists on the supervisor heap, so no capacity
-  // guesswork (SerializePlanTables frees the heap copies right after writing
-  // these). Steps that share a table, and all absent steps, share its slot.
-  std::unordered_map<const RouteTable*, size_t> table_slot;
-  const auto reserve_table = [&](const RouteTable* table) {
-    const auto [it, fresh] = table_slot.try_emplace(table, 0);
-    if (fresh) {
-      it->second = layout.Reserve(SerializedTableBytes(table));
-    }
-    return it->second;
-  };
-  plan_table_offset_.assign(1 + fired_plan_.size(), 0);
-  plan_table_offset_[0] = reserve_table(base_routes_.get());
-  for (size_t i = 0; i < fired_plan_.size(); ++i) {
-    plan_table_offset_[1 + i] = reserve_table(fired_plan_[i].routes.get());
-  }
-
   // Realloc rendezvous: one report slot per (step, shard), sized for the
   // observer's max_reports_per_epoch (2·pool). Pages are only touched as
   // written. The tables never enter the arena: each forked shard builds its
@@ -326,6 +248,7 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
     report_offset_.push_back(layout.Reserve(report_bytes));
   }
   realloc_routes_.assign(realloc_steps, {});
+  realloc_released_.store(0, std::memory_order_relaxed);
 
   // One-shot fault latches: a u32 per planned event, zero-initialized =
   // unfired. Respawned incarnations consult them before re-firing.
@@ -351,28 +274,6 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
     new (SlotOf(i)) ShardSlot();
   }
   return true;
-}
-
-void MultiprocBackend::SerializePlanTables() {
-  std::unordered_set<size_t> written;
-  const auto write = [&](size_t offset, const RouteTable* table) {
-    if (written.insert(offset).second) {
-      SerializeTable(arena_.At(offset), table);
-    }
-  };
-  write(plan_table_offset_[0], base_routes_.get());
-  for (size_t i = 0; i < fired_plan_.size(); ++i) {
-    write(plan_table_offset_[1 + i], fired_plan_[i].routes.get());
-  }
-  // The arena is the only copy from here on: drop the heap tables before
-  // launch, so no forked child ever holds (or COW-duplicates) a private one.
-  base_routes_.reset();
-  for (TimelineStep& step : fired_plan_) {
-    step.routes.reset();
-  }
-  for (TimelineStep& step : plan_) {
-    step.routes.reset();
-  }
 }
 
 uint64_t MultiprocBackend::QuotaOf(uint64_t num_requests, uint32_t n,
@@ -789,9 +690,10 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
                      return a.at_local < b.at_local;
                    });
   p.core.BindStats(&p.local);
-  // Arena-resident plan: the base table lives in the arena; install it as a
-  // non-owning view (the arena outlives the run by construction).
-  p.core.SetRoutes(ViewTable(arena_.At(plan_table_offset_[0])));
+  // Inherited plan: the base table and the plan snapshots live on the
+  // supervisor heap for the backend's lifetime, and a forked child reads the
+  // pages it inherited (never written, so never copied). Install views.
+  p.core.SetRoutes(base_routes_);
   // Open-loop: each shard simulates an independent full-rate time slice of
   // the cluster (full arrival rate, full service rates, its own queue
   // horizons), so the quota-end Merge of per-shard histograms is a union of
@@ -819,16 +721,13 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
   p.core.SetReallocateHook([this, &p] { Reallocate(p); });
 
   // The timeline plan is a pure function of the config, so every shard queues
-  // it locally — no controller multicast to wait on. The route snapshots are
-  // arena-resident (the heap copies were freed pre-launch), so each step gets
-  // its serialized table installed as a view.
-  for (size_t i = 0; i < fired_plan_.size(); ++i) {
-    const TimelineStep& step = fired_plan_[i];
+  // it locally — no controller multicast to wait on — with a view of each
+  // step's snapshot.
+  for (const TimelineStep& step : fired_plan_) {
     ClusterEvent ev = step.event;
     ev.at_request = step.at_request;
     p.core.QueueAction({static_cast<double>(step.at_request) * p.quota_scale,
-                        step.is_phase, step.phase, ev, step.pmf,
-                        ViewTable(arena_.At(plan_table_offset_[1 + i]))});
+                        step.is_phase, step.phase, ev, step.pmf, step.routes});
   }
 
   // The batch loop. Before each batch, one telemetry publish for every epoch
@@ -856,9 +755,8 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
   p.local.server_load.assign(p.own_server.begin(), p.own_server.end());
   p.core.FinishSeries(p.processed);
   p.local.requests = p.processed;
-  // Memory accounting (max-merged, sim_backend.h): the base table and every
-  // plan snapshot are arena-resident, so a shard's private route-table
-  // footprint is zero (Run stamps the thread launcher's shared copy).
+  // Memory accounting (max-merged, sim_backend.h): the route tables are the
+  // supervisor's one copy, which Run stamps; a shard holds none of its own.
   p.local.peak_rss_bytes = CurrentPeakRssBytes();
   p.local.sampler_bytes = p.two_level != nullptr ? p.two_level->bytes()
                                                  : p.sampler->bytes();
@@ -1053,14 +951,6 @@ BackendStats MultiprocBackend::Run(uint64_t num_requests) {
     }
     return stats;
   }
-  // Thread shards share this process's one table copy, so their route-table
-  // footprint is the plan's; measure it before the heap copies are freed.
-  const uint64_t shared_table_bytes =
-      launcher_ == Launcher::kThreads
-          ? PlanRouteTableBytes(base_routes_.get(), plan_)
-          : 0;
-  SerializePlanTables();
-
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<uint8_t> failed(n, 0);
   // The supervisor's own observations: respawns, heartbeat misses and fault
@@ -1140,7 +1030,9 @@ BackendStats MultiprocBackend::Run(uint64_t num_requests) {
                         : static_cast<double>(lost_quota) /
                               static_cast<double>(num_requests);
   total.arena_bytes = arena_.size();
-  total.route_table_bytes = shared_table_bytes;
+  // Thread shards share this process's tables and forked ones inherit them:
+  // either way one copy exists.
+  total.route_table_bytes = PlanRouteTableBytes(base_routes_.get(), plan_);
   total.peak_rss_bytes = std::max(total.peak_rss_bytes, CurrentPeakRssBytes());
   arena_.Unmap();
   return total;

@@ -6,20 +6,20 @@
 // same code on both.
 //
 // Run state: the supervisor builds the run state (cluster model, route
-// tables, alias sampler, precomputed timeline plan), maps the arena and
-// serializes each distinct table among the base route table and the plan
-// snapshots *into the arena* once, freeing the heap copies before launch.
-// Shards install the tables as non-owning RouteViews (EngineCore::SetRoutes /
-// SetActionRoutes), so one physical copy exists however many shards run. The
-// model is read-only on the hot path; only a re-allocation mutates it (below).
-// Forked children inherit the arena by mapping inheritance and the small
-// read-only state copy-on-write (fork without exec: an exec'd child would need
-// a config wire format for no isolation gain). Each shard pins itself when
-// pin_cores is set, passes the start barrier, runs its batch loop (EngineCore
-// + batched hot path, a telemetry publish per epoch) and publishes its
-// serialized BackendStats behind a CRC-32 into its arena stats region. A
-// thread returns; a child _exit()s. The supervisor joins or reaps, then merges
-// every region through the same CRC check and BackendStats::Merge.
+// tables, alias sampler, precomputed timeline plan) once, keeps it for the
+// backend's lifetime, and maps the arena for each Run. Shards install the base
+// table and the plan snapshots as non-owning RouteViews (EngineCore::SetRoutes
+// / SetActionRoutes). Forked children inherit the arena by mapping inheritance
+// and the read-only state copy-on-write (fork without exec: an exec'd child
+// would need a config wire format for no isolation gain); nothing writes the
+// tables, so one physical copy serves every shard, a respawned one included.
+// The model is read-only on the hot path; only a re-allocation mutates it
+// (below). Each shard pins itself when pin_cores is set, passes the start
+// barrier, runs its batch loop (EngineCore + batched hot path, a telemetry
+// publish per epoch) and publishes its serialized BackendStats behind a
+// CRC-32 into its arena stats region. A thread returns; a child _exit()s. The
+// supervisor joins or reaps, then merges every region through the same CRC
+// check and BackendStats::Merge.
 //
 // Transport: each shard owns one arena telemetry slot — a version word, then
 // one lock-free 64-bit word per cache node holding the bits of the shard's
@@ -183,16 +183,10 @@ class MultiprocBackend : public SimBackend {
 
   // ---- supervisor side -----------------------------------------------------
   // Computes the arena layout for `shards` and this run's series bound —
-  // telemetry slots, stats regions, the serialized plan tables and the
-  // realloc report slots — and maps it; false when the mapping fails. Also
-  // sizes realloc_routes_ (one entry per fired kReallocateCache step).
+  // telemetry slots, stats regions and the realloc report slots — and maps
+  // it; false when the mapping fails. Also sizes realloc_routes_ (one entry
+  // per fired kReallocateCache step) and resets realloc_released_.
   bool LayoutAndMapArena(uint64_t num_requests);
-  // Serializes each distinct table among the base route table and the
-  // fired-plan snapshots into the arena once (pre-launch, post-interleave),
-  // then frees the supervisor-heap copies —
-  // from here on the arena is the only copy and Run() is single-shot (the
-  // repo-wide new-backend-per-Run discipline, see EngineCore::ClearActions).
-  void SerializePlanTables();
   // Fork launcher: forks every shard, then reaps, respawns or declares dead
   // (header comment) until none is left. Marks lost shards in *failed and
   // records respawns, heartbeat misses and fault observations in
@@ -221,10 +215,6 @@ class MultiprocBackend : public SimBackend {
   std::vector<size_t> stats_offset_;       // [shard]
   size_t stats_bound_ = 0;
 
-  // Arena-resident plan: serialized-table offsets — [0] the base table,
-  // [1 + i] fired_plan_[i]'s snapshot. Entries that share a table share its
-  // offset; every null step shares one sentinel header.
-  std::vector<size_t> plan_table_offset_;
   // Realloc rendezvous: per fired kReallocateCache step, one arena report
   // slot per shard; the step's tables (BuildReallocRoutes), owned by this
   // process for the rest of the run; and the thread launcher's release word

@@ -81,8 +81,8 @@ struct RouteTable {
 };
 
 // A non-owning view of a route snapshot: what the engines install and route
-// through. The storage — a RouteTable the caller keeps alive, or a table
-// serialized into the shard runtime's arena — must outlive every request
+// through. The RouteTable it views, which the caller keeps alive (a forked
+// shard reads its supervisor's, inherited), must outlive every request
 // routed through the view. The default view is *absent* (a plan step that
 // changes no routes; installing it keeps the current routes), which differs
 // from a present view of an empty compact table (hot_len 0: every rank takes
@@ -95,13 +95,11 @@ struct RouteView {
   bool present = false;
 
   RouteView() = default;
-  RouteView(const RouteEntry* entries, size_t hot_len, const uint32_t* overflow)
-      : entries(entries),
-        hot_len(static_cast<uint32_t>(hot_len)),
-        overflow(overflow),
-        present(true) {}
   RouteView(const RouteTable& table)  // NOLINT: implicit by design
-      : RouteView(table.entries.data(), table.hot_len(), table.overflow.data()) {}
+      : entries(table.entries.data()),
+        hot_len(static_cast<uint32_t>(table.hot_len())),
+        overflow(table.overflow.data()),
+        present(true) {}
   // A null snapshot gives the absent view.
   RouteView(const std::shared_ptr<const RouteTable>& table)  // NOLINT
       : RouteView(table != nullptr ? RouteView(*table) : RouteView()) {}

@@ -184,13 +184,15 @@ struct SimBackendConfig {
   // core's NUMA node. Off by default — pinning helps dedicated hosts and
   // hurts shared ones.
   bool pin_cores = false;
-  // Back the multiproc engine's shared arena with 2 MiB huge pages when the
-  // reserved pool has them (runtime/shm_arena.h; silent fallback otherwise).
+  // Back the multiproc engine's shared arena — its telemetry, stats and report
+  // slots; the route tables are inherited heap pages — with 2 MiB huge pages
+  // when the reserved pool has them (runtime/shm_arena.h; silent fallback
+  // otherwise).
   bool huge_pages = false;
   // Multiproc: re-fork a shard process that dies abnormally, up to
   // respawn_limit times per shard (total across the run), instead of degrading
   // the run; 0 (the default) never respawns. The respawned shard re-joins from
-  // the arena-resident plan and re-runs its quota from the start of its
+  // the inherited plan and re-runs its quota from the start of its
   // (deterministic) stream; exact counters stay exact-once (only the final
   // incarnation serializes its stats), but its restarted telemetry partials
   // fold into peers' views as negative deltas, so their *approximate* load

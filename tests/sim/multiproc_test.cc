@@ -31,6 +31,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -38,7 +39,10 @@
 
 #include "common/hash.h"
 #include "multiproc_runnable.h"
+#include "sim/cluster_model.h"
+#include "sim/engine_core.h"
 #include "sim/multiproc_backend.h"
+#include "sim/route_table.h"
 #include "sim/sim_backend.h"
 #include "sim/stats_codec.h"
 
@@ -294,9 +298,9 @@ TEST(MultiprocGolden, DenseRoutesTimelineRunMatchesCompactPins) {
   EXPECT_DOUBLE_EQ(st.ServerImbalance(), 1.7278636677037489);
 }
 
-// Memory accounting fields (PR 9): a multiproc run reports its peak RSS, the
-// one shared arena, and the per-process sampler; the route tables live in the
-// arena, so the per-process route figure is zero by design.
+// Memory accounting fields: a multiproc run reports its peak RSS, the one
+// shared arena, the per-process sampler and the plan's route tables, which the
+// children inherit from the supervisor.
 TEST(MultiprocMemory, RunReportsArenaAndRssBytes) {
   SKIP_UNLESS_MULTIPROC_RUNNABLE();
   SimBackendConfig bcfg = GoldenBackendConfig(2);
@@ -306,8 +310,43 @@ TEST(MultiprocMemory, RunReportsArenaAndRssBytes) {
   EXPECT_GT(st.peak_rss_bytes, 0u);
   EXPECT_GT(st.arena_bytes, 0u);
   EXPECT_GT(st.sampler_bytes, 0u);
-  EXPECT_EQ(st.route_table_bytes, 0u);  // arena-resident, counted in arena_bytes
+  EXPECT_GT(st.route_table_bytes, 0u);
   EXPECT_EQ(st.respawned_shards, 0u);
+}
+
+// The arena holds telemetry and stats slots, never a route table: two forked
+// runs whose tables differ in size map equal arenas, and each stamps the
+// plan's table bytes once, as the thread launcher does. (No re-allocation:
+// its report slots scale with the candidate pool, which follows the cache
+// size.)
+TEST(MultiprocMemory, ArenaHoldsNoRouteTable) {
+  SKIP_UNLESS_MULTIPROC_RUNNABLE();
+  std::vector<uint64_t> arena_bytes;
+  std::vector<uint64_t> table_bytes;
+  for (const uint32_t objects : {50u, 100u}) {
+    SCOPED_TRACE(objects);
+    SimBackendConfig bcfg = GoldenBackendConfig(2);
+    bcfg.cluster.per_switch_objects = objects;
+    bcfg.events = {ClusterEvent::FailSpine(40'000, 2),
+                   ClusterEvent::RunRecovery(60'000),
+                   ClusterEvent::ShiftHotspot(90'000, 12'345),
+                   ClusterEvent::RecoverSpine(150'000, 2)};
+    ClusterModel model(bcfg.cluster);
+    const auto base = std::make_shared<const RouteTable>(BuildRouteTable(model));
+    const uint64_t plan_bytes =
+        PlanRouteTableBytes(base.get(), BuildTimelinePlan(bcfg, model, base));
+    const BackendStats forks =
+        MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(200'000);
+    const BackendStats threads =
+        MakeSimBackend(BackendKind::kSharded, bcfg)->Run(200'000);
+    ASSERT_EQ(forks.failed_shards, 0u);
+    EXPECT_EQ(forks.route_table_bytes, plan_bytes);
+    EXPECT_EQ(forks.route_table_bytes, threads.route_table_bytes);
+    arena_bytes.push_back(forks.arena_bytes);
+    table_bytes.push_back(plan_bytes);
+  }
+  EXPECT_NE(table_bytes[0], table_bytes[1]);
+  EXPECT_EQ(arena_bytes[0], arena_bytes[1]);
 }
 
 // ---- respawn ---------------------------------------------------------------
@@ -321,7 +360,7 @@ TEST(MultiprocRespawn, KilledShardIsRespawnedAndTheRunCompletes) {
   MultiprocBackend backend(bcfg);
   const BackendStats st = backend.Run(kRequests);
 
-  // The second incarnation re-joins from the arena-resident plan, re-runs its
+  // The second incarnation re-joins from the inherited plan, re-runs its
   // quota from the start of its deterministic stream, and the run completes in
   // full: no failed shards, every request accounted for exactly once.
   EXPECT_EQ(st.failed_shards, 0u);
@@ -513,6 +552,7 @@ void ExpectLaunchersAgree(const SimBackendConfig& bcfg, uint64_t requests) {
   // The digest rows plus every load and latency histogram bit, the run's and
   // each interval's.
   EXPECT_EQ(FullStatsDigest(forks), FullStatsDigest(threads));
+  EXPECT_EQ(forks.route_table_bytes, threads.route_table_bytes);
 }
 
 TEST(LauncherDifferential, OneShardFullTimelineIsBitIdentical) {
@@ -620,6 +660,25 @@ TEST(ShardedDigestPins, DeterministicMultiShardRunsKeepTheirDigests) {
       EXPECT_EQ(LoadBitsDigest(st), pin.loads);
       EXPECT_EQ(FullStatsDigest(st), pin.full);
     }
+  }
+}
+
+// A backend keeps its plan's tables for its lifetime, so a second Run()
+// routes exactly as the first did, on either launcher.
+TEST(MultiprocBackend, SecondRunRepeatsTheFirst) {
+  std::vector<BackendKind> kinds = {BackendKind::kSharded};
+  if (MultiprocRunnable()) {
+    kinds.push_back(BackendKind::kMultiproc);
+  }
+  for (const BackendKind kind : kinds) {
+    SCOPED_TRACE(kind == BackendKind::kSharded ? "threads" : "forks");
+    const std::unique_ptr<SimBackend> backend =
+        MakeSimBackend(kind, StaticTopKTimelineConfig(2));
+    const BackendStats first = backend->Run(200'000);
+    const BackendStats second = backend->Run(200'000);
+    ASSERT_EQ(second.requests, 200'000u);
+    EXPECT_GT(second.hit_ratio(), 0.0);
+    EXPECT_EQ(FullStatsDigest(second), FullStatsDigest(first));
   }
 }
 
