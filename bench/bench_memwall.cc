@@ -31,9 +31,12 @@
 //
 // Columns report the set-up time (MakeSimBackend: model, allocation, sampler
 // and plan build), peak RSS (context: includes allocator slack and the
-// placement/allocation model) and the engines' deterministic byte accounting
-// (route tables, samplers, arena). The --gate legs use the deterministic
-// bytes, so they are exact at any scale, smoke included:
+// placement/allocation model), the engines' deterministic byte accounting
+// (route tables, samplers, arena) and the row geometry's allocation bytes
+// (CacheAllocation::bytes() of a ClusterModel built in this process after
+// every row ran; the realloc row shows its allocation before the refill).
+// The --gate legs use the deterministic bytes, so they are exact at any
+// scale, smoke included:
 //
 //   gate 1 (compaction): dense route-table bytes >= 50x compact bytes
 //                        (the ISSUE acceptance ratio at 100M keys / ~1M cached);
@@ -48,7 +51,10 @@
 //                        bytes — the remap is the one table the timeline adds:
 //                        the first recover is superseded at its timestamp and
 //                        the last one restores the base table, which the plan
-//                        shares instead of copying.
+//                        shares instead of copying;
+//   gate 4 (allocation): the row geometry's allocation bytes <= 4 B x layers
+//                        per rank of its cached span + 1 KiB — its per-rank
+//                        rows and partition maps, no per-node key lists.
 //
 // Detect-and-skip: hosts that cannot map the arena skip the multiproc row and
 // gate 2 (like bench_scaling); hosts without the memory for the full dense
@@ -69,6 +75,7 @@
 #endif
 
 #include "bench/bench_common.h"
+#include "core/allocation.h"
 #include "runtime/shm_arena.h"
 #include "sim/cluster_model.h"
 #include "sim/multiproc_backend.h"
@@ -175,6 +182,7 @@ struct Row {
   uint64_t route_bytes = 0;
   uint64_t sampler_bytes = 0;
   uint64_t arena_bytes = 0;
+  uint64_t alloc_bytes = 0;  // set in the parent process after every row ran
 
   // The deterministic total-footprint figure the gate uses: what this
   // substrate's processes privately hold plus what they share. In-process rows
@@ -262,11 +270,12 @@ void PrintRow(const Row& r) {
     std::printf("%-14s %10s  (skipped: substrate unavailable)\n", r.name, "-");
     return;
   }
-  std::printf("%-14s %10.2f %8.2f %10.4f %9.3f %12.1f %10.1f %12.1f %10.1f %12.1f%s\n",
-              r.name, static_cast<double>(r.requests) / 1e6, r.mrps, r.hit_ratio,
-              r.setup_s, r.peak_rss / kMiB, r.route_bytes / kMiB, r.sampler_bytes / kMiB,
-              r.arena_bytes / kMiB, r.total_bytes() / kMiB,
-              r.ok ? "" : "  [FAILED]");
+  std::printf(
+      "%-14s %10.2f %8.2f %10.4f %9.3f %12.1f %10.1f %12.1f %10.1f %12.1f %10.2f%s\n",
+      r.name, static_cast<double>(r.requests) / 1e6, r.mrps, r.hit_ratio,
+      r.setup_s, r.peak_rss / kMiB, r.route_bytes / kMiB, r.sampler_bytes / kMiB,
+      r.arena_bytes / kMiB, r.total_bytes() / kMiB, r.alloc_bytes / kMiB,
+      r.ok ? "" : "  [FAILED]");
 }
 
 void RecordRow(BenchJson& json, const Row& r) {
@@ -281,6 +290,7 @@ void RecordRow(BenchJson& json, const Row& r) {
   json.Metric(p + "_sampler_mb", r.sampler_bytes / kMiB);
   json.Metric(p + "_arena_mb", r.arena_bytes / kMiB);
   json.Metric(p + "_total_mb", r.total_bytes() / kMiB);
+  json.Metric(p + "_alloc_mb", r.alloc_bytes / kMiB);
 }
 
 int Run(BenchJson& json, bool gate) {
@@ -318,29 +328,19 @@ int Run(BenchJson& json, bool gate) {
   json.Config("reduced", reduced ? 1.0 : 0.0);
   json.Config("multiproc_supported", multiproc_ok ? 1.0 : 0.0);
 
-  std::printf("\n%-14s %10s %8s %10s %9s %12s %10s %12s %10s %12s\n", "substrate",
-              "req (M)", "Mreq/s", "hit ratio", "setup(s)", "peakRSS(MB)", "route(MB)",
-              "sampler(MB)", "arena(MB)", "total(MB)");
-
   SimBackendConfig dense_cfg = MakeConfig(g);
   dense_cfg.dense_routes = true;
-  const Row dense =
+  Row dense =
       MeasureRow("seq-dense", BackendKind::kSequential, dense_cfg, g.requests);
-  PrintRow(dense);
-  RecordRow(json, dense);
 
   SimBackendConfig lean = MakeConfig(g);
   lean.two_level_sampling = true;
-  const Row seq = MeasureRow("seq", BackendKind::kSequential, lean, g.requests);
-  PrintRow(seq);
-  RecordRow(json, seq);
+  Row seq = MeasureRow("seq", BackendKind::kSequential, lean, g.requests);
 
   SimBackendConfig sharded_cfg = lean;
   sharded_cfg.shards = kShards;
-  const Row sharded =
+  Row sharded =
       MeasureRow("sharded", BackendKind::kSharded, sharded_cfg, g.requests);
-  PrintRow(sharded);
-  RecordRow(json, sharded);
 
   Row multi;
   std::snprintf(multi.name, sizeof(multi.name), "multiproc");
@@ -351,13 +351,9 @@ int Run(BenchJson& json, bool gate) {
   } else {
     std::printf("multiproc: skipped (shared-memory arena unavailable)\n");
   }
-  PrintRow(multi);
-  RecordRow(json, multi);
 
-  const Row failover = MeasureRow("failover", BackendKind::kSharded,
-                                  FailoverConfig(), kSmoke.requests);
-  PrintRow(failover);
-  RecordRow(json, failover);
+  Row failover = MeasureRow("failover", BackendKind::kSharded,
+                            FailoverConfig(), kSmoke.requests);
 
   Row realloc;
   std::snprintf(realloc.name, sizeof(realloc.name), "realloc");
@@ -365,8 +361,28 @@ int Run(BenchJson& json, bool gate) {
     realloc = MeasureRow("realloc", BackendKind::kMultiproc, ReallocConfig(),
                          kSmoke.requests);
   }
-  PrintRow(realloc);
-  RecordRow(json, realloc);
+
+  // Built after every row ran, so no forked row inherits their pages: the row
+  // geometry's model, and the failover row's smoke-geometry one (the realloc
+  // row's allocation too, before its refill: the cache policy does not enter
+  // the allocation).
+  const ClusterModel model(MakeConfig(g).cluster, /*build_popularity=*/false);
+  const ClusterModel smoke_model(FailoverConfig().cluster,
+                                 /*build_popularity=*/false);
+  for (Row* r : {&dense, &seq, &sharded, &multi}) {
+    r->alloc_bytes = model.allocation->bytes();
+  }
+  for (Row* r : {&failover, &realloc}) {
+    r->alloc_bytes = smoke_model.allocation->bytes();
+  }
+  std::printf("\n%-14s %10s %8s %10s %9s %12s %10s %12s %10s %12s %10s\n",
+              "substrate", "req (M)", "Mreq/s", "hit ratio", "setup(s)",
+              "peakRSS(MB)", "route(MB)", "sampler(MB)", "arena(MB)", "total(MB)",
+              "alloc(MB)");
+  for (const Row* r : {&dense, &seq, &sharded, &multi, &failover, &realloc}) {
+    PrintRow(*r);
+    RecordRow(json, *r);
+  }
 
   // ---- gates ---------------------------------------------------------------
   int failed = 0;
@@ -390,11 +406,7 @@ int Run(BenchJson& json, bool gate) {
                 kShards, multi.total_bytes() / kMiB, share, kShards,
                 kShards * dense.total_bytes() / kMiB);
   }
-  // Measured after every row, so no forked row inherits the table's pages.
-  const uint64_t failover_base_bytes = [] {
-    const ClusterModel model(FailoverConfig().cluster, /*build_popularity=*/false);
-    return BuildRouteTable(model).bytes();
-  }();
+  const uint64_t failover_base_bytes = BuildRouteTable(smoke_model).bytes();
   const double failover_ratio =
       failover_base_bytes > 0
           ? static_cast<double>(failover.route_bytes) / failover_base_bytes
@@ -402,6 +414,18 @@ int Run(BenchJson& json, bool gate) {
   json.Metric("failover_route_over_base", failover_ratio);
   std::printf("failover x2 route-table bytes: %.2f MB = %.2fx its base table\n",
               failover.route_bytes / kMiB, failover_ratio);
+  const CacheAllocation& alloc = *model.allocation;
+  const uint64_t alloc_bytes = alloc.bytes();
+  const uint64_t cached_ranks = alloc.CachedRankEnd();
+  const uint64_t alloc_bound = 4 * alloc.num_layers() * cached_ranks + 1024;
+  const double alloc_per_rank =
+      cached_ranks > 0 ? static_cast<double>(alloc_bytes) / cached_ranks : 0.0;
+  json.Metric("alloc_bytes", static_cast<double>(alloc_bytes));
+  json.Metric("alloc_bytes_per_cached_rank", alloc_per_rank);
+  std::printf("allocation bytes: %.2f MB = %.1f B per cached rank (%llu ranks, "
+              "%zu layers)\n",
+              alloc_bytes / kMiB, alloc_per_rank,
+              static_cast<unsigned long long>(cached_ranks), alloc.num_layers());
   if (gate) {
     if (!base_ok) {
       std::fprintf(stderr, "memwall gate FAILED: baseline rows did not run\n");
@@ -444,6 +468,18 @@ int Run(BenchJson& json, bool gate) {
       std::printf("memwall gate OK: failover x2 route tables = %.2fx the base "
                   "table (threshold 2x)\n",
                   failover_ratio);
+    }
+    if (alloc_bytes > alloc_bound) {
+      std::fprintf(stderr,
+                   "memwall gate FAILED: allocation %.1f B per cached rank "
+                   "exceeds 4 B x %zu layers + 1 KiB — it holds more than its "
+                   "per-rank rows\n",
+                   alloc_per_rank, alloc.num_layers());
+      failed = 1;
+    } else {
+      std::printf("memwall gate OK: allocation = %.1f B per cached rank "
+                  "(threshold 4 B x %zu layers + 1 KiB)\n",
+                  alloc_per_rank, alloc.num_layers());
     }
   }
   return failed;

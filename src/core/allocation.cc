@@ -38,6 +38,13 @@ CacheAllocation::CacheAllocation(const AllocationConfig& config, const Placement
     }
     pool_ = 8 * budget;
   }
+  // Identity partition maps; Compute leaves them alone, so a failure remap in
+  // effect survives a Refill.
+  node_of_partition_.resize(config_.layers.size() - 1);
+  for (size_t l = 0; l < node_of_partition_.size(); ++l) {
+    node_of_partition_[l].resize(config_.layers[l].nodes);
+    std::iota(node_of_partition_[l].begin(), node_of_partition_[l].end(), 0);
+  }
   Compute(placement);
 }
 
@@ -50,14 +57,11 @@ void CacheAllocation::Compute(const Placement& placement) {
   const uint64_t ranked =
       explicit_hot_list_ ? std::min<uint64_t>(key_of_rank_.size(), pool_) : pool_;
   node_of_.assign(num_layers, {});
-  layer_contents_.assign(num_layers, {});
-  layer_contents_[leaf].assign(config_.layers[leaf].nodes, {});
-  partition_contents_.assign(leaf, {});
-  node_of_partition_.assign(leaf, {});
-  for (size_t l = 0; l < leaf; ++l) {
-    partition_contents_[l].assign(config_.layers[l].nodes, {});
-    node_of_partition_[l].resize(config_.layers[l].nodes);
-    std::iota(node_of_partition_[l].begin(), node_of_partition_[l].end(), 0);
+  // Fill count per budget: filled[l][node] per leaf rack and upper-layer
+  // partition; under CacheReplication filled[0][0] counts the replicated set.
+  std::vector<std::vector<uint32_t>> filled;
+  for (const LayerSpec& layer : config_.layers) {
+    filled.emplace_back(layer.nodes, 0);
   }
 
   const bool leaf_caching = config_.mechanism != Mechanism::kNoCache;
@@ -77,14 +81,13 @@ void CacheAllocation::Compute(const Placement& placement) {
   if (top_replicated && config_.layers[0].cache_objects > 0) {
     open += 1;
   }
-  // Caches `key` in `contents` (one budget of `capacity`) if it has room.
-  auto admit = [&open](std::vector<uint64_t>& contents, uint32_t capacity,
-                       uint64_t key) {
-    if (contents.size() >= capacity) {
+  // Takes a slot of one budget (`count` of `capacity` filled) if it has room.
+  auto admit = [&open](uint32_t& count, uint32_t capacity) {
+    if (count >= capacity) {
       return false;
     }
-    contents.push_back(key);
-    open -= contents.size() == capacity ? 1 : 0;
+    ++count;
+    open -= count == capacity ? 1 : 0;
     return true;
   };
 
@@ -92,7 +95,6 @@ void CacheAllocation::Compute(const Placement& placement) {
   // per-node budget with the hottest members of its partition. All hashes (h_l,
   // placement) are evaluated on the *key id* holding the rank, so an explicit hot
   // list lands each key at its true rack/partitions.
-  auto& leaf_contents = layer_contents_[leaf];
   num_cached_ = 0;
   uint64_t cached_end = 0;
   for (uint64_t rank = 0; rank < ranked && open > 0; ++rank) {
@@ -103,22 +105,21 @@ void CacheAllocation::Compute(const Placement& placement) {
     }
     const uint32_t rack = placement.RackOf(key);
     if (leaf_caching &&
-        admit(leaf_contents[rack], config_.layers[leaf].cache_objects, key)) {
+        admit(filled[leaf][rack], config_.layers[leaf].cache_objects)) {
       node_of_[leaf][rank] = rack;
       any = true;
     }
     if (upper_partitioned) {
       for (size_t l = 0; l < leaf; ++l) {
         const uint32_t partition = PartitionOf(l, key);
-        if (admit(partition_contents_[l][partition],
-                  config_.layers[l].cache_objects, key)) {
+        if (admit(filled[l][partition], config_.layers[l].cache_objects)) {
           node_of_[l][rank] = partition;
           any = true;
         }
       }
     } else if (top_replicated && rank < config_.layers[0].cache_objects) {
       // The globally hottest objects; identical content in every layer-0 node.
-      admit(partition_contents_[0][0], config_.layers[0].cache_objects, key);
+      admit(filled[0][0], config_.layers[0].cache_objects);
       node_of_[0][rank] = 0;
       any = true;
     }
@@ -130,29 +131,33 @@ void CacheAllocation::Compute(const Placement& placement) {
     row.resize(cached_end);
     row.shrink_to_fit();
   }
-
-  for (size_t l = 0; l < leaf; ++l) {
-    DeriveLayerContents(l);
-  }
 }
 
-// Rebuilds one upper layer's per-node contents from its partition contents
-// through the layer's partition→node map.
-void CacheAllocation::DeriveLayerContents(size_t layer) {
-  layer_contents_[layer].assign(config_.layers[layer].nodes, {});
-  if (config_.mechanism == Mechanism::kCacheReplication) {
-    if (layer == 0) {
-      for (auto& contents : layer_contents_[0]) {
-        contents = partition_contents_[0][0];
-      }
+std::vector<std::vector<uint64_t>> CacheAllocation::layer_contents(
+    size_t layer) const {
+  // One list per rack (leaf) or partition (upper layer), in rank order.
+  std::vector<std::vector<uint64_t>> lists(config_.layers[layer].nodes);
+  const std::vector<uint32_t>& row = node_of_[layer];
+  for (uint64_t rank = 0; rank < row.size(); ++rank) {
+    if (row[rank] != kNotCached) {
+      lists[row[rank]].push_back(KeyOfRank(rank));
     }
-    return;
   }
-  for (uint32_t p = 0; p < config_.layers[layer].nodes; ++p) {
-    auto& dst = layer_contents_[layer][node_of_partition_[layer][p]];
-    dst.insert(dst.end(), partition_contents_[layer][p].begin(),
-               partition_contents_[layer][p].end());
+  if (layer == leaf_layer()) {
+    return lists;
   }
+  if (config_.mechanism == Mechanism::kCacheReplication) {
+    // Partition 0 holds the replicated set; every layer-0 node caches it.
+    std::fill(lists.begin() + 1, lists.end(), lists[0]);
+    return lists;
+  }
+  // Each node concatenates the partitions mapped onto it, ascending.
+  std::vector<std::vector<uint64_t>> by_node(lists.size());
+  for (size_t p = 0; p < lists.size(); ++p) {
+    auto& dst = by_node[node_of_partition_[layer][p]];
+    dst.insert(dst.end(), lists[p].begin(), lists[p].end());
+  }
+  return by_node;
 }
 
 CacheCopies CacheAllocation::CopiesOfRank(uint64_t rank) const {
@@ -188,13 +193,6 @@ size_t CacheAllocation::bytes() const {
   for (const auto& row : node_of_) {
     total += row.capacity() * sizeof(uint32_t);
   }
-  for (const auto* layers : {&partition_contents_, &layer_contents_}) {
-    for (const auto& layer : *layers) {
-      for (const auto& contents : layer) {
-        total += contents.capacity() * sizeof(uint64_t);
-      }
-    }
-  }
   for (const auto& remap : node_of_partition_) {
     total += remap.capacity() * sizeof(uint32_t);
   }
@@ -207,7 +205,6 @@ void CacheAllocation::Refill(const std::vector<uint64_t>& hottest_first,
   key_of_rank_.assign(hottest_first.begin(),
                       hottest_first.begin() +
                           std::min<size_t>(hottest_first.size(), pool_));
-  const std::vector<std::vector<uint32_t>> remaps = node_of_partition_;
   Compute(placement);
   // Only the cached span needs its keys: a key first listed past it is
   // uncached, exactly as a key not listed at all.
@@ -219,12 +216,6 @@ void CacheAllocation::Refill(const std::vector<uint64_t>& hottest_first,
     // First occurrence wins: a duplicate key keeps its hotter rank.
     rank_of_key_.emplace(key_of_rank_[rank], rank);
   }
-  // Failure remaps in effect survive the re-allocation, layer by layer.
-  for (size_t l = 0; l < remaps.size(); ++l) {
-    if (!remaps[l].empty()) {
-      RemapLayer(l, remaps[l]);
-    }
-  }
 }
 
 void CacheAllocation::RemapLayer(size_t layer,
@@ -232,7 +223,6 @@ void CacheAllocation::RemapLayer(size_t layer,
   assert(layer + 1 < config_.layers.size());
   assert(node_of_partition.size() == config_.layers[layer].nodes);
   node_of_partition_[layer] = node_of_partition;
-  DeriveLayerContents(layer);
 }
 
 }  // namespace distcache

@@ -22,7 +22,9 @@
 // is simply the smallest-rank members of the partition within the candidate pool.
 // When the workload's hot set moves (§6.4 hot-spot shift), the controller
 // re-allocates via Refill() with an explicit hottest-first key list; rank order is
-// then the list order and lookups go through a key→rank index.
+// then the list order and lookups go through a key→rank index. Storage is per
+// rank: one row per layer over the cached span plus the partition→node maps;
+// per-node contents are derived on demand (no engine routes by node).
 #ifndef DISTCACHE_CORE_ALLOCATION_H_
 #define DISTCACHE_CORE_ALLOCATION_H_
 
@@ -133,15 +135,15 @@ class CacheAllocation {
   // Historical name for the top layer's partition.
   uint32_t SpinePartitionOf(uint64_t key) const { return PartitionOf(0, key); }
 
-  // Contents per node of one layer (post-remap for upper layers).
-  const std::vector<std::vector<uint64_t>>& layer_contents(size_t layer) const {
-    return layer_contents_[layer];
+  // Contents per node of one layer (post-remap for upper layers; partitions in
+  // ascending order, each in rank order), built per call in O(CachedRankEnd()).
+  // By value: index a local, not the call (`for (k : f()[i])` dangles).
+  std::vector<std::vector<uint64_t>> layer_contents(size_t layer) const;
+  std::vector<std::vector<uint64_t>> spine_contents() const {
+    return layer_contents(0);
   }
-  const std::vector<std::vector<uint64_t>>& spine_contents() const {
-    return layer_contents_.front();
-  }
-  const std::vector<std::vector<uint64_t>>& leaf_contents() const {
-    return layer_contents_.back();
+  std::vector<std::vector<uint64_t>> leaf_contents() const {
+    return layer_contents(leaf_layer());
   }
 
   size_t num_layers() const { return config_.layers.size(); }
@@ -154,14 +156,14 @@ class CacheAllocation {
   // resolve to an uncached CacheCopies.
   uint64_t CachedRankEnd() const { return node_of_.front().size(); }
   uint64_t candidate_pool() const { return pool_; }
-  // Heap bytes the allocation holds (capacities; the key->rank index is
-  // estimated from its bucket and entry counts). O(cached), not O(pool).
+  // Heap bytes the allocation holds: its rows, maps and refill index (the
+  // index estimated from its bucket and entry counts). O(cached), not O(pool).
   size_t bytes() const;
   const AllocationConfig& config() const { return config_; }
 
-  // Re-runs allocation for upper layer `layer` with some nodes marked failed:
-  // their partitions are remapped onto alive nodes via the provided map
-  // (partition index → alive node index). Used by the controller's failure
+  // Remaps upper layer `layer` with some nodes marked failed: their partitions
+  // move onto alive nodes via the provided map (partition index → alive node
+  // index); only the map changes. Used by the controller's failure
   // handling (§4.4); see CacheController. The leaf layer cannot be remapped (a
   // rack's cache is bound to the rack).
   void RemapLayer(size_t layer, const std::vector<uint32_t>& node_of_partition);
@@ -193,7 +195,6 @@ class CacheAllocation {
   static constexpr uint32_t kNotCached = UINT32_MAX;
 
   void Compute(const Placement& placement);
-  void DeriveLayerContents(size_t layer);
   CacheCopies CopiesOfRank(uint64_t rank) const;
 
   // Rank of `key` in the current hot-set ordering, or pool_ when unranked (tail).
@@ -228,12 +229,8 @@ class CacheAllocation {
   // pre-remap; for the leaf layer the rack from the placement of the key — or
   // kNotCached.
   std::vector<std::vector<uint32_t>> node_of_;
-  // Per-upper-layer, per-partition cached keys; layer_contents_ derives from these
-  // through node_of_partition_ so that failure remaps are cheap and lossless.
-  // (Under CacheReplication, partition_contents_[0][0] holds the replicated set.)
-  std::vector<std::vector<std::vector<uint64_t>>> partition_contents_;
+  // Per-upper-layer partition -> node map (identity until a failure remap).
   std::vector<std::vector<uint32_t>> node_of_partition_;
-  std::vector<std::vector<std::vector<uint64_t>>> layer_contents_;
 };
 
 }  // namespace distcache

@@ -74,8 +74,9 @@ void DistCacheRuntime::Start() {
   // runtime exercise is query handling, not warm-up) and start its thread. Switch
   // threads come first in threads_: Stop() relies on that order.
   for (uint32_t layer = 0; layer < kLayers; ++layer) {
+    const auto contents = allocation_->layer_contents(layer);
     for (uint32_t i = 0; i < switches_[layer].size(); ++i) {
-      for (uint64_t key : allocation_->layer_contents(layer)[i]) {
+      for (uint64_t key : contents[i]) {
         switches_[layer][i]->InsertInvalid(key, ValueFor(key).size()).ok();
         switches_[layer][i]->UpdateValue(key, ValueFor(key)).ok();
       }

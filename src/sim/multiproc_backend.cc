@@ -232,7 +232,8 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
   }
 
   // Realloc rendezvous: one report slot per (step, shard), sized for the
-  // observer's max_reports_per_epoch (2·pool). Pages are only touched as
+  // observer's max_reports_per_epoch (2·pool) or, when fewer, the shard's
+  // quota (Observe adds at most one entry per read). Pages are only touched as
   // written. The tables never enter the arena: each forked shard builds its
   // own, the thread launcher shares shard 0's (Reallocate).
   size_t realloc_steps = 0;
@@ -241,11 +242,14 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
                      step.event.kind == ClusterEvent::Kind::kReallocateCache;
   }
   report_offset_.clear();
-  report_entry_cap_ = static_cast<size_t>(2 * model_.pool);
-  const size_t report_bytes =
-      kCacheLineSize + report_entry_cap_ * sizeof(ReportEntry);
+  report_entry_cap_.clear();
+  for (uint32_t i = 0; i < n; ++i) {
+    report_entry_cap_.push_back(
+        std::min(2 * model_.pool, QuotaOf(num_requests, n, i)));
+  }
   for (size_t i = 0; i < realloc_steps * n; ++i) {
-    report_offset_.push_back(layout.Reserve(report_bytes));
+    report_offset_.push_back(layout.Reserve(
+        kCacheLineSize + report_entry_cap_[i % n] * sizeof(ReportEntry)));
   }
   realloc_routes_.assign(realloc_steps, {});
   realloc_released_.store(0, std::memory_order_relaxed);
@@ -546,7 +550,7 @@ void MultiprocBackend::Reallocate(Proc& p) {
     std::atomic<uint64_t>* flag = ReportFlag(step, p.id);
     if (flag->load(std::memory_order_acquire) == 0) {
       const auto report = p.core.ObservedCounts();
-      const size_t count = std::min(report.size(), report_entry_cap_);
+      const size_t count = std::min(report.size(), report_entry_cap_[p.id]);
       auto* entries = reinterpret_cast<ReportEntry*>(
           reinterpret_cast<uint8_t*>(flag) + kCacheLineSize);
       for (size_t i = 0; i < count; ++i) {

@@ -219,7 +219,7 @@ class MultiprocBackend : public SimBackend {
   // slot per shard; the step's tables (BuildReallocRoutes), owned by this
   // process for the rest of the run; and the thread launcher's release word
   // (steps whose tables shard 0 has published).
-  size_t report_entry_cap_ = 0;                  // entries per report slot
+  std::vector<size_t> report_entry_cap_;         // [shard] entries per slot
   std::vector<size_t> report_offset_;            // [step * shards + shard]
   std::vector<std::vector<std::shared_ptr<const RouteTable>>> realloc_routes_;
   std::atomic<uint32_t> realloc_released_{0};

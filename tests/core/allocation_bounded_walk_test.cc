@@ -332,5 +332,41 @@ TEST(CacheAllocation, BytesStayProportionalToTheCachedSpan) {
   EXPECT_LE(alloc.bytes() * 50, dense_bytes) << alloc.bytes() << " B after refill";
 }
 
+// The allocation stores one 4 B row entry per layer per rank of the cached
+// span and each upper layer's partition map, nothing per node: per-node
+// contents are derived on demand, and each call derives the same lists. A
+// refill adds only its key->rank index (the key list plus the hash index,
+// at most 48 B per rank of the span). Checked at a wide cached span (8+8
+// nodes x 5,000 objects, 1M-rank pool), where per-node key lists would add
+// 8 B per cached copy.
+TEST(CacheAllocation, HoldsOnlyPerRankRows) {
+  AllocationConfig config =
+      AllocationConfig::TwoLayer(Mechanism::kDistCache, 8, 8, 5'000);
+  config.candidate_pool = 1'000'000;
+  const Placement placement(8, 4);
+  CacheAllocation alloc(config, placement);
+  const size_t upper_nodes = 8;
+  // Plus one pointer: bytes() counts the empty index's single bucket.
+  auto rows_bytes = [&] {
+    return 4 * alloc.num_layers() * alloc.CachedRankEnd() + 4 * upper_nodes +
+           sizeof(void*);
+  };
+  ASSERT_GT(alloc.CachedRankEnd(), 40'000u);
+  EXPECT_LE(alloc.bytes(), rows_bytes()) << alloc.CachedRankEnd() << " ranks";
+  for (size_t l = 0; l < alloc.num_layers(); ++l) {
+    EXPECT_EQ(alloc.layer_contents(l), alloc.layer_contents(l)) << "layer " << l;
+  }
+
+  std::vector<uint64_t> shifted(config.candidate_pool);
+  std::iota(shifted.begin(), shifted.end(), uint64_t{3'000'000});
+  alloc.Refill(shifted, placement);
+  ASSERT_GT(alloc.CachedRankEnd(), 40'000u);
+  EXPECT_LE(alloc.bytes(), rows_bytes() + 48 * alloc.CachedRankEnd())
+      << alloc.CachedRankEnd() << " ranks after refill";
+  for (size_t l = 0; l < alloc.num_layers(); ++l) {
+    EXPECT_EQ(alloc.layer_contents(l), alloc.layer_contents(l)) << "layer " << l;
+  }
+}
+
 }  // namespace
 }  // namespace distcache

@@ -59,8 +59,9 @@ TEST(CacheAllocation, ReplicationPutsSameContentInEverySpine) {
 TEST(CacheAllocation, DistCacheSpinePartitionedByH0) {
   CacheAllocation alloc(BaseConfig(Mechanism::kDistCache), BasePlacement());
   std::set<uint64_t> seen;
+  const auto spine = alloc.spine_contents();
   for (uint32_t s = 0; s < 8; ++s) {
-    const auto& contents = alloc.spine_contents()[s];
+    const auto& contents = spine[s];
     EXPECT_EQ(contents.size(), 10u) << "spine " << s;
     for (uint64_t key : contents) {
       EXPECT_EQ(alloc.SpinePartitionOf(key), s);
@@ -86,15 +87,17 @@ TEST(CacheAllocation, DistCacheHotKeysHaveTwoCopies) {
 
 TEST(CacheAllocation, ContentsConsistentWithCopiesOf) {
   CacheAllocation alloc(BaseConfig(Mechanism::kDistCache), BasePlacement());
+  const auto spine = alloc.spine_contents();
   for (uint32_t s = 0; s < 8; ++s) {
-    for (uint64_t key : alloc.spine_contents()[s]) {
+    for (uint64_t key : spine[s]) {
       const CacheCopies c = alloc.CopiesOf(key);
       ASSERT_TRUE(c.spine().has_value());
       EXPECT_EQ(*c.spine(), s);
     }
   }
+  const auto leaf = alloc.leaf_contents();
   for (uint32_t l = 0; l < 8; ++l) {
-    for (uint64_t key : alloc.leaf_contents()[l]) {
+    for (uint64_t key : leaf[l]) {
       const CacheCopies c = alloc.CopiesOf(key);
       ASSERT_TRUE(c.leaf().has_value());
       EXPECT_EQ(*c.leaf(), l);
@@ -105,8 +108,9 @@ TEST(CacheAllocation, ContentsConsistentWithCopiesOf) {
 TEST(CacheAllocation, LeafCopyMatchesPlacementRack) {
   const Placement placement = BasePlacement();
   CacheAllocation alloc(BaseConfig(Mechanism::kDistCache), placement);
+  const auto leaf = alloc.leaf_contents();
   for (uint32_t l = 0; l < 8; ++l) {
-    for (uint64_t key : alloc.leaf_contents()[l]) {
+    for (uint64_t key : leaf[l]) {
       EXPECT_EQ(placement.RackOf(key), l);
     }
   }

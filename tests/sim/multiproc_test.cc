@@ -349,6 +349,32 @@ TEST(MultiprocMemory, ArenaHoldsNoRouteTable) {
   EXPECT_EQ(arena_bytes[0], arena_bytes[1]);
 }
 
+// A realloc report slot holds what its shard can report: an entry is created
+// only per read, so never more than the shard's quota, and never more than
+// the observer's 2·pool cap. A fork x2 run whose quota is below 2·pool maps
+// report slots of its quota, not of the observer's cap.
+TEST(MultiprocMemory, ReportSlotsHoldAtMostTheShardsReads) {
+  SKIP_UNLESS_MULTIPROC_RUNNABLE();
+  constexpr uint64_t kRequests = 8'000;
+  SimBackendConfig bcfg = GoldenBackendConfig(2);
+  bcfg.cluster.cache_policy = CachePolicyKind::kStaticTopK;
+  bcfg.events = {ClusterEvent::ShiftHotspot(2'000, 12'345)};
+  const BackendStats plain =
+      MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(kRequests);
+  bcfg.events.push_back(ClusterEvent::ReallocateCache(4'000));
+  const BackendStats realloc =
+      MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(kRequests);
+  ASSERT_EQ(plain.failed_shards, 0u);
+  ASSERT_EQ(realloc.failed_shards, 0u);
+  const uint64_t pool = ClusterModel(bcfg.cluster, /*build_popularity=*/false).pool;
+  const uint64_t quota = MultiprocBackend::QuotaOf(kRequests, 2, 0);
+  ASSERT_LT(quota, 2 * pool);
+  // Each slot: a cache-line flag word, then 16 B entries, cache-line aligned.
+  const uint64_t report_bytes = realloc.arena_bytes - plain.arena_bytes;
+  EXPECT_LT(report_bytes, 2 * (64 + 2 * pool * 16));
+  EXPECT_LE(report_bytes, 2 * (64 + quota * 16 + 64));
+}
+
 // ---- respawn ---------------------------------------------------------------
 
 TEST(MultiprocRespawn, KilledShardIsRespawnedAndTheRunCompletes) {
