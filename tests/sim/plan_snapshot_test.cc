@@ -76,6 +76,23 @@ SimBackendConfig ReallocConfig() {
   return cfg;
 }
 
+// A re-allocation between a failure and its remap: the controller's re-sync at
+// the refill already moves the dead spines' partitions, while the engines
+// still route the pre-failure map until the remap step. Plan order:
+//   0 shift @10k   1,2 fail 2, 5 @20k   3 realloc @50k   4 remap @80k
+//   5,6 recover 2, 5 @150k
+SimBackendConfig ReallocBeforeRemapConfig() {
+  SimBackendConfig cfg = BaseConfig();
+  cfg.events = {ClusterEvent::ShiftHotspot(10'000, kShift),
+                ClusterEvent::FailSpine(20'000, 2),
+                ClusterEvent::FailSpine(20'000, 5),
+                ClusterEvent::ReallocateCache(50'000),
+                ClusterEvent::RunRecovery(80'000),
+                ClusterEvent::RecoverSpine(150'000, 2),
+                ClusterEvent::RecoverSpine(150'000, 5)};
+  return cfg;
+}
+
 void ExpectSameTable(const RouteTable& got, const RouteTable& want,
                      const std::string& label) {
   ASSERT_EQ(got.entries.size(), want.entries.size()) << label;
@@ -165,7 +182,9 @@ TEST(PlanSnapshots, EveryTableMatchesARebuildOfTheWalkState) {
 
 // Pinned from the engines before plan steps were coalesced or shared: no
 // request's routing changed. The FullStatsDigest pins (every load and latency
-// histogram bit on top of the digest rows) came from the same engines.
+// histogram bit on top of the digest rows) came from the same engines. The
+// realloc-before-remap case was pinned before route snapshots carried the
+// layer-0 map apart from the table.
 TEST(PlanSnapshots, RunsMatchThePinnedDigests) {
   const struct {
     const char* name;
@@ -179,6 +198,9 @@ TEST(PlanSnapshots, RunsMatchThePinnedDigests) {
        0xe51c74c76f2ea4b5ULL, 0x1e47683818c0901dULL, 0xc0ee426fdf37994eULL},
       {"realloc", ReallocConfig(), 0x96bbb07987059678ULL,
        0x9abb7ee02bfd4c19ULL, 0x82e26e006788e0ebULL, 0xd8247b7a64a30091ULL},
+      {"realloc before remap", ReallocBeforeRemapConfig(),
+       0x6501d2204367107dULL, 0x0d0d6dc83dc84586ULL, 0xd33925b504914985ULL,
+       0x6472bb2398b98e4fULL},
   };
   for (const auto& c : cases) {
     const BackendStats sequential =
