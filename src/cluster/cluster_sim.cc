@@ -103,7 +103,7 @@ void ClusterSim::RouteKeyReads(uint64_t key, double read_rate, const CacheCopies
   // A dead top-layer switch keeps receiving its routed share until the controller
   // remaps the partition: the client ToRs have no failure signal beyond telemetry
   // going stale, so queries sent to the dead switch are simply lost (§4.4 / Fig. 11
-  // shows the resulting throughput dip). After RunFailureRecovery() the allocation
+  // shows the resulting throughput dip). After RunFailureRecovery() the controller
   // maps the partition to an alive switch and CopiesOf() no longer points here.
   CacheNodeId cand[kMaxCacheLayers];
   size_t k = 0;
@@ -267,7 +267,7 @@ LoadSnapshot ClusterSim::RunTicks(double offered_rate, int ticks) {
           continue;
         }
         const uint64_t key = KeyOfRank(rank);
-        const CacheCopies copies = model_.allocation->CopiesOf(key);
+        const CacheCopies copies = model_.CopiesOf(key);
         RouteKeyReads(key, rate * (1.0 - write_ratio), copies, acc);
         ChargeWrite(key, rate * write_ratio, copies, acc);
       }

@@ -114,7 +114,8 @@ class ClusterSim {
   }
   uint32_t num_servers() const { return config_.num_racks * config_.servers_per_rack; }
   const ClusterConfig& config() const { return config_; }
-  const CacheAllocation& allocation() const { return *model_.allocation; }
+  // Where `key` is cached now (post-remap; ClusterModel::CopiesOf).
+  CacheCopies CopiesOf(uint64_t key) const { return model_.CopiesOf(key); }
   const Placement& placement() const { return model_.placement; }
   const PopularityVector& popularity() const { return popularity_; }
   double layer_capacity(size_t layer) const { return layer_capacity_[layer]; }

@@ -24,7 +24,7 @@ double FluidBackend::ReachableCachedMass() const {
   const std::vector<uint8_t>& spine_alive = sim_.spine_alive();
   double mass = 0.0;
   for (uint64_t rank = 0; rank < pv.head.size(); ++rank) {
-    const CacheCopies copies = sim_.allocation().CopiesOf(sim_.KeyOfRank(rank));
+    const CacheCopies copies = sim_.CopiesOf(sim_.KeyOfRank(rank));
     // Reachable iff some copy is on an alive node; only top-layer nodes die.
     bool reachable = false;
     for (uint8_t i = 0; i < copies.num && !reachable; ++i) {

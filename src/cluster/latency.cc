@@ -34,7 +34,6 @@ template <typename Emit>
 void ForEachReadComponent(ClusterSim& sim, const LoadSnapshot& snap,
                           const std::vector<double>& cache_rates,
                           double server_rate, double rtt, Emit&& emit) {
-  const CacheAllocation& alloc = sim.allocation();
   const PopularityVector& pop = sim.popularity();
   const double server_hops = static_cast<double>(snap.cache.size()) + 1.0;
   for (uint64_t rank = 0; rank < pop.head.size(); ++rank) {
@@ -43,7 +42,7 @@ void ForEachReadComponent(ClusterSim& sim, const LoadSnapshot& snap,
       continue;
     }
     const uint64_t key = sim.KeyOfRank(rank);
-    const CacheCopies copies = alloc.CopiesOf(key);
+    const CacheCopies copies = sim.CopiesOf(key);
     if (!copies.cached()) {
       emit(weight, server_hops * rtt,
            SojournRate(snap.server[sim.placement().ServerOf(key)], server_rate),

@@ -1,10 +1,8 @@
 #include "core/allocation.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <numeric>
 
 namespace distcache {
 
@@ -37,13 +35,6 @@ CacheAllocation::CacheAllocation(const AllocationConfig& config, const Placement
       budget += uint64_t{layer.nodes} * layer.cache_objects;
     }
     pool_ = 8 * budget;
-  }
-  // Identity partition maps; Compute leaves them alone, so a failure remap in
-  // effect survives a Refill.
-  node_of_partition_.resize(config_.layers.size() - 1);
-  for (size_t l = 0; l < node_of_partition_.size(); ++l) {
-    node_of_partition_[l].resize(config_.layers[l].nodes);
-    std::iota(node_of_partition_[l].begin(), node_of_partition_[l].end(), 0);
   }
   Compute(placement);
 }
@@ -143,21 +134,11 @@ std::vector<std::vector<uint64_t>> CacheAllocation::layer_contents(
       lists[row[rank]].push_back(KeyOfRank(rank));
     }
   }
-  if (layer == leaf_layer()) {
-    return lists;
-  }
-  if (config_.mechanism == Mechanism::kCacheReplication) {
+  if (layer == 0 && config_.mechanism == Mechanism::kCacheReplication) {
     // Partition 0 holds the replicated set; every layer-0 node caches it.
     std::fill(lists.begin() + 1, lists.end(), lists[0]);
-    return lists;
   }
-  // Each node concatenates the partitions mapped onto it, ascending.
-  std::vector<std::vector<uint64_t>> by_node(lists.size());
-  for (size_t p = 0; p < lists.size(); ++p) {
-    auto& dst = by_node[node_of_partition_[layer][p]];
-    dst.insert(dst.end(), lists[p].begin(), lists[p].end());
-  }
-  return by_node;
+  return lists;
 }
 
 CacheCopies CacheAllocation::CopiesOfRank(uint64_t rank) const {
@@ -177,24 +158,21 @@ CacheCopies CacheAllocation::CopiesOfRank(uint64_t rank) const {
       copies.replicated_all_spines = true;
       continue;
     }
-    copies.nodes[copies.num++] = {
-        static_cast<uint32_t>(l),
-        l + 1 == num_layers ? node : node_of_partition_[l][node]};
+    copies.nodes[copies.num++] = {static_cast<uint32_t>(l), node};
   }
   return copies;
 }
 
 size_t CacheAllocation::bytes() const {
   size_t total = key_of_rank_.capacity() * sizeof(uint64_t);
-  // The key->rank index: its bucket array plus one heap node per entry.
-  total += rank_of_key_.bucket_count() * sizeof(void*) +
+  // The key->rank index: its bucket array plus one heap node per entry. A
+  // one-bucket array is the map's inline single bucket (libstdc++), not heap.
+  const size_t buckets = rank_of_key_.bucket_count();
+  total += (buckets > 1 ? buckets * sizeof(void*) : 0) +
            rank_of_key_.size() * (sizeof(std::pair<const uint64_t, uint64_t>) +
                                   sizeof(void*));
   for (const auto& row : node_of_) {
     total += row.capacity() * sizeof(uint32_t);
-  }
-  for (const auto& remap : node_of_partition_) {
-    total += remap.capacity() * sizeof(uint32_t);
   }
   return total;
 }
@@ -216,13 +194,6 @@ void CacheAllocation::Refill(const std::vector<uint64_t>& hottest_first,
     // First occurrence wins: a duplicate key keeps its hotter rank.
     rank_of_key_.emplace(key_of_rank_[rank], rank);
   }
-}
-
-void CacheAllocation::RemapLayer(size_t layer,
-                                 const std::vector<uint32_t>& node_of_partition) {
-  assert(layer + 1 < config_.layers.size());
-  assert(node_of_partition.size() == config_.layers[layer].nodes);
-  node_of_partition_[layer] = node_of_partition;
 }
 
 }  // namespace distcache

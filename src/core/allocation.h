@@ -23,8 +23,11 @@
 // When the workload's hot set moves (§6.4 hot-spot shift), the controller
 // re-allocates via Refill() with an explicit hottest-first key list; rank order is
 // then the list order and lookups go through a key→rank index. Storage is per
-// rank: one row per layer over the cached span plus the partition→node maps;
-// per-node contents are derived on demand (no engine routes by node).
+// rank: one row per layer over the cached span; per-node contents are derived on
+// demand (no engine routes by node). The allocation holds no failure state: an
+// upper-layer copy is named by its *partition* (node p hosts partition p until
+// a failure moves it), and the controller's partition→switch map says where a
+// layer-0 partition lives now (CacheController::Place, ClusterModel::CopiesOf).
 #ifndef DISTCACHE_CORE_ALLOCATION_H_
 #define DISTCACHE_CORE_ALLOCATION_H_
 
@@ -108,7 +111,8 @@ class CacheAllocation {
   // hashes h_0..h_{L-2} are drawn independently from `hash_seed`.
   CacheAllocation(const AllocationConfig& config, const Placement& placement);
 
-  // Copies of `key` (empty copies if the key is not cached).
+  // Copies of `key` (empty copies if the key is not cached), upper layers by
+  // partition.
   CacheCopies CopiesOf(uint64_t key) const { return CopiesOfRank(RankOf(key)); }
 
   // Calls fn(key, copies) once for every distinct cached key, hottest first.
@@ -135,8 +139,8 @@ class CacheAllocation {
   // Historical name for the top layer's partition.
   uint32_t SpinePartitionOf(uint64_t key) const { return PartitionOf(0, key); }
 
-  // Contents per node of one layer (post-remap for upper layers; partitions in
-  // ascending order, each in rank order), built per call in O(CachedRankEnd()).
+  // Contents of one layer, per rack (leaf) or per partition (upper layers),
+  // each in rank order, built per call in O(CachedRankEnd()).
   // By value: index a local, not the call (`for (k : f()[i])` dangles).
   std::vector<std::vector<uint64_t>> layer_contents(size_t layer) const;
   std::vector<std::vector<uint64_t>> spine_contents() const {
@@ -156,27 +160,16 @@ class CacheAllocation {
   // resolve to an uncached CacheCopies.
   uint64_t CachedRankEnd() const { return node_of_.front().size(); }
   uint64_t candidate_pool() const { return pool_; }
-  // Heap bytes the allocation holds: its rows, maps and refill index (the
-  // index estimated from its bucket and entry counts). O(cached), not O(pool).
+  // Heap bytes the allocation holds: its rows and refill index (the index
+  // estimated from its bucket and entry counts). O(cached), not O(pool).
   size_t bytes() const;
   const AllocationConfig& config() const { return config_; }
-
-  // Remaps upper layer `layer` with some nodes marked failed: their partitions
-  // move onto alive nodes via the provided map (partition index → alive node
-  // index); only the map changes. Used by the controller's failure
-  // handling (§4.4); see CacheController. The leaf layer cannot be remapped (a
-  // rack's cache is bound to the rack).
-  void RemapLayer(size_t layer, const std::vector<uint32_t>& node_of_partition);
-  // Historical name: remap of the top layer.
-  void RemapSpine(const std::vector<uint32_t>& spine_of_partition) {
-    RemapLayer(0, spine_of_partition);
-  }
 
   // Re-allocates the cache onto a new hot set: `hottest_first[i]` is the key the
   // controller now believes has popularity rank i (e.g. observed heavy-hitter
   // counts after a hot-spot shift). Budgets are refilled hottest-first exactly like
-  // the constructor; the partition→node remaps in effect are preserved per layer,
-  // so re-allocation composes with failure handling. Lists shorter than the
+  // the constructor; copies stay named by partition, so re-allocation composes
+  // with the controller's failure remap. Lists shorter than the
   // candidate pool simply leave the remaining budget demand unfilled; entries
   // beyond the pool are ignored. Afterwards CopiesOf() answers by key id through
   // the key→rank index.
@@ -225,12 +218,10 @@ class CacheAllocation {
   // Dense per-layer, per-rank copy info for the cached span only: ranks
   // [0, CachedRankEnd()), where the hottest-first walk stopped once every open
   // budget was full (or the ranked keys ran out). node_of_[l][rank] is the node
-  // holding the rank's copy in layer l — for upper layers the *partition*,
-  // pre-remap; for the leaf layer the rack from the placement of the key — or
+  // holding the rank's copy in layer l — for upper layers the partition, for
+  // the leaf layer the rack from the placement of the key — or
   // kNotCached.
   std::vector<std::vector<uint32_t>> node_of_;
-  // Per-upper-layer partition -> node map (identity until a failure remap).
-  std::vector<std::vector<uint32_t>> node_of_partition_;
 };
 
 }  // namespace distcache

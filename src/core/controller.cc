@@ -39,10 +39,7 @@ void CacheController::OnSpineRecovery(uint32_t spine) {
 void CacheController::ReallocateCache(const std::vector<uint64_t>& hottest_first,
                                       const Placement& placement) {
   if (allocation_ != nullptr) {
-    // Refill preserves the allocation's remap internally, but re-assert the
-    // controller's own view so both stay the single source of truth.
     allocation_->Refill(hottest_first, placement);
-    allocation_->RemapSpine(spine_of_partition_);
   }
   if (listener_) {
     listener_(spine_of_partition_);
@@ -58,9 +55,6 @@ void CacheController::Recompute() {
       // virtual nodes make the spread nearly uniform even for a handful of failures.
       spine_of_partition_[p] = ring_.NodeFor(p).value_or(p);
     }
-  }
-  if (allocation_ != nullptr) {
-    allocation_->RemapSpine(spine_of_partition_);
   }
   if (listener_) {
     listener_(spine_of_partition_);

@@ -4,7 +4,9 @@
 // the query path entirely; it acts only on reconfiguration — adding racks/switches and
 // handling failures. On a spine-switch failure it remaps the failed switch's h0
 // partition onto the remaining alive switches with consistent hashing + virtual nodes
-// so the displaced hot objects stay cached and the extra load spreads out.
+// so the displaced hot objects stay cached and the extra load spreads out. The
+// partition→switch map is the only failure state: the allocation names layer-0
+// copies by partition, and Place() resolves them to the switch hosting each now.
 #ifndef DISTCACHE_CORE_CONTROLLER_H_
 #define DISTCACHE_CORE_CONTROLLER_H_
 
@@ -35,16 +37,24 @@ class CacheController {
 
   // Online cache re-allocation (§6.4 hot-spot shift): replaces the cached set with
   // the hottest-first key list the controller observed (heavy-hitter reports
-  // aggregated from the switches), then re-applies the partition→spine remap
-  // currently in effect so re-allocation composes with failure handling. The new
-  // allocation must be pushed to clients afterwards (route-table rebuild +
-  // publish, see sim/multiproc_backend.h).
+  // aggregated from the switches). The partition→spine remap in effect stays,
+  // so re-allocation composes with failure handling. The new allocation must be
+  // pushed to clients afterwards (route-table rebuild + publish, see
+  // sim/engine_core.h).
   void ReallocateCache(const std::vector<uint64_t>& hottest_first,
                        const Placement& placement);
 
   bool IsAlive(uint32_t spine) const { return alive_[spine]; }
   uint32_t num_alive() const { return num_alive_; }
   const std::vector<uint32_t>& spine_of_partition() const { return spine_of_partition_; }
+  // `copies` (CacheAllocation::CopiesOf) with the layer-0 copy moved from its
+  // partition to the switch hosting that partition now.
+  CacheCopies Place(CacheCopies copies) const {
+    if (copies.num > 0 && copies.nodes[0].layer == 0) {
+      copies.nodes[0].index = spine_of_partition_[copies.nodes[0].index];
+    }
+    return copies;
+  }
 
   void set_remap_listener(RemapListener listener) { listener_ = std::move(listener); }
 

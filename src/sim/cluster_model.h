@@ -44,8 +44,7 @@ struct ClusterModel {
 
   // Syncs the controller's alive set to `spine_alive`: failed spines hand their
   // partitions to alive ones via consistent hashing, recovered spines take
-  // theirs home. Mutates `allocation`, so CopiesOf() reflects the remap
-  // afterwards.
+  // theirs home. CopiesOf() reflects the remap afterwards.
   void SyncControllerRemap(const std::vector<uint8_t>& spine_alive);
 
   // Online cache re-allocation (§6.4): replaces the cached set with the
@@ -65,6 +64,12 @@ struct ClusterModel {
       const std::vector<uint8_t>& spine_alive,
       const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports);
 
+  // Where `key` is cached now: the allocation's copies with the layer-0 copy
+  // on the switch the controller maps its partition to.
+  CacheCopies CopiesOf(uint64_t key) const {
+    return controller->Place(allocation->CopiesOf(key));
+  }
+
   // The pool head ranks' pmf and the aggregate tail mass under skew `theta`.
   PopularityVector PopularityFor(double theta) const;
 
@@ -77,7 +82,8 @@ struct ClusterModel {
   std::vector<LayerSpec> layers;  // resolved cache hierarchy, top first
   Placement placement;
   std::unique_ptr<CacheAllocation> allocation;
-  // Off-path cache controller driving failure remaps (§4.4); shares `allocation`.
+  // Off-path cache controller driving failure remaps (§4.4) and refills; it
+  // holds the partition→switch map, the allocation none.
   std::unique_ptr<CacheController> controller;
 
   // Keys [0, pool) are tracked individually ("head"); the rest is the uniform tail.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <unordered_set>
 
@@ -60,42 +61,43 @@ bool AdvancePlanState(const TimelineStep& step, ClusterModel& model,
   return false;
 }
 
+// The snapshot of the walk's state: `table` and the controller's map now.
+RouteSnapshot Snapshot(std::shared_ptr<const RouteTable> table,
+                       const ClusterModel& model) {
+  return {std::move(table), std::make_shared<const std::vector<uint32_t>>(
+                                model.controller->spine_of_partition())};
+}
+
 // Walks plan[from, end) from (alive, shift) and returns each step's snapshot.
 // All due steps apply in one AdvanceTo loop, so no request routes between
 // steps that share an at_request: only the last route-changing step of each
-// timestamp gets a table, of the state after the whole timestamp; the others
-// get absent ones. Within a walk the cached set is fixed, so a table is a
-// function of the controller's partition→spine map and the hot shift alone: a
-// state seen before — `start`, the table of the walk's starting state when
-// given, included — shares its table instead of building an equal copy.
-std::vector<std::shared_ptr<const RouteTable>> WalkSnapshots(
-    const std::vector<TimelineStep>& plan, size_t from, ClusterModel& model,
-    std::vector<uint8_t> alive, uint64_t shift,
-    std::shared_ptr<const RouteTable> start) {
-  struct Built {
-    std::vector<uint32_t> spine_of_partition;
-    uint64_t shift;
-    std::shared_ptr<const RouteTable> table;
-  };
-  std::vector<Built> built;
+// timestamp gets a snapshot, of the state after the whole timestamp; the
+// others get absent ones. Within a walk the cached set is fixed and tables
+// name layer-0 copies by partition, so a table is a function of the hot shift
+// alone: the walk builds one per shift it visits — `start`, the table of the
+// starting shift when given, included — and every snapshot pairs it with the
+// controller's map after its timestamp.
+std::vector<RouteSnapshot> WalkSnapshots(const std::vector<TimelineStep>& plan,
+                                         size_t from, ClusterModel& model,
+                                         std::vector<uint8_t> alive,
+                                         uint64_t shift,
+                                         std::shared_ptr<const RouteTable> start) {
+  std::vector<std::pair<uint64_t, std::shared_ptr<const RouteTable>>> tables;
   if (start != nullptr) {
-    built.push_back(
-        {model.controller->spine_of_partition(), shift, std::move(start)});
+    tables.emplace_back(shift, std::move(start));
   }
-  const auto snapshot = [&] {
-    const std::vector<uint32_t>& map = model.controller->spine_of_partition();
-    for (const Built& b : built) {
-      if (b.shift == shift && b.spine_of_partition == map) {
-        return b.table;
+  const auto table_at = [&](uint64_t at) {
+    for (const auto& [built_shift, table] : tables) {
+      if (built_shift == at) {
+        return table;
       }
     }
-    built.push_back({map, shift,
-                     std::make_shared<const RouteTable>(
-                         BuildRouteTable(model, shift))});
-    return built.back().table;
+    tables.emplace_back(
+        at, std::make_shared<const RouteTable>(BuildRouteTable(model, at)));
+    return tables.back().second;
   };
 
-  std::vector<std::shared_ptr<const RouteTable>> routes(plan.size() - from);
+  std::vector<RouteSnapshot> routes(plan.size() - from);
   std::optional<size_t> last_change;
   for (size_t i = from; i < plan.size(); ++i) {
     if (AdvancePlanState(plan[i], model, alive, shift)) {
@@ -104,7 +106,7 @@ std::vector<std::shared_ptr<const RouteTable>> WalkSnapshots(
     const bool timestamp_ends =
         i + 1 == plan.size() || plan[i + 1].at_request != plan[i].at_request;
     if (timestamp_ends && last_change) {
-      routes[*last_change - from] = snapshot();
+      routes[*last_change - from] = Snapshot(table_at(shift), model);
       last_change.reset();
     }
   }
@@ -124,7 +126,10 @@ uint64_t PlanRouteTableBytes(const RouteTable* base,
   };
   count(base);
   for (const TimelineStep& step : plan) {
-    count(step.routes.get());
+    count(step.routes.table.get());
+    if (step.routes.spine_of_partition != nullptr) {  // one map per snapshot
+      total += step.routes.spine_of_partition->capacity() * sizeof(uint32_t);
+    }
   }
   return total;
 }
@@ -181,7 +186,7 @@ std::vector<TimelineStep> BuildTimelinePlan(
   // so precomputing it off the hot path is exact; kReallocateCache snapshots
   // depend on runtime-observed counts and cannot be. The walk starts from
   // `model`'s state on entry at shift 0, which is the state `base` shows.
-  std::vector<std::shared_ptr<const RouteTable>> routes =
+  std::vector<RouteSnapshot> routes =
       WalkSnapshots(plan, 0, model, std::vector<uint8_t>(model.cfg.num_spine, 1),
                     0, std::move(base));
   for (size_t i = 0; i < plan.size(); ++i) {
@@ -198,40 +203,39 @@ std::vector<TimelineStep> BuildTimelinePlan(
   return plan;
 }
 
-std::vector<std::shared_ptr<const RouteTable>> BuildReallocRoutes(
+std::vector<RouteSnapshot> BuildReallocRoutes(
     const std::vector<TimelineStep>& plan, const EngineCore& core,
     ClusterModel& model) {
   // The refill changed the cached set, so no table built before it can be
-  // shared: the walk starts from the immediate table.
-  std::vector<std::shared_ptr<const RouteTable>> routes = {
-      std::make_shared<const RouteTable>(
-          BuildRouteTable(model, core.hot_shift()))};
-  const std::vector<std::shared_ptr<const RouteTable>> suffix =
+  // shared: the walk starts from the immediate table. Its map is the
+  // controller's as the refill re-synced it, not the core's.
+  std::vector<RouteSnapshot> routes = {Snapshot(
+      std::make_shared<const RouteTable>(BuildRouteTable(model, core.hot_shift())),
+      model)};
+  const std::vector<RouteSnapshot> suffix =
       WalkSnapshots(plan, core.next_action_index(), model, core.spine_alive(),
-                    core.hot_shift(), routes[0]);
+                    core.hot_shift(), routes[0].table);
   routes.insert(routes.end(), suffix.begin(), suffix.end());
   return routes;
 }
 
-void InstallReallocRoutes(
-    const std::vector<std::shared_ptr<const RouteTable>>& tables,
-    EngineCore& core) {
-  core.SetRoutes(tables[0]);
+void InstallReallocRoutes(const std::vector<RouteSnapshot>& snapshots,
+                          EngineCore& core) {
+  core.SetRoutes(snapshots[0]);
   const size_t from = core.next_action_index();
-  for (size_t i = 1; i < tables.size(); ++i) {
-    core.SetActionRoutes(from + i - 1, tables[i]);
+  for (size_t i = 1; i < snapshots.size(); ++i) {
+    core.SetActionRoutes(from + i - 1, snapshots[i]);
   }
 }
 
-std::vector<std::shared_ptr<const RouteTable>> ReallocateAndInstall(
+std::vector<RouteSnapshot> ReallocateAndInstall(
     const std::vector<TimelineStep>& plan,
     const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports,
     EngineCore& core, ClusterModel& model) {
   model.ReallocateFromReports(core.spine_alive(), reports);
-  std::vector<std::shared_ptr<const RouteTable>> tables =
-      BuildReallocRoutes(plan, core, model);
-  InstallReallocRoutes(tables, core);
-  return tables;
+  std::vector<RouteSnapshot> snapshots = BuildReallocRoutes(plan, core, model);
+  InstallReallocRoutes(snapshots, core);
+  return snapshots;
 }
 
 EngineCore::EngineCore(const ClusterModel* model, uint64_t rng_seed,
@@ -240,8 +244,10 @@ EngineCore::EngineCore(const ClusterModel* model, uint64_t rng_seed,
       rng_(rng_seed),
       view_(MakeTrackerConfig(model->cfg)),
       router_(&view_, EffectiveRouting(model->cfg), router_seed),
+      spine_of_partition_(model->cfg.num_spine),
       write_ratio_(model->cfg.write_ratio),
       spine_alive_(model->cfg.num_spine, 1) {
+  std::iota(spine_of_partition_.begin(), spine_of_partition_.end(), 0);
   const CachePolicyKind kind = model->cfg.cache_policy;
   // Only the static allocation is re-allocated from observed counts; a
   // dynamic policy's plan has no kReallocateCache step (BuildTimelinePlan),

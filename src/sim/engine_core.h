@@ -28,38 +28,42 @@
 // phases (SimBackendConfig::phases) are merged into an ordered plan by
 // BuildTimelinePlan(). Steps whose effect is a pure function of the timeline
 // prefix (phase switches, hot-spot shifts, failure remaps, switch
-// restorations) carry precomputed immutable snapshots — a route table and, for
+// restorations) carry precomputed immutable snapshots — a RouteSnapshot and, for
 // phases, the head+tail pmf the engine rebuilds its sampler from. Every step
 // due at one timestamp applies in one AdvanceTo loop, so no request routes
 // between them: only the last route-changing step at each at_request carries
-// a table, and the steps it supersedes carry an absent one (keep the current
-// routes). Within one walk the cached set is fixed, so a table depends only on
-// the controller's partition→spine map and the hot shift; a step whose state
-// equals one the walk already built a table for (the base table included)
-// shares that table instead of building an equal copy — a switch restoration
-// that undoes the last remap gets the base table back. kReallocateCache steps
-// carry no snapshot: the controller recomputes the allocation at runtime from
-// *observed* per-key counts (the core's heavy-hitter observer), which is the
-// paper's §6.4 cache-update loop. Only the static policies run it: a dynamic
-// policy fills its own caches and never reads the allocation, so its plan
-// drops the step and its core builds no observer. Both engines' realloc hooks
+// a snapshot, and the steps it supersedes carry an absent one (keep the current
+// routes). A snapshot is a table plus the controller's layer-0
+// partition→switch map: tables name layer-0 copies by partition, and the core
+// resolves every layer-0 candidate through the map it installed last (reads,
+// writes, dead-node checks and coherence charges alike). Within one walk the
+// cached set is fixed, so a table depends only on the hot shift: the walk
+// builds one per shift it visits (the base table serves shift 0), and a
+// failure remap or a switch restoration carries a new map with the current
+// table. kReallocateCache steps carry no snapshot: the controller recomputes
+// the allocation at runtime from *observed* per-key counts (the core's
+// heavy-hitter observer), which is the paper's §6.4 cache-update loop. Only
+// the static policies run it: a dynamic policy fills its own caches and never
+// reads the allocation, so its plan drops the step and its core builds no
+// observer. Both engines' realloc hooks
 // run ReallocateAndInstall, i.e. the same two calls:
 // ClusterModel::ReallocateFromReports re-syncs the controller remap to the
 // alive set at that timestamp (failures before), merges the heavy-hitter
 // reports and refills the allocation;
-// BuildReallocRoutes then builds the immediate table and rebuilds the
-// remaining steps' snapshots against the refilled allocation (failures/shifts
-// after), by the same coalescing and sharing rules — so a post-reallocation
-// switch restoration keeps the refilled cached set instead of resurrecting the
-// construction-time one.
+// BuildReallocRoutes then builds the immediate snapshot — the refilled table
+// and the controller's map as of the re-sync — and rebuilds the remaining
+// steps' snapshots against the refilled allocation (failures/shifts after) by
+// the same rules, so a post-reallocation switch restoration keeps the
+// refilled cached set instead of resurrecting the construction-time one.
 //
 // The core routes through non-owning RouteViews (sim/route_table.h): whoever
-// builds a table owns its storage for the whole run — the plan and the
-// sequential backend's members in process; in the shard runtime the arena (one
-// copy per distinct plan table) and the backend's re-allocation tables.
+// builds a snapshot owns its storage for the whole run — the plan and the
+// backends' members (base and re-allocation snapshots). Forked shards read
+// the supervisor's plan, inherited, and keep their own re-allocation ones.
 #ifndef DISTCACHE_SIM_ENGINE_CORE_H_
 #define DISTCACHE_SIM_ENGINE_CORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -89,11 +93,13 @@ struct TimelineStep {
   // Phase payload: the head+tail pmf under phase.zipf_theta (layout of
   // ClusterModel::head_with_tail) the engines rebuild their samplers from.
   std::shared_ptr<const std::vector<double>> pmf;
-  // Immutable post-step route table. Null for kFailSpine, which changes no
-  // routes, for kReallocateCache, which is runtime-computed, and for a
-  // route-changing step that a later step at the same at_request supersedes.
-  // Steps of equal controller state share one table (see the header comment).
-  std::shared_ptr<const RouteTable> routes;
+  // Immutable post-step route snapshot: the table of the step's (cached set,
+  // shift) and the controller's layer-0 map after it. Absent (both null) for
+  // kFailSpine, which changes no routes, for kReallocateCache, which is
+  // runtime-computed, and for a route-changing step that a later step at the
+  // same at_request supersedes. Converts to the RouteView an Action carries,
+  // so queuing a step installs its table and map together.
+  RouteSnapshot routes;
 };
 
 // Merges config.events and config.phases into one timeline ordered by
@@ -103,11 +109,11 @@ struct TimelineStep {
 std::vector<TimelineStep> MergeTimeline(const SimBackendConfig& config);
 
 // The request engines' plan: MergeTimeline, with each step's snapshot
-// precomputed, coalesced and shared (see the header comment). Under a dynamic
-// cache policy the kReallocateCache events are left out. `base`, when given,
-// is BuildRouteTable(model) of `model` as passed in; a step that returns to
-// that state shares it. Mutates `model`'s controller/allocation state while
-// walking the failure remaps — the same end state the runtime reads back.
+// precomputed and coalesced, one table per shift (see the header comment).
+// Under a dynamic cache policy the kReallocateCache events are left out.
+// `base`, when given, is BuildRouteTable(model) of `model` as passed in; steps
+// at shift 0 share it. Mutates `model`'s controller state while walking the
+// failure remaps — the same end state the runtime reads back.
 std::vector<TimelineStep> BuildTimelinePlan(
     const SimBackendConfig& config, ClusterModel& model,
     std::shared_ptr<const RouteTable> base = nullptr);
@@ -119,10 +125,10 @@ std::vector<TimelineStep> BuildTimelinePlan(
 bool TimelineNeedsObserver(const std::vector<ClusterEvent>& events);
 
 // Total bytes of the distinct tables among the base route table and the plan's
-// snapshots, each shared table counted once — the figure the engines stamp
-// into BackendStats::route_table_bytes. Tables a runtime re-allocation builds
-// later are not included (realloc timelines are small-config test territory;
-// the plan covers the steady-state footprint).
+// snapshots, each shared table counted once, plus each snapshot's map — the
+// figure the engines stamp into BackendStats::route_table_bytes. Snapshots a
+// runtime re-allocation builds later are not included (realloc timelines are
+// small-config test territory; the plan covers the steady-state footprint).
 uint64_t PlanRouteTableBytes(const RouteTable* base,
                              const std::vector<TimelineStep>& plan);
 
@@ -138,8 +144,8 @@ class EngineCore {
     ClusterEvent event;
     std::shared_ptr<const std::vector<double>> pmf;
     // The post-step route snapshot; absent for steps that change no routes.
-    // Its storage (the plan's tables, or the shard runtime's arena) outlives
-    // the run.
+    // Its storage (the plan's snapshots, or a backend's re-allocation ones)
+    // outlives the run.
     RouteView routes;
   };
 
@@ -165,13 +171,18 @@ class EngineCore {
   void BindStats(BackendStats* stats) { stats_ = stats; }
   void SetPhaseHook(PhaseHook hook) { phase_hook_ = std::move(hook); }
   void SetReallocateHook(ReallocateHook hook) { realloc_hook_ = std::move(hook); }
-  // Installs a route snapshot; an absent view keeps the current routes. The
-  // caller keeps the storage alive while requests route through it (see
-  // RouteView). Ranks at or beyond the view's hot_len take the computed
-  // uncached fallback.
+  // Installs a route snapshot; an absent view keeps the current routes, and a
+  // view without a map keeps the current layer-0 map. The caller keeps the
+  // table alive while requests route through it (see RouteView); the map is
+  // copied. Ranks at or beyond the view's hot_len take the computed uncached
+  // fallback.
   void SetRoutes(RouteView routes) {
     if (routes.present) {
       routes_ = routes;
+    }
+    if (routes.spine_of_partition != nullptr) {
+      std::copy_n(routes.spine_of_partition, spine_of_partition_.size(),
+                  spine_of_partition_.begin());
     }
   }
   // Interval-series step in local request units (0 disables series bookkeeping).
@@ -321,6 +332,7 @@ class EngineCore {
   // Failure degradation targets the top ("spine") layer: a candidate is
   // blackholed iff it is a dead top-layer node. Lower layers never die (the leaf
   // layer is rack-bound; mid layers inherit the same assumption for now).
+  // `node` is a resolved switch (Resolve), not a partition.
   bool NodeDead(CacheNodeId node) const {
     return node.layer == 0 && dead_spines_ > 0 && !spine_alive_[node.index];
   }
@@ -339,6 +351,13 @@ class EngineCore {
 
  private:
   void ApplyAction(const Action& action);
+  // A route candidate as the node that serves it: a layer-0 candidate is
+  // stored as its h0 partition and resolves through the installed map.
+  CacheNodeId Resolve(uint32_t packed) const {
+    const CacheNodeId node = UnpackCandidate(packed);
+    return node.layer == 0 ? CacheNodeId{0, spine_of_partition_[node.index]}
+                           : node;
+  }
   // FIFO queue discipline at one station: the request starts service when both
   // it and the node are ready, holds the node for an exponential service time,
   // and its end-to-end latency is the network hops plus everything spent at the
@@ -388,8 +407,12 @@ class EngineCore {
 
   // The current route snapshot. Buckets at or beyond its hot_len are uncached
   // by construction and take the computed-server fallback in Process (dense
-  // tables make it the pool, so the branch is never taken).
+  // tables make it the pool, so the branch is never taken). Its map pointer
+  // is unused: the installed map lives in spine_of_partition_.
   RouteView routes_;
+  // The installed layer-0 partition→switch map (num_spine words; identity
+  // until a snapshot carries another).
+  std::vector<uint32_t> spine_of_partition_;
 
   // Current workload-phase state.
   double write_ratio_;
@@ -500,7 +523,7 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
         const uint32_t* cands =
             entry->num <= 2 ? inline_cands : routes_.overflow + entry->c1;
         for (uint8_t i = 0; i < entry->num; ++i) {
-          const CacheNodeId node = UnpackCandidate(cands[i]);
+          const CacheNodeId node = Resolve(cands[i]);
           if (!NodeDead(node)) {
             ++num_copies;
             sink.AddCacheLoad(node, cc.coherence_switch_cost);
@@ -542,13 +565,14 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
     // Served by the primary server.
   } else if (entry->kind == RouteEntry::kCached && entry->num == 2) {
     // The two-layer fast path: PoT between the (at most one dead) candidates.
-    const CacheNodeId c0 = UnpackCandidate(entry->c0);
+    // Only the first can be a layer-0 partition (ascending layers).
+    const CacheNodeId c0 = Resolve(entry->c0);
     const CacheNodeId c1 = UnpackCandidate(entry->c1);
     const bool dead0 = NodeDead(c0);
     node = dead0 ? c1 : NodeDead(c1) ? c0 : router_.ChoosePair(c0, c1);
     hit = true;
   } else if (entry->kind == RouteEntry::kCached && entry->num == 1) {
-    node = UnpackCandidate(entry->c0);
+    node = Resolve(entry->c0);
     hit = !NodeDead(node);
   } else {
     // Power-of-k (k > 2 copies, or every spine replica plus the leaf copy of
@@ -558,7 +582,7 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
     if (entry->kind == RouteEntry::kCached) {
       const uint32_t* run = routes_.overflow + entry->c1;
       for (uint8_t i = 0; i < entry->num; ++i) {
-        const CacheNodeId c = UnpackCandidate(run[i]);
+        const CacheNodeId c = Resolve(run[i]);
         if (!NodeDead(c)) {
           cands.push_back(c);
         }
@@ -712,32 +736,33 @@ void EngineCore::ProcessBatch(Sink& sink, const uint32_t* buckets, uint32_t coun
   }
 }
 
-// The route tables of a re-allocation, built against the model's *current*
-// (just refilled) allocation at the core's clock: [0] the immediate table at
-// the core's hot shift, then one (possibly null) snapshot per pending plan
-// step, aligned with plan[core.next_action_index()..], so failure/shift steps
-// after a kReallocateCache route the refilled cached set instead of the
-// construction-time one. The suffix is coalesced like the plan, and equal
-// states share a table with each other and with [0] (never with a table built
-// before the refill). Mutates the model's controller state to the
-// end-of-plan remap, exactly like BuildTimelinePlan. The hook installs [0] with
-// SetRoutes and the rest with SetActionRoutes.
-std::vector<std::shared_ptr<const RouteTable>> BuildReallocRoutes(
+// The route snapshots of a re-allocation, built against the model's *current*
+// (just refilled) allocation at the core's clock: [0] the immediate snapshot —
+// the table at the core's hot shift and the controller's map as the refill
+// left it, which differs from the core's when the refill falls between a
+// failure and its remap — then one (possibly absent) snapshot per pending
+// plan step, aligned with plan[core.next_action_index()..], so failure/shift
+// steps after a kReallocateCache route the refilled cached set instead of the
+// construction-time one. The suffix is coalesced like the plan, and steps at
+// the core's shift share [0]'s table (never a table built before the refill).
+// Mutates the model's controller state to the end-of-plan remap, exactly like
+// BuildTimelinePlan. The hook installs [0] with SetRoutes and the rest with
+// SetActionRoutes.
+std::vector<RouteSnapshot> BuildReallocRoutes(
     const std::vector<TimelineStep>& plan, const EngineCore& core,
     ClusterModel& model);
 
-// Installs a re-allocation's tables (BuildReallocRoutes's output) on `core`:
-// [0] with SetRoutes, the suffix with SetActionRoutes.
-void InstallReallocRoutes(
-    const std::vector<std::shared_ptr<const RouteTable>>& tables,
-    EngineCore& core);
+// Installs a re-allocation's snapshots (BuildReallocRoutes's output) on
+// `core`: [0] with SetRoutes, the suffix with SetActionRoutes.
+void InstallReallocRoutes(const std::vector<RouteSnapshot>& snapshots,
+                          EngineCore& core);
 
 // The kReallocateCache step every engine's hook runs (§4.3 cache update):
 // refills `model` from `reports` (ClusterModel::ReallocateFromReports at the
-// core's alive set), builds the tables (BuildReallocRoutes) and installs them
-// (InstallReallocRoutes). Returns the tables, which the caller keeps alive
-// while the core routes through them.
-std::vector<std::shared_ptr<const RouteTable>> ReallocateAndInstall(
+// core's alive set), builds the snapshots (BuildReallocRoutes) and installs
+// them (InstallReallocRoutes). Returns the snapshots, which the caller keeps
+// alive while the core routes through them.
+std::vector<RouteSnapshot> ReallocateAndInstall(
     const std::vector<TimelineStep>& plan,
     const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports,
     EngineCore& core, ClusterModel& model);

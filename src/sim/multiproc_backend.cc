@@ -560,7 +560,7 @@ void MultiprocBackend::Reallocate(Proc& p) {
     }
   }
   // Thread shards share one model: shard 0 refills it while every peer waits
-  // here, then releases the tables, which the peers install as views.
+  // here, then releases the snapshots, which the peers install as views.
   if (launcher_ == Launcher::kThreads && p.id != 0) {
     if (WaitFor(p, [&] {
           return realloc_released_.load(std::memory_order_acquire) > step;
@@ -587,7 +587,7 @@ void MultiprocBackend::Reallocate(Proc& p) {
     }
   }
   // 3. The refill is a pure function of the reports, so every forked shard
-  //    runs it on its own model copy and keeps its own tables.
+  //    runs it on its own model copy and keeps its own snapshots.
   realloc_routes_[step] =
       ReallocateAndInstall(fired_plan_, reports, p.core, model_);
   realloc_released_.store(step + 1, std::memory_order_release);

@@ -42,10 +42,11 @@
 // is a pure function of the reports — ClusterModel::ReallocateFromReports is
 // order-independent, hash-based and RNG-free — so no controller is elected:
 // each forked shard gathers every report (a dead shard's is absent), refills
-// its own copy of the model and builds and installs its own tables. Thread
-// shards share one model, and no thread shard can die, so shard 0 gathers,
-// refills and releases its tables through a backend word while its peers wait
-// at the rendezvous, then the peers install views of them.
+// its own copy of the model and builds and installs its own route snapshots.
+// Thread shards share one model, and no thread shard can die, so shard 0
+// gathers, refills and releases its snapshots through a backend word while its
+// peers wait at the rendezvous, then the peers install views of them (each
+// snapshot carries the controller's layer-0 map with its table).
 //
 // Termination: a shard that finishes its quota copies its own contributions
 // into its stats, publishes them and returns, waiting for no peer. Its slot
@@ -169,7 +170,7 @@ class MultiprocBackend : public SimBackend {
   std::atomic<uint64_t>* TelemetryVersion(uint32_t shard) const;
   // kReallocateCache rendezvous (header comment): publish this shard's
   // report → gather every live shard's → ReallocateAndInstall on this
-  // process's model (thread shards other than 0 install shard 0's tables).
+  // process's model (thread shards other than 0 install shard 0's snapshots).
   void Reallocate(Proc& p);
   // Shard `s`'s report slot for `step`: this flag word (0 = unpublished,
   // else entry count + 1), then the entries one cache line in.
@@ -216,12 +217,12 @@ class MultiprocBackend : public SimBackend {
   size_t stats_bound_ = 0;
 
   // Realloc rendezvous: per fired kReallocateCache step, one arena report
-  // slot per shard; the step's tables (BuildReallocRoutes), owned by this
+  // slot per shard; the step's snapshots (BuildReallocRoutes), owned by this
   // process for the rest of the run; and the thread launcher's release word
-  // (steps whose tables shard 0 has published).
+  // (steps whose snapshots shard 0 has published).
   std::vector<size_t> report_entry_cap_;         // [shard] entries per slot
   std::vector<size_t> report_offset_;            // [step * shards + shard]
-  std::vector<std::vector<std::shared_ptr<const RouteTable>>> realloc_routes_;
+  std::vector<std::vector<RouteSnapshot>> realloc_routes_;
   std::atomic<uint32_t> realloc_released_{0};
   // One-shot fault latches: one u32 per fault_plan event (zero = unfired), so
   // respawned incarnations replay their streams without re-firing. 0 when the

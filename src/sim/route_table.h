@@ -1,16 +1,20 @@
 // Precomputed per-head-rank routing decisions ("amortized hash routing") for the
 // request-level engines: the allocation and placement hashes are evaluated once per
-// table build, not once per request. Tables are immutable snapshots — failure
-// recovery and cache re-allocation build a fresh table from the mutated allocation
-// and swap it in (see engine_core.h, multiproc_backend.h), so the hot path never
-// sees a table mutate. Tables are indexed by *popularity rank*; the
-// `hot_shift` build parameter is the rank→key rotation of the workload phase the
-// table serves (see common/workload.h), so entry r always routes the key the
-// clients actually query at rank r.
+// table build, not once per request. Tables are immutable snapshots of one cached
+// set at one hot shift: a hot-spot shift or a cache re-allocation builds a fresh
+// table and swaps it in (see engine_core.h), so the hot path never sees a table
+// mutate. Failure recovery builds none: a table names each key's layer-0 copy by
+// its h0 *partition*, and the snapshot that installs it carries the controller's
+// partition→switch map, which the engines resolve the candidate through (§4.4: a
+// spine failure is an event on partitions). Tables are indexed by *popularity
+// rank*; the `hot_shift` build parameter is the rank→key rotation of the workload
+// phase the table serves (see common/workload.h), so entry r always routes the key
+// the clients actually query at rank r.
 //
 // An entry carries the key's full candidate list — one cached copy per layer of
-// the hierarchy, packed (layer, index) in ascending layer order — so the engines
-// run the power-of-k choice over however many layers the cluster has. The entry
+// the hierarchy, packed (layer, index) in ascending layer order, so only the
+// first candidate can be a layer-0 partition — and the engines run the
+// power-of-k choice over however many layers the cluster has. The entry
 // stays 16 bytes (the two-layer hot path is cache-footprint-critical): the first
 // two candidates are inline, and entries with more than two candidates spill the
 // whole list into the table's shared overflow array.
@@ -48,9 +52,9 @@ struct RouteEntry {
   // (in c0), 0 otherwise — the layer-0 replicas are implicit.
   uint8_t num = 0;
   uint32_t server = 0;
-  // num <= 2: the packed candidates, ascending layer. num > 2: c0 is the first
-  // candidate and c1 the offset of the full num-candidate run in
-  // RouteTable::overflow.
+  // num <= 2: the packed candidates, ascending layer (a layer-0 one as its
+  // partition). num > 2: c0 is the first candidate and c1 the offset of the
+  // full num-candidate run in RouteTable::overflow.
   uint32_t c0 = 0;
   uint32_t c1 = 0;
 };
@@ -80,18 +84,32 @@ struct RouteTable {
   }
 };
 
+// A plan step's route snapshot: the table of the step's cached set and hot
+// shift, and the controller's layer-0 partition→switch map after the step.
+// Steps of one (cached set, shift) share the table; each carries its own map
+// (num_spine words). Null table and map: the step changes no routes.
+struct RouteSnapshot {
+  std::shared_ptr<const RouteTable> table;
+  std::shared_ptr<const std::vector<uint32_t>> spine_of_partition;
+};
+
 // A non-owning view of a route snapshot: what the engines install and route
-// through. The RouteTable it views, which the caller keeps alive (a forked
+// through. The storage it views, which the caller keeps alive (a forked
 // shard reads its supervisor's, inherited), must outlive every request
 // routed through the view. The default view is *absent* (a plan step that
 // changes no routes; installing it keeps the current routes), which differs
 // from a present view of an empty compact table (hot_len 0: every rank takes
-// the computed uncached fallback). Like std::string_view it refuses
-// temporaries: a view of an rvalue table or shared_ptr would dangle.
+// the computed uncached fallback). A view of a bare table carries no map, so
+// installing it keeps the engine's current one (the identity at the start of
+// a run). Like std::string_view it refuses temporaries: a view of an rvalue
+// table, shared_ptr or snapshot would dangle.
 struct RouteView {
   const RouteEntry* entries = nullptr;
   uint32_t hot_len = 0;  // ranks at or beyond it are uncached by construction
   const uint32_t* overflow = nullptr;
+  // The layer-0 partition→switch map to install with the table, num_spine
+  // words; null keeps the current one.
+  const uint32_t* spine_of_partition = nullptr;
   bool present = false;
 
   RouteView() = default;
@@ -103,16 +121,23 @@ struct RouteView {
   // A null snapshot gives the absent view.
   RouteView(const std::shared_ptr<const RouteTable>& table)  // NOLINT
       : RouteView(table != nullptr ? RouteView(*table) : RouteView()) {}
+  RouteView(const RouteSnapshot& snapshot)  // NOLINT
+      : RouteView(snapshot.table) {
+    if (snapshot.spine_of_partition != nullptr) {
+      spine_of_partition = snapshot.spine_of_partition->data();
+    }
+  }
   RouteView(RouteTable&&) = delete;
   RouteView(std::shared_ptr<const RouteTable>&&) = delete;
+  RouteView(RouteSnapshot&&) = delete;
 };
 
-// Builds the table for the allocation's current partition→node mappings (i.e.
-// post-remap if the controller ran) and cached set (post-refill if it
-// re-allocated). `hot_shift` is the workload's current rank→key rotation:
-// entry r describes key (r + hot_shift) % num_keys. Compact by default (one
-// entry per rank up to the deepest cached table rank, which is the
-// allocation's CachedRankEnd() when hot_shift is 0 and no refill ran;
+// Builds the table for the allocation's current cached set (post-refill if it
+// re-allocated), layer-0 copies named by partition (CacheAllocation::CopiesOf),
+// so no failure remap enters it. `hot_shift` is the workload's current rank→key
+// rotation: entry r describes key (r + hot_shift) % num_keys. Compact by
+// default (one entry per rank up to the deepest cached table rank, which is
+// the allocation's CachedRankEnd() when hot_shift is 0 and no refill ran;
 // exact-reserved, O(cached) time and memory); builds the full-pool dense
 // layout instead when model.dense_routes is set (the differential-test /
 // memory-baseline mode).

@@ -65,11 +65,12 @@ SequentialBackend::SequentialBackend(const SimBackendConfig& config)
   });
   core_.SetReallocateHook([this] {
     // Controller re-allocation (§6.4) from this engine's one report. The
-    // tables stay in realloc_routes_ for the rest of the run; actions align
-    // with plan_ 1:1.
-    const auto tables =
+    // snapshots stay in realloc_routes_ for the rest of the run; actions
+    // align with plan_ 1:1.
+    const auto snapshots =
         ReallocateAndInstall(plan_, {core_.ObservedCounts()}, core_, model_);
-    realloc_routes_.insert(realloc_routes_.end(), tables.begin(), tables.end());
+    realloc_routes_.insert(realloc_routes_.end(), snapshots.begin(),
+                           snapshots.end());
   });
 }
 

@@ -58,10 +58,10 @@ class SequentialBackend : public SimBackend {
   // differentially validated, never golden-pinned.
   std::unique_ptr<TwoLevelSampler> two_level_;
   // Route storage for the core's views, kept for the whole run: the
-  // pre-timeline table (which plan steps may share) and every table a
-  // re-allocation built.
+  // pre-timeline table (which plan steps at shift 0 share) and every snapshot
+  // a re-allocation built.
   std::shared_ptr<const RouteTable> base_routes_;
-  std::vector<std::shared_ptr<const RouteTable>> realloc_routes_;
+  std::vector<RouteSnapshot> realloc_routes_;
   EngineCore core_;
 };
 

@@ -84,7 +84,7 @@ TEST(Latency, HitFractionFollowsTheHotShift) {
       continue;
     }
     total += pop.head[rank];
-    if (sim.allocation().CopiesOf(sim.KeyOfRank(rank)).cached()) {
+    if (sim.CopiesOf(sim.KeyOfRank(rank)).cached()) {
       hit += pop.head[rank];
     }
   }

@@ -4,7 +4,7 @@
 // the whole candidate pool, written out here independently of the library; the
 // two must agree on every observable — CopiesOf for every key, per-node
 // contents, the cached-key count and the cached rank span — across mechanisms,
-// hierarchy depths, empty layers, starved pools, refills and remaps.
+// hierarchy depths, empty layers, starved pools and refills.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,11 +25,6 @@ class FullPoolWalk {
   FullPoolWalk(const AllocationConfig& config, uint64_t pool,
                const CacheAllocation& hashes, const Placement& placement)
       : config_(config), pool_(pool), hashes_(hashes), placement_(placement) {
-    remap_.resize(config_.layers.size() - 1);
-    for (size_t l = 0; l < remap_.size(); ++l) {
-      remap_[l].resize(config_.layers[l].nodes);
-      std::iota(remap_[l].begin(), remap_[l].end(), 0);
-    }
     Walk();
   }
 
@@ -43,10 +38,6 @@ class FullPoolWalk {
       rank_of_key_.emplace(key_of_rank_[rank], rank);
     }
     Walk();
-  }
-
-  void Remap(size_t layer, const std::vector<uint32_t>& node_of_partition) {
-    remap_[layer] = node_of_partition;
   }
 
   CacheCopies CopiesOf(uint64_t key) const {
@@ -69,9 +60,7 @@ class FullPoolWalk {
         copies.replicated_all_spines = true;
         continue;
       }
-      const uint32_t node =
-          l + 1 == num_layers ? node_[l][rank] : remap_[l][node_[l][rank]];
-      copies.nodes[copies.num++] = {static_cast<uint32_t>(l), node};
+      copies.nodes[copies.num++] = {static_cast<uint32_t>(l), node_[l][rank]};
     }
     return copies;
   }
@@ -81,19 +70,14 @@ class FullPoolWalk {
     if (layer == leaf) {
       return leaf_contents_;
     }
-    std::vector<std::vector<uint64_t>> out(config_.layers[layer].nodes);
-    if (config_.mechanism == Mechanism::kCacheReplication) {
-      if (layer == 0) {
-        for (auto& contents : out) {
-          contents = partition_contents_[0][0];
-        }
-      }
-      return out;
+    if (config_.mechanism != Mechanism::kCacheReplication) {
+      return partition_contents_[layer];
     }
-    for (uint32_t p = 0; p < config_.layers[layer].nodes; ++p) {
-      auto& dst = out[remap_[layer][p]];
-      dst.insert(dst.end(), partition_contents_[layer][p].begin(),
-                 partition_contents_[layer][p].end());
+    std::vector<std::vector<uint64_t>> out(config_.layers[layer].nodes);
+    if (layer == 0) {
+      for (auto& contents : out) {
+        contents = partition_contents_[0][0];
+      }
     }
     return out;
   }
@@ -175,7 +159,6 @@ class FullPoolWalk {
   std::vector<std::vector<uint32_t>> node_;
   std::vector<std::vector<uint64_t>> leaf_contents_;
   std::vector<std::vector<std::vector<uint64_t>>> partition_contents_;
-  std::vector<std::vector<uint32_t>> remap_;
 };
 
 void ExpectSameAllocation(const CacheAllocation& alloc, const FullPoolWalk& ref,
@@ -205,16 +188,6 @@ void ExpectSameAllocation(const CacheAllocation& alloc, const FullPoolWalk& ref,
   EXPECT_EQ(alloc.CachedRankEnd(), ref.CachedRankEnd());
 }
 
-// Sends partition p of every upper layer to node (p + 1) % nodes, and node 0's
-// own partition onto node 1 as well — a failure-style many-to-one map.
-std::vector<uint32_t> ShiftedRemap(uint32_t nodes) {
-  std::vector<uint32_t> remap(nodes);
-  for (uint32_t p = 0; p < nodes; ++p) {
-    remap[p] = (p + 1) % nodes;
-  }
-  remap[0] = nodes > 1 ? 1 : 0;
-  return remap;
-}
 
 TEST(CacheAllocation, BoundedWalkMatchesFullPoolWalk) {
   struct Shape {
@@ -277,30 +250,10 @@ TEST(CacheAllocation, BoundedWalkMatchesFullPoolWalk) {
           SCOPED_TRACE("construction");
           ExpectSameAllocation(alloc, ref, list);
         }
-        // Remap every upper layer before the refill ...
-        for (size_t l = 0; l + 1 < shape.layers.size(); ++l) {
-          const std::vector<uint32_t> remap = ShiftedRemap(shape.layers[l].nodes);
-          alloc.RemapLayer(l, remap);
-          ref.Remap(l, remap);
-        }
-        {
-          SCOPED_TRACE("remap before refill");
-          ExpectSameAllocation(alloc, ref, list);
-        }
-        // ... refill (the remaps carry over) ...
         alloc.Refill(list, placement);
         ref.Refill(list);
         {
           SCOPED_TRACE("refill");
-          ExpectSameAllocation(alloc, ref, list);
-        }
-        // ... and remap the top layer back to the identity afterwards.
-        std::vector<uint32_t> identity(shape.layers[0].nodes);
-        std::iota(identity.begin(), identity.end(), 0);
-        alloc.RemapLayer(0, identity);
-        ref.Remap(0, identity);
-        {
-          SCOPED_TRACE("remap after refill");
           ExpectSameAllocation(alloc, ref, list);
         }
       }
@@ -333,8 +286,8 @@ TEST(CacheAllocation, BytesStayProportionalToTheCachedSpan) {
 }
 
 // The allocation stores one 4 B row entry per layer per rank of the cached
-// span and each upper layer's partition map, nothing per node: per-node
-// contents are derived on demand, and each call derives the same lists. A
+// span and nothing else — no per-node lists (per-node contents are derived on
+// demand, and each call derives the same lists), no failure map. A
 // refill adds only its key->rank index (the key list plus the hash index,
 // at most 48 B per rank of the span). Checked at a wide cached span (8+8
 // nodes x 5,000 objects, 1M-rank pool), where per-node key lists would add
@@ -345,12 +298,7 @@ TEST(CacheAllocation, HoldsOnlyPerRankRows) {
   config.candidate_pool = 1'000'000;
   const Placement placement(8, 4);
   CacheAllocation alloc(config, placement);
-  const size_t upper_nodes = 8;
-  // Plus one pointer: bytes() counts the empty index's single bucket.
-  auto rows_bytes = [&] {
-    return 4 * alloc.num_layers() * alloc.CachedRankEnd() + 4 * upper_nodes +
-           sizeof(void*);
-  };
+  auto rows_bytes = [&] { return 4 * alloc.num_layers() * alloc.CachedRankEnd(); };
   ASSERT_GT(alloc.CachedRankEnd(), 40'000u);
   EXPECT_LE(alloc.bytes(), rows_bytes()) << alloc.CachedRankEnd() << " ranks";
   for (size_t l = 0; l < alloc.num_layers(); ++l) {

@@ -121,35 +121,6 @@ TEST(CacheAllocation, KeysBeyondPoolAreUncached) {
   EXPECT_FALSE(alloc.CopiesOf(alloc.candidate_pool() + 5).cached());
 }
 
-TEST(CacheAllocation, RemapMovesPartitionToTargetSwitch) {
-  CacheAllocation alloc(BaseConfig(Mechanism::kDistCache), BasePlacement());
-  const auto original = alloc.spine_contents();
-  // Move partition 0's objects onto switch 3.
-  std::vector<uint32_t> remap{3, 1, 2, 3, 4, 5, 6, 7};
-  alloc.RemapSpine(remap);
-  const auto& remapped = alloc.spine_contents();
-  EXPECT_TRUE(remapped[0].empty());
-  EXPECT_EQ(remapped[3].size(), original[3].size() + original[0].size());
-  for (uint64_t key : original[0]) {
-    const CacheCopies c = alloc.CopiesOf(key);
-    ASSERT_TRUE(c.spine().has_value());
-    EXPECT_EQ(*c.spine(), 3u);
-  }
-}
-
-TEST(CacheAllocation, RemapPreservesAllCachedObjects) {
-  CacheAllocation alloc(BaseConfig(Mechanism::kDistCache), BasePlacement());
-  const size_t before = alloc.num_cached_keys();
-  std::vector<uint32_t> remap{7, 7, 2, 3, 4, 5, 6, 7};
-  alloc.RemapSpine(remap);
-  size_t spine_total = 0;
-  for (const auto& contents : alloc.spine_contents()) {
-    spine_total += contents.size();
-  }
-  EXPECT_EQ(spine_total, 80u);  // nothing lost
-  EXPECT_EQ(alloc.num_cached_keys(), before);
-}
-
 TEST(CacheAllocation, AutoPoolScalesWithBudget) {
   AllocationConfig cfg = BaseConfig(Mechanism::kDistCache);
   CacheAllocation alloc(cfg, BasePlacement());
@@ -157,8 +128,8 @@ TEST(CacheAllocation, AutoPoolScalesWithBudget) {
 }
 
 // Refill re-allocates onto an explicit hottest-first key list: the listed keys
-// are cached at their true rack/partition, the old hot set is evicted, and any
-// spine remap in effect survives.
+// are cached at their true rack/partition and the old hot set is evicted (a
+// spine remap in effect is the controller's; see controller_test.cc).
 TEST(CacheAllocation, RefillMovesCacheToObservedHotSet) {
   CacheAllocation alloc(BaseConfig(Mechanism::kDistCache), BasePlacement());
   ASSERT_TRUE(alloc.CopiesOf(0).cached());  // identity hot set: rank 0 cached

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 namespace distcache {
 namespace {
@@ -37,8 +39,47 @@ TEST_F(ControllerTest, FailureRemapsToAliveSwitch) {
   const uint32_t target = controller_->spine_of_partition()[2];
   EXPECT_NE(target, 2u);
   EXPECT_TRUE(controller_->IsAlive(target));
-  // Allocation reflects the remap: partition 2's objects live on `target` now.
-  EXPECT_TRUE(allocation_->spine_contents()[2].empty());
+  // Placement reflects the remap: partition 2's objects live on `target` now.
+  const auto partition = allocation_->spine_contents()[2];
+  ASSERT_EQ(partition.size(), 10u);
+  for (const uint64_t key : partition) {
+    EXPECT_EQ(controller_->Place(allocation_->CopiesOf(key)).spine(), target);
+  }
+}
+
+// Every cached object keeps its copies through failures, none on a dead
+// switch; the allocation itself does not change.
+TEST_F(ControllerTest, RemapPlacesEveryCopyOnAnAliveSwitch) {
+  const auto before = allocation_->spine_contents();
+  controller_->OnSpineFailure(0);
+  controller_->OnSpineFailure(1);
+  EXPECT_EQ(allocation_->spine_contents(), before);
+  for (const auto& partition : before) {
+    for (const uint64_t key : partition) {
+      const CacheCopies placed = controller_->Place(allocation_->CopiesOf(key));
+      EXPECT_EQ(placed.num, allocation_->CopiesOf(key).num);
+      ASSERT_TRUE(placed.spine().has_value());
+      EXPECT_TRUE(controller_->IsAlive(*placed.spine()));
+    }
+  }
+}
+
+// A re-allocation keeps the remap in effect: the refilled set's partition-2
+// objects land on the switch that took partition 2 over.
+TEST_F(ControllerTest, ReallocationKeepsTheRemap) {
+  controller_->OnSpineFailure(2);
+  const uint32_t target = controller_->spine_of_partition()[2];
+  std::vector<uint64_t> hottest;
+  for (uint64_t i = 0; i < allocation_->candidate_pool(); ++i) {
+    hottest.push_back(1'000'000 + i);
+  }
+  controller_->ReallocateCache(hottest, placement_);
+  const auto partition = allocation_->spine_contents()[2];
+  ASSERT_FALSE(partition.empty());
+  for (const uint64_t key : partition) {
+    EXPECT_GE(key, 1'000'000u);
+    EXPECT_EQ(controller_->Place(allocation_->CopiesOf(key)).spine(), target);
+  }
 }
 
 TEST_F(ControllerTest, HealthyPartitionsStayHome) {
@@ -68,7 +109,11 @@ TEST_F(ControllerTest, RecoveryRestoresIdentity) {
   controller_->OnSpineRecovery(3);
   EXPECT_TRUE(controller_->IsAlive(3));
   EXPECT_EQ(controller_->spine_of_partition()[3], 3u);
-  EXPECT_EQ(allocation_->spine_contents()[3].size(), 10u);
+  const auto partition = allocation_->spine_contents()[3];
+  ASSERT_EQ(partition.size(), 10u);
+  for (const uint64_t key : partition) {
+    EXPECT_EQ(controller_->Place(allocation_->CopiesOf(key)).spine(), 3u);
+  }
 }
 
 TEST_F(ControllerTest, DuplicateEventsAreNoOps) {

@@ -1,12 +1,16 @@
 // Route snapshots of the timeline plan: every step due at one timestamp applies
 // in one AdvanceTo loop, so only the last route-changing step of a timestamp
-// carries a table, and a step whose controller state equals one the walk
-// already built (the base table included) shares that table. Each present
-// table must equal a rebuild from the walk's state, and every engine's run
-// must stay the one pinned before coalescing and sharing existed.
+// carries a snapshot. A snapshot is a table of one (cached set, shift), which
+// names layer-0 copies by partition, plus the controller's layer-0 map: the
+// plan builds one table per shift, and a remap-only step carries a new map
+// with the current table. Each present snapshot, resolved through its map,
+// must route what a reference model driven through the same steps holds, and
+// every engine's run must stay the one pinned before coalescing and sharing
+// existed.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -106,6 +110,41 @@ void ExpectSameTable(const RouteTable& got, const RouteTable& want,
   EXPECT_EQ(got.overflow, want.overflow) << label;
 }
 
+// Expects every rank of `snapshot`, its layer-0 candidates resolved through
+// the snapshot's map, to route what `ref` holds at hot shift `shift`: the
+// rank's key's ClusterModel::CopiesOf (post-remap) and its primary server.
+void ExpectResolvesLike(const RouteSnapshot& snapshot, const ClusterModel& ref,
+                        uint64_t shift, const std::string& label) {
+  ASSERT_NE(snapshot.table, nullptr) << label;
+  ASSERT_NE(snapshot.spine_of_partition, nullptr) << label;
+  const RouteTable& table = *snapshot.table;
+  const std::vector<uint32_t>& map = *snapshot.spine_of_partition;
+  ASSERT_EQ(map.size(), ref.cfg.num_spine) << label;
+  for (uint64_t rank = 0; rank < ref.pool; ++rank) {
+    const uint64_t key = KeyOfRank(rank, shift, ref.cfg.num_keys);
+    const CacheCopies want = ref.CopiesOf(key);
+    ASSERT_FALSE(want.replicated_all_spines) << label;
+    if (rank >= table.hot_len()) {
+      ASSERT_FALSE(want.cached()) << label << " rank " << rank;
+      continue;
+    }
+    const RouteEntry& e = table.entries[rank];
+    ASSERT_EQ(e.server, ref.placement.ServerOf(key)) << label << " rank " << rank;
+    ASSERT_EQ(e.kind, want.cached() ? RouteEntry::kCached : RouteEntry::kUncached)
+        << label << " rank " << rank;
+    ASSERT_EQ(e.num, want.num) << label << " rank " << rank;
+    const uint32_t inline_cands[2] = {e.c0, e.c1};
+    const uint32_t* cands = e.num <= 2 ? inline_cands : &table.overflow[e.c1];
+    for (uint8_t i = 0; i < e.num; ++i) {
+      CacheNodeId got = UnpackCandidate(cands[i]);
+      if (got.layer == 0) {
+        got.index = map[got.index];
+      }
+      ASSERT_EQ(got, want.nodes[i]) << label << " rank " << rank << " copy " << i;
+    }
+  }
+}
+
 struct Plan {
   std::unique_ptr<ClusterModel> model;
   std::shared_ptr<const RouteTable> base;
@@ -126,34 +165,47 @@ TEST(PlanSnapshots, OnlyTheLastRouteChangeAtATimestampCarriesATable) {
   ASSERT_TRUE(plan.steps[3].is_phase);
   const bool present[] = {false, false, true, false, true, true, false, true};
   for (size_t i = 0; i < plan.steps.size(); ++i) {
-    EXPECT_EQ(plan.steps[i].routes != nullptr, present[i]) << "step " << i;
+    EXPECT_EQ(plan.steps[i].routes.table != nullptr, present[i]) << "step " << i;
+    EXPECT_EQ(plan.steps[i].routes.spine_of_partition != nullptr, present[i])
+        << "step " << i;
   }
 }
 
-TEST(PlanSnapshots, EqualStatesShareOneTable) {
+// One table per (cached set, shift): the remap and the recover are
+// remap-only steps, so each carries its map with the base table, and the
+// shift back to 0 returns to the base table too.
+TEST(PlanSnapshots, OneTablePerCachedSetAndShift) {
   const Plan plan = BuildPlan(FailoverConfig());
   ASSERT_EQ(plan.steps.size(), 8u);
-  // The last recover undoes the remap at shift 0: the base table itself.
-  EXPECT_EQ(plan.steps[7].routes, plan.base);
-  // The shift back to 0 returns to the remap step's state.
-  EXPECT_EQ(plan.steps[5].routes, plan.steps[2].routes);
-  EXPECT_NE(plan.steps[2].routes, plan.base);
-  EXPECT_NE(plan.steps[4].routes, plan.steps[2].routes);
-  // Three distinct tables, each counted once.
+  std::vector<uint32_t> identity(8);
+  std::iota(identity.begin(), identity.end(), 0u);
+  const RouteSnapshot& remap = plan.steps[2].routes;
+  EXPECT_EQ(remap.table, plan.base);
+  EXPECT_NE(*remap.spine_of_partition, identity);
+  EXPECT_NE(plan.steps[4].routes.table, plan.base);
+  EXPECT_EQ(*plan.steps[4].routes.spine_of_partition, *remap.spine_of_partition);
+  EXPECT_EQ(plan.steps[5].routes.table, plan.base);
+  EXPECT_EQ(*plan.steps[5].routes.spine_of_partition, *remap.spine_of_partition);
+  EXPECT_EQ(plan.steps[7].routes.table, plan.base);
+  EXPECT_EQ(*plan.steps[7].routes.spine_of_partition, identity);
+  // Two distinct tables, each counted once, and four maps of 8 words.
   EXPECT_EQ(PlanRouteTableBytes(plan.base.get(), plan.steps),
-            plan.base->bytes() + plan.steps[2].routes->bytes() +
-                plan.steps[4].routes->bytes());
-  // Without a base the walk builds the final recover's table once itself.
+            plan.base->bytes() + plan.steps[4].routes.table->bytes() +
+                4 * 8 * sizeof(uint32_t));
+  // Without a base the walk builds the shift-0 table once itself, at the
+  // remap, and every shift-0 step shares it.
   ClusterModel model(FailoverConfig().cluster);
   const std::vector<TimelineStep> unbased =
       BuildTimelinePlan(FailoverConfig(), model);
-  ASSERT_NE(unbased[7].routes, nullptr);
-  ExpectSameTable(*unbased[7].routes, *plan.base, "unbased recover");
+  ASSERT_NE(unbased[2].routes.table, nullptr);
+  EXPECT_EQ(unbased[5].routes.table, unbased[2].routes.table);
+  EXPECT_EQ(unbased[7].routes.table, unbased[2].routes.table);
+  ExpectSameTable(*unbased[7].routes.table, *plan.base, "unbased recover");
 }
 
-// The reference walk: a fresh model driven through each step's transition,
-// with the table rebuilt after every step.
-TEST(PlanSnapshots, EveryTableMatchesARebuildOfTheWalkState) {
+// The reference walk: a fresh model driven through each step's transition;
+// every present snapshot, resolved through its map, routes what it holds.
+TEST(PlanSnapshots, EveryStepResolvesLikeAReferenceWalk) {
   const SimBackendConfig cfg = FailoverConfig();
   const Plan plan = BuildPlan(cfg);
   ClusterModel ref(cfg.cluster);
@@ -173,9 +225,8 @@ TEST(PlanSnapshots, EveryTableMatchesARebuildOfTheWalkState) {
     } else if (step.event.kind == ClusterEvent::Kind::kShiftHotspot) {
       shift = step.event.value;
     }
-    if (step.routes != nullptr) {
-      ExpectSameTable(*step.routes, BuildRouteTable(ref, shift),
-                      "step " + std::to_string(i));
+    if (step.routes.table != nullptr) {
+      ExpectResolvesLike(step.routes, ref, shift, "step " + std::to_string(i));
     }
   }
 }
@@ -227,9 +278,10 @@ TEST(PlanSnapshots, RunsMatchThePinnedDigests) {
 
 // BuildReallocRoutes' suffix follows the plan's rules against the refilled
 // allocation: the first of the two recovers at the re-allocation's timestamp
-// is absent, and the remap after the second failure returns to the immediate
-// table's state and shares it.
-TEST(PlanSnapshots, ReallocSuffixIsCoalescedAndMatchesARebuild) {
+// is absent, and every present snapshot shares the immediate table (one
+// cached set, one shift) with its own map. The immediate map is the
+// controller's at the refill, with spines 2 and 5 still dead.
+TEST(PlanSnapshots, ReallocSuffixIsCoalescedAndResolvesLikeAReference) {
   const SimBackendConfig cfg = ReallocConfig();
   Plan plan = BuildPlan(cfg);
   ASSERT_EQ(plan.steps.size(), 10u);
@@ -250,32 +302,72 @@ TEST(PlanSnapshots, ReallocSuffixIsCoalescedAndMatchesARebuild) {
     core.QueueAction({static_cast<double>(step.at_request), step.is_phase,
                       step.phase, step.event, step.pmf, step.routes});
   }
-  std::vector<std::shared_ptr<const RouteTable>> tables;
+  std::vector<RouteSnapshot> snapshots;
   core.SetReallocateHook([&] {
     model.ReallocateFromReports(core.spine_alive(), {report});
-    tables = BuildReallocRoutes(plan.steps, core, model);
+    snapshots = BuildReallocRoutes(plan.steps, core, model);
   });
   core.AdvanceTo(120'000);
 
-  // [0] the immediate table, then steps 5..9.
-  ASSERT_EQ(tables.size(), 6u);
+  // [0] the immediate snapshot, then steps 5..9.
+  ASSERT_EQ(snapshots.size(), 6u);
   const bool present[] = {true, false, true, false, false, true};
-  for (size_t t = 0; t < tables.size(); ++t) {
-    EXPECT_EQ(tables[t] != nullptr, present[t]) << "table " << t;
+  for (size_t t = 0; t < snapshots.size(); ++t) {
+    EXPECT_EQ(snapshots[t].table != nullptr, present[t]) << "snapshot " << t;
   }
-  EXPECT_EQ(tables[5], tables[0]);
-  EXPECT_NE(tables[2], tables[0]);
+  EXPECT_EQ(snapshots[2].table, snapshots[0].table);
+  EXPECT_EQ(snapshots[5].table, snapshots[0].table);
+  EXPECT_NE(snapshots[0].table, plan.steps[3].routes.table);
 
   ClusterModel ref(cfg.cluster);
   std::vector<uint8_t> alive(cfg.cluster.num_spine, 1);
   alive[2] = alive[5] = 0;
   ref.ReallocateFromReports(alive, {report});
-  const RouteTable remapped = BuildRouteTable(ref, kShift);
-  ExpectSameTable(*tables[0], remapped, "immediate");
-  ExpectSameTable(*tables[5], remapped, "remap after refill");
+  ExpectResolvesLike(snapshots[0], ref, kShift, "immediate");
+  ExpectResolvesLike(snapshots[5], ref, kShift, "remap after refill");
   alive.assign(cfg.cluster.num_spine, 1);
   ref.SyncControllerRemap(alive);
-  ExpectSameTable(*tables[2], BuildRouteTable(ref, kShift), "recover after refill");
+  ExpectResolvesLike(snapshots[2], ref, kShift, "recover after refill");
+}
+
+// A re-allocation between a failure and its remap: the engine still routes
+// the identity map, but the refill re-synced the controller to the dead
+// spines, and the immediate snapshot carries the controller's map — the
+// routes a rebuild of the refilled, remapped allocation gives.
+TEST(PlanSnapshots, ReallocBeforeTheRemapInstallsTheControllersMap) {
+  const SimBackendConfig cfg = ReallocBeforeRemapConfig();
+  Plan plan = BuildPlan(cfg);
+  ASSERT_EQ(plan.steps[3].event.kind, ClusterEvent::Kind::kReallocateCache);
+  std::vector<std::pair<uint64_t, uint32_t>> report;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    report.push_back({(kShift + i) % cfg.cluster.num_keys,
+                      static_cast<uint32_t>(2000 - i)});
+  }
+  ClusterModel& model = *plan.model;
+  EngineCore core(&model, 1, 2, /*enable_observer=*/false);
+  BackendStats st;
+  core.BindStats(&st);
+  core.SetRoutes(plan.base);
+  for (const TimelineStep& step : plan.steps) {
+    core.QueueAction({static_cast<double>(step.at_request), step.is_phase,
+                      step.phase, step.event, step.pmf, step.routes});
+  }
+  std::vector<RouteSnapshot> snapshots;
+  core.SetReallocateHook([&] {
+    model.ReallocateFromReports(core.spine_alive(), {report});
+    snapshots = BuildReallocRoutes(plan.steps, core, model);
+  });
+  core.AdvanceTo(50'000);
+  ASSERT_FALSE(snapshots.empty());
+
+  ClusterModel ref(cfg.cluster);
+  std::vector<uint8_t> alive(cfg.cluster.num_spine, 1);
+  alive[2] = alive[5] = 0;
+  ref.ReallocateFromReports(alive, {report});
+  EXPECT_EQ(*snapshots[0].spine_of_partition,
+            ref.controller->spine_of_partition());
+  EXPECT_NE(ref.controller->spine_of_partition()[2], 2u);
+  ExpectResolvesLike(snapshots[0], ref, kShift, "immediate");
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // RouteView: the one non-owning route snapshot the engine core installs. It
 // refuses temporaries (a view of one would dangle), a zero-entry table is a
 // present view, and only a null snapshot gives the absent view — which keeps
-// the engine's current routes.
+// the engine's current routes. A snapshot's map resolves layer-0 candidates;
+// a view without one keeps the installed map.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <type_traits>
+#include <vector>
 
 #include "sim/cluster_model.h"
 #include "sim/engine_core.h"
@@ -21,6 +24,9 @@ static_assert(!std::is_constructible_v<RouteView, RouteTable&&>,
               "a view of a temporary table would dangle");
 static_assert(std::is_convertible_v<const RouteTable&, RouteView>);
 static_assert(std::is_convertible_v<const std::shared_ptr<const RouteTable>&, RouteView>);
+static_assert(!std::is_constructible_v<RouteView, RouteSnapshot&&>,
+              "a view of a temporary snapshot would dangle");
+static_assert(std::is_convertible_v<const RouteSnapshot&, RouteView>);
 
 TEST(RouteView, ZeroEntryTableIsPresent) {
   const RouteTable empty;
@@ -43,6 +49,17 @@ TEST(RouteView, NullSnapshotIsAbsent) {
 
 struct NullSink {
   void AddCacheLoad(CacheNodeId, double) {}
+  void AddServerLoad(uint32_t, double) {}
+};
+
+// Records the layer-0 node of the last cache charge.
+struct SpineSink {
+  uint32_t spine = UINT32_MAX;
+  void AddCacheLoad(CacheNodeId node, double) {
+    if (node.layer == 0) {
+      spine = node.index;
+    }
+  }
   void AddServerLoad(uint32_t, double) {}
 };
 
@@ -82,6 +99,49 @@ TEST(RouteView, AbsentViewKeepsTheCurrentRoutes) {
   core.Process(sink, 0);
   EXPECT_EQ(st.cache_hits, 2u);
   EXPECT_EQ(st.server_reads, 1u);
+}
+
+// A write charges every copy of the hottest rank: its layer-0 copy lands on
+// the partition's switch under the identity map, on the switch a snapshot's
+// map names once that is installed, and stays there when a bare table (no
+// map) is installed after it.
+TEST(RouteView, SnapshotMapResolvesLayerZeroCandidates) {
+  ClusterConfig cfg;
+  cfg.num_spine = 4;
+  cfg.num_racks = 4;
+  cfg.servers_per_rack = 2;
+  cfg.per_switch_objects = 8;
+  cfg.num_keys = 10'000;
+  cfg.write_ratio = 1.0;
+  const ClusterModel model(cfg);
+  EngineCore core(&model, 1, 2, /*enable_observer=*/false);
+  BackendStats st;
+  st.cache_load = model.ZeroCacheLoads();
+  st.server_load.assign(model.num_servers(), 0.0);
+  core.BindStats(&st);
+  SpineSink sink;
+
+  RouteSnapshot snapshot;
+  snapshot.table = std::make_shared<const RouteTable>(BuildRouteTable(model));
+  const RouteEntry& hottest = snapshot.table->entries[0];
+  ASSERT_EQ(hottest.kind, RouteEntry::kCached);
+  const CacheNodeId top = UnpackCandidate(hottest.c0);
+  ASSERT_EQ(top.layer, 0u);
+  core.SetRoutes(snapshot.table);
+  core.Process(sink, 0);
+  EXPECT_EQ(sink.spine, top.index);
+
+  std::vector<uint32_t> map = {0, 1, 2, 3};
+  map[top.index] = (top.index + 1) % 4;
+  snapshot.spine_of_partition =
+      std::make_shared<const std::vector<uint32_t>>(map);
+  core.SetRoutes(snapshot);
+  core.Process(sink, 0);
+  EXPECT_EQ(sink.spine, (top.index + 1) % 4);
+
+  core.SetRoutes(*snapshot.table);
+  core.Process(sink, 0);
+  EXPECT_EQ(sink.spine, (top.index + 1) % 4);
 }
 
 }  // namespace
