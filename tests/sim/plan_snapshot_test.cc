@@ -159,6 +159,38 @@ Plan BuildPlan(const SimBackendConfig& cfg) {
   return plan;
 }
 
+// The hot set kShift moved to, hottest first: one engine's heavy-hitter report.
+std::vector<std::pair<uint64_t, uint32_t>> ShiftedReport(uint64_t num_keys) {
+  std::vector<std::pair<uint64_t, uint32_t>> report;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    report.push_back({(kShift + i) % num_keys, static_cast<uint32_t>(2000 - i)});
+  }
+  return report;
+}
+
+// Runs an engine core's clock through `plan` to `at` and returns the
+// snapshots its re-allocation hook built from `report`.
+std::vector<RouteSnapshot> ReallocSnapshotsAt(
+    Plan& plan, const std::vector<std::pair<uint64_t, uint32_t>>& report,
+    uint64_t at) {
+  ClusterModel& model = *plan.model;
+  EngineCore core(&model, 1, 2, /*enable_observer=*/false);
+  BackendStats st;
+  core.BindStats(&st);
+  core.SetRoutes(plan.base);
+  for (const TimelineStep& step : plan.steps) {
+    core.QueueAction({static_cast<double>(step.at_request), step.is_phase,
+                      step.phase, step.event, step.pmf, step.routes});
+  }
+  std::vector<RouteSnapshot> snapshots;
+  core.SetReallocateHook([&] {
+    model.ReallocateFromReports(core.spine_alive(), {report});
+    snapshots = BuildReallocRoutes(plan.steps, core, model);
+  });
+  core.AdvanceTo(at);
+  return snapshots;
+}
+
 TEST(PlanSnapshots, OnlyTheLastRouteChangeAtATimestampCarriesATable) {
   const Plan plan = BuildPlan(FailoverConfig());
   ASSERT_EQ(plan.steps.size(), 8u);
@@ -286,28 +318,9 @@ TEST(PlanSnapshots, ReallocSuffixIsCoalescedAndResolvesLikeAReference) {
   Plan plan = BuildPlan(cfg);
   ASSERT_EQ(plan.steps.size(), 10u);
   ASSERT_EQ(plan.steps[4].event.kind, ClusterEvent::Kind::kReallocateCache);
-  // The hot set the shift moved to, hottest first.
-  std::vector<std::pair<uint64_t, uint32_t>> report;
-  for (uint64_t i = 0; i < 1000; ++i) {
-    report.push_back({(kShift + i) % cfg.cluster.num_keys,
-                      static_cast<uint32_t>(2000 - i)});
-  }
-
-  ClusterModel& model = *plan.model;
-  EngineCore core(&model, 1, 2, /*enable_observer=*/false);
-  BackendStats st;
-  core.BindStats(&st);
-  core.SetRoutes(plan.base);
-  for (const TimelineStep& step : plan.steps) {
-    core.QueueAction({static_cast<double>(step.at_request), step.is_phase,
-                      step.phase, step.event, step.pmf, step.routes});
-  }
-  std::vector<RouteSnapshot> snapshots;
-  core.SetReallocateHook([&] {
-    model.ReallocateFromReports(core.spine_alive(), {report});
-    snapshots = BuildReallocRoutes(plan.steps, core, model);
-  });
-  core.AdvanceTo(120'000);
+  const auto report = ShiftedReport(cfg.cluster.num_keys);
+  const std::vector<RouteSnapshot> snapshots =
+      ReallocSnapshotsAt(plan, report, 120'000);
 
   // [0] the immediate snapshot, then steps 5..9.
   ASSERT_EQ(snapshots.size(), 6u);
@@ -338,26 +351,9 @@ TEST(PlanSnapshots, ReallocBeforeTheRemapInstallsTheControllersMap) {
   const SimBackendConfig cfg = ReallocBeforeRemapConfig();
   Plan plan = BuildPlan(cfg);
   ASSERT_EQ(plan.steps[3].event.kind, ClusterEvent::Kind::kReallocateCache);
-  std::vector<std::pair<uint64_t, uint32_t>> report;
-  for (uint64_t i = 0; i < 1000; ++i) {
-    report.push_back({(kShift + i) % cfg.cluster.num_keys,
-                      static_cast<uint32_t>(2000 - i)});
-  }
-  ClusterModel& model = *plan.model;
-  EngineCore core(&model, 1, 2, /*enable_observer=*/false);
-  BackendStats st;
-  core.BindStats(&st);
-  core.SetRoutes(plan.base);
-  for (const TimelineStep& step : plan.steps) {
-    core.QueueAction({static_cast<double>(step.at_request), step.is_phase,
-                      step.phase, step.event, step.pmf, step.routes});
-  }
-  std::vector<RouteSnapshot> snapshots;
-  core.SetReallocateHook([&] {
-    model.ReallocateFromReports(core.spine_alive(), {report});
-    snapshots = BuildReallocRoutes(plan.steps, core, model);
-  });
-  core.AdvanceTo(50'000);
+  const auto report = ShiftedReport(cfg.cluster.num_keys);
+  const std::vector<RouteSnapshot> snapshots =
+      ReallocSnapshotsAt(plan, report, 50'000);
   ASSERT_FALSE(snapshots.empty());
 
   ClusterModel ref(cfg.cluster);
