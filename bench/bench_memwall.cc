@@ -8,7 +8,7 @@
 // ROADMAP names as the multiproc payoff, where the pre-PR-9 dense layout costs
 // gigabytes per process:
 //
-//   * dense route table:   16 B x pool per snapshot;
+//   * dense route table:   8 B x pool per snapshot;
 //   * dense sampler:       ~32 B x pool (pmf + inverse-CDF, plus the model's
 //                          popularity vectors);
 //   * N processes:         N copies of all of it.
@@ -57,7 +57,12 @@
 //   gate 4 (allocation): the row geometry's allocation bytes <= 4 B x layers
 //                        per rank of its cached span — its per-rank rows
 //                        and nothing else: no per-node key lists and no
-//                        failure map (the controller holds that).
+//                        failure map (the controller holds that);
+//   gate 5 (entries):    the row geometry's compact base table holds exactly
+//                        8 B per hot-prefix rank plus 4 B per overflow word —
+//                        entries store no server (the engines hash the key
+//                        to it) and pack kind and num beside the two
+//                        candidate words.
 //
 // Detect-and-skip: hosts that cannot map the arena skip the multiproc row and
 // gate 2 (like bench_scaling); hosts without the memory for the full dense
@@ -104,12 +109,15 @@ constexpr Geometry kFull{100'000'000, 32'000'000, 16'384, 4'000'000};
 // Smoke/reduced scale: same shape three orders of magnitude down (ratio ~120x).
 constexpr Geometry kSmoke{4'000'000, 2'000'000, 512, 400'000};
 
-// Rough peak bytes of the dense single-process baseline: route table (16 B) +
+// Rough peak bytes of the dense single-process baseline: route table (8 B) +
 // sampler pmf/cdf (16 B) + the model's popularity + head_with_tail vectors
 // (16 B) per pool rank, plus slack for placement/allocation state.
 uint64_t DenseBaselineEstimate(const Geometry& g) {
-  return g.candidate_pool * 48 + (uint64_t{512} << 20);
+  return g.candidate_pool * 40 + (uint64_t{512} << 20);
 }
+
+// Gate 5's entry size: one 8-byte word per hot-prefix rank.
+constexpr uint64_t kRouteEntryBytes = 8;
 
 uint64_t MemAvailableBytes() {
 #if defined(__linux__)
@@ -432,6 +440,13 @@ int Run(BenchJson& json, bool gate) {
               "%zu layers)\n",
               alloc_bytes / kMiB, alloc_per_rank,
               static_cast<unsigned long long>(cached_ranks), alloc.num_layers());
+  const RouteTable base = BuildRouteTable(model);
+  const uint64_t base_bound = kRouteEntryBytes * base.hot_len() +
+                              sizeof(uint32_t) * base.overflow.size();
+  std::printf("compact base table: %.2f MB = %zu B x %zu ranks + 4 B x %zu "
+              "overflow words\n",
+              base.bytes() / kMiB, sizeof(RouteEntry), base.hot_len(),
+              base.overflow.size());
   if (gate) {
     if (!base_ok) {
       std::fprintf(stderr, "memwall gate FAILED: baseline rows did not run\n");
@@ -489,6 +504,18 @@ int Run(BenchJson& json, bool gate) {
       std::printf("memwall gate OK: allocation = %.1f B per cached rank "
                   "(threshold 4 B x %zu layers)\n",
                   alloc_per_rank, alloc.num_layers());
+    }
+    if (base.bytes() != base_bound) {
+      std::fprintf(stderr,
+                   "memwall gate FAILED: compact base table %zu B != %llu B "
+                   "(8 B per entry + 4 B per overflow word) — %zu-byte route "
+                   "entries\n",
+                   base.bytes(), static_cast<unsigned long long>(base_bound),
+                   sizeof(RouteEntry));
+      failed = 1;
+    } else {
+      std::printf("memwall gate OK: compact base table = 8 B per entry + "
+                  "4 B per overflow word\n");
     }
   }
   return failed;

@@ -41,9 +41,6 @@ void CacheController::ReallocateCache(const std::vector<uint64_t>& hottest_first
   if (allocation_ != nullptr) {
     allocation_->Refill(hottest_first, placement);
   }
-  if (listener_) {
-    listener_(spine_of_partition_);
-  }
 }
 
 void CacheController::Recompute() {
@@ -55,9 +52,6 @@ void CacheController::Recompute() {
       // virtual nodes make the spread nearly uniform even for a handful of failures.
       spine_of_partition_[p] = ring_.NodeFor(p).value_or(p);
     }
-  }
-  if (listener_) {
-    listener_(spine_of_partition_);
   }
 }
 

@@ -11,7 +11,6 @@
 #define DISTCACHE_CORE_CONTROLLER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/allocation.h"
@@ -21,10 +20,6 @@ namespace distcache {
 
 class CacheController {
  public:
-  // Called whenever the partition→switch mapping changes; carries, for each h0
-  // partition p, the alive spine switch now hosting it.
-  using RemapListener = std::function<void(const std::vector<uint32_t>&)>;
-
   CacheController(CacheAllocation* allocation, uint32_t num_spine);
 
   // Marks `spine` failed and remaps its partition(s). No-op if already failed or if
@@ -56,8 +51,6 @@ class CacheController {
     return copies;
   }
 
-  void set_remap_listener(RemapListener listener) { listener_ = std::move(listener); }
-
  private:
   void Recompute();
 
@@ -67,7 +60,6 @@ class CacheController {
   std::vector<bool> alive_;
   std::vector<uint32_t> spine_of_partition_;
   ConsistentHashRing ring_;
-  RemapListener listener_;
 };
 
 }  // namespace distcache

@@ -18,10 +18,11 @@ namespace distcache {
 // provisions deeper cache trees anyway.
 inline constexpr size_t kMaxCacheLayers = 6;
 
-// Packed-candidate layout (sim/route_table.h): layer in the top 3 bits, node
-// index below — so a layer may have at most 2^29 - 1 nodes, which the config
-// validation enforces (an overflowing index would corrupt the layer field).
-inline constexpr uint32_t kCandLayerShift = 29;
+// Packed-candidate layout (sim/route_table.h): a 29-bit word, the layer in its
+// top 3 bits and the node index below — so a layer may have at most 2^26 - 1
+// nodes, which the config validation enforces (an overflowing index would
+// corrupt the layer field).
+inline constexpr uint32_t kCandLayerShift = 26;
 inline constexpr uint32_t kCandIndexMask = (1u << kCandLayerShift) - 1;
 
 // Cache-node id: layer 0 = the top ("spine") layer (group A in the analysis),

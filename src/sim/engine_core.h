@@ -406,7 +406,7 @@ class EngineCore {
   BackendStats* stats_ = nullptr;
 
   // The current route snapshot. Buckets at or beyond its hot_len are uncached
-  // by construction and take the computed-server fallback in Process (dense
+  // by construction and take the no-entry fallback in Process (dense
   // tables make it the pool, so the branch is never taken). Its map pointer
   // is unused: the installed map lives in spine_of_partition_.
   RouteView routes_;
@@ -481,30 +481,27 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
   const bool is_tail = bucket == model_->pool;
   const bool is_write = write_ratio_ > 0.0 && rng_.NextBernoulli(write_ratio_);
 
-  uint32_t server;
+  // The primary server is a pure function of the key (Placement::ServerOf),
+  // evaluated only where a server is charged: a cache hit never needs it.
   uint64_t key;
   const RouteEntry* entry = nullptr;
   if (is_tail) {
     const uint64_t rank =
         model_->pool + rng_.NextBounded(cc.num_keys - model_->pool);
     key = KeyOfRank(rank, hot_shift_, cc.num_keys);
-    server = model_->placement.ServerOf(key);
     // Tail keys are treated as uncached even right after a hot-spot shift, when
     // the formerly-hot (still cached, now tail) keys would briefly hit: their
     // per-key mass is ~1/num_keys, a vanishing correction the fluid model ignores
     // for the same reason.
-  } else if (__builtin_expect(bucket < routes_.hot_len, 1)) {
-    key = KeyOfRank(bucket, hot_shift_, cc.num_keys);
-    entry = &routes_.entries[bucket];
-    server = entry->server;
   } else {
-    // Compact-table fallback: ranks past the stored hot prefix are uncached by
-    // construction, so recompute the primary server from the same placement
-    // hash the dense build evaluated and leave `entry` null — the request then
-    // flows down the existing uncached path, bit-identical to reading a dense
-    // kUncached entry (no RNG is consumed either way).
     key = KeyOfRank(bucket, hot_shift_, cc.num_keys);
-    server = model_->placement.ServerOf(key);
+    // Compact-table fallback: ranks past the stored hot prefix are uncached by
+    // construction, so `entry` stays null and the request flows down the
+    // uncached path, bit-identical to reading a dense kUncached entry (no RNG
+    // is consumed either way).
+    if (__builtin_expect(bucket < routes_.hot_len, 1)) {
+      entry = &routes_.entries[bucket];
+    }
   }
 
   if (is_write) {
@@ -519,7 +516,8 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
     if (entry != nullptr) {
       if (entry->kind == RouteEntry::kCached) {
         // One cached copy per layer, ascending; coherence touches the alive ones.
-        const uint32_t inline_cands[2] = {entry->c0, entry->c1};
+        const uint32_t inline_cands[2] = {static_cast<uint32_t>(entry->c0),
+                                          static_cast<uint32_t>(entry->c1)};
         const uint32_t* cands =
             entry->num <= 2 ? inline_cands : routes_.overflow + entry->c1;
         for (uint8_t i = 0; i < entry->num; ++i) {
@@ -542,6 +540,7 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
         }
       }
     }
+    const uint32_t server = model_->placement.ServerOf(key);
     OpenLoopServer(server);
     sink.AddServerLoad(server,
                        1.0 + cc.coherence_server_cost * static_cast<double>(num_copies));
@@ -608,7 +607,7 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
   if (hit) {
     CacheHit(sink, node);
   } else {
-    ServerRead(sink, server);
+    ServerRead(sink, model_->placement.ServerOf(key));
   }
 }
 

@@ -152,9 +152,19 @@ struct MultiprocBackend::ProcSink {
 
 namespace {
 // A config the shard runtime cannot run aborts with a message in every build
-// mode: no shard, an empty batch, or (with peers) a zero epoch, which would
-// route by a view that never hears from them.
-const SimBackendConfig& ShardConfigOrDie(const SimBackendConfig& config) {
+// mode: no shard, an empty batch, (with peers) a zero epoch, which would
+// route by a view that never hears from them, or a fault plan on the thread
+// launcher, whose shards share one crash domain and inject nothing.
+const SimBackendConfig& ShardConfigOrDie(const SimBackendConfig& config,
+                                         MultiprocBackend::Launcher launcher) {
+  if (launcher == MultiprocBackend::Launcher::kThreads &&
+      !config.fault_plan.empty()) {
+    std::fprintf(stderr,
+                 "invalid shard runtime config: fault plan %s on the thread "
+                 "launcher (want the fork launcher, --backend=multiproc)\n",
+                 FaultPlanToString(config.fault_plan).c_str());
+    std::abort();
+  }
   if (config.shards == 0 || config.batch_size == 0 ||
       (config.shards > 1 && config.epoch_requests == 0)) {
     std::fprintf(stderr,
@@ -179,7 +189,7 @@ double QuotaScale(uint64_t quota, uint64_t num_requests) {
 
 MultiprocBackend::MultiprocBackend(const SimBackendConfig& config,
                                    Launcher launcher)
-    : config_(ShardConfigOrDie(config)),
+    : config_(ShardConfigOrDie(config, launcher)),
       launcher_(launcher),
       model_(config.cluster, /*build_popularity=*/!config.two_level_sampling),
       offsets_(MakeTrackerConfig(model_.cfg).layer_sizes),
@@ -675,13 +685,12 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
   p.quota_scale = QuotaScale(quota, num_requests);
   // Schedule this shard's injected faults on its *local* request clock —
   // config timestamps are global-clock, scaled exactly like the timeline
-  // plan below. Empty in fault-free runs (and on threads, which share one
-  // crash domain): the batch-loop hook then compiles to one never-taken
-  // branch.
+  // plan below. Empty in fault-free runs (and always on threads, which
+  // refuse a fault plan): the batch-loop hook then compiles to one
+  // never-taken branch.
   for (size_t i = 0; i < config_.fault_plan.events.size(); ++i) {
     const FaultEvent& ev = config_.fault_plan.events[i];
-    if (launcher_ == Launcher::kThreads || ev.shard != p.id ||
-        ev.kind == FaultKind::kArenaMapFail) {
+    if (ev.shard != p.id || ev.kind == FaultKind::kArenaMapFail) {
       continue;
     }
     p.faults.push_back(
@@ -933,12 +942,10 @@ bool MultiprocBackend::ForkAndReap(uint64_t num_requests,
 
 BackendStats MultiprocBackend::Run(uint64_t num_requests) {
   const uint32_t n = config_.shards;
-  if (launcher_ == Launcher::kForks) {
-    if (const std::string error = UnfiredDropFault(config_, num_requests);
-        !error.empty()) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      std::abort();
-    }
+  if (const std::string error = UnfiredDropFault(config_, num_requests);
+      !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    std::abort();
   }
   fired_plan_.clear();
   for (const TimelineStep& step : plan_) {

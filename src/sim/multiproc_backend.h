@@ -124,8 +124,9 @@ class MultiprocBackend : public SimBackend {
   // `num_requests`; otherwise an error naming the first term that cannot,
   // because its shard publishes no telemetry after the batch where the drop
   // arms (one shard has no peers to publish to; a drop past the shard's last
-  // epoch boundary has no publish left to swallow). Run aborts with it on the
-  // fork launcher, the only one that injects faults.
+  // epoch boundary has no publish left to swallow). Run aborts with it. Only
+  // the fork launcher injects faults; the thread launcher refuses a fault
+  // plan at construction.
   static std::string UnfiredDropFault(const SimBackendConfig& config,
                                       uint64_t num_requests);
 

@@ -1,6 +1,8 @@
 #include "sim/route_table.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 namespace distcache {
 
@@ -11,6 +13,15 @@ namespace {
 // doubling-growth spike during plan construction.
 RouteTable BuildPrefix(const ClusterModel& model, uint64_t hot_shift,
                        uint64_t end, size_t reserve_overflow) {
+  if (reserve_overflow > RouteEntry::kMaxOverflowWords) {
+    // c1 would wrap and name another key's run.
+    std::fprintf(stderr,
+                 "BuildRouteTable: %zu overflow words exceed the %llu a "
+                 "route entry can address\n",
+                 reserve_overflow,
+                 static_cast<unsigned long long>(RouteEntry::kMaxOverflowWords));
+    std::abort();
+  }
   RouteTable routes;
   routes.entries.reserve(end);
   routes.entries.resize(end);
@@ -18,7 +29,6 @@ RouteTable BuildPrefix(const ClusterModel& model, uint64_t hot_shift,
   for (uint64_t rank = 0; rank < end; ++rank) {
     const uint64_t key = KeyOfRank(rank, hot_shift, model.cfg.num_keys);
     RouteEntry& e = routes.entries[rank];
-    e.server = model.placement.ServerOf(key);
     const CacheCopies copies = model.allocation->CopiesOf(key);
     if (copies.replicated_all_spines) {
       e.kind = RouteEntry::kReplicated;
@@ -37,7 +47,7 @@ RouteTable BuildPrefix(const ClusterModel& model, uint64_t hot_shift,
         }
       } else {
         e.c0 = PackCandidate(copies.nodes[0]);
-        e.c1 = static_cast<uint32_t>(routes.overflow.size());
+        e.c1 = routes.overflow.size();
         for (uint8_t i = 0; i < copies.num; ++i) {
           routes.overflow.push_back(PackCandidate(copies.nodes[i]));
         }
@@ -84,8 +94,8 @@ RouteTable BuildRouteTable(const ClusterModel& model, uint64_t hot_shift) {
   if (model.dense_routes) {
     return BuildDenseRouteTable(model, hot_shift);
   }
-  // Every rank at or beyond the span's end produces exactly the kUncached
-  // entry the engines' inline fallback recomputes, which makes the truncated
+  // Every rank at or beyond the span's end gets exactly the kUncached entry
+  // the engines' no-entry fallback stands in for, which makes the truncated
   // table bit-identical to the dense one at ~C entries instead of the full
   // 8×-budget candidate pool — built in O(cached) time as well as memory.
   const CachedSpan span = FindCachedSpan(model, hot_shift);

@@ -14,10 +14,14 @@
 // An entry carries the key's full candidate list — one cached copy per layer of
 // the hierarchy, packed (layer, index) in ascending layer order, so only the
 // first candidate can be a layer-0 partition — and the engines run the
-// power-of-k choice over however many layers the cluster has. The entry
-// stays 16 bytes (the two-layer hot path is cache-footprint-critical): the first
-// two candidates are inline, and entries with more than two candidates spill the
-// whole list into the table's shared overflow array.
+// power-of-k choice over however many layers the cluster has. The entry is
+// 8 bytes (the two-layer hot path is cache-footprint-critical: eight entries
+// per cache line): the first two candidates are inline, and entries with more
+// than two candidates spill the whole list into the table's shared overflow
+// array. It stores no server: the primary server is a pure function of the
+// key (Placement::ServerOf), which the engines evaluate only where a request
+// charges a server, as a client ToR hashes the key to its storage server
+// (§3.1); only the cache candidates are allocation state.
 #ifndef DISTCACHE_SIM_ROUTE_TABLE_H_
 #define DISTCACHE_SIM_ROUTE_TABLE_H_
 
@@ -31,9 +35,10 @@
 
 namespace distcache {
 
-// Candidates pack the layer into the top 3 bits (kMaxCacheLayers = 6 < 8, see
-// kCandLayerShift in net/topology.h) so a candidate is one 32-bit word at any
-// supported depth.
+// Candidates pack the layer into the top 3 bits of a 29-bit word
+// (kMaxCacheLayers = 6 < 8, see kCandLayerShift in net/topology.h), so a
+// candidate fits a RouteEntry field or one overflow word at any supported
+// depth.
 inline uint32_t PackCandidate(CacheNodeId node) {
   return (node.layer << kCandLayerShift) | node.index;
 }
@@ -47,30 +52,39 @@ struct RouteEntry {
     kCached = 1,     // power-of-k among the cached copies (one per layer, ≤ num)
     kReplicated = 2, // CacheReplication: all layer-0 nodes + leaf (slow path)
   };
-  uint8_t kind = kUncached;
+  // Width of c0 and c1: a packed candidate or an overflow offset.
+  static constexpr uint32_t kWordBits = 29;
+  // Overflow words a table may hold, so that every run's offset fits c1.
+  static constexpr uint64_t kMaxOverflowWords = uint64_t{1} << kWordBits;
+
+  uint64_t kind : 2 = kUncached;
   // Cached-copy count. For kReplicated: 1 when the key also has a leaf copy
   // (in c0), 0 otherwise — the layer-0 replicas are implicit.
-  uint8_t num = 0;
-  uint32_t server = 0;
+  uint64_t num : 3 = 0;
   // num <= 2: the packed candidates, ascending layer (a layer-0 one as its
   // partition). num > 2: c0 is the first candidate and c1 the offset of the
   // full num-candidate run in RouteTable::overflow.
-  uint32_t c0 = 0;
-  uint32_t c1 = 0;
+  uint64_t c0 : kWordBits = 0;
+  uint64_t c1 : kWordBits = 0;
 };
-static_assert(sizeof(RouteEntry) == 16, "RouteEntry must stay 16 bytes");
+static_assert(sizeof(RouteEntry) == 8, "RouteEntry must stay 8 bytes");
+static_assert(kMaxCacheLayers < (1u << 3), "num and the layer field are 3 bits");
+static_assert((((kMaxCacheLayers - 1) << kCandLayerShift) | kCandIndexMask) <
+                  (uint64_t{1} << RouteEntry::kWordBits),
+              "a packed candidate must fit c0/c1");
 
 struct RouteTable {
   // The hot prefix: one entry per rank [0, entries.size()). A *compact* table
   // truncates one past its deepest cached table rank, found in one pass over
   // the allocation's cached keys — every rank at or beyond
-  // entries.size() is uncached by construction, and the engines recompute its
-  // server inline from the placement hash (the branch-free fallback in
-  // EngineCore::Process), which is bit-identical to reading a dense kUncached
-  // entry. A dense table (BuildDenseRouteTable) spans the full candidate pool,
-  // so the fallback branch is never taken and behavior is unchanged.
+  // entries.size() is uncached by construction, and the engines route it with
+  // no entry (the fallback in EngineCore::Process), which is bit-identical to
+  // reading a dense kUncached entry. A dense table (BuildDenseRouteTable) spans
+  // the full candidate pool, so the fallback branch is never taken and
+  // behavior is unchanged.
   std::vector<RouteEntry> entries;
-  // Packed candidate runs of entries with num > 2 (see RouteEntry::c1).
+  // Packed candidate runs of entries with num > 2 (see RouteEntry::c1), at
+  // most RouteEntry::kMaxOverflowWords.
   std::vector<uint32_t> overflow;
 
   size_t size() const { return entries.size(); }

@@ -135,18 +135,6 @@ TEST_F(ControllerTest, LastAliveSwitchCannotFail) {
   EXPECT_EQ(controller_->num_alive(), 1u);
 }
 
-TEST_F(ControllerTest, ListenerNotifiedOnRemap) {
-  int calls = 0;
-  controller_->set_remap_listener(
-      [&](const std::vector<uint32_t>& map) {
-        ++calls;
-        EXPECT_EQ(map.size(), 8u);
-      });
-  controller_->OnSpineFailure(1);
-  controller_->OnSpineRecovery(1);
-  EXPECT_EQ(calls, 2);
-}
-
 TEST_F(ControllerTest, OutOfRangeIgnored) {
   controller_->OnSpineFailure(99);
   EXPECT_EQ(controller_->num_alive(), 8u);

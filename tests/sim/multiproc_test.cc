@@ -543,6 +543,18 @@ TEST(MultiprocBackendDeathTest, RefusesAZeroEpochWithPeers) {
             1'000u);
 }
 
+// Thread shards share one crash domain and inject no fault, so the thread
+// launcher refuses a fault plan rather than run without it.
+TEST(MultiprocBackendDeathTest, RefusesAFaultPlanOnTheThreadLauncher) {
+  SimBackendConfig bcfg = GoldenBackendConfig(2);
+  KillShardAt(&bcfg, /*shard=*/1, /*local=*/10'000);
+  EXPECT_DEATH(MakeSimBackend(BackendKind::kSharded, bcfg),
+               "fault plan kill:1@20000 on the thread launcher");
+  bcfg.fault_plan.events = {{FaultKind::kArenaMapFail, 0, 0, 0}};
+  EXPECT_DEATH(MultiprocBackend(bcfg, MultiprocBackend::Launcher::kThreads),
+               "fault plan mapfail on the thread launcher");
+}
+
 // A drop with no telemetry publish left after it arms would be counted as
 // injected yet swallow nothing: past the shard's last epoch boundary (×2,
 // quota 100,000, batch 64: the last publish is at 98,304, so a drop must arm

@@ -1,6 +1,6 @@
 // Compact route tables (the PR 9 memory tentpole): the table stores only the
-// hot prefix of ranks that can ever be cached, and the engines recompute the
-// uncached tail's server inline from the placement hash. The contract under
+// hot prefix of ranks that can ever be cached, and the engines route the
+// uncached tail with no entry. The contract under
 // test is *bit identity*: a run on compact tables must match a run on the
 // pre-compaction dense layout field for field — same counters, same per-node
 // load vectors to the last ulp — across engines, hierarchy depths, and the
@@ -106,14 +106,15 @@ TEST(CompactRoutes, EnginesBitIdenticalToDenseTables) {
 }
 
 // Property test: the compact table is a strict prefix of the dense one, and
-// every rank at or past the prefix is uncached in the dense build with exactly
-// the server the placement hash yields — i.e. the branch-free fallback in
-// EngineCore::Process reads the same route the dense entry stored. Swept over
+// every rank at or past the prefix is uncached in the dense build — i.e. the
+// no-entry fallback in EngineCore::Process takes the same route the dense
+// entry stored (entries hold no server; the engines charge
+// Placement::ServerOf of the key either way). Swept over
 // L=2 and L=3 (overflow runs), rotations that leave the cached keys in place,
 // rotate them out of the pool window, or wrap them to table ranks >= 3,000,
 // and a model re-allocated onto a shifted hot set. Both builds reserve exactly
 // what they fill, so bytes() is the real footprint.
-TEST(CompactRoutes, TailRanksResolveToPlacementServer) {
+TEST(CompactRoutes, TailRanksAreUncached) {
   const uint64_t num_keys = GoldenBackendConfig().cluster.num_keys;
   for (const size_t layers : {size_t{2}, size_t{3}}) {
     for (const bool refilled : {false, true}) {
@@ -159,25 +160,22 @@ TEST(CompactRoutes, TailRanksResolveToPlacementServer) {
             ASSERT_EQ(compact.entries[rank].kind, RouteEntry::kUncached) << rank;
           }
         }
-        // Stored prefix: identical entries (field-wise: the struct has padding
-        // bytes memcmp would trip on) and identical overflow runs.
+        // Stored prefix: identical entries (field-wise: the word has a padding
+        // bit memcmp would trip on) and identical overflow runs.
         for (size_t rank = 0; rank < compact.entries.size(); ++rank) {
           const RouteEntry& c = compact.entries[rank];
           const RouteEntry& d = dense.entries[rank];
-          ASSERT_TRUE(c.kind == d.kind && c.num == d.num && c.server == d.server &&
-                      c.c0 == d.c0 && c.c1 == d.c1)
+          ASSERT_TRUE(c.kind == d.kind && c.num == d.num && c.c0 == d.c0 &&
+                      c.c1 == d.c1)
               << "prefix rank " << rank;
         }
         EXPECT_EQ(compact.overflow, dense.overflow);
-        // Computed tail: every dropped entry was uncached with the placement
-        // server.
+        // Dropped tail: every dropped entry was uncached.
         for (size_t rank = compact.entries.size(); rank < dense.entries.size();
              ++rank) {
           const RouteEntry& e = dense.entries[rank];
           ASSERT_EQ(e.kind, RouteEntry::kUncached) << "rank " << rank;
-          ASSERT_EQ(e.num, 0) << "rank " << rank;
-          const uint64_t key = KeyOfRank(rank, hot_shift, num_keys);
-          ASSERT_EQ(e.server, model.placement.ServerOf(key)) << "rank " << rank;
+          ASSERT_EQ(e.num, 0u) << "rank " << rank;
         }
       }
     }
@@ -212,6 +210,57 @@ TEST(CompactRoutes, CandidatePoolOverrideDefaultsAndClamps) {
   bcfg.cluster.candidate_pool = bcfg.cluster.num_keys + 1'000'000;
   const ClusterModel clamped(bcfg.cluster, /*build_popularity=*/false);
   EXPECT_EQ(clamped.pool, bcfg.cluster.num_keys);
+}
+
+// An entry is one 8-byte word: kind, num and two 29-bit words side by side, a
+// packed candidate being a 3-bit layer over a 26-bit index. Each field must
+// come back unchanged at its limit, without bleeding into its neighbours.
+TEST(RouteEntryPacking, FieldsRoundTripAtTheirLimits) {
+  static_assert(sizeof(RouteEntry) == 8);
+  const CacheNodeId deepest{kMaxCacheLayers - 1, kCandIndexMask};
+  const CacheNodeId leaf{1, 7};
+  RouteEntry pair;
+  pair.kind = RouteEntry::kCached;
+  pair.num = 2;
+  pair.c0 = PackCandidate(deepest);
+  pair.c1 = PackCandidate(leaf);
+  EXPECT_EQ(pair.kind, RouteEntry::kCached);
+  EXPECT_EQ(pair.num, 2u);
+  EXPECT_EQ(UnpackCandidate(pair.c0), deepest);
+  EXPECT_EQ(UnpackCandidate(pair.c1), leaf);
+
+  RouteEntry spill;
+  spill.kind = RouteEntry::kCached;
+  spill.num = kMaxCacheLayers;
+  spill.c0 = PackCandidate(deepest);
+  spill.c1 = RouteEntry::kMaxOverflowWords - 1;
+  EXPECT_EQ(spill.kind, RouteEntry::kCached);
+  EXPECT_EQ(spill.num, kMaxCacheLayers);
+  EXPECT_EQ(UnpackCandidate(spill.c0), deepest);
+  EXPECT_EQ(spill.c1, (uint64_t{1} << 29) - 1);
+
+  RouteEntry replicated;
+  replicated.kind = RouteEntry::kReplicated;
+  replicated.num = 1;
+  replicated.c0 = PackCandidate(leaf);
+  EXPECT_EQ(replicated.kind, RouteEntry::kReplicated);
+  EXPECT_EQ(replicated.num, 1u);
+  EXPECT_EQ(UnpackCandidate(replicated.c0), leaf);
+  EXPECT_EQ(replicated.c1, 0u);
+}
+
+// The config check keeps every node index inside the packed candidate's 26
+// bits: a middle layer of kCandIndexMask nodes passes, one more is refused.
+// Checked on the config alone; no cluster is built.
+TEST(RouteEntryPacking, ValidateCacheLayersBoundsTheCandidateIndex) {
+  ClusterConfig cfg = GoldenBackendConfig().cluster;
+  cfg.cache_layers = {LayerSpec{cfg.num_spine, 50}, LayerSpec{kCandIndexMask, 1},
+                      LayerSpec{cfg.num_racks, 50}};
+  EXPECT_EQ(ValidateCacheLayers(cfg), "");
+  cfg.cache_layers[1].nodes = kCandIndexMask + 1;
+  EXPECT_EQ(ValidateCacheLayers(cfg),
+            "cache layer 1 has 67108864 nodes; the route-table candidate "
+            "packing supports at most 67108863 per layer");
 }
 
 }  // namespace
