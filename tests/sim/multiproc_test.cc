@@ -661,6 +661,22 @@ SimBackendConfig StaticTopKTimelineConfig(uint32_t shards) {
   return bcfg;
 }
 
+// A re-allocation between two spine failures and their remap (the plan order
+// of plan_snapshot_test.cc's ReallocBeforeRemapConfig): the refill re-syncs
+// the controller's map to the dead spines while the shards still route the
+// pre-failure map until the remap step.
+SimBackendConfig StaticTopKReallocBeforeRemapConfig(uint32_t shards) {
+  SimBackendConfig bcfg = StaticTopKTimelineConfig(shards);
+  bcfg.events = {ClusterEvent::ShiftHotspot(10'000, 12'345),
+                 ClusterEvent::FailSpine(20'000, 2),
+                 ClusterEvent::FailSpine(20'000, 5),
+                 ClusterEvent::ReallocateCache(50'000),
+                 ClusterEvent::RunRecovery(80'000),
+                 ClusterEvent::RecoverSpine(150'000, 2),
+                 ClusterEvent::RecoverSpine(150'000, 5)};
+  return bcfg;
+}
+
 TEST(ShardedDigestPins, DeterministicMultiShardRunsKeepTheirDigests) {
   SimBackendConfig lru = GoldenBackendConfig(2);
   lru.cluster.cache_policy = CachePolicyKind::kLru;
@@ -681,6 +697,9 @@ TEST(ShardedDigestPins, DeterministicMultiShardRunsKeepTheirDigests) {
        0x938938edd1bb2ca0ULL, 0xf19d7aa3866f9bd7ULL},
       {"static-topk x4", StaticTopKTimelineConfig(4), 0x3be126038868ead7ULL,
        0x4a70af800080f536ULL, 0xb553e3f61321477cULL},
+      {"static-topk x4 realloc before remap",
+       StaticTopKReallocBeforeRemapConfig(4), 0x7aed3b98abc88173ULL,
+       0xc1189ea62ae29baeULL, 0x304a7db64243a468ULL},
       {"lru write-back x2", lru, 0xc9b99a3ec62433abULL,
        0x1ffd18ce60a2d419ULL, 0xc3e1d60fd7fdaaf8ULL},
   };
