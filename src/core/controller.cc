@@ -4,9 +4,8 @@
 
 namespace distcache {
 
-CacheController::CacheController(CacheAllocation* allocation, uint32_t num_spine)
-    : allocation_(allocation),
-      num_spine_(num_spine),
+CacheController::CacheController(uint32_t num_spine)
+    : num_spine_(num_spine),
       num_alive_(num_spine),
       alive_(num_spine, true),
       spine_of_partition_(num_spine) {
@@ -34,13 +33,6 @@ void CacheController::OnSpineRecovery(uint32_t spine) {
   ++num_alive_;
   ring_.AddNode(spine);
   Recompute();
-}
-
-void CacheController::ReallocateCache(const std::vector<uint64_t>& hottest_first,
-                                      const Placement& placement) {
-  if (allocation_ != nullptr) {
-    allocation_->Refill(hottest_first, placement);
-  }
 }
 
 void CacheController::Recompute() {

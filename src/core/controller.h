@@ -20,7 +20,7 @@ namespace distcache {
 
 class CacheController {
  public:
-  CacheController(CacheAllocation* allocation, uint32_t num_spine);
+  explicit CacheController(uint32_t num_spine);
 
   // Marks `spine` failed and remaps its partition(s). No-op if already failed or if
   // it is the last alive spine (nothing to remap onto).
@@ -29,15 +29,6 @@ class CacheController {
   // Brings `spine` back; its own partition returns home and it becomes eligible to
   // host other failed switches' partitions again.
   void OnSpineRecovery(uint32_t spine);
-
-  // Online cache re-allocation (§6.4 hot-spot shift): replaces the cached set with
-  // the hottest-first key list the controller observed (heavy-hitter reports
-  // aggregated from the switches). The partition→spine remap in effect stays,
-  // so re-allocation composes with failure handling. The new allocation must be
-  // pushed to clients afterwards (route-table rebuild + publish, see
-  // sim/engine_core.h).
-  void ReallocateCache(const std::vector<uint64_t>& hottest_first,
-                       const Placement& placement);
 
   bool IsAlive(uint32_t spine) const { return alive_[spine]; }
   uint32_t num_alive() const { return num_alive_; }
@@ -54,7 +45,6 @@ class CacheController {
  private:
   void Recompute();
 
-  CacheAllocation* allocation_;
   uint32_t num_spine_;
   uint32_t num_alive_;
   std::vector<bool> alive_;

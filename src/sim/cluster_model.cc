@@ -12,7 +12,8 @@ ClusterModel::ClusterModel(const ClusterConfig& config, bool build_popularity)
     : cfg(config),
       layers(ResolvedCacheLayers(config)),
       placement(config.num_racks, config.servers_per_rack,
-                HashCombine(config.seed, 0x91ace3e22ULL)) {
+                HashCombine(config.seed, 0x91ace3e22ULL)),
+      controller(config.num_spine) {
   CheckCacheLayersOrDie(cfg);
   CheckCachePolicyOrDie(cfg);
   AllocationConfig alloc;
@@ -21,15 +22,23 @@ ClusterModel::ClusterModel(const ClusterConfig& config, bool build_popularity)
   alloc.candidate_pool = std::min(cfg.candidate_pool, cfg.num_keys);
   alloc.hash_seed = HashCombine(cfg.seed, 0xd15ca4eULL);
   allocation = std::make_unique<CacheAllocation>(alloc, placement);
-  controller = std::make_unique<CacheController>(allocation.get(), cfg.num_spine);
   pool = allocation->candidate_pool();
   if (build_popularity) {
     head_with_tail = HeadWithTailFor(cfg.zipf_theta);
   }
 }
 
+ClusterModel::ClusterModel(const ClusterModel& other)
+    : cfg(other.cfg),
+      layers(other.layers),
+      placement(other.placement),
+      allocation(std::make_unique<CacheAllocation>(*other.allocation)),
+      controller(other.controller),
+      pool(other.pool),
+      dense_routes(other.dense_routes) {}
+
 void ClusterModel::ReallocateCache(const std::vector<uint64_t>& hottest_first) {
-  controller->ReallocateCache(hottest_first, placement);
+  allocation->Refill(hottest_first, placement);
 }
 
 void ClusterModel::ReallocateFromReports(
@@ -59,10 +68,10 @@ std::vector<double> ClusterModel::HeadWithTailFor(double theta) const {
 
 void ClusterModel::SyncControllerRemap(const std::vector<uint8_t>& spine_alive) {
   for (uint32_t s = 0; s < cfg.num_spine; ++s) {
-    if (!spine_alive[s] && controller->IsAlive(s)) {
-      controller->OnSpineFailure(s);
-    } else if (spine_alive[s] && !controller->IsAlive(s)) {
-      controller->OnSpineRecovery(s);
+    if (!spine_alive[s] && controller.IsAlive(s)) {
+      controller.OnSpineFailure(s);
+    } else if (spine_alive[s] && !controller.IsAlive(s)) {
+      controller.OnSpineRecovery(s);
     }
   }
 }

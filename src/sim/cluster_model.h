@@ -1,6 +1,6 @@
 // The cluster every simulation engine is built on: resolved cache layers,
-// storage placement, cache allocation and the failure/re-allocation controller,
-// all derived from one (ClusterConfig, seed). The request engines read it
+// storage placement, cache allocation and the failure controller, all
+// derived from one (ClusterConfig, seed). The request engines read it
 // directly and the fluid ClusterSim holds one, so a given config produces the
 // same placement, allocation and head-key popularity in every backend —
 // cross-backend stat comparisons (sequential vs sharded vs fluid) compare
@@ -41,16 +41,22 @@ struct ClusterModel {
   // (common/alias_sampler.h), keeping construction O(cached keys). The fluid
   // engine passes false too and keeps its own PopularityFor vector.
   explicit ClusterModel(const ClusterConfig& config, bool build_popularity = true);
+  // A deep copy of the routing state: its own allocation and controller, so
+  // refilling or remapping the copy leaves `other` as it was. The O(pool)
+  // sampler pmf is not copied; HeadWithTailFor recomputes it on demand.
+  ClusterModel(const ClusterModel& other);
+  ClusterModel& operator=(const ClusterModel&) = delete;
 
   // Syncs the controller's alive set to `spine_alive`: failed spines hand their
   // partitions to alive ones via consistent hashing, recovered spines take
   // theirs home. CopiesOf() reflects the remap afterwards.
   void SyncControllerRemap(const std::vector<uint8_t>& spine_alive);
 
-  // Online cache re-allocation (§6.4): replaces the cached set with the
+  // Online cache re-allocation (§6.4): refills the allocation with the
   // hottest-first key list the controller aggregated from observed heavy-hitter
-  // counts, preserving any failure remap in effect. Mutates `allocation`; callers
-  // must rebuild route tables afterwards (see sim/route_table.h).
+  // counts. The controller's partition→switch map is untouched, so the
+  // refill composes with any failure remap in effect. Callers must rebuild
+  // route tables afterwards (see sim/route_table.h).
   void ReallocateCache(const std::vector<uint64_t>& hottest_first);
 
   // The controller's re-allocation step from heavy-hitter reports (one list
@@ -58,8 +64,9 @@ struct ClusterModel {
   // `spine_alive` (the controller acts on its failure knowledge as of the
   // step), merges the reports (MergeHeavyHitterReports) and refills the cached
   // set hottest-first. Order-independent in `reports`, hash-based and RNG-free,
-  // so every process given the same reports reaches the same model state —
-  // which lets every forked shard of the shard runtime refill on its own.
+  // so every engine core given the same reports reaches the same model state
+  // — which lets every shard of the shard runtime refill its own copy
+  // (EngineCore::Reallocate).
   void ReallocateFromReports(
       const std::vector<uint8_t>& spine_alive,
       const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports);
@@ -67,7 +74,7 @@ struct ClusterModel {
   // Where `key` is cached now: the allocation's copies with the layer-0 copy
   // on the switch the controller maps its partition to.
   CacheCopies CopiesOf(uint64_t key) const {
-    return controller->Place(allocation->CopiesOf(key));
+    return controller.Place(allocation->CopiesOf(key));
   }
 
   // The pool head ranks' pmf and the aggregate tail mass under skew `theta`.
@@ -82,9 +89,9 @@ struct ClusterModel {
   std::vector<LayerSpec> layers;  // resolved cache hierarchy, top first
   Placement placement;
   std::unique_ptr<CacheAllocation> allocation;
-  // Off-path cache controller driving failure remaps (§4.4) and refills; it
-  // holds the partition→switch map, the allocation none.
-  std::unique_ptr<CacheController> controller;
+  // Off-path cache controller driving failure remaps (§4.4): it holds the
+  // partition→switch map, the allocation none.
+  CacheController controller;
 
   // Keys [0, pool) are tracked individually ("head"); the rest is the uniform tail.
   uint64_t pool = 0;

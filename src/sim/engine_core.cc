@@ -65,7 +65,7 @@ bool AdvancePlanState(const TimelineStep& step, ClusterModel& model,
 RouteSnapshot Snapshot(std::shared_ptr<const RouteTable> table,
                        const ClusterModel& model) {
   return {std::move(table), std::make_shared<const std::vector<uint32_t>>(
-                                model.controller->spine_of_partition())};
+                                model.controller.spine_of_partition())};
 }
 
 // Walks plan[from, end) from (alive, shift) and returns each step's snapshot.
@@ -219,25 +219,6 @@ std::vector<RouteSnapshot> BuildReallocRoutes(
   return routes;
 }
 
-void InstallReallocRoutes(const std::vector<RouteSnapshot>& snapshots,
-                          EngineCore& core) {
-  core.SetRoutes(snapshots[0]);
-  const size_t from = core.next_action_index();
-  for (size_t i = 1; i < snapshots.size(); ++i) {
-    core.SetActionRoutes(from + i - 1, snapshots[i]);
-  }
-}
-
-std::vector<RouteSnapshot> ReallocateAndInstall(
-    const std::vector<TimelineStep>& plan,
-    const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports,
-    EngineCore& core, ClusterModel& model) {
-  model.ReallocateFromReports(core.spine_alive(), reports);
-  std::vector<RouteSnapshot> snapshots = BuildReallocRoutes(plan, core, model);
-  InstallReallocRoutes(snapshots, core);
-  return snapshots;
-}
-
 EngineCore::EngineCore(const ClusterModel* model, uint64_t rng_seed,
                        uint64_t router_seed, bool enable_observer)
     : model_(model),
@@ -268,6 +249,26 @@ EngineCore::EngineCore(const ClusterModel* model, uint64_t rng_seed,
     policy_ = std::make_unique<CachePolicyRuntime>(
         pc, model->allocation.get(), &model->placement, &spine_alive_);
   }
+}
+
+void EngineCore::Reallocate(const std::vector<TimelineStep>& plan,
+                            const HeavyHitterReports& reports) {
+  if (realloc_model_ == nullptr) {
+    realloc_model_ = std::make_unique<ClusterModel>(*model_);
+  }
+  realloc_model_->ReallocateFromReports(spine_alive_, reports);
+  std::vector<RouteSnapshot> snapshots =
+      BuildReallocRoutes(plan, *this, *realloc_model_);
+  SetRoutes(snapshots[0]);
+  for (size_t i = 1; i < snapshots.size(); ++i) {
+    const size_t index = next_action_ + i - 1;
+    if (index < actions_.size()) {
+      actions_[index].routes = snapshots[i];
+    }
+  }
+  // Nothing routes through the previous refill's snapshots any more: the
+  // current routes and every pending action now name this refill's.
+  realloc_routes_ = std::move(snapshots);
 }
 
 void EngineCore::ConfigureOpenLoop(const QueueModelConfig& queue,

@@ -45,21 +45,23 @@
 // heavy-hitter observer), which is the paper's §6.4 cache-update loop. Only
 // the static policies run it: a dynamic policy fills its own caches and never
 // reads the allocation, so its plan drops the step and its core builds no
-// observer. Both engines' realloc hooks
-// run ReallocateAndInstall, i.e. the same two calls:
-// ClusterModel::ReallocateFromReports re-syncs the controller remap to the
-// alive set at that timestamp (failures before), merges the heavy-hitter
-// reports and refills the allocation;
-// BuildReallocRoutes then builds the immediate snapshot — the refilled table
-// and the controller's map as of the re-sync — and rebuilds the remaining
-// steps' snapshots against the refilled allocation (failures/shifts after) by
-// the same rules, so a post-reallocation switch restoration keeps the
-// refilled cached set instead of resurrecting the construction-time one.
+// observer. Every engine's realloc hook gathers the heavy-hitter reports and
+// calls EngineCore::Reallocate, which refills the core's own copy of the
+// model: ClusterModel::ReallocateFromReports re-syncs the copy's controller
+// remap to the alive set at that timestamp (failures before), merges the
+// reports and refills the allocation; BuildReallocRoutes then builds the
+// immediate snapshot — the refilled table and the controller's map as of the
+// re-sync — and rebuilds the remaining steps' snapshots against the refilled
+// allocation (failures/shifts after) by the same rules, so a
+// post-reallocation switch restoration keeps the refilled cached set instead
+// of resurrecting the construction-time one.
 //
 // The core routes through non-owning RouteViews (sim/route_table.h): whoever
-// builds a snapshot owns its storage for the whole run — the plan and the
-// backends' members (base and re-allocation snapshots). Forked shards read
-// the supervisor's plan, inherited, and keep their own re-allocation ones.
+// builds a snapshot owns its storage while the core routes through it. The
+// plan's snapshots and the base table belong to the backend (a forked shard
+// reads the supervisor's, inherited); a re-allocation's belong to the core
+// that built them. The model the core is constructed on is never written
+// during a run: the core copies it at its first re-allocation.
 #ifndef DISTCACHE_SIM_ENGINE_CORE_H_
 #define DISTCACHE_SIM_ENGINE_CORE_H_
 
@@ -144,8 +146,8 @@ class EngineCore {
     ClusterEvent event;
     std::shared_ptr<const std::vector<double>> pmf;
     // The post-step route snapshot; absent for steps that change no routes.
-    // Its storage (the plan's snapshots, or a backend's re-allocation ones)
-    // outlives the run.
+    // Its storage (the plan's snapshots, or the core's latest re-allocation
+    // ones) outlives every use of the view.
     RouteView routes;
   };
 
@@ -154,13 +156,15 @@ class EngineCore {
   using PhaseHook =
       std::function<void(const WorkloadPhase&,
                          const std::shared_ptr<const std::vector<double>>& pmf)>;
-  // kReallocateCache callback: re-allocates the cache and installs the new
-  // routes through SetRoutes / SetActionRoutes (ReallocateAndInstall). The
-  // sequential engine refills from its own ObservedCounts(); the shard runtime
-  // from every shard's report, gathered through the arena.
+  // kReallocateCache callback: gathers the heavy-hitter reports and calls
+  // Reallocate. The sequential engine passes its own ObservedCounts(); every
+  // shard of the shard runtime the reports it gathered through the arena.
   using ReallocateHook = std::function<void()>;
+  using HeavyHitterReports =
+      std::vector<std::vector<std::pair<uint64_t, uint32_t>>>;
 
-  // `model` outlives the core and is read-only on the hot path. `rng_seed` /
+  // `model` outlives the core and is never written through it (a
+  // re-allocation refills the core's own copy). `rng_seed` /
   // `router_seed` preserve each engine's historical stream derivation.
   // `enable_observer` asks for the heavy-hitter observer; it is built only
   // under a static policy (a dynamic one has no re-allocation to feed).
@@ -211,17 +215,19 @@ class EngineCore {
     next_action_ = 0;
   }
   // Index of the next unapplied action — inside the reallocate hook this is the
-  // first post-reallocation step, the start of the suffix whose snapshots the
-  // hook replaces.
+  // first post-reallocation step, the start of the suffix whose snapshots
+  // Reallocate replaces.
   size_t next_action_index() const { return next_action_; }
-  // Swaps the route snapshot of the pending action at `index` (used by the
-  // reallocate hooks to install suffix tables rebuilt against the refilled
-  // allocation). Applied actions are never patched.
-  void SetActionRoutes(size_t index, RouteView routes) {
-    if (index >= next_action_ && index < actions_.size()) {
-      actions_[index].routes = routes;
-    }
-  }
+
+  // The kReallocateCache step (§4.3 cache update), called from the realloc
+  // hook with the queued actions aligned 1:1 with `plan`. At its first call
+  // the core deep-copies its model; every call refills that copy from
+  // `reports` (ClusterModel::ReallocateFromReports at the core's alive set),
+  // builds the snapshots (BuildReallocRoutes) and installs them: [0] with
+  // SetRoutes, the rest on the pending actions. The core owns the snapshots
+  // until its next re-allocation replaces them.
+  void Reallocate(const std::vector<TimelineStep>& plan,
+                  const HeavyHitterReports& reports);
 
   // Applies every queued action with at_local <= processed (events fire just
   // before the request that reaches their timestamp), then closes any due sample
@@ -461,6 +467,11 @@ class EngineCore {
 
   PhaseHook phase_hook_;
   ReallocateHook realloc_hook_;
+  // Re-allocation state (Reallocate), last so the hot-path members keep
+  // their offsets: the core's deep copy of *model_, taken at its first
+  // re-allocation, and the snapshots of the latest refill.
+  std::unique_ptr<ClusterModel> realloc_model_;
+  std::vector<RouteSnapshot> realloc_routes_;
 };
 
 template <typename Sink>
@@ -745,26 +756,11 @@ void EngineCore::ProcessBatch(Sink& sink, const uint32_t* buckets, uint32_t coun
 // construction-time one. The suffix is coalesced like the plan, and steps at
 // the core's shift share [0]'s table (never a table built before the refill).
 // Mutates the model's controller state to the end-of-plan remap, exactly like
-// BuildTimelinePlan. The hook installs [0] with SetRoutes and the rest with
-// SetActionRoutes.
+// BuildTimelinePlan. EngineCore::Reallocate installs [0] with SetRoutes and
+// the rest on the pending actions.
 std::vector<RouteSnapshot> BuildReallocRoutes(
     const std::vector<TimelineStep>& plan, const EngineCore& core,
     ClusterModel& model);
-
-// Installs a re-allocation's snapshots (BuildReallocRoutes's output) on
-// `core`: [0] with SetRoutes, the suffix with SetActionRoutes.
-void InstallReallocRoutes(const std::vector<RouteSnapshot>& snapshots,
-                          EngineCore& core);
-
-// The kReallocateCache step every engine's hook runs (§4.3 cache update):
-// refills `model` from `reports` (ClusterModel::ReallocateFromReports at the
-// core's alive set), builds the snapshots (BuildReallocRoutes) and installs
-// them (InstallReallocRoutes). Returns the snapshots, which the caller keeps
-// alive while the core routes through them.
-std::vector<RouteSnapshot> ReallocateAndInstall(
-    const std::vector<TimelineStep>& plan,
-    const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports,
-    EngineCore& core, ClusterModel& model);
 
 }  // namespace distcache
 

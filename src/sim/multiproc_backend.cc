@@ -244,8 +244,8 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
   // Realloc rendezvous: one report slot per (step, shard), sized for the
   // observer's max_reports_per_epoch (2·pool) or, when fewer, the shard's
   // quota (Observe adds at most one entry per read). Pages are only touched as
-  // written. The tables never enter the arena: each forked shard builds its
-  // own, the thread launcher shares shard 0's (Reallocate).
+  // written. The tables never enter the arena: each shard's core builds its
+  // own (Reallocate).
   size_t realloc_steps = 0;
   for (const TimelineStep& step : fired_plan_) {
     realloc_steps += !step.is_phase &&
@@ -261,8 +261,6 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
     report_offset_.push_back(layout.Reserve(
         kCacheLineSize + report_entry_cap_[i % n] * sizeof(ReportEntry)));
   }
-  realloc_routes_.assign(realloc_steps, {});
-  realloc_released_.store(0, std::memory_order_relaxed);
 
   // One-shot fault latches: a u32 per planned event, zero-initialized =
   // unfired. Respawned incarnations consult them before re-firing.
@@ -569,38 +567,26 @@ void MultiprocBackend::Reallocate(Proc& p) {
       flag->store(count + 1, std::memory_order_release);
     }
   }
-  // Thread shards share one model: shard 0 refills it while every peer waits
-  // here, then releases the snapshots, which the peers install as views.
-  if (launcher_ == Launcher::kThreads && p.id != 0) {
-    if (WaitFor(p, [&] {
-          return realloc_released_.load(std::memory_order_acquire) > step;
-        })) {
-      InstallReallocRoutes(realloc_routes_[step], p.core);
-    }
-    return;  // on abort keep the current routes; we are winding down
-  }
   // 2. Gather every shard's report; one that died before publishing is
   //    absent from the sample. kShardDead is stored only after the shard was
   //    reaped, so once it is seen the flag is final: the re-read below gives
   //    every gatherer the same report set.
-  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports;
+  EngineCore::HeavyHitterReports reports;
   reports.reserve(n);
   for (uint32_t s = 0; s < n; ++s) {
     const std::atomic<uint64_t>* flag = ReportFlag(step, s);
     if (!WaitFor(p, [&] {
           return flag->load(std::memory_order_acquire) != 0 || ShardDead(s);
         })) {
-      return;
+      return;  // on abort keep the current routes; we are winding down
     }
     if (flag->load(std::memory_order_acquire) != 0) {
       reports.push_back(ReadArenaReport(step, s));
     }
   }
-  // 3. The refill is a pure function of the reports, so every forked shard
-  //    runs it on its own model copy and keeps its own snapshots.
-  realloc_routes_[step] =
-      ReallocateAndInstall(fired_plan_, reports, p.core, model_);
-  realloc_released_.store(step + 1, std::memory_order_release);
+  // 3. The refill is a pure function of the reports, so every shard runs it
+  //    on its core's own model copy, on either launcher.
+  p.core.Reallocate(fired_plan_, reports);
 }
 
 void MultiprocBackend::MaybeInjectFaults(Proc& p) {

@@ -9,11 +9,11 @@
 // tables, alias sampler, precomputed timeline plan) once, keeps it for the
 // backend's lifetime, and maps the arena for each Run. Shards install the base
 // table and the plan snapshots as non-owning RouteViews (EngineCore::SetRoutes
-// / SetActionRoutes). Forked children inherit the arena by mapping inheritance
+// and the queued actions). Forked children inherit the arena by mapping inheritance
 // and the read-only state copy-on-write (fork without exec: an exec'd child
 // would need a config wire format for no isolation gain); nothing writes the
 // tables, so one physical copy serves every shard, a respawned one included.
-// The model is read-only on the hot path; only a re-allocation mutates it
+// The model is read-only for the whole Run: a re-allocation refills a copy
 // (below). Each shard pins itself when pin_cores is set, passes the start
 // barrier, runs its batch loop (EngineCore + batched hot path, a telemetry
 // publish per epoch) and publishes its serialized BackendStats behind a
@@ -38,15 +38,15 @@
 // dynamic policy's plan has no such step, so its runs reserve no report
 // regions and never rendezvous. Under a static policy every shard publishes
 // its heavy-hitter report into an idempotent per-(step, shard) arena slot.
-// The refill that follows (ReallocateAndInstall, the sequential engine's hook)
-// is a pure function of the reports — ClusterModel::ReallocateFromReports is
-// order-independent, hash-based and RNG-free — so no controller is elected:
-// each forked shard gathers every report (a dead shard's is absent), refills
-// its own copy of the model and builds and installs its own route snapshots.
-// Thread shards share one model, and no thread shard can die, so shard 0
-// gathers, refills and releases its snapshots through a backend word while its
-// peers wait at the rendezvous, then the peers install views of them (each
-// snapshot carries the controller's layer-0 map with its table).
+// The refill that follows is a pure function of the reports —
+// ClusterModel::ReallocateFromReports is order-independent, hash-based and
+// RNG-free — so no controller is elected: every shard, thread or forked,
+// gathers every report (a dead shard's is absent) and calls
+// EngineCore::Reallocate, as the sequential engine's hook does, which refills
+// the core's own copy of the model and builds and installs its own route
+// snapshots. No shard writes the supervisor's model during a Run, so the
+// launchers differ only in how shards start and how they are joined or
+// reaped.
 //
 // Termination: a shard that finishes its quota copies its own contributions
 // into its stats, publishes them and returns, waiting for no peer. Its slot
@@ -170,8 +170,7 @@ class MultiprocBackend : public SimBackend {
   // then its partials one cache line in.
   std::atomic<uint64_t>* TelemetryVersion(uint32_t shard) const;
   // kReallocateCache rendezvous (header comment): publish this shard's
-  // report → gather every live shard's → ReallocateAndInstall on this
-  // process's model (thread shards other than 0 install shard 0's snapshots).
+  // report → gather every live shard's → EngineCore::Reallocate.
   void Reallocate(Proc& p);
   // Shard `s`'s report slot for `step`: this flag word (0 = unpublished,
   // else entry count + 1), then the entries one cache line in.
@@ -186,8 +185,7 @@ class MultiprocBackend : public SimBackend {
   // ---- supervisor side -----------------------------------------------------
   // Computes the arena layout for `shards` and this run's series bound —
   // telemetry slots, stats regions and the realloc report slots — and maps
-  // it; false when the mapping fails. Also sizes realloc_routes_ (one entry
-  // per fired kReallocateCache step) and resets realloc_released_.
+  // it; false when the mapping fails.
   bool LayoutAndMapArena(uint64_t num_requests);
   // Fork launcher: forks every shard, then reaps, respawns or declares dead
   // (header comment) until none is left. Marks lost shards in *failed and
@@ -218,13 +216,9 @@ class MultiprocBackend : public SimBackend {
   size_t stats_bound_ = 0;
 
   // Realloc rendezvous: per fired kReallocateCache step, one arena report
-  // slot per shard; the step's snapshots (BuildReallocRoutes), owned by this
-  // process for the rest of the run; and the thread launcher's release word
-  // (steps whose snapshots shard 0 has published).
+  // slot per shard.
   std::vector<size_t> report_entry_cap_;         // [shard] entries per slot
   std::vector<size_t> report_offset_;            // [step * shards + shard]
-  std::vector<std::vector<RouteSnapshot>> realloc_routes_;
-  std::atomic<uint32_t> realloc_released_{0};
   // One-shot fault latches: one u32 per fault_plan event (zero = unfired), so
   // respawned incarnations replay their streams without re-firing. 0 when the
   // plan is empty (no reservation, no hook work).

@@ -63,15 +63,10 @@ SequentialBackend::SequentialBackend(const SimBackendConfig& config)
       head_dist_ = std::make_unique<DiscreteDistribution>(*pmf, "head+tail");
     }
   });
-  core_.SetReallocateHook([this] {
-    // Controller re-allocation (§6.4) from this engine's one report. The
-    // snapshots stay in realloc_routes_ for the rest of the run; actions
-    // align with plan_ 1:1.
-    const auto snapshots =
-        ReallocateAndInstall(plan_, {core_.ObservedCounts()}, core_, model_);
-    realloc_routes_.insert(realloc_routes_.end(), snapshots.begin(),
-                           snapshots.end());
-  });
+  // Controller re-allocation (§6.4) from this engine's one report; actions
+  // align with plan_ 1:1.
+  core_.SetReallocateHook(
+      [this] { core_.Reallocate(plan_, {core_.ObservedCounts()}); });
 }
 
 BackendStats SequentialBackend::Run(uint64_t num_requests) {

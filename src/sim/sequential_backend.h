@@ -20,11 +20,12 @@
 //    swaps to the new rank→key rotation; hit ratio collapses when the hot set
 //    moves onto uncached keys (§6.4).
 //  * kReallocateCache — the controller ranks the core's observed heavy-hitter
-//    counts, refills the allocation hottest-first (core/allocation Refill), and
-//    the backend builds the new route tables, keeps them and installs them: the
-//    cache-update reaction that restores the hit ratio after a shift. Static
-//    policies only: a dynamic policy's plan drops the step, so the hook never
-//    fires and no observer runs.
+//    counts, and the core refills its copy of the allocation hottest-first
+//    (core/allocation Refill), builds the new route tables, keeps them and
+//    installs them (EngineCore::Reallocate): the cache-update reaction that
+//    restores the hit ratio after a shift. Static policies only: a dynamic
+//    policy's plan drops the step, so the hook never fires and no observer
+//    runs.
 #ifndef DISTCACHE_SIM_SEQUENTIAL_BACKEND_H_
 #define DISTCACHE_SIM_SEQUENTIAL_BACKEND_H_
 
@@ -57,11 +58,9 @@ class SequentialBackend : public SimBackend {
   // the O(pool) pmf materialization entirely — different RNG stream, so it is
   // differentially validated, never golden-pinned.
   std::unique_ptr<TwoLevelSampler> two_level_;
-  // Route storage for the core's views, kept for the whole run: the
-  // pre-timeline table (which plan steps at shift 0 share) and every snapshot
-  // a re-allocation built.
+  // The pre-timeline table the core routes through (plan steps at shift 0
+  // share it), kept for the whole run.
   std::shared_ptr<const RouteTable> base_routes_;
-  std::vector<RouteSnapshot> realloc_routes_;
   EngineCore core_;
 };
 

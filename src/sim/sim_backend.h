@@ -310,9 +310,9 @@ struct BackendCounters {
   uint64_t peak_rss_bytes = 0;
   // Bytes held by this engine's route-table snapshots (base table + every
   // precomputed timeline snapshot, compact hot-prefix layout). The shard
-  // runtime keeps the plan in its arena: thread shards report the plan's bytes
-  // (one copy in this process), forked children 0 (the arena is counted once
-  // in arena_bytes).
+  // runtime's supervisor stamps the plan's bytes once on either launcher:
+  // thread shards share its tables and forked children inherit them, never
+  // through the arena. A re-allocation's tables are not counted.
   uint64_t route_table_bytes = 0;
   // Bytes held by this engine's per-process workload sampler(s): the dense
   // alias / inverse-CDF tables, or the O(hot) two-level sampler. Merge keeps

@@ -16,7 +16,7 @@ class ControllerTest : public ::testing::Test {
         Mechanism::kDistCache, /*num_spine=*/8, /*num_racks=*/8,
         /*per_switch_objects=*/10);
     allocation_ = std::make_unique<CacheAllocation>(cfg, placement_);
-    controller_ = std::make_unique<CacheController>(allocation_.get(), 8);
+    controller_ = std::make_unique<CacheController>(8);
   }
 
   Placement placement_;
@@ -73,7 +73,7 @@ TEST_F(ControllerTest, ReallocationKeepsTheRemap) {
   for (uint64_t i = 0; i < allocation_->candidate_pool(); ++i) {
     hottest.push_back(1'000'000 + i);
   }
-  controller_->ReallocateCache(hottest, placement_);
+  allocation_->Refill(hottest, placement_);
   const auto partition = allocation_->spine_contents()[2];
   ASSERT_FALSE(partition.empty());
   for (const uint64_t key : partition) {

@@ -397,10 +397,10 @@ TEST(MultiprocRespawn, KilledShardIsRespawnedAndTheRunCompletes) {
 
 TEST(MultiprocRespawn, RespawnedControllerShardSurvivesReallocRendezvous) {
   SKIP_UNLESS_MULTIPROC_RUNNABLE();
-  // Kill shard 0 — the realloc controller — before the rendezvous at 120k. The
-  // respawned incarnation must republish its (idempotent, deterministic)
-  // heavy-hitter report, rerun the controller computation, and publish the
-  // rebuilt tables; the peer must neither hang nor observe torn state.
+  // Kill shard 0 before the rendezvous at 120k. The respawned incarnation
+  // must republish its (idempotent, deterministic) heavy-hitter report and
+  // gather its peer's, and both shards refill their own model copies; the
+  // peer must neither hang nor read a torn report.
   constexpr uint64_t kRequests = 400'000;
   SimBackendConfig bcfg = GoldenBackendConfig(2);
   bcfg.events = FullTimeline();
@@ -577,9 +577,9 @@ TEST(MultiprocBackendDeathTest, RefusesADropThatCannotFire) {
 
 // ---- launcher differential -------------------------------------------------
 // kSharded (threads) and kMultiproc (forks) are one runtime with two
-// launchers; they differ only in who runs a re-allocation's refill (thread
-// shard 0 once for the shared model, every forked shard on its own copy).
-// Any deterministic run must therefore agree bit for bit across them.
+// launchers; they differ only in how shards start and how they are joined or
+// reaped. Every shard refills its own model copy at a re-allocation on
+// either. Any deterministic run must therefore agree bit for bit across them.
 
 void ExpectLaunchersAgree(const SimBackendConfig& bcfg, uint64_t requests) {
   const BackendStats threads =
@@ -603,8 +603,8 @@ TEST(LauncherDifferential, OneShardFullTimelineIsBitIdentical) {
 }
 
 // Dynamic policies route by primary server, never by telemetry, so a
-// two-shard run is deterministic and the shared-model vs per-child refill of
-// the realloc rendezvous is visible in every counter.
+// two-shard run is deterministic; its plan drops the re-allocation step, so
+// neither launcher rendezvouses.
 TEST(LauncherDifferential, TwoShardLruWriteBackShiftReallocIsBitIdentical) {
   SKIP_UNLESS_MULTIPROC_RUNNABLE();
   SimBackendConfig bcfg = GoldenBackendConfig(2);

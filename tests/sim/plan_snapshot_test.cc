@@ -361,9 +361,49 @@ TEST(PlanSnapshots, ReallocBeforeTheRemapInstallsTheControllersMap) {
   alive[2] = alive[5] = 0;
   ref.ReallocateFromReports(alive, {report});
   EXPECT_EQ(*snapshots[0].spine_of_partition,
-            ref.controller->spine_of_partition());
-  EXPECT_NE(ref.controller->spine_of_partition()[2], 2u);
+            ref.controller.spine_of_partition());
+  EXPECT_NE(ref.controller.spine_of_partition()[2], 2u);
   ExpectResolvesLike(snapshots[0], ref, kShift, "immediate");
+}
+
+// Every pool-head key's placed copies (ClusterModel::CopiesOf), flattened:
+// the copy count and replication flag, then each copy's layer and node.
+std::vector<uint64_t> PlacedPoolHead(const ClusterModel& model) {
+  std::vector<uint64_t> placed;
+  for (uint64_t key = 0; key < model.pool; ++key) {
+    const CacheCopies copies = model.CopiesOf(key);
+    placed.push_back(copies.num + (copies.replicated_all_spines ? 0x100 : 0));
+    for (uint8_t i = 0; i < copies.num; ++i) {
+      placed.push_back(uint64_t{copies.nodes[i].layer} << 32 |
+                       copies.nodes[i].index);
+    }
+  }
+  return placed;
+}
+
+// A model copy is deep: refilling the copy and remapping one of its spines
+// leaves the original's cached set, its identity map and its allocation bytes
+// as they were. Before either changes, the two place every pool-head key
+// alike.
+TEST(ClusterModelCopy, RefillAndRemapLeaveTheOriginal) {
+  const SimBackendConfig cfg = BaseConfig();
+  const ClusterModel original(cfg.cluster);
+  ClusterModel copy(original);
+  const std::vector<uint64_t> placed = PlacedPoolHead(original);
+  const size_t bytes = original.allocation->bytes();
+  EXPECT_EQ(PlacedPoolHead(copy), placed);
+
+  std::vector<uint8_t> alive(cfg.cluster.num_spine, 1);
+  alive[2] = 0;
+  copy.ReallocateFromReports(alive, {ShiftedReport(cfg.cluster.num_keys)});
+  ASSERT_NE(copy.controller.spine_of_partition()[2], 2u);
+  ASSERT_NE(PlacedPoolHead(copy), placed);
+
+  EXPECT_EQ(PlacedPoolHead(original), placed);
+  std::vector<uint32_t> identity(cfg.cluster.num_spine);
+  std::iota(identity.begin(), identity.end(), 0);
+  EXPECT_EQ(original.controller.spine_of_partition(), identity);
+  EXPECT_EQ(original.allocation->bytes(), bytes);
 }
 
 }  // namespace

@@ -536,8 +536,8 @@ std::string RunEngine(const Flags& flags, BackendKind kind,
       static_cast<unsigned long long>(stats.dropped));
   // Memory footprint: peak RSS is the max across the driver and any shard
   // processes; route/sampler bytes are per-process state, each distinct route
-  // table counted once (multiproc keeps route tables in the shared arena,
-  // counted once under `arena`).
+  // table counted once (shard processes inherit the supervisor's tables; the
+  // arena holds telemetry, report and stats slots only).
   constexpr double kMiB = 1024.0 * 1024.0;
   std::printf("  memory: peak RSS %.1f MiB  route tables %.1f MiB  "
               "sampler %.1f MiB  arena %.1f MiB\n",
